@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distance import delta_jet, foot_points, normal_n, signed_distance
+from .distance import (delta_jet, foot_points, normal_n,
+                       signed_distance_from_feet)
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
 from .hermitian import hermitian_eigh
@@ -288,12 +289,17 @@ def interior_psh_oracle(rho_jet_fn, eta, mesh, slack_rel=1e-9) -> OracleReport:
 
 def delta_exp_psi_jet_fn(domain: DomainSpec, psi, h=None):
     """Order-2 jets of rho = delta * exp(psi) by finite differences of the
-    composite (psi extended by zero outside its collar support)."""
+    composite (psi extended by zero outside its collar support).
+
+    psi is a function of the foot point (it needs at_feet): each stencil
+    node is projected once, and delta and psi both come from that foot.
+    """
     h = 1e-3 * domain.scale if h is None else h
 
     def values(P):
-        d = signed_distance(domain, P)
-        return d * np.exp(_psi_values(psi, P))
+        feet, _ = foot_points(domain, P, ambiguity_check=False)
+        d = signed_distance_from_feet(domain, P, feet)
+        return d * np.exp(_psi_values(psi.at_feet, feet))
 
     def fn(mesh):
         return numeric_jet(values, mesh, order=2, h=h)
@@ -411,32 +417,6 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
         if not improved:
             break
     return x, best
-
-
-def family_candidates(domain, coords_fn, basis_fns, box=1.0,
-                      include_zero=True):
-    """Candidate generator searching the chart-basis family by coordinate
-    descent on the max-LHS objective (built lazily per evaluator)."""
-
-    def make(ev: CriterionEvaluator):
-        def candidates(eta):
-            if include_zero:
-                yield "zero", ZeroPsi(domain)
-            proto = ChartBasisPsi(domain, coords_fn, basis_fns,
-                                  np.zeros(len(basis_fns)))
-
-            def objective(coef):
-                rep_lhs = ev.lhs(proto.with_coef(coef), eta)
-                return float(rep_lhs.max())
-
-            lo = -box * np.ones(len(basis_fns))
-            hi = box * np.ones(len(basis_fns))
-            coef, _ = coordinate_descent(objective, np.zeros(len(basis_fns)),
-                                         lo, hi)
-            yield "family", proto.with_coef(coef)
-        return candidates
-
-    return make
 
 
 # ---------------------------------------------------------------------------

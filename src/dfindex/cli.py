@@ -53,6 +53,12 @@ class RunConfig:
 
     @staticmethod
     def load(path=None, overrides=None):
+        return RunConfig.read(path, overrides).validate()
+
+    @staticmethod
+    def read(path=None, overrides=None):
+        """Defaults, then the config file, then the non-None overrides;
+        values stay as given until validate()."""
         cfg = RunConfig()
         if path:
             try:
@@ -70,20 +76,32 @@ class RunConfig:
         for k, v in (overrides or {}).items():
             if v is not None:
                 cfg.values[k] = v
-        cfg.validate()
         return cfg
 
     def validate(self):
-        for key in ("mesh", "interior", "res", "seed"):
-            self.values[key] = int(self.values[key])
-        for key in ("radius", "beta", "r", "eta", "threshold", "slack",
-                    "oracle_slack"):
-            self.values[key] = float(self.values[key])
-        for key in ("oracle_slack",):
-            if self.values[key] <= 0:
-                raise ConfigInvalid(f"{key} must be positive")
+        kinds = dict.fromkeys(("mesh", "interior", "res", "seed"), int)
+        kinds.update(dict.fromkeys(("radius", "beta", "r", "eta", "threshold",
+                                    "slack", "oracle_slack"), float))
+        for key, kind in kinds.items():
+            try:
+                self.values[key] = kind(self.values[key])
+            except (TypeError, ValueError):
+                raise ConfigInvalid(f"{key} must be {kind.__name__}, got "
+                                    f"{self.values[key]!r}") from None
+        for key in ("mesh", "interior"):
+            if self.values[key] < 1:
+                raise ConfigInvalid(f"{key} must be at least 1")
+        if self.values["oracle_slack"] <= 0:
+            raise ConfigInvalid("oracle_slack must be positive")
         if not 0 < self.values["eta"] < 1:
             raise ConfigInvalid("eta must be in (0, 1)")
+        try:
+            grid = self.eta_grid()
+        except ValueError:
+            raise ConfigInvalid("eta_grid must be comma-separated numbers, "
+                                f"got {self.values['eta_grid']!r}") from None
+        if not all(0 < e < 1 for e in grid):
+            raise ConfigInvalid(f"eta_grid values must be in (0, 1): {grid}")
         return self
 
     def hash(self):
@@ -315,8 +333,12 @@ def main(argv=None):
                  ("domain", "radius", "beta", "r", "mesh", "interior", "eta",
                   "eta_grid", "threshold", "slack", "loop", "chart", "res",
                   "out", "seed")}
+    cfg = RunConfig()
+    if args.out is not None:
+        cfg.values["out"] = args.out
     try:
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.read(args.config, overrides)
+        cfg.validate()
         if args.command == "zoo":
             code, res = _cmd_zoo(args, cfg)
             if res is not None:
@@ -331,7 +353,8 @@ def main(argv=None):
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag, sort_keys=True))
         try:
-            cfg = RunConfig.load(None, {})
+            # the configuration as read, so --out (or out= in the config
+            # file) is honoured even when validation failed
             emit_report(diag, cfg, name="error")
         except DfIndexError:
             pass

@@ -10,6 +10,7 @@ dbar-derivative is (f + i g)/2).
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -219,21 +220,22 @@ class _PolyModel:
         self.terms = None
 
     def _design(self, U):
+        """Monomial columns of total degree <= degree, built from one
+        per-axis power table gathered through the cached exponent index."""
         X = 2.0 * (U - self.lo) / (self.hi - self.lo) - 1.0
         p = X.shape[1]
         if self.terms is None:
-            terms = []
-            def rec(prefix, remaining, budget):
-                if not remaining:
-                    terms.append(tuple(prefix))
-                    return
-                for d in range(budget + 1):
-                    rec(prefix + [d], remaining - 1, budget - d)
-            rec([], p, self.degree)
-            self.terms = terms
-        cols = [np.prod([X[:, a] ** e for a, e in enumerate(term)], axis=0)
-                for term in self.terms]
-        return np.stack(cols, axis=1)
+            self.terms = np.array(
+                [e for e in itertools.product(range(self.degree + 1),
+                                              repeat=p)
+                 if sum(e) <= self.degree])
+        powers = np.stack([X ** e for e in range(self.degree + 1)], axis=2)
+        # np.take keeps A C-ordered; an F-ordered A sends fit() down another
+        # BLAS path, which moves the ill-conditioned solve in the last digits
+        A = np.take(powers[:, 0], self.terms[:, 0], axis=1)
+        for a in range(1, p):
+            A *= np.take(powers[:, a], self.terms[:, a], axis=1)
+        return A
 
     def fit(self, U, y):
         A = self._design(np.atleast_2d(U))
@@ -271,26 +273,30 @@ class PotentialField:
     labels: np.ndarray | None = None   # leaf labels when foliated
     meta: dict = field(default_factory=dict)
 
-    def leaf_for_label(self, t):
-        if self.labels is None or len(self.leaves) == 1:
-            return [(self.leaves[0], 1.0)]
-        lt = self.labels
-        tt = np.mod(t, 2 * np.pi)
-        k = int(np.searchsorted(lt, tt) % len(lt))
-        k0 = (k - 1) % len(lt)
-        t0, t1 = lt[k0], lt[k]
-        span = np.mod(t1 - t0, 2 * np.pi)
-        w = np.mod(tt - t0, 2 * np.pi) / span if span > 0 else 0.0
-        return [(self.leaves[k0], 1.0 - w), (self.leaves[k], w)]
-
     def eval(self, U, t=None):
+        """phi at chart parameters U (with leaf labels t when foliated).
+
+        Each point blends the two leaves whose labels bracket t (mod 2 pi)
+        linearly in the label; each leaf model is evaluated once, on the
+        rows that use it.  A bracket of zero span (labels coinciding mod
+        2 pi) gives the preceding leaf full weight.
+        """
         U = np.atleast_2d(U)
-        if t is None:
+        if t is None or self.labels is None or len(self.leaves) == 1:
             return self.leaves[0].model(U)
+        lt = self.labels
+        tt = np.mod(np.asarray(t, dtype=float), 2 * np.pi)
+        k = np.searchsorted(lt, tt) % len(lt)
+        k0 = (k - 1) % len(lt)
+        span = np.mod(lt[k] - lt[k0], 2 * np.pi)
+        w = np.where(span > 0, np.mod(tt - lt[k0], 2 * np.pi)
+                     / np.where(span > 0, span, 1.0), 0.0)
         out = np.zeros(U.shape[0])
-        for i in range(U.shape[0]):
-            for leaf, w in self.leaf_for_label(float(t[i])):
-                out[i] += w * float(leaf.model(U[i:i + 1])[0])
+        for j, leaf in enumerate(self.leaves):
+            rows = np.flatnonzero((k0 == j) | (k == j))
+            if rows.size:
+                wj = np.where(k0[rows] == j, 1.0 - w[rows], w[rows])
+                out[rows] += wj * leaf.model(U[rows])
         return out
 
     def to_csv(self, path):
@@ -471,7 +477,10 @@ class CollarPsi:
     def __call__(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=float))
         feet, _ = foot_points(self.domain, P, ambiguity_check=False)
-        U, t, edge = self.collar.to_chart(feet)
+        return self.at_feet(feet)
+
+    def at_feet(self, F):
+        U, t, edge = self.collar.to_chart(np.atleast_2d(F))
         vals = self.phi.eval(U, t)
         s = (np.clip(edge, 0, None) - self.collar.fade_start) / \
             max(self.collar.fade_end - self.collar.fade_start, 1e-12)
@@ -485,7 +494,3 @@ def extend_to_collar(domain, phi: PotentialField, collar: CollarMap,
     a C3 edge blend; exact on the chart grid."""
     return CollarPsi(domain, phi, collar, width=width, check=check)
 
-
-def zero_psi(P):
-    P = np.atleast_2d(P)
-    return np.zeros(P.shape[0])

@@ -254,8 +254,12 @@ def signed_distance(domain: DomainSpec, Z, ambiguity_check=False):
     """delta(Z): negative inside, positive outside, zero on the boundary."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     feet, _ = foot_points(domain, Z, ambiguity_check=ambiguity_check)
-    d = np.linalg.norm(Z - feet, axis=1)
-    return np.sign(domain.value(Z)) * d
+    return signed_distance_from_feet(domain, Z, feet)
+
+
+def signed_distance_from_feet(domain: DomainSpec, Z, feet):
+    """delta(Z) given the feet of Z's projections onto the boundary."""
+    return np.sign(domain.value(Z)) * np.linalg.norm(Z - feet, axis=1)
 
 
 def delta_jet(domain: DomainSpec, z, order=2, h=None, collar=None) -> WirtingerJet:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,45 +38,6 @@ def measured_orders(residuals, floor=0.0):
         else:
             out.append(math.log2(a / b))
     return np.array(out)
-
-
-def adaptive_simpson(f, a, b, tol=1e-8, max_levels=14):
-    """Composite Simpson on [a, b] with uniform halving until two successive
-    estimates differ by less than tol.  `f` maps (K,) nodes -> (K,) values.
-    """
-    prev = None
-    for level in range(2, max_levels + 1):
-        m = 2 ** level
-        x = np.linspace(a, b, m + 1)
-        y = f(x)
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        est = (b - a) / (3.0 * m) * float(np.dot(w, y))
-        if prev is not None and abs(est - prev) < tol * (1.0 + abs(est)):
-            return est
-        prev = est
-    return prev
-
-
-def worker_count():
-    env = os.environ.get("DFINDEX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over items; DFINDEX_THREADS caps the worker pool."""
-    items = list(items)
-    nw = worker_count()
-    if nw <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nw) as ex:
-        return list(ex.map(fn, items))
 
 
 def _round_floats(obj, sig=12):

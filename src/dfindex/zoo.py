@@ -3,8 +3,8 @@ chart atlases and generator loops.
 
 All entries are domains in C^2 with interleaved real coordinates
 (x1, y1, x2, y2).  Oracles are sympy-generated jets of the defining function,
-built lazily and cached; evaluators are jet-generic so forward-mode
-differentiation is exact.
+built lazily on first use and cached; evaluators are jet-generic so
+forward-mode differentiation is exact.
 """
 
 from __future__ import annotations
@@ -28,9 +28,21 @@ _ORACLE_CACHE: dict = {}
 
 
 def _sympy_oracle(key, expr_builder):
-    """Lambdified real jets (to order 3) of a sympy expression in 4 symbols."""
-    if key in _ORACLE_CACHE:
-        return _ORACLE_CACHE[key]
+    """Real jets (to order 3) of a sympy expression in 4 symbols.
+
+    sympy is imported, and the derivatives lambdified, on the first call;
+    the result is cached under key, so building an entry costs nothing.
+    """
+
+    def oracle(P, order=3):
+        if key not in _ORACLE_CACHE:
+            _ORACLE_CACHE[key] = _lambdify_jets(expr_builder)
+        return _ORACLE_CACHE[key](P, order)
+
+    return oracle
+
+
+def _lambdify_jets(expr_builder):
     import sympy as sp
 
     syms = sp.symbols("x1 y1 x2 y2", real=True)
@@ -73,7 +85,6 @@ def _sympy_oracle(key, expr_builder):
                         t[:, a, b, c] = ev(third[tuple(sorted((a, b, c)))])
         return WirtingerJet(v, g, h, t)
 
-    _ORACLE_CACHE[key] = oracle
     return oracle
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
+from dfindex.cohomology import HFieldSource, build_potential, classify
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,22 @@ def worm():
 @pytest.fixture(scope="session")
 def quartic():
     return zoo.make_quartic_circle()
+
+
+@pytest.fixture(scope="session")
+def bidisc_leaf_field(bidisc):
+    """Potential field over the bidisc's 8 leaf charts with a synthetic,
+    leaf-dependent exact form, so that neighbouring leaves differ (the
+    bidisc's own form vanishes on every leaf)."""
+    charts = sorted(bidisc.charts.values(), key=lambda c: c.leaf_label)
+
+    def source(chart):
+        a = np.cos(chart.leaf_label) + 2.0
+        return HFieldSource(chart, lambda U: (a * (U[:, 0] - 1j * U[:, 1])
+                                              + a * a)[:, None])
+
+    return build_potential([source(c) for c in charts], np.zeros(2),
+                           classify({}, 1e-6), res=9, check_targets=8)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,11 @@ from dfindex.certify import (CriterionEvaluator, PatchSpec, ZeroPsi,
                              delta_exp_psi_jet_fn, interior_psh_oracle,
                              oracle_jet_fn_from_rho, real_curve_certify,
                              residual_sequence)
+from dfindex import certify, cohomology, distance
+from dfindex.cohomology import CollarMap, extend_to_collar
+from dfindex.distance import signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve
+from dfindex.jets import numeric_jet
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import (certify_domain, default_psi_for,
                                estimate_domain, sigma_scan)
@@ -111,6 +115,67 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
         fn = delta_exp_psi_jet_fn(entry.domain, ZeroPsi(entry.domain))
         rep = interior_psh_oracle(fn, 0.05, mesh, slack_rel=1e-6)
         assert rep.certified, entry.id
+
+
+def _two_projection_jet_fn(domain, psi):
+    """The oracle composite with delta and psi projecting separately."""
+    h = 1e-3 * domain.scale
+
+    def values(P):
+        return signed_distance(domain, P) * np.exp(psi(P))
+
+    return lambda mesh: numeric_jet(values, mesh, order=2, h=h)
+
+
+@pytest.fixture(scope="module")
+def oracle_psis(bidisc, bidisc_leaf_field, quartic, worm):
+    """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
+    collar = extend_to_collar(bidisc.domain, bidisc_leaf_field,
+                              CollarMap(to_chart=bidisc.sigma_coords))
+    rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
+    # a support wider than the default reaches the interior mesh, so psi
+    # varies over the stencils
+    curve = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
+                                  rep, quartic.sigma_distance, width=0.6)
+    return {"collar": (bidisc, collar), "curve": (quartic, curve),
+            "zero": (worm, ZeroPsi(worm.domain))}
+
+
+@pytest.mark.parametrize("kind", ["collar", "curve", "zero"])
+def test_oracle_composite_matches_two_projections(oracle_psis, kind):
+    entry, psi = oracle_psis[kind]
+    mesh = entry.interior_mesh(40, seed=7)
+    got = delta_exp_psi_jet_fn(entry.domain, psi)(mesh)
+    ref = _two_projection_jet_fn(entry.domain, psi)(mesh)
+    # both routes project the same nodes with the same call
+    np.testing.assert_array_equal(got.value, ref.value)
+    np.testing.assert_array_equal(got.wgrad, ref.wgrad)
+    np.testing.assert_array_equal(got.mixed, ref.mixed)
+    if kind != "zero":
+        # psi is not constant on the stencils, so the check has teeth
+        assert np.ptp(psi(mesh)) > 1e-3
+
+
+def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
+    entry, psi = oracle_psis["collar"]
+    mesh = entry.interior_mesh(30, seed=8)
+    rows = []
+    original = distance.foot_points
+
+    def counting(domain, Z, *args, **kwargs):
+        rows.append(np.atleast_2d(Z).shape[0])
+        return original(domain, Z, *args, **kwargs)
+
+    for module in (distance, certify, cohomology):
+        monkeypatch.setattr(module, "foot_points", counting)
+    interior_psh_oracle(delta_exp_psi_jet_fn(entry.domain, psi), 0.99, mesh,
+                        slack_rel=1e-6)
+    # order-2 stencil in R^4: 33 nodes at two Richardson steps
+    assert sum(rows) == 66 * mesh.shape[0]
+    rows.clear()
+    interior_psh_oracle(_two_projection_jet_fn(entry.domain, psi), 0.99,
+                        mesh, slack_rel=1e-6)
+    assert sum(rows) == 132 * mesh.shape[0]
 
 
 def test_mesh_outside_raises(ball):

@@ -131,9 +131,58 @@ def test_parser_flags():
     assert args.beta == 3.2
 
 
-def test_threads_env_cap(monkeypatch):
-    from dfindex.util import worker_count
-    monkeypatch.setenv("DFINDEX_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("DFINDEX_THREADS", "bogus")
-    assert worker_count() == 1
+
+def test_error_json_written_under_out(tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "out"
+    assert main(["scan", "--domain", "nope", "--out", str(out)]) == 1
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "ConfigInvalid"
+    assert diag["config"]["domain"] == "nope"
+    assert not (cwd / "dfindex_out").exists()
+
+
+def _assert_config_invalid(argv, out):
+    assert main(argv + ["--out", str(out)]) == 1
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "ConfigInvalid", diag
+    return diag
+
+
+def test_eta_grid_not_numeric(tmp_path):
+    diag = _assert_config_invalid(
+        ["estimate", "--domain", "ball", "--eta-grid", "foo"], tmp_path)
+    assert "eta_grid" in diag["message"]
+    with pytest.raises(ConfigInvalid):
+        RunConfig.load(None, {"eta_grid": "0.5,,0.9"})
+
+
+@pytest.mark.parametrize("grid", ["1.5", "0.5,1.0", "0", "-0.2,0.5", "nan"])
+def test_eta_grid_outside_unit_interval(tmp_path, grid):
+    _assert_config_invalid(["estimate", "--domain", "ball",
+                            f"--eta-grid={grid}"], tmp_path)
+
+
+def test_mesh_zero(tmp_path):
+    _assert_config_invalid(["scan", "--domain", "ball", "--mesh", "0"],
+                           tmp_path)
+
+
+def test_interior_zero(tmp_path):
+    _assert_config_invalid(["certify", "--domain", "ball", "--interior",
+                            "0"], tmp_path)
+
+
+def test_config_file_non_numeric(tmp_path):
+    out = tmp_path / "from_file"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"domain = ball\nmesh = many\nout = {out}\n")
+    code = main(["scan", "--config", str(cfgfile)])
+    assert code == 1
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "ConfigInvalid"
+    assert "mesh" in diag["message"]
+    cfgfile.write_text("radius = wide\n")
+    _assert_config_invalid(["scan", "--config", str(cfgfile)], tmp_path)

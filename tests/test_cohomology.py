@@ -1,6 +1,9 @@
 """Line integrals, periods, exactness verdicts, potential reconstruction,
 and the collar extension."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from dfindex.cohomology import (CollarMap, CohomologyVerdict, FuncSource,
                                 HFieldSource, PathInSigma, ThetaSource,
                                 build_potential, classify,
                                 exactness_tolerance, extend_to_collar,
-                                integrate_theta, period, zero_psi)
+                                _PolyModel, integrate_theta, period)
 from dfindex.errors import (ChartGap, CollarTooWide, ObstructedClass,
                             PathDisagreement)
 from dfindex.sigma import SigmaChart
@@ -244,5 +247,103 @@ def test_collar_too_wide(ball, bidisc):
                          width=2.0)
 
 
-def test_zero_psi():
-    assert np.all(zero_psi(np.zeros((5, 4))) == 0.0)
+
+# ---------------------------------------------------------------------------
+# batched potential evaluation
+# ---------------------------------------------------------------------------
+
+def _design_reference(model, U):
+    """Monomial columns with one np.prod call per term."""
+    X = 2.0 * (U - model.lo) / (model.hi - model.lo) - 1.0
+    terms = [e for e in itertools.product(range(model.degree + 1),
+                                          repeat=X.shape[1])
+             if sum(e) <= model.degree]
+    return np.stack([np.prod([X[:, a] ** e for a, e in enumerate(term)],
+                             axis=0) for term in terms], axis=1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_design_matches_prod_reference(p):
+    rng = np.random.default_rng(30 + p)
+    lo, hi = -0.6 * np.ones(p), 0.8 * np.ones(p)
+    model = _PolyModel(lo, hi, degree=8)
+    U = rng.uniform(lo, hi, size=(200, p))
+    A = model._design(U)
+    np.testing.assert_array_equal(A, _design_reference(model, U))
+    assert A.flags["C_CONTIGUOUS"]
+    # the cached exponent index serves later batches of any size
+    np.testing.assert_array_equal(model._design(U[:3]),
+                                  _design_reference(model, U[:3]))
+
+
+def _eval_per_point(field, U, t):
+    """The scalar leaf-blending rule, one point and one leaf at a time."""
+    lt = field.labels
+    out = np.zeros(U.shape[0])
+    for i in range(U.shape[0]):
+        tt = np.mod(float(t[i]), 2 * np.pi)
+        k = int(np.searchsorted(lt, tt) % len(lt))
+        k0 = (k - 1) % len(lt)
+        span = np.mod(lt[k] - lt[k0], 2 * np.pi)
+        w = np.mod(tt - lt[k0], 2 * np.pi) / span if span > 0 else 0.0
+        for leaf, wt in ((field.leaves[k0], 1.0 - w), (field.leaves[k], w)):
+            out[i] += wt * float(leaf.model(U[i:i + 1])[0])
+    return out
+
+
+def _label_samples(labels, count, seed):
+    """Leaf labels exactly, the 2 pi seam from both sides, values below 0
+    and above 2 pi, then uniform labels; with random chart parameters."""
+    two_pi = 2 * np.pi
+    special = np.concatenate([
+        labels, labels - two_pi, labels + two_pi,
+        [np.nextafter(two_pi, 0.0), two_pi - 1e-12, two_pi, 0.0, -0.0,
+         np.nextafter(0.0, -1.0), -0.3, -two_pi - 0.1, two_pi + 0.4,
+         2 * two_pi + 1.0]])
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([special, rng.uniform(-1.0, 8.0, count)])
+    U = rng.uniform(-0.4, 0.4, size=(t.size, 2))
+    return U, t
+
+
+def test_batched_eval_matches_per_point_loop(bidisc_leaf_field):
+    field = bidisc_leaf_field
+    assert len(field.leaves) == 8 and field.labels is not None
+    U, t = _label_samples(field.labels, 300, seed=31)
+    ref = _eval_per_point(field, U, t)
+    got = field.eval(U, t)
+    scale = np.max(np.abs(ref))
+    assert scale > 1.0       # the leaves carry distinct, nonzero potentials
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale)
+    # at a label the point takes that leaf alone
+    k = 3
+    at_label = field.eval(U[:5], np.full(5, field.labels[k]))
+    np.testing.assert_allclose(at_label, field.leaves[k].model(U[:5]),
+                               rtol=0, atol=1e-13 * scale)
+
+
+def test_batched_eval_zero_span(bidisc_leaf_field):
+    # a last label at 2 pi coincides with the first one mod 2 pi: the
+    # bracket across the seam has zero span and the scalar rule gives the
+    # lower leaf full weight
+    labels = bidisc_leaf_field.labels.copy()
+    labels[-1] = 2 * np.pi
+    field = dataclasses.replace(bidisc_leaf_field, labels=labels)
+    U, t = _label_samples(labels, 100, seed=32)
+    ref = _eval_per_point(field, U, t)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(field.eval(U, t), ref, rtol=0,
+                               atol=1e-13 * scale)
+    seam = np.array([0.0, 2 * np.pi, -2 * np.pi])
+    np.testing.assert_allclose(field.eval(U[:3], seam),
+                               field.leaves[-1].model(U[:3]), rtol=0,
+                               atol=1e-13 * scale)
+
+
+def test_eval_without_labels_uses_first_leaf(bidisc_leaf_field):
+    field = bidisc_leaf_field
+    U, t = _label_samples(field.labels, 20, seed=33)
+    first = field.leaves[0].model(U)
+    np.testing.assert_array_equal(field.eval(U), first)
+    unlabeled = dataclasses.replace(field, labels=None)
+    np.testing.assert_array_equal(unlabeled.eval(U, t), first)

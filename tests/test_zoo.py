@@ -1,5 +1,9 @@
 """Fixture-layer contracts: oracles, described degenerate sets, meshes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,35 @@ def test_oracles_match_evaluators_everywhere(zoo_entries):
         assert np.max(np.abs(jad.rgrad - jor.rgrad)) < 1e-10
         assert np.max(np.abs(jad.rhess - jor.rhess)) < 1e-10
         assert np.max(np.abs(jad.rthird - jor.rthird)) < 5e-10
+
+
+def test_oracles_lambdify_lazily():
+    # a fresh interpreter: building every entry must not import sympy; the
+    # first oracle call does, and its jets still match the AD evaluator
+    script = """
+import sys
+import numpy as np
+from dfindex import zoo
+entries = [zoo.make(name) for name in zoo.zoo_ids()]
+assert "sympy" not in sys.modules, "entry build imported sympy"
+for entry in entries:
+    P = entry.boundary_mesh(40, 23)
+    jad = entry.domain.jet(P, order=3)
+    jor = entry.domain.oracle_jet(P, order=3)
+    for a, b in ((jad.value, jor.value), (jad.rgrad, jor.rgrad),
+                 (jad.rhess, jor.rhess), (jad.rthird, jor.rthird)):
+        assert np.max(np.abs(a - b)) < 5e-10, entry.id
+assert "sympy" in sys.modules
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(zoo.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_boundary_meshes_lie_on_boundary(zoo_entries):
