@@ -11,7 +11,6 @@ manipulates; dropping the transport would certify spurious exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
 from .hermitian import hermitian_eigh
 from .jets import DomainSpec, Jet, WirtingerJet, numeric_jet
 from .levi import SigmaPointSet
-from .sigma import SigmaChart, h_field, nu_field, nu_pairings
+from .sigma import SigmaChart, h_field, nu_pairings
 from .util import bump_c3, smoothstep_c3
 
 # ---------------------------------------------------------------------------
@@ -101,6 +100,47 @@ def _realify(xi):
     return out
 
 
+# finite-difference step, in units of domain.scale, of the psi stencils, the
+# oracle's composite jets and the curve certificate's ambient derivative
+FD_STEP = 1e-3
+
+
+class PsiStencil:
+    """Projected feet of the psi-derivative stencil around M base points:
+    the base, base +- h e_a along each real axis, then base +- h V for each
+    (M, 2n) direction field V.  psi enters only through its values at these
+    feet, so one stencil serves any number of psi."""
+
+    def __init__(self, domain: DomainSpec, base, dirs=()):
+        self.h = h = FD_STEP * domain.scale
+        self.M, self.D = base.shape
+        nodes = [base]
+        for a in range(self.D):
+            e = np.zeros(self.D)
+            e[a] = h
+            nodes += [base + e, base - e]
+        for V in dirs:
+            nodes += [base + h * V, base - h * V]
+        self.feet, _ = foot_points(domain, np.concatenate(nodes, axis=0),
+                                   ambiguity_check=False)
+
+    def differences(self, psi):
+        """Central differences of psi: (d psi / dz as an (M, n) array, the
+        second difference along each direction field)."""
+        vals = _psi_values(psi.at_feet if isinstance(psi, PsiBase) else psi,
+                           self.feet)
+        blocks = vals.reshape(-1, self.M)
+        h = self.h
+        grad = np.empty((self.M, self.D))
+        for a in range(self.D):
+            grad[:, a] = (blocks[1 + 2 * a] - blocks[2 + 2 * a]) / (2 * h)
+        wpsi = 0.5 * (grad[:, 0::2] - 1j * grad[:, 1::2])
+        psi0 = blocks[0]
+        second = [(blocks[b] - 2 * psi0 + blocks[b + 1]) / h ** 2
+                  for b in range(1 + 2 * self.D, blocks.shape[0], 2)]
+        return wpsi, second
+
+
 # ---------------------------------------------------------------------------
 # boundary criterion
 # ---------------------------------------------------------------------------
@@ -136,10 +176,9 @@ class CriterionEvaluator:
     third-order terms); psi enters only through cheap stencil differences.
     """
 
-    def __init__(self, domain: DomainSpec, sigma: SigmaPointSet, fd_h=None):
+    def __init__(self, domain: DomainSpec, sigma: SigmaPointSet):
         self.domain = domain
         self.sigma = sigma
-        self.fd_h = 1e-3 * domain.scale if fd_h is None else float(fd_h)
         self.K = sigma.size
         if self.K == 0:
             return
@@ -167,43 +206,14 @@ class CriterionEvaluator:
         self.third_field = pure.real + transport   # imaginary part ~ 0
         self.third_imag = float(np.max(np.abs(pure.imag))) if len(pure) else 0.0
         self.Ls = Ls
-        self.positions = P[idx]
-        # stencil feet for psi derivatives, precomputed once
-        D = 2 * domain.n
-        h = self.fd_h
-        X = _realify(Ls)
-        JX = _realify(1j * Ls)
-        stencils = [self.positions]
-        for a in range(D):
-            e = np.zeros(D)
-            e[a] = h
-            stencils.append(self.positions + e)
-            stencils.append(self.positions - e)
-        for V in (X, JX):
-            stencils.append(self.positions + h * V)
-            stencils.append(self.positions - h * V)
-        allP = np.concatenate(stencils, axis=0)
-        self.feet, _ = foot_points(domain, allP, ambiguity_check=False)
-        self.n_stencil = len(stencils)
+        self.stencil = PsiStencil(domain, P[idx],
+                                  (_realify(Ls), _realify(1j * Ls)))
 
     def lhs(self, psi, eta):
         """Left-hand side per (sample, direction), max-reduced per sample."""
         if self.K == 0:
             return np.zeros(0)
-        M = len(self.dirs)
-        D = 2 * self.domain.n
-        h = self.fd_h
-        vals = _psi_values(psi.at_feet if isinstance(psi, PsiBase) else psi,
-                           self.feet)
-        blocks = vals.reshape(self.n_stencil, M)
-        psi0 = blocks[0]
-        grad = np.empty((M, D))
-        for a in range(D):
-            grad[:, a] = (blocks[1 + 2 * a] - blocks[2 + 2 * a]) / (2 * h)
-        base = 1 + 2 * D
-        d2x = (blocks[base] - 2 * psi0 + blocks[base + 1]) / h ** 2
-        d2j = (blocks[base + 2] - 2 * psi0 + blocks[base + 3]) / h ** 2
-        wpsi = 0.5 * (grad[:, 0::2] - 1j * grad[:, 1::2])
+        wpsi, (d2x, d2j) = self.stencil.differences(psi)
         lbar_psi = np.conj(np.einsum("kj,kj->k", self.Ls, wpsi))
         hess_psi = 0.25 * (d2x + d2j)
         coef = 1.0 / (1.0 - eta) - 1.0
@@ -230,12 +240,12 @@ class CriterionEvaluator:
 
 
 def boundary_criterion(domain: DomainSpec, sigma: SigmaPointSet, psi, eta,
-                       slack=None, fd_h=None, psi_name="") -> CriterionReport:
+                       slack=None, psi_name="") -> CriterionReport:
     """Evaluate the boundary inequality at every degenerate sample for every
     near-null direction; certified when the maximum is below the slack.
     Empty degenerate sets certify vacuously.
     """
-    return CriterionEvaluator(domain, sigma, fd_h=fd_h).report(
+    return CriterionEvaluator(domain, sigma).report(
         psi, eta, slack=slack, psi_name=psi_name)
 
 
@@ -287,14 +297,14 @@ def interior_psh_oracle(rho_jet_fn, eta, mesh, slack_rel=1e-9) -> OracleReport:
                         count=mesh.shape[0], slack_rel=float(slack_rel))
 
 
-def delta_exp_psi_jet_fn(domain: DomainSpec, psi, h=None):
+def delta_exp_psi_jet_fn(domain: DomainSpec, psi):
     """Order-2 jets of rho = delta * exp(psi) by finite differences of the
     composite (psi extended by zero outside its collar support).
 
     psi is a function of the foot point (it needs at_feet): each stencil
     node is projected once, and delta and psi both come from that foot.
     """
-    h = 1e-3 * domain.scale if h is None else h
+    h = FD_STEP * domain.scale
 
     def values(P):
         feet, _ = foot_points(domain, P, ambiguity_check=False)
@@ -325,7 +335,6 @@ class IndexCertificate:
     eta_grid: list
     records: list              # per-eta dicts
     bound: float
-    certified_any: bool
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -340,19 +349,18 @@ class IndexCertificate:
 DEFAULT_ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
 
 
-def estimate_index(domain: DomainSpec, sigma: SigmaPointSet, candidates,
-                   oracle_fn, eta_grid=DEFAULT_ETA_GRID, slack=None,
+def estimate_index(ev: CriterionEvaluator, candidates, oracle_fn,
+                   eta_grid=DEFAULT_ETA_GRID, slack=None,
                    diagnostics=None) -> IndexCertificate:
     """Largest eta on the grid certified by both the boundary criterion and
     the interior oracle, searching the candidate psi family.
 
+    ev: the boundary criterion at the degenerate samples.
     candidates: callable eta -> iterable of (name, psi).
     oracle_fn: callable (eta, psi) -> OracleReport.
     """
-    ev = CriterionEvaluator(domain, sigma)
     records = []
     bound = 0.0
-    any_ok = False
     for eta in sorted(eta_grid):
         entry = {"eta": float(eta), "certified": False, "psi": None,
                  "maxLHS": None, "oracleMinEig": None}
@@ -371,11 +379,9 @@ def estimate_index(domain: DomainSpec, sigma: SigmaPointSet, candidates,
         records.append(entry)
         if entry["certified"]:
             bound = max(bound, float(eta))
-            any_ok = True
     cert = IndexCertificate(eta_grid=list(sorted(eta_grid)), records=records,
-                            bound=bound, certified_any=any_ok,
-                            diagnostics=dict(diagnostics or {}))
-    if not any_ok:
+                            bound=bound, diagnostics=dict(diagnostics or {}))
+    if not any(r["certified"] for r in records):
         cert.diagnostics.setdefault("reason", "no eta certified")
     return cert
 
@@ -536,7 +542,7 @@ def caccioppoli_check(patch: PatchSpec, f_eval, n: int,
 # ---------------------------------------------------------------------------
 
 def residual_sequence(domain: DomainSpec, chart: SigmaChart, inner_frac,
-                      etas, psi_producer, res=17, fd_h=None):
+                      etas, psi_producer, res=17):
     """L1 integrals of |(1/2) Lbar psi_n + Hess_delta(N, L)| over a fixed
     compact sub-box of the chart, for the family psi_n = psi_producer(eta_n).
 
@@ -556,16 +562,7 @@ def residual_sequence(domain: DomainSpec, chart: SigmaChart, inner_frac,
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)
     Ls = Ls / nrm[:, None]
     h = h / nrm
-    fd = 1e-3 * domain.scale if fd_h is None else fd_h
-    D = 2 * domain.n
-    stencil = [feet]
-    for a in range(D):
-        e = np.zeros(D)
-        e[a] = fd
-        stencil.append(feet + e)
-        stencil.append(feet - e)
-    allP = np.concatenate(stencil, axis=0)
-    allF, _ = foot_points(domain, allP, ambiguity_check=False)
+    stencil = PsiStencil(domain, feet)
 
     # Simpson weights over the sub-box
     wts = np.ones(shape[0])
@@ -576,14 +573,7 @@ def residual_sequence(domain: DomainSpec, chart: SigmaChart, inner_frac,
 
     out = []
     for eta in etas:
-        psi = psi_producer(eta)
-        vals = _psi_values(psi.at_feet if isinstance(psi, PsiBase) else psi,
-                           allF)
-        blocks = vals.reshape(len(stencil), U.shape[0])
-        grad = np.empty((U.shape[0], D))
-        for a in range(D):
-            grad[:, a] = (blocks[1 + 2 * a] - blocks[2 + 2 * a]) / (2 * fd)
-        wpsi = 0.5 * (grad[:, 0::2] - 1j * grad[:, 1::2])
+        wpsi, _ = stencil.differences(psi_producer(eta))
         lbar = np.conj(np.einsum("kj,kj->k", Ls, wpsi))
         integrand = np.abs(0.5 * lbar + h)
         out.append(float(np.dot(w2, integrand) * cell))
@@ -647,8 +637,7 @@ class CurvePsi(PsiBase):
 
 
 def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
-                       slack=1e-8, samples=96, headroom=0.1,
-                       fd_h=None) -> CurveReport:
+                       slack=1e-8, samples=96, headroom=0.1) -> CurveReport:
     """Certificate for a one-real-dimensional degenerate set.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
@@ -685,7 +674,7 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     # D(t) = d/dt g(.,X) + D_{Jt} g(.,Jt): curve steps and ambient steps
     dt = tg[1] - tg[0]
     dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
-    fd = 1e-3 * domain.scale if fd_h is None else fd_h
+    fd = FD_STEP * domain.scale
     Jhat = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True), 1e-300)
     jet_p = delta_jet(domain, feet + fd * Jhat, order=2)
     jet_m = delta_jet(domain, feet - fd * Jhat, order=2)

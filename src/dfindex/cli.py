@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import zoo
-from .cohomology import PathInSigma, ThetaSource, period
 from .errors import ConfigInvalid, DfIndexError, IoFailure
 from .levi import detect_sigma
-from .pipelines import (certify_domain, estimate_domain, periods_for,
-                        potential_for, sigma_scan)
+from .pipelines import Run, periods_for, potential_for, sigma_scan
 from .certify import PatchSpec, caccioppoli_check, real_curve_certify
 from .sigma import OneFormSample
 from .util import canonical_json, config_hash
@@ -88,6 +86,8 @@ class RunConfig:
             except (TypeError, ValueError):
                 raise ConfigInvalid(f"{key} must be {kind.__name__}, got "
                                     f"{self.values[key]!r}") from None
+            if not np.isfinite(self.values[key]):
+                raise ConfigInvalid(f"{key} must be finite")
         for key in ("mesh", "interior"):
             if self.values[key] < 1:
                 raise ConfigInvalid(f"{key} must be at least 1")
@@ -233,26 +233,22 @@ def _cmd_potential(cfg):
     return 0, res
 
 
+def _run(cfg):
+    return Run(make_entry(cfg), mesh_count=cfg.values["mesh"],
+               seed=cfg.values["seed"], oracle_count=cfg.values["interior"],
+               slack=cfg.opt("slack"), oracle_slack=cfg.values["oracle_slack"],
+               threshold=cfg.opt("threshold"))
+
+
 def _cmd_certify(cfg):
-    entry = make_entry(cfg)
-    res = certify_domain(entry, cfg.values["eta"],
-                         mesh_count=cfg.values["mesh"],
-                         seed=cfg.values["seed"],
-                         oracle_count=cfg.values["interior"],
-                         slack=cfg.opt("slack"),
-                         oracle_slack=cfg.values["oracle_slack"])
+    res = _run(cfg).certify(cfg.values["eta"])
     return (0 if res["certified"] else 2), res
 
 
 def _cmd_estimate(cfg):
-    entry = make_entry(cfg)
-    cert = estimate_domain(entry, eta_grid=cfg.eta_grid(),
-                           mesh_count=cfg.values["mesh"],
-                           seed=cfg.values["seed"],
-                           oracle_count=cfg.values["interior"],
-                           slack=cfg.opt("slack"),
-                           oracle_slack=cfg.values["oracle_slack"])
-    return 0, {"domain": entry.id, "certificate": cert.to_json(),
+    run = _run(cfg)
+    cert = run.estimate(cfg.eta_grid())
+    return 0, {"domain": run.entry.id, "certificate": cert.to_json(),
                "bound": cert.bound}
 
 

@@ -20,7 +20,7 @@ from .distance import foot_points
 from .errors import (ChartGap, CollarTooWide, ObstructedClass,
                      PathDisagreement, AmbiguousFoot)
 from .sigma import SigmaChart, h_field, theta_components
-from .util import bump_c3, rng_for, smoothstep_c3
+from .util import rng_for, smoothstep_c3
 
 POTENTIAL_FACTOR = 2.0   # phi = 2 * integral(theta); makes dbar phi = h
 

@@ -371,19 +371,6 @@ class BoundaryPoint:
     def z(self):
         return complex_pack(self.position[None])[0]
 
-    def defects(self):
-        """(|N delta - 1/2|, ||N + conj(N) - grad delta||, | |N|^2 - 1 |)."""
-        w = self.jet.wgrad[0]
-        nd = complex(np.dot(self.N, w))
-        # realification of N + conj(N): x-components Re N_j, y-components Im N_j
-        v = np.empty_like(self.grad_delta)
-        v[0::2] = self.N.real
-        v[1::2] = self.N.imag
-        return (abs(nd - 0.5),
-                float(np.linalg.norm(v - self.grad_delta)),
-                abs(float(np.einsum("j,j->", self.N,
-                                    np.conj(self.N)).real) - 1.0))
-
 
 def boundary_batch(domain: DomainSpec, Z, order=2, ambiguity_check=False,
                    h=None) -> BoundaryBatch:

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationDomain, NonFinite, OrderTooLow
-from .util import complex_pack
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +257,6 @@ def anti_dir(V):
     return (np.zeros_like(V), V)
 
 
-def real_dir(V):
-    """Real directional derivative along the real vector underlying V."""
-    V = np.asarray(V, dtype=complex)
-    return (V, np.conj(V))
-
-
 def conj_dir(d):
     """Conjugate derivation: conj(D f) = (conj_dir D) f for real f."""
     p, q = d
@@ -368,13 +361,6 @@ class WirtingerJet:
         A = self._bk(np.asarray(A, dtype=complex))
         B = self._bk(np.asarray(B, dtype=complex))
         return np.einsum("kij,ki,kj->k", self.mixed, A, np.conj(B))
-
-    def second_directional(self, d1, d2):
-        """Contraction of the real Hessian with two complexified derivations."""
-        self._need(2)
-        c1 = self._bk(_real_coeff(d1, self.D))
-        c2 = self._bk(_real_coeff(d2, self.D))
-        return np.einsum("kab,ka,kb->k", self.rhess, c1, c2)
 
     # -- third order ----------------------------------------------------------
 

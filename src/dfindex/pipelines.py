@@ -3,19 +3,25 @@ modules; the CLI and the acceptance suite both drive these."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-from .certify import (CriterionEvaluator, IndexCertificate, ZeroPsi,
-                      boundary_criterion, curve_psi_from_report,
-                      delta_exp_psi_jet_fn, estimate_index,
-                      interior_psh_oracle, oracle_jet_fn_from_rho,
-                      real_curve_certify, ChartBasisPsi, coordinate_descent)
+from .certify import (DEFAULT_ETA_GRID, ChartBasisPsi, CriterionEvaluator,
+                      IndexCertificate, ZeroPsi, coordinate_descent,
+                      curve_psi_from_report, delta_exp_psi_jet_fn,
+                      estimate_index, interior_psh_oracle, real_curve_certify)
 from .cohomology import (CollarMap, PathInSigma, ThetaSource, build_potential,
                          classify, exactness_tolerance, extend_to_collar,
                          period)
-from .errors import NotACurve, ObstructedClass
 from .levi import detect_sigma
 from .zoo import ZooEntry
+
+# depth band of the interior oracle's mesh below the boundary
+ORACLE_DEPTH = (0.04, 0.12)
+# box |c_i| <= FAMILY_BOX of the family search's basis coefficients
+FAMILY_BOX = 1.0
 
 
 def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
@@ -50,7 +56,6 @@ def potential_for(entry: ZooEntry, verdict=None, res=9, check_targets=20):
     if entry.id == "worm":
         charts = [entry.charts["log_polar"]]
     sources = [ThetaSource(c) for c in charts]
-    base = np.zeros(charts[0].params_dim)
     base = 0.5 * (charts[0].lo + charts[0].hi)
     return build_potential(sources, base, verdict, res=res,
                            check_targets=check_targets)
@@ -61,60 +66,10 @@ def collar_psi_for(entry: ZooEntry, phi):
     return extend_to_collar(entry.domain, phi, collar)
 
 
-def default_psi_for(entry: ZooEntry, res=9):
-    """The pipeline's default candidate: the collar potential when the
-    period verdict is Exact, otherwise zero; returns (psi, provenance,
-    verdict)."""
-    dom = entry.domain
-    verdict = periods_for(entry)[0] if entry.loops else classify({}, 1e-6)
-    if entry.sigma_kind == "Empty":
-        return ZeroPsi(dom), "zero (empty degenerate set)", verdict
-    if verdict.exact and entry.charts and entry.sigma_coords is not None \
-            and entry.sigma_kind in ("Foliation", "ComplexSubmanifold"):
-        phi = potential_for(entry, verdict, res=res)
-        return collar_psi_for(entry, phi), "collar potential (-2 phi)", verdict
-    return ZeroPsi(dom), "zero (no exact potential)", verdict
-
-
-def certify_domain(entry: ZooEntry, eta, mesh_count=2000, seed=0,
-                   oracle_count=800, slack=None, oracle_slack=1e-6,
-                   oracle_depth=(0.04, 0.12)):
-    """Full certification pipeline at one exponent.
-
-    Returns a dict report with the criterion, oracle, and verdict pieces;
-    'certified' is True only when both checks pass.
-    """
-    dom = entry.domain
-    sigma = sigma_scan(entry, mesh_count, seed)
-    out = {"domain": entry.id, "eta": float(eta), "sigmaSize": sigma.size}
-    if entry.sigma_kind == "RealCurve":
-        crep = real_curve_certify(dom, entry.charts.get("curve"), eta)
-        out["curve"] = crep.to_json()
-        psi = curve_psi_from_report(dom, entry.charts["curve"], crep,
-                                    entry.sigma_distance)
-        provenance = "curve certificate profile"
-        boundary_ok = crep.certified
-        out["criterion"] = {"certified": crep.certified,
-                            "maxLHS": crep.max_lhs, "slack": crep.slack}
-    else:
-        psi, provenance, verdict = default_psi_for(entry)
-        out["verdict"] = verdict.to_json()
-        rep = boundary_criterion(dom, sigma, psi, eta, slack=slack,
-                                 psi_name=provenance)
-        out["criterion"] = rep.to_json()
-        boundary_ok = rep.certified
-        if not verdict.exact:
-            out["obstruction"] = {
-                "classification": "Obstructed",
-                "periods": verdict.to_json()["periods"],
-            }
-    mesh = entry.interior_mesh(oracle_count, seed + 1, depth=oracle_depth)
-    orep = interior_psh_oracle(delta_exp_psi_jet_fn(dom, psi), eta, mesh,
-                               slack_rel=oracle_slack)
-    out["oracle"] = orep.to_json()
-    out["psi"] = provenance
-    out["certified"] = bool(boundary_ok and orep.certified)
-    return out
+def default_psi_for(entry: ZooEntry):
+    """certify's candidate psi: (psi, provenance, period verdict)."""
+    run = Run(entry)
+    return run.default_psi + (run.verdict,)
 
 
 def _family_basis(entry: ZooEntry):
@@ -140,80 +95,164 @@ def _family_basis(entry: ZooEntry):
     return terms
 
 
+@dataclass
+class Run:
+    """One pipeline run on a zoo entry at fixed sizes and seed.
+
+    The eta-independent stages (Sigma scan, period verdict, collar
+    potential, criterion data, interior mesh) are built on first use and at
+    most once; certify and estimate build their reports over them.
+    """
+
+    entry: ZooEntry
+    mesh_count: int = 2000
+    seed: int = 0
+    oracle_count: int = 800
+    slack: float | None = None
+    oracle_slack: float = 1e-6
+    threshold: float | None = None
+
+    @cached_property
+    def sigma(self):
+        return sigma_scan(self.entry, self.mesh_count, self.seed,
+                          threshold=self.threshold)
+
+    @cached_property
+    def verdict(self):
+        """Period verdict of the generator loops (exact when there are
+        none)."""
+        if not self.entry.loops:
+            return classify({}, 1e-6)
+        return periods_for(self.entry)[0]
+
+    @cached_property
+    def collar_psi(self):
+        """Collar extension of the potential when the class is exact; None
+        otherwise."""
+        e = self.entry
+        if e.loops and self.verdict.exact and e.sigma_coords is not None:
+            return collar_psi_for(e, potential_for(e, self.verdict))
+        return None
+
+    @cached_property
+    def default_psi(self):
+        """certify's candidate: (psi, provenance)."""
+        if self.entry.sigma_kind == "Empty":
+            return ZeroPsi(self.entry.domain), "zero (empty degenerate set)"
+        if self.collar_psi is not None:
+            return self.collar_psi, "collar potential (-2 phi)"
+        return ZeroPsi(self.entry.domain), "zero (no exact potential)"
+
+    @cached_property
+    def evaluator(self):
+        return CriterionEvaluator(self.entry.domain, self.sigma)
+
+    @cached_property
+    def interior_mesh(self):
+        return self.entry.interior_mesh(self.oracle_count, self.seed + 1,
+                                        depth=ORACLE_DEPTH)
+
+    def oracle(self, eta, psi):
+        return interior_psh_oracle(
+            delta_exp_psi_jet_fn(self.entry.domain, psi), eta,
+            self.interior_mesh, slack_rel=self.oracle_slack)
+
+    def family_psi(self, eta, diagnostics):
+        """Coordinate-descent minimiser of maxLHS over the entry's surface
+        basis; the minimum is logged in diagnostics['psiProvenance']."""
+        terms = _family_basis(self.entry)
+        proto = ChartBasisPsi(self.entry.domain, self.entry.sigma_coords,
+                              terms, np.zeros(len(terms)))
+
+        def objective(coef):
+            return float(self.evaluator.lhs(proto.with_coef(coef), eta).max())
+
+        box = FAMILY_BOX * np.ones(len(terms))
+        coef, val = coordinate_descent(objective, np.zeros(len(terms)),
+                                       -box, box, rounds=2, gold_iters=10)
+        diagnostics["psiProvenance"].append(
+            {"eta": float(eta), "family_min_maxLHS": float(val)})
+        return proto.with_coef(coef)
+
+    def certify(self, eta):
+        """Report at one exponent: the boundary check (criterion, or the
+        real-curve certificate) and the interior oracle on its psi."""
+        dom = self.entry.domain
+        out = {"domain": self.entry.id, "eta": float(eta),
+               "sigmaSize": self.sigma.size}
+        if self.entry.sigma_kind == "RealCurve":
+            chart = self.entry.charts.get("curve")
+            crep = real_curve_certify(dom, chart, eta)
+            psi = curve_psi_from_report(dom, chart, crep,
+                                        self.entry.sigma_distance)
+            out["curve"] = crep.to_json()
+            out["criterion"] = {"certified": crep.certified,
+                                "maxLHS": crep.max_lhs, "slack": crep.slack}
+            out["psi"] = "curve certificate profile"
+        else:
+            psi, out["psi"] = self.default_psi
+            out["verdict"] = self.verdict.to_json()
+            out["criterion"] = self.evaluator.report(
+                psi, eta, slack=self.slack, psi_name=out["psi"]).to_json()
+            if not self.verdict.exact:
+                out["obstruction"] = {"classification": "Obstructed",
+                                      "periods": out["verdict"]["periods"]}
+        orep = self.oracle(eta, psi)
+        out["oracle"] = orep.to_json()
+        out["certified"] = bool(out["criterion"]["certified"]
+                                and orep.certified)
+        return out
+
+    def estimate(self, eta_grid=DEFAULT_ETA_GRID) -> IndexCertificate:
+        """Largest certified eta on the grid, trying psi candidates per eta
+        in order: collar potential, zero, family search."""
+        grid = sorted(eta_grid)
+        diagnostics = {"sigmaSize": self.sigma.size, "psiProvenance": []}
+        if self.entry.sigma_kind == "RealCurve":
+            # the curve certificate's profile is the only candidate
+            records = [{"eta": r["eta"], "certified": r["certified"],
+                        "psi": "curve certificate",
+                        "maxLHS": r["criterion"]["maxLHS"],
+                        "oracleMinEig": r["oracle"]["minEig"]}
+                       for r in map(self.certify, grid)]
+            bound = max([r["eta"] for r in records if r["certified"]],
+                        default=0.0)
+            return IndexCertificate(grid, records, bound, diagnostics)
+        if self.entry.loops:
+            diagnostics["verdict"] = self.verdict.to_json()
+            if not self.verdict.exact:
+                diagnostics["obstruction"] = self.verdict.to_json()
+        search = self.collar_psi is None \
+            and self.entry.sigma_coords is not None and self.sigma.size
+
+        def candidates(eta):
+            if self.collar_psi is not None:
+                yield "collar potential", self.collar_psi
+            yield "zero", ZeroPsi(self.entry.domain)
+            if search:
+                yield ("family (coordinate descent)",
+                       self.family_psi(eta, diagnostics))
+
+        return estimate_index(self.evaluator, candidates, self.oracle,
+                              eta_grid=grid, slack=self.slack,
+                              diagnostics=diagnostics)
+
+
+def certify_domain(entry: ZooEntry, eta, mesh_count=2000, seed=0,
+                   oracle_count=800, slack=None, oracle_slack=1e-6):
+    """Full certification pipeline at one exponent.
+
+    Returns a dict report with the criterion, oracle, and verdict pieces;
+    'certified' is True only when both checks pass.
+    """
+    return Run(entry, mesh_count, seed, oracle_count, slack,
+               oracle_slack).certify(eta)
+
+
 def estimate_domain(entry: ZooEntry, eta_grid=None, mesh_count=2000, seed=0,
-                    oracle_count=800, slack=None, oracle_slack=1e-6,
-                    oracle_depth=(0.04, 0.12),
-                    family_box=1.0) -> IndexCertificate:
+                    oracle_count=800, slack=None,
+                    oracle_slack=1e-6) -> IndexCertificate:
     """estimate pipeline: search psi candidates per eta ascending."""
-    from .certify import DEFAULT_ETA_GRID
-
-    dom = entry.domain
-    eta_grid = DEFAULT_ETA_GRID if eta_grid is None else eta_grid
-    sigma = sigma_scan(entry, mesh_count, seed)
-    diagnostics = {"sigmaSize": sigma.size, "psiProvenance": []}
-
-    if entry.sigma_kind == "RealCurve":
-        records = []
-        bound = 0.0
-        for eta in sorted(eta_grid):
-            crep = real_curve_certify(dom, entry.charts["curve"], eta)
-            psi = curve_psi_from_report(dom, entry.charts["curve"], crep,
-                                        entry.sigma_distance)
-            mesh = entry.interior_mesh(oracle_count, seed + 1,
-                                       depth=oracle_depth)
-            orep = interior_psh_oracle(delta_exp_psi_jet_fn(dom, psi), eta,
-                                       mesh, slack_rel=oracle_slack)
-            ok = crep.certified and orep.certified
-            records.append({"eta": float(eta), "certified": bool(ok),
-                            "psi": "curve certificate",
-                            "maxLHS": crep.max_lhs,
-                            "oracleMinEig": orep.min_eig})
-            if ok:
-                bound = max(bound, float(eta))
-        return IndexCertificate(eta_grid=list(sorted(eta_grid)),
-                                records=records, bound=bound,
-                                certified_any=bound > 0,
-                                diagnostics=diagnostics)
-
-    base_psi = []
-    verdict = None
-    if entry.loops:
-        verdict, _ = periods_for(entry)
-        diagnostics["verdict"] = verdict.to_json()
-        if verdict.exact and entry.sigma_coords is not None:
-            phi = potential_for(entry, verdict)
-            base_psi.append(("collar potential", collar_psi_for(entry, phi)))
-    if not verdict or not verdict.exact:
-        if verdict is not None:
-            diagnostics["obstruction"] = verdict.to_json()
-
-    def candidates(eta):
-        for item in base_psi:
-            yield item
-        yield "zero", ZeroPsi(dom)
-        if entry.sigma_coords is not None and sigma.size and not base_psi:
-            terms = _family_basis(entry)
-            ev = CriterionEvaluator(dom, sigma)
-            proto = ChartBasisPsi(dom,
-                                  lambda P: entry.sigma_coords(P),
-                                  terms, np.zeros(len(terms)))
-
-            def objective(coef):
-                return float(ev.lhs(proto.with_coef(coef), eta).max())
-
-            lo = -family_box * np.ones(len(terms))
-            hi = family_box * np.ones(len(terms))
-            coef, val = coordinate_descent(objective, np.zeros(len(terms)),
-                                           lo, hi, rounds=2, gold_iters=10)
-            diagnostics["psiProvenance"].append(
-                {"eta": float(eta), "family_min_maxLHS": float(val)})
-            yield "family (coordinate descent)", proto.with_coef(coef)
-
-    def oracle_fn(eta, psi):
-        mesh = entry.interior_mesh(oracle_count, seed + 1, depth=oracle_depth)
-        return interior_psh_oracle(delta_exp_psi_jet_fn(dom, psi), eta, mesh,
-                                   slack_rel=oracle_slack)
-
-    return estimate_index(dom, sigma, candidates, oracle_fn,
-                          eta_grid=eta_grid, slack=slack,
-                          diagnostics=diagnostics)
+    return Run(entry, mesh_count, seed, oracle_count, slack,
+               oracle_slack).estimate(
+        DEFAULT_ETA_GRID if eta_grid is None else eta_grid)

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BetaTooSmall
-from .jets import DomainSpec, Jet, WirtingerJet, jcos, jhinge_pow, jlog, jsin
+from .errors import BetaTooSmall, ConfigInvalid
+from .jets import DomainSpec, WirtingerJet, jcos, jhinge_pow, jlog, jsin
 from .sigma import SigmaChart
 from .util import complex_pack, complex_unpack, rng_for
 
@@ -115,7 +115,8 @@ class ZooEntry:
             "loops": sorted(self.loops),
             "box_lo": self.domain.box_lo.tolist(),
             "box_hi": self.domain.box_hi.tolist(),
-            "notes": {k: str(v) for k, v in self.notes.items()},
+            "notes": {k: v.name if isinstance(v, SigmaChart) else str(v)
+                      for k, v in self.notes.items()},
         }
 
 
@@ -168,6 +169,8 @@ def ball_delta_jet(P, radius=1.0, order=3):
 
 def make_ball(radius=1.0) -> ZooEntry:
     """Strongly pseudoconvex baseline: rho = |z|^2 - r^2, empty Sigma."""
+    if not radius > 0:
+        raise ConfigInvalid(f"need radius > 0, got {radius}")
     r2 = radius * radius
 
     def rho(c):
@@ -201,14 +204,11 @@ def make_ball(radius=1.0) -> ZooEntry:
         d = rng.uniform(depth[0], depth[1], count) * radius
         return (radius - d)[:, None] * v
 
-    entry = ZooEntry(
+    return ZooEntry(
         id="ball", domain=dom, sigma_kind="Empty",
         boundary_mesh=boundary_mesh, interior_mesh=interior_mesh,
         notes={"delta": "closed form |z| - r attached for validation",
                "levi": "restricted Levi eigenvalue 1/(2r) on the boundary"})
-    entry.notes["delta_jet"] = lambda P, order=3: ball_delta_jet(
-        P, radius, order)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
     {z2 = e^(i t)}; theta vanishes identically on the leaves.
     """
     if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
+        raise ConfigInvalid(f"need 0 < r < 1, got {r}")
     M = smoothing_scale
 
     def rho(c):

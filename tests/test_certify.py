@@ -4,8 +4,8 @@ residual sequence, and the real-curve certificate."""
 import numpy as np
 import pytest
 
-from dfindex.certify import (CriterionEvaluator, PatchSpec, ZeroPsi,
-                             boundary_criterion, caccioppoli_check,
+from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
+                             ZeroPsi, boundary_criterion, caccioppoli_check,
                              coordinate_descent, curve_psi_from_report,
                              delta_exp_psi_jet_fn, interior_psh_oracle,
                              oracle_jet_fn_from_rho, real_curve_certify,
@@ -208,6 +208,36 @@ def test_estimate_worm_obstructed(worm):
     assert "obstruction" in cert.diagnostics
     assert abs(cert.diagnostics["obstruction"]["periods"][0]
                + np.pi) < 0.05
+
+
+def test_estimate_builds_one_evaluator(worm, monkeypatch):
+    builds = []
+    init = certify.CriterionEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(certify.CriterionEvaluator, "__init__", counting)
+    cert = estimate_domain(worm, eta_grid=DEFAULT_ETA_GRID, mesh_count=400,
+                           oracle_count=20)
+    # the family search ran at every eta, on the run's one evaluator
+    assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    assert len(builds) == 1
+
+
+def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
+    calls = []
+    build = quartic.interior_mesh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quartic, "interior_mesh", counting)
+    cert = estimate_domain(quartic, mesh_count=200, oracle_count=100)
+    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert len(calls) == 1
 
 
 def test_certify_pipeline_exit_semantics(ball, worm):

@@ -186,3 +186,40 @@ def test_config_file_non_numeric(tmp_path):
     assert "mesh" in diag["message"]
     cfgfile.write_text("radius = wide\n")
     _assert_config_invalid(["scan", "--config", str(cfgfile)], tmp_path)
+
+
+@pytest.mark.parametrize("flags", [["--domain", "bidisc", "--r", "1.5"],
+                                   ["--domain", "ball", "--radius", "-1"],
+                                   ["--domain", "worm", "--beta", "inf"]])
+def test_bad_domain_parameter(tmp_path, flags):
+    _assert_config_invalid(["scan", "--mesh", "50"] + flags, tmp_path)
+
+
+def test_threshold_reaches_certify_and_estimate(tmp_path):
+    flags = ["--domain", "worm", "--mesh", "800", "--interior", "20",
+             "--eta-grid", "0.5"]
+
+    def size(cmd, extra, key):
+        out = tmp_path / f"{cmd}{len(extra)}"
+        main([cmd] + flags + extra + ["--out", str(out)])
+        rep = json.loads((out / f"{cmd}.json").read_text())
+        return key(rep)
+
+    sigma = size("sigma", ["--threshold", "1e-4"], lambda r: r["sigmaSize"])
+    assert sigma != size("sigma", [], lambda r: r["sigmaSize"])
+    assert size("certify", ["--threshold", "1e-4"],
+                lambda r: r["sigmaSize"]) == sigma
+    assert size("estimate", ["--threshold", "1e-4"], lambda r: r[
+        "certificate"]["diagnostics"]["sigmaSize"]) == sigma
+
+
+@pytest.mark.parametrize("domain", ["ball", "bidisc", "quartic_circle",
+                                    "worm"])
+def test_zoo_describe_byte_identical(tmp_path, domain):
+    blobs = []
+    for _ in range(2):
+        assert main(["zoo", "describe", "--domain", domain,
+                     "--out", str(tmp_path)]) == 0
+        blobs.append((tmp_path / "zoo.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert b"0x" not in blobs[0]
