@@ -19,7 +19,8 @@ from .distance import (delta_jet, foot_points, normal_n,
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
 from .hermitian import hermitian_eigh
-from .jets import DomainSpec, Jet, WirtingerJet, numeric_jet
+from .jets import (DomainSpec, Jet, WirtingerJet, numeric_jet,
+                   third_contraction)
 from .levi import SigmaPointSet
 from .sigma import SigmaChart, h_field, nu_pairings
 from .util import bump_c3, smoothstep_c3
@@ -167,6 +168,7 @@ class CriterionReport:
             "vacuous": bool(self.vacuous),
             "psi": self.psi_name,
             "samples": int(self.lhs.shape[0]) if self.lhs is not None else 0,
+            "thirdImag": self.meta.get("third_imag"),
         }
 
 
@@ -195,12 +197,7 @@ class CriterionEvaluator:
         Nsub = N[idx]
         self.sample_index = idx
         self.h_L = np.einsum("kij,ki,kj->k", sub.mixed, Nsub, np.conj(Ls))
-        pure = np.array([
-            complex(sub.at(i).third_directional(
-                ( Ls[i], np.zeros_like(Ls[i]) ),
-                ( Nsub[i], np.zeros_like(Nsub[i]) ),
-                ( np.zeros_like(Ls[i]), np.conj(Ls[i]) ))[0])
-            for i in range(len(self.dirs))])
+        pure = third_contraction(sub, Ls, Nsub, Ls)
         cols = np.einsum("kij,kj->ki", sub.mixed, np.conj(Ls))
         transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real
         self.third_field = pure.real + transport   # imaginary part ~ 0
@@ -637,14 +634,17 @@ class CurvePsi(PsiBase):
 
 
 def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
-                       slack=1e-8, samples=96, headroom=0.1) -> CurveReport:
+                       slack=None, samples=96, headroom=0.1) -> CurveReport:
     """Certificate for a one-real-dimensional degenerate set.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
     g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
     where C_eta bounds the sampled bracket with 10% headroom; then evaluates
-    the certificate inequality at every curve sample.
+    the certificate inequality at every curve sample.  slack defaults to
+    1e-8.
     """
+    if slack is None:
+        slack = 1e-8
     if curve is None or curve.kind != "real" or curve.m != 1:
         raise NotACurve("the degenerate set is not a parametrized real curve")
     if domain.n != 2:

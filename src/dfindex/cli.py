@@ -270,7 +270,7 @@ def _cmd_curve(cfg):
         raise DfIndexError(f"domain {entry.id} has no real-curve "
                            "degenerate set") from None
     rep = real_curve_certify(entry.domain, entry.charts["curve"],
-                             cfg.values["eta"])
+                             cfg.values["eta"], slack=cfg.opt("slack"))
     return (0 if rep.certified else 2), {"domain": entry.id,
                                          "curve": rep.to_json()}
 
@@ -315,6 +315,8 @@ def build_parser():
     p.add_argument("--eta-grid", dest="eta_grid", default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--slack", type=float, default=None)
+    p.add_argument("--oracle-slack", dest="oracle_slack", type=float,
+                   default=None)
     p.add_argument("--loop", default=None)
     p.add_argument("--chart", default=None)
     p.add_argument("--res", type=int, default=None)
@@ -327,8 +329,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     overrides = {k: getattr(args, k) for k in
                  ("domain", "radius", "beta", "r", "mesh", "interior", "eta",
-                  "eta_grid", "threshold", "slack", "loop", "chart", "res",
-                  "out", "seed")}
+                  "eta_grid", "threshold", "slack", "oracle_slack", "loop",
+                  "chart", "res", "out", "seed")}
     cfg = RunConfig()
     if args.out is not None:
         cfg.values["out"] = args.out

@@ -3,9 +3,10 @@ normal field.
 
 The signed distance delta is negative inside the domain.  Feet are found by a
 gradient-flow predictor followed by Newton on the constrained nearest-point
-system; delta-jets are centered differences of the exact foot-point distance
-with one Richardson level, per the toolkit's accuracy budget (order <= 2
-entries to 1e-6 relative, order 3 to 1e-4, validated on the ball).
+system.  delta-jets to order 3 come from one projection per point: the
+classical closed form of the distance's derivatives in terms of the
+defining function's jet at the foot (Gilbarg-Trudinger section 14.6;
+Krantz-Parks, Distance to C^k hypersurfaces), exact to machine precision.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import numpy as np
 
 from .errors import (AmbiguousFoot, DegenerateGradient, NoConvergence,
                      StencilLeak)
-from .jets import DomainSpec, WirtingerJet, numeric_jet
+from .jets import DomainSpec, WirtingerJet
 from .util import complex_pack
 
 _MAX_ITERS = 50
 _KKT_TARGET = 1e-15          # aimed-for residual (machine floor), x scale
 _KKT_REQUIRED = 1e-12        # contract: residual must end below this, x scale
 _AMBIGUITY_TOL = 1e-6
+# smallest eigenvalue of I + delta W accepted: 0 at a focal point
+_FOCAL_FLOOR = 1e-8
 
 
 def _chunks(B, size=65536):
@@ -262,32 +265,62 @@ def signed_distance_from_feet(domain: DomainSpec, Z, feet):
     return np.sign(domain.value(Z)) * np.linalg.norm(Z - feet, axis=1)
 
 
-def delta_jet(domain: DomainSpec, z, order=2, h=None, collar=None) -> WirtingerJet:
+def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
     """Jets of the signed distance at collar points z (single or batch).
 
-    The default step 1.5e-4 x scale keeps the h^4 Richardson remainder below
-    the 1e-6 relative budget even at the zoo's worst boundary-curvature
-    spots; value noise from machine-floor projections stays two decades
-    under truncation at this step.  Third differences use a wider step (set
-    by h3_factor) since they amplify value noise by 1/h^3.
+    Each point is projected once; the jet is built in closed form from the
+    defining function's AD jet at the foot p.  With g = grad rho(p),
+    n = g/|g|, P = I - n n^T and the shape operator W = P Hess rho P / |g|:
+    grad delta = n and Hess delta = W (I + delta W)^-1 (Gilbarg-Trudinger
+    Lemma 14.17).  The third derivative differentiates that identity along
+    dp/dz = (I + delta W)^-1 P, which needs Hess rho and the third tensor of
+    rho at p only.  Raises StencilLeak when |delta| exceeds the collar, the
+    projection does not converge, or I + delta W is not positive definite
+    (z at or past a focal point, where the foot is not a nearest point).
     """
     Z = np.atleast_2d(np.asarray(z, dtype=float))
-    if h is None:
-        h = 1.5e-4 * domain.scale
-    if collar is None:
-        collar = domain.collar_width
-
-    def dist(Q):
-        try:
-            d = signed_distance(domain, Q)
-        except NoConvergence as exc:
-            raise StencilLeak(f"projection failed inside stencil: {exc}")
-        if np.any(np.abs(d) > collar):
-            raise StencilLeak("stencil point left the collar")
-        return d
-
-    # third differences use a wider step (noise amplification ~ 1/h^3)
-    return numeric_jet(dist, Z, order, h=h, h3_factor=10.0)
+    try:
+        feet, _ = foot_points(domain, Z, ambiguity_check=False)
+    except NoConvergence as exc:
+        raise StencilLeak(f"projection failed: {exc}") from exc
+    d = signed_distance_from_feet(domain, Z, feet)
+    if np.any(np.abs(d) > domain.collar_width):
+        raise StencilLeak(f"{int((np.abs(d) > domain.collar_width).sum())} "
+                          "point(s) outside the collar")
+    rj = domain.jet(feet, order=max(order, 2))
+    g, H = rj.rgrad, rj.rhess
+    gn = np.linalg.norm(g, axis=1)
+    n = g / gn[:, None]
+    B, D = Z.shape
+    eye = np.eye(D)
+    P = eye - np.einsum("ka,kb->kab", n, n)
+    W = P @ H @ P / gn[:, None, None]
+    M = eye + d[:, None, None] * W
+    focal = np.linalg.eigvalsh(M)[:, 0] <= _FOCAL_FLOOR
+    if np.any(focal):
+        raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
+                          "point of the boundary")
+    if order < 2:
+        return WirtingerJet(d, n)
+    Minv = np.linalg.inv(M)
+    G = W @ Minv
+    G = 0.5 * (G + np.swapaxes(G, 1, 2))   # symmetric to the last bit
+    t = None
+    if order >= 3:
+        # derivative along z_c, stacked on axis 1 (the tensor is symmetric):
+        # dp = S e_c, d delta = n_c, dn = G e_c and
+        # d Hess delta = M^-1 dW M^-1 - n_c G^2
+        S = Minv @ P
+        dH = (S @ rj.rthird.reshape(B, D, D * D)).reshape(B, D, D, D)
+        dgn = (n[:, None, :] @ H @ S)[:, 0, :]
+        dP = -(G[:, :, :, None] * n[:, None, None, :]
+               + n[:, None, :, None] * G[:, :, None, :])
+        X = dP @ (H @ P)[:, None]
+        dW = (X + np.swapaxes(X, 2, 3) + P[:, None] @ dH @ P[:, None]
+              - W[:, None] * dgn[:, :, None, None]) / gn[:, None, None, None]
+        t = Minv[:, None] @ dW @ Minv[:, None] \
+            - n[:, :, None, None] * (G @ G)[:, None]
+    return WirtingerJet(d, n, G, t)
 
 
 def normal_n(jet: WirtingerJet):
@@ -372,12 +405,12 @@ class BoundaryPoint:
         return complex_pack(self.position[None])[0]
 
 
-def boundary_batch(domain: DomainSpec, Z, order=2, ambiguity_check=False,
-                   h=None) -> BoundaryBatch:
+def boundary_batch(domain: DomainSpec, Z, order=2,
+                   ambiguity_check=False) -> BoundaryBatch:
     """Project points to the boundary and attach delta-jets (vectorized)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     feet, res = foot_points(domain, Z, ambiguity_check=ambiguity_check)
-    jet = delta_jet(domain, feet, order=order, h=h)
+    jet = delta_jet(domain, feet, order=order)
     return BoundaryBatch(domain, feet, jet, res)
 
 

@@ -34,7 +34,9 @@ class AmbiguousFoot(DfIndexError):
 
 
 class StencilLeak(DfIndexError):
-    """A finite-difference stencil point left the collar."""
+    """A point where a delta-jet is not defined: outside the collar, at or
+    past a focal point, or with no converged projection (also raised for
+    chart parameters outside the box)."""
 
 
 class DegenerateGradient(DfIndexError):

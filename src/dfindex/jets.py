@@ -545,12 +545,17 @@ def _fd_tables(D, order):
     return O, index, idx
 
 
-def numeric_jet(fbatch, P, order, h, richardson=True, h3_factor=2.5):
+# third derivatives are differenced at THIRD_STEP_FACTOR x the step: their
+# difference quotients amplify value noise by 1/h^3
+THIRD_STEP_FACTOR = 2.5
+
+
+def numeric_jet(fbatch, P, order, h, richardson=True):
     """Finite-difference jets of a black-box batch scalar function.
 
     fbatch: (K, D) -> (K,).  Gradient/Hessian use step h; third derivatives
-    use h*h3_factor (their difference quotients amplify value noise by 1/h^3).
-    One Richardson level (h and h/2) is applied to every entry.
+    use h * THIRD_STEP_FACTOR.  One Richardson level (h and h/2) is applied
+    to every entry.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     B, D = P.shape
@@ -635,7 +640,7 @@ def numeric_jet(fbatch, P, order, h, richardson=True, h3_factor=2.5):
             h_out = (4 * h2 - h1) / 3
     t = None
     if order >= 3:
-        h3 = h * h3_factor
+        h3 = h * THIRD_STEP_FACTOR
         _, (_, _, ta) = jet_at(h3, do_gh=False)
         if richardson:
             _, (_, _, tb) = jet_at(h3 / 2, do_gh=False)

@@ -86,9 +86,8 @@ def levi_min_via_rho(domain: DomainSpec, P):
 
     On the boundary, Hess_delta(X, Y) = Hess_rho(X, Y)/|grad rho| for
     tangent X, Y, so the restricted Levi spectrum can be evaluated from
-    forward-mode jets of rho exactly; used as the well-conditioned route for
-    pseudoconvexity alarms (distance jets lose accuracy where boundary
-    curvature approaches the stencil scale).
+    forward-mode jets of rho exactly, without a projection; used for
+    pseudoconvexity alarms.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     jet = domain.jet(P, order=2)

@@ -60,13 +60,15 @@ def test_criterion_1_ball_baseline_and_normal_properties(zoo_entries, ball):
     v = rng.normal(size=(1000, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     P = v * rng.uniform(0.92, 1.08, 1000)[:, None]
-    jet = delta_jet(ball.domain, P, order=2)
-    ref = zoo.ball_delta_jet(P, 1.0, order=2)
+    jet = delta_jet(ball.domain, P, order=3)
+    ref = zoo.ball_delta_jet(P, 1.0, order=3)
     rel_g = np.max(np.abs(jet.rgrad - ref.rgrad)
                    / np.maximum(np.abs(ref.rgrad), 0.1))
     rel_h = np.max(np.abs(jet.rhess - ref.rhess)
                    / np.maximum(np.abs(ref.rhess), 0.1))
-    assert rel_g < 1e-6 and rel_h < 1e-6
+    rel_t = np.max(np.abs(jet.rthird - ref.rthird)
+                   / np.maximum(np.abs(ref.rthird), 1.0))
+    assert rel_g < 1e-12 and rel_h < 1e-12 and rel_t < 1e-12
 
     worst = 0.0
     for entry in zoo_entries:
@@ -82,7 +84,8 @@ def test_criterion_1_ball_baseline_and_normal_properties(zoo_entries, ball):
                                      np.conj(batch.N)).real - 1.0))
         assert d1 < 1e-6 and d2 < 1e-6 and d3 < 1e-6, entry.id
         worst = max(worst, d1, d2, d3)
-    report(1, f"delta-jet rel err {max(rel_g, rel_h):.2e} (tol 1e-6); "
+    report(1, f"delta-jet rel err {max(rel_g, rel_h, rel_t):.2e} "
+              f"(tol 1e-12); "
               f"normal-property defect {worst:.2e} at {MESH_N} boundary "
               f"points per domain (tol 1e-6)")
 

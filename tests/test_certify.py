@@ -63,6 +63,26 @@ def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
     assert abs(rep.max_lhs - 9.0 / (4 * r_min ** 2)) < 0.5
 
 
+def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
+    ev = CriterionEvaluator(worm.domain, worm_sigma)
+    jet = distance.delta_jet(worm.domain, worm_sigma.points, order=3)
+    sub = jet.subset(ev.sample_index)
+    N = distance.normal_n(jet)[ev.sample_index]
+    pure = np.array([complex(sub.at(i).third_directional(
+        (L, np.zeros_like(L)), (N[i], np.zeros_like(L)),
+        (np.zeros_like(L), np.conj(L)))[0]) for i, L in enumerate(ev.Ls)])
+    cols = np.einsum("kij,kj->ki", sub.mixed, np.conj(ev.Ls))
+    transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real
+    loop = pure.real + transport
+    assert len(loop) > 0
+    assert np.max(np.abs(ev.third_field - loop)
+                  / np.maximum(np.abs(loop), 1.0)) < 1e-14
+    third_imag = float(np.max(np.abs(pure.imag)))
+    assert abs(ev.third_imag - third_imag) <= 1e-14
+    rep = ev.report(ZeroPsi(worm.domain), 0.5).to_json()
+    assert rep["thirdImag"] == ev.third_imag
+
+
 def test_criterion_monotonicity_in_eta(worm, worm_sigma):
     ev = CriterionEvaluator(worm.domain, worm_sigma)
     psi = ZeroPsi(worm.domain)

@@ -213,6 +213,29 @@ def test_threshold_reaches_certify_and_estimate(tmp_path):
         "certificate"]["diagnostics"]["sigmaSize"]) == sigma
 
 
+def test_slack_reaches_curve_certificate(tmp_path):
+    def curve(cmd, extra):
+        out = tmp_path / f"{cmd}{len(extra)}"
+        main([cmd, "--domain", "quartic_circle", "--interior", "20",
+              "--out", str(out)] + extra)
+        return json.loads((out / f"{cmd}.json").read_text())["curve"]
+
+    assert curve("curve", [])["slack"] == 1e-8
+    assert curve("curve", ["--slack", "0.5"])["slack"] == 0.5
+    assert curve("certify", ["--slack", "0.5"])["slack"] == 0.5
+
+
+def test_oracle_slack_flag(tmp_path):
+    main(["certify", "--domain", "ball", "--mesh", "100", "--interior", "20",
+          "--oracle-slack", "1e-3", "--out", str(tmp_path)])
+    rep = json.loads((tmp_path / "certify.json").read_text())
+    assert rep["oracle"]["slackRel"] == 1e-3
+    assert rep["config"]["oracle_slack"] == 1e-3
+    diag = _assert_config_invalid(["certify", "--domain", "ball",
+                                   "--oracle-slack", "0"], tmp_path)
+    assert "oracle_slack" in diag["message"]
+
+
 @pytest.mark.parametrize("domain", ["ball", "bidisc", "quartic_circle",
                                     "worm"])
 def test_zoo_describe_byte_identical(tmp_path, domain):

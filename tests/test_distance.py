@@ -1,13 +1,17 @@
 """Signed distance, foot-point projection, and the normal field."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfindex import zoo
+from dfindex import distance, zoo
 from dfindex.distance import (boundary_batch, cut_locus_mask, delta_jet,
                               foot_points, normal_n, project_to_boundary,
                               signed_distance)
-from dfindex.errors import AmbiguousFoot, StencilLeak
+from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
+from dfindex.jets import THIRD_STEP_FACTOR, _stencil, numeric_jet
 
 
 def test_ball_radial_projection_outside(ball):
@@ -93,10 +97,32 @@ def test_cut_locus_mask(ball):
     assert mask[0] and not mask[1]
 
 
-def test_stencil_leak_when_collar_too_small(ball):
-    with pytest.raises(StencilLeak):
-        delta_jet(ball.domain, np.array([[1.0, 0, 0, 0]]), order=2,
-                  collar=1e-6)
+def test_stencil_leak_outside_collar(ball):
+    # |delta| = 0.5 against the ball's collar width 0.22
+    with pytest.raises(StencilLeak, match="collar"):
+        delta_jet(ball.domain, np.array([[1.5, 0, 0, 0]]), order=2)
+
+
+def test_stencil_leak_at_and_past_focal_point(ball, monkeypatch):
+    wide = dataclasses.replace(ball.domain, collar_frac=1.0)
+    # the centre is the focal point of every foot: I + delta W = n n^T
+    with pytest.raises(StencilLeak, match="focal"):
+        delta_jet(wide, np.zeros((1, 4)), order=1)
+    # a stationary but not nearest foot puts z past the focal point:
+    # delta = -1.2, so I + delta W has eigenvalue -0.2 on T_p
+    monkeypatch.setattr(distance, "foot_points", lambda domain, Z, **kw: (
+        np.array([[1.0, 0, 0, 0]]), np.zeros(1)))
+    with pytest.raises(StencilLeak, match="focal"):
+        delta_jet(wide, np.array([[-0.2, 0, 0, 0]]), order=3)
+
+
+def test_stencil_leak_when_projection_fails(ball, monkeypatch):
+    def fail(domain, Z, **kw):
+        raise NoConvergence("no foot")
+
+    monkeypatch.setattr(distance, "foot_points", fail)
+    with pytest.raises(StencilLeak, match="projection failed"):
+        delta_jet(ball.domain, np.array([[1.0, 0, 0, 0]]), order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +138,96 @@ def test_ball_delta_jets_match_closed_form(ball):
     ref = zoo.ball_delta_jet(P, 1.0, order=3)
     rel2 = np.abs(jet.rhess - ref.rhess) / np.maximum(np.abs(ref.rhess), 0.1)
     rel1 = np.abs(jet.rgrad - ref.rgrad) / np.maximum(np.abs(ref.rgrad), 0.1)
-    assert rel1.max() < 1e-6
-    assert rel2.max() < 1e-6
+    assert rel1.max() < 1e-12
+    assert rel2.max() < 1e-12
     rel3 = np.abs(jet.rthird - ref.rthird) / np.maximum(np.abs(ref.rthird), 1.0)
-    assert rel3.max() < 1e-4
+    assert rel3.max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+def test_ball_delta_jet_radius_scaling(radius, seed):
+    # delta_r(r x) = r delta_1(x): grad invariant, Hess / r, third / r^2
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(20, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    X = v * rng.uniform(0.92, 1.08, 20)[:, None]
+    unit = delta_jet(zoo.make_ball(1.0).domain, X, order=3)
+    jet = delta_jet(zoo.make_ball(radius).domain, radius * X, order=3)
+    np.testing.assert_allclose(jet.value, radius * unit.value,
+                               rtol=1e-12, atol=1e-12 * radius)
+    np.testing.assert_allclose(jet.rgrad, unit.rgrad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(radius * jet.rhess, unit.rhess, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(radius ** 2 * jet.rthird, unit.rthird, rtol=0,
+                               atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# delta-jets against finite differences over Newton projections
+# ---------------------------------------------------------------------------
+
+# step of the reference differences, in units of domain.scale: it keeps the
+# h^4 Richardson remainder below 1e-6 relative at the zoo's worst boundary
+# curvature, while the machine-floor projection noise stays two decades
+# under truncation
+FD_DELTA_STEP = 1.5e-4
+
+
+def fd_delta_jet(domain, Z, order):
+    """Reference delta-jets: centred differences, with one Richardson
+    level, of the signed distance, every stencil node projected."""
+    return numeric_jet(lambda Q: signed_distance(domain, Q), Z, order,
+                       h=FD_DELTA_STEP * domain.scale)
+
+
+def crease_sides(entry, F):
+    """Sign of each jhinge_pow argument at feet F (..., D): one column per
+    crease of the entry's defining function."""
+    if entry.id == "bidisc":
+        r = entry.domain.meta["r"]
+        return np.sign(F[..., 0] ** 2 + F[..., 1] ** 2 - r * r)[..., None]
+    if entry.id == "worm":
+        u = np.log(F[..., 2] ** 2 + F[..., 3] ** 2)
+        a = entry.domain.meta["a"]
+        return np.stack([np.sign(u - a), np.sign(-u - a)], axis=-1)
+    return np.zeros(F.shape[:-1] + (0,))
+
+
+def straddles_crease(entry, Z):
+    """True where the reference's order-3 stencil has feet on both sides of
+    a crease, so its differences mix the two one-sided jets."""
+    h = FD_DELTA_STEP * entry.domain.scale
+    O, _ = _stencil(Z.shape[1], 3)
+    steps = (h, h / 2, h * THIRD_STEP_FACTOR, h * THIRD_STEP_FACTOR / 2)
+    nodes = Z[:, None, :] + np.concatenate([s * O for s in steps])[None]
+    feet, _ = foot_points(entry.domain, nodes.reshape(-1, Z.shape[1]))
+    sides = crease_sides(entry, feet.reshape(nodes.shape))
+    return np.any(sides.min(axis=1) != sides.max(axis=1), axis=-1)
+
+
+@pytest.mark.parametrize("name", ["bidisc", "worm", "quartic"])
+def test_delta_jets_match_finite_differences(name, request):
+    entry = request.getfixturevalue(name)
+    dom = entry.domain
+    P = entry.boundary_mesh(60, seed=12)
+    nhat = dom.jet(P, order=1).rgrad
+    nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
+    rng = np.random.default_rng(13)
+    Q = P + rng.uniform(-0.25, 0.25, 60)[:, None] * dom.collar_width * nhat
+    Q = Q[~cut_locus_mask(dom, Q)]
+    for Z in (P, Q):
+        keep = ~straddles_crease(entry, Z)
+        assert keep.sum() >= 0.9 * len(Z)
+        Z = Z[keep]
+        jet = delta_jet(dom, Z, order=3)
+        ref = fd_delta_jet(dom, Z, order=3)
+        for got, want, floor, budget in (
+                (jet.rgrad, ref.rgrad, 0.1, 1e-6),
+                (jet.rhess, ref.rhess, 0.1, 1e-6),
+                (jet.rthird, ref.rthird, 1.0, 1e-4)):
+            rel = np.abs(got - want) / np.maximum(np.abs(want), floor)
+            assert rel.max() < budget
 
 
 def test_ball_restricted_levi_is_half(ball):

@@ -143,17 +143,14 @@ def test_not_pseudoconvex_alarm():
 
 def test_delta_levi_matches_rho_route(zoo_entries):
     # dual-route check: restricted Levi eigenvalues from distance jets agree
-    # with the defining-function identity away from curvature hot spots
+    # with the defining-function identity
     for entry in zoo_entries:
         P = entry.boundary_mesh(300, seed=9)
         batch = boundary_batch(entry.domain, P, order=2)
         from dfindex.levi import levi_spectrum
         w, _, _ = levi_spectrum(batch)
         lam = levi_min_via_rho(entry.domain, batch.positions)
-        # distance jets trail the exact route only at the worm's residual
-        # curvature hot spots (~1e-5); clean elsewhere
-        tol = 5e-5 if entry.id == "worm" else 1e-8
-        assert np.max(np.abs(w[:, 0] - lam)) < tol
+        assert np.max(np.abs(w[:, 0] - lam)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
