@@ -19,85 +19,31 @@ from .distance import (delta_jet, foot_points, normal_n,
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
 from .hermitian import hermitian_eigh
-from .jets import (DomainSpec, Jet, WirtingerJet, numeric_jet,
+from .jets import (DomainSpec, Jet, WirtingerJet, fd_jet, fd_nodes,
                    third_contraction)
 from .levi import SigmaPointSet
 from .sigma import SigmaChart, h_field, nu_pairings
-from .util import bump_c3, smoothstep_c3
+from .util import bump_c3, complex_unpack
 
 # ---------------------------------------------------------------------------
 # psi evaluators
 # ---------------------------------------------------------------------------
+# A psi is a function of the boundary foot point: every check sees it only
+# through at_feet(F), at feet that the check projected once.
 
-
-class PsiBase:
-    """psi evaluators are functions of the boundary foot point; evaluating
-    at precomputed feet lets optimizer loops skip reprojection."""
-
-    domain: DomainSpec
-
-    def __call__(self, P):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        feet, _ = foot_points(self.domain, P, ambiguity_check=False)
-        return self.at_feet(feet)
-
-    def at_feet(self, F):
-        raise NotImplementedError
-
-
-class ZeroPsi(PsiBase):
-    def __init__(self, domain):
-        self.domain = domain
-
-    def __call__(self, P):
-        return np.zeros(np.atleast_2d(P).shape[0])
-
+class ZeroPsi:
     def at_feet(self, F):
         return np.zeros(np.atleast_2d(F).shape[0])
 
 
-class ChartBasisPsi(PsiBase):
-    """Truncated basis surface on chart coordinates of the degenerate set,
-    extended by the collar operator (constant along foot fibers, C3 edge
-    blend)."""
-
-    def __init__(self, domain, coords_fn, basis_fns, coef, fade=(0.7, 0.98)):
-        self.domain = domain
-        self.coords_fn = coords_fn
-        self.basis_fns = basis_fns
-        self.coef = np.asarray(coef, dtype=float)
-        self.fade = fade
-
-    def with_coef(self, coef):
-        return ChartBasisPsi(self.domain, self.coords_fn, self.basis_fns,
-                             coef, self.fade)
-
-    def at_feet(self, F):
-        U, _, edge = self.coords_fn(np.atleast_2d(F))
-        vals = np.zeros(U.shape[0])
-        for c, fn in zip(self.coef, self.basis_fns):
-            if c != 0.0:
-                vals += c * fn(U)
-        s = (np.clip(edge, 0, None) - self.fade[0]) / \
-            max(self.fade[1] - self.fade[0], 1e-12)
-        return vals * (1.0 - smoothstep_c3(s))
-
-
-def _psi_values(psi, P):
+def _psi_values(psi, feet):
     try:
-        out = psi(P)
+        out = psi.at_feet(feet)
     except Exception as exc:  # noqa: BLE001 - map to the contract error
         raise PsiDomain(f"psi evaluation failed: {exc}") from exc
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise PsiDomain("psi returned non-finite values")
-    return out
-
-
-def _realify(xi):
-    out = np.empty(xi.shape[:-1] + (2 * xi.shape[-1],))
-    out[..., 0::2] = xi.real
-    out[..., 1::2] = xi.imag
     return out
 
 
@@ -128,8 +74,7 @@ class PsiStencil:
     def differences(self, psi):
         """Central differences of psi: (d psi / dz as an (M, n) array, the
         second difference along each direction field)."""
-        vals = _psi_values(psi.at_feet if isinstance(psi, PsiBase) else psi,
-                           self.feet)
+        vals = _psi_values(psi, self.feet)
         blocks = vals.reshape(-1, self.M)
         h = self.h
         grad = np.empty((self.M, self.D))
@@ -203,8 +148,8 @@ class CriterionEvaluator:
         self.third_field = pure.real + transport   # imaginary part ~ 0
         self.third_imag = float(np.max(np.abs(pure.imag))) if len(pure) else 0.0
         self.Ls = Ls
-        self.stencil = PsiStencil(domain, P[idx],
-                                  (_realify(Ls), _realify(1j * Ls)))
+        self.stencil = PsiStencil(domain, P[idx], (complex_unpack(Ls),
+                                                   complex_unpack(1j * Ls)))
 
     def lhs(self, psi, eta):
         """Left-hand side per (sample, direction), max-reduced per sample."""
@@ -265,15 +210,14 @@ class OracleReport:
                 "points": self.count, "slackRel": self.slack_rel}
 
 
-def interior_psh_oracle(rho_jet_fn, eta, mesh, slack_rel=1e-9) -> OracleReport:
+def interior_psh_oracle(jet: WirtingerJet, eta,
+                        slack_rel=1e-9) -> OracleReport:
     """Positive-semidefiniteness of the complex Hessian of -(-rho)^eta.
 
-    rho_jet_fn maps (B, 2n) points to an order-2 WirtingerJet of the
-    candidate defining function; certified when every minimal eigenvalue is
-    above -slack_rel * ||Hessian|| pointwise.
+    jet is the order-2 WirtingerJet of the candidate defining function rho
+    at the mesh points; certified when every minimal eigenvalue is above
+    -slack_rel * ||Hessian|| pointwise.
     """
-    mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-    jet = rho_jet_fn(mesh)
     rho = jet.value
     if np.any(rho >= 0):
         raise MeshOutside(f"{int((rho >= 0).sum())} mesh point(s) with "
@@ -291,36 +235,32 @@ def interior_psh_oracle(rho_jet_fn, eta, mesh, slack_rel=1e-9) -> OracleReport:
     ok = bool(np.all(lam >= -slack_rel * np.maximum(norm, 1e-300)))
     return OracleReport(eta=float(eta), min_eig=float(lam.min()),
                         min_scaled=float(scaled.min()), certified=ok,
-                        count=mesh.shape[0], slack_rel=float(slack_rel))
+                        count=jet.batch, slack_rel=float(slack_rel))
 
 
-def delta_exp_psi_jet_fn(domain: DomainSpec, psi):
-    """Order-2 jets of rho = delta * exp(psi) by finite differences of the
-    composite (psi extended by zero outside its collar support).
+class OracleStencil:
+    """Projected feet and signed distance of the order-2 finite-difference
+    nodes around an interior mesh (numeric_jet's 33 nodes in R^4 at two
+    Richardson steps).  psi enters only through its values at these feet, so
+    one stencil serves any number of psi."""
 
-    psi is a function of the foot point (it needs at_feet): each stencil
-    node is projected once, and delta and psi both come from that foot.
-    """
-    h = FD_STEP * domain.scale
+    def __init__(self, domain: DomainSpec, mesh):
+        self.h = FD_STEP * domain.scale
+        nodes = fd_nodes(mesh, 2, self.h)
+        self.shape = nodes.shape[:-1]
+        Z = nodes.reshape(-1, domain.dim)
+        # one projection per Richardson step keeps the working set of
+        # foot_points at the size of one step's nodes
+        self.feet = np.concatenate([
+            foot_points(domain, z, ambiguity_check=False)[0]
+            for z in np.split(Z, self.shape[0])])
+        self.delta = signed_distance_from_feet(domain, Z, self.feet)
 
-    def values(P):
-        feet, _ = foot_points(domain, P, ambiguity_check=False)
-        d = signed_distance_from_feet(domain, P, feet)
-        return d * np.exp(_psi_values(psi.at_feet, feet))
-
-    def fn(mesh):
-        return numeric_jet(values, mesh, order=2, h=h)
-
-    return fn
-
-
-def oracle_jet_fn_from_rho(domain: DomainSpec):
-    """Order-2 jets of the zoo's algebraic defining function (closed form)."""
-
-    def fn(mesh):
-        return domain.jet(np.atleast_2d(mesh), order=2)
-
-    return fn
+    def jet(self, psi) -> WirtingerJet:
+        """Order-2 jets at the mesh of rho = delta * exp(psi), psi extended
+        constantly along foot fibres."""
+        V = self.delta * np.exp(_psi_values(psi, self.feet))
+        return fd_jet(V.reshape(self.shape), self.feet.shape[1], 2, self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +542,12 @@ class CurveReport:
                 "maxLHS": float(self.max_lhs), "slack": self.slack}
 
 
-class CurvePsi(PsiBase):
+class CurvePsi:
     """The certificate's quadratic profile along the rotated tangent:
     psi(p + s J t) = s a(t) + s^2 b / 2, faded to zero off the curve."""
 
-    def __init__(self, domain, chart, t_grid, a_grid, b, jdir_fn,
-                 sigma_distance, width, param_fn=None):
-        self.domain = domain
+    def __init__(self, chart, t_grid, a_grid, b, jdir_fn, sigma_distance,
+                 width, param_fn=None):
         self.chart = chart
         self.t_grid = t_grid
         self.a_grid = a_grid
@@ -662,8 +601,8 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     rel = overlap / np.maximum(nrm, 1e-300)
     case = "parallel" if float(rel.max()) < 1e-3 else "transversal"
     # J dt nearly tangent to the curve would be outside both cases
-    X = _realify(xi)
-    JX = _realify(1j * xi)
+    X = complex_unpack(xi)
+    JX = complex_unpack(1j * xi)
     cosang = np.abs(np.einsum("ka,ka->k", X, JX)) / \
         np.maximum(np.einsum("ka,ka->k", X, X), 1e-300)
     if float(cosang.max()) > 0.99 and case == "transversal":
@@ -703,11 +642,10 @@ def curve_psi_from_report(domain, curve, report: CurveReport,
     """Collar evaluator for the certificate's psi (for cross-validation)."""
     def jdir_fn(t):
         xi = curve.tangents(np.asarray(t)[:, None])[:, 0, :]
-        JX = _realify(1j * xi)
+        JX = complex_unpack(1j * xi)
         return JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True),
                                1e-300)
 
     width = 0.3 * domain.collar_width if width is None else width
-    return CurvePsi(domain, curve, report.t_values, report.a_values,
-                    report.b, jdir_fn, sigma_distance, width,
-                    param_fn=param_fn)
+    return CurvePsi(curve, report.t_values, report.a_values, report.b,
+                    jdir_fn, sigma_distance, width, param_fn=param_fn)

@@ -434,63 +434,46 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
 # collar extension
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CollarMap:
-    """Coordinates of the degenerate set for collar extension.
+# the collar extension fades psi to zero between these values of the patch's
+# edge coordinate (1 at the rim)
+FADE = (0.7, 0.98)
 
-    to_chart maps ambient boundary points to (chart params U, leaf labels or
-    None, edge in [0,1] with 1 at the rim of the patch).
+
+class ChartPsi:
+    """A surface on chart coordinates of the degenerate set, extended
+    constantly along foot-point fibres and faded to zero at the rim of the
+    patch by a C3 profile.
+
+    to_chart maps boundary feet to (chart params U, leaf labels or None,
+    edge in [0, 1] with 1 at the rim); surface maps (U, labels) to values.
     """
 
-    to_chart: Callable
-    fade_start: float = 0.7
-    fade_end: float = 0.98
-
-
-class CollarPsi:
-    """psi = -2 phi extended constantly along foot-point fibers and blended
-    to zero at the collar edge by a C3 profile."""
-
-    def __init__(self, domain, phi: PotentialField, collar: CollarMap,
-                 width=None, check=True):
-        self.domain = domain
-        self.phi = phi
-        self.collar = collar
-        self.width = domain.collar_width if width is None else float(width)
-        if check:
-            self._probe_width()
-
-    def _probe_width(self):
-        # the collar must keep foot points unique; probe a ring of offsets
-        if self.width > 0.49 * self.domain.scale:
-            raise CollarTooWide("collar wider than half the domain scale")
-        try:
-            U0 = self.phi.leaves[0].params[:8]
-            P = self.phi.leaves[0].chart.embed_batch(U0)
-            jet = self.domain.jet(P, order=1)
-            nhat = jet.rgrad / np.linalg.norm(jet.rgrad, axis=1, keepdims=True)
-            probe = P - self.width * nhat
-            foot_points(self.domain, probe, ambiguity_check=True)
-        except AmbiguousFoot as exc:
-            raise CollarTooWide(f"ambiguous feet inside the collar: {exc}")
-
-    def __call__(self, P):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        feet, _ = foot_points(self.domain, P, ambiguity_check=False)
-        return self.at_feet(feet)
+    def __init__(self, to_chart: Callable, surface: Callable):
+        self.to_chart = to_chart
+        self.surface = surface
 
     def at_feet(self, F):
-        U, t, edge = self.collar.to_chart(np.atleast_2d(F))
-        vals = self.phi.eval(U, t)
-        s = (np.clip(edge, 0, None) - self.collar.fade_start) / \
-            max(self.collar.fade_end - self.collar.fade_start, 1e-12)
-        blend = 1.0 - smoothstep_c3(s)
-        return -POTENTIAL_FACTOR * vals * blend
+        U, t, edge = self.to_chart(np.atleast_2d(F))
+        s = (np.clip(edge, 0, None) - FADE[0]) / (FADE[1] - FADE[0])
+        return self.surface(U, t) * (1.0 - smoothstep_c3(s))
 
 
-def extend_to_collar(domain, phi: PotentialField, collar: CollarMap,
-                     width=None, check=True) -> CollarPsi:
-    """Constant extension of -2 phi along transversal/normal coordinates with
-    a C3 edge blend; exact on the chart grid."""
-    return CollarPsi(domain, phi, collar, width=width, check=check)
+def collar_psi(domain, phi: PotentialField, to_chart, width=None) -> ChartPsi:
+    """psi = -2 phi extended along foot-point fibres with the edge fade;
+    exact on the chart grid.
 
+    The collar (default width domain.collar_width) must keep foot points
+    unique: a ring of offsets is probed, and CollarTooWide raised otherwise.
+    """
+    width = domain.collar_width if width is None else float(width)
+    if width > 0.49 * domain.scale:
+        raise CollarTooWide("collar wider than half the domain scale")
+    try:
+        leaf = phi.leaves[0]
+        P = leaf.chart.embed_batch(leaf.params[:8])
+        g = domain.jet(P, order=1).rgrad
+        nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
+        foot_points(domain, P - width * nhat, ambiguity_check=True)
+    except AmbiguousFoot as exc:
+        raise CollarTooWide(f"ambiguous feet inside the collar: {exc}")
+    return ChartPsi(to_chart, lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t))

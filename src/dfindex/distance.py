@@ -237,9 +237,10 @@ def foot_points(domain: DomainSpec, Z, ambiguity_check=True):
 
 
 def cut_locus_mask(domain: DomainSpec, Z, gap_tol=_AMBIGUITY_TOL):
-    """True where the nearest-point projection is unreliable: the two
-    restart strategies disagree or fail to converge (point at or beyond the
-    cut locus of the boundary)."""
+    """True where the nearest-point projection is unreliable (point at or
+    beyond the cut locus of the boundary): the two restart strategies
+    disagree or fail to converge, or Z is at or past a focal point of the
+    foot that foot_points takes, where delta_jet raises StencilLeak."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     scale = domain.scale
     p0, l0 = _predict_gradient_flow(domain, Z, 2)
@@ -247,10 +248,16 @@ def cut_locus_mask(domain: DomainSpec, Z, gap_tol=_AMBIGUITY_TOL):
     p1, l1 = _predict_tangential(domain, Z, sweeps=20, relax=0.5)
     pb, _, rb = _kkt_polish(domain, Z, p1, l1)
     gap = np.linalg.norm(pa - pb, axis=1)
+    ok_a = ra <= _KKT_REQUIRED * scale
     fail = np.minimum(ra, rb) > _KKT_REQUIRED * scale
-    disagree = (gap > gap_tol * scale) & (ra <= _KKT_REQUIRED * scale) & \
-        (rb <= _KKT_REQUIRED * scale)
-    return fail | disagree
+    disagree = (gap > gap_tol * scale) & ok_a & (rb <= _KKT_REQUIRED * scale)
+    bad = fail | disagree
+    # the converged foot, as foot_points takes it
+    keep = np.flatnonzero(~bad)
+    feet = np.where(ok_a[:, None], pa, pb)[keep]
+    d = signed_distance_from_feet(domain, Z[keep], feet)
+    bad[keep] = _focal_frame(domain, feet, d, order=2)[-1]
+    return bad
 
 
 def signed_distance(domain: DomainSpec, Z, ambiguity_check=False):
@@ -263,6 +270,24 @@ def signed_distance(domain: DomainSpec, Z, ambiguity_check=False):
 def signed_distance_from_feet(domain: DomainSpec, Z, feet):
     """delta(Z) given the feet of Z's projections onto the boundary."""
     return np.sign(domain.value(Z)) * np.linalg.norm(Z - feet, axis=1)
+
+
+def _focal_frame(domain: DomainSpec, feet, d, order):
+    """Normal frame at the feet of points at signed distance d: rho's jet
+    (order >= 2), |grad rho|, n, the tangent projector P, the shape operator
+    W = P Hess rho P / |grad rho| and M = I + d W, with the mask of points
+    at or past a focal point (smallest eigenvalue of M at most
+    _FOCAL_FLOOR, where the foot is not a nearest point)."""
+    rj = domain.jet(feet, order=max(order, 2))
+    g, H = rj.rgrad, rj.rhess
+    gn = np.linalg.norm(g, axis=1)
+    n = g / gn[:, None]
+    eye = np.eye(feet.shape[1])
+    P = eye - np.einsum("ka,kb->kab", n, n)
+    W = P @ H @ P / gn[:, None, None]
+    M = eye + d[:, None, None] * W
+    focal = np.linalg.eigvalsh(M)[:, 0] <= _FOCAL_FLOOR
+    return rj, gn, n, P, W, M, focal
 
 
 def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
@@ -287,19 +312,11 @@ def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
     if np.any(np.abs(d) > domain.collar_width):
         raise StencilLeak(f"{int((np.abs(d) > domain.collar_width).sum())} "
                           "point(s) outside the collar")
-    rj = domain.jet(feet, order=max(order, 2))
-    g, H = rj.rgrad, rj.rhess
-    gn = np.linalg.norm(g, axis=1)
-    n = g / gn[:, None]
-    B, D = Z.shape
-    eye = np.eye(D)
-    P = eye - np.einsum("ka,kb->kab", n, n)
-    W = P @ H @ P / gn[:, None, None]
-    M = eye + d[:, None, None] * W
-    focal = np.linalg.eigvalsh(M)[:, 0] <= _FOCAL_FLOOR
+    rj, gn, n, P, W, M, focal = _focal_frame(domain, feet, d, order)
     if np.any(focal):
         raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
                           "point of the boundary")
+    B, D = Z.shape
     if order < 2:
         return WirtingerJet(d, n)
     Minv = np.linalg.inv(M)
@@ -311,6 +328,7 @@ def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
         # dp = S e_c, d delta = n_c, dn = G e_c and
         # d Hess delta = M^-1 dW M^-1 - n_c G^2
         S = Minv @ P
+        H = rj.rhess
         dH = (S @ rj.rthird.reshape(B, D, D * D)).reshape(B, D, D, D)
         dgn = (n[:, None, :] @ H @ S)[:, 0, :]
         dP = -(G[:, :, :, None] * n[:, None, None, :]

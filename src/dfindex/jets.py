@@ -532,9 +532,9 @@ def _stencil(D, order):
     return O, index
 
 
-def _fd_tables(D, order):
-    """Index tables used to assemble derivatives from stencil values."""
-    O, index = _stencil(D, order)
+def _fd_index(D, order):
+    """Offset -> stencil column lookup used to assemble derivatives."""
+    _, index = _stencil(D, order)
 
     def idx(comps):
         v = np.zeros(D)
@@ -542,7 +542,7 @@ def _fd_tables(D, order):
             v[a] = s
         return index[tuple(v)]
 
-    return O, index, idx
+    return idx
 
 
 # third derivatives are differenced at THIRD_STEP_FACTOR x the step: their
@@ -550,20 +550,37 @@ def _fd_tables(D, order):
 THIRD_STEP_FACTOR = 2.5
 
 
-def numeric_jet(fbatch, P, order, h, richardson=True):
-    """Finite-difference jets of a black-box batch scalar function.
+def _fd_steps(order, h, richardson):
+    """Steps of numeric_jet's stencils: h (and h/2), then for order 3 the
+    third-derivative step (and its half)."""
+    steps = [h, h / 2] if richardson else [h]
+    if order >= 3:
+        h3 = h * THIRD_STEP_FACTOR
+        steps += [h3, h3 / 2] if richardson else [h3]
+    return steps
 
-    fbatch: (K, D) -> (K,).  Gradient/Hessian use step h; third derivatives
-    use h * THIRD_STEP_FACTOR.  One Richardson level (h and h/2) is applied
-    to every entry.
-    """
+
+def fd_nodes(P, order, h, richardson=True):
+    """Stencil nodes of numeric_jet around points P (B, D): an array
+    (steps, B, S, D) of S offsets at each step of _fd_steps."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    B, D = P.shape
-    O, index, idx = _fd_tables(D, order)
+    O, _ = _stencil(P.shape[1], order)
+    return np.stack([P[:, None, :] + step * O[None, :, :]
+                     for step in _fd_steps(order, h, richardson)])
 
-    def eval_all(step):
-        pts = (P[:, None, :] + step * O[None, :, :]).reshape(-1, D)
-        return fbatch(pts).reshape(B, len(O))
+
+def fd_jet(V, D, order, h, richardson=True):
+    """numeric_jet's jets in R^D from the values V (steps, B, S) of a
+    function at fd_nodes(P, order, h, richardson).  Gradient/Hessian use
+    step h; third derivatives use h * THIRD_STEP_FACTOR.  One Richardson
+    level (h and h/2) is applied to every entry.
+    """
+    V = np.asarray(V, dtype=float)
+    if not np.all(np.isfinite(V)):
+        raise NonFinite("non-finite value in finite-difference stencil")
+    B = V.shape[1]
+    idx = _fd_index(D, order)
+    steps = _fd_steps(order, h, richardson)
 
     def derive(V, step, do_gh=True, do_t=True):
         g = np.zeros((B, D)) if do_gh else None
@@ -625,26 +642,27 @@ def numeric_jet(fbatch, P, order, h, richardson=True):
                             t[:, perm[0], perm[1], perm[2]] = val
         return g, hs, t
 
-    def jet_at(step, do_gh=True, do_t=True):
-        V = eval_all(step)
-        if not np.all(np.isfinite(V)):
-            raise NonFinite("non-finite value in finite-difference stencil")
-        return V[:, 0], derive(V, step, do_gh, do_t)
-
-    f0, (g1, h1, _) = jet_at(h, do_t=False)
-    g_out, h_out = g1, h1
+    f0 = V[0][:, 0]
+    g_out, h_out, _ = derive(V[0], steps[0], do_t=False)
     if richardson:
-        _, (g2, h2, _) = jet_at(h / 2, do_t=False)
-        g_out = (4 * g2 - g1) / 3
+        g2, h2, _ = derive(V[1], steps[1], do_t=False)
+        g_out = (4 * g2 - g_out) / 3
         if order >= 2:
-            h_out = (4 * h2 - h1) / 3
+            h_out = (4 * h2 - h_out) / 3
     t = None
     if order >= 3:
-        h3 = h * THIRD_STEP_FACTOR
-        _, (_, _, ta) = jet_at(h3, do_gh=False)
+        k = len(steps) // 2
+        _, _, t = derive(V[k], steps[k], do_gh=False)
         if richardson:
-            _, (_, _, tb) = jet_at(h3 / 2, do_gh=False)
-            t = (4 * tb - ta) / 3
-        else:
-            t = ta
+            _, _, tb = derive(V[k + 1], steps[k + 1], do_gh=False)
+            t = (4 * tb - t) / 3
     return WirtingerJet(f0, g_out, h_out, t)
+
+
+def numeric_jet(fbatch, P, order, h, richardson=True):
+    """Finite-difference jets of a black-box batch scalar function
+    fbatch: (K, D) -> (K,), called once per step on that step's nodes."""
+    nodes = fd_nodes(P, order, h, richardson)
+    D = nodes.shape[-1]
+    V = [np.reshape(fbatch(n.reshape(-1, D)), n.shape[:-1]) for n in nodes]
+    return fd_jet(V, D, order, h, richardson)

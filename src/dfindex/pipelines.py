@@ -8,13 +8,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import (DEFAULT_ETA_GRID, ChartBasisPsi, CriterionEvaluator,
-                      IndexCertificate, ZeroPsi, coordinate_descent,
-                      curve_psi_from_report, delta_exp_psi_jet_fn,
-                      estimate_index, interior_psh_oracle, real_curve_certify)
-from .cohomology import (CollarMap, PathInSigma, ThetaSource, build_potential,
-                         classify, exactness_tolerance, extend_to_collar,
-                         period)
+from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
+                      OracleStencil, ZeroPsi, coordinate_descent,
+                      curve_psi_from_report, estimate_index,
+                      interior_psh_oracle, real_curve_certify)
+from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
+                         classify, collar_psi, exactness_tolerance, period)
 from .levi import detect_sigma
 from .zoo import ZooEntry
 
@@ -61,11 +60,6 @@ def potential_for(entry: ZooEntry, verdict=None, res=9, check_targets=20):
                            check_targets=check_targets)
 
 
-def collar_psi_for(entry: ZooEntry, phi):
-    collar = CollarMap(to_chart=entry.sigma_coords)
-    return extend_to_collar(entry.domain, phi, collar)
-
-
 def default_psi_for(entry: ZooEntry):
     """certify's candidate psi: (psi, provenance, period verdict)."""
     run = Run(entry)
@@ -95,13 +89,28 @@ def _family_basis(entry: ZooEntry):
     return terms
 
 
+def _basis_surface(terms, coef):
+    """sum_i coef_i terms_i(U), skipping zero coefficients."""
+    coef = np.array(coef, dtype=float)
+
+    def surface(U, t):
+        vals = np.zeros(U.shape[0])
+        for c, fn in zip(coef, terms):
+            if c != 0.0:
+                vals += c * fn(U)
+        return vals
+
+    return surface
+
+
 @dataclass
 class Run:
     """One pipeline run on a zoo entry at fixed sizes and seed.
 
     The eta-independent stages (Sigma scan, period verdict, collar
-    potential, criterion data, interior mesh) are built on first use and at
-    most once; certify and estimate build their reports over them.
+    potential, criterion data, interior mesh and its oracle stencil) are
+    built on first use and at most once; certify and estimate build their
+    reports over them.
     """
 
     entry: ZooEntry
@@ -131,17 +140,18 @@ class Run:
         otherwise."""
         e = self.entry
         if e.loops and self.verdict.exact and e.sigma_coords is not None:
-            return collar_psi_for(e, potential_for(e, self.verdict))
+            return collar_psi(e.domain, potential_for(e, self.verdict),
+                              e.sigma_coords)
         return None
 
     @cached_property
     def default_psi(self):
         """certify's candidate: (psi, provenance)."""
         if self.entry.sigma_kind == "Empty":
-            return ZeroPsi(self.entry.domain), "zero (empty degenerate set)"
+            return ZeroPsi(), "zero (empty degenerate set)"
         if self.collar_psi is not None:
             return self.collar_psi, "collar potential (-2 phi)"
-        return ZeroPsi(self.entry.domain), "zero (no exact potential)"
+        return ZeroPsi(), "zero (no exact potential)"
 
     @cached_property
     def evaluator(self):
@@ -152,27 +162,32 @@ class Run:
         return self.entry.interior_mesh(self.oracle_count, self.seed + 1,
                                         depth=ORACLE_DEPTH)
 
+    @cached_property
+    def oracle_stencil(self):
+        return OracleStencil(self.entry.domain, self.interior_mesh)
+
     def oracle(self, eta, psi):
-        return interior_psh_oracle(
-            delta_exp_psi_jet_fn(self.entry.domain, psi), eta,
-            self.interior_mesh, slack_rel=self.oracle_slack)
+        return interior_psh_oracle(self.oracle_stencil.jet(psi), eta,
+                                   slack_rel=self.oracle_slack)
 
     def family_psi(self, eta, diagnostics):
         """Coordinate-descent minimiser of maxLHS over the entry's surface
         basis; the minimum is logged in diagnostics['psiProvenance']."""
         terms = _family_basis(self.entry)
-        proto = ChartBasisPsi(self.entry.domain, self.entry.sigma_coords,
-                              terms, np.zeros(len(terms)))
+
+        def psi(coef):
+            return ChartPsi(self.entry.sigma_coords,
+                            _basis_surface(terms, coef))
 
         def objective(coef):
-            return float(self.evaluator.lhs(proto.with_coef(coef), eta).max())
+            return float(self.evaluator.lhs(psi(coef), eta).max())
 
         box = FAMILY_BOX * np.ones(len(terms))
         coef, val = coordinate_descent(objective, np.zeros(len(terms)),
                                        -box, box, rounds=2, gold_iters=10)
         diagnostics["psiProvenance"].append(
             {"eta": float(eta), "family_min_maxLHS": float(val)})
-        return proto.with_coef(coef)
+        return psi(coef)
 
     def certify(self, eta):
         """Report at one exponent: the boundary check (criterion, or the
@@ -228,7 +243,7 @@ class Run:
         def candidates(eta):
             if self.collar_psi is not None:
                 yield "collar potential", self.collar_psi
-            yield "zero", ZeroPsi(self.entry.domain)
+            yield "zero", ZeroPsi()
             if search:
                 yield ("family (coordinate descent)",
                        self.family_psi(eta, diagnostics))

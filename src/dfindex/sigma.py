@@ -19,7 +19,7 @@ import numpy as np
 from .distance import delta_jet, foot_points, normal_n
 from .errors import ChartMismatch, HypothesisFail, StencilLeak
 from .jets import DomainSpec, WirtingerJet
-from .util import complex_pack
+from .util import complex_pack, complex_unpack
 
 
 @dataclass
@@ -363,7 +363,7 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
             Dx_gx = (gxp - gxm) / (2 * h)
             # ambient straight-line steps along the J-companion (may leave
             # the boundary; the collar fields stay defined)
-            Yreal = _realify(1j * xi[:, j, :])
+            Yreal = complex_unpack(1j * xi[:, j, :])
             nrm = np.linalg.norm(Yreal, axis=1, keepdims=True)
             Yhat = Yreal / np.maximum(nrm, 1e-300)
             hyp, _, gyp = _h_and_g_ambient(chart, P + ha * Yhat, xi[:, j, :])
@@ -377,13 +377,6 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
     if np.asarray(u).ndim == 1:
         return float(r1[0]), float(r2[0]), float(r3[0])
     return r1, r2, r3
-
-
-def _realify(xi):
-    out = np.empty(xi.shape[:-1] + (2 * xi.shape[-1],))
-    out[..., 0::2] = xi.real
-    out[..., 1::2] = xi.imag
-    return out
 
 
 def _h_and_g(chart, U, j):

@@ -71,3 +71,15 @@ def sample_box_points(entry, count, seed, margin=0.0, avoid_crease=False):
         out.append(P[:need])
         need -= len(P[:need])
     return np.concatenate(out, axis=0)
+
+
+class Shifted:
+    """psi + c for a psi evaluator: the same function of the foot point,
+    shifted by a constant."""
+
+    def __init__(self, base, c):
+        self.base = base
+        self.c = c
+
+    def at_feet(self, F):
+        return self.base.at_feet(F) + self.c

@@ -19,20 +19,20 @@ import json
 import numpy as np
 import pytest
 
+from conftest import Shifted
 from dfindex import zoo
-from dfindex.certify import (PatchSpec, ZeroPsi, boundary_criterion,
-                             caccioppoli_check, curve_psi_from_report,
-                             delta_exp_psi_jet_fn, interior_psh_oracle,
-                             oracle_jet_fn_from_rho, real_curve_certify,
-                             residual_sequence)
+from dfindex.certify import (OracleStencil, PatchSpec, ZeroPsi,
+                             boundary_criterion, caccioppoli_check,
+                             curve_psi_from_report, interior_psh_oracle,
+                             real_curve_certify, residual_sequence)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (HFieldSource, PathInSigma, ThetaSource,
                                 build_potential, classify, period)
 from dfindex.distance import boundary_batch, delta_jet
 from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import (collar_psi_for, default_psi_for,
-                               estimate_domain, periods_for, sigma_scan)
+from dfindex.pipelines import (default_psi_for, estimate_domain, periods_for,
+                               sigma_scan)
 from dfindex.sigma import (chart_compat_residuals, dtheta_residual, h_field,
                            nu_identity_residuals)
 from dfindex.levi import levi_decompose, null_cross_residual
@@ -95,8 +95,8 @@ def test_criterion_2_ball_certification(ball):
                            mesh_count=2000, oracle_count=800)
     assert cert.bound >= 0.99
     mesh = ball.interior_mesh(MESH_N, seed=102)
-    orep = interior_psh_oracle(oracle_jet_fn_from_rho(ball.domain), 0.99,
-                               mesh, slack_rel=1e-10)
+    orep = interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.99,
+                               slack_rel=1e-10)
     assert orep.certified
     assert orep.min_eig >= -1e-9
     report(2, f"certified bound {cert.bound}; oracle min eigenvalue "
@@ -239,14 +239,6 @@ def test_criterion_7_residual_sequence(bidisc, bidisc_package):
                              lambda eta: psi, res=9)
     assert all(v < 1e-4 for v in vals)
 
-    class Shifted:
-        def __init__(self, base, c):
-            self.base = base
-            self.c = c
-
-        def __call__(self, P):
-            return self.base(P) + self.c
-
     vals2 = residual_sequence(bidisc.domain, chart, 0.6, etas,
                               lambda eta: Shifted(psi, 1.0 / (1.0 - eta)),
                               res=9)
@@ -272,7 +264,7 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, bidisc_package):
     meshes at distance >= d0; d0 is reported per domain."""
     bands = [(0.02, 0.05), (0.05, 0.1), (0.1, 0.15)]
     certified = []
-    certified.append(("ball", 0.99, ZeroPsi(ball.domain), ball))
+    certified.append(("ball", 0.99, ZeroPsi(), ball))
     certified.append(("bidisc", 0.99, bidisc_package["psi"], bidisc))
     crep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
     assert crep.certified
@@ -287,11 +279,11 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, bidisc_package):
             sig = sigma_scan(entry, 1000, seed=104)
             rep = boundary_criterion(entry.domain, sig, psi, eta)
             assert rep.certified, name
-        fn = delta_exp_psi_jet_fn(entry.domain, psi)
         band_ok = []
         for band in bands:
             mesh = entry.interior_mesh(400, seed=105, depth=band)
-            orep = interior_psh_oracle(fn, eta, mesh, slack_rel=1e-6)
+            jet = OracleStencil(entry.domain, mesh).jet(psi)
+            orep = interior_psh_oracle(jet, eta, slack_rel=1e-6)
             band_ok.append(orep.certified)
         # d0: all bands from some depth outward must certify
         k = next((i for i in range(len(bands))

@@ -3,15 +3,17 @@ residual sequence, and the real-curve certificate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
-                             ZeroPsi, boundary_criterion, caccioppoli_check,
+from conftest import Shifted
+from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
+                             OracleStencil, PatchSpec, ZeroPsi,
+                             boundary_criterion, caccioppoli_check,
                              coordinate_descent, curve_psi_from_report,
-                             delta_exp_psi_jet_fn, interior_psh_oracle,
-                             oracle_jet_fn_from_rho, real_curve_certify,
+                             interior_psh_oracle, real_curve_certify,
                              residual_sequence)
-from dfindex import certify, cohomology, distance
-from dfindex.cohomology import CollarMap, extend_to_collar
+from dfindex import certify, cohomology, distance, sigma
+from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve
 from dfindex.jets import numeric_jet
@@ -43,7 +45,7 @@ def bidisc_psi(bidisc):
 
 def test_ball_criterion_vacuous(ball):
     sig = sigma_scan(ball, 500, seed=1)
-    rep = boundary_criterion(ball.domain, sig, ZeroPsi(ball.domain), 0.99)
+    rep = boundary_criterion(ball.domain, sig, ZeroPsi(), 0.99)
     assert rep.certified and rep.vacuous
 
 
@@ -54,7 +56,7 @@ def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
 
 
 def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
-    rep = boundary_criterion(worm.domain, worm_sigma, ZeroPsi(worm.domain),
+    rep = boundary_criterion(worm.domain, worm_sigma, ZeroPsi(),
                              0.9)
     assert not rep.certified
     assert rep.max_lhs > 1.0
@@ -79,13 +81,44 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
                   / np.maximum(np.abs(loop), 1.0)) < 1e-14
     third_imag = float(np.max(np.abs(pure.imag)))
     assert abs(ev.third_imag - third_imag) <= 1e-14
-    rep = ev.report(ZeroPsi(worm.domain), 0.5).to_json()
+    rep = ev.report(ZeroPsi(), 0.5).to_json()
     assert rep["thirdImag"] == ev.third_imag
+
+
+@pytest.fixture(scope="module")
+def worm_evaluator(worm, worm_sigma):
+    return CriterionEvaluator(worm.domain, worm_sigma)
+
+
+@pytest.fixture(scope="module")
+def worm_family_psi(worm):
+    """A nonzero psi on the worm's Sigma coordinates, as the family search
+    builds them."""
+    return ChartPsi(worm.sigma_coords, lambda U, t: 0.4 * U[:, 0]
+                    - 0.3 * np.cos(U[:, 1]) + 0.2 * U[:, 0] * np.sin(U[:, 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(-1e3, 1e3), eta=st.floats(0.05, 0.99),
+       family=st.booleans())
+def test_criterion_invariant_under_psi_shift(worm_evaluator, worm_family_psi,
+                                             c, eta, family):
+    # psi -> psi + c moves only the rounding of the stencil values: second
+    # differences of values of size |c| + |psi| carry an error of order
+    # (|c| + |psi|) eps / h^2, h = FD_STEP * scale
+    ev = worm_evaluator
+    psi = worm_family_psi if family else ZeroPsi()
+    size = abs(c) + float(np.abs(psi.at_feet(ev.stencil.feet)).max())
+    if family:
+        assert size - abs(c) > 0.1
+    tol = 2.0 * size * np.finfo(float).eps / ev.stencil.h ** 2
+    base = ev.lhs(psi, eta)
+    assert np.max(np.abs(ev.lhs(Shifted(psi, c), eta) - base)) <= tol
 
 
 def test_criterion_monotonicity_in_eta(worm, worm_sigma):
     ev = CriterionEvaluator(worm.domain, worm_sigma)
-    psi = ZeroPsi(worm.domain)
+    psi = ZeroPsi()
     lhs1 = ev.lhs(psi, 0.5)
     lhs2 = ev.lhs(psi, 0.9)
     assert np.all(lhs1 <= lhs2 + 1e-12)
@@ -105,23 +138,23 @@ def test_criterion_monotone_certified_downward(bidisc, bidisc_sigma,
 
 def test_ball_oracle_with_algebraic_override(ball):
     mesh = ball.interior_mesh(10000, seed=2)
-    rep = interior_psh_oracle(oracle_jet_fn_from_rho(ball.domain), 0.99,
-                              mesh, slack_rel=1e-10)
+    rep = interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.99,
+                              slack_rel=1e-10)
     assert rep.certified
     assert rep.min_eig >= -1e-10
 
 
 def test_ball_oracle_distance_route(ball):
     mesh = ball.interior_mesh(800, seed=3)
-    fn = delta_exp_psi_jet_fn(ball.domain, ZeroPsi(ball.domain))
-    rep = interior_psh_oracle(fn, 0.99, mesh, slack_rel=1e-6)
+    jet = OracleStencil(ball.domain, mesh).jet(ZeroPsi())
+    rep = interior_psh_oracle(jet, 0.99, slack_rel=1e-6)
     assert rep.certified
 
 
 def test_worm_oracle_negative_at_high_eta(worm):
     mesh = worm.interior_mesh(600, seed=4)
-    fn = delta_exp_psi_jet_fn(worm.domain, ZeroPsi(worm.domain))
-    rep = interior_psh_oracle(fn, 0.99, mesh, slack_rel=1e-6)
+    jet = OracleStencil(worm.domain, mesh).jet(ZeroPsi())
+    rep = interior_psh_oracle(jet, 0.99, slack_rel=1e-6)
     assert not rep.certified
     assert rep.min_eig < 0
 
@@ -132,48 +165,53 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
     # convexifying potential and stays out)
     for entry in (ball, bidisc, quartic):
         mesh = entry.interior_mesh(500, seed=5, depth=(0.04, 0.1))
-        fn = delta_exp_psi_jet_fn(entry.domain, ZeroPsi(entry.domain))
-        rep = interior_psh_oracle(fn, 0.05, mesh, slack_rel=1e-6)
+        jet = OracleStencil(entry.domain, mesh).jet(ZeroPsi())
+        rep = interior_psh_oracle(jet, 0.05, slack_rel=1e-6)
         assert rep.certified, entry.id
 
 
-def _two_projection_jet_fn(domain, psi):
-    """The oracle composite with delta and psi projecting separately."""
-    h = 1e-3 * domain.scale
+def _psi_at(domain, psi, P):
+    """psi at ambient points, through their own projection."""
+    feet, _ = distance.foot_points(domain, P, ambiguity_check=False)
+    return psi.at_feet(feet)
 
+
+def _two_projection_jet(domain, psi, mesh):
+    """The oracle composite with delta and psi projecting separately, one
+    numeric_jet step at a time."""
     def values(P):
-        return signed_distance(domain, P) * np.exp(psi(P))
+        return signed_distance(domain, P) * np.exp(_psi_at(domain, psi, P))
 
-    return lambda mesh: numeric_jet(values, mesh, order=2, h=h)
+    return numeric_jet(values, mesh, order=2, h=1e-3 * domain.scale)
 
 
 @pytest.fixture(scope="module")
 def oracle_psis(bidisc, bidisc_leaf_field, quartic, worm):
     """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
-    collar = extend_to_collar(bidisc.domain, bidisc_leaf_field,
-                              CollarMap(to_chart=bidisc.sigma_coords))
+    collar = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
     rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
     curve = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
                                   rep, quartic.sigma_distance, width=0.6)
     return {"collar": (bidisc, collar), "curve": (quartic, curve),
-            "zero": (worm, ZeroPsi(worm.domain))}
+            "zero": (worm, ZeroPsi())}
 
 
 @pytest.mark.parametrize("kind", ["collar", "curve", "zero"])
 def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     entry, psi = oracle_psis[kind]
     mesh = entry.interior_mesh(40, seed=7)
-    got = delta_exp_psi_jet_fn(entry.domain, psi)(mesh)
-    ref = _two_projection_jet_fn(entry.domain, psi)(mesh)
-    # both routes project the same nodes with the same call
+    got = OracleStencil(entry.domain, mesh).jet(psi)
+    ref = _two_projection_jet(entry.domain, psi, mesh)
+    # the stencil projects all nodes in one call, the reference per step
+    # and twice; feet do not depend on the batch, so the jets agree bitwise
     np.testing.assert_array_equal(got.value, ref.value)
     np.testing.assert_array_equal(got.wgrad, ref.wgrad)
     np.testing.assert_array_equal(got.mixed, ref.mixed)
     if kind != "zero":
         # psi is not constant on the stencils, so the check has teeth
-        assert np.ptp(psi(mesh)) > 1e-3
+        assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
 
 
 def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
@@ -188,20 +226,21 @@ def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
 
     for module in (distance, certify, cohomology):
         monkeypatch.setattr(module, "foot_points", counting)
-    interior_psh_oracle(delta_exp_psi_jet_fn(entry.domain, psi), 0.99, mesh,
-                        slack_rel=1e-6)
+    stencil = OracleStencil(entry.domain, mesh)
     # order-2 stencil in R^4: 33 nodes at two Richardson steps
     assert sum(rows) == 66 * mesh.shape[0]
+    for eta in (0.5, 0.99):
+        interior_psh_oracle(stencil.jet(psi), eta, slack_rel=1e-6)
+    assert sum(rows) == 66 * mesh.shape[0]
     rows.clear()
-    interior_psh_oracle(_two_projection_jet_fn(entry.domain, psi), 0.99,
-                        mesh, slack_rel=1e-6)
+    _two_projection_jet(entry.domain, psi, mesh)
     assert sum(rows) == 132 * mesh.shape[0]
 
 
 def test_mesh_outside_raises(ball):
     mesh = np.array([[1.5, 0, 0, 0]])
     with pytest.raises(MeshOutside):
-        interior_psh_oracle(oracle_jet_fn_from_rho(ball.domain), 0.5, mesh)
+        interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +297,35 @@ def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
     cert = estimate_domain(quartic, mesh_count=200, oracle_count=100)
     assert [r["certified"] for r in cert.records] == [True] * 5
     assert len(calls) == 1
+
+
+def test_estimate_projects_oracle_stencil_once(quartic, monkeypatch):
+    meshes = []
+    build = quartic.interior_mesh
+
+    def keeping(*args, **kwargs):
+        meshes.append(build(*args, **kwargs))
+        return meshes[-1]
+
+    rows = []
+    original = distance.foot_points
+
+    def counting(domain, Z, *args, **kwargs):
+        rows.append(np.atleast_2d(Z).shape[0])
+        return original(domain, Z, *args, **kwargs)
+
+    monkeypatch.setattr(quartic, "interior_mesh", keeping)
+    for module in (distance, certify, cohomology, sigma):
+        monkeypatch.setattr(module, "foot_points", counting)
+    cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
+                           oracle_count=100)
+    assert [r["certified"] for r in cert.records] == [True] * 5
+    B = len(meshes[0])
+    # the oracle ran at every eta on one projection of its stencil nodes
+    # (33 in R^4 at each of two Richardson steps); the curve certificate's
+    # own projections have 96 rows
+    assert B > 50
+    assert [r for r in rows if r >= 33 * B] == [33 * B, 33 * B]
 
 
 def test_certify_pipeline_exit_semantics(ball, worm):
@@ -317,15 +385,6 @@ def test_residual_sequence_bidisc(bidisc, bidisc_psi):
     assert all(v < 1e-4 for v in vals)
     # constant-shift family: identical residuals (documented non-uniqueness)
     shifts = iter([1.0, 2.0, 3.0])
-
-    class Shifted:
-        def __init__(self, base, c):
-            self.base = base
-            self.c = c
-
-        def __call__(self, P):
-            return self.base(P) + self.c
-
     vals2 = residual_sequence(bidisc.domain, chart, 0.6, etas,
                               lambda eta: Shifted(bidisc_psi, next(shifts)),
                               res=9)
@@ -335,7 +394,7 @@ def test_residual_sequence_bidisc(bidisc, bidisc_psi):
 def test_residual_sequence_worm_bounded_below(worm):
     chart = worm.charts["patch"]
     vals = residual_sequence(worm.domain, chart, 0.6, [0.5, 0.9, 0.99],
-                             lambda eta: ZeroPsi(worm.domain), res=9)
+                             lambda eta: ZeroPsi(), res=9)
     # the period obstruction keeps the L1 residual bounded away from zero
     assert min(vals) > 1e-3
 
@@ -366,8 +425,8 @@ def test_curve_psi_cross_validation(quartic):
     psi = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
                                 rep, quartic.sigma_distance)
     mesh = quartic.interior_mesh(400, seed=6)
-    orep = interior_psh_oracle(delta_exp_psi_jet_fn(quartic.domain, psi),
-                               0.99, mesh, slack_rel=1e-6)
+    orep = interior_psh_oracle(OracleStencil(quartic.domain, mesh).jet(psi),
+                               0.99, slack_rel=1e-6)
     assert orep.certified
 
 

@@ -110,6 +110,38 @@ def test_reports_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# small sizes of every command; each writes its report (and any CSV) under
+# --out
+EVERY_COMMAND = {
+    "scan": ["scan", "--domain", "worm", "--mesh", "300"],
+    "sigma": ["sigma", "--domain", "worm", "--mesh", "300"],
+    "theta": ["theta", "--domain", "worm", "--res", "9"],
+    "period": ["period", "--domain", "worm"],
+    "potential": ["potential", "--domain", "bidisc", "--res", "9"],
+    "certify": ["certify", "--domain", "bidisc", "--mesh", "300",
+                "--interior", "30"],
+    "estimate": ["estimate", "--domain", "quartic_circle", "--mesh", "200",
+                 "--interior", "40"],
+    "caccioppoli": ["caccioppoli"],
+    "curve": ["curve", "--domain", "quartic_circle"],
+    "zoo describe": ["zoo", "describe", "--domain", "bidisc"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_every_command_byte_identical(tmp_path, command):
+    written = []
+    for _ in range(2):
+        code = main(EVERY_COMMAND[command] + ["--out", str(tmp_path)])
+        assert code in (0, 2)
+        written.append({f.name: f.read_bytes()
+                        for f in sorted(tmp_path.iterdir())})
+    assert len(written[0]) >= 1
+    if command in ("theta", "potential"):
+        assert any(name.endswith(".csv") for name in written[0])
+    assert written[0] == written[1]
+
+
 def test_io_failure_exit_one(tmp_path):
     bad = tmp_path / "file"
     bad.write_text("x")

@@ -7,11 +7,11 @@ import itertools
 import numpy as np
 import pytest
 
-from dfindex.cohomology import (CollarMap, CohomologyVerdict, FuncSource,
+from dfindex.cohomology import (FADE, CohomologyVerdict, FuncSource,
                                 HFieldSource, PathInSigma, ThetaSource,
-                                build_potential, classify,
-                                exactness_tolerance, extend_to_collar,
-                                _PolyModel, integrate_theta, period)
+                                build_potential, classify, collar_psi,
+                                exactness_tolerance, _PolyModel,
+                                integrate_theta, period)
 from dfindex.errors import (ChartGap, CollarTooWide, ObstructedClass,
                             PathDisagreement)
 from dfindex.sigma import SigmaChart
@@ -182,10 +182,10 @@ def test_collar_psi_matches_on_sigma(bidisc):
         U = np.stack([P[:, 0], P[:, 1]], axis=1)
         return U, None, np.zeros(P.shape[0])
 
-    psi = extend_to_collar(bidisc.domain, phi, CollarMap(to_chart=to_chart))
+    psi = collar_psi(bidisc.domain, phi, to_chart)
     U = phi.leaves[0].params[::7]
     P = chart.embed_batch(U)
-    vals = psi(P)
+    vals = psi.at_feet(P)
     expect = -2.0 * phi.leaves[0].model(U)
     np.testing.assert_allclose(vals, expect, atol=1e-9)
 
@@ -200,19 +200,21 @@ def test_collar_psi_edge_blend(bidisc):
     phi = build_potential(src, np.zeros(2), verdict, res=9, check_targets=5)
 
     edge_at = 0.35
+    # the edge coordinate puts the fade FADE on |z1| in [0.3, 0.9] x edge_at
+    lo, hi = 0.3 * edge_at, 0.9 * edge_at
 
     def to_chart(P):
         U = np.stack([P[:, 0], P[:, 1]], axis=1)
-        edge = np.hypot(P[:, 0], P[:, 1]) / edge_at
+        r = np.hypot(P[:, 0], P[:, 1])
+        edge = FADE[0] + (FADE[1] - FADE[0]) * (r - lo) / (hi - lo)
         return U, None, edge
 
-    psi = extend_to_collar(bidisc.domain, phi,
-                           CollarMap(to_chart=to_chart, fade_start=0.3,
-                                     fade_end=0.9))
-    x_edge = edge_at * 0.9
+    psi = collar_psi(bidisc.domain, phi, to_chart)
+    x_edge = hi
 
     def at(x):
-        return float(psi(np.array([[x, 0.0, 1.0, 0.0]]))[0])
+        # boundary points: each is its own foot
+        return float(psi.at_feet(np.array([[x, 0.0, 1.0, 0.0]]))[0])
 
     # exactly zero at and beyond the fade edge
     assert at(x_edge) == 0.0
@@ -243,8 +245,7 @@ def test_collar_too_wide(ball, bidisc):
             np.zeros(P.shape[0])
 
     with pytest.raises(CollarTooWide):
-        extend_to_collar(bidisc.domain, phi, CollarMap(to_chart=to_chart),
-                         width=2.0)
+        collar_psi(bidisc.domain, phi, to_chart, width=2.0)
 
 
 

@@ -12,6 +12,7 @@ from dfindex.distance import (boundary_batch, cut_locus_mask, delta_jet,
                               signed_distance)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
 from dfindex.jets import THIRD_STEP_FACTOR, _stencil, numeric_jet
+from dfindex.pipelines import ORACLE_DEPTH
 
 
 def test_ball_radial_projection_outside(ball):
@@ -95,6 +96,48 @@ def test_cut_locus_mask(ball):
     pts = np.array([[0.0, 0, 0, 0], [0.5, 0, 0, 0]])
     mask = cut_locus_mask(ball.domain, pts)
     assert mask[0] and not mask[1]
+
+
+def test_interior_mesh_drops_points_past_a_focal_point(worm):
+    # both restarts agree on one point of this mesh whose foot is past a
+    # focal point (I + delta W not positive definite); the mask drops it,
+    # so every kept point has a delta-jet
+    mesh = worm.interior_mesh(300, 0, depth=ORACLE_DEPTH)
+    assert len(mesh) > 250
+    delta_jet(worm.domain, mesh, order=2)
+
+
+def _collar_points(entry, count, seed):
+    """Boundary mesh points moved along the normal by up to half the collar
+    width to either side."""
+    dom = entry.domain
+    P = entry.boundary_mesh(count, seed)
+    g = dom.jet(P, order=1).rgrad
+    n = g / np.linalg.norm(g, axis=1, keepdims=True)
+    t = np.random.default_rng(seed).uniform(-0.5, 0.5, count)
+    return P + (t * dom.collar_width)[:, None] * n
+
+
+@pytest.mark.parametrize("name", ["worm", "quartic"])
+@pytest.mark.parametrize("ambiguity_check", [False, True])
+def test_foot_points_batch_invariant(name, ambiguity_check, request,
+                                     monkeypatch):
+    # the oracle projects its stencil nodes in one batch and reuses the feet,
+    # so a point's foot must not depend on the rest of its batch
+    dom = request.getfixturevalue(name).domain
+    Z = _collar_points(request.getfixturevalue(name), 150, seed=9)
+    feet, res = foot_points(dom, Z, ambiguity_check=ambiguity_check)
+    perm = np.random.default_rng(10).permutation(len(Z))
+    feet_p, res_p = foot_points(dom, Z[perm], ambiguity_check=ambiguity_check)
+    np.testing.assert_array_equal(feet_p, feet[perm])
+    np.testing.assert_array_equal(res_p, res[perm])
+    chunks = distance._chunks
+    for size in (1, 7, 64):
+        monkeypatch.setattr(distance, "_chunks",
+                            lambda B, size=size: chunks(B, size))
+        feet_c, res_c = foot_points(dom, Z, ambiguity_check=ambiguity_check)
+        np.testing.assert_array_equal(feet_c, feet)
+        np.testing.assert_array_equal(res_c, res)
 
 
 def test_stencil_leak_outside_collar(ball):
