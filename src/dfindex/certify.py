@@ -1,6 +1,6 @@
 """The decision layer: boundary inequality evaluation, the interior
-plurisubharmonicity oracle, index estimation, the cutoff L2 bound, the
-residual sequence, and the real-curve certificate.
+plurisubharmonicity oracle, index estimation, the cutoff L2 bound, and the
+real-curve certificate.
 
 The third-order term of the boundary inequality is evaluated covariantly:
 pure third-derivative contraction plus the transport of the normal field's
@@ -18,11 +18,10 @@ from .distance import (delta_jet, foot_points, normal_n,
                        signed_distance_from_feet)
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
-from .hermitian import hermitian_eigh
 from .jets import (DomainSpec, Jet, WirtingerJet, fd_jet, fd_nodes,
                    third_contraction)
 from .levi import SigmaPointSet
-from .sigma import SigmaChart, h_field, nu_pairings
+from .sigma import SigmaChart, nu_pairings
 from .util import bump_c3, complex_unpack
 
 # ---------------------------------------------------------------------------
@@ -181,16 +180,6 @@ class CriterionEvaluator:
                                meta={"third_imag": self.third_imag})
 
 
-def boundary_criterion(domain: DomainSpec, sigma: SigmaPointSet, psi, eta,
-                       slack=None, psi_name="") -> CriterionReport:
-    """Evaluate the boundary inequality at every degenerate sample for every
-    near-null direction; certified when the maximum is below the slack.
-    Empty degenerate sets certify vacuously.
-    """
-    return CriterionEvaluator(domain, sigma).report(
-        psi, eta, slack=slack, psi_name=psi_name)
-
-
 # ---------------------------------------------------------------------------
 # interior oracle
 # ---------------------------------------------------------------------------
@@ -228,8 +217,7 @@ def interior_psh_oracle(jet: WirtingerJet, eta,
     M = amp[:, None, None] * (
         (1.0 - eta) * np.einsum("ki,kj->kij", v, np.conj(v))
         + (-rho)[:, None, None] * H)
-    w, _ = hermitian_eigh(M)
-    lam = w[:, 0]
+    lam = np.linalg.eigvalsh(M)[:, 0]
     norm = np.abs(M).reshape(M.shape[0], -1).max(axis=1)
     scaled = lam / np.maximum(norm, 1e-300)
     ok = bool(np.all(lam >= -slack_rel * np.maximum(norm, 1e-300)))
@@ -240,7 +228,7 @@ def interior_psh_oracle(jet: WirtingerJet, eta,
 
 class OracleStencil:
     """Projected feet and signed distance of the order-2 finite-difference
-    nodes around an interior mesh (numeric_jet's 33 nodes in R^4 at two
+    nodes around an interior mesh (fd_nodes' 33 nodes in R^4 at two
     Richardson steps).  psi enters only through its values at these feet, so
     one stencil serves any number of psi."""
 
@@ -366,18 +354,18 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
 # cutoff L2 bound
 # ---------------------------------------------------------------------------
 
+# the cutoff bound's inner plateau W_p and cutoff support V_p, as fractions
+# of the patch radius, and its angular quadrature nodes
+W_FRAC = 0.5
+V_FRAC = 0.8
+QUAD_POINTS = 512
+
+
 @dataclass
 class PatchSpec:
-    """Coordinate patch for the cutoff bound: a disc or box in C^m."""
+    """Coordinate patch for the cutoff bound: the disc of this radius in C."""
 
-    kind: str                  # "disc" | "box"
-    radius: float = 1.0        # disc
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    m: int = 1
-    j: int = 0                 # distinguished complex direction
-    w_frac: float = 0.5        # inner plateau fraction (W_p)
-    v_frac: float = 0.8        # cutoff support fraction (V_p)
+    radius: float = 1.0
 
 
 @dataclass
@@ -395,29 +383,24 @@ class CaccioppoliReport:
                 "hypothesisMax": self.hypothesis_max, "ok": self.ok}
 
 
-def _f_jets(f_eval, P, m):
-    """(value, |dbar_j f|^2 per j, mixed diagonal) of a jet-generic scalar."""
+def _f_jets(f_eval, P):
+    """(|dbar f|^2, Hess_f(z, z)) of a jet-generic real scalar on C."""
     xs = Jet.variables(P, 2)
     out = f_eval(xs)
-    g = out.g if out.g is not None else np.zeros((P.shape[0], 2 * m))
-    h = out.h if out.h is not None else np.zeros((P.shape[0], 2 * m, 2 * m))
+    g = out.g if out.g is not None else np.zeros((P.shape[0], 2))
+    h = out.h if out.h is not None else np.zeros((P.shape[0], 2, 2))
     jw = WirtingerJet(out.v, g, h)
-    dbar = np.conj(jw.wgrad)     # d f / d zbar_j for real f
-    mixed = jw.mixed
-    return out.v, np.abs(dbar) ** 2, np.real(np.einsum("kjj->kj", mixed))
+    # |d f / d zbar| = |d f / dz| for real f
+    return np.abs(jw.wgrad[:, 0]) ** 2, jw.mixed[:, 0, 0].real
 
 
-def caccioppoli_check(patch: PatchSpec, f_eval, n: int,
-                      quad_points=512) -> CaccioppoliReport:
+def caccioppoli_check(patch: PatchSpec, f_eval, n: int) -> CaccioppoliReport:
     """Verify the cutoff L2 bound: after screening the pointwise hypothesis
-    n |dbar_j f|^2 + Hess_f(j, j) <= 0 on U_p, check
-    integral_{W_p} |dbar_j f|^2 dV <= C(U_p) / n^2 with 1% slack,
-    C(U_p) = integral 4 |d chi / dz_j|^2 dV for the C3 radial cutoff chi.
+    n |dbar f|^2 + Hess_f(z, z) <= 0 on U_p, check
+    integral_{W_p} |dbar f|^2 dV <= C(U_p) / n^2 with 1% slack,
+    C(U_p) = integral 4 |d chi / dz|^2 dV for the C3 radial cutoff chi.
     """
-    if patch.kind != "disc" or patch.m != 1:
-        raise NotImplementedError("disc patches in C^1 are supported")
     R = patch.radius
-    j = patch.j
     # hypothesis screening on a polar grid of U_p
     nr, na = 96, 128
     r = np.linspace(0, R, nr + 1)[1:]
@@ -425,16 +408,16 @@ def caccioppoli_check(patch: PatchSpec, f_eval, n: int,
     rr, aa = np.meshgrid(r, a, indexing="ij")
     P = np.stack([rr.ravel() * np.cos(aa.ravel()),
                   rr.ravel() * np.sin(aa.ravel())], axis=1)
-    _, dbar2, mixed = _f_jets(f_eval, P, patch.m)
-    hyp = n * dbar2[:, j] + mixed[:, j]
+    dbar2, mixed = _f_jets(f_eval, P)
+    hyp = n * dbar2 + mixed
     hyp_max = float(hyp.max())
     if hyp_max > 1e-10:
         raise HypothesisFail(
             f"n|dbar f|^2 + Hess_f = {hyp_max:.3e} > 0 somewhere on the patch")
 
     # quadrature: radial Simpson x angular trapezoid (periodic)
-    w_r = patch.w_frac * R
-    v_r = patch.v_frac * R
+    w_r = W_FRAC * R
+    v_r = V_FRAC * R
 
     def radial_simpson(fn, r0, r1, steps):
         rr = np.linspace(r0, r1, 2 * steps + 1)
@@ -443,14 +426,13 @@ def caccioppoli_check(patch: PatchSpec, f_eval, n: int,
         wts[2:-1:2] = 2.0
         return (r1 - r0) / (6.0 * steps) * np.dot(wts, fn(rr))
 
-    ang = np.linspace(0, 2 * np.pi, quad_points, endpoint=False)
+    ang = np.linspace(0, 2 * np.pi, QUAD_POINTS, endpoint=False)
 
     def mean_over_angle(rr):
         out = np.empty_like(rr)
         for i, rv in enumerate(rr):
             P = np.stack([rv * np.cos(ang), rv * np.sin(ang)], axis=1)
-            _, dbar2, _ = _f_jets(f_eval, P, patch.m)
-            out[i] = dbar2[:, j].mean()
+            out[i] = _f_jets(f_eval, P)[0].mean()
         return out
 
     left = radial_simpson(lambda rr: 2 * np.pi * rr * mean_over_angle(rr),
@@ -472,49 +454,6 @@ def caccioppoli_check(patch: PatchSpec, f_eval, n: int,
     return CaccioppoliReport(n=int(n), left=float(left), bound=float(bound),
                              constant=float(constant),
                              hypothesis_max=hyp_max, ok=ok)
-
-
-# ---------------------------------------------------------------------------
-# residual sequence
-# ---------------------------------------------------------------------------
-
-def residual_sequence(domain: DomainSpec, chart: SigmaChart, inner_frac,
-                      etas, psi_producer, res=17):
-    """L1 integrals of |(1/2) Lbar psi_n + Hess_delta(N, L)| over a fixed
-    compact sub-box of the chart, for the family psi_n = psi_producer(eta_n).
-
-    Constant shifts of psi leave every residual unchanged (the family need
-    not converge pointwise); the report carries the integrals only.
-    """
-    lo = chart.lo + (1 - inner_frac) / 2 * (chart.hi - chart.lo)
-    hi = chart.hi - (1 - inner_frac) / 2 * (chart.hi - chart.lo)
-    sub = SigmaChart(domain=chart.domain, kind=chart.kind, m=chart.m,
-                     lo=lo, hi=hi, embed=chart.embed, tangent=chart.tangent,
-                     leaf_label=chart.leaf_label, name=chart.name + "_inner")
-    U, shape = sub.grid(res)
-    P = sub.embed_batch(U)
-    feet, _ = foot_points(domain, P, ambiguity_check=False)
-    h = h_field(sub, U)[:, 0]
-    Ls = sub.tangents(U)[:, 0, :]
-    nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)
-    Ls = Ls / nrm[:, None]
-    h = h / nrm
-    stencil = PsiStencil(domain, feet)
-
-    # Simpson weights over the sub-box
-    wts = np.ones(shape[0])
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    w2 = np.outer(wts, wts).ravel() if len(shape) == 2 else wts
-    cell = np.prod((hi - lo) / (np.array(shape) - 1)) / (3.0 ** len(shape))
-
-    out = []
-    for eta in etas:
-        wpsi, _ = stencil.differences(psi_producer(eta))
-        lbar = np.conj(np.einsum("kj,kj->k", Ls, wpsi))
-        integrand = np.abs(0.5 * lbar + h)
-        out.append(float(np.dot(w2, integrand) * cell))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +486,7 @@ class CurvePsi:
     psi(p + s J t) = s a(t) + s^2 b / 2, faded to zero off the curve."""
 
     def __init__(self, chart, t_grid, a_grid, b, jdir_fn, sigma_distance,
-                 width, param_fn=None):
+                 width):
         self.chart = chart
         self.t_grid = t_grid
         self.a_grid = a_grid
@@ -555,14 +494,10 @@ class CurvePsi:
         self.jdir_fn = jdir_fn            # t -> unit J dt real vectors
         self.sigma_distance = sigma_distance
         self.width = width
-        self.param_fn = param_fn          # feet -> curve parameter
 
     def at_feet(self, F):
         F = np.atleast_2d(F)
-        if self.param_fn is not None:
-            t = self.param_fn(F)
-        else:
-            t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
+        t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
         gamma = self.chart.embed_batch(t[:, None])
         a = np.interp(t, self.t_grid, self.a_grid, period=2 * np.pi)
         jdir = self.jdir_fn(t)
@@ -572,15 +507,21 @@ class CurvePsi:
         return (s * a + 0.5 * s * s * self.b) * blend
 
 
+# curve samples of the real-curve certificate, and the relative headroom of
+# its bound C_eta over the sampled bracket
+CURVE_SAMPLES = 96
+CURVE_HEADROOM = 0.1
+
+
 def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
-                       slack=None, samples=96, headroom=0.1) -> CurveReport:
+                       slack=None) -> CurveReport:
     """Certificate for a one-real-dimensional degenerate set.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
     g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
-    where C_eta bounds the sampled bracket with 10% headroom; then evaluates
-    the certificate inequality at every curve sample.  slack defaults to
-    1e-8.
+    where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
+    evaluates the certificate inequality at every curve sample.  slack
+    defaults to 1e-8.
     """
     if slack is None:
         slack = 1e-8
@@ -588,7 +529,7 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
         raise NotACurve("the degenerate set is not a parametrized real curve")
     if domain.n != 2:
         raise NotACurve("the real-curve certificate applies in C^2")
-    tg = np.linspace(curve.lo[0], curve.hi[0], samples, endpoint=False)
+    tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
     U = tg[:, None]
     P = curve.embed_batch(U)
     feet, _ = foot_points(domain, P, ambiguity_check=False)
@@ -624,7 +565,8 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     Dt = dgt + dgj
     coef = 1.0 / (1.0 - eta) - 1.0
     bracket = coef * g_t ** 2 + Dt
-    C_eta = max((1.0 + headroom) * float(bracket.max()), 0.0) + slack + 1e-6
+    C_eta = max((1.0 + CURVE_HEADROOM) * float(bracket.max()), 0.0) \
+        + slack + 1e-6
     b = -2.0 * C_eta - 1.0
     lhs = coef * g_t ** 2 + b + Dt
     mx = float(lhs.max())
@@ -637,8 +579,7 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
 
 
 def curve_psi_from_report(domain, curve, report: CurveReport,
-                          sigma_distance, width=None,
-                          param_fn=None) -> CurvePsi:
+                          sigma_distance, width=None) -> CurvePsi:
     """Collar evaluator for the certificate's psi (for cross-validation)."""
     def jdir_fn(t):
         xi = curve.tangents(np.asarray(t)[:, None])[:, 0, :]
@@ -648,4 +589,4 @@ def curve_psi_from_report(domain, curve, report: CurveReport,
 
     width = 0.3 * domain.collar_width if width is None else width
     return CurvePsi(curve, report.t_values, report.a_values, report.b,
-                    jdir_fn, sigma_distance, width, param_fn=param_fn)
+                    jdir_fn, sigma_distance, width)

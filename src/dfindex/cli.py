@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import zoo
-from .errors import ConfigInvalid, DfIndexError, IoFailure
+from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
 from .levi import detect_sigma
 from .pipelines import Run, periods_for, potential_for, sigma_scan
 from .certify import PatchSpec, caccioppoli_check, real_curve_certify
@@ -88,9 +88,10 @@ class RunConfig:
                                     f"{self.values[key]!r}") from None
             if not np.isfinite(self.values[key]):
                 raise ConfigInvalid(f"{key} must be finite")
-        for key in ("mesh", "interior"):
-            if self.values[key] < 1:
-                raise ConfigInvalid(f"{key} must be at least 1")
+        for key, least in (("mesh", 1), ("interior", 1), ("res", 2),
+                           ("seed", 0)):
+            if self.values[key] < least:
+                raise ConfigInvalid(f"{key} must be at least {least}")
         if self.values["oracle_slack"] <= 0:
             raise ConfigInvalid("oracle_slack must be positive")
         if not 0 < self.values["eta"] < 1:
@@ -188,7 +189,11 @@ def _cmd_sigma(cfg):
 
 def _cmd_theta(cfg):
     entry = make_entry(cfg)
+    if not entry.charts:
+        raise ChartMismatch(f"domain {entry.id} has no chart")
     chart_name = cfg.values["chart"] or sorted(entry.charts)[0]
+    if chart_name not in entry.charts:
+        raise ConfigInvalid(f"unknown chart {chart_name!r}")
     chart = entry.charts[chart_name]
     sample = OneFormSample.from_chart(chart, res=cfg.values["res"])
     out = cfg.values["out"]
@@ -257,7 +262,7 @@ def _cmd_caccioppoli(cfg):
     ok = True
     for n in (1, 4, 16):
         rep = caccioppoli_check(
-            PatchSpec(kind="disc", radius=1.0 / np.sqrt(n)),
+            PatchSpec(radius=1.0 / np.sqrt(n)),
             lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n)
         rows.append(rep.to_json())
         ok = ok and rep.ok

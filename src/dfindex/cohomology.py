@@ -43,36 +43,6 @@ class ThetaSource:
 
 
 @dataclass
-class FuncSource:
-    """Synthetic 1-form given by a components callable (K,p)->(K,p)."""
-
-    chart: SigmaChart
-    fn: Callable
-
-    def components(self, U):
-        return np.atleast_2d(self.fn(np.atleast_2d(U)))
-
-
-@dataclass
-class HFieldSource:
-    """Synthetic complex h-field; components per the 1-form construction."""
-
-    chart: SigmaChart
-    hfn: Callable    # (K,p) -> (K, m) complex
-
-    def components(self, U):
-        h = np.atleast_2d(self.hfn(np.atleast_2d(U)))
-        K, m = h.shape
-        comps = np.empty((K, 2 * m))
-        comps[:, 0::2] = h.real
-        comps[:, 1::2] = h.imag
-        return comps
-
-    def h(self, U):
-        return np.atleast_2d(self.hfn(np.atleast_2d(U)))
-
-
-@dataclass
 class PathInSigma:
     """Ordered polyline of chart parameters.
 
@@ -99,33 +69,6 @@ class PathInSigma:
             if gap > 1e-9 * chart.domain.scale:
                 raise ChartGap(f"closed path endpoints {gap:.2e} apart")
         return self
-
-    def reversed(self):
-        return PathInSigma(self.params[::-1].copy(), self.closed,
-                           self.chart_name)
-
-    def rotated(self, k, wrap_axis=None, period=None):
-        """Basepoint rotation of a closed loop by k vertices.
-
-        For loops that close through a periodic chart coordinate, pass the
-        axis and its period so the rolled parameter list stays monotone.
-        """
-        if not self.closed:
-            raise ValueError("rotation needs a closed path")
-        pts = np.roll(self.params[:-1], -k, axis=0)
-        if wrap_axis is None:
-            pts = np.vstack([pts, pts[:1]])
-        else:
-            col = pts[:, wrap_axis].copy()
-            for i in range(1, len(col)):
-                while col[i] < col[i - 1] - 1e-12:
-                    col[i] += period
-            pts = pts.copy()
-            pts[:, wrap_axis] = col
-            last = pts[:1].copy()
-            last[0, wrap_axis] += period
-            pts = np.vstack([pts, last])
-        return PathInSigma(pts, True, self.chart_name)
 
 
 def integrate_theta(source, path: PathInSigma, tol=1e-8):
@@ -330,8 +273,9 @@ def _tree_edges(shape):
     return edges
 
 
-def _integrate_edges(source, U, edges, factor):
-    """Simpson (5 nodes) along each straight lattice edge times factor."""
+def _integrate_edges(source, U, edges):
+    """Simpson (5 nodes) along each straight lattice edge times
+    POTENTIAL_FACTOR."""
     a = U[[e[0] for e in edges]]
     b = U[[e[1] for e in edges]]
     t = np.linspace(0, 1, 5)
@@ -340,7 +284,7 @@ def _integrate_edges(source, U, edges, factor):
     comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
     integrand = np.einsum("sqp,sp->sq", comps, b - a)
     w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
-    return factor * (integrand @ w) / 12.0
+    return POTENTIAL_FACTOR * (integrand @ w) / 12.0
 
 
 def _staircase(a, b, order):
@@ -354,15 +298,19 @@ def _staircase(a, b, order):
     return PathInSigma(np.stack(pts), closed=False)
 
 
+# largest disagreement of two homotopic staircase integrals of the potential
+PATH_TOL = 1e-6
+
+
 def build_potential(sources, basepoint, verdict: CohomologyVerdict,
-                    res=17, factor=POTENTIAL_FACTOR, check_targets=100,
-                    path_tol=1e-6, seed=0) -> PotentialField:
+                    res=17, check_targets=100) -> PotentialField:
     """Reconstruct the potential by spanning-tree path integration.
 
     sources: a FormSource or a list of them (foliation leaves).  The verdict
-    must be Exact; homotopic staircase pairs at random targets guard the
-    path independence, and the finite-difference dbar of the grid values is
-    compared against the h-field when the source provides one.
+    must be Exact; homotopic staircase pairs at random targets (drawn with
+    seed 0) guard the path independence, and the finite-difference dbar of
+    the grid values is compared against the h-field when the source
+    provides one.
     """
     if not verdict.exact:
         raise ObstructedClass(
@@ -373,14 +321,14 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
     labels = []
     worst_gap = 0.0
     worst_grad = 0.0
-    rng = rng_for(seed)
+    rng = rng_for(0)
     basepoint = np.asarray(basepoint, dtype=float)
     for source in src_list:
         chart = source.chart
         U, shape = chart.grid(res)
         edges = _tree_edges(shape)
         vals = np.zeros(U.shape[0])
-        contrib = _integrate_edges(source, U, edges, factor)
+        contrib = _integrate_edges(source, U, edges)
         for (pa, pb), dv in zip(edges, contrib):
             vals[pb] = vals[pa] + dv
         # anchor at the grid node nearest the basepoint
@@ -393,11 +341,12 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
         a = U[k0]
         for _ in range(check_targets // max(len(src_list), 1) + 1):
             b = U[int(rng.integers(0, U.shape[0]))]
-            i1 = factor * integrate_theta(source, _staircase(a, b, range(p)))
-            i2 = factor * integrate_theta(source,
-                                          _staircase(a, b, range(p - 1, -1, -1)))
+            i1 = POTENTIAL_FACTOR * integrate_theta(
+                source, _staircase(a, b, range(p)))
+            i2 = POTENTIAL_FACTOR * integrate_theta(
+                source, _staircase(a, b, range(p - 1, -1, -1)))
             worst_gap = max(worst_gap, abs(i1 - i2))
-        if worst_gap > path_tol:
+        if worst_gap > PATH_TOL:
             raise PathDisagreement(
                 f"homotopic staircases differ by {worst_gap:.3e}")
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (AmbiguousFoot, DegenerateGradient, NoConvergence,
                      StencilLeak)
 from .jets import DomainSpec, WirtingerJet
-from .util import complex_pack
 
 _MAX_ITERS = 50
 _KKT_TARGET = 1e-15          # aimed-for residual (machine floor), x scale
@@ -352,27 +351,6 @@ def normal_n(jet: WirtingerJet):
     return np.conj(w) / s[:, None]
 
 
-@dataclass
-class TransversalField:
-    """nu = N - conj(N): purely imaginary combination whose realification is
-    J(grad delta); tangent to the boundary."""
-
-    nu_holo: np.ndarray       # (n,) coefficients of the d/dz part (= N)
-    j_grad_delta: np.ndarray  # (2n,) real vector J(grad delta) = i*nu
-
-    @staticmethod
-    def from_normal(N, grad_delta):
-        N = np.asarray(N, dtype=complex)
-        g = np.asarray(grad_delta, dtype=float)
-        jg = np.empty_like(g)
-        jg[0::2] = -g[1::2]
-        jg[1::2] = g[0::2]
-        return TransversalField(nu_holo=N, j_grad_delta=jg)
-
-    def tangency_defect(self, grad_delta):
-        return abs(float(np.dot(self.j_grad_delta, grad_delta)))
-
-
 class BoundaryBatch:
     """Boundary points with delta-jets, batched."""
 
@@ -383,10 +361,6 @@ class BoundaryBatch:
         self.residual = residual
         self.N = normal_n(jet)
         self.grad_delta = jet.rgrad
-
-    @property
-    def batch(self):
-        return self.positions.shape[0]
 
     def subset(self, idx) -> "BoundaryBatch":
         idx = np.asarray(idx)
@@ -409,18 +383,6 @@ class BoundaryPoint:
     N: np.ndarray
     grad_delta: np.ndarray
     foot_residual: float
-
-    @property
-    def n(self):
-        return self.domain.n
-
-    @property
-    def nu(self) -> TransversalField:
-        return TransversalField.from_normal(self.N, self.grad_delta)
-
-    @property
-    def z(self):
-        return complex_pack(self.position[None])[0]
 
 
 def boundary_batch(domain: DomainSpec, Z, order=2,

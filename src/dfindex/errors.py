@@ -17,10 +17,6 @@ class NonFinite(DfIndexError):
     """Evaluator returned NaN or infinity."""
 
 
-class NotHermitian(DfIndexError):
-    pass
-
-
 class OrderTooLow(DfIndexError):
     """Operation requires a higher-order jet than the one supplied."""
 

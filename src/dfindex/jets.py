@@ -3,8 +3,8 @@
 Defining functions are written against the small operator set below (`Jet`
 arithmetic plus jexp/jlog/jsqrt/jsin/jcos/jhinge_pow).  Feeding `Jet`
 variables through such an evaluator yields derivatives to order 3 that are
-exact to machine precision, batched over points.  Plain-float evaluators fall
-back to centered finite differences with one Richardson level.
+exact to machine precision, batched over points.  Called on plain arrays, the
+same evaluators give the values alone.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
@@ -355,13 +355,6 @@ class WirtingerJet:
             arr = np.broadcast_to(arr, (self.batch,) + arr.shape)
         return arr
 
-    def hess(self, A, B):
-        """Hermitian-slot Hessian pairing on (1,0) vectors: sum A_i conj(B_j) H_ij."""
-        self._need(2)
-        A = self._bk(np.asarray(A, dtype=complex))
-        B = self._bk(np.asarray(B, dtype=complex))
-        return np.einsum("kij,ki,kj->k", self.mixed, A, np.conj(B))
-
     # -- third order ----------------------------------------------------------
 
     def third_directional(self, d1, d2, d3):
@@ -390,15 +383,13 @@ class DomainSpec:
     """A domain given by a smooth defining function on R^{2n}.
 
     rho maps a list of 2n coordinate scalars (Jet or ndarray, batched) to a
-    scalar of the same kind; negative inside, zero on the boundary.  The
-    optional analytic oracle returns closed-form real jets for cross-checks.
+    scalar of the same kind; negative inside, zero on the boundary.
     """
 
     n: int
     rho: Callable
     box_lo: np.ndarray
     box_hi: np.ndarray
-    oracle: Callable | None = None
     name: str = ""
     collar_frac: float = 0.05
     meta: dict = field(default_factory=dict)
@@ -406,7 +397,6 @@ class DomainSpec:
     def __post_init__(self):
         self.box_lo = np.asarray(self.box_lo, dtype=float)
         self.box_hi = np.asarray(self.box_hi, dtype=float)
-        self._ad_ok = None
 
     @property
     def dim(self):
@@ -435,7 +425,9 @@ class DomainSpec:
             raise NonFinite("defining function returned non-finite values")
         return v
 
-    def _ad_jet(self, P, order):
+    def jet(self, P, order=2):
+        """Wirtinger jet of the defining function at points P (B, 2n)."""
+        P = self.check_box(P)
         xs = Jet.variables(P, order)
         out = self.rho(xs)
         if not isinstance(out, Jet):
@@ -444,38 +436,11 @@ class DomainSpec:
         g = out.g if out.g is not None else np.zeros((B, D))
         h = out.h if out.h is not None else np.zeros((B, D, D))
         t = out.t if out.t is not None else np.zeros((B, D, D, D))
-        return WirtingerJet(out.v, g, h if order >= 2 else None,
-                            t if order >= 3 else None)
-
-    def jet(self, P, order=2):
-        """Wirtinger jet of the defining function at points P (B, 2n)."""
-        P = self.check_box(P)
-        if self._ad_ok is not False:
-            try:
-                wj = self._ad_jet(P, order)
-                self._ad_ok = True
-            except TypeError:
-                self._ad_ok = False
-                wj = None
-        if self._ad_ok is False:
-            wj = numeric_jet(lambda Q: self.value(Q), P, order,
-                             h=1e-3 * self.scale)
+        wj = WirtingerJet(out.v, g, h if order >= 2 else None,
+                          t if order >= 3 else None)
         if not np.all(np.isfinite(wj.value)) or not np.all(np.isfinite(wj.rgrad)):
             raise NonFinite("non-finite jet")
         return wj
-
-    def oracle_jet(self, P, order=3):
-        if self.oracle is None:
-            raise ValueError(f"domain {self.name!r} has no analytic oracle")
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        return self.oracle(P, order)
-
-
-def wirtinger_jet(domain: DomainSpec, point, order=2) -> WirtingerJet:
-    """Jet of the defining function at one point (or a batch of points)."""
-    if order not in (1, 2, 3):
-        raise OrderTooLow(f"unsupported order {order}")
-    return domain.jet(np.atleast_2d(point), order)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +516,7 @@ THIRD_STEP_FACTOR = 2.5
 
 
 def _fd_steps(order, h, richardson):
-    """Steps of numeric_jet's stencils: h (and h/2), then for order 3 the
+    """Steps of the difference stencils: h (and h/2), then for order 3 the
     third-derivative step (and its half)."""
     steps = [h, h / 2] if richardson else [h]
     if order >= 3:
@@ -561,7 +526,7 @@ def _fd_steps(order, h, richardson):
 
 
 def fd_nodes(P, order, h, richardson=True):
-    """Stencil nodes of numeric_jet around points P (B, D): an array
+    """Centred difference nodes around points P (B, D): an array
     (steps, B, S, D) of S offsets at each step of _fd_steps."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     O, _ = _stencil(P.shape[1], order)
@@ -570,7 +535,7 @@ def fd_nodes(P, order, h, richardson=True):
 
 
 def fd_jet(V, D, order, h, richardson=True):
-    """numeric_jet's jets in R^D from the values V (steps, B, S) of a
+    """Finite-difference jets in R^D from the values V (steps, B, S) of a
     function at fd_nodes(P, order, h, richardson).  Gradient/Hessian use
     step h; third derivatives use h * THIRD_STEP_FACTOR.  One Richardson
     level (h and h/2) is applied to every entry.
@@ -657,12 +622,3 @@ def fd_jet(V, D, order, h, richardson=True):
             _, _, tb = derive(V[k + 1], steps[k + 1], do_gh=False)
             t = (4 * tb - t) / 3
     return WirtingerJet(f0, g_out, h_out, t)
-
-
-def numeric_jet(fbatch, P, order, h, richardson=True):
-    """Finite-difference jets of a black-box batch scalar function
-    fbatch: (K, D) -> (K,), called once per step on that step's nodes."""
-    nodes = fd_nodes(P, order, h, richardson)
-    D = nodes.shape[-1]
-    V = [np.reshape(fbatch(n.reshape(-1, D)), n.shape[:-1]) for n in nodes]
-    return fd_jet(V, D, order, h, richardson)

@@ -1,5 +1,4 @@
-"""Restricted Levi forms, degenerate-set detection, and the second/third
-order terms entering the boundary inequality."""
+"""Restricted Levi forms and degenerate-set detection."""
 
 from __future__ import annotations
 
@@ -8,9 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import BoundaryBatch, BoundaryPoint, boundary_batch
-from .errors import NotDegenerate, NotPseudoconvex, OrderTooLow
-from .hermitian import hermitian_eigh
-from .jets import DomainSpec, third_contraction
+from .errors import NotPseudoconvex
+from .jets import DomainSpec
 
 
 def tangent_frames(N):
@@ -45,39 +43,10 @@ def levi_matrix(jet, N, frames=None):
     return np.einsum("kij,kai,kbj->kab", H, frames, np.conj(frames)), frames
 
 
-@dataclass
-class LeviDecomposition:
-    """Tangent frame, restricted Levi matrix and its spectrum at one point."""
-
-    frame: np.ndarray        # (n-1, n) rows are the tangent frame vectors
-    levi: np.ndarray         # (n-1, n-1) Hermitian
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray
-    null_direction: np.ndarray  # (n,) tangent vector attaining lambda_min
-
-    @property
-    def lambda_min(self):
-        return float(self.eigenvalues[0])
-
-    def directions(self, k=None):
-        """Tangent directions for the k smallest eigenvalues (default all)."""
-        k = self.eigenvalues.shape[0] if k is None else k
-        return np.einsum("ak,an->kn", self.eigenvectors[:, :k], self.frame)
-
-
-def levi_decompose(bp: BoundaryPoint) -> LeviDecomposition:
-    M, frames = levi_matrix(bp.jet, bp.N[None])
-    w, V = hermitian_eigh(M)
-    frame = frames[0]
-    null = np.einsum("a,an->n", V[0][:, 0], frame)
-    return LeviDecomposition(frame=frame, levi=M[0], eigenvalues=w[0],
-                             eigenvectors=V[0], null_direction=null)
-
-
 def levi_spectrum(batch: BoundaryBatch):
     """(eigenvalues (B, n-1) ascending, eigenvectors, frames) for a batch."""
     M, frames = levi_matrix(batch.jet, batch.N)
-    w, V = hermitian_eigh(M)
+    w, V = np.linalg.eigh(M)
     return w, V, frames
 
 
@@ -96,8 +65,7 @@ def levi_min_via_rho(domain: DomainSpec, P):
     N = np.conj(w) / np.maximum(s[:, None], 1e-300)
     M, _ = levi_matrix(jet, N)
     M = M / (2.0 * s)[:, None, None]
-    wmin, _ = hermitian_eigh(M)
-    return wmin[:, 0]
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 @dataclass
@@ -176,48 +144,3 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
         negative_count=neg,
     )
     return sub
-
-
-def mixed_term(bp: BoundaryPoint, L) -> complex:
-    """Hess_delta(N, L) by jet contraction."""
-    return complex(bp.jet.hess(bp.N, np.asarray(L, dtype=complex))[0])
-
-
-def third_term(bp: BoundaryPoint, L) -> complex:
-    """Pure third-derivative contraction along (L, N, conj L)."""
-    if bp.jet.order < 3:
-        raise OrderTooLow("third_term needs an order-3 delta-jet")
-    return complex(third_contraction(bp.jet, L, bp.N, L)[0])
-
-
-def third_term_field(bp: BoundaryPoint, L) -> complex:
-    """Third-order term with the normal field's coefficient transport.
-
-    The normal field has coefficients 2*conj(d delta/dz); differentiating it
-    along L adds 2*||H conj(L)||^2 to the pure contraction (H the ambient
-    mixed Hessian of delta).  This is the covariant value the boundary
-    inequality uses.
-    """
-    L = np.asarray(L, dtype=complex)
-    H = bp.jet.mixed[0]
-    col = H @ np.conj(L)
-    return third_term(bp, L) + 2.0 * float(np.vdot(col, col).real)
-
-
-def null_cross_residual(bp: BoundaryPoint, L, frame, threshold) -> float:
-    """max_j |Hess_delta(L, T_j)| over the frame vectors orthogonal to the
-    null direction L; must vanish at degenerate points.
-    """
-    L = np.asarray(L, dtype=complex)
-    lev = abs(complex(bp.jet.hess(L, L)[0]))
-    if lev > threshold:
-        raise NotDegenerate(
-            f"Levi value {lev:.3e} above threshold {threshold:.3e}")
-    frame = np.atleast_2d(np.asarray(frame, dtype=complex))
-    vals = []
-    for T in frame:
-        overlap = abs(complex(np.vdot(L, T)))
-        if overlap > 1.0 - 1e-8:
-            continue
-        vals.append(abs(complex(bp.jet.hess(L, T)[0])))
-    return max(vals) if vals else 0.0

@@ -14,6 +14,7 @@ from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
                       interior_psh_oracle, real_curve_certify)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
+from .errors import ChartMismatch
 from .levi import detect_sigma
 from .zoo import ZooEntry
 
@@ -50,8 +51,9 @@ def potential_for(entry: ZooEntry, verdict=None, res=9, check_targets=20):
     """Potential field over the entry's charts (foliations: all leaves)."""
     if verdict is None:
         verdict, _ = periods_for(entry)
-    charts = [c for c in entry.charts.values()
-              if c.kind == "complex"] or list(entry.charts.values())
+    charts = [c for c in entry.charts.values() if c.kind == "complex"]
+    if not charts:
+        raise ChartMismatch("theta needs a complex chart")
     if entry.id == "worm":
         charts = [entry.charts["log_polar"]]
     sources = [ThetaSource(c) for c in charts]

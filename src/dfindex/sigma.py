@@ -4,8 +4,7 @@ Hessian, and the compatibility-identity residuals.
 Complex charts use interleaved parameters (x1, y1, ..., xm, ym) and are
 expected to embed holomorphically; real charts use (t1, ..., tm).  Chart
 derivatives of boundary fields use centered differences of boundary-projected
-stencils; derivatives along J-companions of real-chart directions (which may
-leave the boundary) use ambient straight-line stencils of the collar fields.
+stencils.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .distance import delta_jet, foot_points, normal_n
-from .errors import ChartMismatch, HypothesisFail, StencilLeak
+from .errors import ChartMismatch, StencilLeak
 from .jets import DomainSpec, WirtingerJet
-from .util import complex_pack, complex_unpack
+from .util import complex_pack
 
 
 @dataclass
@@ -96,27 +95,6 @@ class SigmaChart:
             W.append(0.5 * (xi_x - 1j * xi_y))
         return np.stack(W, axis=1)
 
-    def holomorphy_defect(self, U):
-        """max |xi(Y_j) - i xi(X_j)| over the grid; zero for holomorphic
-        embeddings."""
-        if self.kind != "complex":
-            raise ChartMismatch("holomorphy defect needs a complex chart")
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        he = 1e-6 * float(np.max(self.hi - self.lo))
-        worst = 0.0
-        for j in range(self.m):
-            dx = np.zeros_like(U)
-            dx[:, 2 * j] = he
-            dy = np.zeros_like(U)
-            dy[:, 2 * j + 1] = he
-            xx = complex_pack((self.embed_batch(U + dx)
-                               - self.embed_batch(U - dx)) / (2 * he))
-            yy = complex_pack((self.embed_batch(U + dy)
-                               - self.embed_batch(U - dy)) / (2 * he))
-            worst = max(worst, float(np.max(np.abs(yy - 1j * xx))))
-        return worst
-
-
 # ---------------------------------------------------------------------------
 # boundary fields
 # ---------------------------------------------------------------------------
@@ -153,11 +131,6 @@ def theta_components(chart: SigmaChart, U):
     comps[:, 0::2] = h.real
     comps[:, 1::2] = h.imag
     return comps
-
-
-def theta_at(chart: SigmaChart, u):
-    """The 2m real components at a single parameter point."""
-    return theta_components(chart, np.atleast_2d(u))[0]
 
 
 def nu_field(domain: DomainSpec, jet: WirtingerJet):
@@ -275,130 +248,6 @@ def dtheta_residual(chart: SigmaChart, u, h, plane=(0, 1), components=None):
         circ = circ + sg * avg * h
     res = np.abs(circ) / (h * h)
     return float(res[0]) if np.asarray(u).ndim == 1 else res
-
-
-def wirtinger_compat_residual(h_samples, step):
-    """Maximum residual of the complex compatibility identities for gridded
-    fields h_j, j = 1..m, sampled on a uniform grid over (x1, y1, ..., ym).
-
-    h_samples: complex array of shape (G1, ..., G2m, m).
-    """
-    h = np.asarray(h_samples, dtype=complex)
-    m = h.shape[-1]
-    grads_z = []
-    grads_zb = []
-    interior = tuple(slice(1, -1) for _ in range(2 * m))
-    for j in range(m):
-        Dx = np.gradient(h, step, axis=2 * j)
-        Dy = np.gradient(h, step, axis=2 * j + 1)
-        grads_z.append((0.5 * (Dx - 1j * Dy))[interior])
-        grads_zb.append((0.5 * (Dx + 1j * Dy))[interior])
-    worst = 0.0
-    for i in range(m):
-        for j in range(m):
-            worst = max(worst, float(np.max(np.abs(
-                grads_zb[i][..., j] - grads_zb[j][..., i]))))
-            worst = max(worst, float(np.max(np.abs(
-                grads_z[i][..., j] - np.conj(grads_z[j][..., i])))))
-    return worst
-
-
-def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
-                          null_tol=None):
-    """Residuals of the three transversal-field identities at chart point u.
-
-    r1, r2: pointwise identities Re/Im h_j = (1/4) g(nabla_nu nu, X_j / Y_j);
-    r3: the derivative identity, discretized with chart steps along X_j and
-    ambient collar steps along the J-companion Y_j.
-
-    strict=True raises HypothesisFail when the complexified x-direction is
-    not Levi-null within null_tol (the identity set r1/r2 holds regardless;
-    r3 discretizes the closedness statement that needs the hypothesis).
-    """
-    U = np.atleast_2d(np.asarray(u, dtype=float))
-    dom = chart.domain
-    P = _snap(chart, U)
-    jet = delta_jet(dom, P, order=2)
-    N = normal_n(jet)
-    xi = chart.tangents(U)          # (K, m, n)
-    if chart.kind == "complex":
-        # coordinate fields are already (1,0); X_j realifies them
-        pass
-    levi = np.einsum("kij,kmi,kmj->km", jet.mixed, xi, np.conj(xi)).real
-    if null_tol is None:
-        null_tol = 1e-3 * float(np.max(np.abs(jet.mixed)))
-    if strict and np.any(np.abs(levi) > null_tol):
-        raise HypothesisFail(
-            f"Levi form on the complexified chart direction reaches "
-            f"{float(np.max(np.abs(levi))):.3e} (tol {null_tol:.3e})")
-    hvals = np.einsum("kij,ki,kmj->km", jet.mixed, N, np.conj(xi))
-    gx, gy = nu_pairings(dom, jet, xi)
-    r1 = np.abs(hvals.real - 0.25 * gx).max(axis=1)
-    r2 = np.abs(hvals.imag - 0.25 * gy).max(axis=1)
-
-    # r3: Re(d/dz_j h_j) vs (1/8)(D_X g(.,X_j) + D_Y g(.,Y_j))
-    K, m, n = xi.shape
-    r3 = np.zeros(K)
-    ha = 1e-3 * dom.scale
-    for j in range(m):
-        if chart.kind == "complex":
-            dUx = np.zeros_like(U)
-            dUx[:, 2 * j] = h
-            dUy = np.zeros_like(U)
-            dUy[:, 2 * j + 1] = h
-            hxp, gxp, _ = _h_and_g(chart, U + dUx, j)
-            hxm, gxm, _ = _h_and_g(chart, U - dUx, j)
-            hyp, _, gyp = _h_and_g(chart, U + dUy, j)
-            hym, _, gym = _h_and_g(chart, U - dUy, j)
-            Dx_h = (hxp - hxm) / (2 * h)
-            Dy_h = (hyp - hym) / (2 * h)
-            Dx_gx = (gxp - gxm) / (2 * h)
-            Dy_gy = (gyp - gym) / (2 * h)
-        else:
-            dUx = np.zeros_like(U)
-            dUx[:, j] = h
-            hxp, gxp, _ = _h_and_g(chart, U + dUx, j)
-            hxm, gxm, _ = _h_and_g(chart, U - dUx, j)
-            Dx_h = (hxp - hxm) / (2 * h)
-            Dx_gx = (gxp - gxm) / (2 * h)
-            # ambient straight-line steps along the J-companion (may leave
-            # the boundary; the collar fields stay defined)
-            Yreal = complex_unpack(1j * xi[:, j, :])
-            nrm = np.linalg.norm(Yreal, axis=1, keepdims=True)
-            Yhat = Yreal / np.maximum(nrm, 1e-300)
-            hyp, _, gyp = _h_and_g_ambient(chart, P + ha * Yhat, xi[:, j, :])
-            hym, _, gym = _h_and_g_ambient(chart, P - ha * Yhat, xi[:, j, :])
-            rate = nrm[:, 0] / (2.0 * ha)
-            Dy_h = (hyp - hym) * rate
-            Dy_gy = (gyp - gym) * rate
-        dz_h = 0.5 * (Dx_h - 1j * Dy_h)
-        rhs = 0.125 * (Dx_gx + Dy_gy)
-        r3 = np.maximum(r3, np.abs(dz_h.real - rhs))
-    if np.asarray(u).ndim == 1:
-        return float(r1[0]), float(r2[0]), float(r3[0])
-    return r1, r2, r3
-
-
-def _h_and_g(chart, U, j):
-    """(h_j, g(.,X_j), g(.,Y_j)) at chart parameters U for direction j."""
-    dom = chart.domain
-    P = _snap(chart, U)
-    jet = delta_jet(dom, P, order=2)
-    N = normal_n(jet)
-    xi = chart.tangents(U)[:, j, :]
-    hj = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi))
-    gx, gy = nu_pairings(dom, jet, xi)
-    return hj, gx, gy
-
-
-def _h_and_g_ambient(chart, P, xi_frozen):
-    """Collar fields evaluated at ambient points with a frozen direction."""
-    dom = chart.domain
-    jet = delta_jet(dom, P, order=2)
-    N = normal_n(jet)
-    hj = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi_frozen))
-    gx, gy = nu_pairings(dom, jet, xi_frozen)
-    return hj, gx, gy
 
 
 # ---------------------------------------------------------------------------

@@ -24,22 +24,6 @@ def bump_c3(s):
     return smoothstep_c3(1.0 - np.abs(s))
 
 
-def measured_orders(residuals, floor=0.0):
-    """Convergence orders log2(r_k / r_{k+1}) for a halving refinement sequence.
-
-    Pairs where either residual is below `floor` are treated as converged and
-    reported as +inf (the quantity is at the noise floor, not divergent).
-    """
-    r = np.asarray(residuals, dtype=float)
-    out = []
-    for a, b in zip(r[:-1], r[1:]):
-        if a <= floor or b <= floor:
-            out.append(np.inf)
-        else:
-            out.append(math.log2(a / b))
-    return np.array(out)
-
-
 def _round_floats(obj, sig=12):
     if isinstance(obj, dict):
         return {k: _round_floats(v, sig) for k, v in obj.items()}

@@ -1,10 +1,9 @@
-"""Closed-form test domains with analytic jet oracles, known degenerate sets,
-chart atlases and generator loops.
+"""Closed-form test domains with known degenerate sets, chart atlases and
+generator loops.
 
 All entries are domains in C^2 with interleaved real coordinates
-(x1, y1, x2, y2).  Oracles are sympy-generated jets of the defining function,
-built lazily on first use and cached; evaluators are jet-generic so
-forward-mode differentiation is exact.
+(x1, y1, x2, y2).  Evaluators are jet-generic, so forward-mode
+differentiation is exact.
 """
 
 from __future__ import annotations
@@ -15,77 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import BetaTooSmall, ConfigInvalid
-from .jets import DomainSpec, WirtingerJet, jcos, jhinge_pow, jlog, jsin
+from .jets import DomainSpec, jcos, jhinge_pow, jlog, jsin
 from .sigma import SigmaChart
 from .util import complex_pack, complex_unpack, rng_for
-
-
-# ---------------------------------------------------------------------------
-# sympy oracle machinery
-# ---------------------------------------------------------------------------
-
-_ORACLE_CACHE: dict = {}
-
-
-def _sympy_oracle(key, expr_builder):
-    """Real jets (to order 3) of a sympy expression in 4 symbols.
-
-    sympy is imported, and the derivatives lambdified, on the first call;
-    the result is cached under key, so building an entry costs nothing.
-    """
-
-    def oracle(P, order=3):
-        if key not in _ORACLE_CACHE:
-            _ORACLE_CACHE[key] = _lambdify_jets(expr_builder)
-        return _ORACLE_CACHE[key](P, order)
-
-    return oracle
-
-
-def _lambdify_jets(expr_builder):
-    import sympy as sp
-
-    syms = sp.symbols("x1 y1 x2 y2", real=True)
-    expr = expr_builder(sp, syms)
-    D = len(syms)
-    val = sp.lambdify(syms, expr, "numpy")
-    grads = [sp.lambdify(syms, sp.diff(expr, s), "numpy") for s in syms]
-    hess = [[sp.lambdify(syms, sp.diff(expr, a, b), "numpy") for b in syms]
-            for a in syms]
-    third = {}
-    for a in range(D):
-        for b in range(a, D):
-            for c in range(b, D):
-                third[(a, b, c)] = sp.lambdify(
-                    syms, sp.diff(expr, syms[a], syms[b], syms[c]), "numpy")
-
-    def oracle(P, order=3):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        args = [P[:, a] for a in range(D)]
-        B = P.shape[0]
-
-        def ev(fn):
-            out = np.asarray(fn(*args), dtype=float)
-            return np.broadcast_to(out, (B,)).astype(float)
-
-        v = ev(val)
-        g = np.stack([ev(fn) for fn in grads], axis=1)
-        h = None
-        t = None
-        if order >= 2:
-            h = np.empty((B, D, D))
-            for a in range(D):
-                for b in range(D):
-                    h[:, a, b] = ev(hess[a][b])
-        if order >= 3:
-            t = np.empty((B, D, D, D))
-            for a in range(D):
-                for b in range(D):
-                    for c in range(D):
-                        t[:, a, b, c] = ev(third[tuple(sorted((a, b, c)))])
-        return WirtingerJet(v, g, h, t)
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +77,6 @@ def _uniform_disc(rng, count, radius):
 # ball
 # ---------------------------------------------------------------------------
 
-def ball_delta_jet(P, radius=1.0, order=3):
-    """Closed-form jets of the ball's signed distance |x| - r."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    B, D = P.shape
-    r = np.linalg.norm(P, axis=1)
-    v = r - radius
-    g = P / r[:, None]
-    eye = np.eye(D)
-    h = eye[None] / r[:, None, None] \
-        - np.einsum("ka,kb->kab", P, P) / r[:, None, None] ** 3
-    t = None
-    if order >= 3:
-        t = np.zeros((B, D, D, D))
-        t -= (np.einsum("ab,kc->kabc", eye, P)
-              + np.einsum("ac,kb->kabc", eye, P)
-              + np.einsum("bc,ka->kabc", eye, P)) / r[:, None, None, None] ** 3
-        t += 3.0 * np.einsum("ka,kb,kc->kabc", P, P, P) \
-            / r[:, None, None, None] ** 5
-    return WirtingerJet(v, g, h if order >= 2 else None, t)
-
-
 def make_ball(radius=1.0) -> ZooEntry:
     """Strongly pseudoconvex baseline: rho = |z|^2 - r^2, empty Sigma."""
     if not radius > 0:
@@ -177,18 +87,9 @@ def make_ball(radius=1.0) -> ZooEntry:
         x1, y1, x2, y2 = c
         return x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 - r2
 
-    def oracle(P, order=3):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        B, D = P.shape
-        v = np.einsum("ka,ka->k", P, P) - r2
-        g = 2.0 * P
-        h = np.broadcast_to(2.0 * np.eye(D), (B, D, D)).copy()
-        t = np.zeros((B, D, D, D)) if order >= 3 else None
-        return WirtingerJet(v, g, h if order >= 2 else None, t)
-
     lim = 2.2 * radius
     dom = DomainSpec(n=2, rho=rho, box_lo=-lim * np.ones(4),
-                     box_hi=lim * np.ones(4), oracle=oracle, name="ball",
+                     box_hi=lim * np.ones(4), name="ball",
                      meta={"radius": radius})
 
     def boundary_mesh(count, seed=0):
@@ -230,19 +131,12 @@ def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
         s = x1 * x1 + y1 * y1 - r * r
         return x2 * x2 + y2 * y2 - 1.0 + jhinge_pow(s, 4, M)
 
-    def build(sp, syms):
-        x1, y1, x2, y2 = syms
-        s = x1 ** 2 + y1 ** 2 - r ** 2
-        chi = sp.Piecewise((M * s ** 4, s > 0), (0, True))
-        return x2 ** 2 + y2 ** 2 - 1 + chi
-
-    oracle = _sympy_oracle(("bidisc", r, M), build)
     s_star = (1.0 / M) ** 0.25
     R_max = float(np.sqrt(r * r + s_star))
     lim = 1.1 * max(R_max, 1.0) + 0.3
     dom = DomainSpec(n=2, rho=rho, box_lo=-lim * np.ones(4),
-                     box_hi=lim * np.ones(4), oracle=oracle,
-                     name="bidisc", meta={"r": r, "M": M, "R_max": R_max})
+                     box_hi=lim * np.ones(4), name="bidisc",
+                     meta={"r": r, "M": M, "R_max": R_max})
     # the C3 hinge crease at |z1| = r limits finite-difference accuracy in a
     # stencil-wide band; cross-check tests sample away from it
     dom.meta["crease_guard"] = lambda P, margin=0.05: (
@@ -343,22 +237,13 @@ def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
         core = (x1 + cu) ** 2 + (y1 + su) ** 2 - 1.0
         return core + jhinge_pow(u - a, 4, M) + jhinge_pow(-u - a, 4, M)
 
-    def build(sp, syms):
-        x1, y1, x2, y2 = syms
-        u = sp.log(x2 ** 2 + y2 ** 2)
-        core = (x1 + sp.cos(u)) ** 2 + (y1 + sp.sin(u)) ** 2 - 1
-        sm = sp.Piecewise((M * (u - a) ** 4, u > a), (0, True)) + \
-            sp.Piecewise((M * (-u - a) ** 4, u < -a), (0, True))
-        return core + sm
-
-    oracle = _sympy_oracle(("worm", a, M), build)
     r_hi = float(np.exp(u_star / 2))
     lim1 = 2.2
     dom = DomainSpec(
         n=2, rho=rho,
         box_lo=np.array([-lim1, -lim1, -1.1 * r_hi, -1.1 * r_hi]),
         box_hi=np.array([lim1, lim1, 1.1 * r_hi, 1.1 * r_hi]),
-        oracle=oracle, name="worm",
+        name="worm",
         meta={"beta": beta, "a": a, "M": M, "u_star": u_star})
     dom.meta["crease_guard"] = lambda P, margin=0.05: (
         np.abs(np.abs(np.log(np.maximum(P[:, 2] ** 2 + P[:, 3] ** 2, 1e-12)))
@@ -484,13 +369,8 @@ def make_quartic_circle() -> ZooEntry:
         q = x1 * x1 + y1 * y1
         return q * q + x2 * x2 + y2 * y2 - 1.0
 
-    def build(sp, syms):
-        x1, y1, x2, y2 = syms
-        return (x1 ** 2 + y1 ** 2) ** 2 + x2 ** 2 + y2 ** 2 - 1
-
-    oracle = _sympy_oracle(("quartic",), build)
     dom = DomainSpec(n=2, rho=rho, box_lo=-1.6 * np.ones(4),
-                     box_hi=1.6 * np.ones(4), oracle=oracle, name="quartic")
+                     box_hi=1.6 * np.ones(4), name="quartic")
 
     def boundary_mesh(count, seed=0, sigma_fraction=0.25):
         rng = rng_for(seed)
@@ -527,18 +407,10 @@ def make_quartic_circle() -> ZooEntry:
         Z = complex_pack(np.atleast_2d(P))
         return np.hypot(np.abs(Z[:, 0]), np.abs(np.abs(Z[:, 1]) - 1.0))
 
-    def sigma_coords(P):
-        Z = complex_pack(np.atleast_2d(P))
-        t = np.mod(np.angle(Z[:, 1]), 2 * np.pi)
-        U = t[:, None]
-        edge = np.abs(Z[:, 0]) / 0.6
-        return U, None, edge
-
     entry = ZooEntry(
         id="quartic_circle", domain=dom, sigma_kind="RealCurve",
         charts={"curve": curve}, boundary_mesh=boundary_mesh,
         interior_mesh=interior_mesh, sigma_distance=sigma_distance,
-        sigma_coords=sigma_coords,
         notes={"sigma": "real curve {z1=0, |z2|=1}",
                "levi_ambient": "complex Hessian of rho is diag(4|z1|^2, 1)"})
     return entry

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
-from dfindex.cohomology import HFieldSource, build_potential, classify
+from dfindex.cohomology import build_potential, classify
+from references import HFieldSource
 
 
 @pytest.fixture(scope="session")

@@ -20,23 +20,23 @@ import numpy as np
 import pytest
 
 from conftest import Shifted
-from dfindex import zoo
-from dfindex.certify import (OracleStencil, PatchSpec, ZeroPsi,
-                             boundary_criterion, caccioppoli_check,
+from dfindex.certify import (CriterionEvaluator, OracleStencil, PatchSpec,
+                             ZeroPsi, caccioppoli_check,
                              curve_psi_from_report, interior_psh_oracle,
-                             real_curve_certify, residual_sequence)
+                             real_curve_certify)
 from dfindex.cli import main as cli_main
-from dfindex.cohomology import (HFieldSource, PathInSigma, ThetaSource,
-                                build_potential, classify, period)
+from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
+                                classify, period)
 from dfindex.distance import boundary_batch, delta_jet
 from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import (default_psi_for, estimate_domain, periods_for,
                                sigma_scan)
-from dfindex.sigma import (chart_compat_residuals, dtheta_residual, h_field,
-                           nu_identity_residuals)
-from dfindex.levi import levi_decompose, null_cross_residual
-from dfindex.util import measured_orders
+from dfindex.sigma import chart_compat_residuals, dtheta_residual, h_field
+from references import (HFieldSource, ball_delta_jet, levi_decompose,
+                        measured_orders, null_cross_residual,
+                        nu_identity_residuals, residual_sequence,
+                        wirtinger_compat_residual)
 
 MESH_N = 10000
 NOISE_FLOOR = 1e-7
@@ -61,7 +61,7 @@ def test_criterion_1_ball_baseline_and_normal_properties(zoo_entries, ball):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     P = v * rng.uniform(0.92, 1.08, 1000)[:, None]
     jet = delta_jet(ball.domain, P, order=3)
-    ref = zoo.ball_delta_jet(P, 1.0, order=3)
+    ref = ball_delta_jet(P, 1.0, order=3)
     rel_g = np.max(np.abs(jet.rgrad - ref.rgrad)
                    / np.maximum(np.abs(ref.rgrad), 0.1))
     rel_h = np.max(np.abs(jet.rhess - ref.rhess)
@@ -122,7 +122,6 @@ def test_criterion_3_identity_suites(worm, bidisc):
     details.append(f"closedness order {np.min(orders):.2f}")
 
     # gradient-field compatibility on sampled h-fields
-    from dfindex.sigma import wirtinger_compat_residual
     res = []
     for n in (17, 33, 65):
         ax0 = np.linspace(1.0, 1.4, n)
@@ -188,7 +187,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     from dfindex.pipelines import potential_for
     phi = potential_for(bidisc, verdict)
     assert phi.path_disagreement < 1e-6
-    rep = boundary_criterion(bidisc.domain, sigma, psi, 0.99)
+    rep = CriterionEvaluator(bidisc.domain, sigma).report(psi, 0.99)
     assert rep.certified
     assert rep.max_lhs <= 1e-4
     report(4, f"synthetic recovery err {rec_err:.1e} (tol 1e-6); "
@@ -219,13 +218,13 @@ def test_criterion_6_cutoff_bound_family():
     margins = []
     for n in (1, 4, 16):
         rep = caccioppoli_check(
-            PatchSpec(kind="disc", radius=1.0 / np.sqrt(n)),
+            PatchSpec(radius=1.0 / np.sqrt(n)),
             lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
         assert rep.ok
         assert rep.left <= 0.99 * rep.bound
         margins.append(rep.left / rep.bound)
     with pytest.raises(HypothesisFail):
-        caccioppoli_check(PatchSpec(kind="disc", radius=1.0),
+        caccioppoli_check(PatchSpec(radius=1.0),
                           lambda xs: xs[0] * xs[0] + xs[1] * xs[1], n=4)
     report(6, f"bound margins {['%.3f' % m for m in margins]} "
               f"(all <= 0.99); hypothesis screening trips on +|z|^2")
@@ -277,7 +276,7 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, bidisc_package):
     for name, eta, psi, entry in certified:
         if name != "quartic":
             sig = sigma_scan(entry, 1000, seed=104)
-            rep = boundary_criterion(entry.domain, sig, psi, eta)
+            rep = CriterionEvaluator(entry.domain, sig).report(psi, eta)
             assert rep.certified, name
         band_ok = []
         for band in bands:

@@ -8,18 +8,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import Shifted
 from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
                              OracleStencil, PatchSpec, ZeroPsi,
-                             boundary_criterion, caccioppoli_check,
-                             coordinate_descent, curve_psi_from_report,
-                             interior_psh_oracle, real_curve_certify,
-                             residual_sequence)
+                             caccioppoli_check, coordinate_descent,
+                             curve_psi_from_report, interior_psh_oracle,
+                             real_curve_certify)
 from dfindex import certify, cohomology, distance, sigma
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve
-from dfindex.jets import numeric_jet
-from dfindex.levi import detect_sigma
 from dfindex.pipelines import (certify_domain, default_psi_for,
                                estimate_domain, sigma_scan)
+from references import numeric_jet, residual_sequence
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +43,19 @@ def bidisc_psi(bidisc):
 
 def test_ball_criterion_vacuous(ball):
     sig = sigma_scan(ball, 500, seed=1)
-    rep = boundary_criterion(ball.domain, sig, ZeroPsi(), 0.99)
+    rep = CriterionEvaluator(ball.domain, sig).report(ZeroPsi(), 0.99)
     assert rep.certified and rep.vacuous
 
 
 def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
-    rep = boundary_criterion(bidisc.domain, bidisc_sigma, bidisc_psi, 0.99)
+    rep = CriterionEvaluator(bidisc.domain, bidisc_sigma).report(bidisc_psi,
+                                                                 0.99)
     assert rep.certified
     assert rep.max_lhs <= 1e-4
 
 
 def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
-    rep = boundary_criterion(worm.domain, worm_sigma, ZeroPsi(),
-                             0.9)
+    rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZeroPsi(), 0.9)
     assert not rep.certified
     assert rep.max_lhs > 1.0
     # the blow-up coefficient (1/(1-eta)-1) = 9 against |h|^2 = 1/(4 r^2)
@@ -126,8 +124,8 @@ def test_criterion_monotonicity_in_eta(worm, worm_sigma):
 
 def test_criterion_monotone_certified_downward(bidisc, bidisc_sigma,
                                                bidisc_psi):
-    reps = [boundary_criterion(bidisc.domain, bidisc_sigma, bidisc_psi, eta)
-            for eta in (0.5, 0.9, 0.99)]
+    ev = CriterionEvaluator(bidisc.domain, bidisc_sigma)
+    reps = [ev.report(bidisc_psi, eta) for eta in (0.5, 0.9, 0.99)]
     assert all(r.certified for r in reps)
     assert reps[0].max_lhs <= reps[1].max_lhs <= reps[2].max_lhs + 1e-12
 
@@ -349,7 +347,7 @@ def test_coordinate_descent_quadratic():
 # ---------------------------------------------------------------------------
 
 def test_caccioppoli_constant_function():
-    rep = caccioppoli_check(PatchSpec(kind="disc", radius=1.0),
+    rep = caccioppoli_check(PatchSpec(radius=1.0),
                             lambda xs: 0.0 * xs[0] + (-1.0), n=4)
     assert rep.left < 1e-12
     assert rep.ok
@@ -358,7 +356,7 @@ def test_caccioppoli_constant_function():
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_caccioppoli_gaussian_family(n):
     rep = caccioppoli_check(
-        PatchSpec(kind="disc", radius=1.0 / np.sqrt(n)),
+        PatchSpec(radius=1.0 / np.sqrt(n)),
         lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
     assert rep.ok
     assert rep.left <= 0.99 * rep.bound
@@ -369,7 +367,7 @@ def test_caccioppoli_gaussian_family(n):
 
 def test_caccioppoli_hypothesis_fail():
     with pytest.raises(HypothesisFail):
-        caccioppoli_check(PatchSpec(kind="disc", radius=1.0),
+        caccioppoli_check(PatchSpec(radius=1.0),
                           lambda xs: xs[0] * xs[0] + xs[1] * xs[1], n=4)
 
 

@@ -220,11 +220,25 @@ def test_config_file_non_numeric(tmp_path):
     _assert_config_invalid(["scan", "--config", str(cfgfile)], tmp_path)
 
 
-@pytest.mark.parametrize("flags", [["--domain", "bidisc", "--r", "1.5"],
-                                   ["--domain", "ball", "--radius", "-1"],
-                                   ["--domain", "worm", "--beta", "inf"]])
+# (arguments, error): each ends in a typed error with error.json under --out
+@pytest.mark.parametrize("flags", [
+    (["scan", "--mesh", "50", "--domain", "bidisc", "--r", "1.5"],
+     "ConfigInvalid"),
+    (["scan", "--mesh", "50", "--domain", "ball", "--radius", "-1"],
+     "ConfigInvalid"),
+    (["scan", "--mesh", "50", "--domain", "worm", "--beta", "inf"],
+     "ConfigInvalid"),
+    (["theta", "--domain", "ball"], "ChartMismatch"),
+    (["potential", "--domain", "ball"], "ChartMismatch"),
+    (["theta", "--domain", "worm", "--chart", "nope"], "ConfigInvalid"),
+    (["certify", "--domain", "ball", "--seed", "-1"], "ConfigInvalid"),
+    (["theta", "--domain", "worm", "--res", "1"], "ConfigInvalid"),
+    (["theta", "--domain", "worm", "--res", "0"], "ConfigInvalid")])
 def test_bad_domain_parameter(tmp_path, flags):
-    _assert_config_invalid(["scan", "--mesh", "50"] + flags, tmp_path)
+    argv, error = flags
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    diag = json.loads((tmp_path / "error.json").read_text())
+    assert diag["error"] == error, diag
 
 
 def test_threshold_reaches_certify_and_estimate(tmp_path):

@@ -7,14 +7,14 @@ import itertools
 import numpy as np
 import pytest
 
-from dfindex.cohomology import (FADE, CohomologyVerdict, FuncSource,
-                                HFieldSource, PathInSigma, ThetaSource,
+from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 build_potential, classify, collar_psi,
                                 exactness_tolerance, _PolyModel,
                                 integrate_theta, period)
 from dfindex.errors import (ChartGap, CollarTooWide, ObstructedClass,
                             PathDisagreement)
 from dfindex.sigma import SigmaChart
+from references import FuncSource, HFieldSource, reversed_path, rotated_path
 
 
 def disc_chart(domain_entry, half=0.8):
@@ -30,7 +30,7 @@ def test_integral_reversal(worm):
     src = ThetaSource(worm.charts["patch"])
     path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
     a = integrate_theta(src, path)
-    b = integrate_theta(src, path.reversed())
+    b = integrate_theta(src, reversed_path(path))
     assert abs(a + b) < 1e-10
 
 
@@ -68,7 +68,8 @@ def test_period_basepoint_rotation_invariance(worm):
     loop = PathInSigma(worm.loops["core"][1], closed=True)
     p0 = period(src, loop)
     for k in (3, 11):
-        pk = period(src, loop.rotated(k, wrap_axis=1, period=2 * np.pi))
+        pk = period(src, rotated_path(loop, k, wrap_axis=1,
+                                      period=2 * np.pi))
         assert abs(pk - p0) < 1e-10
 
 

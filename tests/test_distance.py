@@ -11,8 +11,9 @@ from dfindex.distance import (boundary_batch, cut_locus_mask, delta_jet,
                               foot_points, normal_n, project_to_boundary,
                               signed_distance)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
-from dfindex.jets import THIRD_STEP_FACTOR, _stencil, numeric_jet
+from dfindex.jets import THIRD_STEP_FACTOR, _stencil
 from dfindex.pipelines import ORACLE_DEPTH
+from references import ball_delta_jet, hess, numeric_jet
 
 
 def test_ball_radial_projection_outside(ball):
@@ -178,7 +179,7 @@ def test_ball_delta_jets_match_closed_form(ball):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     P = v * rng.uniform(0.9, 1.1, 300)[:, None]
     jet = delta_jet(ball.domain, P, order=3)
-    ref = zoo.ball_delta_jet(P, 1.0, order=3)
+    ref = ball_delta_jet(P, 1.0, order=3)
     rel2 = np.abs(jet.rhess - ref.rhess) / np.maximum(np.abs(ref.rhess), 0.1)
     rel1 = np.abs(jet.rgrad - ref.rgrad) / np.maximum(np.abs(ref.rgrad), 0.1)
     assert rel1.max() < 1e-12
@@ -276,8 +277,8 @@ def test_delta_jets_match_finite_differences(name, request):
 def test_ball_restricted_levi_is_half(ball):
     bp = project_to_boundary(ball.domain, np.array([1.0, 0, 0, 0]))
     tangent = np.array([0.0, 1.0 + 0j])
-    val = bp.jet.hess(tangent, tangent)[0]
-    assert abs(val - 0.5) < 1e-6
+    val = hess(bp.jet, tangent, tangent)[0]
+    assert abs(val - 0.5) < 1e-12
 
 
 def test_eikonal(zoo_entries):
@@ -290,7 +291,7 @@ def test_eikonal(zoo_entries):
             (0.25 * entry.domain.collar_width) * nhat
         Q = Q[~cut_locus_mask(entry.domain, Q)]
         jet = delta_jet(entry.domain, Q, order=1)
-        assert np.max(np.abs(np.linalg.norm(jet.rgrad, axis=1) - 1.0)) < 1e-6
+        assert np.max(np.abs(np.linalg.norm(jet.rgrad, axis=1) - 1.0)) < 1e-12
 
 
 def test_normal_properties_on_every_zoo_boundary(zoo_entries):
@@ -300,13 +301,13 @@ def test_normal_properties_on_every_zoo_boundary(zoo_entries):
         batch = boundary_batch(entry.domain, P, order=1)
         w = batch.jet.wgrad
         nd = np.einsum("kj,kj->k", batch.N, w)
-        assert np.max(np.abs(nd - 0.5)) < 1e-6
+        assert np.max(np.abs(nd - 0.5)) < 1e-12
         v = np.empty_like(batch.grad_delta)
         v[:, 0::2] = batch.N.real
         v[:, 1::2] = batch.N.imag
-        assert np.max(np.linalg.norm(v - batch.grad_delta, axis=1)) < 1e-6
+        assert np.max(np.linalg.norm(v - batch.grad_delta, axis=1)) < 1e-12
         norms = np.einsum("kj,kj->k", batch.N, np.conj(batch.N)).real
-        assert np.max(np.abs(norms - 1.0)) < 1e-6
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_quadric_normal_derivative_is_half(ball, quartic):
@@ -315,7 +316,7 @@ def test_quadric_normal_derivative_is_half(ball, quartic):
         P = entry.boundary_mesh(200, seed=7)
         batch = boundary_batch(entry.domain, P, order=1)
         nd = np.einsum("kj,kj->k", batch.N, batch.jet.wgrad)
-        assert np.max(np.abs(nd - 0.5)) < 1e-6
+        assert np.max(np.abs(nd - 0.5)) < 1e-12
 
 
 def test_worm_normal_matches_defining_function_normal(worm):
@@ -326,16 +327,7 @@ def test_worm_normal_matches_defining_function_normal(worm):
     w = jr.wgrad
     s = np.sqrt(np.einsum("kj,kj->k", w, np.conj(w)).real)
     N_rho = np.conj(w) / s[:, None]
-    assert np.max(np.abs(N_rho - batch.N)) < 1e-6
-
-
-def test_transversal_field_tangency(zoo_entries):
-    for entry in zoo_entries:
-        P = entry.boundary_mesh(300, seed=9)
-        batch = boundary_batch(entry.domain, P, order=1)
-        for i in range(0, 300, 60):
-            bp = batch.point(i)
-            assert bp.nu.tangency_defect(bp.grad_delta) < 1e-6
+    assert np.max(np.abs(N_rho - batch.N)) < 1e-12
 
 
 def test_normal_n_single_jet(ball):

@@ -2,31 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from dfindex import zoo
 from dfindex.distance import boundary_batch, project_to_boundary
 from dfindex.errors import NotDegenerate, NotPseudoconvex, OrderTooLow
 from dfindex.jets import DomainSpec, jhinge_pow
-from dfindex.levi import (detect_sigma, levi_decompose, levi_min_via_rho,
-                          mixed_term, null_cross_residual, third_term,
-                          third_term_field)
+from dfindex.levi import detect_sigma, levi_min_via_rho
 from dfindex.util import complex_pack
+from references import (ball_delta_jet, levi_decompose, mixed_term,
+                        null_cross_residual, third_term, third_term_field)
 
 
 def test_ball_levi_decomposition(ball):
     bp = project_to_boundary(ball.domain, np.array([1.0, 0, 0, 0]))
     ld = levi_decompose(bp)
     assert ld.levi.shape == (1, 1)
-    assert abs(ld.levi[0, 0] - 0.5) < 1e-6
-    assert abs(ld.lambda_min - 0.5) < 1e-6
+    assert abs(ld.levi[0, 0] - 0.5) < 1e-12
+    assert abs(ld.lambda_min - 0.5) < 1e-12
     # frame orthonormal and orthogonal to N
     assert abs(np.vdot(ld.frame[0], ld.frame[0]) - 1.0) < 1e-10
     assert abs(np.vdot(ld.frame[0], bp.N)) < 1e-10
 
 
-def test_ball_radius_two_scaling(ball2):
-    bp = project_to_boundary(ball2.domain, np.array([2.0, 0, 0, 0]))
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+def test_ball_radius_two_scaling(radius, seed):
+    # the restricted Levi eigenvalue of the radius-r ball is 1/(2r) at every
+    # boundary point
+    v = np.random.default_rng(seed).normal(size=4)
+    bp = project_to_boundary(zoo.make_ball(radius).domain,
+                             radius * v / np.linalg.norm(v))
     ld = levi_decompose(bp)
-    assert abs(ld.lambda_min - 0.25) < 1e-6
+    assert abs(ld.lambda_min * 2 * radius - 1.0) < 1e-12
 
 
 def test_bidisc_null_direction(bidisc):
@@ -39,9 +47,11 @@ def test_bidisc_null_direction(bidisc):
         assert abs(abs(L[0]) - 1.0) < 1e-6 and abs(L[1]) < 1e-6
 
 
-def test_unitary_rotation_equivariance(ball):
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+@settings(max_examples=25, deadline=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_unitary_rotation_equivariance(ball, entries):
+    A = np.reshape(entries[:4], (2, 2)) + 1j * np.reshape(entries[4:], (2, 2))
+    assume(abs(np.linalg.det(A)) > 1e-2)
     Q, _ = np.linalg.qr(A)
     z = complex_pack(np.array([[1.0, 0, 0, 0]]))[0]
     zr = Q @ z
@@ -197,8 +207,7 @@ def test_third_term_ball_closed_form(ball):
 
 def zoo_third(bp):
     # closed-form third contraction for |z| - 1 at the given point
-    from dfindex import zoo as _zoo
-    ref_jet = _zoo.ball_delta_jet(bp.position[None], 1.0, order=3)
+    ref_jet = ball_delta_jet(bp.position[None], 1.0, order=3)
     from dfindex.jets import third_contraction
     return complex(third_contraction(ref_jet, np.array([0, 1 + 0j]),
                                      bp.N, np.array([0, 1 + 0j]))[0])

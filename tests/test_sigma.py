@@ -5,10 +5,10 @@ import pytest
 
 from dfindex.errors import ChartMismatch, HypothesisFail
 from dfindex.sigma import (OneFormSample, SigmaChart, chart_compat_residuals,
-                           dtheta_residual, h_field, nu_identity_residuals,
-                           real_one_form_at, theta_at, theta_components,
-                           wirtinger_compat_residual)
-from dfindex.util import measured_orders
+                           dtheta_residual, h_field, real_one_form_at,
+                           theta_components)
+from references import (holomorphy_defect, measured_orders,
+                        nu_identity_residuals, wirtinger_compat_residual)
 
 
 def worm_patch_point():
@@ -41,8 +41,9 @@ def test_theta_worm_patch_matches_closed_form(worm):
 
 
 def test_theta_at_single_point(worm):
-    vals = theta_at(worm.charts["log_polar"], np.array([0.0, 1.0]))
-    assert vals.shape == (2,)
+    vals = theta_components(worm.charts["log_polar"], np.array([0.0, 1.0]))
+    assert vals.shape == (1, 2)
+    vals = vals[0]
     assert abs(vals[1] + 0.5) < 1e-6
 
 
@@ -70,8 +71,8 @@ def test_theta_chart_covariance_under_rotation(worm):
                      embed=embed_rot, name="rotated")
     v0 = (np.cos(-al) * u0[0, 0] - np.sin(-al) * u0[0, 1],
           np.sin(-al) * u0[0, 0] + np.cos(-al) * u0[0, 1])
-    c_orig = theta_at(chart, u0[0])
-    c_rot = theta_at(rot, np.array(v0))
+    c_orig = theta_components(chart, u0)[0]
+    c_rot = theta_components(rot, np.array(v0))[0]
     # 1-form pullback under z -> e^{i al} z: components rotate
     h_orig = c_orig[0] + 1j * c_orig[1]
     h_rot = c_rot[0] + 1j * c_rot[1]
@@ -266,7 +267,7 @@ def test_one_form_sample_grid_and_csv(worm, tmp_path):
 
 
 def test_holomorphy_defect_of_charts(worm, bidisc):
-    assert worm.charts["log_polar"].holomorphy_defect(
-        np.array([[0.0, 1.0]])) < 1e-6
-    assert bidisc.notes["main_leaf"].holomorphy_defect(
-        np.array([[0.1, 0.1]])) < 1e-8
+    assert holomorphy_defect(worm.charts["log_polar"],
+                             np.array([[0.0, 1.0]])) < 1e-6
+    assert holomorphy_defect(bidisc.notes["main_leaf"],
+                             np.array([[0.1, 0.1]])) < 1e-8
