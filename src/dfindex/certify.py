@@ -120,6 +120,12 @@ class CriterionEvaluator:
     """Precomputes the psi-independent data of the boundary inequality at
     the degenerate samples (order-3 jets, normal-Hessian values, covariant
     third-order terms); psi enters only through cheap stencil differences.
+
+    lhs(psi, eta) runs in two steps: psi_terms takes psi's per-direction
+    terms from one stencil.differences call, and lhs_dirs applies the
+    inequality to them.  The terms are linear in psi, so for a basis family
+    psi_c = sum c_i b_i they are G c and Q c with columns psi_terms(b_i);
+    pipelines.Run.family_columns builds those once per run.
     """
 
     def __init__(self, domain: DomainSpec, sigma: SigmaPointSet):
@@ -150,18 +156,26 @@ class CriterionEvaluator:
         self.stencil = PsiStencil(domain, P[idx], (complex_unpack(Ls),
                                                    complex_unpack(1j * Ls)))
 
+    def psi_terms(self, psi):
+        """psi's terms per direction L: (Lbar psi, its Hessian term
+        1/4 (d^2 along L + d^2 along iL)), both linear in psi."""
+        wpsi, (d2x, d2j) = self.stencil.differences(psi)
+        return np.conj(np.einsum("kj,kj->k", self.Ls, wpsi)), \
+            0.25 * (d2x + d2j)
+
+    def lhs_dirs(self, lbar_psi, hess_psi, eta):
+        """Left-hand side per direction from psi's terms."""
+        coef = 1.0 / (1.0 - eta) - 1.0
+        return coef * np.abs(0.5 * lbar_psi + self.h_L) ** 2 \
+            + 0.5 * (0.5 * hess_psi + self.third_field)
+
     def lhs(self, psi, eta):
         """Left-hand side per (sample, direction), max-reduced per sample."""
         if self.K == 0:
             return np.zeros(0)
-        wpsi, (d2x, d2j) = self.stencil.differences(psi)
-        lbar_psi = np.conj(np.einsum("kj,kj->k", self.Ls, wpsi))
-        hess_psi = 0.25 * (d2x + d2j)
-        coef = 1.0 / (1.0 - eta) - 1.0
-        lhs_dir = coef * np.abs(0.5 * lbar_psi + self.h_L) ** 2 \
-            + 0.5 * (0.5 * hess_psi + self.third_field)
         out = np.full(self.K, -np.inf)
-        np.maximum.at(out, self.sample_index, lhs_dir)
+        np.maximum.at(out, self.sample_index,
+                      self.lhs_dirs(*self.psi_terms(psi), eta))
         return out
 
     def report(self, psi, eta, slack=None, psi_name="") -> CriterionReport:
@@ -313,7 +327,10 @@ def estimate_index(ev: CriterionEvaluator, candidates, oracle_fn,
 
 def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
     """Deterministic box-constrained coordinate descent with golden-section
-    line searches; returns (x, value)."""
+    line searches; returns (x, value).
+
+    Known defect: a golden-section step that reuses fc or fd leaves xc or
+    xd at its old coordinate, so the returned x may not score value."""
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     x = np.asarray(x0, dtype=float).copy()
     best = objective(x)

@@ -172,24 +172,39 @@ class Run:
         return interior_psh_oracle(self.oracle_stencil.jet(psi), eta,
                                    slack_rel=self.oracle_slack)
 
+    def family_member(self, coef):
+        """psi_c = sum_i coef_i b_i over the entry's surface basis."""
+        return ChartPsi(self.entry.sigma_coords,
+                        _basis_surface(_family_basis(self.entry), coef))
+
+    @cached_property
+    def family_columns(self):
+        """(G, Q), directions x basis: the criterion's psi terms of each
+        basis function, so that psi_c has Lbar psi = G c and Hessian term
+        Q c at every eta; one stencil.differences call per basis function."""
+        n = len(_family_basis(self.entry))
+        terms = [self.evaluator.psi_terms(self.family_member(e))
+                 for e in np.eye(n)]
+        G, Q = (np.stack(col, axis=1) for col in zip(*terms))
+        return G, Q
+
     def family_psi(self, eta, diagnostics):
         """Coordinate-descent minimiser of maxLHS over the entry's surface
-        basis; the minimum is logged in diagnostics['psiProvenance']."""
-        terms = _family_basis(self.entry)
-
-        def psi(coef):
-            return ChartPsi(self.entry.sigma_coords,
-                            _basis_surface(terms, coef))
+        basis, scoring coefficients c as max lhs_dirs(G c, Q c, eta) on the
+        family columns; the minimum is logged in
+        diagnostics['psiProvenance']."""
+        G, Q = self.family_columns
 
         def objective(coef):
-            return float(self.evaluator.lhs(psi(coef), eta).max())
+            return float(self.evaluator.lhs_dirs(G @ coef, Q @ coef,
+                                                  eta).max())
 
-        box = FAMILY_BOX * np.ones(len(terms))
-        coef, val = coordinate_descent(objective, np.zeros(len(terms)),
+        box = FAMILY_BOX * np.ones(G.shape[1])
+        coef, val = coordinate_descent(objective, np.zeros(G.shape[1]),
                                        -box, box, rounds=2, gold_iters=10)
         diagnostics["psiProvenance"].append(
             {"eta": float(eta), "family_min_maxLHS": float(val)})
-        return psi(coef)
+        return self.family_member(coef)
 
     def certify(self, eta):
         """Report at one exponent: the boundary check (criterion, or the

@@ -108,7 +108,7 @@ def make_ball(radius=1.0) -> ZooEntry:
     return ZooEntry(
         id="ball", domain=dom, sigma_kind="Empty",
         boundary_mesh=boundary_mesh, interior_mesh=interior_mesh,
-        notes={"delta": "closed form |z| - r attached for validation",
+        notes={"delta": "foot-point projection like every entry; = |z| - r",
                "levi": "restricted Levi eigenvalue 1/(2r) on the boundary"})
 
 

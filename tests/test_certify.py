@@ -15,8 +15,8 @@ from dfindex import certify, cohomology, distance, sigma
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve
-from dfindex.pipelines import (certify_domain, default_psi_for,
-                               estimate_domain, sigma_scan)
+from dfindex.pipelines import (FAMILY_BOX, Run, certify_domain,
+                               default_psi_for, estimate_domain, sigma_scan)
 from references import numeric_jet, residual_sequence
 
 
@@ -84,8 +84,14 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
 
 
 @pytest.fixture(scope="module")
-def worm_evaluator(worm, worm_sigma):
-    return CriterionEvaluator(worm.domain, worm_sigma)
+def worm_run(worm):
+    """A run whose Sigma scan is worm_sigma's."""
+    return Run(worm, 1500, seed=0)
+
+
+@pytest.fixture(scope="module")
+def worm_evaluator(worm_run):
+    return worm_run.evaluator
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +118,32 @@ def test_criterion_invariant_under_psi_shift(worm_evaluator, worm_family_psi,
     tol = 2.0 * size * np.finfo(float).eps / ev.stencil.h ** 2
     base = ev.lhs(psi, eta)
     assert np.max(np.abs(ev.lhs(Shifted(psi, c), eta) - base)) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=st.lists(st.floats(-FAMILY_BOX, FAMILY_BOX), min_size=8,
+                     max_size=8),
+       eta=st.floats(0.05, 0.99))
+def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
+    # the family search's objective on the columns (G, Q) against the
+    # criterion on the psi they stand for, sample by sample; the two routes
+    # round stencil values of size at most sum_i |c_i| max|b_i|, and second
+    # differences carry that rounding as size eps / h^2, as in
+    # test_criterion_invariant_under_psi_shift
+    ev = worm_run.evaluator
+    G, Q = worm_run.family_columns
+    assert G.shape == Q.shape == (len(ev.Ls), len(coef))
+    c = np.array(coef)
+    sizes = [np.abs(worm_run.family_member(e).at_feet(ev.stencil.feet)).max()
+             for e in np.eye(len(c))]
+    tol = 2.0 * float(np.abs(c) @ sizes) * np.finfo(float).eps \
+        / ev.stencil.h ** 2
+    dirs = ev.lhs_dirs(G @ c, Q @ c, eta)
+    per_sample = np.full(ev.K, -np.inf)
+    np.maximum.at(per_sample, ev.sample_index, dirs)
+    ref = ev.lhs(worm_run.family_member(c), eta)
+    assert np.max(np.abs(per_sample - ref)) <= tol
+    assert abs(dirs.max() - ref.max()) <= tol
 
 
 def test_criterion_monotonicity_in_eta(worm, worm_sigma):
@@ -283,6 +315,23 @@ def test_estimate_builds_one_evaluator(worm, monkeypatch):
     assert len(builds) == 1
 
 
+def test_estimate_evaluates_psi_on_the_stencil_18_times(worm, monkeypatch):
+    calls = []
+    differences = certify.PsiStencil.differences
+
+    def counting(self, psi):
+        calls.append(1)
+        return differences(self, psi)
+
+    monkeypatch.setattr(certify.PsiStencil, "differences", counting)
+    cert = estimate_domain(worm, eta_grid=DEFAULT_ETA_GRID, mesh_count=400,
+                           oracle_count=20)
+    assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    # one column per basis function, then the zero and the family psi are
+    # scored at each eta; the search itself never evaluates psi
+    assert len(calls) == 8 + 2 * len(DEFAULT_ETA_GRID) == 18
+
+
 def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
     calls = []
     build = quartic.interior_mesh
@@ -340,6 +389,23 @@ def test_coordinate_descent_quadratic():
     x, val = coordinate_descent(obj, np.zeros(3), -np.ones(3), np.ones(3))
     assert val < 1e-6
     np.testing.assert_allclose(x, target, atol=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a golden-section "
+                   "step keeps a stale coordinate in xc or xd")
+def test_coordinate_descent_returns_the_value_of_its_point():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        A = rng.normal(size=(2, 2))
+        H = A @ A.T + 0.1 * np.eye(2)
+        target = rng.uniform(-1.5, 1.5, 2)
+
+        def obj(x):
+            return float((x - target) @ H @ (x - target))
+
+        x, val = coordinate_descent(obj, np.zeros(2), -np.ones(2),
+                                    np.ones(2))
+        assert obj(x) == val
 
 
 # ---------------------------------------------------------------------------

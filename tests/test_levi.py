@@ -9,7 +9,7 @@ from dfindex.distance import boundary_batch, project_to_boundary
 from dfindex.errors import NotDegenerate, NotPseudoconvex, OrderTooLow
 from dfindex.jets import DomainSpec, jhinge_pow
 from dfindex.levi import detect_sigma, levi_min_via_rho
-from dfindex.util import complex_pack
+from dfindex.util import complex_pack, complex_unpack
 from references import (ball_delta_jet, levi_decompose, mixed_term,
                         null_cross_residual, third_term, third_term_field)
 
@@ -61,6 +61,33 @@ def test_unitary_rotation_equivariance(ball, entries):
     w0 = levi_decompose(bp0).eigenvalues
     w1 = levi_decompose(bp1).eigenvalues
     np.testing.assert_allclose(w0, w1, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       s=st.floats(0.2, 0.95), al=st.floats(0.0, 2 * np.pi),
+       ph=st.floats(0.0, 2 * np.pi))
+def test_quartic_levi_spectrum_unitary_invariance(quartic, entries, s, al,
+                                                  ph):
+    A = np.reshape(entries[:4], (2, 2)) + 1j * np.reshape(entries[4:], (2, 2))
+    assume(abs(np.linalg.det(A)) > 1e-2)
+    U, _ = np.linalg.qr(A)
+    # U^-1 = U^H as a real-linear map of R^4, applied to the Jet variables
+    R = complex_unpack((U.conj().T @ complex_pack(np.eye(4)).T).T).T
+
+    def rho(c):
+        return quartic.domain.rho([sum(c[b] * float(R[a, b])
+                                       for b in range(4)) for a in range(4)])
+
+    rotated = DomainSpec(n=2, rho=rho, box_lo=quartic.domain.box_lo,
+                         box_hi=quartic.domain.box_hi, name="quartic U")
+    z = np.array([s * np.exp(1j * al), (1 - s ** 4) ** 0.5 * np.exp(1j * ph)])
+    p = complex_unpack(z[None])[0]
+    Up = complex_unpack((U @ z)[None])[0]
+    w0 = levi_decompose(project_to_boundary(quartic.domain, p)).eigenvalues
+    w1 = levi_decompose(project_to_boundary(rotated, Up)).eigenvalues
+    assert w0[0] > 1e-2
+    np.testing.assert_allclose(w1, w0, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
