@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import (delta_jet, foot_points, normal_n,
-                       signed_distance_from_feet)
+from .distance import delta_jet, foot_points, normal_n
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
-from .jets import (DomainSpec, Jet, WirtingerJet, fd_jet, fd_nodes,
-                   third_contraction)
+from .jets import DomainSpec, Jet, WirtingerJet, third_contraction
 from .levi import SigmaPointSet
 from .sigma import SigmaChart, nu_pairings
 from .util import bump_c3, complex_unpack
@@ -46,19 +44,21 @@ def _psi_values(psi, feet):
     return out
 
 
-# finite-difference step, in units of domain.scale, of the psi stencils, the
-# oracle's composite jets and the curve certificate's ambient derivative
+# finite-difference step, in units of domain.scale, of the criterion's psi
+# stencil (the interior oracle's stencils take it and its half) and of the
+# curve certificate's ambient derivative
 FD_STEP = 1e-3
 
 
 class PsiStencil:
     """Projected feet of the psi-derivative stencil around M base points:
     the base, base +- h e_a along each real axis, then base +- h V for each
-    (M, 2n) direction field V.  psi enters only through its values at these
+    direction field V ((M, 2n), or (2n,) shared by every point), with
+    h = step * domain.scale.  psi enters only through its values at these
     feet, so one stencil serves any number of psi."""
 
-    def __init__(self, domain: DomainSpec, base, dirs=()):
-        self.h = h = FD_STEP * domain.scale
+    def __init__(self, domain: DomainSpec, base, dirs=(), step=FD_STEP):
+        self.h = h = step * domain.scale
         self.M, self.D = base.shape
         nodes = [base]
         for a in range(self.D):
@@ -71,8 +71,9 @@ class PsiStencil:
                                    ambiguity_check=False)
 
     def differences(self, psi):
-        """Central differences of psi: (d psi / dz as an (M, n) array, the
-        second difference along each direction field)."""
+        """Central differences of psi: (psi at the base, d psi / dz as an
+        (M, n) array, the second differences along each real axis and then
+        along each direction field, stacked (2n + len(dirs), M))."""
         vals = _psi_values(psi, self.feet)
         blocks = vals.reshape(-1, self.M)
         h = self.h
@@ -81,9 +82,8 @@ class PsiStencil:
             grad[:, a] = (blocks[1 + 2 * a] - blocks[2 + 2 * a]) / (2 * h)
         wpsi = 0.5 * (grad[:, 0::2] - 1j * grad[:, 1::2])
         psi0 = blocks[0]
-        second = [(blocks[b] - 2 * psi0 + blocks[b + 1]) / h ** 2
-                  for b in range(1 + 2 * self.D, blocks.shape[0], 2)]
-        return wpsi, second
+        second = (blocks[1::2] - 2 * psi0 + blocks[2::2]) / h ** 2
+        return psi0, wpsi, second
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,8 @@ class CriterionEvaluator:
     def psi_terms(self, psi):
         """psi's terms per direction L: (Lbar psi, its Hessian term
         1/4 (d^2 along L + d^2 along iL)), both linear in psi."""
-        wpsi, (d2x, d2j) = self.stencil.differences(psi)
+        _, wpsi, second = self.stencil.differences(psi)
+        d2x, d2j = second[self.stencil.D:]
         return np.conj(np.einsum("kj,kj->k", self.Ls, wpsi)), \
             0.25 * (d2x + d2j)
 
@@ -213,56 +214,98 @@ class OracleReport:
                 "points": self.count, "slackRel": self.slack_rel}
 
 
-def interior_psh_oracle(jet: WirtingerJet, eta,
+def interior_psh_oracle(rho, wgrad, mixed, eta,
                         slack_rel=1e-9) -> OracleReport:
     """Positive-semidefiniteness of the complex Hessian of -(-rho)^eta.
 
-    jet is the order-2 WirtingerJet of the candidate defining function rho
-    at the mesh points; certified when every minimal eigenvalue is above
+    rho (B,), wgrad (B, n) and mixed (B, n, n) are the candidate defining
+    function's values, Wirtinger gradients d rho / dz and mixed Hessians at
+    the mesh points, as rho_terms gives them for rho = delta e^psi;
+    certified when every minimal eigenvalue is above
     -slack_rel * ||Hessian|| pointwise.
     """
-    rho = jet.value
     if np.any(rho >= 0):
         raise MeshOutside(f"{int((rho >= 0).sum())} mesh point(s) with "
                           "rho >= 0")
-    v = jet.wgrad
-    H = jet.mixed
     amp = eta * (-rho) ** (eta - 2.0)
     M = amp[:, None, None] * (
-        (1.0 - eta) * np.einsum("ki,kj->kij", v, np.conj(v))
-        + (-rho)[:, None, None] * H)
+        (1.0 - eta) * np.einsum("ki,kj->kij", wgrad, np.conj(wgrad))
+        + (-rho)[:, None, None] * mixed)
     lam = np.linalg.eigvalsh(M)[:, 0]
     norm = np.abs(M).reshape(M.shape[0], -1).max(axis=1)
     scaled = lam / np.maximum(norm, 1e-300)
     ok = bool(np.all(lam >= -slack_rel * np.maximum(norm, 1e-300)))
     return OracleReport(eta=float(eta), min_eig=float(lam.min()),
                         min_scaled=float(scaled.min()), certified=ok,
-                        count=jet.batch, slack_rel=float(slack_rel))
+                        count=int(rho.shape[0]), slack_rel=float(slack_rel))
 
 
-class OracleStencil:
-    """Projected feet and signed distance of the order-2 finite-difference
-    nodes around an interior mesh (fd_nodes' 33 nodes in R^4 at two
-    Richardson steps).  psi enters only through its values at these feet, so
-    one stencil serves any number of psi."""
+def _levi_fields(n):
+    """Direction fields whose second differences, after the real axes',
+    give psi's off-diagonal Levi entries: for each pair i < j the fields of
+    L = e_i + e_j and L = e_i + i e_j, each followed by iL's."""
+    fields = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for c in (1.0, 1j):
+                L = np.zeros(n, dtype=complex)
+                L[i], L[j] = 1.0, c
+                fields += [complex_unpack(L), complex_unpack(1j * L)]
+    return fields
 
-    def __init__(self, domain: DomainSpec, mesh):
-        self.h = FD_STEP * domain.scale
-        nodes = fd_nodes(mesh, 2, self.h)
-        self.shape = nodes.shape[:-1]
-        Z = nodes.reshape(-1, domain.dim)
-        # one projection per Richardson step keeps the working set of
-        # foot_points at the size of one step's nodes
-        self.feet = np.concatenate([
-            foot_points(domain, z, ambiguity_check=False)[0]
-            for z in np.split(Z, self.shape[0])])
-        self.delta = signed_distance_from_feet(domain, Z, self.feet)
 
-    def jet(self, psi) -> WirtingerJet:
-        """Order-2 jets at the mesh of rho = delta * exp(psi), psi extended
-        constantly along foot fibres."""
-        V = self.delta * np.exp(_psi_values(psi, self.feet))
-        return fd_jet(V.reshape(self.shape), self.feet.shape[1], 2, self.h)
+def oracle_stencils(domain: DomainSpec, mesh):
+    """psi's stencils around the oracle mesh at steps FD_STEP and
+    FD_STEP / 2 (in units of domain.scale): the real axes and _levi_fields,
+    17 projected nodes per mesh point and step in C^2."""
+    fields = _levi_fields(domain.n)
+    return tuple(PsiStencil(domain, mesh, fields, step)
+                 for step in (FD_STEP, FD_STEP / 2))
+
+
+def _psi_levi(second, n):
+    """psi's Levi matrix (M, n, n) from the second differences of an
+    oracle stencil, as the criterion takes it: q(L) = 1/4 (d^2_L + d^2_iL),
+    so the axis pairs give H_ii, and q(e_i + e_j) = H_ii + H_jj + 2 Re H_ij,
+    q(e_i + i e_j) = H_ii + H_jj + 2 Im H_ij."""
+    q = 0.25 * (second[0::2] + second[1::2])
+    H = np.zeros((second.shape[1], n, n), dtype=complex)
+    H[:, range(n), range(n)] = q[:n].T
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            diag = q[i] + q[j]
+            H[:, i, j] = 0.5 * (q[k] - diag) + 0.5j * (q[k + 1] - diag)
+            H[:, j, i] = np.conj(H[:, i, j])
+            k += 2
+    return H
+
+
+def rho_terms(delta: WirtingerJet, stencils, psi):
+    """(value, Wirtinger gradient, mixed Hessian) of rho = delta e^psi at
+    the oracle mesh, psi extended constantly along foot fibres.
+
+    delta is delta_jet's order-2 jet at the mesh; psi's gradient and Levi
+    matrix are differenced on oracle_stencils' two steps with one
+    Richardson level, and the product rule gives
+    d dbar rho = e^psi (d dbar delta + d delta (x) dbar psi
+    + d psi (x) dbar delta + delta (d dbar psi + d psi (x) dbar psi)).
+    """
+    (psi0, w1, s1), (_, w2, s2) = (st.differences(psi) for st in stencils)
+    wpsi = (4.0 * w2 - w1) / 3.0
+    levi = _psi_levi((4.0 * s2 - s1) / 3.0, delta.n)
+    e = np.exp(psi0)
+    d, wd = delta.value, delta.wgrad
+    value = d * e
+    wgrad = e[:, None] * (wd + d[:, None] * wpsi)
+
+    def outer(a, b):
+        return np.einsum("ki,kj->kij", a, np.conj(b))
+
+    mixed = e[:, None, None] * (
+        delta.mixed + outer(wd, wpsi) + outer(wpsi, wd)
+        + d[:, None, None] * (levi + outer(wpsi, wpsi)))
+    return value, wgrad, mixed
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +609,7 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     if float(cosang.max()) > 0.99 and case == "transversal":
         raise TangencyUnresolved("rotated tangent nearly parallel to the "
                                  "curve while the tangent is not complex")
-    g_t, g_j = nu_pairings(domain, jet, xi)
+    g_t, g_j = nu_pairings(jet, xi)
     a_vals = -g_j
     # D(t) = d/dt g(.,X) + D_{Jt} g(.,Jt): curve steps and ambient steps
     dt = tg[1] - tg[0]
@@ -575,8 +618,8 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     Jhat = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True), 1e-300)
     jet_p = delta_jet(domain, feet + fd * Jhat, order=2)
     jet_m = delta_jet(domain, feet - fd * Jhat, order=2)
-    _, gj_p = nu_pairings(domain, jet_p, xi)
-    _, gj_m = nu_pairings(domain, jet_m, xi)
+    _, gj_p = nu_pairings(jet_p, xi)
+    _, gj_m = nu_pairings(jet_m, xi)
     rate = np.linalg.norm(JX, axis=1) / (2 * fd)
     dgj = (gj_p - gj_m) * rate
     Dt = dgt + dgj

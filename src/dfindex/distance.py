@@ -148,6 +148,13 @@ def foot_points(domain: DomainSpec, Z, ambiguity_check=True):
     Returns (feet (B,D), residual (B,)).  Raises NoConvergence when the
     Newton budget is exhausted and AmbiguousFoot when two restarts disagree
     (cut-locus detector).
+
+    Known defect: without the ambiguity check a converged foot is a
+    stationary point of the distance but not always a nearest one.  On the
+    worm, a point 0.011 from an interior mesh point can get a foot 0.366
+    away while the mesh point's foot is 0.087 away; cut_locus_mask flags
+    such points, but difference stencils around mesh points project them
+    unchecked.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     B, D = Z.shape

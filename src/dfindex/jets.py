@@ -4,7 +4,9 @@ Defining functions are written against the small operator set below (`Jet`
 arithmetic plus jexp/jlog/jsqrt/jsin/jcos/jhinge_pow).  Feeding `Jet`
 variables through such an evaluator yields derivatives to order 3 that are
 exact to machine precision, batched over points.  Called on plain arrays, the
-same evaluators give the values alone.
+same evaluators give the values alone.  No finite differences live here:
+the signed distance's jets come in closed form from distance.delta_jet, and
+psi's derivatives from certify.PsiStencil.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
@@ -441,184 +443,3 @@ class DomainSpec:
         if not np.all(np.isfinite(wj.value)) or not np.all(np.isfinite(wj.rgrad)):
             raise NonFinite("non-finite jet")
         return wj
-
-
-# ---------------------------------------------------------------------------
-# Centered finite differences with one Richardson level
-# ---------------------------------------------------------------------------
-
-_STENCIL_CACHE: dict = {}
-
-
-def _stencil(D, order):
-    key = (D, order)
-    if key in _STENCIL_CACHE:
-        return _STENCIL_CACHE[key]
-    offsets = [np.zeros(D)]
-    index = {tuple(np.zeros(D)): 0}
-
-    def add(v):
-        t = tuple(v)
-        if t not in index:
-            index[t] = len(offsets)
-            offsets.append(np.array(v, dtype=float))
-        return index[t]
-
-    for a in range(D):
-        for s in (+1, -1):
-            v = np.zeros(D)
-            v[a] = s
-            add(v)
-    if order >= 2:
-        for a in range(D):
-            for b in range(a + 1, D):
-                for sa in (+1, -1):
-                    for sb in (+1, -1):
-                        v = np.zeros(D)
-                        v[a], v[b] = sa, sb
-                        add(v)
-    if order >= 3:
-        for a in range(D):
-            for s in (+2, -2):
-                v = np.zeros(D)
-                v[a] = s
-                add(v)
-        for a in range(D):
-            for b in range(a + 1, D):
-                for c in range(b + 1, D):
-                    for sa in (+1, -1):
-                        for sb in (+1, -1):
-                            for sc in (+1, -1):
-                                v = np.zeros(D)
-                                v[a], v[b], v[c] = sa, sb, sc
-                                add(v)
-    O = np.stack(offsets)
-    _STENCIL_CACHE[key] = (O, index)
-    return O, index
-
-
-def _fd_index(D, order):
-    """Offset -> stencil column lookup used to assemble derivatives."""
-    _, index = _stencil(D, order)
-
-    def idx(comps):
-        v = np.zeros(D)
-        for a, s in comps.items():
-            v[a] = s
-        return index[tuple(v)]
-
-    return idx
-
-
-# third derivatives are differenced at THIRD_STEP_FACTOR x the step: their
-# difference quotients amplify value noise by 1/h^3
-THIRD_STEP_FACTOR = 2.5
-
-
-def _fd_steps(order, h, richardson):
-    """Steps of the difference stencils: h (and h/2), then for order 3 the
-    third-derivative step (and its half)."""
-    steps = [h, h / 2] if richardson else [h]
-    if order >= 3:
-        h3 = h * THIRD_STEP_FACTOR
-        steps += [h3, h3 / 2] if richardson else [h3]
-    return steps
-
-
-def fd_nodes(P, order, h, richardson=True):
-    """Centred difference nodes around points P (B, D): an array
-    (steps, B, S, D) of S offsets at each step of _fd_steps."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    O, _ = _stencil(P.shape[1], order)
-    return np.stack([P[:, None, :] + step * O[None, :, :]
-                     for step in _fd_steps(order, h, richardson)])
-
-
-def fd_jet(V, D, order, h, richardson=True):
-    """Finite-difference jets in R^D from the values V (steps, B, S) of a
-    function at fd_nodes(P, order, h, richardson).  Gradient/Hessian use
-    step h; third derivatives use h * THIRD_STEP_FACTOR.  One Richardson
-    level (h and h/2) is applied to every entry.
-    """
-    V = np.asarray(V, dtype=float)
-    if not np.all(np.isfinite(V)):
-        raise NonFinite("non-finite value in finite-difference stencil")
-    B = V.shape[1]
-    idx = _fd_index(D, order)
-    steps = _fd_steps(order, h, richardson)
-
-    def derive(V, step, do_gh=True, do_t=True):
-        g = np.zeros((B, D)) if do_gh else None
-        hs = np.zeros((B, D, D)) if (do_gh and order >= 2) else None
-        t = np.zeros((B, D, D, D)) if (do_t and order >= 3) else None
-        f0 = V[:, 0]
-        if do_gh:
-            for a in range(D):
-                fp = V[:, idx({a: +1})]
-                fm = V[:, idx({a: -1})]
-                g[:, a] = (fp - fm) / (2 * step)
-                if order >= 2:
-                    hs[:, a, a] = (fp - 2 * f0 + fm) / step ** 2
-        if do_gh and order >= 2:
-            for a in range(D):
-                for b in range(a + 1, D):
-                    fpp = V[:, idx({a: +1, b: +1})]
-                    fpm = V[:, idx({a: +1, b: -1})]
-                    fmp = V[:, idx({a: -1, b: +1})]
-                    fmm = V[:, idx({a: -1, b: -1})]
-                    val = (fpp - fpm - fmp + fmm) / (4 * step ** 2)
-                    hs[:, a, b] = val
-                    hs[:, b, a] = val
-        if do_t and order >= 3:
-            for a in range(D):
-                f2p = V[:, idx({a: +2})]
-                f2m = V[:, idx({a: -2})]
-                fp = V[:, idx({a: +1})]
-                fm = V[:, idx({a: -1})]
-                t[:, a, a, a] = (f2p - 2 * fp + 2 * fm - f2m) / (2 * step ** 3)
-            for a in range(D):
-                for b in range(D):
-                    if a == b:
-                        continue
-                    fpp = V[:, idx({a: +1, b: +1})]
-                    fmp = V[:, idx({a: -1, b: +1})]
-                    fpm = V[:, idx({a: +1, b: -1})]
-                    fmm = V[:, idx({a: -1, b: -1})]
-                    fbp = V[:, idx({b: +1})]
-                    fbm = V[:, idx({b: -1})]
-                    val = (fpp - 2 * fbp + fmp - fpm + 2 * fbm - fmm) \
-                        / (2 * step ** 3)
-                    # d^2/da^2 d/db
-                    t[:, a, a, b] = val
-                    t[:, a, b, a] = val
-                    t[:, b, a, a] = val
-            for a in range(D):
-                for b in range(a + 1, D):
-                    for c in range(b + 1, D):
-                        acc = np.zeros(B)
-                        for sa in (+1, -1):
-                            for sb in (+1, -1):
-                                for sc in (+1, -1):
-                                    acc += sa * sb * sc * \
-                                        V[:, idx({a: sa, b: sb, c: sc})]
-                        val = acc / (8 * step ** 3)
-                        for perm in ((a, b, c), (a, c, b), (b, a, c),
-                                     (b, c, a), (c, a, b), (c, b, a)):
-                            t[:, perm[0], perm[1], perm[2]] = val
-        return g, hs, t
-
-    f0 = V[0][:, 0]
-    g_out, h_out, _ = derive(V[0], steps[0], do_t=False)
-    if richardson:
-        g2, h2, _ = derive(V[1], steps[1], do_t=False)
-        g_out = (4 * g2 - g_out) / 3
-        if order >= 2:
-            h_out = (4 * h2 - h_out) / 3
-    t = None
-    if order >= 3:
-        k = len(steps) // 2
-        _, _, t = derive(V[k], steps[k], do_gh=False)
-        if richardson:
-            _, _, tb = derive(V[k + 1], steps[k + 1], do_gh=False)
-            t = (4 * tb - t) / 3
-    return WirtingerJet(f0, g_out, h_out, t)

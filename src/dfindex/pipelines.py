@@ -9,19 +9,23 @@ from functools import cached_property
 import numpy as np
 
 from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
-                      OracleStencil, ZeroPsi, coordinate_descent,
-                      curve_psi_from_report, estimate_index,
-                      interior_psh_oracle, real_curve_certify)
+                      ZeroPsi, coordinate_descent, curve_psi_from_report,
+                      estimate_index, interior_psh_oracle, oracle_stencils,
+                      real_curve_certify, rho_terms)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
+from .distance import delta_jet
 from .errors import ChartMismatch
 from .levi import detect_sigma
 from .zoo import ZooEntry
 
-# depth band of the interior oracle's mesh below the boundary
+# depth band of the interior oracle's mesh below the boundary; it ends
+# inside every zoo entry's collar, where delta_jet is defined
 ORACLE_DEPTH = (0.04, 0.12)
 # box |c_i| <= FAMILY_BOX of the family search's basis coefficients
 FAMILY_BOX = 1.0
+# random targets of the potential's path-independence check
+POTENTIAL_CHECKS = 20
 
 
 def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
@@ -47,7 +51,7 @@ def periods_for(entry: ZooEntry, tol=None):
     return classify(values, tol), values
 
 
-def potential_for(entry: ZooEntry, verdict=None, res=9, check_targets=20):
+def potential_for(entry: ZooEntry, verdict=None, res=9):
     """Potential field over the entry's charts (foliations: all leaves)."""
     if verdict is None:
         verdict, _ = periods_for(entry)
@@ -59,7 +63,7 @@ def potential_for(entry: ZooEntry, verdict=None, res=9, check_targets=20):
     sources = [ThetaSource(c) for c in charts]
     base = 0.5 * (charts[0].lo + charts[0].hi)
     return build_potential(sources, base, verdict, res=res,
-                           check_targets=check_targets)
+                           check_targets=POTENTIAL_CHECKS)
 
 
 def default_psi_for(entry: ZooEntry):
@@ -110,9 +114,9 @@ class Run:
     """One pipeline run on a zoo entry at fixed sizes and seed.
 
     The eta-independent stages (Sigma scan, period verdict, collar
-    potential, criterion data, interior mesh and its oracle stencil) are
-    built on first use and at most once; certify and estimate build their
-    reports over them.
+    potential, criterion data, interior mesh with its delta-jet and psi
+    stencils) are built on first use and at most once; certify and estimate
+    build their reports over them.
     """
 
     entry: ZooEntry
@@ -165,12 +169,17 @@ class Run:
                                         depth=ORACLE_DEPTH)
 
     @cached_property
-    def oracle_stencil(self):
-        return OracleStencil(self.entry.domain, self.interior_mesh)
+    def oracle_delta(self):
+        return delta_jet(self.entry.domain, self.interior_mesh, order=2)
+
+    @cached_property
+    def oracle_stencils(self):
+        return oracle_stencils(self.entry.domain, self.interior_mesh)
 
     def oracle(self, eta, psi):
-        return interior_psh_oracle(self.oracle_stencil.jet(psi), eta,
-                                   slack_rel=self.oracle_slack)
+        return interior_psh_oracle(
+            *rho_terms(self.oracle_delta, self.oracle_stencils, psi), eta,
+            slack_rel=self.oracle_slack)
 
     def family_member(self, coef):
         """psi_c = sum_i coef_i b_i over the entry's surface basis."""

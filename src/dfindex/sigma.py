@@ -1,5 +1,5 @@
 """Charts on the degenerate set, the closed 1-form built from the normal
-Hessian, and the compatibility-identity residuals.
+Hessian, and its closedness residual.
 
 Complex charts use interleaved parameters (x1, y1, ..., xm, ym) and are
 expected to embed holomorphically; real charts use (t1, ..., tm).  Chart
@@ -133,7 +133,7 @@ def theta_components(chart: SigmaChart, U):
     return comps
 
 
-def nu_field(domain: DomainSpec, jet: WirtingerJet):
+def nu_field(jet: WirtingerJet):
     """w_k = nu(nu_plus_k): derivative of the doubled antiholomorphic
     gradient coefficients along nu = N - conj(N); (K, n) complex.
 
@@ -148,10 +148,10 @@ def nu_field(domain: DomainSpec, jet: WirtingerJet):
     return 2.0 * (term1 - term2)
 
 
-def nu_pairings(domain: DomainSpec, jet: WirtingerJet, xi):
+def nu_pairings(jet: WirtingerJet, xi):
     """(g(nabla_nu nu, X), g(nabla_nu nu, JX)) for real vectors X given by
     their (1,0)-part coefficients xi, batched (K, n) or (K, m, n)."""
-    w = nu_field(domain, jet)
+    w = nu_field(jet)
     if xi.ndim == 3:
         inner = np.einsum("kmj,kj->km", np.conj(xi), w)
     else:
@@ -167,65 +167,14 @@ def real_one_form_at(chart: SigmaChart, u):
     P = _snap(chart, U)
     jet = delta_jet(chart.domain, P, order=2)
     xi = chart.tangents(U)
-    gx, _ = nu_pairings(chart.domain, jet, xi)
+    gx, _ = nu_pairings(jet, xi)
     out = 0.25 * gx
     return out[0] if np.asarray(u).ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
-# identity residuals
+# closedness residual
 # ---------------------------------------------------------------------------
-
-def _chart_wirtinger_derivs(chart, U, fn, h):
-    """(d/dz_j F, d/dzbar_j F) of a chart field by centered differences.
-
-    F = fn(U) must return (K, m) complex samples; derivatives for every
-    chart coordinate j, giving (K, m_coords, m_fields) arrays.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    K, p = U.shape
-    m = chart.m
-    stack = []
-    for j in range(m):
-        for a, step in ((2 * j, h), (2 * j + 1, h)):
-            dU = np.zeros_like(U)
-            dU[:, a] = step
-            stack.append(U + dU)
-            stack.append(U - dU)
-    allU = np.concatenate(stack, axis=0)
-    chart.require_inside(allU)
-    allF = fn(allU)
-    m_fields = allF.shape[1]
-    blocks = allF.reshape(2 * m, 2, K, m_fields)
-    dzs = np.empty((K, m, m_fields), dtype=complex)
-    dzbars = np.empty((K, m, m_fields), dtype=complex)
-    for j in range(m):
-        Dx = (blocks[2 * j, 0] - blocks[2 * j, 1]) / (2 * h)
-        Dy = (blocks[2 * j + 1, 0] - blocks[2 * j + 1, 1]) / (2 * h)
-        dzs[:, j, :] = 0.5 * (Dx - 1j * Dy)
-        dzbars[:, j, :] = 0.5 * (Dx + 1j * Dy)
-    return dzs, dzbars
-
-
-def chart_compat_residuals(chart: SigmaChart, u, h):
-    """Residuals of the two normal-Hessian compatibility identities.
-
-    Identity one: d/dz_j h_i = conj(d/dz_i h_j); identity two:
-    d/dzbar_j h_i = d/dzbar_i h_j.  Both vanish on the degenerate set; the
-    centered differences converge at second order.
-    """
-    if chart.kind != "complex":
-        raise ChartMismatch("compatibility residuals need a complex chart")
-    U = np.atleast_2d(np.asarray(u, dtype=float))
-    dz, dzb = _chart_wirtinger_derivs(chart, U, lambda V: h_field(chart, V), h)
-    r1 = np.abs(dz - np.conj(np.swapaxes(dz, 1, 2)))
-    r2 = np.abs(dzb - np.swapaxes(dzb, 1, 2))
-    r1 = r1.reshape(U.shape[0], -1).max(axis=1)
-    r2 = r2.reshape(U.shape[0], -1).max(axis=1)
-    if np.asarray(u).ndim == 1:
-        return float(r1[0]), float(r2[0])
-    return r1, r2
-
 
 def dtheta_residual(chart: SigmaChart, u, h, plane=(0, 1), components=None):
     """|circulation|/area of the 1-form around the grid cell spanned by the
@@ -264,10 +213,9 @@ class OneFormSample:
     comps: np.ndarray           # (K, p) parameter-aligned coefficients
     positions: np.ndarray       # (K, 2n)
     closed_residual: np.ndarray | None = None
-    compat_residual: np.ndarray | None = None
 
     @staticmethod
-    def from_chart(chart: SigmaChart, res=None, with_residuals=True):
+    def from_chart(chart: SigmaChart, res=None):
         U, shape = chart.grid(res)
         if chart.kind == "complex":
             comps = theta_components(chart, U)
@@ -277,18 +225,13 @@ class OneFormSample:
         sample = OneFormSample(chart=chart, params=U, shape=shape,
                                comps=comps,
                                positions=chart.embed_batch(U))
-        if with_residuals and chart.kind == "complex" and chart.params_dim >= 2:
+        if chart.kind == "complex" and chart.params_dim >= 2:
             hstep = float((chart.hi[0] - chart.lo[0])) / (shape[0] - 1)
             interior = U[(U[:, 0] < chart.hi[0] - hstep) &
                          (U[:, 1] < chart.hi[1] - hstep)]
             if interior.size:
                 sample.closed_residual = dtheta_residual(
                     chart, interior, hstep, plane=(0, 1))
-            inner = U[np.all((U > chart.lo + hstep) &
-                             (U < chart.hi - hstep), axis=1)]
-            if inner.size:
-                c1, c2 = chart_compat_residuals(chart, inner, hstep / 2)
-                sample.compat_residual = np.maximum(c1, c2)
         return sample
 
     def to_csv(self, path):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
+from dfindex.certify import oracle_stencils, rho_terms
 from dfindex.cohomology import build_potential, classify
+from dfindex.distance import delta_jet
 from references import HFieldSource
 
 
@@ -84,3 +86,10 @@ class Shifted:
 
     def at_feet(self, F):
         return self.base.at_feet(F) + self.c
+
+
+def oracle_terms(domain, mesh, psi):
+    """The interior oracle's (value, wgrad, mixed) of delta e^psi at mesh,
+    built as pipelines.Run builds them."""
+    return rho_terms(delta_jet(domain, mesh, order=2),
+                     oracle_stencils(domain, mesh), psi)

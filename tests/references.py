@@ -1,9 +1,10 @@
 """Test references and paper-identity checks that no CLI command runs.
 
 Closed-form and symbolic jets of the zoo's defining and distance functions,
-finite-difference jets of black-box functions, the criterion's terms at one
-boundary point, the compatibility and transversal-field identity residuals,
-the residual sequence, synthetic 1-form sources and loop reparametrisations.
+centred finite-difference jets of black-box functions (their stencil, nodes
+and Richardson assembly), the criterion's terms at one boundary point, the
+compatibility and transversal-field identity residuals, the residual
+sequence, synthetic 1-form sources and loop reparametrisations.
 The tests compare the package against these.
 """
 
@@ -18,9 +19,9 @@ import numpy as np
 from dfindex.cohomology import PathInSigma
 from dfindex.certify import PsiStencil
 from dfindex.distance import BoundaryPoint, delta_jet, foot_points, normal_n
-from dfindex.errors import ChartMismatch, HypothesisFail, NotDegenerate, \
-    OrderTooLow
-from dfindex.jets import WirtingerJet, fd_jet, fd_nodes, third_contraction
+from dfindex.errors import ChartMismatch, HypothesisFail, NonFinite, \
+    NotDegenerate, OrderTooLow
+from dfindex.jets import WirtingerJet, third_contraction
 from dfindex.levi import levi_matrix
 from dfindex.sigma import SigmaChart, _snap, h_field, nu_pairings
 from dfindex.util import complex_pack, complex_unpack
@@ -138,6 +139,187 @@ def ball_delta_jet(P, radius=1.0, order=3):
         t += 3.0 * np.einsum("ka,kb,kc->kabc", P, P, P) \
             / r[:, None, None, None] ** 5
     return WirtingerJet(v, g, h if order >= 2 else None, t)
+
+
+# ---------------------------------------------------------------------------
+# centred finite differences with one Richardson level
+# ---------------------------------------------------------------------------
+
+_STENCIL_CACHE: dict = {}
+
+
+def _stencil(D, order):
+    key = (D, order)
+    if key in _STENCIL_CACHE:
+        return _STENCIL_CACHE[key]
+    offsets = [np.zeros(D)]
+    index = {tuple(np.zeros(D)): 0}
+
+    def add(v):
+        t = tuple(v)
+        if t not in index:
+            index[t] = len(offsets)
+            offsets.append(np.array(v, dtype=float))
+        return index[t]
+
+    for a in range(D):
+        for s in (+1, -1):
+            v = np.zeros(D)
+            v[a] = s
+            add(v)
+    if order >= 2:
+        for a in range(D):
+            for b in range(a + 1, D):
+                for sa in (+1, -1):
+                    for sb in (+1, -1):
+                        v = np.zeros(D)
+                        v[a], v[b] = sa, sb
+                        add(v)
+    if order >= 3:
+        for a in range(D):
+            for s in (+2, -2):
+                v = np.zeros(D)
+                v[a] = s
+                add(v)
+        for a in range(D):
+            for b in range(a + 1, D):
+                for c in range(b + 1, D):
+                    for sa in (+1, -1):
+                        for sb in (+1, -1):
+                            for sc in (+1, -1):
+                                v = np.zeros(D)
+                                v[a], v[b], v[c] = sa, sb, sc
+                                add(v)
+    O = np.stack(offsets)
+    _STENCIL_CACHE[key] = (O, index)
+    return O, index
+
+
+def _fd_index(D, order):
+    """Offset -> stencil column lookup used to assemble derivatives."""
+    _, index = _stencil(D, order)
+
+    def idx(comps):
+        v = np.zeros(D)
+        for a, s in comps.items():
+            v[a] = s
+        return index[tuple(v)]
+
+    return idx
+
+
+# third derivatives are differenced at THIRD_STEP_FACTOR x the step: their
+# difference quotients amplify value noise by 1/h^3
+THIRD_STEP_FACTOR = 2.5
+
+
+def _fd_steps(order, h, richardson):
+    """Steps of the difference stencils: h (and h/2), then for order 3 the
+    third-derivative step (and its half)."""
+    steps = [h, h / 2] if richardson else [h]
+    if order >= 3:
+        h3 = h * THIRD_STEP_FACTOR
+        steps += [h3, h3 / 2] if richardson else [h3]
+    return steps
+
+
+def fd_nodes(P, order, h, richardson=True):
+    """Centred difference nodes around points P (B, D): an array
+    (steps, B, S, D) of S offsets at each step of _fd_steps."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    O, _ = _stencil(P.shape[1], order)
+    return np.stack([P[:, None, :] + step * O[None, :, :]
+                     for step in _fd_steps(order, h, richardson)])
+
+
+def fd_jet(V, D, order, h, richardson=True):
+    """Finite-difference jets in R^D from the values V (steps, B, S) of a
+    function at fd_nodes(P, order, h, richardson).  Gradient/Hessian use
+    step h; third derivatives use h * THIRD_STEP_FACTOR.  One Richardson
+    level (h and h/2) is applied to every entry.
+    """
+    V = np.asarray(V, dtype=float)
+    if not np.all(np.isfinite(V)):
+        raise NonFinite("non-finite value in finite-difference stencil")
+    B = V.shape[1]
+    idx = _fd_index(D, order)
+    steps = _fd_steps(order, h, richardson)
+
+    def derive(V, step, do_gh=True, do_t=True):
+        g = np.zeros((B, D)) if do_gh else None
+        hs = np.zeros((B, D, D)) if (do_gh and order >= 2) else None
+        t = np.zeros((B, D, D, D)) if (do_t and order >= 3) else None
+        f0 = V[:, 0]
+        if do_gh:
+            for a in range(D):
+                fp = V[:, idx({a: +1})]
+                fm = V[:, idx({a: -1})]
+                g[:, a] = (fp - fm) / (2 * step)
+                if order >= 2:
+                    hs[:, a, a] = (fp - 2 * f0 + fm) / step ** 2
+        if do_gh and order >= 2:
+            for a in range(D):
+                for b in range(a + 1, D):
+                    fpp = V[:, idx({a: +1, b: +1})]
+                    fpm = V[:, idx({a: +1, b: -1})]
+                    fmp = V[:, idx({a: -1, b: +1})]
+                    fmm = V[:, idx({a: -1, b: -1})]
+                    val = (fpp - fpm - fmp + fmm) / (4 * step ** 2)
+                    hs[:, a, b] = val
+                    hs[:, b, a] = val
+        if do_t and order >= 3:
+            for a in range(D):
+                f2p = V[:, idx({a: +2})]
+                f2m = V[:, idx({a: -2})]
+                fp = V[:, idx({a: +1})]
+                fm = V[:, idx({a: -1})]
+                t[:, a, a, a] = (f2p - 2 * fp + 2 * fm - f2m) / (2 * step ** 3)
+            for a in range(D):
+                for b in range(D):
+                    if a == b:
+                        continue
+                    fpp = V[:, idx({a: +1, b: +1})]
+                    fmp = V[:, idx({a: -1, b: +1})]
+                    fpm = V[:, idx({a: +1, b: -1})]
+                    fmm = V[:, idx({a: -1, b: -1})]
+                    fbp = V[:, idx({b: +1})]
+                    fbm = V[:, idx({b: -1})]
+                    val = (fpp - 2 * fbp + fmp - fpm + 2 * fbm - fmm) \
+                        / (2 * step ** 3)
+                    # d^2/da^2 d/db
+                    t[:, a, a, b] = val
+                    t[:, a, b, a] = val
+                    t[:, b, a, a] = val
+            for a in range(D):
+                for b in range(a + 1, D):
+                    for c in range(b + 1, D):
+                        acc = np.zeros(B)
+                        for sa in (+1, -1):
+                            for sb in (+1, -1):
+                                for sc in (+1, -1):
+                                    acc += sa * sb * sc * \
+                                        V[:, idx({a: sa, b: sb, c: sc})]
+                        val = acc / (8 * step ** 3)
+                        for perm in ((a, b, c), (a, c, b), (b, a, c),
+                                     (b, c, a), (c, a, b), (c, b, a)):
+                            t[:, perm[0], perm[1], perm[2]] = val
+        return g, hs, t
+
+    f0 = V[0][:, 0]
+    g_out, h_out, _ = derive(V[0], steps[0], do_t=False)
+    if richardson:
+        g2, h2, _ = derive(V[1], steps[1], do_t=False)
+        g_out = (4 * g2 - g_out) / 3
+        if order >= 2:
+            h_out = (4 * h2 - h_out) / 3
+    t = None
+    if order >= 3:
+        k = len(steps) // 2
+        _, _, t = derive(V[k], steps[k], do_gh=False)
+        if richardson:
+            _, _, tb = derive(V[k + 1], steps[k + 1], do_gh=False)
+            t = (4 * tb - t) / 3
+    return WirtingerJet(f0, g_out, h_out, t)
 
 
 def numeric_jet(fbatch, P, order, h, richardson=True):
@@ -277,6 +459,57 @@ def holomorphy_defect(chart: SigmaChart, U):
     return worst
 
 
+def _chart_wirtinger_derivs(chart, U, fn, h):
+    """(d/dz_j F, d/dzbar_j F) of a chart field by centered differences.
+
+    F = fn(U) must return (K, m) complex samples; derivatives for every
+    chart coordinate j, giving (K, m_coords, m_fields) arrays.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    K, p = U.shape
+    m = chart.m
+    stack = []
+    for j in range(m):
+        for a, step in ((2 * j, h), (2 * j + 1, h)):
+            dU = np.zeros_like(U)
+            dU[:, a] = step
+            stack.append(U + dU)
+            stack.append(U - dU)
+    allU = np.concatenate(stack, axis=0)
+    chart.require_inside(allU)
+    allF = fn(allU)
+    m_fields = allF.shape[1]
+    blocks = allF.reshape(2 * m, 2, K, m_fields)
+    dzs = np.empty((K, m, m_fields), dtype=complex)
+    dzbars = np.empty((K, m, m_fields), dtype=complex)
+    for j in range(m):
+        Dx = (blocks[2 * j, 0] - blocks[2 * j, 1]) / (2 * h)
+        Dy = (blocks[2 * j + 1, 0] - blocks[2 * j + 1, 1]) / (2 * h)
+        dzs[:, j, :] = 0.5 * (Dx - 1j * Dy)
+        dzbars[:, j, :] = 0.5 * (Dx + 1j * Dy)
+    return dzs, dzbars
+
+
+def chart_compat_residuals(chart: SigmaChart, u, h):
+    """Residuals of the two normal-Hessian compatibility identities.
+
+    Identity one: d/dz_j h_i = conj(d/dz_i h_j); identity two:
+    d/dzbar_j h_i = d/dzbar_i h_j.  Both vanish on the degenerate set; the
+    centered differences converge at second order.
+    """
+    if chart.kind != "complex":
+        raise ChartMismatch("compatibility residuals need a complex chart")
+    U = np.atleast_2d(np.asarray(u, dtype=float))
+    dz, dzb = _chart_wirtinger_derivs(chart, U, lambda V: h_field(chart, V), h)
+    r1 = np.abs(dz - np.conj(np.swapaxes(dz, 1, 2)))
+    r2 = np.abs(dzb - np.swapaxes(dzb, 1, 2))
+    r1 = r1.reshape(U.shape[0], -1).max(axis=1)
+    r2 = r2.reshape(U.shape[0], -1).max(axis=1)
+    if np.asarray(u).ndim == 1:
+        return float(r1[0]), float(r2[0])
+    return r1, r2
+
+
 def wirtinger_compat_residual(h_samples, step):
     """Maximum residual of the complex compatibility identities for gridded
     fields h_j, j = 1..m, sampled on a uniform grid over (x1, y1, ..., ym).
@@ -330,7 +563,7 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
             f"Levi form on the complexified chart direction reaches "
             f"{float(np.max(np.abs(levi))):.3e} (tol {null_tol:.3e})")
     hvals = np.einsum("kij,ki,kmj->km", jet.mixed, N, np.conj(xi))
-    gx, gy = nu_pairings(dom, jet, xi)
+    gx, gy = nu_pairings(jet, xi)
     r1 = np.abs(hvals.real - 0.25 * gx).max(axis=1)
     r2 = np.abs(hvals.imag - 0.25 * gy).max(axis=1)
 
@@ -384,7 +617,7 @@ def _h_and_g(chart, U, j):
     N = normal_n(jet)
     xi = chart.tangents(U)[:, j, :]
     hj = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi))
-    gx, gy = nu_pairings(dom, jet, xi)
+    gx, gy = nu_pairings(jet, xi)
     return hj, gx, gy
 
 
@@ -394,7 +627,7 @@ def _h_and_g_ambient(chart, P, xi_frozen):
     jet = delta_jet(dom, P, order=2)
     N = normal_n(jet)
     hj = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi_frozen))
-    gx, gy = nu_pairings(dom, jet, xi_frozen)
+    gx, gy = nu_pairings(jet, xi_frozen)
     return hj, gx, gy
 
 
@@ -434,7 +667,7 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
 
     out = []
     for eta in etas:
-        wpsi, _ = stencil.differences(psi_producer(eta))
+        _, wpsi, _ = stencil.differences(psi_producer(eta))
         lbar = np.conj(np.einsum("kj,kj->k", Ls, wpsi))
         integrand = np.abs(0.5 * lbar + h)
         out.append(float(np.dot(w2, integrand) * cell))

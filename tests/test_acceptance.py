@@ -19,11 +19,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import Shifted
-from dfindex.certify import (CriterionEvaluator, OracleStencil, PatchSpec,
-                             ZeroPsi, caccioppoli_check,
-                             curve_psi_from_report, interior_psh_oracle,
-                             real_curve_certify)
+from conftest import Shifted, oracle_terms
+from dfindex.certify import (CriterionEvaluator, PatchSpec, ZeroPsi,
+                             caccioppoli_check, curve_psi_from_report,
+                             interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
                                 classify, period)
@@ -32,9 +31,9 @@ from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import (default_psi_for, estimate_domain, periods_for,
                                sigma_scan)
-from dfindex.sigma import chart_compat_residuals, dtheta_residual, h_field
-from references import (HFieldSource, ball_delta_jet, levi_decompose,
-                        measured_orders, null_cross_residual,
+from dfindex.sigma import dtheta_residual, h_field
+from references import (HFieldSource, ball_delta_jet, chart_compat_residuals,
+                        levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
                         wirtinger_compat_residual)
 
@@ -95,7 +94,8 @@ def test_criterion_2_ball_certification(ball):
                            mesh_count=2000, oracle_count=800)
     assert cert.bound >= 0.99
     mesh = ball.interior_mesh(MESH_N, seed=102)
-    orep = interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.99,
+    jet = ball.domain.jet(mesh, order=2)
+    orep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                                slack_rel=1e-10)
     assert orep.certified
     assert orep.min_eig >= -1e-9
@@ -281,8 +281,8 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, bidisc_package):
         band_ok = []
         for band in bands:
             mesh = entry.interior_mesh(400, seed=105, depth=band)
-            jet = OracleStencil(entry.domain, mesh).jet(psi)
-            orep = interior_psh_oracle(jet, eta, slack_rel=1e-6)
+            orep = interior_psh_oracle(
+                *oracle_terms(entry.domain, mesh, psi), eta, slack_rel=1e-6)
             band_ok.append(orep.certified)
         # d0: all bands from some depth outward must certify
         k = next((i for i in range(len(bands))

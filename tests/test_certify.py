@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Shifted
-from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
-                             OracleStencil, PatchSpec, ZeroPsi,
-                             caccioppoli_check, coordinate_descent,
+from conftest import Shifted, oracle_terms
+from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
+                             ZeroPsi, caccioppoli_check, coordinate_descent,
                              curve_psi_from_report, interior_psh_oracle,
-                             real_curve_certify)
+                             oracle_stencils, real_curve_certify, rho_terms)
 from dfindex import certify, cohomology, distance, sigma
 from dfindex.cohomology import ChartPsi, collar_psi
-from dfindex.distance import signed_distance
-from dfindex.errors import HypothesisFail, MeshOutside, NotACurve
-from dfindex.pipelines import (FAMILY_BOX, Run, certify_domain,
+from dfindex.distance import delta_jet, signed_distance
+from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
+from dfindex.pipelines import (FAMILY_BOX, ORACLE_DEPTH, Run, certify_domain,
                                default_psi_for, estimate_domain, sigma_scan)
 from references import numeric_jet, residual_sequence
 
@@ -166,25 +165,32 @@ def test_criterion_monotone_certified_downward(bidisc, bidisc_sigma,
 # interior oracle
 # ---------------------------------------------------------------------------
 
+def oracle(domain, mesh, psi, eta, slack_rel=1e-6):
+    return interior_psh_oracle(*oracle_terms(domain, mesh, psi), eta,
+                               slack_rel=slack_rel)
+
+
 def test_ball_oracle_with_algebraic_override(ball):
     mesh = ball.interior_mesh(10000, seed=2)
-    rep = interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.99,
+    jet = ball.domain.jet(mesh, order=2)
+    rep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                               slack_rel=1e-10)
     assert rep.certified
     assert rep.min_eig >= -1e-10
 
 
 def test_ball_oracle_distance_route(ball):
-    mesh = ball.interior_mesh(800, seed=3)
-    jet = OracleStencil(ball.domain, mesh).jet(ZeroPsi())
-    rep = interior_psh_oracle(jet, 0.99, slack_rel=1e-6)
-    assert rep.certified
+    # the ball's default depths reach 0.5, past its 0.22 collar, where the
+    # signed distance has no jet; ORACLE_DEPTH ends inside every collar
+    with pytest.raises(StencilLeak):
+        oracle_terms(ball.domain, ball.interior_mesh(800, seed=3), ZeroPsi())
+    mesh = ball.interior_mesh(800, seed=3, depth=ORACLE_DEPTH)
+    assert oracle(ball.domain, mesh, ZeroPsi(), 0.99).certified
 
 
 def test_worm_oracle_negative_at_high_eta(worm):
     mesh = worm.interior_mesh(600, seed=4)
-    jet = OracleStencil(worm.domain, mesh).jet(ZeroPsi())
-    rep = interior_psh_oracle(jet, 0.99, slack_rel=1e-6)
+    rep = oracle(worm.domain, mesh, ZeroPsi(), 0.99)
     assert not rep.certified
     assert rep.min_eig < 0
 
@@ -195,9 +201,21 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
     # convexifying potential and stays out)
     for entry in (ball, bidisc, quartic):
         mesh = entry.interior_mesh(500, seed=5, depth=(0.04, 0.1))
-        jet = OracleStencil(entry.domain, mesh).jet(ZeroPsi())
-        rep = interior_psh_oracle(jet, 0.05, slack_rel=1e-6)
-        assert rep.certified, entry.id
+        assert oracle(entry.domain, mesh, ZeroPsi(), 0.05).certified, entry.id
+
+
+@pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
+def test_oracle_reads_delta_jet_with_zero_psi(name, request):
+    # with psi = 0, rho = delta: the oracle's arrays are delta_jet's, bit
+    # for bit, also on the worm mesh, where some stencil nodes around the
+    # mesh get feet that are not nearest
+    entry = request.getfixturevalue(name)
+    mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    jet = delta_jet(entry.domain, mesh, order=2)
+    value, wgrad, mixed = oracle_terms(entry.domain, mesh, ZeroPsi())
+    np.testing.assert_array_equal(value, jet.value)
+    np.testing.assert_array_equal(wgrad, jet.wgrad)
+    np.testing.assert_array_equal(mixed, jet.mixed)
 
 
 def _psi_at(domain, psi, P):
@@ -216,7 +234,7 @@ def _two_projection_jet(domain, psi, mesh):
 
 
 @pytest.fixture(scope="module")
-def oracle_psis(bidisc, bidisc_leaf_field, quartic, worm):
+def oracle_psis(bidisc, bidisc_leaf_field, quartic):
     """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
     collar = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
     rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
@@ -224,24 +242,36 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, worm):
     # varies over the stencils
     curve = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
                                   rep, quartic.sigma_distance, width=0.6)
-    return {"collar": (bidisc, collar), "curve": (quartic, curve),
-            "zero": (worm, ZeroPsi())}
+    return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
 
-@pytest.mark.parametrize("kind", ["collar", "curve", "zero"])
+# per-point bounds on |oracle - reference| over the point's largest
+# reference entry, for the Wirtinger gradient and the mixed Hessian, at
+# about three times the values measured on the meshes below: collar 1.7e-5
+# and 6.8e-6, where e^psi spans eight decades; curve 2.2e-10 and 1.6e-9.
+# The reference's own truncation dominates: against numeric_jet at a
+# quarter of its step, the oracle's worst collar entry moves from 33 to
+# 0.66.  Dropping the cross terms d delta (x) dbar psi + d psi (x) dbar
+# delta raises the mixed measure to 1.0 and 1.1e-2; skipping psi's
+# Richardson level raises the gradient measure to 4.9e-3 and 7.9e-7.
+ORACLE_REF_TOL = {"collar": (5e-5, 2e-5), "curve": (1e-9, 5e-9)}
+
+
+@pytest.mark.parametrize("kind", ["collar", "curve"])
 def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     entry, psi = oracle_psis[kind]
     mesh = entry.interior_mesh(40, seed=7)
-    got = OracleStencil(entry.domain, mesh).jet(psi)
+    value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
     ref = _two_projection_jet(entry.domain, psi, mesh)
-    # the stencil projects all nodes in one call, the reference per step
-    # and twice; feet do not depend on the batch, so the jets agree bitwise
-    np.testing.assert_array_equal(got.value, ref.value)
-    np.testing.assert_array_equal(got.wgrad, ref.wgrad)
-    np.testing.assert_array_equal(got.mixed, ref.mixed)
-    if kind != "zero":
-        # psi is not constant on the stencils, so the check has teeth
-        assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
+    # value: the same feet and the same arithmetic
+    np.testing.assert_array_equal(value, ref.value)
+    for got, want, tol in zip((wgrad, mixed), (ref.wgrad, ref.mixed),
+                              ORACLE_REF_TOL[kind]):
+        err = np.abs(got - want).reshape(len(mesh), -1).max(axis=1)
+        size = np.abs(want).reshape(len(mesh), -1).max(axis=1)
+        assert np.all(err <= tol * size)
+    # psi is not constant on the stencils, so the check has teeth
+    assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
 
 
 def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
@@ -256,21 +286,21 @@ def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
 
     for module in (distance, certify, cohomology):
         monkeypatch.setattr(module, "foot_points", counting)
-    stencil = OracleStencil(entry.domain, mesh)
-    # order-2 stencil in R^4: 33 nodes at two Richardson steps
-    assert sum(rows) == 66 * mesh.shape[0]
+    delta = delta_jet(entry.domain, mesh, order=2)
+    stencils = oracle_stencils(entry.domain, mesh)
+    # the mesh once for delta_jet, then psi's 17 nodes in C^2 at each of
+    # two Richardson steps
+    assert sum(rows) == 35 * mesh.shape[0]
     for eta in (0.5, 0.99):
-        interior_psh_oracle(stencil.jet(psi), eta, slack_rel=1e-6)
-    assert sum(rows) == 66 * mesh.shape[0]
-    rows.clear()
-    _two_projection_jet(entry.domain, psi, mesh)
-    assert sum(rows) == 132 * mesh.shape[0]
+        interior_psh_oracle(*rho_terms(delta, stencils, psi), eta,
+                            slack_rel=1e-6)
+    assert sum(rows) == 35 * mesh.shape[0]
 
 
 def test_mesh_outside_raises(ball):
-    mesh = np.array([[1.5, 0, 0, 0]])
+    jet = ball.domain.jet(np.array([[1.5, 0, 0, 0]]), order=2)
     with pytest.raises(MeshOutside):
-        interior_psh_oracle(ball.domain.jet(mesh, order=2), 0.5)
+        interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +384,11 @@ def test_estimate_projects_oracle_stencil_once(quartic, monkeypatch):
         meshes.append(build(*args, **kwargs))
         return meshes[-1]
 
-    rows = []
+    calls = []
     original = distance.foot_points
 
     def counting(domain, Z, *args, **kwargs):
-        rows.append(np.atleast_2d(Z).shape[0])
+        calls.append(np.atleast_2d(Z))
         return original(domain, Z, *args, **kwargs)
 
     monkeypatch.setattr(quartic, "interior_mesh", keeping)
@@ -367,12 +397,16 @@ def test_estimate_projects_oracle_stencil_once(quartic, monkeypatch):
     cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
                            oracle_count=100)
     assert [r["certified"] for r in cert.records] == [True] * 5
-    B = len(meshes[0])
-    # the oracle ran at every eta on one projection of its stencil nodes
-    # (33 in R^4 at each of two Richardson steps); the curve certificate's
-    # own projections have 96 rows
+    mesh = meshes[0]
+    B = len(mesh)
     assert B > 50
-    assert [r for r in rows if r >= 33 * B] == [33 * B, 33 * B]
+    # the oracle ran at every eta on 35 rows per mesh point, projected
+    # once: the mesh (delta_jet) and psi's stencil at each of two steps
+    # (17 nodes in C^2, the mesh first); the curve certificate's own
+    # projections do not start with the mesh
+    oracle_rows = sorted(len(Z) for Z in calls
+                         if len(Z) >= B and np.array_equal(Z[:B], mesh))
+    assert oracle_rows == [B, 17 * B, 17 * B]
 
 
 def test_certify_pipeline_exit_semantics(ball, worm):
@@ -489,9 +523,7 @@ def test_curve_psi_cross_validation(quartic):
     psi = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
                                 rep, quartic.sigma_distance)
     mesh = quartic.interior_mesh(400, seed=6)
-    orep = interior_psh_oracle(OracleStencil(quartic.domain, mesh).jet(psi),
-                               0.99, slack_rel=1e-6)
-    assert orep.certified
+    assert oracle(quartic.domain, mesh, psi, 0.99).certified
 
 
 def test_curve_quartic_transversal_quantities(quartic):

@@ -11,9 +11,9 @@ from dfindex.distance import (boundary_batch, cut_locus_mask, delta_jet,
                               foot_points, normal_n, project_to_boundary,
                               signed_distance)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
-from dfindex.jets import THIRD_STEP_FACTOR, _stencil
 from dfindex.pipelines import ORACLE_DEPTH
-from references import ball_delta_jet, hess, numeric_jet
+from references import (THIRD_STEP_FACTOR, _stencil, ball_delta_jet, hess,
+                        numeric_jet)
 
 
 def test_ball_radial_projection_outside(ball):
@@ -106,6 +106,41 @@ def test_interior_mesh_drops_points_past_a_focal_point(worm):
     mesh = worm.interior_mesh(300, 0, depth=ORACLE_DEPTH)
     assert len(mesh) > 250
     delta_jet(worm.domain, mesh, order=2)
+
+
+# a node of the order-2 difference stencil around worm.interior_mesh(200, 7,
+# depth=ORACLE_DEPTH)[117], 0.011 from that mesh point
+NON_NEAREST_Z = np.array([1.1219770751814555, 0.9533157821189099,
+                          0.13872159430291453, -0.3106343997250747])
+
+
+@pytest.fixture(scope="module")
+def non_nearest_feet(worm):
+    """(z, the foot foot_points returns for z, the foot of the nearby mesh
+    point)."""
+    mesh = worm.interior_mesh(200, 7, depth=ORACLE_DEPTH)
+    near, _ = foot_points(worm.domain, mesh[117:118], ambiguity_check=False)
+    feet, res = foot_points(worm.domain, NON_NEAREST_Z[None],
+                            ambiguity_check=False)
+    assert res[0] < 1e-12
+    return NON_NEAREST_Z, feet[0], near[0]
+
+
+def test_non_nearest_foot_is_flagged_by_the_cut_locus_mask(worm,
+                                                           non_nearest_feet):
+    z, foot, near = non_nearest_feet
+    assert np.linalg.norm(foot - z) > 0.3
+    assert np.linalg.norm(near - z) < 0.1
+    assert cut_locus_mask(worm.domain, z[None])[0]
+
+
+@pytest.mark.xfail(strict=True, reason="foot_points can return a stationary "
+                   "foot that is not a nearest one (see its docstring)")
+def test_foot_points_returns_a_nearest_foot(non_nearest_feet):
+    # a boundary point 0.087 from z exists, yet the returned foot, with
+    # residual 2.6e-15, lies 0.366 from z
+    z, foot, near = non_nearest_feet
+    assert np.linalg.norm(foot - z) <= np.linalg.norm(near - z)
 
 
 def _collar_points(entry, count, seed):
