@@ -231,6 +231,7 @@ def _cmd_potential(cfg):
     phi.to_csv(csv_path)
     res = {"domain": entry.id,
            "gradientResidual": float(phi.gradient_residual),
+           # largest lattice-cycle residual
            "pathDisagreement": float(phi.path_disagreement),
            "maxAbsPhi": float(max(np.max(np.abs(l.values))
                                   for l in phi.leaves)),

@@ -19,8 +19,8 @@ import numpy as np
 from .distance import foot_points
 from .errors import (ChartGap, CollarTooWide, ObstructedClass,
                      PathDisagreement, AmbiguousFoot)
-from .sigma import SigmaChart, h_field, theta_components
-from .util import rng_for, smoothstep_c3
+from .sigma import SigmaChart, theta_components
+from .util import smoothstep_c3
 
 POTENTIAL_FACTOR = 2.0   # phi = 2 * integral(theta); makes dbar phi = h
 
@@ -37,9 +37,6 @@ class ThetaSource:
 
     def components(self, U):
         return theta_components(self.chart, U)
-
-    def h(self, U):
-        return h_field(self.chart, U)
 
 
 @dataclass
@@ -211,7 +208,7 @@ class PotentialField:
 
     leaves: list                    # [LeafPotential]; one entry per chart
     basepoint: np.ndarray
-    path_disagreement: float
+    path_disagreement: float        # largest lattice-cycle residual
     gradient_residual: float
     labels: np.ndarray | None = None   # leaf labels when foliated
     meta: dict = field(default_factory=dict)
@@ -220,9 +217,10 @@ class PotentialField:
         """phi at chart parameters U (with leaf labels t when foliated).
 
         Each point blends the two leaves whose labels bracket t (mod 2 pi)
-        linearly in the label; each leaf model is evaluated once, on the
-        rows that use it.  A bracket of zero span (labels coinciding mod
-        2 pi) gives the preceding leaf full weight.
+        with the C3 step of the label fraction, so phi and its first three
+        label derivatives are continuous at every label; each leaf model is
+        evaluated once, on the rows that use it.  A bracket of zero span
+        (labels coinciding mod 2 pi) gives the preceding leaf full weight.
         """
         U = np.atleast_2d(U)
         if t is None or self.labels is None or len(self.leaves) == 1:
@@ -232,8 +230,8 @@ class PotentialField:
         k = np.searchsorted(lt, tt) % len(lt)
         k0 = (k - 1) % len(lt)
         span = np.mod(lt[k] - lt[k0], 2 * np.pi)
-        w = np.where(span > 0, np.mod(tt - lt[k0], 2 * np.pi)
-                     / np.where(span > 0, span, 1.0), 0.0)
+        w = smoothstep_c3(np.where(span > 0, np.mod(tt - lt[k0], 2 * np.pi)
+                                   / np.where(span > 0, span, 1.0), 0.0))
         out = np.zeros(U.shape[0])
         for j, leaf in enumerate(self.leaves):
             rows = np.flatnonzero((k0 == j) | (k == j))
@@ -254,63 +252,35 @@ class PotentialField:
                                + [f"{lab:.6f}", f"{leaf.values[k]:.12e}"])
 
 
-def _tree_edges(shape):
-    """Spanning-tree edges of a lattice: node index -> parent index."""
+def _lattice_edges(shape):
+    """Every nearest-neighbour edge (a, b) of a lattice, b one step above a
+    along some axis, ordered by b, with the mask of the spanning tree that
+    links each node to its parent along the node's first nonzero axis."""
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-
-    def flat(idx):
-        return int(np.dot(idx, strides))
-
-    edges = []
-    for node in np.ndindex(*shape):
-        idx = np.array(node)
-        if not idx.any():
-            continue
-        a = int(np.argmax(idx > 0))
-        parent = idx.copy()
-        parent[a] -= 1
-        edges.append((flat(parent), flat(idx)))
-    return edges
+    idx = np.indices(shape).reshape(len(shape), -1).T
+    below = idx > 0
+    b, axis = np.nonzero(below)
+    tree = axis == np.argmax(below, axis=1)[b]
+    return b - strides[axis], b, tree
 
 
-def _integrate_edges(source, U, edges):
-    """Simpson (5 nodes) along each straight lattice edge times
-    POTENTIAL_FACTOR."""
-    a = U[[e[0] for e in edges]]
-    b = U[[e[1] for e in edges]]
-    t = np.linspace(0, 1, 5)
-    nodes = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    S, Q, p = nodes.shape
-    comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
-    integrand = np.einsum("sqp,sp->sq", comps, b - a)
-    w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
-    return POTENTIAL_FACTOR * (integrand @ w) / 12.0
-
-
-def _staircase(a, b, order):
-    """Axis-aligned path from a to b visiting axes in the given order."""
-    pts = [a.copy()]
-    cur = a.copy()
-    for ax in order:
-        cur = cur.copy()
-        cur[ax] = b[ax]
-        pts.append(cur)
-    return PathInSigma(np.stack(pts), closed=False)
-
-
-# largest disagreement of two homotopic staircase integrals of the potential
+# largest circulation of the form around a cycle of the potential's lattice
 PATH_TOL = 1e-6
 
 
 def build_potential(sources, basepoint, verdict: CohomologyVerdict,
-                    res=17, check_targets=100) -> PotentialField:
+                    res=17) -> PotentialField:
     """Reconstruct the potential by spanning-tree path integration.
 
     sources: a FormSource or a list of them (foliation leaves).  The verdict
-    must be Exact; homotopic staircase pairs at random targets (drawn with
-    seed 0) guard the path independence, and the finite-difference dbar of
-    the grid values is compared against the h-field when the source
-    provides one.
+    must be Exact.  Each leaf's form is evaluated once, at the nodes of the
+    chart lattice and the interior nodes of a 5-node Simpson rule on every
+    lattice edge.  The tree edges set the node values; every other edge
+    closes one cycle with the tree, and its residual against the node values
+    is that cycle's circulation.  path_disagreement is the largest
+    lattice-cycle residual, and PathDisagreement is raised above PATH_TOL.
+    On complex charts the finite-difference dbar of the node values is
+    compared against h = theta_x + i theta_y at the nodes.
     """
     if not verdict.exact:
         raise ObstructedClass(
@@ -321,41 +291,46 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
     labels = []
     worst_gap = 0.0
     worst_grad = 0.0
-    rng = rng_for(0)
     basepoint = np.asarray(basepoint, dtype=float)
+    t = np.array([0.25, 0.5, 0.75])      # interior Simpson nodes of an edge
+    w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
     for source in src_list:
         chart = source.chart
         U, shape = chart.grid(res)
-        edges = _tree_edges(shape)
-        vals = np.zeros(U.shape[0])
-        contrib = _integrate_edges(source, U, edges)
-        for (pa, pb), dv in zip(edges, contrib):
+        K, p = U.shape
+        a, b, tree = _lattice_edges(shape)
+        dU = U[b] - U[a]
+        inner = U[a][:, None, :] + t[None, :, None] * dU[:, None, :]
+        comps = source.components(np.concatenate([U, inner.reshape(-1, p)]))
+        edge_comps = np.concatenate([comps[a][:, None],
+                                     comps[K:].reshape(len(a), 3, p),
+                                     comps[b][:, None]], axis=1)
+        integrand = np.einsum("sqp,sp->sq", edge_comps, dU)
+        contrib = POTENTIAL_FACTOR * (integrand @ w) / 12.0
+        # tree edges come in node order: a parent is set before its child
+        vals = np.zeros(K)
+        for pa, pb, dv in zip(a[tree].tolist(), b[tree].tolist(),
+                              contrib[tree].tolist()):
             vals[pb] = vals[pa] + dv
         # anchor at the grid node nearest the basepoint
-        k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :U.shape[1]],
-                                          axis=1)))
+        k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :p], axis=1)))
         vals -= vals[k0]
 
-        # homotopic staircase pairs at random targets
-        p = U.shape[1]
-        a = U[k0]
-        for _ in range(check_targets // max(len(src_list), 1) + 1):
-            b = U[int(rng.integers(0, U.shape[0]))]
-            i1 = POTENTIAL_FACTOR * integrate_theta(
-                source, _staircase(a, b, range(p)))
-            i2 = POTENTIAL_FACTOR * integrate_theta(
-                source, _staircase(a, b, range(p - 1, -1, -1)))
-            worst_gap = max(worst_gap, abs(i1 - i2))
+        cycle = ~tree
+        gap = float(np.max(np.abs(vals[b[cycle]] - vals[a[cycle]]
+                                  - contrib[cycle]), initial=0.0))
+        worst_gap = max(worst_gap, gap)
         if worst_gap > PATH_TOL:
             raise PathDisagreement(
-                f"homotopic staircases differ by {worst_gap:.3e}")
+                f"lattice cycle residual {worst_gap:.3e}")
 
         grad_res = 0.0
-        if hasattr(source, "h") and chart.kind == "complex":
+        if chart.kind == "complex":
             grid_vals = vals.reshape(shape)
             hstep = [(chart.hi[a2] - chart.lo[a2]) / (shape[a2] - 1)
                      for a2 in range(p)]
-            hv = source.h(U).reshape(shape + (chart.m,))
+            hv = (comps[:K, 0::2] + 1j * comps[:K, 1::2]).reshape(
+                shape + (chart.m,))
             interior = tuple(slice(1, -1) for _ in shape)
             for j in range(chart.m):
                 Dx = np.gradient(grid_vals, hstep[2 * j], axis=2 * j)

@@ -52,14 +52,19 @@ def _kkt_polish(domain, Z, p, lam):
     stall = np.zeros(B, dtype=int)
     alpha = np.ones(B)
     active = np.arange(B)
-    for _ in range(_MAX_ITERS):
-        pa = p[active]
-        la = lam[active]
+
+    def residual(rows):
+        """Iterates, rho's gradient and Hessian, both KKT blocks and the
+        residual at the given rows."""
+        pa = p[rows]
+        la = lam[rows]
         jet = domain.jet(pa, order=2)
-        grad, hess = jet.rgrad, jet.rhess
-        F1 = pa - Z[active] + la[:, None] * grad
-        F2 = jet.value
-        res = np.maximum(np.max(np.abs(F1), axis=1), np.abs(F2))
+        F1 = pa - Z[rows] + la[:, None] * jet.rgrad
+        res = np.maximum(np.max(np.abs(F1), axis=1), np.abs(jet.value))
+        return pa, la, jet.rgrad, jet.rhess, F1, jet.value, res
+
+    for _ in range(_MAX_ITERS):
+        pa, la, grad, hess, F1, F2, res = residual(active)
         better = res < best_res[active]
         worse = res > 2.0 * best_res[active]
         alpha[active] = np.where(better, np.minimum(1.0, alpha[active] * 1.5),
@@ -70,13 +75,7 @@ def _kkt_polish(domain, Z, p, lam):
             iw = active[worse]
             p[iw] = best_p[iw]
             lam[iw] = best_lam[iw]
-            pa = p[active]
-            la = lam[active]
-            jet = domain.jet(pa, order=2)
-            grad, hess = jet.rgrad, jet.rhess
-            F1 = pa - Z[active] + la[:, None] * grad
-            F2 = jet.value
-            res = np.maximum(np.max(np.abs(F1), axis=1), np.abs(F2))
+            pa, la, grad, hess, F1, F2, res = residual(active)
             better = res < best_res[active]
         ib = active[better]
         best_res[ib] = res[better]

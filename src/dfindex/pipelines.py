@@ -24,8 +24,6 @@ from .zoo import ZooEntry
 ORACLE_DEPTH = (0.04, 0.12)
 # box |c_i| <= FAMILY_BOX of the family search's basis coefficients
 FAMILY_BOX = 1.0
-# random targets of the potential's path-independence check
-POTENTIAL_CHECKS = 20
 
 
 def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
@@ -62,8 +60,7 @@ def potential_for(entry: ZooEntry, verdict=None, res=9):
         charts = [entry.charts["log_polar"]]
     sources = [ThetaSource(c) for c in charts]
     base = 0.5 * (charts[0].lo + charts[0].hi)
-    return build_potential(sources, base, verdict, res=res,
-                           check_targets=POTENTIAL_CHECKS)
+    return build_potential(sources, base, verdict, res=res)
 
 
 def default_psi_for(entry: ZooEntry):

@@ -5,7 +5,7 @@ from dfindex import zoo
 from dfindex.certify import oracle_stencils, rho_terms
 from dfindex.cohomology import build_potential, classify
 from dfindex.distance import delta_jet
-from references import HFieldSource
+from references import leaf_sources
 
 
 @pytest.fixture(scope="session")
@@ -38,15 +38,8 @@ def bidisc_leaf_field(bidisc):
     """Potential field over the bidisc's 8 leaf charts with a synthetic,
     leaf-dependent exact form, so that neighbouring leaves differ (the
     bidisc's own form vanishes on every leaf)."""
-    charts = sorted(bidisc.charts.values(), key=lambda c: c.leaf_label)
-
-    def source(chart):
-        a = np.cos(chart.leaf_label) + 2.0
-        return HFieldSource(chart, lambda U: (a * (U[:, 0] - 1j * U[:, 1])
-                                              + a * a)[:, None])
-
-    return build_potential([source(c) for c in charts], np.zeros(2),
-                           classify({}, 1e-6), res=9, check_targets=8)
+    return build_potential(leaf_sources(bidisc), np.zeros(2),
+                           classify({}, 1e-6), res=9)
 
 
 @pytest.fixture(scope="session")

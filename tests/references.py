@@ -4,7 +4,8 @@ Closed-form and symbolic jets of the zoo's defining and distance functions,
 centred finite-difference jets of black-box functions (their stencil, nodes
 and Richardson assembly), the criterion's terms at one boundary point, the
 compatibility and transversal-field identity residuals, the residual
-sequence, synthetic 1-form sources and loop reparametrisations.
+sequence, synthetic 1-form sources, the spanning-tree potential without its
+cycle check, and loop reparametrisations.
 The tests compare the package against these.
 """
 
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from dfindex.cohomology import PathInSigma
+from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
 from dfindex.certify import PsiStencil
 from dfindex.distance import BoundaryPoint, delta_jet, foot_points, normal_n
 from dfindex.errors import ChartMismatch, HypothesisFail, NonFinite, \
@@ -704,8 +705,85 @@ class HFieldSource:
         comps[:, 1::2] = h.imag
         return comps
 
-    def h(self, U):
-        return np.atleast_2d(self.hfn(np.atleast_2d(U)))
+
+# ---------------------------------------------------------------------------
+# spanning-tree potential without the cycle check
+# ---------------------------------------------------------------------------
+
+def _tree_edges(shape):
+    """Spanning-tree edges of a lattice: node index -> parent index."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+
+    def flat(idx):
+        return int(np.dot(idx, strides))
+
+    edges = []
+    for node in np.ndindex(*shape):
+        idx = np.array(node)
+        if not idx.any():
+            continue
+        a = int(np.argmax(idx > 0))
+        parent = idx.copy()
+        parent[a] -= 1
+        edges.append((flat(parent), flat(idx)))
+    return edges
+
+
+def _integrate_edges(source, U, edges):
+    """Simpson (5 nodes) along each straight lattice edge times
+    POTENTIAL_FACTOR."""
+    a = U[[e[0] for e in edges]]
+    b = U[[e[1] for e in edges]]
+    t = np.linspace(0, 1, 5)
+    nodes = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    S, Q, p = nodes.shape
+    comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
+    integrand = np.einsum("sqp,sp->sq", comps, b - a)
+    w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
+    return POTENTIAL_FACTOR * (integrand @ w) / 12.0
+
+
+def tree_potential(source, basepoint, res):
+    """One leaf of build_potential by its tree edges alone, each integrated
+    at its own five Simpson nodes, and h read by a separate evaluation at
+    the lattice nodes: (node values, fitted model, gradient residual)."""
+    chart = source.chart
+    U, shape = chart.grid(res)
+    edges = _tree_edges(shape)
+    vals = np.zeros(U.shape[0])
+    for (pa, pb), dv in zip(edges, _integrate_edges(source, U, edges)):
+        vals[pb] = vals[pa] + dv
+    basepoint = np.asarray(basepoint, dtype=float)
+    k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :U.shape[1]],
+                                      axis=1)))
+    vals -= vals[k0]
+    grad_res = 0.0
+    comps = source.components(U)
+    hv = (comps[:, 0::2] + 1j * comps[:, 1::2]).reshape(shape + (chart.m,))
+    grid_vals = vals.reshape(shape)
+    hstep = (chart.hi - chart.lo) / (np.array(shape) - 1)
+    interior = tuple(slice(1, -1) for _ in shape)
+    for j in range(chart.m):
+        Dx = np.gradient(grid_vals, hstep[2 * j], axis=2 * j)
+        Dy = np.gradient(grid_vals, hstep[2 * j + 1], axis=2 * j + 1)
+        dbar = 0.5 * (Dx + 1j * Dy)
+        grad_res = max(grad_res, float(np.max(np.abs(
+            (dbar - hv[..., j])[interior]))))
+    model = _PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
+    model.fit(U, vals)
+    return vals, model, grad_res
+
+
+def leaf_sources(bidisc):
+    """A synthetic exact form on each of the bidisc's leaf charts, by label,
+    that differs from leaf to leaf (the bidisc's own form vanishes)."""
+    def source(chart):
+        a = np.cos(chart.leaf_label) + 2.0
+        return HFieldSource(chart, lambda U: (a * (U[:, 0] - 1j * U[:, 1])
+                                              + a * a)[:, None])
+
+    return [source(c) for c in sorted(bidisc.charts.values(),
+                                      key=lambda c: c.leaf_label)]
 
 
 def reversed_path(path: PathInSigma) -> PathInSigma:

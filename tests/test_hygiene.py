@@ -1,5 +1,7 @@
-"""Source hygiene: every top-level import in the package is used, and no
-module of the package imports sympy (only the test references do)."""
+"""Source hygiene: every top-level import in the package is used, every
+private top-level function or class and every UPPER_CASE module constant is
+read somewhere in the package, and no module of the package imports sympy
+(only the test references do)."""
 
 import ast
 import pathlib
@@ -40,9 +42,54 @@ def sympy_imports(source):
     return lines
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unread_internal_names(sources):
+    """(module, name) of every private top-level function or class and every
+    UPPER_CASE module constant that no module in sources reads.
+
+    sources maps module names to their text.  A read is a loaded name or an
+    attribute of that name anywhere in any module; public functions and
+    classes are entry points and out of scope.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name) and leaf.id.isupper():
+                            defined.append((module, leaf.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[1] not in read)
+
+
 def test_unused_imports_detected():
     src = "import os\nfrom a import b, c as d\nimport x.y\nprint(d, x)\n"
     assert unused_imports(src) == [(1, "os"), (2, "b")]
+
+
+def test_unread_internal_names_detected():
+    sources = {
+        "a": ("X = 1\n_Y, Z = 2, 3\nT: int = 4\n__all__ = []\n"
+              "def _f():\n    return X\nclass _C:\n    pass\n"
+              "def g():\n    pass\n"),
+        "b": "from a import _C\nimport a\nprint(_C, a.T)\n",
+    }
+    assert unread_internal_names(sources) == [("a", "Z"), ("a", "_Y"),
+                                              ("a", "_f")]
 
 
 def test_sympy_imports_detected():
@@ -62,3 +109,8 @@ def test_no_unused_top_level_imports(path):
                          ids=lambda p: p.name)
 def test_no_sympy_import(path):
     assert sympy_imports(path.read_text()) == []
+
+
+def test_no_unread_internal_names():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_internal_names(sources) == []
