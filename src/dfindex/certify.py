@@ -26,7 +26,8 @@ from .util import bump_c3, complex_unpack
 # psi evaluators
 # ---------------------------------------------------------------------------
 # A psi is a function of the boundary foot point: every check sees it only
-# through at_feet(F), at feet that the check projected once.
+# through at_feet(F), at feet that the check projected once or that
+# PsiStencil took from the foot map's Taylor model.
 
 class ZeroPsi:
     def at_feet(self, F):
@@ -51,24 +52,40 @@ FD_STEP = 1e-3
 
 
 class PsiStencil:
-    """Projected feet of the psi-derivative stencil around M base points:
-    the base, base +- h e_a along each real axis, then base +- h V for each
-    direction field V ((M, 2n), or (2n,) shared by every point), with
-    h = step * domain.scale.  psi enters only through its values at these
-    feet, so one stencil serves any number of psi."""
+    """Feet of the psi-derivative stencil around M base points z: the base,
+    z +- h e_a along each real axis, then z +- h V for each direction field
+    V ((M, 2n), or (2n,) shared by every point), with h = step *
+    domain.scale.  psi enters only through its values at these feet, so
+    one stencil serves any number of psi.
 
-    def __init__(self, domain: DomainSpec, base, dirs=(), step=FD_STEP):
+    No node is projected.  jet is delta_jet's order-3 jet at the base
+    points, and each node's foot lies on the second-order Taylor model of
+    the nearest-point map p(z) = z - delta grad delta at z:
+    p(z +- h u) ~ p +- h Dp u + h^2/2 D^2p(u, u), with n = grad delta,
+    G = Hess delta, T its third tensor, Dp = I - n n^T - delta G and
+    D^2p(u, u) = -(u^T G u) n - 2 (n.u) G u - delta T(., u, u).  The
+    true foot's h^3 term cancels in central differences, so both
+    differences keep an even error expansion with the exact limit of
+    psi o p."""
+
+    def __init__(self, domain: DomainSpec, base, jet: WirtingerJet,
+                 dirs=(), step=FD_STEP):
+        jet.need(3)
         self.h = h = step * domain.scale
         self.M, self.D = base.shape
-        nodes = [base]
-        for a in range(self.D):
-            e = np.zeros(self.D)
-            e[a] = h
-            nodes += [base + e, base - e]
-        for V in dirs:
-            nodes += [base + h * V, base - h * V]
-        self.feet, _ = foot_points(domain, np.concatenate(nodes, axis=0),
-                                   ambiguity_check=False)
+        d, n, G, T = jet.value[:, None], jet.rgrad, jet.rhess, jet.rthird
+        foot = base - d * n
+        feet = [foot]
+        for u in (*np.eye(self.D), *dirs):
+            u = np.broadcast_to(u, base.shape)
+            nu = np.einsum("ka,ka->k", n, u)[:, None]
+            Gu = np.einsum("kab,kb->ka", G, u)
+            Dpu = u - nu * n - d * Gu
+            D2pu = -np.einsum("ka,ka->k", u, Gu)[:, None] * n - 2.0 * nu * Gu \
+                - d * np.einsum("kabc,kb,kc->ka", T, u, u)
+            mid = foot + 0.5 * h * h * D2pu
+            feet += [mid + h * Dpu, mid - h * Dpu]
+        self.feet = np.concatenate(feet, axis=0)
 
     def differences(self, psi):
         """Central differences of psi: (psi at the base, d psi / dz as an
@@ -153,8 +170,8 @@ class CriterionEvaluator:
         self.third_field = pure.real + transport   # imaginary part ~ 0
         self.third_imag = float(np.max(np.abs(pure.imag))) if len(pure) else 0.0
         self.Ls = Ls
-        self.stencil = PsiStencil(domain, P[idx], (complex_unpack(Ls),
-                                                   complex_unpack(1j * Ls)))
+        self.stencil = PsiStencil(
+            domain, P[idx], sub, (complex_unpack(Ls), complex_unpack(1j * Ls)))
 
     def psi_terms(self, psi):
         """psi's terms per direction L: (Lbar psi, its Hessian term
@@ -254,12 +271,14 @@ def _levi_fields(n):
     return fields
 
 
-def oracle_stencils(domain: DomainSpec, mesh):
+def oracle_stencils(domain: DomainSpec, mesh, delta: WirtingerJet):
     """psi's stencils around the oracle mesh at steps FD_STEP and
     FD_STEP / 2 (in units of domain.scale): the real axes and _levi_fields,
-    17 projected nodes per mesh point and step in C^2."""
+    17 nodes per mesh point and step in C^2.  delta is delta_jet's order-3
+    jet at the mesh; the nodes' feet come from its Taylor model of the
+    foot map, so building the stencils projects nothing."""
     fields = _levi_fields(domain.n)
-    return tuple(PsiStencil(domain, mesh, fields, step)
+    return tuple(PsiStencil(domain, mesh, delta, fields, step)
                  for step in (FD_STEP, FD_STEP / 2))
 
 
@@ -285,11 +304,15 @@ def rho_terms(delta: WirtingerJet, stencils, psi):
     """(value, Wirtinger gradient, mixed Hessian) of rho = delta e^psi at
     the oracle mesh, psi extended constantly along foot fibres.
 
-    delta is delta_jet's order-2 jet at the mesh; psi's gradient and Levi
-    matrix are differenced on oracle_stencils' two steps with one
-    Richardson level, and the product rule gives
+    delta is delta_jet's order-3 jet at the mesh, of which only the
+    order-2 blocks enter here; psi's gradient and Levi matrix are
+    differenced on oracle_stencils' two steps with one Richardson level,
+    and the product rule gives
     d dbar rho = e^psi (d dbar delta + d delta (x) dbar psi
     + d psi (x) dbar delta + delta (d dbar psi + d psi (x) dbar psi)).
+    The stencils' feet follow the foot map's second-order Taylor model,
+    whose differences have an even error expansion in h with the exact
+    limit, so the Richardson level still removes the h^2 term.
     """
     (psi0, w1, s1), (_, w2, s2) = (st.differences(psi) for st in stencils)
     wpsi = (4.0 * w2 - w1) / 3.0
@@ -573,18 +596,24 @@ CURVE_SAMPLES = 96
 CURVE_HEADROOM = 0.1
 
 
-def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
-                       slack=None) -> CurveReport:
-    """Certificate for a one-real-dimensional degenerate set.
+@dataclass
+class CurveGeometry:
+    """The real-curve certificate's eta-independent data at its curve
+    samples t: the tangent's case, g_t = g(nabla_nu nu, dt), the profile's
+    slopes a(t) = -g(nabla_nu nu, J dt) and
+    D(t) = d/dt g(., X) + D_{Jt} g(., Jt)."""
 
-    Constructs psi with psi = 0 on the curve, J-derivative canceling
-    g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
-    where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
-    evaluates the certificate inequality at every curve sample.  slack
-    defaults to 1e-8.
-    """
-    if slack is None:
-        slack = 1e-8
+    case: str                   # "transversal" | "parallel"
+    t_values: np.ndarray
+    g_t: np.ndarray
+    a_values: np.ndarray
+    Dt: np.ndarray
+
+
+def curve_geometry(domain: DomainSpec,
+                   curve: SigmaChart | None) -> CurveGeometry:
+    """The geometry step of real_curve_certify: projects the curve samples
+    once and takes three order-2 delta-jets, whatever the eta."""
     if curve is None or curve.kind != "real" or curve.m != 1:
         raise NotACurve("the degenerate set is not a parametrized real curve")
     if domain.n != 2:
@@ -594,7 +623,6 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     P = curve.embed_batch(U)
     feet, _ = foot_points(domain, P, ambiguity_check=False)
     jet = delta_jet(domain, feet, order=2)
-    N = normal_n(jet)
     xi = curve.tangents(U)[:, 0, :]
     # classification of the tangent against the complex tangent space
     overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
@@ -610,8 +638,7 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
         raise TangencyUnresolved("rotated tangent nearly parallel to the "
                                  "curve while the tangent is not complex")
     g_t, g_j = nu_pairings(jet, xi)
-    a_vals = -g_j
-    # D(t) = d/dt g(.,X) + D_{Jt} g(.,Jt): curve steps and ambient steps
+    # D(t): curve steps and ambient steps
     dt = tg[1] - tg[0]
     dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
     fd = FD_STEP * domain.scale
@@ -622,7 +649,26 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     _, gj_m = nu_pairings(jet_m, xi)
     rate = np.linalg.norm(JX, axis=1) / (2 * fd)
     dgj = (gj_p - gj_m) * rate
-    Dt = dgt + dgj
+    return CurveGeometry(case=case, t_values=tg, g_t=g_t, a_values=-g_j,
+                         Dt=dgt + dgj)
+
+
+def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
+                       slack=None, geometry=None) -> CurveReport:
+    """Certificate for a one-real-dimensional degenerate set.
+
+    Constructs psi with psi = 0 on the curve, J-derivative canceling
+    g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
+    where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
+    evaluates the certificate inequality at every curve sample.  slack
+    defaults to 1e-8.  geometry is curve_geometry(domain, curve), built
+    here when not given; a caller that certifies several eta passes it.
+    """
+    if slack is None:
+        slack = 1e-8
+    if geometry is None:
+        geometry = curve_geometry(domain, curve)
+    g_t, Dt = geometry.g_t, geometry.Dt
     coef = 1.0 / (1.0 - eta) - 1.0
     bracket = coef * g_t ** 2 + Dt
     C_eta = max((1.0 + CURVE_HEADROOM) * float(bracket.max()), 0.0) \
@@ -632,9 +678,10 @@ def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
     mx = float(lhs.max())
     certified = bool(mx <= slack)
     return CurveReport(eta=float(eta), slack=float(slack),
-                       certified=certified, case=case, C_eta=float(C_eta),
-                       b=float(b), lhs=lhs, max_lhs=mx, a_values=a_vals,
-                       t_values=tg, g_t=g_t,
+                       certified=certified, case=geometry.case,
+                       C_eta=float(C_eta), b=float(b), lhs=lhs, max_lhs=mx,
+                       a_values=geometry.a_values,
+                       t_values=geometry.t_values, g_t=g_t,
                        meta={"max_bracket": float(bracket.max())})
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
-from .levi import detect_sigma
+from .levi import detect_sigma, mesh_pitch
 from .pipelines import Run, periods_for, potential_for, sigma_scan
 from .certify import PatchSpec, caccioppoli_check, real_curve_certify
 from .sigma import OneFormSample
@@ -168,7 +168,7 @@ def _cmd_scan(cfg):
         "sigmaSize": sigma.size,
         "threshold": sigma.threshold,
         "leviScale": sigma.levi_scale,
-        "meshPitch": sigma.mesh_pitch,
+        "meshPitch": mesh_pitch(mesh),
         "negativeCount": sigma.negative_count,
     }
     return 0, res

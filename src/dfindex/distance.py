@@ -151,9 +151,10 @@ def foot_points(domain: DomainSpec, Z, ambiguity_check=True):
     Known defect: without the ambiguity check a converged foot is a
     stationary point of the distance but not always a nearest one.  On the
     worm, a point 0.011 from an interior mesh point can get a foot 0.366
-    away while the mesh point's foot is 0.087 away; cut_locus_mask flags
-    such points, but difference stencils around mesh points project them
-    unchecked.
+    away while the mesh point's foot is 0.087 away.  cut_locus_mask flags
+    such points.  The defect no longer reaches psi's differences:
+    certify.PsiStencil takes its nodes' feet from delta_jet's Taylor model
+    of the foot map at the mesh point instead of projecting them.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     B, D = Z.shape

@@ -6,7 +6,8 @@ variables through such an evaluator yields derivatives to order 3 that are
 exact to machine precision, batched over points.  Called on plain arrays, the
 same evaluators give the values alone.  No finite differences live here:
 the signed distance's jets come in closed form from distance.delta_jet, and
-psi's derivatives from certify.PsiStencil.
+psi's derivatives from certify.PsiStencil, which differences psi at feet on
+the Taylor model of the foot map that delta_jet's order-3 jet gives.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
@@ -322,14 +323,15 @@ class WirtingerJet:
 
     # -- second order ---------------------------------------------------------
 
-    def _need(self, order):
+    def need(self, order):
+        """Raise OrderTooLow unless the jet reaches this order."""
         if self.order < order:
             raise OrderTooLow(f"jet of order {self.order}, need {order}")
 
     @property
     def mixed(self):
         """d^2/dz_i dz.bar_j block, (B, n, n) complex Hermitian."""
-        self._need(2)
+        self.need(2)
         _, ix, iy = _pairs(self.D)
         H = self.rhess
         xx = H[:, ix[:, None], ix[None, :]]
@@ -341,7 +343,7 @@ class WirtingerJet:
     @property
     def holo(self):
         """d^2/dz_i dz_j block, (B, n, n) complex symmetric."""
-        self._need(2)
+        self.need(2)
         _, ix, iy = _pairs(self.D)
         H = self.rhess
         xx = H[:, ix[:, None], ix[None, :]]
@@ -361,7 +363,7 @@ class WirtingerJet:
 
     def third_directional(self, d1, d2, d3):
         """Contraction of the real third tensor with three derivations."""
-        self._need(3)
+        self.need(3)
         cs = [self._bk(_real_coeff(d, self.D)) for d in (d1, d2, d3)]
         return np.einsum("kabc,ka,kb,kc->k", self.rthird, *cs)
 

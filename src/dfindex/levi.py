@@ -79,7 +79,6 @@ class SigmaPointSet:
     batch: BoundaryBatch         # jets of the members (order 2)
     threshold: float
     levi_scale: float            # median positive eigenvalue over the mesh
-    mesh_pitch: float
     negative_count: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -91,7 +90,9 @@ class SigmaPointSet:
         return self.batch.point(i)
 
 
-def _pitch_estimate(P, rng_seed=0, sample=256):
+def mesh_pitch(P, rng_seed=0, sample=256):
+    """Median nearest-neighbour distance from up to `sample` random mesh
+    points to the rest of the mesh."""
     B = P.shape[0]
     if B < 2:
         return 0.0
@@ -140,7 +141,6 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
         batch=member_batch,
         threshold=float(threshold),
         levi_scale=levi_scale,
-        mesh_pitch=_pitch_estimate(mesh),
         negative_count=neg,
     )
     return sub

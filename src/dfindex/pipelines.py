@@ -9,8 +9,9 @@ from functools import cached_property
 import numpy as np
 
 from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
-                      ZeroPsi, coordinate_descent, curve_psi_from_report,
-                      estimate_index, interior_psh_oracle, oracle_stencils,
+                      ZeroPsi, coordinate_descent, curve_geometry,
+                      curve_psi_from_report, estimate_index,
+                      interior_psh_oracle, oracle_stencils,
                       real_curve_certify, rho_terms)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
@@ -167,16 +168,25 @@ class Run:
 
     @cached_property
     def oracle_delta(self):
-        return delta_jet(self.entry.domain, self.interior_mesh, order=2)
+        """delta_jet's order-3 jet at the interior mesh: its order-2 blocks
+        feed rho_terms, all of it the psi stencils' feet."""
+        return delta_jet(self.entry.domain, self.interior_mesh, order=3)
 
     @cached_property
     def oracle_stencils(self):
-        return oracle_stencils(self.entry.domain, self.interior_mesh)
+        return oracle_stencils(self.entry.domain, self.interior_mesh,
+                               self.oracle_delta)
 
     def oracle(self, eta, psi):
         return interior_psh_oracle(
             *rho_terms(self.oracle_delta, self.oracle_stencils, psi), eta,
             slack_rel=self.oracle_slack)
+
+    @cached_property
+    def curve_geometry(self):
+        """The real-curve certificate's eta-independent data."""
+        return curve_geometry(self.entry.domain,
+                              self.entry.charts.get("curve"))
 
     def family_member(self, coef):
         """psi_c = sum_i coef_i b_i over the entry's surface basis."""
@@ -220,7 +230,8 @@ class Run:
                "sigmaSize": self.sigma.size}
         if self.entry.sigma_kind == "RealCurve":
             chart = self.entry.charts.get("curve")
-            crep = real_curve_certify(dom, chart, eta, slack=self.slack)
+            crep = real_curve_certify(dom, chart, eta, slack=self.slack,
+                                      geometry=self.curve_geometry)
             psi = curve_psi_from_report(dom, chart, crep,
                                         self.entry.sigma_distance)
             out["curve"] = crep.to_json()

@@ -84,5 +84,5 @@ class Shifted:
 def oracle_terms(domain, mesh, psi):
     """The interior oracle's (value, wgrad, mixed) of delta e^psi at mesh,
     built as pipelines.Run builds them."""
-    return rho_terms(delta_jet(domain, mesh, order=2),
-                     oracle_stencils(domain, mesh), psi)
+    delta = delta_jet(domain, mesh, order=3)
+    return rho_terms(delta, oracle_stencils(domain, mesh, delta), psi)

@@ -657,7 +657,7 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)
     Ls = Ls / nrm[:, None]
     h = h / nrm
-    stencil = PsiStencil(domain, feet)
+    stencil = PsiStencil(domain, feet, delta_jet(domain, feet, order=3))
 
     # Simpson weights over the sub-box
     wts = np.ones(shape[0])

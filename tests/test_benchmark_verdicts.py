@@ -20,9 +20,8 @@ from workloads import INPUT_SETS, WORKLOADS  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
-# every input set of the family search's workload, two of each other one
-CASES = [("worm-estimate", s) for s in range(INPUT_SETS)] + [
-    (w, s) for w in ("bidisc-certify", "quartic-estimate") for s in (0, 11)]
+# every input set of every workload
+CASES = [(w, s) for w in sorted(WORKLOADS) for s in range(INPUT_SETS)]
 
 
 @pytest.mark.parametrize("workload,seed", CASES,

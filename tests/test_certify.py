@@ -10,7 +10,7 @@ from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
                              ZeroPsi, caccioppoli_check, coordinate_descent,
                              curve_psi_from_report, interior_psh_oracle,
                              oracle_stencils, real_curve_certify, rho_terms)
-from dfindex import certify, cohomology, distance, sigma
+from dfindex import certify, cohomology, distance, pipelines, sigma
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import delta_jet, signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
@@ -206,9 +206,9 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
 
 @pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
 def test_oracle_reads_delta_jet_with_zero_psi(name, request):
-    # with psi = 0, rho = delta: the oracle's arrays are delta_jet's, bit
-    # for bit, also on the worm mesh, where some stencil nodes around the
-    # mesh get feet that are not nearest
+    # with psi = 0, rho = delta: the oracle's arrays are delta_jet's
+    # order-2 blocks, bit for bit, although the oracle takes the order-3 jet
+    # that its psi stencils need
     entry = request.getfixturevalue(name)
     mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     jet = delta_jet(entry.domain, mesh, order=2)
@@ -248,7 +248,8 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic):
 # per-point bounds on |oracle - reference| over the point's largest
 # reference entry, for the Wirtinger gradient and the mixed Hessian, at
 # about three times the values measured on the meshes below: collar 1.7e-5
-# and 6.8e-6, where e^psi spans eight decades; curve 2.2e-10 and 1.6e-9.
+# and 6.8e-6, where e^psi spans eight decades; curve 2.2e-10 and 1.8e-9
+# (1.6e-9 when the stencil nodes were projected).
 # The reference's own truncation dominates: against numeric_jet at a
 # quarter of its step, the oracle's worst collar entry moves from 33 to
 # 0.66.  Dropping the cross terms d delta (x) dbar psi + d psi (x) dbar
@@ -263,7 +264,8 @@ def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     mesh = entry.interior_mesh(40, seed=7)
     value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
     ref = _two_projection_jet(entry.domain, psi, mesh)
-    # value: the same feet and the same arithmetic
+    # value: psi at z - delta n, the projected foot up to rounding, and the
+    # same arithmetic
     np.testing.assert_array_equal(value, ref.value)
     for got, want, tol in zip((wgrad, mixed), (ref.wgrad, ref.mixed),
                               ORACLE_REF_TOL[kind]):
@@ -274,9 +276,8 @@ def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
 
 
-def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
-    entry, psi = oracle_psis["collar"]
-    mesh = entry.interior_mesh(30, seed=8)
+def _counting_foot_points(monkeypatch):
+    """Rows of every foot_points call from here on, in call order."""
     rows = []
     original = distance.foot_points
 
@@ -284,17 +285,76 @@ def test_oracle_projects_each_stencil_node_once(oracle_psis, monkeypatch):
         rows.append(np.atleast_2d(Z).shape[0])
         return original(domain, Z, *args, **kwargs)
 
-    for module in (distance, certify, cohomology):
+    for module in (distance, certify, cohomology, sigma):
         monkeypatch.setattr(module, "foot_points", counting)
-    delta = delta_jet(entry.domain, mesh, order=2)
-    stencils = oracle_stencils(entry.domain, mesh)
-    # the mesh once for delta_jet, then psi's 17 nodes in C^2 at each of
-    # two Richardson steps
-    assert sum(rows) == 35 * mesh.shape[0]
+    return rows
+
+
+def test_oracle_projects_each_mesh_point_once(oracle_psis, monkeypatch):
+    entry, psi = oracle_psis["collar"]
+    mesh = entry.interior_mesh(30, seed=8)
+    rows = _counting_foot_points(monkeypatch)
+    delta = delta_jet(entry.domain, mesh, order=3)
+    stencils = oracle_stencils(entry.domain, mesh, delta)
+    # the mesh once for delta_jet; psi's stencil nodes take their feet
+    # from delta's Taylor model of the foot map
+    assert rows == [mesh.shape[0]]
     for eta in (0.5, 0.99):
         interior_psh_oracle(*rho_terms(delta, stencils, psi), eta,
                             slack_rel=1e-6)
-    assert sum(rows) == 35 * mesh.shape[0]
+    assert rows == [mesh.shape[0]]
+
+
+def test_criterion_build_projects_only_its_samples(worm, worm_sigma,
+                                                   monkeypatch):
+    rows = _counting_foot_points(monkeypatch)
+    ev = CriterionEvaluator(worm.domain, worm_sigma)
+    assert rows == [worm_sigma.size]
+    ev.lhs(ZeroPsi(), 0.5)
+    assert rows == [worm_sigma.size]
+
+
+def _projected_stencil_feet(domain, mesh, stencil, fields):
+    """foot_points' feet of the stencil's nodes, in the stencil's order."""
+    h = stencil.h
+    nodes = [mesh]
+    for u in (*np.eye(mesh.shape[1]), *fields):
+        nodes += [mesh + h * u, mesh - h * u]
+    feet, _ = distance.foot_points(domain, np.concatenate(nodes),
+                                   ambiguity_check=False)
+    return feet
+
+
+@pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
+def test_taylor_feet_converge_at_order_three(name, request):
+    # the stencils' feet sit on the foot map's second-order Taylor model,
+    # so they miss the projected feet by O(h^3): halving h divides the
+    # median gap by 8 (7.99-8.01 measured; 1.4e-8, 7.3e-9 and 6.2e-8 in
+    # units of domain.scale at FD_STEP).  The median passes over the worm
+    # nodes whose projection is not the nearest foot.
+    entry = request.getfixturevalue(name)
+    mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    delta = delta_jet(entry.domain, mesh, order=3)
+    fields = certify._levi_fields(entry.domain.n)
+    gaps = []
+    for st in oracle_stencils(entry.domain, mesh, delta):
+        feet = _projected_stencil_feet(entry.domain, mesh, st, fields)
+        gap = np.linalg.norm(st.feet - feet, axis=1)[len(mesh):]
+        gaps.append(np.median(gap) / entry.domain.scale)
+    assert gaps[0] < 1e-6
+    assert 7.5 < gaps[0] / gaps[1] < 8.5
+
+
+def test_oracle_stencil_feet_stay_near_their_base_foot(worm):
+    # regression: projected worm stencil nodes could take feet that are
+    # not nearest, up to 17.6 h from the base point's foot (31 nodes
+    # beyond 4 h); the Taylor feet stay within 4.7 h
+    mesh = worm.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    delta = delta_jet(worm.domain, mesh, order=3)
+    for st in oracle_stencils(worm.domain, mesh, delta):
+        feet = st.feet.reshape(-1, len(mesh), mesh.shape[1])
+        reach = np.linalg.norm(feet - feet[0], axis=2)
+        assert reach.max() <= 8 * st.h
 
 
 def test_mesh_outside_raises(ball):
@@ -376,7 +436,7 @@ def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
     assert len(calls) == 1
 
 
-def test_estimate_projects_oracle_stencil_once(quartic, monkeypatch):
+def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
     meshes = []
     build = quartic.interior_mesh
 
@@ -400,13 +460,38 @@ def test_estimate_projects_oracle_stencil_once(quartic, monkeypatch):
     mesh = meshes[0]
     B = len(mesh)
     assert B > 50
-    # the oracle ran at every eta on 35 rows per mesh point, projected
-    # once: the mesh (delta_jet) and psi's stencil at each of two steps
-    # (17 nodes in C^2, the mesh first); the curve certificate's own
-    # projections do not start with the mesh
-    oracle_rows = sorted(len(Z) for Z in calls
-                         if len(Z) >= B and np.array_equal(Z[:B], mesh))
-    assert oracle_rows == [B, 17 * B, 17 * B]
+    # the oracle ran at every eta on one projection per mesh point
+    # (delta_jet's); the curve certificate's own projections do not start
+    # with the mesh
+    oracle_rows = [len(Z) for Z in calls
+                   if len(Z) >= B and np.array_equal(Z[:B], mesh)]
+    assert oracle_rows == [B]
+
+
+def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
+    calls = []
+    build = certify.curve_geometry
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "curve_geometry", counting)
+    cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
+                           oracle_count=100)
+    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert len(calls) == 1
+
+
+def test_curve_geometry_reused_report_unchanged(quartic):
+    chart = quartic.charts["curve"]
+    geom = certify.curve_geometry(quartic.domain, chart)
+    for eta in (0.5, 0.99):
+        own = real_curve_certify(quartic.domain, chart, eta)
+        reused = real_curve_certify(quartic.domain, chart, eta,
+                                    geometry=geom)
+        assert own.to_json() == reused.to_json()
+        np.testing.assert_array_equal(own.lhs, reused.lhs)
 
 
 def test_certify_pipeline_exit_semantics(ball, worm):

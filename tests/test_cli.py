@@ -99,6 +99,17 @@ def test_curve_command(tmp_path):
     assert code == 0
 
 
+def test_certify_quartic_oracle_at_rounding_level(tmp_path):
+    # the oracle's psi stencils no longer carry projection residuals, which
+    # the second differences amplified by 1/h^2 to minScaled -3.8e-10;
+    # now -9.2e-17
+    code = main(["certify", "--domain", "quartic_circle",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "certify.json").read_text())
+    assert rep["oracle"]["minScaled"] >= -1e-12
+
+
 def test_reports_byte_identical(tmp_path):
     out = tmp_path / "rpt"
     blobs = []
