@@ -653,21 +653,19 @@ def curve_geometry(domain: DomainSpec,
                          Dt=dgt + dgj)
 
 
-def real_curve_certify(domain: DomainSpec, curve: SigmaChart | None, eta,
-                       slack=None, geometry=None) -> CurveReport:
-    """Certificate for a one-real-dimensional degenerate set.
+def real_curve_certify(geometry: CurveGeometry, eta,
+                       slack=None) -> CurveReport:
+    """Certificate for a one-real-dimensional degenerate set, from its
+    curve_geometry.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
     g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
     where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
     evaluates the certificate inequality at every curve sample.  slack
-    defaults to 1e-8.  geometry is curve_geometry(domain, curve), built
-    here when not given; a caller that certifies several eta passes it.
+    defaults to 1e-8.
     """
     if slack is None:
         slack = 1e-8
-    if geometry is None:
-        geometry = curve_geometry(domain, curve)
     g_t, Dt = geometry.g_t, geometry.Dt
     coef = 1.0 / (1.0 - eta) - 1.0
     bracket = coef * g_t ** 2 + Dt

@@ -19,7 +19,8 @@ from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
 from .levi import detect_sigma, mesh_pitch
 from .pipelines import Run, periods_for, potential_for, sigma_scan
-from .certify import PatchSpec, caccioppoli_check, real_curve_certify
+from .certify import (PatchSpec, caccioppoli_check, curve_geometry,
+                      real_curve_certify)
 from .sigma import OneFormSample
 from .util import canonical_json, config_hash
 
@@ -275,8 +276,9 @@ def _cmd_curve(cfg):
     if entry.sigma_kind != "RealCurve":
         raise DfIndexError(f"domain {entry.id} has no real-curve "
                            "degenerate set") from None
-    rep = real_curve_certify(entry.domain, entry.charts["curve"],
-                             cfg.values["eta"], slack=cfg.opt("slack"))
+    geometry = curve_geometry(entry.domain, entry.charts["curve"])
+    rep = real_curve_certify(geometry, cfg.values["eta"],
+                             slack=cfg.opt("slack"))
     return (0 if rep.certified else 2), {"domain": entry.id,
                                          "curve": rep.to_json()}
 

@@ -152,9 +152,9 @@ def foot_points(domain: DomainSpec, Z, ambiguity_check=True):
     stationary point of the distance but not always a nearest one.  On the
     worm, a point 0.011 from an interior mesh point can get a foot 0.366
     away while the mesh point's foot is 0.087 away.  cut_locus_mask flags
-    such points.  The defect no longer reaches psi's differences:
+    such points.  psi's differences do not meet the defect:
     certify.PsiStencil takes its nodes' feet from delta_jet's Taylor model
-    of the foot map at the mesh point instead of projecting them.
+    of the foot map at the base point and projects none of them.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     B, D = Z.shape

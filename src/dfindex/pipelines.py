@@ -230,8 +230,8 @@ class Run:
                "sigmaSize": self.sigma.size}
         if self.entry.sigma_kind == "RealCurve":
             chart = self.entry.charts.get("curve")
-            crep = real_curve_certify(dom, chart, eta, slack=self.slack,
-                                      geometry=self.curve_geometry)
+            crep = real_curve_certify(self.curve_geometry, eta,
+                                      slack=self.slack)
             psi = curve_psi_from_report(dom, chart, crep,
                                         self.entry.sigma_distance)
             out["curve"] = crep.to_json()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
-from dfindex.certify import oracle_stencils, rho_terms
+from dfindex.certify import curve_geometry, oracle_stencils, rho_terms
 from dfindex.cohomology import build_potential, classify
 from dfindex.distance import delta_jet
 from references import leaf_sources
@@ -31,6 +31,12 @@ def worm():
 @pytest.fixture(scope="session")
 def quartic():
     return zoo.make_quartic_circle()
+
+
+@pytest.fixture(scope="session")
+def quartic_curve(quartic):
+    """The real-curve certificate's geometry on the quartic's circle."""
+    return curve_geometry(quartic.domain, quartic.charts["curve"])
 
 
 @pytest.fixture(scope="session")

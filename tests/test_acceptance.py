@@ -246,11 +246,10 @@ def test_criterion_7_residual_sequence(bidisc, bidisc_package):
               f"diverging constant shifts leave them unchanged")
 
 
-def test_criterion_8_real_curve_certificate(quartic):
+def test_criterion_8_real_curve_certificate(quartic_curve):
     details = []
     for eta in (0.5, 0.99):
-        rep = real_curve_certify(quartic.domain, quartic.charts["curve"],
-                                 eta)
+        rep = real_curve_certify(quartic_curve, eta)
         assert rep.certified
         assert np.all(rep.lhs <= -rep.C_eta + rep.slack)
         details.append(f"eta={eta}: max LHS {rep.max_lhs:.3f} <= "
@@ -258,14 +257,15 @@ def test_criterion_8_real_curve_certificate(quartic):
     report(8, "; ".join(details))
 
 
-def test_criterion_9_cross_validation(ball, bidisc, quartic, bidisc_package):
+def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
+                                      bidisc_package):
     """Every boundary-certified (domain, eta, psi) is oracle-certified on
     meshes at distance >= d0; d0 is reported per domain."""
     bands = [(0.02, 0.05), (0.05, 0.1), (0.1, 0.15)]
     certified = []
     certified.append(("ball", 0.99, ZeroPsi(), ball))
     certified.append(("bidisc", 0.99, bidisc_package["psi"], bidisc))
-    crep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
+    crep = real_curve_certify(quartic_curve, 0.99)
     assert crep.certified
     certified.append(("quartic", 0.99,
                       curve_psi_from_report(quartic.domain,

@@ -234,10 +234,10 @@ def _two_projection_jet(domain, psi, mesh):
 
 
 @pytest.fixture(scope="module")
-def oracle_psis(bidisc, bidisc_leaf_field, quartic):
+def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
     collar = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
-    rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
+    rep = real_curve_certify(quartic_curve, 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
     curve = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
@@ -248,8 +248,7 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic):
 # per-point bounds on |oracle - reference| over the point's largest
 # reference entry, for the Wirtinger gradient and the mixed Hessian, at
 # about three times the values measured on the meshes below: collar 1.7e-5
-# and 6.8e-6, where e^psi spans eight decades; curve 2.2e-10 and 1.8e-9
-# (1.6e-9 when the stencil nodes were projected).
+# and 6.8e-6, where e^psi spans eight decades; curve 2.2e-10 and 1.8e-9.
 # The reference's own truncation dominates: against numeric_jet at a
 # quarter of its step, the oracle's worst collar entry moves from 33 to
 # 0.66.  Dropping the cross terms d delta (x) dbar psi + d psi (x) dbar
@@ -264,9 +263,10 @@ def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     mesh = entry.interior_mesh(40, seed=7)
     value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
     ref = _two_projection_jet(entry.domain, psi, mesh)
-    # value: psi at z - delta n, the projected foot up to rounding, and the
-    # same arithmetic
-    np.testing.assert_array_equal(value, ref.value)
+    # value: psi at z - delta n, which is the projected foot up to
+    # rounding, and the same arithmetic; 0 ulps apart on these meshes
+    np.testing.assert_allclose(value, ref.value, rtol=4 * np.finfo(float).eps,
+                               atol=0)
     for got, want, tol in zip((wgrad, mixed), (ref.wgrad, ref.mixed),
                               ORACLE_REF_TOL[kind]):
         err = np.abs(got - want).reshape(len(mesh), -1).max(axis=1)
@@ -346,9 +346,10 @@ def test_taylor_feet_converge_at_order_three(name, request):
 
 
 def test_oracle_stencil_feet_stay_near_their_base_foot(worm):
-    # regression: projected worm stencil nodes could take feet that are
-    # not nearest, up to 17.6 h from the base point's foot (31 nodes
-    # beyond 4 h); the Taylor feet stay within 4.7 h
+    # projecting these stencil nodes gives some of them feet that are not
+    # nearest (foot_points' known defect), up to 17.6 h from the base
+    # point's foot and 31 nodes beyond 4 h; the Taylor feet stay within
+    # 4.7 h
     mesh = worm.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     delta = delta_jet(worm.domain, mesh, order=3)
     for st in oracle_stencils(worm.domain, mesh, delta):
@@ -483,17 +484,6 @@ def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
     assert len(calls) == 1
 
 
-def test_curve_geometry_reused_report_unchanged(quartic):
-    chart = quartic.charts["curve"]
-    geom = certify.curve_geometry(quartic.domain, chart)
-    for eta in (0.5, 0.99):
-        own = real_curve_certify(quartic.domain, chart, eta)
-        reused = real_curve_certify(quartic.domain, chart, eta,
-                                    geometry=geom)
-        assert own.to_json() == reused.to_json()
-        np.testing.assert_array_equal(own.lhs, reused.lhs)
-
-
 def test_certify_pipeline_exit_semantics(ball, worm):
     rb = certify_domain(ball, 0.99, mesh_count=400, oracle_count=300)
     assert rb["certified"]
@@ -586,11 +576,10 @@ def test_residual_sequence_worm_bounded_below(worm):
 # real-curve certificate
 # ---------------------------------------------------------------------------
 
-def test_curve_certificate_quartic(quartic):
+def test_curve_certificate_quartic(quartic_curve):
     reports = {}
     for eta in (0.5, 0.99):
-        rep = real_curve_certify(quartic.domain, quartic.charts["curve"],
-                                 eta)
+        rep = real_curve_certify(quartic_curve, eta)
         assert rep.certified
         assert rep.max_lhs <= -rep.C_eta + rep.slack
         assert rep.case == "transversal"
@@ -600,20 +589,20 @@ def test_curve_certificate_quartic(quartic):
 
 def test_curve_certificate_ball_not_a_curve(ball):
     with pytest.raises(NotACurve):
-        real_curve_certify(ball.domain, None, 0.5)
+        certify.curve_geometry(ball.domain, None)
 
 
-def test_curve_psi_cross_validation(quartic):
-    rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.99)
+def test_curve_psi_cross_validation(quartic, quartic_curve):
+    rep = real_curve_certify(quartic_curve, 0.99)
     psi = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
                                 rep, quartic.sigma_distance)
     mesh = quartic.interior_mesh(400, seed=6)
     assert oracle(quartic.domain, mesh, psi, 0.99).certified
 
 
-def test_curve_quartic_transversal_quantities(quartic):
+def test_curve_quartic_transversal_quantities(quartic_curve):
     # derived: g(nabla_nu nu, dt) = 0 along the circle, a(t) = 1
-    rep = real_curve_certify(quartic.domain, quartic.charts["curve"], 0.5)
+    rep = real_curve_certify(quartic_curve, 0.5)
     assert np.max(np.abs(rep.g_t)) < 1e-6
     np.testing.assert_allclose(rep.a_values, np.ones_like(rep.a_values),
                                atol=1e-6)

@@ -100,9 +100,9 @@ def test_curve_command(tmp_path):
 
 
 def test_certify_quartic_oracle_at_rounding_level(tmp_path):
-    # the oracle's psi stencils no longer carry projection residuals, which
-    # the second differences amplified by 1/h^2 to minScaled -3.8e-10;
-    # now -9.2e-17
+    # psi's stencil feet carry no projection residual for the second
+    # differences to amplify by 1/h^2: minScaled is -9.2e-17 (projected
+    # feet give -3.8e-10)
     code = main(["certify", "--domain", "quartic_circle",
                  "--out", str(tmp_path)])
     assert code == 0

@@ -3,20 +3,18 @@
 Usage, from anywhere:
 
     python3 tools/bench_collect.py --label NAME [--checkout DIR] \
-        [--seeds 71 72 73 74] [--seconds 6] [--trace-seconds 8] \
-        [--skip-tier1] [--out DIR]
+        [--seeds 71 72 73 74] [--seconds 6] [--out DIR]
 
 For every workload in the checkout's perfbench/workloads.py and every seed,
 it runs the checkout's own perfbench/run.py with --trace 0, and once per
-workload (first seed) with --trace 1.  The file it writes holds:
+workload (first seed) with --trace 1 for TRACE_SECONDS.  The file it writes holds:
 
 - the environment, as run.py records it;
 - per workload and per seed, run.py's medians of run_s, setup_s and
   peak_rss_mb with correct/attempted/failed, and per workload the median of
   each metric over the seeds;
 - the traced run's per-layer metrics;
-- the Tier-1 wall time (ROADMAP.md's command) with pytest's summary line,
-  unless --skip-tier1.
+- the Tier-1 wall time (ROADMAP.md's command) with pytest's summary line.
 
 Two BENCH files from the same machine are the unit of a performance claim.
 The host's speed drifts over minutes, so collect the two in close
@@ -37,6 +35,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
+TRACE_SECONDS = 8.0
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 
@@ -78,7 +77,7 @@ def _tier1(checkout):
             "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def collect(checkout, label, seeds, seconds, trace_seconds, tier1=True):
+def collect(checkout, label, seeds, seconds):
     env = None
     workloads = {}
     for name in _workloads(checkout):
@@ -93,7 +92,7 @@ def collect(checkout, label, seeds, seconds, trace_seconds, tier1=True):
             print(f"{label} {name} seed {seed}: " + ", ".join(
                 f"{k} {row[k]:.4g}" for k in END_TO_END)
                 + f", failed {row['failed']}", file=sys.stderr)
-        traced, _ = _perfbench(checkout, name, seeds[0], trace_seconds, 1)
+        traced, _ = _perfbench(checkout, name, seeds[0], TRACE_SECONDS, 1)
         workloads[name] = {
             "median": {k: statistics.median(r[k] for r in per_seed.values())
                        for k in END_TO_END},
@@ -106,12 +105,10 @@ def collect(checkout, label, seeds, seconds, trace_seconds, tier1=True):
                                    traced["metrics"].items()}},
         }
     out = {"label": label, "env": env, "seconds": seconds,
-           "trace_seconds": trace_seconds, "seeds": list(seeds),
-           "workloads": workloads}
-    if tier1:
-        out["tier1"] = _tier1(checkout)
-        print(f"{label} tier-1: {out['tier1']['wall_s']:.1f} s, "
-              f"{out['tier1']['summary']}", file=sys.stderr)
+           "trace_seconds": TRACE_SECONDS, "seeds": list(seeds),
+           "workloads": workloads, "tier1": _tier1(checkout)}
+    print(f"{label} tier-1: {out['tier1']['wall_s']:.1f} s, "
+          f"{out['tier1']['summary']}", file=sys.stderr)
     return out
 
 
@@ -122,16 +119,13 @@ def main(argv=None):
                    help="root of the dfindex checkout to measure")
     p.add_argument("--seeds", type=int, nargs="+", default=[71, 72, 73, 74])
     p.add_argument("--seconds", type=float, default=6.0)
-    p.add_argument("--trace-seconds", type=float, default=8.0)
-    p.add_argument("--skip-tier1", action="store_true")
     p.add_argument("--out", default=REPO,
                    help="directory that receives BENCH_<label>.json")
     args = p.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
         p.error(f"{checkout} has no perfbench/run.py")
-    data = collect(checkout, args.label, args.seeds, args.seconds,
-                   args.trace_seconds, tier1=not args.skip_tier1)
+    data = collect(checkout, args.label, args.seeds, args.seconds)
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
