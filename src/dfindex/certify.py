@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import delta_jet, foot_points, normal_n
+from .distance import boundary_jet, delta_jet, normal_n
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
 from .jets import DomainSpec, Jet, WirtingerJet, third_contraction
@@ -152,7 +152,7 @@ class CriterionEvaluator:
         if self.K == 0:
             return
         P = sigma.points
-        jet = delta_jet(domain, P, order=3)
+        jet = boundary_jet(domain, P, order=3)
         N = normal_n(jet)
         self.dirs = []           # flat list of (sample index, L)
         for k in range(self.K):
@@ -612,8 +612,9 @@ class CurveGeometry:
 
 def curve_geometry(domain: DomainSpec,
                    curve: SigmaChart | None) -> CurveGeometry:
-    """The geometry step of real_curve_certify: projects the curve samples
-    once and takes three order-2 delta-jets, whatever the eta."""
+    """The geometry step of real_curve_certify, whatever the eta: order-2
+    delta-jets at the curve samples, which lie on the boundary, and at the
+    samples moved by +- FD_STEP along J dt, which are projected once."""
     if curve is None or curve.kind != "real" or curve.m != 1:
         raise NotACurve("the degenerate set is not a parametrized real curve")
     if domain.n != 2:
@@ -621,8 +622,7 @@ def curve_geometry(domain: DomainSpec,
     tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
     U = tg[:, None]
     P = curve.embed_batch(U)
-    feet, _ = foot_points(domain, P, ambiguity_check=False)
-    jet = delta_jet(domain, feet, order=2)
+    jet = boundary_jet(domain, P, order=2)
     xi = curve.tangents(U)[:, 0, :]
     # classification of the tangent against the complex tangent space
     overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
@@ -643,8 +643,8 @@ def curve_geometry(domain: DomainSpec,
     dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
     fd = FD_STEP * domain.scale
     Jhat = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True), 1e-300)
-    jet_p = delta_jet(domain, feet + fd * Jhat, order=2)
-    jet_m = delta_jet(domain, feet - fd * Jhat, order=2)
+    jet_p = delta_jet(domain, P + fd * Jhat, order=2)
+    jet_m = delta_jet(domain, P - fd * Jhat, order=2)
     _, gj_p = nu_pairings(jet_p, xi)
     _, gj_m = nu_pairings(jet_m, xi)
     rate = np.linalg.norm(JX, axis=1) / (2 * fd)

@@ -3,10 +3,12 @@ normal field.
 
 The signed distance delta is negative inside the domain.  Feet are found by a
 gradient-flow predictor followed by Newton on the constrained nearest-point
-system.  delta-jets to order 3 come from one projection per point: the
-classical closed form of the distance's derivatives in terms of the
-defining function's jet at the foot (Gilbarg-Trudinger section 14.6;
-Krantz-Parks, Distance to C^k hypersurfaces), exact to machine precision.
+system.  delta-jets to order 3 come from the classical closed form of the
+distance's derivatives in terms of the defining function's jet at the foot
+(Gilbarg-Trudinger section 14.6; Krantz-Parks, Distance to C^k
+hypersurfaces), exact to machine precision.  delta_jet projects each
+interior point once; boundary_jet takes points already on the boundary as
+their own feet and projects none.
 """
 
 from __future__ import annotations
@@ -297,18 +299,11 @@ def _focal_frame(domain: DomainSpec, feet, d, order):
 
 
 def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
-    """Jets of the signed distance at collar points z (single or batch).
-
-    Each point is projected once; the jet is built in closed form from the
-    defining function's AD jet at the foot p.  With g = grad rho(p),
-    n = g/|g|, P = I - n n^T and the shape operator W = P Hess rho P / |g|:
-    grad delta = n and Hess delta = W (I + delta W)^-1 (Gilbarg-Trudinger
-    Lemma 14.17).  The third derivative differentiates that identity along
-    dp/dz = (I + delta W)^-1 P, which needs Hess rho and the third tensor of
-    rho at p only.  Raises StencilLeak when |delta| exceeds the collar, the
-    projection does not converge, or I + delta W is not positive definite
-    (z at or past a focal point, where the foot is not a nearest point).
-    """
+    """Jets of the signed distance at collar points z (single or batch):
+    each point is projected once, and the jet is built at its foot.  Points
+    on the boundary need no projection: see boundary_jet.  Raises
+    StencilLeak when |delta| exceeds the collar, the projection does not
+    converge, or z is at or past a focal point."""
     Z = np.atleast_2d(np.asarray(z, dtype=float))
     try:
         feet, _ = foot_points(domain, Z, ambiguity_check=False)
@@ -318,11 +313,33 @@ def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
     if np.any(np.abs(d) > domain.collar_width):
         raise StencilLeak(f"{int((np.abs(d) > domain.collar_width).sum())} "
                           "point(s) outside the collar")
+    return _jet_at_feet(domain, feet, d, order)
+
+
+def boundary_jet(domain: DomainSpec, P, order=2) -> WirtingerJet:
+    """Jets of the signed distance at boundary points P, their own feet
+    (delta = 0, grad delta = n, Hess delta = W).  Raises StencilLeak unless
+    |rho(P)| <= _KKT_REQUIRED * scale, as for a projection's feet."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    off = np.abs(domain.value(P)) > _KKT_REQUIRED * domain.scale
+    if np.any(off):
+        raise StencilLeak(f"{int(off.sum())} point(s) off the boundary")
+    return _jet_at_feet(domain, P, np.zeros(P.shape[0]), order)
+
+
+def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
+    """delta's jet at signed distance d from the feet, in closed form from
+    rho's AD jet at the foot p.  With g = grad rho(p), n = g/|g|,
+    P = I - n n^T and W = P Hess rho P / |g|: grad delta = n and
+    Hess delta = W (I + delta W)^-1 (Gilbarg-Trudinger Lemma 14.17); the
+    third derivative differentiates that along dp/dz = (I + delta W)^-1 P.
+    Raises StencilLeak at or past a focal point (I + delta W not positive
+    definite), where the foot is not a nearest point."""
     rj, gn, n, P, W, M, focal = _focal_frame(domain, feet, d, order)
     if np.any(focal):
         raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
                           "point of the boundary")
-    B, D = Z.shape
+    B, D = feet.shape
     if order < 2:
         return WirtingerJet(d, n)
     Minv = np.linalg.inv(M)
@@ -397,7 +414,7 @@ def boundary_batch(domain: DomainSpec, Z, order=2,
     """Project points to the boundary and attach delta-jets (vectorized)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     feet, res = foot_points(domain, Z, ambiguity_check=ambiguity_check)
-    jet = delta_jet(domain, feet, order=order)
+    jet = boundary_jet(domain, feet, order=order)
     return BoundaryBatch(domain, feet, jet, res)
 
 

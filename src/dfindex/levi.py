@@ -10,6 +10,9 @@ from .distance import BoundaryBatch, BoundaryPoint, boundary_batch
 from .errors import NotPseudoconvex
 from .jets import DomainSpec
 
+# detect_sigma's noise floor, relative to the mesh's largest |eigenvalue|
+LEVI_NOISE = 1e-9
+
 
 def tangent_frames(N):
     """Deterministic orthonormal (1,0) tangent frames, batched.
@@ -50,24 +53,6 @@ def levi_spectrum(batch: BoundaryBatch):
     return w, V, frames
 
 
-def levi_min_via_rho(domain: DomainSpec, P):
-    """Minimal restricted Levi eigenvalue via the defining function.
-
-    On the boundary, Hess_delta(X, Y) = Hess_rho(X, Y)/|grad rho| for
-    tangent X, Y, so the restricted Levi spectrum can be evaluated from
-    forward-mode jets of rho exactly, without a projection; used for
-    pseudoconvexity alarms.
-    """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    jet = domain.jet(P, order=2)
-    w = jet.wgrad
-    s = np.sqrt(np.einsum("kj,kj->k", w, np.conj(w)).real)
-    N = np.conj(w) / np.maximum(s[:, None], 1e-300)
-    M, _ = levi_matrix(jet, N)
-    M = M / (2.0 * s)[:, None, None]
-    return np.linalg.eigvalsh(M)[:, 0]
-
-
 @dataclass
 class SigmaPointSet:
     """Boundary points with nearly-degenerate Levi forms."""
@@ -78,7 +63,7 @@ class SigmaPointSet:
     null_directions: list        # per point: (k_i, n) near-null tangent dirs
     batch: BoundaryBatch         # jets of the members (order 2)
     threshold: float
-    levi_scale: float            # median positive eigenvalue over the mesh
+    levi_scale: float            # median eigenvalue above the noise floor
     negative_count: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -108,25 +93,27 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
     """All mesh points whose minimal restricted Levi eigenvalue is below the
     threshold, with their near-null directions.
 
-    Default threshold: 1e-6 x (median positive eigenvalue over the mesh).
-    Raises NotPseudoconvex when eigenvalues below -threshold appear.
+    The mesh is projected once, and the restricted Levi spectrum comes from
+    the delta-jets at the feet; its smallest eigenvalue decides both the
+    membership and the NotPseudoconvex alarm, raised when eigenvalues below
+    -threshold appear.  Default threshold: 1e-6 x levi_scale, the median
+    eigenvalue above the noise floor LEVI_NOISE x max |eigenvalue|, so that
+    rounding-level values on Sigma do not count as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     batch = boundary_batch(domain, mesh, order=order)
     w, V, frames = levi_spectrum(batch)
     lam_min = w[:, 0]
-    pos = w[w > 0]
+    pos = w[w > LEVI_NOISE * np.max(np.abs(w), initial=0.0)]
     levi_scale = float(np.median(pos)) if pos.size else 1.0
     if threshold is None:
         threshold = 1e-6 * levi_scale
-    # alarm on the exact defining-function route (tangent-pair identity)
-    lam_exact = levi_min_via_rho(domain, batch.positions)
-    neg = int(np.sum(lam_exact < -threshold))
+    neg = int(np.sum(lam_min < -threshold))
     if neg:
         raise NotPseudoconvex(
             f"{neg} boundary sample(s) with Levi eigenvalue < -{threshold:.2e}"
-            f" (min {float(lam_exact.min()):.3e})")
-    keep = np.flatnonzero(lam_exact < threshold)
+            f" (min {float(lam_min.min()):.3e})")
+    keep = np.flatnonzero(lam_min < threshold)
     nulls = []
     for k in keep:
         kk = int(np.sum(w[k] < threshold))

@@ -3,8 +3,9 @@ Hessian, and its closedness residual.
 
 Complex charts use interleaved parameters (x1, y1, ..., xm, ym) and are
 expected to embed holomorphically; real charts use (t1, ..., tm).  Chart
-derivatives of boundary fields use centered differences of boundary-projected
-stencils.
+derivatives of boundary fields use centered differences in the chart
+parameters.  Chart embeddings lie on the boundary, so the fields take their
+delta-jets there directly (distance.boundary_jet) and project nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distance import delta_jet, foot_points, normal_n
+from .distance import boundary_jet, normal_n
 from .errors import ChartMismatch, StencilLeak
 from .jets import DomainSpec, WirtingerJet
 from .util import complex_pack
@@ -99,18 +100,10 @@ class SigmaChart:
 # boundary fields
 # ---------------------------------------------------------------------------
 
-def _snap(chart, U):
-    """Embed chart parameters and project back onto the boundary."""
-    P = chart.embed_batch(U)
-    feet, _ = foot_points(chart.domain, P, ambiguity_check=False)
-    return feet
-
-
 def h_field(chart: SigmaChart, U):
     """Normal-Hessian field h_j = Hess_delta(N, W_j) on the chart, (K, m)."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    P = _snap(chart, U)
-    jet = delta_jet(chart.domain, P, order=2)
+    jet = boundary_jet(chart.domain, chart.embed_batch(U), order=2)
     N = normal_n(jet)
     W = chart.tangents(U)
     H = jet.mixed
@@ -164,8 +157,7 @@ def real_one_form_at(chart: SigmaChart, u):
     if chart.kind != "real":
         raise ChartMismatch("the real 1-form needs a real chart")
     U = np.atleast_2d(np.asarray(u, dtype=float))
-    P = _snap(chart, U)
-    jet = delta_jet(chart.domain, P, order=2)
+    jet = boundary_jet(chart.domain, chart.embed_batch(U), order=2)
     xi = chart.tangents(U)
     gx, _ = nu_pairings(jet, xi)
     out = 0.25 * gx

@@ -2,7 +2,8 @@
 
 Closed-form and symbolic jets of the zoo's defining and distance functions,
 centred finite-difference jets of black-box functions (their stencil, nodes
-and Richardson assembly), the criterion's terms at one boundary point, the
+and Richardson assembly), the restricted Levi minimum from the defining
+function, the criterion's terms at one boundary point, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
 cycle check, and loop reparametrisations.
@@ -22,9 +23,9 @@ from dfindex.certify import PsiStencil
 from dfindex.distance import BoundaryPoint, delta_jet, foot_points, normal_n
 from dfindex.errors import ChartMismatch, HypothesisFail, NonFinite, \
     NotDegenerate, OrderTooLow
-from dfindex.jets import WirtingerJet, third_contraction
+from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
 from dfindex.levi import levi_matrix
-from dfindex.sigma import SigmaChart, _snap, h_field, nu_pairings
+from dfindex.sigma import SigmaChart, h_field, nu_pairings
 from dfindex.util import complex_pack, complex_unpack
 
 
@@ -361,6 +362,24 @@ def hess(jet: WirtingerJet, A, B):
     return np.einsum("kij,ki,kj->k", H, A, np.conj(B))
 
 
+def levi_min_via_rho(domain: DomainSpec, P):
+    """Minimal restricted Levi eigenvalue via the defining function.
+
+    On the boundary, Hess_delta(X, Y) = Hess_rho(X, Y)/|grad rho| for
+    tangent X, Y, so the restricted Levi spectrum can be evaluated from
+    forward-mode jets of rho exactly, without a projection: the second route
+    that detect_sigma's delta-jet spectrum is checked against.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    jet = domain.jet(P, order=2)
+    w = jet.wgrad
+    s = np.sqrt(np.einsum("kj,kj->k", w, np.conj(w)).real)
+    N = np.conj(w) / np.maximum(s[:, None], 1e-300)
+    M, _ = levi_matrix(jet, N)
+    M = M / (2.0 * s)[:, None, None]
+    return np.linalg.eigvalsh(M)[:, 0]
+
+
 @dataclass
 class LeviDecomposition:
     """Tangent frame, restricted Levi matrix and its spectrum at one point."""
@@ -552,7 +571,7 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
     """
     U = np.atleast_2d(np.asarray(u, dtype=float))
     dom = chart.domain
-    P = _snap(chart, U)
+    P = chart.embed_batch(U)
     jet = delta_jet(dom, P, order=2)
     N = normal_n(jet)
     xi = chart.tangents(U)          # (K, m, n)
@@ -613,7 +632,7 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
 def _h_and_g(chart, U, j):
     """(h_j, g(.,X_j), g(.,Y_j)) at chart parameters U for direction j."""
     dom = chart.domain
-    P = _snap(chart, U)
+    P = chart.embed_batch(U)
     jet = delta_jet(dom, P, order=2)
     N = normal_n(jet)
     xi = chart.tangents(U)[:, j, :]

@@ -10,12 +10,14 @@ from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
                              ZeroPsi, caccioppoli_check, coordinate_descent,
                              curve_psi_from_report, interior_psh_oracle,
                              oracle_stencils, real_curve_certify, rho_terms)
-from dfindex import certify, cohomology, distance, pipelines, sigma
+from dfindex import certify, cohomology, distance, pipelines
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import delta_jet, signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
+from dfindex.levi import detect_sigma
 from dfindex.pipelines import (FAMILY_BOX, ORACLE_DEPTH, Run, certify_domain,
                                default_psi_for, estimate_domain, sigma_scan)
+from dfindex.sigma import theta_components
 from references import numeric_jet, residual_sequence
 
 
@@ -285,7 +287,7 @@ def _counting_foot_points(monkeypatch):
         rows.append(np.atleast_2d(Z).shape[0])
         return original(domain, Z, *args, **kwargs)
 
-    for module in (distance, certify, cohomology, sigma):
+    for module in (distance, cohomology):
         monkeypatch.setattr(module, "foot_points", counting)
     return rows
 
@@ -305,13 +307,27 @@ def test_oracle_projects_each_mesh_point_once(oracle_psis, monkeypatch):
     assert rows == [mesh.shape[0]]
 
 
-def test_criterion_build_projects_only_its_samples(worm, worm_sigma,
-                                                   monkeypatch):
+def test_criterion_build_projects_nothing(worm, worm_sigma, monkeypatch):
+    # the Sigma samples are feet, so their jets need no projection
     rows = _counting_foot_points(monkeypatch)
     ev = CriterionEvaluator(worm.domain, worm_sigma)
-    assert rows == [worm_sigma.size]
     ev.lhs(ZeroPsi(), 0.5)
-    assert rows == [worm_sigma.size]
+    assert rows == []
+
+
+def test_detect_sigma_projects_its_mesh_once(worm, monkeypatch):
+    mesh = worm.boundary_mesh(300, 4)
+    rows = _counting_foot_points(monkeypatch)
+    detect_sigma(worm.domain, mesh)
+    assert rows == [len(mesh)]
+
+
+def test_theta_components_projects_nothing(worm, monkeypatch):
+    chart = worm.charts["log_polar"]
+    U, _ = chart.grid(9)
+    rows = _counting_foot_points(monkeypatch)
+    theta_components(chart, U)
+    assert rows == []
 
 
 def _projected_stencil_feet(domain, mesh, stencil, fields):
@@ -453,7 +469,7 @@ def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
         return original(domain, Z, *args, **kwargs)
 
     monkeypatch.setattr(quartic, "interior_mesh", keeping)
-    for module in (distance, certify, cohomology, sigma):
+    for module in (distance, cohomology):
         monkeypatch.setattr(module, "foot_points", counting)
     cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
                            oracle_count=100)

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dfindex import zoo
-from dfindex.distance import boundary_batch, project_to_boundary
+from dfindex.distance import (boundary_batch, foot_points,
+                              project_to_boundary)
 from dfindex.errors import NotDegenerate, NotPseudoconvex, OrderTooLow
 from dfindex.jets import DomainSpec, jhinge_pow
-from dfindex.levi import detect_sigma, levi_min_via_rho
+from dfindex.levi import detect_sigma, levi_spectrum
 from dfindex.util import complex_pack, complex_unpack
-from references import (ball_delta_jet, levi_decompose, mixed_term,
-                        null_cross_residual, third_term, third_term_field)
+from references import (ball_delta_jet, levi_decompose, levi_min_via_rho,
+                        mixed_term, null_cross_residual, third_term,
+                        third_term_field)
 
 
 def test_ball_levi_decomposition(ball):
@@ -184,10 +186,22 @@ def test_delta_levi_matches_rho_route(zoo_entries):
     for entry in zoo_entries:
         P = entry.boundary_mesh(300, seed=9)
         batch = boundary_batch(entry.domain, P, order=2)
-        from dfindex.levi import levi_spectrum
         w, _, _ = levi_spectrum(batch)
         lam = levi_min_via_rho(entry.domain, batch.positions)
         assert np.max(np.abs(w[:, 0] - lam)) < 1e-12
+
+
+def test_levi_scale_ignores_rounding_noise(worm):
+    # 150 of the mesh's eigenvalues, on Sigma, are rounding noise below
+    # 1e-12 (the rest are above 4e-7), and re-projecting the feet flips the
+    # signs of some: the median of all positive values is 0.07341 at the
+    # feet and 0.07163 at the re-projected feet; the noise-floor median
+    # counts neither
+    mesh = worm.boundary_mesh(600, 0)
+    feet, _ = foot_points(worm.domain, mesh, ambiguity_check=False)
+    w = levi_spectrum(boundary_batch(worm.domain, mesh, order=2))[0]
+    scales = [detect_sigma(worm.domain, P).levi_scale for P in (mesh, feet)]
+    assert scales[0] == scales[1] == np.median(w[w > 1e-12])
 
 
 # ---------------------------------------------------------------------------

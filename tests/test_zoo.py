@@ -10,8 +10,8 @@ import pytest
 from conftest import sample_box_points
 from dfindex import zoo
 from dfindex.errors import BetaTooSmall
-from dfindex.levi import detect_sigma, levi_min_via_rho
-from references import ball_delta_jet, oracle_jet
+from dfindex.levi import detect_sigma
+from references import ball_delta_jet, levi_min_via_rho, oracle_jet
 
 
 def test_zoo_ids():

@@ -9,7 +9,8 @@ For every workload in the checkout's perfbench/workloads.py and every seed,
 it runs the checkout's own perfbench/run.py with --trace 0, and once per
 workload (first seed) with --trace 1 for TRACE_SECONDS.  The file it writes holds:
 
-- the environment, as run.py records it;
+- the environment, as run.py records it, with PYTHONDONTWRITEBYTECODE (when
+  it is set, no bytecode cache is written, so every set-up compiles src/);
 - per workload and per seed, run.py's medians of run_s, setup_s and
   peak_rss_mb with correct/attempted/failed, and per workload the median of
   each metric over the seeds;
@@ -84,7 +85,8 @@ def collect(checkout, label, seeds, seconds):
         per_seed = {}
         for seed in seeds:
             result, detail = _perfbench(checkout, name, seed, seconds, 0)
-            env = env or detail["env"]
+            env = env or dict(detail["env"], PYTHONDONTWRITEBYTECODE=(
+                os.environ.get("PYTHONDONTWRITEBYTECODE")))
             row = {k: result["metrics"][k]["value"] for k in END_TO_END}
             row.update({k: result[k]
                         for k in ("correct", "attempted", "failed")})
