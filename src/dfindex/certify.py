@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import boundary_jet, delta_jet, normal_n
+from .distance import boundary_jet, normal_n
 from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
                      TangencyUnresolved)
 from .jets import DomainSpec, Jet, WirtingerJet, third_contraction
 from .levi import SigmaPointSet
-from .sigma import SigmaChart, nu_pairings
+from .sigma import SigmaChart, nu_field, nu_pairings
 from .util import bump_c3, complex_unpack
 
 # ---------------------------------------------------------------------------
@@ -46,8 +46,7 @@ def _psi_values(psi, feet):
 
 
 # finite-difference step, in units of domain.scale, of the criterion's psi
-# stencil (the interior oracle's stencils take it and its half) and of the
-# curve certificate's ambient derivative
+# stencil; the interior oracle's stencils take it and its half
 FD_STEP = 1e-3
 
 
@@ -58,8 +57,8 @@ class PsiStencil:
     domain.scale.  psi enters only through its values at these feet, so
     one stencil serves any number of psi.
 
-    No node is projected.  jet is delta_jet's order-3 jet at the base
-    points, and each node's foot lies on the second-order Taylor model of
+    No node is projected.  jet is the signed distance's order-3 jet at the
+    base points, and each node's foot lies on the second-order Taylor model of
     the nearest-point map p(z) = z - delta grad delta at z:
     p(z +- h u) ~ p +- h Dp u + h^2/2 D^2p(u, u), with n = grad delta,
     G = Hess delta, T its third tensor, Dp = I - n n^T - delta G and
@@ -274,9 +273,10 @@ def _levi_fields(n):
 def oracle_stencils(domain: DomainSpec, mesh, delta: WirtingerJet):
     """psi's stencils around the oracle mesh at steps FD_STEP and
     FD_STEP / 2 (in units of domain.scale): the real axes and _levi_fields,
-    17 nodes per mesh point and step in C^2.  delta is delta_jet's order-3
-    jet at the mesh; the nodes' feet come from its Taylor model of the
-    foot map, so building the stencils projects nothing."""
+    17 nodes per mesh point and step in C^2.  delta is the signed
+    distance's order-3 jet at the mesh; the nodes' feet come from its
+    Taylor model of the foot map, so building the stencils projects
+    nothing."""
     fields = _levi_fields(domain.n)
     return tuple(PsiStencil(domain, mesh, delta, fields, step)
                  for step in (FD_STEP, FD_STEP / 2))
@@ -304,8 +304,8 @@ def rho_terms(delta: WirtingerJet, stencils, psi):
     """(value, Wirtinger gradient, mixed Hessian) of rho = delta e^psi at
     the oracle mesh, psi extended constantly along foot fibres.
 
-    delta is delta_jet's order-3 jet at the mesh, of which only the
-    order-2 blocks enter here; psi's gradient and Levi matrix are
+    delta is the signed distance's order-3 jet at the mesh, of which only
+    the order-2 blocks enter here; psi's gradient and Levi matrix are
     differenced on oracle_stencils' two steps with one Richardson level,
     and the product rule gives
     d dbar rho = e^psi (d dbar delta + d delta (x) dbar psi
@@ -612,9 +612,10 @@ class CurveGeometry:
 
 def curve_geometry(domain: DomainSpec,
                    curve: SigmaChart | None) -> CurveGeometry:
-    """The geometry step of real_curve_certify, whatever the eta: order-2
-    delta-jets at the curve samples, which lie on the boundary, and at the
-    samples moved by +- FD_STEP along J dt, which are projected once."""
+    """The geometry step of real_curve_certify, whatever the eta, from one
+    order-3 delta-jet at the curve samples, which lie on the boundary and
+    are their own feet: nothing is projected, and the ambient derivative of
+    g(nabla_nu nu, J dt) along J dt is exact."""
     if curve is None or curve.kind != "real" or curve.m != 1:
         raise NotACurve("the degenerate set is not a parametrized real curve")
     if domain.n != 2:
@@ -622,7 +623,7 @@ def curve_geometry(domain: DomainSpec,
     tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
     U = tg[:, None]
     P = curve.embed_batch(U)
-    jet = boundary_jet(domain, P, order=2)
+    jet = boundary_jet(domain, P, order=3)
     xi = curve.tangents(U)[:, 0, :]
     # classification of the tangent against the complex tangent space
     overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
@@ -638,17 +639,16 @@ def curve_geometry(domain: DomainSpec,
         raise TangencyUnresolved("rotated tangent nearly parallel to the "
                                  "curve while the tangent is not complex")
     g_t, g_j = nu_pairings(jet, xi)
-    # D(t): curve steps and ambient steps
+    # D(t): curve steps, and the exact derivative along JX of nu_field,
+    # which is bilinear in delta's gradient and Hessian
     dt = tg[1] - tg[0]
     dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
-    fd = FD_STEP * domain.scale
-    Jhat = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True), 1e-300)
-    jet_p = delta_jet(domain, P + fd * Jhat, order=2)
-    jet_m = delta_jet(domain, P - fd * Jhat, order=2)
-    _, gj_p = nu_pairings(jet_p, xi)
-    _, gj_m = nu_pairings(jet_m, xi)
-    rate = np.linalg.norm(JX, axis=1) / (2 * fd)
-    dgj = (gj_p - gj_m) * rate
+    H = jet.rhess
+    Hv = np.einsum("kab,kb->ka", H, JX)
+    Tv = np.einsum("kabc,kc->kab", jet.rthird, JX)
+    dw = nu_field(WirtingerJet(jet.value, Hv, H)) \
+        + nu_field(WirtingerJet(jet.value, jet.rgrad, Tv))
+    dgj = np.einsum("kj,kj->k", np.conj(xi), dw).imag
     return CurveGeometry(case=case, t_values=tg, g_t=g_t, a_values=-g_j,
                          Dt=dgt + dgj)
 

@@ -170,7 +170,6 @@ def _cmd_scan(cfg):
         "threshold": sigma.threshold,
         "leviScale": sigma.levi_scale,
         "meshPitch": mesh_pitch(mesh),
-        "negativeCount": sigma.negative_count,
     }
     return 0, res
 

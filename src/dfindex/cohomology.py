@@ -397,7 +397,7 @@ def collar_psi(domain, phi: PotentialField, to_chart, width=None) -> ChartPsi:
         P = leaf.chart.embed_batch(leaf.params[:8])
         g = domain.jet(P, order=1).rgrad
         nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
-        foot_points(domain, P - width * nhat, ambiguity_check=True)
+        foot_points(domain, P - width * nhat)
     except AmbiguousFoot as exc:
         raise CollarTooWide(f"ambiguous feet inside the collar: {exc}")
     return ChartPsi(to_chart, lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t))

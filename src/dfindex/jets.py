@@ -7,8 +7,8 @@ exact to machine precision, batched over points.  Called on plain arrays, the
 same evaluators give the values alone.  No finite differences live here:
 the signed distance's jets come in closed form from distance.delta_jet and
 distance.boundary_jet, and psi's derivatives from certify.PsiStencil, which
-differences psi at feet on the Taylor model of the foot map that
-delta_jet's order-3 jet gives.
+differences psi at feet on the Taylor model of the foot map that the
+signed distance's order-3 jet gives.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
@@ -439,10 +439,12 @@ class DomainSpec:
             raise TypeError("evaluator is not jet-generic")
         B, D = P.shape
         g = out.g if out.g is not None else np.zeros((B, D))
-        h = out.h if out.h is not None else np.zeros((B, D, D))
-        t = out.t if out.t is not None else np.zeros((B, D, D, D))
-        wj = WirtingerJet(out.v, g, h if order >= 2 else None,
-                          t if order >= 3 else None)
+        h = t = None
+        if order >= 2:
+            h = out.h if out.h is not None else np.zeros((B, D, D))
+        if order >= 3:
+            t = out.t if out.t is not None else np.zeros((B, D, D, D))
+        wj = WirtingerJet(out.v, g, h, t)
         if not np.all(np.isfinite(wj.value)) or not np.all(np.isfinite(wj.rgrad)):
             raise NonFinite("non-finite jet")
         return wj

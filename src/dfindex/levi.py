@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import BoundaryBatch, BoundaryPoint, boundary_batch
+from .distance import BoundaryBatch, BoundaryPoint, boundary_jet
 from .errors import NotPseudoconvex
 from .jets import DomainSpec
 
@@ -64,7 +64,6 @@ class SigmaPointSet:
     batch: BoundaryBatch         # jets of the members (order 2)
     threshold: float
     levi_scale: float            # median eigenvalue above the noise floor
-    negative_count: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -93,15 +92,16 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
     """All mesh points whose minimal restricted Levi eigenvalue is below the
     threshold, with their near-null directions.
 
-    The mesh is projected once, and the restricted Levi spectrum comes from
-    the delta-jets at the feet; its smallest eigenvalue decides both the
+    The mesh lies on the boundary, so its points are their own feet
+    (distance.boundary_jet) and nothing is projected.  The restricted Levi
+    spectrum of their delta-jets decides, by its smallest eigenvalue, both the
     membership and the NotPseudoconvex alarm, raised when eigenvalues below
     -threshold appear.  Default threshold: 1e-6 x levi_scale, the median
     eigenvalue above the noise floor LEVI_NOISE x max |eigenvalue|, so that
     rounding-level values on Sigma do not count as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-    batch = boundary_batch(domain, mesh, order=order)
+    batch = BoundaryBatch(domain, mesh, boundary_jet(domain, mesh, order))
     w, V, frames = levi_spectrum(batch)
     lam_min = w[:, 0]
     pos = w[w > LEVI_NOISE * np.max(np.abs(w), initial=0.0)]
@@ -128,6 +128,5 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
         batch=member_batch,
         threshold=float(threshold),
         levi_scale=levi_scale,
-        negative_count=neg,
     )
     return sub

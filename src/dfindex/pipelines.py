@@ -15,13 +15,13 @@ from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
                       real_curve_certify, rho_terms)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
-from .distance import delta_jet
+from .distance import _jet_at_feet, signed_distance_from_feet
 from .errors import ChartMismatch
 from .levi import detect_sigma
 from .zoo import ZooEntry
 
 # depth band of the interior oracle's mesh below the boundary; it ends
-# inside every zoo entry's collar, where delta_jet is defined
+# inside every zoo entry's collar, where delta has a jet
 ORACLE_DEPTH = (0.04, 0.12)
 # box |c_i| <= FAMILY_BOX of the family search's basis coefficients
 FAMILY_BOX = 1.0
@@ -62,12 +62,6 @@ def potential_for(entry: ZooEntry, verdict=None, res=9):
     sources = [ThetaSource(c) for c in charts]
     base = 0.5 * (charts[0].lo + charts[0].hi)
     return build_potential(sources, base, verdict, res=res)
-
-
-def default_psi_for(entry: ZooEntry):
-    """certify's candidate psi: (psi, provenance, period verdict)."""
-    run = Run(entry)
-    return run.default_psi + (run.verdict,)
 
 
 def _family_basis(entry: ZooEntry):
@@ -163,18 +157,23 @@ class Run:
 
     @cached_property
     def interior_mesh(self):
+        """(points, verified nearest feet) of the oracle's mesh."""
         return self.entry.interior_mesh(self.oracle_count, self.seed + 1,
                                         depth=ORACLE_DEPTH)
 
     @cached_property
     def oracle_delta(self):
-        """delta_jet's order-3 jet at the interior mesh: its order-2 blocks
-        feed rho_terms, all of it the psi stencils' feet."""
-        return delta_jet(self.entry.domain, self.interior_mesh, order=3)
+        """delta's order-3 jet at the interior mesh, built at the feet the
+        mesh carries without projecting again: its order-2 blocks feed
+        rho_terms, all of it the psi stencils' feet."""
+        dom = self.entry.domain
+        mesh, feet = self.interior_mesh
+        return _jet_at_feet(dom, feet,
+                            signed_distance_from_feet(dom, mesh, feet), 3)
 
     @cached_property
     def oracle_stencils(self):
-        return oracle_stencils(self.entry.domain, self.interior_mesh,
+        return oracle_stencils(self.entry.domain, self.interior_mesh[0],
                                self.oracle_delta)
 
     def oracle(self, eta, psi):
@@ -286,22 +285,3 @@ class Run:
                               eta_grid=grid, slack=self.slack,
                               diagnostics=diagnostics)
 
-
-def certify_domain(entry: ZooEntry, eta, mesh_count=2000, seed=0,
-                   oracle_count=800, slack=None, oracle_slack=1e-6):
-    """Full certification pipeline at one exponent.
-
-    Returns a dict report with the criterion, oracle, and verdict pieces;
-    'certified' is True only when both checks pass.
-    """
-    return Run(entry, mesh_count, seed, oracle_count, slack,
-               oracle_slack).certify(eta)
-
-
-def estimate_domain(entry: ZooEntry, eta_grid=None, mesh_count=2000, seed=0,
-                    oracle_count=800, slack=None,
-                    oracle_slack=1e-6) -> IndexCertificate:
-    """estimate pipeline: search psi candidates per eta ascending."""
-    return Run(entry, mesh_count, seed, oracle_count, slack,
-               oracle_slack).estimate(
-        DEFAULT_ETA_GRID if eta_grid is None else eta_grid)

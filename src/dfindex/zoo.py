@@ -33,7 +33,7 @@ class ZooEntry:
     charts: dict = field(default_factory=dict)
     loops: dict = field(default_factory=dict)     # name -> (chart_name, params, closed)
     boundary_mesh: Callable | None = None         # (count, seed) -> (B, 4)
-    interior_mesh: Callable | None = None         # (count, seed, depth) -> (B, 4)
+    interior_mesh: Callable | None = None         # (count, seed, depth) -> (Q, feet)
     sigma_distance: Callable | None = None        # ambient P -> distance to Sigma
     sigma_coords: Callable | None = None          # boundary P -> (U, t, edge)
     notes: dict = field(default_factory=dict)
@@ -52,9 +52,11 @@ class ZooEntry:
 
 
 def _inward_mesh(dom, P, seed, depth):
-    """March boundary points inward and keep only those with reliable,
-    unambiguous projections (clear of the medial axis)."""
-    from .distance import cut_locus_mask
+    """March boundary points P inward to Q = P - d n and keep Q only where
+    its verified nearest foot is P (distance.verified_feet), so that d is
+    Q's distance to the boundary and Q has a delta-jet.  Returns the kept
+    points and their feet stacked, (B, 2, D)."""
+    from .distance import verified_feet
 
     rng = rng_for(seed + 1)
     jet = dom.jet(P, order=1)
@@ -62,9 +64,21 @@ def _inward_mesh(dom, P, seed, depth):
     nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
     d = rng.uniform(depth[0], depth[1], P.shape[0])
     Q = P - d[:, None] * nhat
-    Q = Q[dom.value(Q) < -1e-9]
-    keep = ~cut_locus_mask(dom, Q)
-    return Q[keep]
+    inside = dom.value(Q) < -1e-9
+    Q, P = Q[inside], P[inside]
+    keep, feet = verified_feet(dom, Q, P)
+    return np.stack([Q[keep], feet[keep]], axis=1)
+
+
+def _interior_mesh_of(dom, boundary_mesh):
+    """An entry's interior_mesh: (points, feet) of _inward_mesh from the
+    entry's boundary mesh."""
+    def interior_mesh(count, seed=0, depth=(0.04, 0.12)):
+        mesh = _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
+        # contiguous copies of the stack's strided halves
+        return mesh[:, 0].copy(), mesh[:, 1].copy()
+
+    return interior_mesh
 
 
 def _uniform_disc(rng, count, radius):
@@ -99,11 +113,13 @@ def make_ball(radius=1.0) -> ZooEntry:
         return radius * v
 
     def interior_mesh(count, seed=0, depth=(0.05, 0.5)):
+        """(points, feet): the feet are radius v, nearest for every depth
+        below radius."""
         rng = rng_for(seed)
         v = rng.normal(size=(count, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         d = rng.uniform(depth[0], depth[1], count) * radius
-        return (radius - d)[:, None] * v
+        return (radius - d)[:, None] * v, radius * v
 
     return ZooEntry(
         id="ball", domain=dom, sigma_kind="Empty",
@@ -154,9 +170,6 @@ def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
         a = rng.uniform(0, 2 * np.pi, count)
         return np.stack([x1, y1, rad2 * np.cos(a), rad2 * np.sin(a)], axis=1)
 
-    def interior_mesh(count, seed=0, depth=(0.04, 0.12)):
-        return _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
-
     c = 0.65 * r   # leaf chart half-width, keeps the box inside |z1| < r
     leaf_labels = np.linspace(0.0, 2 * np.pi, 9)[:-1]
     charts = {}
@@ -204,7 +217,8 @@ def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
 
     entry = ZooEntry(
         id="bidisc", domain=dom, sigma_kind="Foliation", charts=charts,
-        loops=loops, boundary_mesh=boundary_mesh, interior_mesh=interior_mesh,
+        loops=loops, boundary_mesh=boundary_mesh,
+        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
         sigma_distance=sigma_distance, sigma_coords=sigma_coords,
         notes={"sigma": "{|z2|=1, |z1|<=r} foliated by discs z2=const",
                "theta": "vanishes identically on the leaves",
@@ -273,9 +287,6 @@ def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
         z1 = -np.exp(1j * u) + rad * np.exp(1j * th)
         z2 = np.exp(u / 2) * np.exp(1j * ph)
         return complex_unpack(np.stack([z1, z2], axis=1))
-
-    def interior_mesh(count, seed=0, depth=(0.04, 0.12)):
-        return _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
 
     half = 0.45 * a
 
@@ -346,7 +357,8 @@ def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
     entry = ZooEntry(
         id="worm", domain=dom, sigma_kind="ComplexSubmanifold",
         charts={"log_polar": log_polar, "patch": patch}, loops=loops,
-        boundary_mesh=boundary_mesh, interior_mesh=interior_mesh,
+        boundary_mesh=boundary_mesh,
+        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
         sigma_distance=sigma_distance, sigma_coords=sigma_coords,
         notes={
             "sigma": "annulus {z1=0, |log|z2|^2| <= beta - pi/2}",
@@ -383,9 +395,6 @@ def make_quartic_circle() -> ZooEntry:
         z2 = np.sqrt(np.maximum(1 - s ** 4, 0)) * np.exp(1j * ph)
         return complex_unpack(np.stack([z1, z2], axis=1))
 
-    def interior_mesh(count, seed=0, depth=(0.04, 0.12)):
-        return _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
-
     def embed_curve(U):
         U = np.atleast_2d(U)
         out = np.zeros((U.shape[0], 4))
@@ -410,7 +419,8 @@ def make_quartic_circle() -> ZooEntry:
     entry = ZooEntry(
         id="quartic_circle", domain=dom, sigma_kind="RealCurve",
         charts={"curve": curve}, boundary_mesh=boundary_mesh,
-        interior_mesh=interior_mesh, sigma_distance=sigma_distance,
+        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
+        sigma_distance=sigma_distance,
         notes={"sigma": "real curve {z1=0, |z2|=1}",
                "levi_ambient": "complex Hessian of rho is diag(4|z1|^2, 1)"})
     return entry

@@ -4,7 +4,7 @@ import pytest
 from dfindex import zoo
 from dfindex.certify import curve_geometry, oracle_stencils, rho_terms
 from dfindex.cohomology import build_potential, classify
-from dfindex.distance import delta_jet
+from dfindex.distance import _jet_at_feet, signed_distance_from_feet
 from references import leaf_sources
 
 
@@ -88,7 +88,10 @@ class Shifted:
 
 
 def oracle_terms(domain, mesh, psi):
-    """The interior oracle's (value, wgrad, mixed) of delta e^psi at mesh,
-    built as pipelines.Run builds them."""
-    delta = delta_jet(domain, mesh, order=3)
-    return rho_terms(delta, oracle_stencils(domain, mesh, delta), psi)
+    """The interior oracle's (value, wgrad, mixed) of delta e^psi at the
+    mesh, (points, feet) as an entry's interior_mesh returns it, built as
+    pipelines.Run builds them: delta's jet at the feet, no projection."""
+    points, feet = mesh
+    d = signed_distance_from_feet(domain, points, feet)
+    delta = _jet_at_feet(domain, feet, d, 3)
+    return rho_terms(delta, oracle_stencils(domain, points, delta), psi)

@@ -670,7 +670,7 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
                      leaf_label=chart.leaf_label, name=chart.name + "_inner")
     U, shape = sub.grid(res)
     P = sub.embed_batch(U)
-    feet, _ = foot_points(domain, P, ambiguity_check=False)
+    feet, _ = foot_points(domain, P)
     h = h_field(sub, U)[:, 0]
     Ls = sub.tangents(U)[:, 0, :]
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)

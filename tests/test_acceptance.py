@@ -29,8 +29,7 @@ from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
 from dfindex.distance import boundary_batch, delta_jet
 from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import (default_psi_for, estimate_domain, periods_for,
-                               sigma_scan)
+from dfindex.pipelines import Run, periods_for, sigma_scan
 from dfindex.sigma import dtheta_residual, h_field
 from references import (HFieldSource, ball_delta_jet, chart_compat_residuals,
                         levi_decompose, measured_orders, null_cross_residual,
@@ -49,8 +48,9 @@ def report(criterion, detail):
 def bidisc_package(bidisc):
     """Shared bidisc pipeline artifacts: sigma set, verdict, psi = -2 phi."""
     sigma = sigma_scan(bidisc, 3000, seed=0)
-    psi, provenance, verdict = default_psi_for(bidisc)
-    return {"sigma": sigma, "psi": psi, "verdict": verdict,
+    run = Run(bidisc)
+    psi, provenance = run.default_psi
+    return {"sigma": sigma, "psi": psi, "verdict": run.verdict,
             "provenance": provenance}
 
 
@@ -90,10 +90,10 @@ def test_criterion_1_ball_baseline_and_normal_properties(zoo_entries, ball):
 
 
 def test_criterion_2_ball_certification(ball):
-    cert = estimate_domain(ball, eta_grid=(0.5, 0.75, 0.9, 0.95, 0.99),
-                           mesh_count=2000, oracle_count=800)
+    cert = Run(ball, mesh_count=2000, oracle_count=800).estimate(
+        (0.5, 0.75, 0.9, 0.95, 0.99))
     assert cert.bound >= 0.99
-    mesh = ball.interior_mesh(MESH_N, seed=102)
+    mesh, _ = ball.interior_mesh(MESH_N, seed=102)
     jet = ball.domain.jet(mesh, order=2)
     orep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                                slack_rel=1e-10)

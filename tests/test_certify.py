@@ -3,20 +3,19 @@ residual sequence, and the real-curve certificate."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import Shifted, oracle_terms
 from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
                              ZeroPsi, caccioppoli_check, coordinate_descent,
                              curve_psi_from_report, interior_psh_oracle,
-                             oracle_stencils, real_curve_certify, rho_terms)
-from dfindex import certify, cohomology, distance, pipelines
+                             oracle_stencils, real_curve_certify)
+from dfindex import certify, distance, pipelines, zoo
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.distance import delta_jet, signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import (FAMILY_BOX, ORACLE_DEPTH, Run, certify_domain,
-                               default_psi_for, estimate_domain, sigma_scan)
+from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
 from dfindex.sigma import theta_components
 from references import numeric_jet, residual_sequence
 
@@ -33,7 +32,7 @@ def bidisc_sigma(bidisc):
 
 @pytest.fixture(scope="module")
 def bidisc_psi(bidisc):
-    psi, provenance, verdict = default_psi_for(bidisc)
+    psi, provenance = Run(bidisc).default_psi
     assert "potential" in provenance
     return psi
 
@@ -125,24 +124,28 @@ def test_criterion_invariant_under_psi_shift(worm_evaluator, worm_family_psi,
 @given(coef=st.lists(st.floats(-FAMILY_BOX, FAMILY_BOX), min_size=8,
                      max_size=8),
        eta=st.floats(0.05, 0.99))
+@example(coef=[0.0] * 7 + [6.83e-8], eta=0.125)
 def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
     # the family search's objective on the columns (G, Q) against the
     # criterion on the psi they stand for, sample by sample; the two routes
     # round stencil values of size at most sum_i |c_i| max|b_i|, and second
     # differences carry that rounding as size eps / h^2, as in
-    # test_criterion_invariant_under_psi_shift
+    # test_criterion_invariant_under_psi_shift.  lhs_dirs adds psi's terms
+    # to third_field whatever c is, so the sums round at eps max|LHS| too
+    # (error 1.7e-18 at the example, where the first term is 2.8e-19)
     ev = worm_run.evaluator
     G, Q = worm_run.family_columns
     assert G.shape == Q.shape == (len(ev.Ls), len(coef))
     c = np.array(coef)
     sizes = [np.abs(worm_run.family_member(e).at_feet(ev.stencil.feet)).max()
              for e in np.eye(len(c))]
-    tol = 2.0 * float(np.abs(c) @ sizes) * np.finfo(float).eps \
-        / ev.stencil.h ** 2
     dirs = ev.lhs_dirs(G @ c, Q @ c, eta)
     per_sample = np.full(ev.K, -np.inf)
     np.maximum.at(per_sample, ev.sample_index, dirs)
     ref = ev.lhs(worm_run.family_member(c), eta)
+    eps = np.finfo(float).eps
+    tol = 2.0 * float(np.abs(c) @ sizes) * eps / ev.stencil.h ** 2 \
+        + eps * float(np.abs(ref).max())
     assert np.max(np.abs(per_sample - ref)) <= tol
     assert abs(dirs.max() - ref.max()) <= tol
 
@@ -173,7 +176,7 @@ def oracle(domain, mesh, psi, eta, slack_rel=1e-6):
 
 
 def test_ball_oracle_with_algebraic_override(ball):
-    mesh = ball.interior_mesh(10000, seed=2)
+    mesh, _ = ball.interior_mesh(10000, seed=2)
     jet = ball.domain.jet(mesh, order=2)
     rep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                               slack_rel=1e-10)
@@ -208,13 +211,16 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
 
 @pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
 def test_oracle_reads_delta_jet_with_zero_psi(name, request):
-    # with psi = 0, rho = delta: the oracle's arrays are delta_jet's
-    # order-2 blocks, bit for bit, although the oracle takes the order-3 jet
-    # that its psi stencils need
+    # with psi = 0, rho = delta: the oracle's arrays are the order-2 blocks
+    # of delta's jet at the mesh's feet, bit for bit, although the oracle
+    # takes the order-3 jet that its psi stencils need; those feet are
+    # foot_points' (test_interior_mesh_feet_are_the_projections), so this
+    # is delta_jet's order-2 jet but for the ball's rounding
     entry = request.getfixturevalue(name)
-    mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
-    jet = delta_jet(entry.domain, mesh, order=2)
-    value, wgrad, mixed = oracle_terms(entry.domain, mesh, ZeroPsi())
+    mesh, feet = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    d = distance.signed_distance_from_feet(entry.domain, mesh, feet)
+    jet = distance._jet_at_feet(entry.domain, feet, d, 2)
+    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), ZeroPsi())
     np.testing.assert_array_equal(value, jet.value)
     np.testing.assert_array_equal(wgrad, jet.wgrad)
     np.testing.assert_array_equal(mixed, jet.mixed)
@@ -222,7 +228,7 @@ def test_oracle_reads_delta_jet_with_zero_psi(name, request):
 
 def _psi_at(domain, psi, P):
     """psi at ambient points, through their own projection."""
-    feet, _ = distance.foot_points(domain, P, ambiguity_check=False)
+    feet, _ = distance.foot_points(domain, P)
     return psi.at_feet(feet)
 
 
@@ -262,8 +268,8 @@ ORACLE_REF_TOL = {"collar": (5e-5, 2e-5), "curve": (1e-9, 5e-9)}
 @pytest.mark.parametrize("kind", ["collar", "curve"])
 def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     entry, psi = oracle_psis[kind]
-    mesh = entry.interior_mesh(40, seed=7)
-    value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
+    mesh, feet = entry.interior_mesh(40, seed=7)
+    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), psi)
     ref = _two_projection_jet(entry.domain, psi, mesh)
     # value: psi at z - delta n, which is the projected foot up to
     # rounding, and the same arithmetic; 0 ulps apart on these meshes
@@ -278,54 +284,54 @@ def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
 
 
-def _counting_foot_points(monkeypatch):
-    """Rows of every foot_points call from here on, in call order."""
+def _counting_projections(monkeypatch):
+    """Rows of every projection from here on, in call order: foot_points
+    and the mesh's verified_feet both go through _nearest_feet."""
     rows = []
-    original = distance.foot_points
+    original = distance._nearest_feet
 
-    def counting(domain, Z, *args, **kwargs):
+    def counting(domain, Z):
         rows.append(np.atleast_2d(Z).shape[0])
-        return original(domain, Z, *args, **kwargs)
+        return original(domain, Z)
 
-    for module in (distance, cohomology):
-        monkeypatch.setattr(module, "foot_points", counting)
+    monkeypatch.setattr(distance, "_nearest_feet", counting)
     return rows
 
 
 def test_oracle_projects_each_mesh_point_once(oracle_psis, monkeypatch):
     entry, psi = oracle_psis["collar"]
+    rows = _counting_projections(monkeypatch)
     mesh = entry.interior_mesh(30, seed=8)
-    rows = _counting_foot_points(monkeypatch)
-    delta = delta_jet(entry.domain, mesh, order=3)
-    stencils = oracle_stencils(entry.domain, mesh, delta)
-    # the mesh once for delta_jet; psi's stencil nodes take their feet
-    # from delta's Taylor model of the foot map
-    assert rows == [mesh.shape[0]]
+    # the mesh's candidates once, to verify their feet
+    assert len(rows) == 1 and 30 >= rows[0] >= len(mesh[0])
+    value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
+    # the oracle builds delta's jet at the mesh's feet, and psi's stencil
+    # nodes take their feet from delta's Taylor model of the foot map
     for eta in (0.5, 0.99):
-        interior_psh_oracle(*rho_terms(delta, stencils, psi), eta,
-                            slack_rel=1e-6)
-    assert rows == [mesh.shape[0]]
+        interior_psh_oracle(value, wgrad, mixed, eta, slack_rel=1e-6)
+    assert len(rows) == 1
 
 
 def test_criterion_build_projects_nothing(worm, worm_sigma, monkeypatch):
     # the Sigma samples are feet, so their jets need no projection
-    rows = _counting_foot_points(monkeypatch)
+    rows = _counting_projections(monkeypatch)
     ev = CriterionEvaluator(worm.domain, worm_sigma)
     ev.lhs(ZeroPsi(), 0.5)
     assert rows == []
 
 
-def test_detect_sigma_projects_its_mesh_once(worm, monkeypatch):
+def test_detect_sigma_projects_nothing(worm, monkeypatch):
+    # the boundary mesh's points are their own feet
     mesh = worm.boundary_mesh(300, 4)
-    rows = _counting_foot_points(monkeypatch)
+    rows = _counting_projections(monkeypatch)
     detect_sigma(worm.domain, mesh)
-    assert rows == [len(mesh)]
+    assert rows == []
 
 
 def test_theta_components_projects_nothing(worm, monkeypatch):
     chart = worm.charts["log_polar"]
     U, _ = chart.grid(9)
-    rows = _counting_foot_points(monkeypatch)
+    rows = _counting_projections(monkeypatch)
     theta_components(chart, U)
     assert rows == []
 
@@ -336,8 +342,7 @@ def _projected_stencil_feet(domain, mesh, stencil, fields):
     nodes = [mesh]
     for u in (*np.eye(mesh.shape[1]), *fields):
         nodes += [mesh + h * u, mesh - h * u]
-    feet, _ = distance.foot_points(domain, np.concatenate(nodes),
-                                   ambiguity_check=False)
+    feet, _ = distance.foot_points(domain, np.concatenate(nodes))
     return feet
 
 
@@ -346,10 +351,9 @@ def test_taylor_feet_converge_at_order_three(name, request):
     # the stencils' feet sit on the foot map's second-order Taylor model,
     # so they miss the projected feet by O(h^3): halving h divides the
     # median gap by 8 (7.99-8.01 measured; 1.4e-8, 7.3e-9 and 6.2e-8 in
-    # units of domain.scale at FD_STEP).  The median passes over the worm
-    # nodes whose projection is not the nearest foot.
+    # units of domain.scale at FD_STEP).
     entry = request.getfixturevalue(name)
-    mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    mesh, _ = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     delta = delta_jet(entry.domain, mesh, order=3)
     fields = certify._levi_fields(entry.domain.n)
     gaps = []
@@ -362,11 +366,8 @@ def test_taylor_feet_converge_at_order_three(name, request):
 
 
 def test_oracle_stencil_feet_stay_near_their_base_foot(worm):
-    # projecting these stencil nodes gives some of them feet that are not
-    # nearest (foot_points' known defect), up to 17.6 h from the base
-    # point's foot and 31 nodes beyond 4 h; the Taylor feet stay within
-    # 4.7 h
-    mesh = worm.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    # the Taylor feet stay within 4.7 h of the base point's foot
+    mesh, _ = worm.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     delta = delta_jet(worm.domain, mesh, order=3)
     for st in oracle_stencils(worm.domain, mesh, delta):
         feet = st.feet.reshape(-1, len(mesh), mesh.shape[1])
@@ -385,21 +386,21 @@ def test_mesh_outside_raises(ball):
 # ---------------------------------------------------------------------------
 
 def test_estimate_ball(ball):
-    cert = estimate_domain(ball, eta_grid=(0.5, 0.99), mesh_count=500,
-                           oracle_count=400)
+    cert = Run(ball, mesh_count=500,
+               oracle_count=400).estimate((0.5, 0.99))
     assert cert.bound >= 0.99
 
 
 def test_estimate_bidisc(bidisc):
-    cert = estimate_domain(bidisc, eta_grid=(0.5, 0.99), mesh_count=1000,
-                           oracle_count=400)
+    cert = Run(bidisc, mesh_count=1000,
+               oracle_count=400).estimate((0.5, 0.99))
     assert cert.bound >= 0.99
     assert cert.records[-1]["psi"] == "collar potential"
 
 
 def test_estimate_worm_obstructed(worm):
-    cert = estimate_domain(worm, eta_grid=(0.9, 0.99), mesh_count=1000,
-                           oracle_count=300)
+    cert = Run(worm, mesh_count=1000,
+               oracle_count=300).estimate((0.9, 0.99))
     assert cert.bound < 0.99
     assert "obstruction" in cert.diagnostics
     assert abs(cert.diagnostics["obstruction"]["periods"][0]
@@ -415,8 +416,8 @@ def test_estimate_builds_one_evaluator(worm, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(certify.CriterionEvaluator, "__init__", counting)
-    cert = estimate_domain(worm, eta_grid=DEFAULT_ETA_GRID, mesh_count=400,
-                           oracle_count=20)
+    cert = Run(worm, mesh_count=400,
+               oracle_count=20).estimate()
     # the family search ran at every eta, on the run's one evaluator
     assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
     assert len(builds) == 1
@@ -431,8 +432,8 @@ def test_estimate_evaluates_psi_on_the_stencil_18_times(worm, monkeypatch):
         return differences(self, psi)
 
     monkeypatch.setattr(certify.PsiStencil, "differences", counting)
-    cert = estimate_domain(worm, eta_grid=DEFAULT_ETA_GRID, mesh_count=400,
-                           oracle_count=20)
+    cert = Run(worm, mesh_count=400,
+               oracle_count=20).estimate()
     assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
     # one column per basis function, then the zero and the family psi are
     # scored at each eta; the search itself never evaluates psi
@@ -448,41 +449,61 @@ def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(quartic, "interior_mesh", counting)
-    cert = estimate_domain(quartic, mesh_count=200, oracle_count=100)
+    cert = Run(quartic, mesh_count=200, oracle_count=100).estimate()
     assert [r["certified"] for r in cert.records] == [True] * 5
     assert len(calls) == 1
 
 
+def _projections_in_and_out_of_mesh(monkeypatch):
+    """(rows projected while the interior mesh is built, rows projected
+    anywhere else, candidate rows of each mesh build) from here on."""
+    inside, outside, candidates = [], [], []
+    original = distance._nearest_feet
+    build = zoo._inward_mesh
+    building = []
+
+    def counting(domain, Z):
+        (inside if building else outside).append(len(Z))
+        return original(domain, Z)
+
+    def inward_mesh(dom, P, seed, depth):
+        building.append(1)
+        try:
+            return build(dom, P, seed, depth)
+        finally:
+            building.pop()
+            candidates.append(len(P))
+
+    monkeypatch.setattr(distance, "_nearest_feet", counting)
+    monkeypatch.setattr(zoo, "_inward_mesh", inward_mesh)
+    return inside, outside, candidates
+
+
 def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
-    meshes = []
-    build = quartic.interior_mesh
-
-    def keeping(*args, **kwargs):
-        meshes.append(build(*args, **kwargs))
-        return meshes[-1]
-
-    calls = []
-    original = distance.foot_points
-
-    def counting(domain, Z, *args, **kwargs):
-        calls.append(np.atleast_2d(Z))
-        return original(domain, Z, *args, **kwargs)
-
-    monkeypatch.setattr(quartic, "interior_mesh", keeping)
-    for module in (distance, cohomology):
-        monkeypatch.setattr(module, "foot_points", counting)
-    cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
-                           oracle_count=100)
+    # the Sigma scan and the curve geometry project nothing, the oracle
+    # takes the feet its mesh carries, and building the mesh projects each
+    # candidate point once (those still inside after the inward march)
+    inside, outside, candidates = _projections_in_and_out_of_mesh(
+        monkeypatch)
+    run = Run(quartic, mesh_count=200, oracle_count=100)
+    cert = run.estimate(DEFAULT_ETA_GRID)
     assert [r["certified"] for r in cert.records] == [True] * 5
-    mesh = meshes[0]
-    B = len(mesh)
-    assert B > 50
-    # the oracle ran at every eta on one projection per mesh point
-    # (delta_jet's); the curve certificate's own projections do not start
-    # with the mesh
-    oracle_rows = [len(Z) for Z in calls
-                   if len(Z) >= B and np.array_equal(Z[:B], mesh)]
-    assert oracle_rows == [B]
+    assert outside == []
+    assert len(inside) == 1 and candidates == [100]
+    assert 100 >= inside[0] >= len(run.interior_mesh[0]) > 50
+
+
+def test_certify_projects_only_the_oracle_mesh(worm, monkeypatch):
+    # the same on the worm's criterion branch: the Sigma scan, theta's
+    # periods and the criterion project nothing
+    inside, outside, candidates = _projections_in_and_out_of_mesh(
+        monkeypatch)
+    run = Run(worm, mesh_count=400, oracle_count=60)
+    report = run.certify(0.5)
+    assert report["sigmaSize"] > 0 and report["oracle"]["points"] > 40
+    assert outside == []
+    assert len(inside) == 1 and candidates == [60]
+    assert 60 >= inside[0] >= report["oracle"]["points"]
 
 
 def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
@@ -494,16 +515,16 @@ def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pipelines, "curve_geometry", counting)
-    cert = estimate_domain(quartic, eta_grid=DEFAULT_ETA_GRID, mesh_count=200,
-                           oracle_count=100)
+    cert = Run(quartic, mesh_count=200,
+               oracle_count=100).estimate()
     assert [r["certified"] for r in cert.records] == [True] * 5
     assert len(calls) == 1
 
 
 def test_certify_pipeline_exit_semantics(ball, worm):
-    rb = certify_domain(ball, 0.99, mesh_count=400, oracle_count=300)
+    rb = Run(ball, mesh_count=400, oracle_count=300).certify(0.99)
     assert rb["certified"]
-    rw = certify_domain(worm, 0.99, mesh_count=800, oracle_count=300)
+    rw = Run(worm, mesh_count=800, oracle_count=300).certify(0.99)
     assert not rw["certified"]
     assert rw["obstruction"]["classification"] == "Obstructed"
 

@@ -416,9 +416,9 @@ def test_collar_psi_smooth_across_leaf_labels(bidisc, bidisc_leaf_field):
     # blend measures 0.24 at most.
     psi = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
     step = 5e-5
-    line = (bidisc.interior_mesh(40, seed=9)[38][None]
+    line = (bidisc.interior_mesh(40, seed=9)[0][38][None]
             + np.outer(np.arange(-200, 201) * step, [0.0, 0.0, 1.0, 0.0]))
-    feet, _ = foot_points(bidisc.domain, line, ambiguity_check=False)
+    feet, _ = foot_points(bidisc.domain, line)
     _, t, _ = bidisc.sigma_coords(feet)
     assert t.min() < np.pi / 4 < t.max()
     v = psi.at_feet(feet)

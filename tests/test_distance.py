@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfindex import distance, zoo
-from dfindex.distance import (boundary_batch, boundary_jet, cut_locus_mask,
-                              delta_jet, foot_points, normal_n,
-                              project_to_boundary, signed_distance)
+from dfindex.distance import (boundary_batch, boundary_jet, delta_jet,
+                              foot_points, normal_n, project_to_boundary,
+                              signed_distance, verified_feet)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
 from dfindex.pipelines import ORACLE_DEPTH
 from references import (THIRD_STEP_FACTOR, _stencil, ball_delta_jet, hess,
@@ -46,7 +46,7 @@ def _bidisc_boundary_param(bidisc, X):
 
 def test_bidisc_foot_matches_dense_search(bidisc):
     # independent oracle: dense parametric grid search with local zooming
-    Z = bidisc.interior_mesh(8, seed=1)
+    Z, _ = bidisc.interior_mesh(8, seed=1)
     feet, _ = foot_points(bidisc.domain, Z)
     R_mesh = 1.05
     coarse = np.stack(np.meshgrid(np.linspace(-R_mesh, R_mesh, 41),
@@ -93,54 +93,78 @@ def test_ambiguous_foot_at_center(ball):
         project_to_boundary(ball.domain, np.zeros(4))
 
 
-def test_cut_locus_mask(ball):
-    pts = np.array([[0.0, 0, 0, 0], [0.5, 0, 0, 0]])
-    mask = cut_locus_mask(ball.domain, pts)
-    assert mask[0] and not mask[1]
-
-
 def test_interior_mesh_drops_points_past_a_focal_point(worm):
-    # both restarts agree on one point of this mesh whose foot is past a
-    # focal point (I + delta W not positive definite); the mask drops it,
-    # so every kept point has a delta-jet
-    mesh = worm.interior_mesh(300, 0, depth=ORACLE_DEPTH)
+    # the mesh keeps a point only short of a focal point of its foot by a
+    # margin (one candidate of this mesh is dropped for it), so every kept
+    # point has a delta-jet
+    mesh, _ = worm.interior_mesh(300, 0, depth=ORACLE_DEPTH)
     assert len(mesh) > 250
     delta_jet(worm.domain, mesh, order=2)
 
 
-# a node of the order-2 difference stencil around worm.interior_mesh(200, 7,
-# depth=ORACLE_DEPTH)[117], 0.011 from that mesh point
+# a worm point with a stationary foot 0.366 away, where a single Newton seed
+# converges, and a boundary point 0.087 away (NEAR_FOOT)
 NON_NEAREST_Z = np.array([1.1219770751814555, 0.9533157821189099,
                           0.13872159430291453, -0.3106343997250747])
+NEAR_FOOT = np.array([1.1476709515325525, 0.9445739538723105,
+                      0.17252771475502177, -0.38633525932407126])
 
 
-@pytest.fixture(scope="module")
-def non_nearest_feet(worm):
-    """(z, the foot foot_points returns for z, the foot of the nearby mesh
-    point)."""
-    mesh = worm.interior_mesh(200, 7, depth=ORACLE_DEPTH)
-    near, _ = foot_points(worm.domain, mesh[117:118], ambiguity_check=False)
-    feet, res = foot_points(worm.domain, NON_NEAREST_Z[None],
-                            ambiguity_check=False)
+def test_foot_points_returns_a_nearest_foot(worm):
+    # the seeds find a foot 0.0547 from z, with residual 1.1e-16
+    z = NON_NEAREST_Z
+    assert abs(worm.domain.value(NEAR_FOOT[None])[0]) < 1e-12
+    feet, res = foot_points(worm.domain, z[None])
     assert res[0] < 1e-12
-    return NON_NEAREST_Z, feet[0], near[0]
+    assert np.linalg.norm(feet[0] - z) <= np.linalg.norm(NEAR_FOOT - z)
 
 
-def test_non_nearest_foot_is_flagged_by_the_cut_locus_mask(worm,
-                                                           non_nearest_feet):
-    z, foot, near = non_nearest_feet
-    assert np.linalg.norm(foot - z) > 0.3
-    assert np.linalg.norm(near - z) < 0.1
-    assert cut_locus_mask(worm.domain, z[None])[0]
+def _worm_boundary_distance(worm, Q, samples=20001):
+    """Distance from points Q to the worm's boundary part over a dense grid
+    of u = log|z2|^2: at fixed u that part is the product of the circle
+    |z1 + e^(iu)| = rad(u) and the circle |z2| = e^(u/2), whose distances
+    are closed-form, so the grid's distance bounds Q's from above."""
+    meta = worm.domain.meta
+    u = np.linspace(-meta["u_star"], meta["u_star"], samples)
+    rad = np.sqrt(np.maximum(
+        1.0 - meta["M"] * np.maximum(np.abs(u) - meta["a"], 0.0) ** 4, 0.0))
+    z1 = Q[:, 0] + 1j * Q[:, 1]
+    z2 = np.hypot(Q[:, 2], Q[:, 3])
+    out = np.empty(len(Q))
+    for k in range(len(Q)):
+        d1 = np.abs(z1[k] + np.exp(1j * u)) - rad
+        d2 = np.exp(u / 2) - z2[k]
+        out[k] = np.sqrt(np.min(d1 * d1 + d2 * d2))
+    return out
 
 
-@pytest.mark.xfail(strict=True, reason="foot_points can return a stationary "
-                   "foot that is not a nearest one (see its docstring)")
-def test_foot_points_returns_a_nearest_foot(non_nearest_feet):
-    # a boundary point 0.087 from z exists, yet the returned foot, with
-    # residual 2.6e-15, lies 0.366 from z
-    z, foot, near = non_nearest_feet
-    assert np.linalg.norm(foot - z) <= np.linalg.norm(near - z)
+@pytest.mark.parametrize("count,seed", [(200, 7), (800, 1), (800, 8),
+                                        (800, 12)])
+def test_worm_oracle_mesh_depths_are_nearest_distances(worm, count, seed):
+    # every kept point's constructed depth |Q - P| is at most its distance
+    # to a dense boundary sample (largest excess -1.3e-15 measured).  A
+    # mesh that keeps a point when one Newton seed and a restart agree on
+    # its foot fails this on each of these meshes, at 4 to 11 points and by
+    # up to 0.040
+    mesh, feet = worm.interior_mesh(count, seed, depth=ORACLE_DEPTH)
+    depth = np.linalg.norm(mesh - feet, axis=1)
+    assert np.all(depth >= ORACLE_DEPTH[0] - 1e-9)
+    excess = depth - _worm_boundary_distance(worm, mesh)
+    assert excess.max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["ball", "bidisc", "worm", "quartic"])
+def test_interior_mesh_feet_are_the_projections(name, request):
+    # the mesh carries the feet that foot_points gives, bit for bit, so the
+    # oracle takes delta_jet's jets without projecting again; the ball's
+    # feet, radius v, are its projections to rounding
+    entry = request.getfixturevalue(name)
+    mesh, feet = entry.interior_mesh(100, 3, depth=ORACLE_DEPTH)
+    proj, _ = foot_points(entry.domain, mesh)
+    if name == "ball":
+        np.testing.assert_allclose(proj, feet, rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(proj, feet)
 
 
 def _collar_points(entry, count, seed):
@@ -158,22 +182,29 @@ def _collar_points(entry, count, seed):
 @pytest.mark.parametrize("ambiguity_check", [False, True])
 def test_foot_points_batch_invariant(name, ambiguity_check, request,
                                      monkeypatch):
-    # the oracle projects its stencil nodes in one batch and reuses the feet,
-    # so a point's foot must not depend on the rest of its batch
+    # a point's foot must not depend on the rest of its batch: the mesh
+    # carries the feet its verification projected, and all seeds of a
+    # chunk are polished in one stacked call.  Without the ambiguity check
+    # the route (_nearest_feet) also returns each point's gap between its
+    # nearest feet; with it, foot_points raises where that gap is too large
     dom = request.getfixturevalue(name).domain
     Z = _collar_points(request.getfixturevalue(name), 150, seed=9)
-    feet, res = foot_points(dom, Z, ambiguity_check=ambiguity_check)
+
+    def project(Z):
+        if ambiguity_check:
+            return foot_points(dom, Z)
+        return distance._nearest_feet(dom, Z)
+
+    out = project(Z)
     perm = np.random.default_rng(10).permutation(len(Z))
-    feet_p, res_p = foot_points(dom, Z[perm], ambiguity_check=ambiguity_check)
-    np.testing.assert_array_equal(feet_p, feet[perm])
-    np.testing.assert_array_equal(res_p, res[perm])
+    for a, b in zip(project(Z[perm]), out):
+        np.testing.assert_array_equal(a, b[perm])
     chunks = distance._chunks
     for size in (1, 7, 64):
         monkeypatch.setattr(distance, "_chunks",
                             lambda B, size=size: chunks(B, size))
-        feet_c, res_c = foot_points(dom, Z, ambiguity_check=ambiguity_check)
-        np.testing.assert_array_equal(feet_c, feet)
-        np.testing.assert_array_equal(res_c, res)
+        for a, b in zip(project(Z), out):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_stencil_leak_outside_collar(ball):
@@ -188,8 +219,7 @@ def test_boundary_jet_matches_delta_jet_at_feet(name, request):
     # against delta_jet, which projects the feet once more (measured worst
     # 4.4e-16 of the largest entry, and 0 on the ball and the bidisc)
     entry = request.getfixturevalue(name)
-    feet, _ = foot_points(entry.domain, entry.boundary_mesh(500, 3),
-                          ambiguity_check=False)
+    feet, _ = foot_points(entry.domain, entry.boundary_mesh(500, 3))
     got = boundary_jet(entry.domain, feet, order=3)
     want = delta_jet(entry.domain, feet, order=3)
     np.testing.assert_array_equal(got.value, 0.0)
@@ -208,8 +238,9 @@ def test_boundary_jet_rejects_points_off_the_boundary(ball):
 
 def test_stencil_leak_at_and_past_focal_point(ball, monkeypatch):
     wide = dataclasses.replace(ball.domain, collar_frac=1.0)
-    # the centre is the focal point of every foot: I + delta W = n n^T
-    with pytest.raises(StencilLeak, match="focal"):
+    # the centre is the focal point of every foot (I + delta W = n n^T) and
+    # on the cut locus, where the projection finds two nearest feet
+    with pytest.raises(StencilLeak, match="cut locus"):
         delta_jet(wide, np.zeros((1, 4)), order=1)
     # a stationary but not nearest foot puts z past the focal point:
     # delta = -1.2, so I + delta W has eigenvalue -0.2 on T_p
@@ -318,7 +349,7 @@ def test_delta_jets_match_finite_differences(name, request):
     nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
     rng = np.random.default_rng(13)
     Q = P + rng.uniform(-0.25, 0.25, 60)[:, None] * dom.collar_width * nhat
-    Q = Q[~cut_locus_mask(dom, Q)]
+    Q = Q[verified_feet(dom, Q, P)[0]]
     for Z in (P, Q):
         keep = ~straddles_crease(entry, Z)
         assert keep.sum() >= 0.9 * len(Z)
@@ -348,7 +379,7 @@ def test_eikonal(zoo_entries):
         nhat = jets.rgrad / np.linalg.norm(jets.rgrad, axis=1, keepdims=True)
         Q = P - rng.uniform(0.2, 0.8, 100)[:, None] * \
             (0.25 * entry.domain.collar_width) * nhat
-        Q = Q[~cut_locus_mask(entry.domain, Q)]
+        Q = Q[verified_feet(entry.domain, Q, P)[0]]
         jet = delta_jet(entry.domain, Q, order=1)
         assert np.max(np.abs(np.linalg.norm(jet.rgrad, axis=1) - 1.0)) < 1e-12
 

@@ -198,7 +198,7 @@ def test_levi_scale_ignores_rounding_noise(worm):
     # feet and 0.07163 at the re-projected feet; the noise-floor median
     # counts neither
     mesh = worm.boundary_mesh(600, 0)
-    feet, _ = foot_points(worm.domain, mesh, ambiguity_check=False)
+    feet, _ = foot_points(worm.domain, mesh)
     w = levi_spectrum(boundary_batch(worm.domain, mesh, order=2))[0]
     scales = [detect_sigma(worm.domain, P).levi_scale for P in (mesh, feet)]
     assert scales[0] == scales[1] == np.median(w[w > 1e-12])

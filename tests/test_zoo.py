@@ -89,9 +89,10 @@ def test_boundary_meshes_lie_on_boundary(zoo_entries):
 
 def test_interior_meshes_lie_inside(zoo_entries):
     for entry in zoo_entries:
-        P = entry.interior_mesh(300, seed=22)
+        P, feet = entry.interior_mesh(300, seed=22)
         assert P.shape[0] > 200
         assert np.all(entry.domain.value(P) < 0)
+        assert np.max(np.abs(entry.domain.value(feet))) < 1e-12
 
 
 def test_bidisc_hessian_structure(bidisc):
