@@ -25,24 +25,33 @@ from .util import bump_c3, complex_unpack
 # ---------------------------------------------------------------------------
 # psi evaluators
 # ---------------------------------------------------------------------------
-# A psi is a function of the boundary foot point: every check sees it only
-# through at_feet(F), at feet that the check projected once or that
-# PsiStencil took from the foot map's Taylor model.
+# A psi is a function of the boundary foot point, linear in fixed terms:
+# psi = sum_i coef_i T_i, with terms_at_feet(F) the (N, k) values T_i(F).
+# Checks see psi only at feet projected once or on PsiStencil's Taylor model
+# of the foot map; they difference each term, and combine with coef after.
 
 class ZeroPsi:
-    def at_feet(self, F):
-        return np.zeros(np.atleast_2d(F).shape[0])
+    coef = np.zeros(0)
+
+    def terms_at_feet(self, F):
+        return np.zeros((np.atleast_2d(F).shape[0], 0))
 
 
 def _psi_values(psi, feet):
+    """psi's term values (N, k) at the feet, all finite."""
     try:
-        out = psi.at_feet(feet)
+        out = psi.terms_at_feet(feet)
     except Exception as exc:  # noqa: BLE001 - map to the contract error
         raise PsiDomain(f"psi evaluation failed: {exc}") from exc
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise PsiDomain("psi returned non-finite values")
     return out
+
+
+def combine(columns, coef):
+    """sum_i coef_i columns_i of each array of PsiStencil.columns."""
+    return tuple(c @ np.asarray(coef, dtype=float) for c in columns)
 
 
 # finite-difference step, in units of domain.scale, of the criterion's psi
@@ -86,20 +95,23 @@ class PsiStencil:
             feet += [mid + h * Dpu, mid - h * Dpu]
         self.feet = np.concatenate(feet, axis=0)
 
-    def differences(self, psi):
-        """Central differences of psi: (psi at the base, d psi / dz as an
-        (M, n) array, the second differences along each real axis and then
-        along each direction field, stacked (2n + len(dirs), M))."""
+    def columns(self, psi):
+        """Central differences of each of psi's terms, on a last axis of
+        size k: (the terms at the base (M, k), d T_i / dz (M, n, k), the
+        second differences along each real axis and then along each
+        direction field (2n + len(dirs), M, k))."""
         vals = _psi_values(psi, self.feet)
-        blocks = vals.reshape(-1, self.M)
-        h = self.h
-        grad = np.empty((self.M, self.D))
-        for a in range(self.D):
-            grad[:, a] = (blocks[1 + 2 * a] - blocks[2 + 2 * a]) / (2 * h)
-        wpsi = 0.5 * (grad[:, 0::2] - 1j * grad[:, 1::2])
+        blocks = vals.reshape(len(vals) // self.M, self.M, vals.shape[1])
+        h, D = self.h, self.D
+        grad = (blocks[1:2 * D:2] - blocks[2:2 * D + 1:2]) / (2 * h)
+        wpsi = np.moveaxis(0.5 * (grad[0::2] - 1j * grad[1::2]), 0, 1)
         psi0 = blocks[0]
         second = (blocks[1::2] - 2 * psi0 + blocks[2::2]) / h ** 2
         return psi0, wpsi, second
+
+    def differences(self, psi):
+        """psi's central differences: columns combined with psi.coef."""
+        return combine(self.columns(psi), psi.coef)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +312,28 @@ def _psi_levi(second, n):
     return H
 
 
-def rho_terms(delta: WirtingerJet, stencils, psi):
+def oracle_columns(stencils, psi):
+    """psi's term columns (PsiStencil.columns) on each oracle stencil: a run
+    builds them once per psi and combines them at every eta."""
+    return [st.columns(psi) for st in stencils]
+
+
+def rho_terms(delta: WirtingerJet, diffs):
     """(value, Wirtinger gradient, mixed Hessian) of rho = delta e^psi at
     the oracle mesh, psi extended constantly along foot fibres.
 
     delta is the signed distance's order-3 jet at the mesh, of which only
-    the order-2 blocks enter here; psi's gradient and Levi matrix are
-    differenced on oracle_stencils' two steps with one Richardson level,
-    and the product rule gives
+    the order-2 blocks enter here; diffs holds psi's differences
+    (psi0, wpsi, second) on each of oracle_stencils' two steps, as
+    PsiStencil.differences gives them.  psi's gradient and Levi matrix take
+    one Richardson level over the two steps, and the product rule gives
     d dbar rho = e^psi (d dbar delta + d delta (x) dbar psi
     + d psi (x) dbar delta + delta (d dbar psi + d psi (x) dbar psi)).
     The stencils' feet follow the foot map's second-order Taylor model,
     whose differences have an even error expansion in h with the exact
     limit, so the Richardson level still removes the h^2 term.
     """
-    (psi0, w1, s1), (_, w2, s2) = (st.differences(psi) for st in stencils)
+    (psi0, w1, s1), (_, w2, s2) = diffs
     wpsi = (4.0 * w2 - w1) / 3.0
     levi = _psi_levi((4.0 * s2 - s1) / 3.0, delta.n)
     e = np.exp(psi0)
@@ -565,29 +584,29 @@ class CurveReport:
 
 
 class CurvePsi:
-    """The certificate's quadratic profile along the rotated tangent:
-    psi(p + s J t) = s a(t) + s^2 b / 2, faded to zero off the curve."""
+    """The certificate's quadratic profile along the rotated tangent,
+    psi(p + s J t) = s a(t) + s^2 b / 2, faded to zero off the curve: the
+    terms (blend s a(t), blend s^2 / 2) with coefficients (1, b).  Only b
+    depends on eta."""
 
-    def __init__(self, chart, t_grid, a_grid, b, jdir_fn, sigma_distance,
-                 width):
+    def __init__(self, chart, t_grid, a_grid, jdir_fn, sigma_distance,
+                 width, b=0.0):
         self.chart = chart
         self.t_grid = t_grid
         self.a_grid = a_grid
-        self.b = b
         self.jdir_fn = jdir_fn            # t -> unit J dt real vectors
         self.sigma_distance = sigma_distance
         self.width = width
+        self.coef = np.array([1.0, b])
 
-    def at_feet(self, F):
+    def terms_at_feet(self, F):
         F = np.atleast_2d(F)
         t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
         gamma = self.chart.embed_batch(t[:, None])
         a = np.interp(t, self.t_grid, self.a_grid, period=2 * np.pi)
-        jdir = self.jdir_fn(t)
-        s = np.einsum("ka,ka->k", F - gamma, jdir)
-        dist = self.sigma_distance(F)
-        blend = bump_c3(dist / self.width)
-        return (s * a + 0.5 * s * s * self.b) * blend
+        s = np.einsum("ka,ka->k", F - gamma, self.jdir_fn(t))
+        blend = bump_c3(self.sigma_distance(F) / self.width)
+        return np.stack([s * a * blend, 0.5 * s * s * blend], axis=1)
 
 
 # curve samples of the real-curve certificate, and the relative headroom of
@@ -683,9 +702,10 @@ def real_curve_certify(geometry: CurveGeometry, eta,
                        meta={"max_bracket": float(bracket.max())})
 
 
-def curve_psi_from_report(domain, curve, report: CurveReport,
-                          sigma_distance, width=None) -> CurvePsi:
-    """Collar evaluator for the certificate's psi (for cross-validation)."""
+def curve_psi(domain, curve, geometry, sigma_distance, b=0.0,
+              width=None) -> CurvePsi:
+    """Collar evaluator of the certificate's psi over a curve_geometry (or a
+    CurveReport, which carries its t and a values) at coefficient b."""
     def jdir_fn(t):
         xi = curve.tangents(np.asarray(t)[:, None])[:, 0, :]
         JX = complex_unpack(1j * xi)
@@ -693,5 +713,5 @@ def curve_psi_from_report(domain, curve, report: CurveReport,
                                1e-300)
 
     width = 0.3 * domain.collar_width if width is None else width
-    return CurvePsi(curve, report.t_values, report.a_values, report.b,
-                    jdir_fn, sigma_distance, width)
+    return CurvePsi(curve, geometry.t_values, geometry.a_values, jdir_fn,
+                    sigma_distance, width, b)

@@ -370,11 +370,17 @@ class ChartPsi:
 
     to_chart maps boundary feet to (chart params U, leaf labels or None,
     edge in [0, 1] with 1 at the rim); surface maps (U, labels) to values.
+    As a psi it is one term, with coefficient 1.
     """
+
+    coef = np.ones(1)
 
     def __init__(self, to_chart: Callable, surface: Callable):
         self.to_chart = to_chart
         self.surface = surface
+
+    def terms_at_feet(self, F):
+        return self.at_feet(F)[:, None]
 
     def at_feet(self, F):
         U, t, edge = self.to_chart(np.atleast_2d(F))

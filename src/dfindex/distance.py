@@ -10,14 +10,12 @@ raising AmbiguousFoot when two nearest feet disagree.  delta-jets to order
 3 come from the classical closed form of the distance's derivatives in terms
 of the defining function's jet at the foot (Gilbarg-Trudinger section 14.6;
 Krantz-Parks, Distance to C^k hypersurfaces), exact to machine precision.
-delta_jet projects each interior point once; boundary_jet takes points
-already on the boundary as their own feet and projects none, and
-verified_feet checks that a constructed foot is the nearest one.
+boundary_jet takes points already on the boundary as their own feet and
+projects none; verified_feet checks that a constructed foot is the nearest
+one, and _jet_at_feet builds the jets at such feet.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,13 +265,6 @@ def verified_feet(domain: DomainSpec, Z, P):
     return ok, feet
 
 
-def signed_distance(domain: DomainSpec, Z):
-    """delta(Z): negative inside, positive outside, zero on the boundary."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    feet, _ = foot_points(domain, Z)
-    return signed_distance_from_feet(domain, Z, feet)
-
-
 def signed_distance_from_feet(domain: DomainSpec, Z, feet):
     """delta(Z) given the feet of Z's projections onto the boundary."""
     return np.sign(domain.value(Z)) * np.linalg.norm(Z - feet, axis=1)
@@ -282,9 +273,9 @@ def signed_distance_from_feet(domain: DomainSpec, Z, feet):
 def _focal_frame(domain: DomainSpec, feet, d, order):
     """Normal frame at the feet of points at signed distance d: rho's jet
     (order >= 2), |grad rho|, n, the tangent projector P, the shape operator
-    W = P Hess rho P / |grad rho| and M = I + d W, with the smallest
-    eigenvalue of M (at most 0 at or past a focal point, where the foot is
-    not a nearest point)."""
+    W = P Hess rho P / |grad rho| and M = I + d W (None when d is 0
+    everywhere, as M is I), with the smallest eigenvalue of M (at most 0 at
+    or past a focal point, where the foot is not a nearest point)."""
     rj = domain.jet(feet, order=max(order, 2))
     g, H = rj.rgrad, rj.rhess
     gn = np.linalg.norm(g, axis=1)
@@ -292,24 +283,10 @@ def _focal_frame(domain: DomainSpec, feet, d, order):
     eye = np.eye(feet.shape[1])
     P = eye - np.einsum("ka,kb->kab", n, n)
     W = P @ H @ P / gn[:, None, None]
+    if not np.any(d):
+        return rj, gn, n, P, W, None, np.ones(len(d))
     M = eye + d[:, None, None] * W
     return rj, gn, n, P, W, M, np.linalg.eigvalsh(M)[:, 0]
-
-
-def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
-    """Jets of the signed distance at collar points z (single or batch):
-    each point is projected once, and the jet is built at its foot.  Points
-    on the boundary need no projection: see boundary_jet.  Raises
-    StencilLeak when |delta| exceeds the collar, the projection does not
-    converge or finds two nearest feet (z on the cut locus), or z is at or
-    past a focal point."""
-    Z = np.atleast_2d(np.asarray(z, dtype=float))
-    try:
-        feet, _ = foot_points(domain, Z)
-    except (AmbiguousFoot, NoConvergence) as exc:
-        raise StencilLeak(f"projection failed: {exc}") from exc
-    d = signed_distance_from_feet(domain, Z, feet)
-    return _jet_at_feet(domain, feet, d, order)
 
 
 def boundary_jet(domain: DomainSpec, P, order=2) -> WirtingerJet:
@@ -343,15 +320,15 @@ def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
     B, D = feet.shape
     if order < 2:
         return WirtingerJet(d, n)
-    Minv = np.linalg.inv(M)
-    G = W @ Minv
+    Minv = None if M is None else np.linalg.inv(M)
+    G = W if M is None else W @ Minv
     G = 0.5 * (G + np.swapaxes(G, 1, 2))   # symmetric to the last bit
     t = None
     if order >= 3:
         # derivative along z_c, stacked on axis 1 (the tensor is symmetric):
         # dp = S e_c, d delta = n_c, dn = G e_c and
         # d Hess delta = M^-1 dW M^-1 - n_c G^2
-        S = Minv @ P
+        S = P if M is None else Minv @ P
         H = rj.rhess
         dH = (S @ rj.rthird.reshape(B, D, D * D)).reshape(B, D, D, D)
         dgn = (n[:, None, :] @ H @ S)[:, 0, :]
@@ -360,8 +337,9 @@ def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
         X = dP @ (H @ P)[:, None]
         dW = (X + np.swapaxes(X, 2, 3) + P[:, None] @ dH @ P[:, None]
               - W[:, None] * dgn[:, :, None, None]) / gn[:, None, None, None]
-        t = Minv[:, None] @ dW @ Minv[:, None] \
-            - n[:, :, None, None] * (G @ G)[:, None]
+        if M is not None:
+            dW = Minv[:, None] @ dW @ Minv[:, None]
+        t = dW - n[:, :, None, None] * (G @ G)[:, None]
     return WirtingerJet(d, n, G, t)
 
 
@@ -390,29 +368,3 @@ class BoundaryBatch:
         idx = np.asarray(idx)
         return BoundaryBatch(self.domain, self.positions[idx],
                              self.jet.subset(idx))
-
-    def point(self, i) -> "BoundaryPoint":
-        return BoundaryPoint(self.domain, self.positions[i], self.jet.at(i),
-                             self.N[i], self.grad_delta[i])
-
-
-@dataclass
-class BoundaryPoint:
-    """A boundary location with its delta-jet and normal data."""
-
-    domain: DomainSpec
-    position: np.ndarray
-    jet: WirtingerJet
-    N: np.ndarray
-    grad_delta: np.ndarray
-
-
-def boundary_batch(domain: DomainSpec, Z, order=2) -> BoundaryBatch:
-    """Project points to the boundary and attach delta-jets (vectorized)."""
-    feet, _ = foot_points(domain, Z)
-    return BoundaryBatch(domain, feet, boundary_jet(domain, feet, order=order))
-
-
-def project_to_boundary(domain: DomainSpec, z, order=2) -> BoundaryPoint:
-    """Nearest boundary point of z, with delta-jet of the requested order."""
-    return boundary_batch(domain, np.atleast_2d(z), order=order).point(0)

@@ -5,8 +5,8 @@ arithmetic plus jexp/jlog/jsqrt/jsin/jcos/jhinge_pow).  Feeding `Jet`
 variables through such an evaluator yields derivatives to order 3 that are
 exact to machine precision, batched over points.  Called on plain arrays, the
 same evaluators give the values alone.  No finite differences live here:
-the signed distance's jets come in closed form from distance.delta_jet and
-distance.boundary_jet, and psi's derivatives from certify.PsiStencil, which
+the signed distance's jets come in closed form from distance.boundary_jet
+and distance._jet_at_feet, and psi's derivatives from certify.PsiStencil, which
 differences psi at feet on the Taylor model of the foot map that the
 signed distance's order-3 jet gives.
 

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import BoundaryBatch, BoundaryPoint, boundary_jet
+from .distance import BoundaryBatch, boundary_jet
 from .errors import NotPseudoconvex
 from .jets import DomainSpec
+from .util import median
 
 # detect_sigma's noise floor, relative to the mesh's largest |eigenvalue|
 LEVI_NOISE = 1e-9
@@ -70,9 +71,6 @@ class SigmaPointSet:
     def size(self):
         return self.points.shape[0]
 
-    def point(self, i) -> BoundaryPoint:
-        return self.batch.point(i)
-
 
 def mesh_pitch(P, rng_seed=0, sample=256):
     """Median nearest-neighbour distance from up to `sample` random mesh
@@ -84,7 +82,7 @@ def mesh_pitch(P, rng_seed=0, sample=256):
                                                  replace=False)
     d = np.linalg.norm(P[idx][:, None, :] - P[None, :, :], axis=2)
     d[np.arange(len(idx)), idx] = np.inf
-    return float(np.median(d.min(axis=1)))
+    return float(median(d.min(axis=1)))
 
 
 def detect_sigma(domain: DomainSpec, mesh, threshold=None,
@@ -105,7 +103,7 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
     w, V, frames = levi_spectrum(batch)
     lam_min = w[:, 0]
     pos = w[w > LEVI_NOISE * np.max(np.abs(w), initial=0.0)]
-    levi_scale = float(np.median(pos)) if pos.size else 1.0
+    levi_scale = float(median(pos)) if pos.size else 1.0
     if threshold is None:
         threshold = 1e-6 * levi_scale
     neg = int(np.sum(lam_min < -threshold))

@@ -3,16 +3,16 @@ modules; the CLI and the acceptance suite both drive these."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
-                      ZeroPsi, coordinate_descent, curve_geometry,
-                      curve_psi_from_report, estimate_index,
-                      interior_psh_oracle, oracle_stencils,
-                      real_curve_certify, rho_terms)
+                      ZeroPsi, combine, coordinate_descent, curve_geometry,
+                      curve_psi, estimate_index, interior_psh_oracle,
+                      oracle_columns, oracle_stencils, real_curve_certify,
+                      rho_terms)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
 from .distance import _jet_at_feet, signed_distance_from_feet
@@ -107,8 +107,8 @@ class Run:
 
     The eta-independent stages (Sigma scan, period verdict, collar
     potential, criterion data, interior mesh with its delta-jet and psi
-    stencils) are built on first use and at most once; certify and estimate
-    build their reports over them.
+    stencils, each psi's term differences on them) are built on first use
+    and at most once; certify and estimate build their reports over them.
     """
 
     entry: ZooEntry
@@ -118,6 +118,8 @@ class Run:
     slack: float | None = None
     oracle_slack: float = 1e-6
     threshold: float | None = None
+    _oracle_columns: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     @cached_property
     def sigma(self):
@@ -176,16 +178,31 @@ class Run:
         return oracle_stencils(self.entry.domain, self.interior_mesh[0],
                                self.oracle_delta)
 
-    def oracle(self, eta, psi):
-        return interior_psh_oracle(
-            *rho_terms(self.oracle_delta, self.oracle_stencils, psi), eta,
-            slack_rel=self.oracle_slack)
+    def oracle(self, eta, psi, coef=None):
+        """The interior oracle on psi = sum_i coef_i T_i (coef defaults to
+        psi.coef): the terms of each psi object are differenced on both
+        stencils once per run, and each call combines their columns."""
+        if psi not in self._oracle_columns:
+            self._oracle_columns[psi] = oracle_columns(self.oracle_stencils,
+                                                       psi)
+        coef = psi.coef if coef is None else coef
+        diffs = [combine(c, coef) for c in self._oracle_columns[psi]]
+        return interior_psh_oracle(*rho_terms(self.oracle_delta, diffs), eta,
+                                   slack_rel=self.oracle_slack)
 
     @cached_property
     def curve_geometry(self):
         """The real-curve certificate's eta-independent data."""
         return curve_geometry(self.entry.domain,
                               self.entry.charts.get("curve"))
+
+    @cached_property
+    def curve_psi(self):
+        """The real-curve certificate's psi terms; b enters per eta as a
+        coefficient."""
+        e = self.entry
+        return curve_psi(e.domain, e.charts.get("curve"), self.curve_geometry,
+                         e.sigma_distance)
 
     def family_member(self, coef):
         """psi_c = sum_i coef_i b_i over the entry's surface basis."""
@@ -224,15 +241,13 @@ class Run:
     def certify(self, eta):
         """Report at one exponent: the boundary check (criterion, or the
         real-curve certificate) and the interior oracle on its psi."""
-        dom = self.entry.domain
         out = {"domain": self.entry.id, "eta": float(eta),
                "sigmaSize": self.sigma.size}
+        coef = None
         if self.entry.sigma_kind == "RealCurve":
-            chart = self.entry.charts.get("curve")
             crep = real_curve_certify(self.curve_geometry, eta,
                                       slack=self.slack)
-            psi = curve_psi_from_report(dom, chart, crep,
-                                        self.entry.sigma_distance)
+            psi, coef = self.curve_psi, (1.0, crep.b)
             out["curve"] = crep.to_json()
             out["criterion"] = {"certified": crep.certified,
                                 "maxLHS": crep.max_lhs, "slack": crep.slack}
@@ -245,7 +260,7 @@ class Run:
             if not self.verdict.exact:
                 out["obstruction"] = {"classification": "Obstructed",
                                       "periods": out["verdict"]["periods"]}
-        orep = self.oracle(eta, psi)
+        orep = self.oracle(eta, psi, coef)
         out["oracle"] = orep.to_json()
         out["certified"] = bool(out["criterion"]["certified"]
                                 and orep.certified)

@@ -24,6 +24,14 @@ def bump_c3(s):
     return smoothstep_c3(1.0 - np.abs(s))
 
 
+def median(x):
+    """np.median of a NaN-free array, bit for bit: the mean of the middle
+    one or two sorted values, without np.median's NaN check, which imports
+    numpy.ma on first use."""
+    s = np.sort(np.ravel(x))
+    return s[(s.size - 1) // 2:s.size // 2 + 1].mean()
+
+
 def _round_floats(obj, sig=12):
     if isinstance(obj, dict):
         return {k: _round_floats(v, sig) for k, v in obj.items()}

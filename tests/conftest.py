@@ -77,14 +77,21 @@ def sample_box_points(entry, count, seed, margin=0.0, avoid_crease=False):
 
 class Shifted:
     """psi + c for a psi evaluator: the same function of the foot point,
-    shifted by a constant."""
+    shifted by a constant, as one term."""
+
+    coef = np.ones(1)
 
     def __init__(self, base, c):
         self.base = base
         self.c = c
 
-    def at_feet(self, F):
-        return self.base.at_feet(F) + self.c
+    def terms_at_feet(self, F):
+        return psi_at_feet(self.base, F)[:, None] + self.c
+
+
+def psi_at_feet(psi, F):
+    """psi's values sum_i coef_i T_i at the feet F."""
+    return psi.terms_at_feet(F) @ psi.coef
 
 
 def oracle_terms(domain, mesh, psi):
@@ -94,4 +101,5 @@ def oracle_terms(domain, mesh, psi):
     points, feet = mesh
     d = signed_distance_from_feet(domain, points, feet)
     delta = _jet_at_feet(domain, feet, d, 3)
-    return rho_terms(delta, oracle_stencils(domain, points, delta), psi)
+    return rho_terms(delta, [st.differences(psi) for st in
+                             oracle_stencils(domain, points, delta)])

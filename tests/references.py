@@ -6,7 +6,8 @@ and Richardson assembly), the restricted Levi minimum from the defining
 function, the criterion's terms at one boundary point, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
-cycle check, and loop reparametrisations.
+cycle check, loop reparametrisations, and the projecting delta-jet and
+boundary-point helpers.
 The tests compare the package against these.
 """
 
@@ -20,9 +21,11 @@ import numpy as np
 
 from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
 from dfindex.certify import PsiStencil
-from dfindex.distance import BoundaryPoint, delta_jet, foot_points, normal_n
-from dfindex.errors import ChartMismatch, HypothesisFail, NonFinite, \
-    NotDegenerate, OrderTooLow
+from dfindex import distance
+from dfindex.distance import (BoundaryBatch, _jet_at_feet, boundary_jet,
+                              normal_n, signed_distance_from_feet)
+from dfindex.errors import AmbiguousFoot, ChartMismatch, HypothesisFail, \
+    NoConvergence, NonFinite, NotDegenerate, OrderTooLow, StencilLeak
 from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
 from dfindex.levi import levi_matrix
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
@@ -141,6 +144,65 @@ def ball_delta_jet(P, radius=1.0, order=3):
         t += 3.0 * np.einsum("ka,kb,kc->kabc", P, P, P) \
             / r[:, None, None, None] ** 5
     return WirtingerJet(v, g, h if order >= 2 else None, t)
+
+
+# ---------------------------------------------------------------------------
+# projected delta-jets and boundary points
+# ---------------------------------------------------------------------------
+# The CLI builds delta's jets at feet it already has (boundary points, the
+# interior mesh's verified feet); these helpers project arbitrary points
+# first.  They call distance.foot_points through the module, so that tests
+# can replace it.
+
+def signed_distance(domain: DomainSpec, Z):
+    """delta(Z): negative inside, positive outside, zero on the boundary."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    feet, _ = distance.foot_points(domain, Z)
+    return signed_distance_from_feet(domain, Z, feet)
+
+
+def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
+    """Jets of the signed distance at collar points z (single or batch):
+    each point is projected once, and the jet is built at its foot.  Raises
+    StencilLeak when |delta| exceeds the collar, the projection does not
+    converge or finds two nearest feet (z on the cut locus), or z is at or
+    past a focal point."""
+    Z = np.atleast_2d(np.asarray(z, dtype=float))
+    try:
+        feet, _ = distance.foot_points(domain, Z)
+    except (AmbiguousFoot, NoConvergence) as exc:
+        raise StencilLeak(f"projection failed: {exc}") from exc
+    d = signed_distance_from_feet(domain, Z, feet)
+    return _jet_at_feet(domain, feet, d, order)
+
+
+@dataclass
+class BoundaryPoint:
+    """A boundary location with its delta-jet and normal data."""
+
+    domain: DomainSpec
+    position: np.ndarray
+    jet: WirtingerJet
+    N: np.ndarray
+    grad_delta: np.ndarray
+
+
+def boundary_point(batch: BoundaryBatch, i) -> BoundaryPoint:
+    """Point i of a boundary batch."""
+    return BoundaryPoint(batch.domain, batch.positions[i], batch.jet.at(i),
+                         batch.N[i], batch.grad_delta[i])
+
+
+def boundary_batch(domain: DomainSpec, Z, order=2) -> BoundaryBatch:
+    """Project points to the boundary and attach delta-jets (vectorized)."""
+    feet, _ = distance.foot_points(domain, Z)
+    return BoundaryBatch(domain, feet, boundary_jet(domain, feet, order=order))
+
+
+def project_to_boundary(domain: DomainSpec, z, order=2) -> BoundaryPoint:
+    """Nearest boundary point of z, with delta-jet of the requested order."""
+    return boundary_point(boundary_batch(domain, np.atleast_2d(z),
+                                         order=order), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +732,7 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
                      leaf_label=chart.leaf_label, name=chart.name + "_inner")
     U, shape = sub.grid(res)
     P = sub.embed_batch(U)
-    feet, _ = foot_points(domain, P)
+    feet, _ = distance.foot_points(domain, P)
     h = h_field(sub, U)[:, 0]
     Ls = sub.tangents(U)[:, 0, :]
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)

@@ -21,17 +21,17 @@ import pytest
 
 from conftest import Shifted, oracle_terms
 from dfindex.certify import (CriterionEvaluator, PatchSpec, ZeroPsi,
-                             caccioppoli_check, curve_psi_from_report,
+                             caccioppoli_check, curve_psi,
                              interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
                                 classify, period)
-from dfindex.distance import boundary_batch, delta_jet
 from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import Run, periods_for, sigma_scan
 from dfindex.sigma import dtheta_residual, h_field
-from references import (HFieldSource, ball_delta_jet, chart_compat_residuals,
+from references import (HFieldSource, ball_delta_jet, boundary_batch,
+                        boundary_point, chart_compat_residuals, delta_jet,
                         levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
                         wirtinger_compat_residual)
@@ -153,7 +153,7 @@ def test_criterion_3_identity_suites(worm, bidisc):
     for entry in (worm, bidisc):
         sig = detect_sigma(entry.domain, entry.boundary_mesh(1500, seed=103))
         for i in range(0, sig.size, max(sig.size // 40, 1)):
-            bp = sig.point(i)
+            bp = boundary_point(sig.batch, i)
             ld = levi_decompose(bp)
             res = null_cross_residual(bp, ld.null_direction,
                                       np.zeros((0, 2), dtype=complex),
@@ -268,9 +268,8 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     crep = real_curve_certify(quartic_curve, 0.99)
     assert crep.certified
     certified.append(("quartic", 0.99,
-                      curve_psi_from_report(quartic.domain,
-                                            quartic.charts["curve"], crep,
-                                            quartic.sigma_distance),
+                      curve_psi(quartic.domain, quartic.charts["curve"],
+                                crep, quartic.sigma_distance, crep.b),
                       quartic))
     d0s = {}
     for name, eta, psi, entry in certified:

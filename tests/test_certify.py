@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import Shifted, oracle_terms
+from conftest import Shifted, oracle_terms, psi_at_feet
 from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
                              ZeroPsi, caccioppoli_check, coordinate_descent,
-                             curve_psi_from_report, interior_psh_oracle,
+                             curve_psi, interior_psh_oracle,
                              oracle_stencils, real_curve_certify)
 from dfindex import certify, distance, pipelines, zoo
 from dfindex.cohomology import ChartPsi, collar_psi
-from dfindex.distance import delta_jet, signed_distance
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
 from dfindex.sigma import theta_components
-from references import numeric_jet, residual_sequence
+from references import (delta_jet, numeric_jet, residual_sequence,
+                        signed_distance)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
 
 def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
     ev = CriterionEvaluator(worm.domain, worm_sigma)
-    jet = distance.delta_jet(worm.domain, worm_sigma.points, order=3)
+    jet = delta_jet(worm.domain, worm_sigma.points, order=3)
     sub = jet.subset(ev.sample_index)
     N = distance.normal_n(jet)[ev.sample_index]
     pure = np.array([complex(sub.at(i).third_directional(
@@ -112,7 +112,7 @@ def test_criterion_invariant_under_psi_shift(worm_evaluator, worm_family_psi,
     # (|c| + |psi|) eps / h^2, h = FD_STEP * scale
     ev = worm_evaluator
     psi = worm_family_psi if family else ZeroPsi()
-    size = abs(c) + float(np.abs(psi.at_feet(ev.stencil.feet)).max())
+    size = abs(c) + float(np.abs(psi_at_feet(psi, ev.stencil.feet)).max())
     if family:
         assert size - abs(c) > 0.1
     tol = 2.0 * size * np.finfo(float).eps / ev.stencil.h ** 2
@@ -229,7 +229,7 @@ def test_oracle_reads_delta_jet_with_zero_psi(name, request):
 def _psi_at(domain, psi, P):
     """psi at ambient points, through their own projection."""
     feet, _ = distance.foot_points(domain, P)
-    return psi.at_feet(feet)
+    return psi_at_feet(psi, feet)
 
 
 def _two_projection_jet(domain, psi, mesh):
@@ -248,8 +248,8 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
-    curve = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
-                                  rep, quartic.sigma_distance, width=0.6)
+    curve = curve_psi(quartic.domain, quartic.charts["curve"], rep,
+                      quartic.sigma_distance, rep.b, width=0.6)
     return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
 
@@ -438,6 +438,27 @@ def test_estimate_evaluates_psi_on_the_stencil_18_times(worm, monkeypatch):
     # one column per basis function, then the zero and the family psi are
     # scored at each eta; the search itself never evaluates psi
     assert len(calls) == 8 + 2 * len(DEFAULT_ETA_GRID) == 18
+
+
+def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
+                                                               monkeypatch):
+    # the certificate's psi is s a(t) + b s^2 / 2 and only b depends on eta:
+    # the run differences both terms on each of the oracle's two stencils
+    # once, in one pass over the shared geometry, and every eta combines
+    # those columns with (1, b)
+    calls = []
+    terms = certify.CurvePsi.terms_at_feet
+
+    def counting(self, F):
+        calls.append(len(F))
+        return terms(self, F)
+
+    monkeypatch.setattr(certify.CurvePsi, "terms_at_feet", counting)
+    run = Run(quartic, mesh_count=200, oracle_count=100)
+    cert = run.estimate()
+    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert len(calls) == 2
+    assert sum(calls) == sum(len(st.feet) for st in run.oracle_stencils)
 
 
 def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
@@ -631,8 +652,8 @@ def test_curve_certificate_ball_not_a_curve(ball):
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
-    psi = curve_psi_from_report(quartic.domain, quartic.charts["curve"],
-                                rep, quartic.sigma_distance)
+    psi = curve_psi(quartic.domain, quartic.charts["curve"], rep,
+                    quartic.sigma_distance, rep.b)
     mesh = quartic.interior_mesh(400, seed=6)
     assert oracle(quartic.domain, mesh, psi, 0.99).certified
 

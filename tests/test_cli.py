@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dfindex
 from dfindex.cli import RunConfig, build_parser, main
 from dfindex.errors import ConfigInvalid
 from dfindex.util import config_hash
@@ -303,3 +306,25 @@ def test_zoo_describe_byte_identical(tmp_path, domain):
         blobs.append((tmp_path / "zoo.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert b"0x" not in blobs[0]
+
+
+def test_a_run_imports_no_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma on first use, which costs a
+    # fresh process about 19 ms; the Levi scale and the mesh pitch take
+    # util.median instead
+    script = f"""
+import sys
+from dfindex.cli import main
+assert main(["scan", "--domain", "worm", "--mesh", "300",
+             "--out", {str(tmp_path)!r}]) == 0
+assert "numpy.ma" not in sys.modules, "the run imported numpy.ma"
+print("ok")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dfindex.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "ok"

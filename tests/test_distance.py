@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfindex import distance, zoo
-from dfindex.distance import (boundary_batch, boundary_jet, delta_jet,
-                              foot_points, normal_n, project_to_boundary,
-                              signed_distance, verified_feet)
+from dfindex.distance import (boundary_jet, foot_points, normal_n,
+                              verified_feet)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
 from dfindex.pipelines import ORACLE_DEPTH
-from references import (THIRD_STEP_FACTOR, _stencil, ball_delta_jet, hess,
-                        numeric_jet)
+from references import (THIRD_STEP_FACTOR, _stencil, ball_delta_jet,
+                        boundary_batch, delta_jet, hess, numeric_jet,
+                        project_to_boundary, signed_distance)
 
 
 def test_ball_radial_projection_outside(ball):
@@ -234,6 +234,20 @@ def test_boundary_jet_rejects_points_off_the_boundary(ball):
     assert abs(ball.domain.value(P)[0] - 1e-6) < 1e-12
     with pytest.raises(StencilLeak, match="off the boundary"):
         boundary_jet(ball.domain, P, order=2)
+
+
+@pytest.mark.parametrize("name", ["ball", "bidisc", "worm", "quartic"])
+def test_boundary_jet_equals_the_general_path(name, request):
+    # at d = 0 boundary_jet skips the focal solve, since M = I + d W is I;
+    # the smallest positive d takes the general path with M = I but for
+    # subnormal entries d W, so the two agree to those subnormals
+    entry = request.getfixturevalue(name)
+    P = entry.boundary_mesh(300, seed=5)
+    got = boundary_jet(entry.domain, P, order=3)
+    want = distance._jet_at_feet(entry.domain, P, np.full(len(P), 5e-324), 3)
+    for a, b in ((got.rgrad, want.rgrad), (got.rhess, want.rhess),
+                 (got.rthird, want.rthird)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-300)
 
 
 def test_stencil_leak_at_and_past_focal_point(ball, monkeypatch):

@@ -240,7 +240,7 @@ def test_real_one_form_zero_kernel():
 
     ball = zoo.make_ball(1.0)
     P = ball.boundary_mesh(20, seed=0)
-    from dfindex.distance import delta_jet
+    from references import delta_jet
     jet = delta_jet(ball.domain, P, order=2)
     xi = np.zeros((20, 2), dtype=complex)
     xi[:, 1] = 1.0
