@@ -312,12 +312,6 @@ def _psi_levi(second, n):
     return H
 
 
-def oracle_columns(stencils, psi):
-    """psi's term columns (PsiStencil.columns) on each oracle stencil: a run
-    builds them once per psi and combines them at every eta."""
-    return [st.columns(psi) for st in stencils]
-
-
 def rho_terms(delta: WirtingerJet, diffs):
     """(value, Wirtinger gradient, mixed Hessian) of rho = delta e^psi at
     the oracle mesh, psi extended constantly along foot fibres.
@@ -583,30 +577,42 @@ class CurveReport:
                 "maxLHS": float(self.max_lhs), "slack": self.slack}
 
 
-class CurvePsi:
-    """The certificate's quadratic profile along the rotated tangent,
-    psi(p + s J t) = s a(t) + s^2 b / 2, faded to zero off the curve: the
-    terms (blend s a(t), blend s^2 / 2) with coefficients (1, b).  Only b
-    depends on eta."""
+class CurveTerms:
+    """The terms of the certificate's quadratic profile along the rotated
+    tangent J t, (blend s a(t), blend s^2 / 2) at p + s J t, with blend
+    fading them to zero off the curve, over a curve_geometry (or a
+    CurveReport, which carries its t and a values)."""
 
-    def __init__(self, chart, t_grid, a_grid, jdir_fn, sigma_distance,
-                 width, b=0.0):
-        self.chart = chart
-        self.t_grid = t_grid
-        self.a_grid = a_grid
-        self.jdir_fn = jdir_fn            # t -> unit J dt real vectors
+    def __init__(self, domain, curve, geometry, sigma_distance, width=None):
+        self.curve = curve
+        self.t_grid, self.a_grid = geometry.t_values, geometry.a_values
         self.sigma_distance = sigma_distance
-        self.width = width
-        self.coef = np.array([1.0, b])
+        self.width = 0.3 * domain.collar_width if width is None else width
 
     def terms_at_feet(self, F):
         F = np.atleast_2d(F)
         t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
-        gamma = self.chart.embed_batch(t[:, None])
+        gamma = self.curve.embed_batch(t[:, None])
         a = np.interp(t, self.t_grid, self.a_grid, period=2 * np.pi)
-        s = np.einsum("ka,ka->k", F - gamma, self.jdir_fn(t))
+        JX = complex_unpack(1j * self.curve.tangents(t[:, None])[:, 0, :])
+        jdir = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True),
+                               1e-300)
+        s = np.einsum("ka,ka->k", F - gamma, jdir)
         blend = bump_c3(self.sigma_distance(F) / self.width)
         return np.stack([s * a * blend, 0.5 * s * s * blend], axis=1)
+
+
+class CurvePsi:
+    """The certificate's psi(p + s J t) = s a(t) + s^2 b / 2: its
+    CurveTerms with coefficients (1, b).  Only b depends on eta, so the psi
+    of every eta shares one CurveTerms."""
+
+    def __init__(self, terms: CurveTerms, b):
+        self.terms = terms
+        self.coef = np.array([1.0, b])
+
+    def terms_at_feet(self, F):
+        return self.terms.terms_at_feet(F)
 
 
 # curve samples of the real-curve certificate, and the relative headroom of
@@ -700,18 +706,3 @@ def real_curve_certify(geometry: CurveGeometry, eta,
                        a_values=geometry.a_values,
                        t_values=geometry.t_values, g_t=g_t,
                        meta={"max_bracket": float(bracket.max())})
-
-
-def curve_psi(domain, curve, geometry, sigma_distance, b=0.0,
-              width=None) -> CurvePsi:
-    """Collar evaluator of the certificate's psi over a curve_geometry (or a
-    CurveReport, which carries its t and a values) at coefficient b."""
-    def jdir_fn(t):
-        xi = curve.tangents(np.asarray(t)[:, None])[:, 0, :]
-        JX = complex_unpack(1j * xi)
-        return JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True),
-                               1e-300)
-
-    width = 0.3 * domain.collar_width if width is None else width
-    return CurvePsi(curve, geometry.t_values, geometry.a_values, jdir_fn,
-                    sigma_distance, width, b)

@@ -380,12 +380,9 @@ class ChartPsi:
         self.surface = surface
 
     def terms_at_feet(self, F):
-        return self.at_feet(F)[:, None]
-
-    def at_feet(self, F):
         U, t, edge = self.to_chart(np.atleast_2d(F))
         s = (np.clip(edge, 0, None) - FADE[0]) / (FADE[1] - FADE[0])
-        return self.surface(U, t) * (1.0 - smoothstep_c3(s))
+        return (self.surface(U, t) * (1.0 - smoothstep_c3(s)))[:, None]
 
 
 def collar_psi(domain, phi: PotentialField, to_chart, width=None) -> ChartPsi:

@@ -3,16 +3,16 @@ modules; the CLI and the acceptance suite both drive these."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, IndexCertificate,
-                      ZeroPsi, combine, coordinate_descent, curve_geometry,
-                      curve_psi, estimate_index, interior_psh_oracle,
-                      oracle_columns, oracle_stencils, real_curve_certify,
-                      rho_terms)
+from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, CurvePsi,
+                      CurveTerms, IndexCertificate, ZeroPsi, combine,
+                      coordinate_descent, curve_geometry, estimate_index,
+                      interior_psh_oracle, oracle_stencils,
+                      real_curve_certify, rho_terms)
 from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
                          classify, collar_psi, exactness_tolerance, period)
 from .distance import _jet_at_feet, signed_distance_from_feet
@@ -118,8 +118,6 @@ class Run:
     slack: float | None = None
     oracle_slack: float = 1e-6
     threshold: float | None = None
-    _oracle_columns: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
 
     @cached_property
     def sigma(self):
@@ -178,15 +176,28 @@ class Run:
         return oracle_stencils(self.entry.domain, self.interior_mesh[0],
                                self.oracle_delta)
 
-    def oracle(self, eta, psi, coef=None):
-        """The interior oracle on psi = sum_i coef_i T_i (coef defaults to
-        psi.coef): the terms of each psi object are differenced on both
-        stencils once per run, and each call combines their columns."""
-        if psi not in self._oracle_columns:
-            self._oracle_columns[psi] = oracle_columns(self.oracle_stencils,
-                                                       psi)
-        coef = psi.coef if coef is None else coef
-        diffs = [combine(c, coef) for c in self._oracle_columns[psi]]
+    @cached_property
+    def shared_terms(self):
+        """The psi terms that every eta shares: the curve certificate's, or
+        the collar potential's psi (None without one)."""
+        return (self.curve_terms if self.entry.sigma_kind == "RealCurve"
+                else self.collar_psi)
+
+    @cached_property
+    def shared_columns(self):
+        """shared_terms' columns (PsiStencil.columns) on both oracle
+        stencils: differenced once per run, combined at every eta."""
+        return [st.columns(self.shared_terms) for st in self.oracle_stencils]
+
+    def oracle(self, eta, psi):
+        """The interior oracle on psi = sum_i coef_i T_i: combines the
+        shared columns when psi has shared_terms, and differences the terms
+        of a psi made at one eta (zero, a family member) at its call."""
+        if getattr(psi, "terms", psi) is self.shared_terms:
+            columns = self.shared_columns
+        else:
+            columns = [st.columns(psi) for st in self.oracle_stencils]
+        diffs = [combine(c, psi.coef) for c in columns]
         return interior_psh_oracle(*rho_terms(self.oracle_delta, diffs), eta,
                                    slack_rel=self.oracle_slack)
 
@@ -197,12 +208,12 @@ class Run:
                               self.entry.charts.get("curve"))
 
     @cached_property
-    def curve_psi(self):
+    def curve_terms(self):
         """The real-curve certificate's psi terms; b enters per eta as a
         coefficient."""
         e = self.entry
-        return curve_psi(e.domain, e.charts.get("curve"), self.curve_geometry,
-                         e.sigma_distance)
+        return CurveTerms(e.domain, e.charts.get("curve"),
+                          self.curve_geometry, e.sigma_distance)
 
     def family_member(self, coef):
         """psi_c = sum_i coef_i b_i over the entry's surface basis."""
@@ -243,11 +254,10 @@ class Run:
         real-curve certificate) and the interior oracle on its psi."""
         out = {"domain": self.entry.id, "eta": float(eta),
                "sigmaSize": self.sigma.size}
-        coef = None
         if self.entry.sigma_kind == "RealCurve":
             crep = real_curve_certify(self.curve_geometry, eta,
                                       slack=self.slack)
-            psi, coef = self.curve_psi, (1.0, crep.b)
+            psi = CurvePsi(self.curve_terms, crep.b)
             out["curve"] = crep.to_json()
             out["criterion"] = {"certified": crep.certified,
                                 "maxLHS": crep.max_lhs, "slack": crep.slack}
@@ -260,7 +270,7 @@ class Run:
             if not self.verdict.exact:
                 out["obstruction"] = {"classification": "Obstructed",
                                       "periods": out["verdict"]["periods"]}
-        orep = self.oracle(eta, psi, coef)
+        orep = self.oracle(eta, psi)
         out["oracle"] = orep.to_json()
         out["certified"] = bool(out["criterion"]["certified"]
                                 and orep.certified)

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import Shifted, oracle_terms
-from dfindex.certify import (CriterionEvaluator, PatchSpec, ZeroPsi,
-                             caccioppoli_check, curve_psi,
+from dfindex.certify import (CriterionEvaluator, CurvePsi, CurveTerms,
+                             PatchSpec, ZeroPsi, caccioppoli_check,
                              interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
@@ -268,8 +268,9 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     crep = real_curve_certify(quartic_curve, 0.99)
     assert crep.certified
     certified.append(("quartic", 0.99,
-                      curve_psi(quartic.domain, quartic.charts["curve"],
-                                crep, quartic.sigma_distance, crep.b),
+                      CurvePsi(CurveTerms(quartic.domain,
+                                          quartic.charts["curve"], crep,
+                                          quartic.sigma_distance), crep.b),
                       quartic))
     d0s = {}
     for name, eta, psi, entry in certified:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import Shifted, oracle_terms, psi_at_feet
-from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, PatchSpec,
-                             ZeroPsi, caccioppoli_check, coordinate_descent,
-                             curve_psi, interior_psh_oracle,
-                             oracle_stencils, real_curve_certify)
+from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, CurvePsi,
+                             CurveTerms, PatchSpec, ZeroPsi,
+                             caccioppoli_check, coordinate_descent,
+                             interior_psh_oracle, oracle_stencils,
+                             real_curve_certify)
 from dfindex import certify, distance, pipelines, zoo
 from dfindex.cohomology import ChartPsi, collar_psi
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
@@ -137,7 +138,8 @@ def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
     G, Q = worm_run.family_columns
     assert G.shape == Q.shape == (len(ev.Ls), len(coef))
     c = np.array(coef)
-    sizes = [np.abs(worm_run.family_member(e).at_feet(ev.stencil.feet)).max()
+    sizes = [np.abs(psi_at_feet(worm_run.family_member(e),
+                                ev.stencil.feet)).max()
              for e in np.eye(len(c))]
     dirs = ev.lhs_dirs(G @ c, Q @ c, eta)
     per_sample = np.full(ev.K, -np.inf)
@@ -248,8 +250,9 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
-    curve = curve_psi(quartic.domain, quartic.charts["curve"], rep,
-                      quartic.sigma_distance, rep.b, width=0.6)
+    curve = CurvePsi(CurveTerms(quartic.domain, quartic.charts["curve"],
+                                rep, quartic.sigma_distance, width=0.6),
+                     rep.b)
     return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
 
@@ -447,18 +450,38 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
     # once, in one pass over the shared geometry, and every eta combines
     # those columns with (1, b)
     calls = []
-    terms = certify.CurvePsi.terms_at_feet
+    terms = certify.CurveTerms.terms_at_feet
 
     def counting(self, F):
         calls.append(len(F))
         return terms(self, F)
 
-    monkeypatch.setattr(certify.CurvePsi, "terms_at_feet", counting)
+    monkeypatch.setattr(certify.CurveTerms, "terms_at_feet", counting)
     run = Run(quartic, mesh_count=200, oracle_count=100)
     cert = run.estimate()
     assert [r["certified"] for r in cert.records] == [True] * 5
     assert len(calls) == 2
     assert sum(calls) == sum(len(st.feet) for st in run.oracle_stencils)
+
+
+def test_oracle_weighs_shared_curve_terms_with_each_psis_b(quartic):
+    # every eta's CurvePsi shares the run's CurveTerms, differenced once;
+    # each call still weighs them with its own b, as a psi over fresh terms
+    # is weighed.  A support wider than the default reaches the mesh.
+    run = Run(quartic, mesh_count=200, oracle_count=100)
+
+    def terms():
+        return CurveTerms(quartic.domain, quartic.charts["curve"],
+                          run.curve_geometry, quartic.sigma_distance,
+                          width=0.6)
+
+    run.curve_terms = terms()
+    eigs = []
+    for b in (-3.0, -30.0):
+        shared = run.oracle(0.5, CurvePsi(run.curve_terms, b)).min_eig
+        assert shared == run.oracle(0.5, CurvePsi(terms(), b)).min_eig
+        eigs.append(shared)
+    assert eigs[0] != eigs[1]
 
 
 def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
@@ -652,8 +675,8 @@ def test_curve_certificate_ball_not_a_curve(ball):
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
-    psi = curve_psi(quartic.domain, quartic.charts["curve"], rep,
-                    quartic.sigma_distance, rep.b)
+    psi = CurvePsi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
+                              quartic.sigma_distance), rep.b)
     mesh = quartic.interior_mesh(400, seed=6)
     assert oracle(quartic.domain, mesh, psi, 0.99).certified
 

@@ -308,15 +308,19 @@ def test_zoo_describe_byte_identical(tmp_path, domain):
     assert b"0x" not in blobs[0]
 
 
-def test_a_run_imports_no_numpy_ma(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["scan", "--domain", "worm", "--mesh", "300"],
+    ["estimate", "--domain", "quartic_circle", "--interior", "400"],
+    ["certify", "--domain", "bidisc", "--mesh", "400", "--interior", "40"],
+])
+def test_a_run_imports_no_numpy_ma(tmp_path, argv):
     # np.median's NaN check imports numpy.ma on first use, which costs a
     # fresh process about 19 ms; the Levi scale and the mesh pitch take
     # util.median instead
     script = f"""
 import sys
 from dfindex.cli import main
-assert main(["scan", "--domain", "worm", "--mesh", "300",
-             "--out", {str(tmp_path)!r}]) == 0
+assert main({argv + ["--out", str(tmp_path)]!r}) == 0
 assert "numpy.ma" not in sys.modules, "the run imported numpy.ma"
 print("ok")
 """

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import psi_at_feet
 from dfindex import cohomology
 from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 build_potential, classify, collar_psi,
@@ -251,7 +252,7 @@ def test_collar_psi_matches_on_sigma(bidisc):
     psi = collar_psi(bidisc.domain, phi, to_chart)
     U = phi.leaves[0].params[::7]
     P = chart.embed_batch(U)
-    vals = psi.at_feet(P)
+    vals = psi_at_feet(psi, P)
     expect = -2.0 * phi.leaves[0].model(U)
     np.testing.assert_allclose(vals, expect, atol=1e-9)
 
@@ -280,7 +281,7 @@ def test_collar_psi_edge_blend(bidisc):
 
     def at(x):
         # boundary points: each is its own foot
-        return float(psi.at_feet(np.array([[x, 0.0, 1.0, 0.0]]))[0])
+        return float(psi_at_feet(psi, np.array([[x, 0.0, 1.0, 0.0]]))[0])
 
     # exactly zero at and beyond the fade edge
     assert at(x_edge) == 0.0
@@ -421,7 +422,7 @@ def test_collar_psi_smooth_across_leaf_labels(bidisc, bidisc_leaf_field):
     feet, _ = foot_points(bidisc.domain, line)
     _, t, _ = bidisc.sigma_coords(feet)
     assert t.min() < np.pi / 4 < t.max()
-    v = psi.at_feet(feet)
+    v = psi_at_feet(psi, feet)
     second = np.abs(v[2:] - 2 * v[1:-1] + v[:-2]) / step ** 2
     assert np.max(second) < 2.5
 

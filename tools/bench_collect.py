@@ -49,7 +49,7 @@ def _perfbench(checkout, workload, seed, seconds, trace):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"bench_collect: {' '.join(cmd)} exited "
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
     path = os.path.join(checkout, ".perfbench_out", workload,

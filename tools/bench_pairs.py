@@ -3,12 +3,13 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        [--pairs 10] [--seed 0] [--seconds 5]
+        [--pairs 10] [--seed 0]
 
-Each pair runs the parent's and the change's own perfbench/run.py (with
---trace 0) once each, parent first in even pairs and change first in odd
-ones, so that a drift of the host's speed falls on both sides.  For every
-end-to-end metric of the change's BENCHMARK.json it prints each side's
+Each pair runs the parent's and the change's own perfbench/run.py once
+each, through bench_collect.py's runner, with --trace 0 and the run_seconds
+of the change's BENCHMARK.json: parent first in even pairs and change first
+in odd ones, so that a drift of the host's speed falls on both sides.  For
+every end-to-end metric of the change's BENCHMARK.json it prints each side's
 median and quartiles over the pairs, and in how many pairs the change was
 better.  A gain counts when the change wins at least nine of ten pairs and
 its median beats the parent's by more than the parent's interquartile
@@ -20,32 +21,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import runpy
 import statistics
-import subprocess
 import sys
 
+HERE = os.path.dirname(os.path.abspath(__file__))
 SIDES = ("parent", "change")
 
 
-def _run(checkout, workload, seed, seconds):
-    """run.py's metric values and correctness for one run of a checkout."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
-                         f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    result = json.loads(lines[-1])
-    values = {k: v["value"] for k, v in result["metrics"].items()}
-    return values, result["correct"]
-
-
-def _metrics(checkout):
-    """(name, better) of each end-to-end metric the checkout declares."""
+def _benchmark(checkout):
+    """The checkout's run_seconds and the (name, better) of each
+    end-to-end metric it declares."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
-        return [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        bench = json.load(fh)
+    return bench["run_seconds"], [(m["name"], m["better"])
+                                  for m in bench["end_to_end"]]
 
 
 def _quartiles(values):
@@ -82,8 +72,6 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0,
                    help="benchmark seed of every run")
-    p.add_argument("--seconds", type=float, default=5.0,
-                   help="run.py --seconds of every run")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be positive")
@@ -92,14 +80,18 @@ def main(argv=None):
     for side, path in dirs.items():
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             p.error(f"--{side} {path} has no perfbench/run.py")
-    metrics = _metrics(dirs["change"])
+    seconds, metrics = _benchmark(dirs["change"])
+    perfbench = runpy.run_path(os.path.join(HERE, "bench_collect.py"))[
+        "_perfbench"]
     runs, failed = [], []
     for i in range(args.pairs):
         pair = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            pair[side], correct = _run(dirs[side], args.workload, args.seed,
-                                       args.seconds)
-            if not correct:
+            result, _ = perfbench(dirs[side], args.workload, args.seed,
+                                  seconds, 0)
+            pair[side] = {k: v["value"] for k, v in
+                          result["metrics"].items()}
+            if not result["correct"]:
                 failed.append(f"pair {i} {side}")
         runs.append(pair)
         print(f"pair {i}: " + ", ".join(
@@ -115,7 +107,7 @@ def main(argv=None):
     if failed:
         print(f"runs with failed repeats: {', '.join(failed)}")
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "seconds": args.seconds, "metrics": summary,
+                      "seconds": seconds, "metrics": summary,
                       "failed": failed, "runs": runs}))
     return 1 if failed else 0
 
