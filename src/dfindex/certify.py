@@ -26,21 +26,34 @@ from .util import bump_c3, complex_unpack
 # psi evaluators
 # ---------------------------------------------------------------------------
 # A psi is a function of the boundary foot point, linear in fixed terms:
-# psi = sum_i coef_i T_i, with terms_at_feet(F) the (N, k) values T_i(F).
-# Checks see psi only at feet projected once or on PsiStencil's Taylor model
-# of the foot map; they difference each term, and combine with coef after.
+# psi = sum_i coef_i T_i.  The terms are one per-run object whose
+# terms_at_feet(F) gives the (N, k) values T_i(F): the collar potential's or
+# the family basis' ChartTerms, CurveTerms, or NO_TERMS for psi = 0.  Checks
+# see the terms only at feet on PsiStencil's Taylor model of the foot map;
+# each stencil differences a terms object once, and every psi over it
+# combines those columns with its coef.
 
-class ZeroPsi:
-    coef = np.zeros(0)
+class Psi:
+    """psi = sum_i coef_i T_i over a terms object."""
 
+    def __init__(self, terms, coef):
+        self.terms = terms
+        self.coef = np.asarray(coef, dtype=float)
+
+
+class _NoTerms:
     def terms_at_feet(self, F):
         return np.zeros((np.atleast_2d(F).shape[0], 0))
 
 
-def _psi_values(psi, feet):
-    """psi's term values (N, k) at the feet, all finite."""
+# the terms of psi = 0
+NO_TERMS = _NoTerms()
+
+
+def _term_values(terms, feet):
+    """The terms' values (N, k) at the feet, all finite."""
     try:
-        out = psi.terms_at_feet(feet)
+        out = terms.terms_at_feet(feet)
     except Exception as exc:  # noqa: BLE001 - map to the contract error
         raise PsiDomain(f"psi evaluation failed: {exc}") from exc
     out = np.asarray(out, dtype=float)
@@ -51,7 +64,7 @@ def _psi_values(psi, feet):
 
 def combine(columns, coef):
     """sum_i coef_i columns_i of each array of PsiStencil.columns."""
-    return tuple(c @ np.asarray(coef, dtype=float) for c in columns)
+    return tuple(c @ coef for c in columns)
 
 
 # finite-difference step, in units of domain.scale, of the criterion's psi
@@ -63,8 +76,9 @@ class PsiStencil:
     """Feet of the psi-derivative stencil around M base points z: the base,
     z +- h e_a along each real axis, then z +- h V for each direction field
     V ((M, 2n), or (2n,) shared by every point), with h = step *
-    domain.scale.  psi enters only through its values at these feet, so
-    one stencil serves any number of psi.
+    domain.scale.  psi enters only through its terms' values at these feet:
+    columns differences each terms object once, and every psi over those
+    terms combines the columns with its coef.
 
     No node is projected.  jet is the signed distance's order-3 jet at the
     base points, and each node's foot lies on the second-order Taylor model of
@@ -94,24 +108,24 @@ class PsiStencil:
             mid = foot + 0.5 * h * h * D2pu
             feet += [mid + h * Dpu, mid - h * Dpu]
         self.feet = np.concatenate(feet, axis=0)
+        self._columns = {}
 
-    def columns(self, psi):
-        """Central differences of each of psi's terms, on a last axis of
-        size k: (the terms at the base (M, k), d T_i / dz (M, n, k), the
-        second differences along each real axis and then along each
-        direction field (2n + len(dirs), M, k))."""
-        vals = _psi_values(psi, self.feet)
+    def columns(self, terms):
+        """Central differences of each term, on a last axis of size k: (the
+        terms at the base (M, k), d T_i / dz (M, n, k), the second
+        differences along each real axis and then along each direction
+        field (2n + len(dirs), M, k)); computed once per terms object."""
+        if terms in self._columns:
+            return self._columns[terms]
+        vals = _term_values(terms, self.feet)
         blocks = vals.reshape(len(vals) // self.M, self.M, vals.shape[1])
         h, D = self.h, self.D
         grad = (blocks[1:2 * D:2] - blocks[2:2 * D + 1:2]) / (2 * h)
         wpsi = np.moveaxis(0.5 * (grad[0::2] - 1j * grad[1::2]), 0, 1)
         psi0 = blocks[0]
         second = (blocks[1::2] - 2 * psi0 + blocks[2::2]) / h ** 2
+        self._columns[terms] = psi0, wpsi, second
         return psi0, wpsi, second
-
-    def differences(self, psi):
-        """psi's central differences: columns combined with psi.coef."""
-        return combine(self.columns(psi), psi.coef)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +163,11 @@ class CriterionEvaluator:
     the degenerate samples (order-3 jets, normal-Hessian values, covariant
     third-order terms); psi enters only through cheap stencil differences.
 
-    lhs(psi, eta) runs in two steps: psi_terms takes psi's per-direction
-    terms from one stencil.differences call, and lhs_dirs applies the
-    inequality to them.  The terms are linear in psi, so for a basis family
-    psi_c = sum c_i b_i they are G c and Q c with columns psi_terms(b_i);
-    pipelines.Run.family_columns builds those once per run.
+    psi's per-direction terms are linear in psi: columns(terms) gives them
+    for each term as (G, Q), so psi = Psi(terms, c) has them as (G c, Q c),
+    and lhs_dirs applies the inequality to those.  The stencil differences
+    each terms object once, so lhs at another eta, or the family search
+    over coefficients, combines cached columns.
     """
 
     def __init__(self, domain: DomainSpec, sigma: SigmaPointSet):
@@ -184,12 +198,12 @@ class CriterionEvaluator:
         self.stencil = PsiStencil(
             domain, P[idx], sub, (complex_unpack(Ls), complex_unpack(1j * Ls)))
 
-    def psi_terms(self, psi):
-        """psi's terms per direction L: (Lbar psi, its Hessian term
-        1/4 (d^2 along L + d^2 along iL)), both linear in psi."""
-        _, wpsi, second = self.stencil.differences(psi)
+    def columns(self, terms):
+        """(G, Q), directions x terms: each term's Lbar T_i and Hessian term
+        1/4 (d^2 along L + d^2 along iL) per direction L."""
+        _, wpsi, second = self.stencil.columns(terms)
         d2x, d2j = second[self.stencil.D:]
-        return np.conj(np.einsum("kj,kj->k", self.Ls, wpsi)), \
+        return np.conj(np.einsum("kj,kjc->kc", self.Ls, wpsi)), \
             0.25 * (d2x + d2j)
 
     def lhs_dirs(self, lbar_psi, hess_psi, eta):
@@ -202,9 +216,10 @@ class CriterionEvaluator:
         """Left-hand side per (sample, direction), max-reduced per sample."""
         if self.K == 0:
             return np.zeros(0)
+        G, Q = self.columns(psi.terms)
         out = np.full(self.K, -np.inf)
         np.maximum.at(out, self.sample_index,
-                      self.lhs_dirs(*self.psi_terms(psi), eta))
+                      self.lhs_dirs(G @ psi.coef, Q @ psi.coef, eta))
         return out
 
     def report(self, psi, eta, slack=None, psi_name="") -> CriterionReport:
@@ -318,8 +333,8 @@ def rho_terms(delta: WirtingerJet, diffs):
 
     delta is the signed distance's order-3 jet at the mesh, of which only
     the order-2 blocks enter here; diffs holds psi's differences
-    (psi0, wpsi, second) on each of oracle_stencils' two steps, as
-    PsiStencil.differences gives them.  psi's gradient and Levi matrix take
+    (psi0, wpsi, second) on each of oracle_stencils' two steps, as combine
+    forms them from PsiStencil.columns.  psi's gradient and Levi matrix take
     one Richardson level over the two steps, and the product rule gives
     d dbar rho = e^psi (d dbar delta + d delta (x) dbar psi
     + d psi (x) dbar delta + delta (d dbar psi + d psi (x) dbar psi)).
@@ -365,43 +380,6 @@ class IndexCertificate:
 
 
 DEFAULT_ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
-
-
-def estimate_index(ev: CriterionEvaluator, candidates, oracle_fn,
-                   eta_grid=DEFAULT_ETA_GRID, slack=None,
-                   diagnostics=None) -> IndexCertificate:
-    """Largest eta on the grid certified by both the boundary criterion and
-    the interior oracle, searching the candidate psi family.
-
-    ev: the boundary criterion at the degenerate samples.
-    candidates: callable eta -> iterable of (name, psi).
-    oracle_fn: callable (eta, psi) -> OracleReport.
-    """
-    records = []
-    bound = 0.0
-    for eta in sorted(eta_grid):
-        entry = {"eta": float(eta), "certified": False, "psi": None,
-                 "maxLHS": None, "oracleMinEig": None}
-        for name, psi in candidates(eta):
-            rep = ev.report(psi, eta, slack=slack, psi_name=name)
-            entry["maxLHS"] = None if rep.vacuous else float(rep.max_lhs)
-            if not rep.certified:
-                continue
-            orep = oracle_fn(eta, psi)
-            entry["oracleMinEig"] = float(orep.min_eig)
-            entry["oracleScaled"] = float(orep.min_scaled)
-            if orep.certified:
-                entry["certified"] = True
-                entry["psi"] = name
-                break
-        records.append(entry)
-        if entry["certified"]:
-            bound = max(bound, float(eta))
-    cert = IndexCertificate(eta_grid=list(sorted(eta_grid)), records=records,
-                            bound=bound, diagnostics=dict(diagnostics or {}))
-    if not any(r["certified"] for r in records):
-        cert.diagnostics.setdefault("reason", "no eta certified")
-    return cert
 
 
 def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
@@ -581,7 +559,9 @@ class CurveTerms:
     """The terms of the certificate's quadratic profile along the rotated
     tangent J t, (blend s a(t), blend s^2 / 2) at p + s J t, with blend
     fading them to zero off the curve, over a curve_geometry (or a
-    CurveReport, which carries its t and a values)."""
+    CurveReport, which carries its t and a values).  The certificate's psi
+    s a(t) + s^2 b / 2 is Psi(terms, (1, b)): only b depends on eta, so the
+    psi of every eta shares one CurveTerms."""
 
     def __init__(self, domain, curve, geometry, sigma_distance, width=None):
         self.curve = curve
@@ -600,19 +580,6 @@ class CurveTerms:
         s = np.einsum("ka,ka->k", F - gamma, jdir)
         blend = bump_c3(self.sigma_distance(F) / self.width)
         return np.stack([s * a * blend, 0.5 * s * s * blend], axis=1)
-
-
-class CurvePsi:
-    """The certificate's psi(p + s J t) = s a(t) + s^2 b / 2: its
-    CurveTerms with coefficients (1, b).  Only b depends on eta, so the psi
-    of every eta shares one CurveTerms."""
-
-    def __init__(self, terms: CurveTerms, b):
-        self.terms = terms
-        self.coef = np.array([1.0, b])
-
-    def terms_at_feet(self, F):
-        return self.terms.terms_at_feet(F)
 
 
 # curve samples of the real-curve certificate, and the relative headroom of

@@ -149,6 +149,17 @@ def emit_report(results: dict, cfg: RunConfig, name="report"):
         raise IoFailure(f"cannot write report: {exc}")
 
 
+def _write_csv(table, cfg, name):
+    """table.to_csv into --out as name; IoFailure on unwritable paths."""
+    out = cfg.values["out"]
+    try:
+        os.makedirs(out, exist_ok=True)
+        table.to_csv(os.path.join(out, name))
+    except OSError as exc:
+        raise IoFailure(f"cannot write {name}: {exc}")
+    return name
+
+
 def _cmd_zoo(args, cfg):
     if args.zoo_action == "list":
         print("\n".join(zoo.zoo_ids()))
@@ -196,13 +207,10 @@ def _cmd_theta(cfg):
         raise ConfigInvalid(f"unknown chart {chart_name!r}")
     chart = entry.charts[chart_name]
     sample = OneFormSample.from_chart(chart, res=cfg.values["res"])
-    out = cfg.values["out"]
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, f"theta_{entry.id}_{chart_name}.csv")
-    sample.to_csv(csv_path)
     res = {"domain": entry.id, "chart": chart_name,
            "maxAbsComponent": float(np.max(np.abs(sample.comps))),
-           "csv": os.path.basename(csv_path)}
+           "csv": _write_csv(sample, cfg,
+                             f"theta_{entry.id}_{chart_name}.csv")}
     if sample.closed_residual is not None:
         res["maxClosednessResidual"] = float(np.max(sample.closed_residual))
     return 0, res
@@ -225,17 +233,13 @@ def _cmd_potential(cfg):
     entry = make_entry(cfg)
     verdict, _ = periods_for(entry)
     phi = potential_for(entry, verdict, res=max(9, cfg.values["res"] // 2))
-    out = cfg.values["out"]
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, f"potential_{entry.id}.csv")
-    phi.to_csv(csv_path)
     res = {"domain": entry.id,
            "gradientResidual": float(phi.gradient_residual),
            # largest lattice-cycle residual
            "pathDisagreement": float(phi.path_disagreement),
            "maxAbsPhi": float(max(np.max(np.abs(l.values))
                                   for l in phi.leaves)),
-           "csv": os.path.basename(csv_path)}
+           "csv": _write_csv(phi, cfg, f"potential_{entry.id}.csv")}
     return 0, res
 
 

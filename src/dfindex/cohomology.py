@@ -363,17 +363,15 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
 FADE = (0.7, 0.98)
 
 
-class ChartPsi:
-    """A surface on chart coordinates of the degenerate set, extended
-    constantly along foot-point fibres and faded to zero at the rim of the
-    patch by a C3 profile.
+class ChartTerms:
+    """Terms on chart coordinates of the degenerate set, extended constantly
+    along foot-point fibres and faded to zero at the rim of the patch by a
+    C3 profile.
 
     to_chart maps boundary feet to (chart params U, leaf labels or None,
-    edge in [0, 1] with 1 at the rim); surface maps (U, labels) to values.
-    As a psi it is one term, with coefficient 1.
+    edge in [0, 1] with 1 at the rim); surface maps (U, labels) to the
+    (N, k) values of the k terms.
     """
-
-    coef = np.ones(1)
 
     def __init__(self, to_chart: Callable, surface: Callable):
         self.to_chart = to_chart
@@ -382,12 +380,13 @@ class ChartPsi:
     def terms_at_feet(self, F):
         U, t, edge = self.to_chart(np.atleast_2d(F))
         s = (np.clip(edge, 0, None) - FADE[0]) / (FADE[1] - FADE[0])
-        return (self.surface(U, t) * (1.0 - smoothstep_c3(s)))[:, None]
+        return self.surface(U, t) * (1.0 - smoothstep_c3(s))[:, None]
 
 
-def collar_psi(domain, phi: PotentialField, to_chart, width=None) -> ChartPsi:
-    """psi = -2 phi extended along foot-point fibres with the edge fade;
-    exact on the chart grid.
+def collar_terms(domain, phi: PotentialField, to_chart,
+                 width=None) -> ChartTerms:
+    """The one term of psi = -2 phi, extended along foot-point fibres with
+    the edge fade; exact on the chart grid.
 
     The collar (default width domain.collar_width) must keep foot points
     unique: a ring of offsets is probed, and CollarTooWide raised otherwise.
@@ -403,4 +402,5 @@ def collar_psi(domain, phi: PotentialField, to_chart, width=None) -> ChartPsi:
         foot_points(domain, P - width * nhat)
     except AmbiguousFoot as exc:
         raise CollarTooWide(f"ambiguous feet inside the collar: {exc}")
-    return ChartPsi(to_chart, lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t))
+    return ChartTerms(to_chart,
+                      lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t)[:, None])

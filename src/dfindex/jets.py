@@ -6,9 +6,9 @@ variables through such an evaluator yields derivatives to order 3 that are
 exact to machine precision, batched over points.  Called on plain arrays, the
 same evaluators give the values alone.  No finite differences live here:
 the signed distance's jets come in closed form from distance.boundary_jet
-and distance._jet_at_feet, and psi's derivatives from certify.PsiStencil, which
-differences psi at feet on the Taylor model of the foot map that the
-signed distance's order-3 jet gives.
+and distance._jet_at_feet, and psi's derivatives from certify.PsiStencil,
+which differences psi's terms at feet on the Taylor model of the foot map
+that the signed distance's order-3 jet gives.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is

@@ -8,13 +8,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import (DEFAULT_ETA_GRID, CriterionEvaluator, CurvePsi,
-                      CurveTerms, IndexCertificate, ZeroPsi, combine,
-                      coordinate_descent, curve_geometry, estimate_index,
-                      interior_psh_oracle, oracle_stencils,
-                      real_curve_certify, rho_terms)
-from .cohomology import (ChartPsi, PathInSigma, ThetaSource, build_potential,
-                         classify, collar_psi, exactness_tolerance, period)
+from .certify import (DEFAULT_ETA_GRID, NO_TERMS, CriterionEvaluator,
+                      CurveTerms, IndexCertificate, Psi, combine,
+                      coordinate_descent, curve_geometry, interior_psh_oracle,
+                      oracle_stencils, real_curve_certify, rho_terms)
+from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
+                         build_potential, classify, collar_terms,
+                         exactness_tolerance, period)
 from .distance import _jet_at_feet, signed_distance_from_feet
 from .errors import ChartMismatch
 from .levi import detect_sigma
@@ -64,40 +64,20 @@ def potential_for(entry: ZooEntry, verdict=None, res=9):
     return build_potential(sources, base, verdict, res=res)
 
 
-def _family_basis(entry: ZooEntry):
-    """Fourier x polynomial surface basis on the entry's Sigma coordinates."""
+def _family_surface(entry: ZooEntry):
+    """The family search's Fourier x polynomial basis on the entry's Sigma
+    coordinates, as one surface of (N, k) values."""
     if entry.id == "worm":
-        terms = [
-            lambda U: U[:, 0],
-            lambda U: U[:, 0] ** 2,
-            lambda U: np.cos(U[:, 1]),
-            lambda U: np.sin(U[:, 1]),
-            lambda U: np.cos(2 * U[:, 1]),
-            lambda U: np.sin(2 * U[:, 1]),
-            lambda U: U[:, 0] * np.cos(U[:, 1]),
-            lambda U: U[:, 0] * np.sin(U[:, 1]),
-        ]
+        def surface(U, t):
+            r, a = U[:, 0], U[:, 1]
+            return np.stack([r, r ** 2, np.cos(a), np.sin(a), np.cos(2 * a),
+                             np.sin(2 * a), r * np.cos(a), r * np.sin(a)],
+                            axis=1)
     else:
-        terms = [
-            lambda U: U[:, 0],
-            lambda U: U[:, 0] ** 2,
-            lambda U: U[:, 1] if U.shape[1] > 1 else U[:, 0] ** 3,
-            lambda U: (U[:, 1] ** 2 if U.shape[1] > 1 else U[:, 0] ** 4),
-        ]
-    return terms
-
-
-def _basis_surface(terms, coef):
-    """sum_i coef_i terms_i(U), skipping zero coefficients."""
-    coef = np.array(coef, dtype=float)
-
-    def surface(U, t):
-        vals = np.zeros(U.shape[0])
-        for c, fn in zip(coef, terms):
-            if c != 0.0:
-                vals += c * fn(U)
-        return vals
-
+        def surface(U, t):
+            x = U[:, 0]
+            y = (U[:, 1], U[:, 1] ** 2) if U.shape[1] > 1 else (x ** 3, x ** 4)
+            return np.stack([x, x ** 2, *y], axis=1)
     return surface
 
 
@@ -107,8 +87,10 @@ class Run:
 
     The eta-independent stages (Sigma scan, period verdict, collar
     potential, criterion data, interior mesh with its delta-jet and psi
-    stencils, each psi's term differences on them) are built on first use
-    and at most once; certify and estimate build their reports over them.
+    stencils, the psi terms objects) are built on first use and at most
+    once, and each stencil differences each terms object once; certify and
+    estimate build their reports over them, combining the cached columns
+    with each psi's coefficients.
     """
 
     entry: ZooEntry
@@ -138,18 +120,18 @@ class Run:
         otherwise."""
         e = self.entry
         if e.loops and self.verdict.exact and e.sigma_coords is not None:
-            return collar_psi(e.domain, potential_for(e, self.verdict),
-                              e.sigma_coords)
+            return Psi(collar_terms(e.domain, potential_for(e, self.verdict),
+                                    e.sigma_coords), (1.0,))
         return None
 
     @cached_property
     def default_psi(self):
         """certify's candidate: (psi, provenance)."""
         if self.entry.sigma_kind == "Empty":
-            return ZeroPsi(), "zero (empty degenerate set)"
+            return Psi(NO_TERMS, ()), "zero (empty degenerate set)"
         if self.collar_psi is not None:
             return self.collar_psi, "collar potential (-2 phi)"
-        return ZeroPsi(), "zero (no exact potential)"
+        return Psi(NO_TERMS, ()), "zero (no exact potential)"
 
     @cached_property
     def evaluator(self):
@@ -176,28 +158,12 @@ class Run:
         return oracle_stencils(self.entry.domain, self.interior_mesh[0],
                                self.oracle_delta)
 
-    @cached_property
-    def shared_terms(self):
-        """The psi terms that every eta shares: the curve certificate's, or
-        the collar potential's psi (None without one)."""
-        return (self.curve_terms if self.entry.sigma_kind == "RealCurve"
-                else self.collar_psi)
-
-    @cached_property
-    def shared_columns(self):
-        """shared_terms' columns (PsiStencil.columns) on both oracle
-        stencils: differenced once per run, combined at every eta."""
-        return [st.columns(self.shared_terms) for st in self.oracle_stencils]
-
     def oracle(self, eta, psi):
-        """The interior oracle on psi = sum_i coef_i T_i: combines the
-        shared columns when psi has shared_terms, and differences the terms
-        of a psi made at one eta (zero, a family member) at its call."""
-        if getattr(psi, "terms", psi) is self.shared_terms:
-            columns = self.shared_columns
-        else:
-            columns = [st.columns(psi) for st in self.oracle_stencils]
-        diffs = [combine(c, psi.coef) for c in columns]
+        """The interior oracle on psi: each oracle stencil differences
+        psi.terms once per run, and every call combines those columns with
+        psi.coef."""
+        diffs = [combine(st.columns(psi.terms), psi.coef)
+                 for st in self.oracle_stencils]
         return interior_psh_oracle(*rho_terms(self.oracle_delta, diffs), eta,
                                    slack_rel=self.oracle_slack)
 
@@ -215,28 +181,18 @@ class Run:
         return CurveTerms(e.domain, e.charts.get("curve"),
                           self.curve_geometry, e.sigma_distance)
 
-    def family_member(self, coef):
-        """psi_c = sum_i coef_i b_i over the entry's surface basis."""
-        return ChartPsi(self.entry.sigma_coords,
-                        _basis_surface(_family_basis(self.entry), coef))
-
     @cached_property
-    def family_columns(self):
-        """(G, Q), directions x basis: the criterion's psi terms of each
-        basis function, so that psi_c has Lbar psi = G c and Hessian term
-        Q c at every eta; one stencil.differences call per basis function."""
-        n = len(_family_basis(self.entry))
-        terms = [self.evaluator.psi_terms(self.family_member(e))
-                 for e in np.eye(n)]
-        G, Q = (np.stack(col, axis=1) for col in zip(*terms))
-        return G, Q
+    def family_terms(self):
+        """The family search's basis functions, one term each."""
+        return ChartTerms(self.entry.sigma_coords,
+                          _family_surface(self.entry))
 
     def family_psi(self, eta, diagnostics):
-        """Coordinate-descent minimiser of maxLHS over the entry's surface
-        basis, scoring coefficients c as max lhs_dirs(G c, Q c, eta) on the
-        family columns; the minimum is logged in
+        """Coordinate-descent minimiser of maxLHS over psi = Psi(
+        family_terms, c), scoring c as max lhs_dirs(G c, Q c, eta) on the
+        criterion's columns (G, Q) of the basis; the minimum is logged in
         diagnostics['psiProvenance']."""
-        G, Q = self.family_columns
+        G, Q = self.evaluator.columns(self.family_terms)
 
         def objective(coef):
             return float(self.evaluator.lhs_dirs(G @ coef, Q @ coef,
@@ -247,7 +203,7 @@ class Run:
                                        -box, box, rounds=2, gold_iters=10)
         diagnostics["psiProvenance"].append(
             {"eta": float(eta), "family_min_maxLHS": float(val)})
-        return self.family_member(coef)
+        return Psi(self.family_terms, coef)
 
     def certify(self, eta):
         """Report at one exponent: the boundary check (criterion, or the
@@ -257,7 +213,7 @@ class Run:
         if self.entry.sigma_kind == "RealCurve":
             crep = real_curve_certify(self.curve_geometry, eta,
                                       slack=self.slack)
-            psi = CurvePsi(self.curve_terms, crep.b)
+            psi = Psi(self.curve_terms, (1.0, crep.b))
             out["curve"] = crep.to_json()
             out["criterion"] = {"certified": crep.certified,
                                 "maxLHS": crep.max_lhs, "slack": crep.slack}
@@ -277,8 +233,10 @@ class Run:
         return out
 
     def estimate(self, eta_grid=DEFAULT_ETA_GRID) -> IndexCertificate:
-        """Largest certified eta on the grid, trying psi candidates per eta
-        in order: collar potential, zero, family search."""
+        """Largest eta on the grid certified by both the boundary check and
+        the interior oracle.  Per eta, psi candidates are tried in order
+        (collar potential, zero, family search), and the oracle runs on each
+        one the criterion certifies, until one passes both."""
         grid = sorted(eta_grid)
         diagnostics = {"sigmaSize": self.sigma.size, "psiProvenance": []}
         if self.entry.sigma_kind == "RealCurve":
@@ -301,12 +259,30 @@ class Run:
         def candidates(eta):
             if self.collar_psi is not None:
                 yield "collar potential", self.collar_psi
-            yield "zero", ZeroPsi()
+            yield "zero", Psi(NO_TERMS, ())
             if search:
                 yield ("family (coordinate descent)",
                        self.family_psi(eta, diagnostics))
 
-        return estimate_index(self.evaluator, candidates, self.oracle,
-                              eta_grid=grid, slack=self.slack,
-                              diagnostics=diagnostics)
-
+        records = []
+        for eta in grid:
+            record = {"eta": float(eta), "certified": False, "psi": None,
+                      "maxLHS": None, "oracleMinEig": None}
+            for name, psi in candidates(eta):
+                rep = self.evaluator.report(psi, eta, slack=self.slack,
+                                            psi_name=name)
+                record["maxLHS"] = None if rep.vacuous else float(rep.max_lhs)
+                if not rep.certified:
+                    continue
+                orep = self.oracle(eta, psi)
+                record["oracleMinEig"] = float(orep.min_eig)
+                record["oracleScaled"] = float(orep.min_scaled)
+                if orep.certified:
+                    record.update(certified=True, psi=name)
+                    break
+            records.append(record)
+        certified = [r["eta"] for r in records if r["certified"]]
+        if not certified:
+            diagnostics["reason"] = "no eta certified"
+        return IndexCertificate(grid, records, max(certified, default=0.0),
+                                diagnostics)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
-from dfindex.certify import curve_geometry, oracle_stencils, rho_terms
+from dfindex.certify import (NO_TERMS, Psi, combine, curve_geometry,
+                             oracle_stencils, rho_terms)
 from dfindex.cohomology import build_potential, classify
 from dfindex.distance import _jet_at_feet, signed_distance_from_feet
 from references import leaf_sources
@@ -75,11 +76,13 @@ def sample_box_points(entry, count, seed, margin=0.0, avoid_crease=False):
     return np.concatenate(out, axis=0)
 
 
-class Shifted:
-    """psi + c for a psi evaluator: the same function of the foot point,
-    shifted by a constant, as one term."""
+# psi = 0
+ZERO_PSI = Psi(NO_TERMS, ())
 
-    coef = np.ones(1)
+
+class _ShiftedTerms:
+    """psi + c as one term: the same function of the foot point, shifted
+    by a constant."""
 
     def __init__(self, base, c):
         self.base = base
@@ -89,9 +92,14 @@ class Shifted:
         return psi_at_feet(self.base, F)[:, None] + self.c
 
 
+def shifted(psi, c):
+    """psi + c, a psi of its own one term."""
+    return Psi(_ShiftedTerms(psi, c), (1.0,))
+
+
 def psi_at_feet(psi, F):
     """psi's values sum_i coef_i T_i at the feet F."""
-    return psi.terms_at_feet(F) @ psi.coef
+    return psi.terms.terms_at_feet(F) @ psi.coef
 
 
 def oracle_terms(domain, mesh, psi):
@@ -101,5 +109,5 @@ def oracle_terms(domain, mesh, psi):
     points, feet = mesh
     d = signed_distance_from_feet(domain, points, feet)
     delta = _jet_at_feet(domain, feet, d, 3)
-    return rho_terms(delta, [st.differences(psi) for st in
-                             oracle_stencils(domain, points, delta)])
+    return rho_terms(delta, [combine(st.columns(psi.terms), psi.coef)
+                             for st in oracle_stencils(domain, points, delta)])

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
-from dfindex.certify import PsiStencil
+from dfindex.certify import PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (BoundaryBatch, _jet_at_feet, boundary_jet,
                               normal_n, signed_distance_from_feet)
@@ -749,7 +749,8 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
 
     out = []
     for eta in etas:
-        _, wpsi, _ = stencil.differences(psi_producer(eta))
+        psi = psi_producer(eta)
+        _, wpsi, _ = combine(stencil.columns(psi.terms), psi.coef)
         lbar = np.conj(np.einsum("kj,kj->k", Ls, wpsi))
         integrand = np.abs(0.5 * lbar + h)
         out.append(float(np.dot(w2, integrand) * cell))

@@ -19,10 +19,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import Shifted, oracle_terms
-from dfindex.certify import (CriterionEvaluator, CurvePsi, CurveTerms,
-                             PatchSpec, ZeroPsi, caccioppoli_check,
-                             interior_psh_oracle, real_curve_certify)
+from conftest import ZERO_PSI, oracle_terms, shifted
+from dfindex.certify import (CriterionEvaluator, CurveTerms, PatchSpec, Psi,
+                             caccioppoli_check, interior_psh_oracle,
+                             real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
                                 classify, period)
@@ -239,7 +239,7 @@ def test_criterion_7_residual_sequence(bidisc, bidisc_package):
     assert all(v < 1e-4 for v in vals)
 
     vals2 = residual_sequence(bidisc.domain, chart, 0.6, etas,
-                              lambda eta: Shifted(psi, 1.0 / (1.0 - eta)),
+                              lambda eta: shifted(psi, 1.0 / (1.0 - eta)),
                               res=9)
     np.testing.assert_allclose(vals, vals2, atol=1e-10)
     report(7, f"L1 residuals max {max(vals):.2e} (tol 1e-4); "
@@ -263,14 +263,14 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     meshes at distance >= d0; d0 is reported per domain."""
     bands = [(0.02, 0.05), (0.05, 0.1), (0.1, 0.15)]
     certified = []
-    certified.append(("ball", 0.99, ZeroPsi(), ball))
+    certified.append(("ball", 0.99, ZERO_PSI, ball))
     certified.append(("bidisc", 0.99, bidisc_package["psi"], bidisc))
     crep = real_curve_certify(quartic_curve, 0.99)
     assert crep.certified
     certified.append(("quartic", 0.99,
-                      CurvePsi(CurveTerms(quartic.domain,
-                                          quartic.charts["curve"], crep,
-                                          quartic.sigma_distance), crep.b),
+                      Psi(CurveTerms(quartic.domain,
+                                     quartic.charts["curve"], crep,
+                                     quartic.sigma_distance), (1.0, crep.b)),
                       quartic))
     d0s = {}
     for name, eta, psi, entry in certified:

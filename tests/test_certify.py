@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import Shifted, oracle_terms, psi_at_feet
-from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator, CurvePsi,
-                             CurveTerms, PatchSpec, ZeroPsi,
-                             caccioppoli_check, coordinate_descent,
-                             interior_psh_oracle, oracle_stencils,
-                             real_curve_certify)
-from dfindex import certify, distance, pipelines, zoo
-from dfindex.cohomology import ChartPsi, collar_psi
+from conftest import ZERO_PSI, oracle_terms, psi_at_feet, shifted
+from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
+                             CurveTerms, PatchSpec, Psi, caccioppoli_check,
+                             coordinate_descent, interior_psh_oracle,
+                             oracle_stencils, real_curve_certify)
+from dfindex import certify, cohomology, distance, pipelines, zoo
+from dfindex.cohomology import ChartTerms, collar_terms
 from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
@@ -44,7 +43,7 @@ def bidisc_psi(bidisc):
 
 def test_ball_criterion_vacuous(ball):
     sig = sigma_scan(ball, 500, seed=1)
-    rep = CriterionEvaluator(ball.domain, sig).report(ZeroPsi(), 0.99)
+    rep = CriterionEvaluator(ball.domain, sig).report(ZERO_PSI, 0.99)
     assert rep.certified and rep.vacuous
 
 
@@ -56,7 +55,7 @@ def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
 
 
 def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
-    rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZeroPsi(), 0.9)
+    rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZERO_PSI, 0.9)
     assert not rep.certified
     assert rep.max_lhs > 1.0
     # the blow-up coefficient (1/(1-eta)-1) = 9 against |h|^2 = 1/(4 r^2)
@@ -80,7 +79,7 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
                   / np.maximum(np.abs(loop), 1.0)) < 1e-14
     third_imag = float(np.max(np.abs(pure.imag)))
     assert abs(ev.third_imag - third_imag) <= 1e-14
-    rep = ev.report(ZeroPsi(), 0.5).to_json()
+    rep = ev.report(ZERO_PSI, 0.5).to_json()
     assert rep["thirdImag"] == ev.third_imag
 
 
@@ -99,8 +98,9 @@ def worm_evaluator(worm_run):
 def worm_family_psi(worm):
     """A nonzero psi on the worm's Sigma coordinates, as the family search
     builds them."""
-    return ChartPsi(worm.sigma_coords, lambda U, t: 0.4 * U[:, 0]
-                    - 0.3 * np.cos(U[:, 1]) + 0.2 * U[:, 0] * np.sin(U[:, 1]))
+    return Psi(ChartTerms(worm.sigma_coords, lambda U, t: (
+        0.4 * U[:, 0] - 0.3 * np.cos(U[:, 1])
+        + 0.2 * U[:, 0] * np.sin(U[:, 1]))[:, None]), (1.0,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,13 +112,43 @@ def test_criterion_invariant_under_psi_shift(worm_evaluator, worm_family_psi,
     # differences of values of size |c| + |psi| carry an error of order
     # (|c| + |psi|) eps / h^2, h = FD_STEP * scale
     ev = worm_evaluator
-    psi = worm_family_psi if family else ZeroPsi()
+    psi = worm_family_psi if family else ZERO_PSI
     size = abs(c) + float(np.abs(psi_at_feet(psi, ev.stencil.feet)).max())
     if family:
         assert size - abs(c) > 0.1
     tol = 2.0 * size * np.finfo(float).eps / ev.stencil.h ** 2
     base = ev.lhs(psi, eta)
-    assert np.max(np.abs(ev.lhs(Shifted(psi, c), eta) - base)) <= tol
+    assert np.max(np.abs(ev.lhs(shifted(psi, c), eta) - base)) <= tol
+
+
+def _summed_family_psi(run, coef):
+    """psi_c as the one term sum_i c_i b_i over the family basis, skipping
+    zero coefficients: the summed surface the family's columns stand for."""
+    basis = run.family_terms.surface
+
+    def surface(U, t):
+        vals = np.zeros(U.shape[0])
+        for c, b in zip(coef, basis(U, t).T):
+            if c != 0.0:
+                vals += c * b
+        return vals[:, None]
+
+    return Psi(ChartTerms(run.entry.sigma_coords, surface), (1.0,))
+
+
+def test_family_columns_stack_single_basis_columns(worm_run):
+    # the family's 8 terms differenced in one pass give each basis
+    # function's columns bit for bit
+    ev = worm_run.evaluator
+    basis = worm_run.family_terms.surface
+    single = [ev.columns(ChartTerms(worm_run.entry.sigma_coords,
+                                    lambda U, t, i=i: basis(U, t)[:, i:i + 1]))
+              for i in range(8)]
+    G, Q = ev.columns(worm_run.family_terms)
+    np.testing.assert_array_equal(G, np.concatenate([g for g, _ in single],
+                                                    axis=1))
+    np.testing.assert_array_equal(Q, np.concatenate([q for _, q in single],
+                                                    axis=1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,16 +165,15 @@ def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
     # to third_field whatever c is, so the sums round at eps max|LHS| too
     # (error 1.7e-18 at the example, where the first term is 2.8e-19)
     ev = worm_run.evaluator
-    G, Q = worm_run.family_columns
+    G, Q = ev.columns(worm_run.family_terms)
     assert G.shape == Q.shape == (len(ev.Ls), len(coef))
     c = np.array(coef)
-    sizes = [np.abs(psi_at_feet(worm_run.family_member(e),
-                                ev.stencil.feet)).max()
-             for e in np.eye(len(c))]
+    sizes = np.abs(worm_run.family_terms.terms_at_feet(ev.stencil.feet)).max(
+        axis=0)
     dirs = ev.lhs_dirs(G @ c, Q @ c, eta)
     per_sample = np.full(ev.K, -np.inf)
     np.maximum.at(per_sample, ev.sample_index, dirs)
-    ref = ev.lhs(worm_run.family_member(c), eta)
+    ref = ev.lhs(_summed_family_psi(worm_run, c), eta)
     eps = np.finfo(float).eps
     tol = 2.0 * float(np.abs(c) @ sizes) * eps / ev.stencil.h ** 2 \
         + eps * float(np.abs(ref).max())
@@ -154,7 +183,7 @@ def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
 
 def test_criterion_monotonicity_in_eta(worm, worm_sigma):
     ev = CriterionEvaluator(worm.domain, worm_sigma)
-    psi = ZeroPsi()
+    psi = ZERO_PSI
     lhs1 = ev.lhs(psi, 0.5)
     lhs2 = ev.lhs(psi, 0.9)
     assert np.all(lhs1 <= lhs2 + 1e-12)
@@ -190,14 +219,14 @@ def test_ball_oracle_distance_route(ball):
     # the ball's default depths reach 0.5, past its 0.22 collar, where the
     # signed distance has no jet; ORACLE_DEPTH ends inside every collar
     with pytest.raises(StencilLeak):
-        oracle_terms(ball.domain, ball.interior_mesh(800, seed=3), ZeroPsi())
+        oracle_terms(ball.domain, ball.interior_mesh(800, seed=3), ZERO_PSI)
     mesh = ball.interior_mesh(800, seed=3, depth=ORACLE_DEPTH)
-    assert oracle(ball.domain, mesh, ZeroPsi(), 0.99).certified
+    assert oracle(ball.domain, mesh, ZERO_PSI, 0.99).certified
 
 
 def test_worm_oracle_negative_at_high_eta(worm):
     mesh = worm.interior_mesh(600, seed=4)
-    rep = oracle(worm.domain, mesh, ZeroPsi(), 0.99)
+    rep = oracle(worm.domain, mesh, ZERO_PSI, 0.99)
     assert not rep.certified
     assert rep.min_eig < 0
 
@@ -208,7 +237,7 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
     # convexifying potential and stays out)
     for entry in (ball, bidisc, quartic):
         mesh = entry.interior_mesh(500, seed=5, depth=(0.04, 0.1))
-        assert oracle(entry.domain, mesh, ZeroPsi(), 0.05).certified, entry.id
+        assert oracle(entry.domain, mesh, ZERO_PSI, 0.05).certified, entry.id
 
 
 @pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
@@ -222,7 +251,7 @@ def test_oracle_reads_delta_jet_with_zero_psi(name, request):
     mesh, feet = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     d = distance.signed_distance_from_feet(entry.domain, mesh, feet)
     jet = distance._jet_at_feet(entry.domain, feet, d, 2)
-    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), ZeroPsi())
+    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), ZERO_PSI)
     np.testing.assert_array_equal(value, jet.value)
     np.testing.assert_array_equal(wgrad, jet.wgrad)
     np.testing.assert_array_equal(mixed, jet.mixed)
@@ -246,13 +275,13 @@ def _two_projection_jet(domain, psi, mesh):
 @pytest.fixture(scope="module")
 def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
-    collar = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
+    collar = Psi(collar_terms(bidisc.domain, bidisc_leaf_field,
+                              bidisc.sigma_coords), (1.0,))
     rep = real_curve_certify(quartic_curve, 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
-    curve = CurvePsi(CurveTerms(quartic.domain, quartic.charts["curve"],
-                                rep, quartic.sigma_distance, width=0.6),
-                     rep.b)
+    curve = Psi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
+                           quartic.sigma_distance, width=0.6), (1.0, rep.b))
     return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
 
@@ -319,7 +348,7 @@ def test_criterion_build_projects_nothing(worm, worm_sigma, monkeypatch):
     # the Sigma samples are feet, so their jets need no projection
     rows = _counting_projections(monkeypatch)
     ev = CriterionEvaluator(worm.domain, worm_sigma)
-    ev.lhs(ZeroPsi(), 0.5)
+    ev.lhs(ZERO_PSI, 0.5)
     assert rows == []
 
 
@@ -426,21 +455,39 @@ def test_estimate_builds_one_evaluator(worm, monkeypatch):
     assert len(builds) == 1
 
 
-def test_estimate_evaluates_psi_on_the_stencil_18_times(worm, monkeypatch):
+def _counting_chart_terms(monkeypatch):
+    """Rows of every ChartTerms.terms_at_feet call from here on."""
     calls = []
-    differences = certify.PsiStencil.differences
+    terms = cohomology.ChartTerms.terms_at_feet
 
-    def counting(self, psi):
-        calls.append(1)
-        return differences(self, psi)
+    def counting(self, F):
+        calls.append(len(F))
+        return terms(self, F)
 
-    monkeypatch.setattr(certify.PsiStencil, "differences", counting)
-    cert = Run(worm, mesh_count=400,
-               oracle_count=20).estimate()
+    monkeypatch.setattr(cohomology.ChartTerms, "terms_at_feet", counting)
+    return calls
+
+
+def test_estimate_evaluates_family_terms_once(worm, monkeypatch):
+    calls = _counting_chart_terms(monkeypatch)
+    run = Run(worm, mesh_count=400, oracle_count=20)
+    cert = run.estimate()
     assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
-    # one column per basis function, then the zero and the family psi are
-    # scored at each eta; the search itself never evaluates psi
-    assert len(calls) == 8 + 2 * len(DEFAULT_ETA_GRID) == 18
+    # the family's 8 basis functions, in one pass on the criterion stencil;
+    # the search and the family psi of every eta combine those columns
+    assert calls == [len(run.evaluator.stencil.feet)]
+
+
+def test_estimate_evaluates_collar_terms_once_per_stencil(bidisc,
+                                                          monkeypatch):
+    calls = _counting_chart_terms(monkeypatch)
+    run = Run(bidisc, 400, seed=3, oracle_count=40)
+    cert = run.estimate()
+    assert [r["psi"] for r in cert.records] == ["collar potential"] * 5
+    # once on the criterion stencil and once on each oracle stencil, for
+    # the criterion and the oracle at every eta
+    assert calls == [len(run.evaluator.stencil.feet),
+                     *(len(st.feet) for st in run.oracle_stencils)]
 
 
 def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
@@ -465,7 +512,7 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
 
 
 def test_oracle_weighs_shared_curve_terms_with_each_psis_b(quartic):
-    # every eta's CurvePsi shares the run's CurveTerms, differenced once;
+    # every eta's curve psi shares the run's CurveTerms, differenced once;
     # each call still weighs them with its own b, as a psi over fresh terms
     # is weighed.  A support wider than the default reaches the mesh.
     run = Run(quartic, mesh_count=200, oracle_count=100)
@@ -478,8 +525,8 @@ def test_oracle_weighs_shared_curve_terms_with_each_psis_b(quartic):
     run.curve_terms = terms()
     eigs = []
     for b in (-3.0, -30.0):
-        shared = run.oracle(0.5, CurvePsi(run.curve_terms, b)).min_eig
-        assert shared == run.oracle(0.5, CurvePsi(terms(), b)).min_eig
+        shared = run.oracle(0.5, Psi(run.curve_terms, (1.0, b))).min_eig
+        assert shared == run.oracle(0.5, Psi(terms(), (1.0, b))).min_eig
         eigs.append(shared)
     assert eigs[0] != eigs[1]
 
@@ -640,7 +687,7 @@ def test_residual_sequence_bidisc(bidisc, bidisc_psi):
     # constant-shift family: identical residuals (documented non-uniqueness)
     shifts = iter([1.0, 2.0, 3.0])
     vals2 = residual_sequence(bidisc.domain, chart, 0.6, etas,
-                              lambda eta: Shifted(bidisc_psi, next(shifts)),
+                              lambda eta: shifted(bidisc_psi, next(shifts)),
                               res=9)
     np.testing.assert_allclose(vals, vals2, atol=1e-10)
 
@@ -648,7 +695,7 @@ def test_residual_sequence_bidisc(bidisc, bidisc_psi):
 def test_residual_sequence_worm_bounded_below(worm):
     chart = worm.charts["patch"]
     vals = residual_sequence(worm.domain, chart, 0.6, [0.5, 0.9, 0.99],
-                             lambda eta: ZeroPsi(), res=9)
+                             lambda eta: ZERO_PSI, res=9)
     # the period obstruction keeps the L1 residual bounded away from zero
     assert min(vals) > 1e-3
 
@@ -675,8 +722,8 @@ def test_curve_certificate_ball_not_a_curve(ball):
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
-    psi = CurvePsi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
-                              quartic.sigma_distance), rep.b)
+    psi = Psi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
+                         quartic.sigma_distance), (1.0, rep.b))
     mesh = quartic.interior_mesh(400, seed=6)
     assert oracle(quartic.domain, mesh, psi, 0.99).certified
 

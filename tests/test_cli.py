@@ -156,12 +156,15 @@ def test_every_command_byte_identical(tmp_path, command):
     assert written[0] == written[1]
 
 
-def test_io_failure_exit_one(tmp_path):
+@pytest.mark.parametrize("command", ["scan", "theta", "potential"])
+def test_io_failure_exit_one(tmp_path, capsys, command):
+    # an --out under a file: the report and, for theta and potential, the
+    # CSV written before it end in a typed IoFailure
     bad = tmp_path / "file"
     bad.write_text("x")
-    code = main(["scan", "--domain", "ball", "--mesh", "100",
-                 "--out", str(bad / "sub")])
+    code = main(EVERY_COMMAND[command] + ["--out", str(bad / "sub")])
     assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "IoFailure"
 
 
 def test_unknown_domain_exit_one(tmp_path):

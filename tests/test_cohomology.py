@@ -9,8 +9,9 @@ import pytest
 
 from conftest import psi_at_feet
 from dfindex import cohomology
+from dfindex.certify import Psi
 from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
-                                build_potential, classify, collar_psi,
+                                build_potential, classify, collar_terms,
                                 exactness_tolerance, _PolyModel,
                                 integrate_theta, period)
 from dfindex.distance import foot_points
@@ -249,7 +250,7 @@ def test_collar_psi_matches_on_sigma(bidisc):
         U = np.stack([P[:, 0], P[:, 1]], axis=1)
         return U, None, np.zeros(P.shape[0])
 
-    psi = collar_psi(bidisc.domain, phi, to_chart)
+    psi = Psi(collar_terms(bidisc.domain, phi, to_chart), (1.0,))
     U = phi.leaves[0].params[::7]
     P = chart.embed_batch(U)
     vals = psi_at_feet(psi, P)
@@ -276,7 +277,7 @@ def test_collar_psi_edge_blend(bidisc):
         edge = FADE[0] + (FADE[1] - FADE[0]) * (r - lo) / (hi - lo)
         return U, None, edge
 
-    psi = collar_psi(bidisc.domain, phi, to_chart)
+    psi = Psi(collar_terms(bidisc.domain, phi, to_chart), (1.0,))
     x_edge = hi
 
     def at(x):
@@ -312,7 +313,7 @@ def test_collar_too_wide(ball, bidisc):
             np.zeros(P.shape[0])
 
     with pytest.raises(CollarTooWide):
-        collar_psi(bidisc.domain, phi, to_chart, width=2.0)
+        collar_terms(bidisc.domain, phi, to_chart, width=2.0)
 
 
 
@@ -415,7 +416,8 @@ def test_collar_psi_smooth_across_leaf_labels(bidisc, bidisc_leaf_field):
     # Blending the leaves linearly in the label put a kink there: the
     # second difference peaked at 4.9e4 against a median of 8.2.  The C3
     # blend measures 0.24 at most.
-    psi = collar_psi(bidisc.domain, bidisc_leaf_field, bidisc.sigma_coords)
+    psi = Psi(collar_terms(bidisc.domain, bidisc_leaf_field,
+                           bidisc.sigma_coords), (1.0,))
     step = 5e-5
     line = (bidisc.interior_mesh(40, seed=9)[0][38][None]
             + np.outer(np.arange(-200, 201) * step, [0.0, 0.0, 1.0, 0.0]))
