@@ -96,8 +96,8 @@ def worm_evaluator(worm_run):
 
 @pytest.fixture(scope="module")
 def worm_family_psi(worm):
-    """A nonzero psi on the worm's Sigma coordinates, as the family search
-    builds them."""
+    """A nonzero psi on the worm's Sigma coordinates: one term that
+    combines family basis functions."""
     return Psi(ChartTerms(worm.sigma_coords, lambda U, t: (
         0.4 * U[:, 0] - 0.3 * np.cos(U[:, 1])
         + 0.2 * U[:, 0] * np.sin(U[:, 1]))[:, None]), (1.0,))
@@ -476,6 +476,7 @@ def test_estimate_evaluates_family_terms_once(worm, monkeypatch):
     # the family's 8 basis functions, in one pass on the criterion stencil;
     # the search and the family psi of every eta combine those columns
     assert calls == [len(run.evaluator.stencil.feet)]
+    assert run.evaluator.columns(run.family_terms)[0].shape[1] == 8
 
 
 def test_estimate_evaluates_collar_terms_once_per_stencil(bidisc,
