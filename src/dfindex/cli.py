@@ -1,8 +1,15 @@
 """Batch front end: configuration, pipelines, reproducible reports.
 
-Exit codes: 0 success/certified, 2 not certified, 1 error.  Reports are
+Exit codes: 0 success/certified, 2 not certified, 1 error.  Every bad
+input -- an unknown command, flag or config key, a value of the wrong type
+or out of range, a domain or pipeline failure -- ends in a typed
+DfIndexError, exit code 1 and an error.json under --out.  Reports are
 deterministic JSON (sorted keys, 12-significant-digit floats, config hash
 embedded); grids go to CSV next to the report.
+
+_DEFAULTS is the one list of settings: each key is a config-file key and a
+--key flag (with - for _), read as text and converted to its default's
+type by RunConfig.validate.  _COMMANDS is the one list of commands.
 """
 
 from __future__ import annotations
@@ -78,10 +85,13 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        kinds = dict.fromkeys(("mesh", "interior", "res", "seed"), int)
-        kinds.update(dict.fromkeys(("radius", "beta", "r", "eta", "threshold",
-                                    "slack", "oracle_slack"), float))
-        for key, kind in kinds.items():
+        unknown = sorted(set(self.values) - set(_DEFAULTS))
+        if unknown:
+            raise ConfigInvalid(f"unknown setting(s) {', '.join(unknown)}")
+        for key, default in _DEFAULTS.items():
+            kind = type(default)
+            if kind is str:
+                continue
             try:
                 self.values[key] = kind(self.values[key])
             except (TypeError, ValueError):
@@ -160,17 +170,19 @@ def _write_csv(table, cfg, name):
     return name
 
 
-def _cmd_zoo(args, cfg):
-    if args.zoo_action == "list":
-        print("\n".join(zoo.zoo_ids()))
-        return 0, None
-    entry = make_entry(cfg)
-    desc = entry.describe()
-    print(canonical_json(desc))
-    return 0, {"describe": desc}
+def _cmd_zoo_list(cfg):
+    """the zoo's domain ids"""
+    print("\n".join(zoo.zoo_ids()))
+    return 0, None
+
+
+def _cmd_zoo_describe(cfg):
+    """--domain's charts, loops and box"""
+    return 0, {"describe": make_entry(cfg).describe()}
 
 
 def _cmd_scan(cfg):
+    """Levi scan of a boundary mesh and its pitch"""
     entry = make_entry(cfg)
     mesh = entry.boundary_mesh(cfg.values["mesh"], cfg.values["seed"])
     sigma = detect_sigma(entry.domain, mesh, threshold=cfg.opt("threshold"))
@@ -186,6 +198,7 @@ def _cmd_scan(cfg):
 
 
 def _cmd_sigma(cfg):
+    """the degenerate set Sigma and its smallest Levi eigenvalues"""
     entry = make_entry(cfg)
     sigma = sigma_scan(entry, cfg.values["mesh"], cfg.values["seed"],
                        threshold=cfg.opt("threshold"))
@@ -199,6 +212,7 @@ def _cmd_sigma(cfg):
 
 
 def _cmd_theta(cfg):
+    """the 1-form theta on a chart grid (--chart, --res), with a CSV"""
     entry = make_entry(cfg)
     if not entry.charts:
         raise ChartMismatch(f"domain {entry.id} has no chart")
@@ -217,6 +231,7 @@ def _cmd_theta(cfg):
 
 
 def _cmd_period(cfg):
+    """periods of theta around the generator loops (--loop)"""
     entry = make_entry(cfg)
     verdict, values = periods_for(entry)
     res = {"domain": entry.id, "verdict": verdict.to_json(),
@@ -230,6 +245,7 @@ def _cmd_period(cfg):
 
 
 def _cmd_potential(cfg):
+    """the potential phi of an exact theta, with a CSV"""
     entry = make_entry(cfg)
     verdict, _ = periods_for(entry)
     phi = potential_for(entry, verdict, res=max(9, cfg.values["res"] // 2))
@@ -251,11 +267,13 @@ def _run(cfg):
 
 
 def _cmd_certify(cfg):
+    """boundary inequality and interior oracle at --eta"""
     res = _run(cfg).certify(cfg.values["eta"])
     return (0 if res["certified"] else 2), res
 
 
 def _cmd_estimate(cfg):
+    """largest certified eta on --eta-grid"""
     run = _run(cfg)
     cert = run.estimate(cfg.eta_grid())
     return 0, {"domain": run.entry.id, "certificate": cert.to_json(),
@@ -263,6 +281,7 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_caccioppoli(cfg):
+    """the cutoff L2 bound on three discs"""
     rows = []
     ok = True
     for n in (1, 4, 16):
@@ -275,6 +294,7 @@ def _cmd_caccioppoli(cfg):
 
 
 def _cmd_curve(cfg):
+    """the real-curve certificate at --eta"""
     entry = make_entry(cfg)
     if entry.sigma_kind != "RealCurve":
         raise DfIndexError(f"domain {entry.id} has no real-curve "
@@ -286,77 +306,73 @@ def _cmd_curve(cfg):
                                          "curve": rep.to_json()}
 
 
-def run_pipeline(command, cfg: RunConfig):
-    """Dispatch one pipeline; returns (exit code, result dict)."""
-    table = {
-        "scan": _cmd_scan,
-        "sigma": _cmd_sigma,
-        "theta": _cmd_theta,
-        "period": _cmd_period,
-        "potential": _cmd_potential,
-        "certify": _cmd_certify,
-        "estimate": _cmd_estimate,
-        "caccioppoli": _cmd_caccioppoli,
-        "curve": _cmd_curve,
-    }
-    if command not in table:
-        raise ConfigInvalid(f"unknown command {command!r}")
-    return table[command](cfg)
+# command -> function of the configuration returning (exit code, report or
+# None); the report goes to <first word>.json under --out
+_COMMANDS = {
+    "scan": _cmd_scan,
+    "sigma": _cmd_sigma,
+    "theta": _cmd_theta,
+    "period": _cmd_period,
+    "potential": _cmd_potential,
+    "certify": _cmd_certify,
+    "estimate": _cmd_estimate,
+    "caccioppoli": _cmd_caccioppoli,
+    "curve": _cmd_curve,
+    "zoo list": _cmd_zoo_list,
+    "zoo describe": _cmd_zoo_describe,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigInvalid instead of exiting."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    """One --key flag, read as text, per _DEFAULTS entry; the commands'
+    help comes from _COMMANDS."""
+    p = _Parser(
         prog="dfindex",
         description="Boundary geometry analysis and index certification "
-                    "for smoothly bounded pseudoconvex domains")
-    p.add_argument("command",
-                   choices=["scan", "sigma", "theta", "period", "potential",
-                            "certify", "estimate", "caccioppoli", "curve",
-                            "zoo"])
-    p.add_argument("zoo_action", nargs="?", default="list",
-                   help="for 'zoo': list | describe")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--mesh", type=int, default=None)
-    p.add_argument("--interior", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-grid", dest="eta_grid", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--slack", type=float, default=None)
-    p.add_argument("--oracle-slack", dest="oracle_slack", type=float,
-                   default=None)
-    p.add_argument("--loop", default=None)
-    p.add_argument("--chart", default=None)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+                    "for smoothly bounded pseudoconvex domains",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<14} {fn.__doc__}" for name, fn in _COMMANDS.items()))
+    p.add_argument("command", help="a command below; zoo alone lists")
+    p.add_argument("action", nargs="?", help="list | describe, for zoo")
+    p.add_argument("--config", help="key=value config file")
+    for key, default in _DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       help=f"default {default!r}")
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in
-                 ("domain", "radius", "beta", "r", "mesh", "interior", "eta",
-                  "eta_grid", "threshold", "slack", "oracle_slack", "loop",
-                  "chart", "res", "out", "seed")}
     cfg = RunConfig()
-    if args.out is not None:
-        cfg.values["out"] = args.out
     try:
-        cfg = RunConfig.read(args.config, overrides)
+        # --out alone first, so that error.json goes there even when the
+        # full parse fails (a flag without its value)
+        out = _Parser(add_help=False)
+        out.add_argument("--out", default=cfg.values["out"])
+        cfg.values["out"] = out.parse_known_args(argv)[0].out
+        args, extra = build_parser().parse_known_args(argv)
+        cfg = RunConfig.read(args.config,
+                             {k: getattr(args, k) for k in _DEFAULTS})
+        if extra:
+            raise ConfigInvalid(f"unrecognized arguments: {' '.join(extra)}")
+        command = " ".join(filter(None, (args.command, args.action)))
+        command = {"zoo": "zoo list"}.get(command, command)
+        if command not in _COMMANDS:
+            raise ConfigInvalid(f"unknown command {command!r}; one of "
+                                f"{', '.join(_COMMANDS)}")
         cfg.validate()
-        if args.command == "zoo":
-            code, res = _cmd_zoo(args, cfg)
-            if res is not None:
-                emit_report(res, cfg, name="zoo")
-            return code
-        code, res = run_pipeline(args.command, cfg)
-        path = emit_report(res, cfg, name=args.command)
-        print(canonical_json(res))
-        print(f"report: {path}", file=sys.stderr)
+        code, res = _COMMANDS[command](cfg)
+        if res is not None:
+            path = emit_report(res, cfg, name=command.split()[0])
+            print(canonical_json(res))
+            print(f"report: {path}", file=sys.stderr)
         return code
     except DfIndexError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}

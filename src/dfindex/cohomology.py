@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,9 @@ from .sigma import SigmaChart, theta_components
 from .util import smoothstep_c3
 
 POTENTIAL_FACTOR = 2.0   # phi = 2 * integral(theta); makes dbar phi = h
+# integrate_theta halves its Simpson step until two whole-path estimates
+# differ by less than PERIOD_TOL x (1 + |estimate|)
+PERIOD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +71,11 @@ class PathInSigma:
         return self
 
 
-def integrate_theta(source, path: PathInSigma, tol=1e-8):
+def integrate_theta(source, path: PathInSigma):
     """Line integral of the 1-form along a polyline of chart parameters.
 
     Composite Simpson per segment with uniform halving until two successive
-    whole-path estimates differ by less than tol.
+    whole-path estimates differ by less than PERIOD_TOL (relative).
     """
     path.validate(source.chart)
     pts = path.params
@@ -96,18 +99,18 @@ def integrate_theta(source, path: PathInSigma, tol=1e-8):
     n = 4
     for _ in range(10):
         est = estimate(n)
-        if prev is not None and abs(est - prev) < tol * (1.0 + abs(est)):
+        if prev is not None and abs(est - prev) < PERIOD_TOL * (1 + abs(est)):
             return est
         prev = est
         n *= 2
     return prev
 
 
-def period(source, loop: PathInSigma, tol=1e-8):
+def period(source, loop: PathInSigma):
     """Loop integral of the 1-form; the cohomological pairing with the cycle."""
     if not loop.closed:
         raise ValueError("period needs a closed path")
-    return integrate_theta(source, loop, tol=tol)
+    return integrate_theta(source, loop)
 
 
 @dataclass
@@ -131,10 +134,10 @@ class CohomologyVerdict:
         }
 
 
-def exactness_tolerance(max_abs_theta, diameter, floor=1e-6):
-    """Scale-free default: 1e-4 x max|theta| x diameter, floored so that
-    identically-vanishing forms classify as exact."""
-    return max(1e-4 * float(max_abs_theta) * float(diameter), floor)
+def exactness_tolerance(max_abs_theta, diameter):
+    """Scale-free default: 1e-4 x max|theta| x diameter, floored at 1e-6 so
+    that identically-vanishing forms classify as exact."""
+    return max(1e-4 * float(max_abs_theta) * float(diameter), 1e-6)
 
 
 def classify(periods, tol) -> CohomologyVerdict:
@@ -211,7 +214,6 @@ class PotentialField:
     path_disagreement: float        # largest lattice-cycle residual
     gradient_residual: float
     labels: np.ndarray | None = None   # leaf labels when foliated
-    meta: dict = field(default_factory=dict)
 
     def eval(self, U, t=None):
         """phi at chart parameters U (with leaf labels t when foliated).

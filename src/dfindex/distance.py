@@ -12,7 +12,9 @@ of the defining function's jet at the foot (Gilbarg-Trudinger section 14.6;
 Krantz-Parks, Distance to C^k hypersurfaces), exact to machine precision.
 boundary_jet takes points already on the boundary as their own feet and
 projects none; verified_feet checks that a constructed foot is the nearest
-one, and _jet_at_feet builds the jets at such feet.
+one, and _jet_at_feet builds the jets at such feet.  Boundary data is the
+delta-jet alone: normal_n forms the normal field N from it where a caller
+needs N.
 """
 
 from __future__ import annotations
@@ -127,15 +129,21 @@ def _multiplier(domain, Z, p):
     return lam, np.abs(jet.value) / np.sqrt(gg)
 
 
+def _snap(domain, p):
+    """Newton step for rho along its gradient from p: (the snapped point,
+    rho's gradient g at p, |g|^2)."""
+    jet = domain.jet(p, order=1)
+    g = jet.rgrad
+    gg = np.maximum(np.einsum("ka,ka->k", g, g), 1e-300)
+    return _clip_box(domain, p - (jet.value / gg)[:, None] * g), g, gg
+
+
 def _predict_gradient_flow(domain, Z, steps):
     """Seed: Newton steps for rho along its gradient from Z; returns
     (p, lam, off) as _multiplier gives them."""
-    p = _clip_box(domain, Z.copy())
+    p = _clip_box(domain, Z)
     for _ in range(steps):
-        jet = domain.jet(p, order=1)
-        g = jet.rgrad
-        gg = np.maximum(np.einsum("ka,ka->k", g, g), 1e-300)
-        p = _clip_box(domain, p - (jet.value / gg)[:, None] * g)
+        p = _snap(domain, p)[0]
     return (p,) + _multiplier(domain, Z, p)
 
 
@@ -143,12 +151,9 @@ def _predict_tangential(domain, Z, X):
     """Seed from X for the points Z: a level-set snap, then sweeps of snap
     plus tangential pull toward Z, which slide it toward a stationary foot
     of Z; returns (p, lam, off)."""
-    p = _predict_gradient_flow(domain, X, 1)[0]
+    p = _snap(domain, _clip_box(domain, X))[0]
     for _ in range(6):
-        jet = domain.jet(p, order=1)
-        g = jet.rgrad
-        gg = np.maximum(np.einsum("ka,ka->k", g, g), 1e-300)
-        p = _clip_box(domain, p - (jet.value / gg)[:, None] * g)
+        p, g, gg = _snap(domain, p)
         d = Z - p
         coef = np.einsum("ka,ka->k", d, g) / gg
         p = _clip_box(domain, p + 0.7 * (d - coef[:, None] * g))
@@ -352,19 +357,3 @@ def normal_n(jet: WirtingerJet):
     if np.any(s < 1e-8):
         raise DegenerateGradient("vanishing Wirtinger gradient")
     return np.conj(w) / s[:, None]
-
-
-class BoundaryBatch:
-    """Boundary points with delta-jets, batched."""
-
-    def __init__(self, domain, positions, jet):
-        self.domain = domain
-        self.positions = positions
-        self.jet = jet
-        self.N = normal_n(jet)
-        self.grad_delta = jet.rgrad
-
-    def subset(self, idx) -> "BoundaryBatch":
-        idx = np.asarray(idx)
-        return BoundaryBatch(self.domain, self.positions[idx],
-                             self.jet.subset(idx))

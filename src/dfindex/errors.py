@@ -76,7 +76,8 @@ class PsiDomain(DfIndexError):
 
 
 class MeshOutside(DfIndexError):
-    """Interior-oracle mesh point is not strictly inside the domain."""
+    """Interior-oracle mesh point is not strictly inside the domain, or the
+    mesh keeps no point."""
 
 
 class NotACurve(DfIndexError):

@@ -1,4 +1,5 @@
-"""Forward-mode jets of defining functions and their Wirtinger views.
+"""Forward-mode jets of defining functions, their Wirtinger views and the
+one third-order contraction the boundary inequality needs.
 
 Defining functions are written against the small operator set below (`Jet`
 arithmetic plus jexp/jlog/jsqrt/jsin/jcos/jhinge_pow).  Feeding `Jet`
@@ -12,7 +13,9 @@ that the signed distance's order-3 jet gives.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
-d/dz = (d/dx - i d/dy)/2.
+d/dz = (d/dx - i d/dy)/2.  Third derivatives enter only through
+third_contraction, one einsum of the real third tensor along (A, B, conj C);
+there is no general algebra of derivations.
 """
 
 from __future__ import annotations
@@ -147,21 +150,18 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def chain(self, d0, d1, d2=None, d3=None):
+    def chain(self, d0, d1, d2, d3):
         """Compose with a scalar function given its derivatives at self.v."""
         g = _nscale(self.g, d1)
         h = None
         t = None
         if self.order >= 2:
-            h = _nscale(self.h, d1)
-            if d2 is not None:
-                h = _nadd(h, _nscale(_outer_gg(self.g, self.g), d2))
+            h = _nadd(_nscale(self.h, d1),
+                      _nscale(_outer_gg(self.g, self.g), d2))
         if self.order >= 3:
-            t = _nscale(self.t, d1)
-            if d2 is not None:
-                t = _nadd(t, _nscale(_sym_gh(self.g, self.h), d2))
-            if d3 is not None:
-                t = _nadd(t, _nscale(_outer_ggg(self.g), d3))
+            t = _nadd(_nscale(self.t, d1),
+                      _nscale(_sym_gh(self.g, self.h), d2))
+            t = _nadd(t, _nscale(_outer_ggg(self.g), d3))
         return Jet(self.order, d0, g, h, t)
 
     def __truediv__(self, other):
@@ -249,35 +249,6 @@ def _pairs(D):
     return n, ix, iy
 
 
-def holo_dir(V):
-    """Derivation sum_i V_i d/dz_i as a complexified (p, q) pair."""
-    V = np.asarray(V, dtype=complex)
-    return (V, np.zeros_like(V))
-
-
-def anti_dir(V):
-    """Derivation sum_i V_i d/dz.bar_i."""
-    V = np.asarray(V, dtype=complex)
-    return (np.zeros_like(V), V)
-
-
-def conj_dir(d):
-    """Conjugate derivation: conj(D f) = (conj_dir D) f for real f."""
-    p, q = d
-    return (np.conj(q), np.conj(p))
-
-
-def _real_coeff(d, D):
-    """Real-coordinate coefficient vector of the derivation (p, q)."""
-    p, q = d
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    c = np.zeros(p.shape[:-1] + (D,), dtype=complex)
-    c[..., 0::2] = 0.5 * (p + q)
-    c[..., 1::2] = 0.5j * (q - p)
-    return c
-
-
 class WirtingerJet:
     """Real derivative jets of a scalar function with complex-coordinate views.
 
@@ -297,14 +268,6 @@ class WirtingerJet:
         if self.rthird is not None:
             return 3
         return 2 if self.rhess is not None else 1
-
-    @property
-    def batch(self):
-        return self.value.shape[0]
-
-    def at(self, i):
-        """Single-point sub-jet (int index)."""
-        return self.subset(np.array([i]))
 
     def subset(self, idx):
         """Sub-batch selected by an index array."""
@@ -353,30 +316,28 @@ class WirtingerJet:
         yx = H[:, iy[:, None], ix[None, :]]
         return 0.25 * ((xx - yy) - 1j * (xy + yx))
 
-    def _bk(self, arr):
-        """Broadcast a per-point or shared vector to (batch, dim)."""
-        arr = np.asarray(arr)
-        if arr.ndim == 1:
-            arr = np.broadcast_to(arr, (self.batch,) + arr.shape)
-        return arr
-
-    # -- third order ----------------------------------------------------------
-
-    def third_directional(self, d1, d2, d3):
-        """Contraction of the real third tensor with three derivations."""
-        self.need(3)
-        cs = [self._bk(_real_coeff(d, self.D)) for d in (d1, d2, d3)]
-        return np.einsum("kabc,ka,kb,kc->k", self.rthird, *cs)
-
 
 def third_contraction(jet: WirtingerJet, A, B, C):
-    """Third derivatives contracted along A, B and against C (conjugated slot).
+    """Third derivatives contracted along A, B and against C (conjugated slot):
+    the real third tensor against the real-coordinate coefficients of
+    sum A_i d/dz_i, sum B_i d/dz_i and sum conj(C_i) d/dz.bar_i, with
+    d/dz = (d/dx - i d/dy)/2 and d/dz.bar = (d/dx + i d/dy)/2.  A, B and C
+    are (K, n) per point or (n,) shared by every point; (K,) complex.
 
     With A=L, B=N, C=L this is the pure-derivative part of the criterion's
     third-order term.  Quadratic defining functions give exactly 0.
     """
-    return jet.third_directional(holo_dir(A), holo_dir(B),
-                                 anti_dir(np.conj(np.asarray(C, dtype=complex))))
+    jet.need(3)
+
+    def coeff(V, sign):
+        V = np.asarray(V, dtype=complex)
+        c = np.empty(V.shape[:-1] + (jet.D,), dtype=complex)
+        c[..., 0::2] = 0.5 * V
+        c[..., 1::2] = 0.5j * (sign * V)
+        return np.broadcast_to(c, (jet.value.shape[0], jet.D))
+
+    return np.einsum("kabc,ka,kb,kc->k", jet.rthird, coeff(A, -1),
+                     coeff(B, -1), coeff(np.conj(C), 1))
 
 
 # ---------------------------------------------------------------------------

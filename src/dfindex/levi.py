@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import BoundaryBatch, boundary_jet
+from .distance import boundary_jet, normal_n
 from .errors import NotPseudoconvex
-from .jets import DomainSpec
+from .jets import DomainSpec, WirtingerJet
 from .util import median
 
 # detect_sigma's noise floor, relative to the mesh's largest |eigenvalue|
@@ -39,54 +39,54 @@ def tangent_frames(N):
     return frames
 
 
-def levi_matrix(jet, N, frames=None):
-    """Restricted Levi matrix of the delta-jet on the tangent frame."""
-    if frames is None:
-        frames = tangent_frames(N)
+def levi_matrix(jet, N):
+    """(restricted Levi matrix of the delta-jet on the tangent frames of N,
+    the frames)."""
+    frames = tangent_frames(N)
     H = jet.mixed
     return np.einsum("kij,kai,kbj->kab", H, frames, np.conj(frames)), frames
 
 
-def levi_spectrum(batch: BoundaryBatch):
-    """(eigenvalues (B, n-1) ascending, eigenvectors, frames) for a batch."""
-    M, frames = levi_matrix(batch.jet, batch.N)
+def levi_spectrum(jet: WirtingerJet):
+    """(eigenvalues (B, n-1) ascending, eigenvectors, frames) of a
+    boundary delta-jet's restricted Levi matrix, on the frames of its
+    normal field N."""
+    M, frames = levi_matrix(jet, normal_n(jet))
     w, V = np.linalg.eigh(M)
     return w, V, frames
 
 
 @dataclass
 class SigmaPointSet:
-    """Boundary points with nearly-degenerate Levi forms."""
+    """Boundary points with nearly-degenerate Levi forms, with the members'
+    order-2 delta-jet (jet) from the scan; normal_n(jet) gives their N."""
 
     domain: DomainSpec
     points: np.ndarray           # (K, 2n)
     lambda_min: np.ndarray       # (K,)
     null_directions: list        # per point: (k_i, n) near-null tangent dirs
-    batch: BoundaryBatch         # jets of the members (order 2)
+    jet: WirtingerJet            # the members' order-2 delta-jet
     threshold: float
     levi_scale: float            # median eigenvalue above the noise floor
-    meta: dict = field(default_factory=dict)
 
     @property
     def size(self):
         return self.points.shape[0]
 
 
-def mesh_pitch(P, rng_seed=0, sample=256):
-    """Median nearest-neighbour distance from up to `sample` random mesh
-    points to the rest of the mesh."""
+def mesh_pitch(P):
+    """Median nearest-neighbour distance from up to 256 random mesh points
+    (drawn with seed 0) to the rest of the mesh."""
     B = P.shape[0]
     if B < 2:
         return 0.0
-    idx = np.random.default_rng(rng_seed).choice(B, size=min(sample, B),
-                                                 replace=False)
+    idx = np.random.default_rng(0).choice(B, size=min(256, B), replace=False)
     d = np.linalg.norm(P[idx][:, None, :] - P[None, :, :], axis=2)
     d[np.arange(len(idx)), idx] = np.inf
     return float(median(d.min(axis=1)))
 
 
-def detect_sigma(domain: DomainSpec, mesh, threshold=None,
-                 order=2) -> SigmaPointSet:
+def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
     """All mesh points whose minimal restricted Levi eigenvalue is below the
     threshold, with their near-null directions.
 
@@ -99,8 +99,8 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
     rounding-level values on Sigma do not count as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-    batch = BoundaryBatch(domain, mesh, boundary_jet(domain, mesh, order))
-    w, V, frames = levi_spectrum(batch)
+    jet = boundary_jet(domain, mesh, order=2)
+    w, V, frames = levi_spectrum(jet)
     lam_min = w[:, 0]
     pos = w[w > LEVI_NOISE * np.max(np.abs(w), initial=0.0)]
     levi_scale = float(median(pos)) if pos.size else 1.0
@@ -117,14 +117,12 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None,
         kk = int(np.sum(w[k] < threshold))
         dirs = np.einsum("ak,an->kn", V[k][:, :max(kk, 1)], frames[k])
         nulls.append(dirs)
-    member_batch = batch.subset(keep)
-    sub = SigmaPointSet(
+    return SigmaPointSet(
         domain=domain,
-        points=batch.positions[keep],
+        points=mesh[keep],
         lambda_min=lam_min[keep],
         null_directions=nulls,
-        batch=member_batch,
+        jet=jet.subset(keep),
         threshold=float(threshold),
         levi_scale=levi_scale,
     )
-    return sub

@@ -16,7 +16,7 @@ from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
                          exactness_tolerance, period)
 from .distance import _jet_at_feet, signed_distance_from_feet
-from .errors import ChartMismatch
+from .errors import ChartMismatch, MeshOutside
 from .levi import detect_sigma
 from .zoo import ZooEntry
 
@@ -32,8 +32,9 @@ def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
     return detect_sigma(entry.domain, mesh, threshold=threshold)
 
 
-def periods_for(entry: ZooEntry, tol=None):
-    """Period of every generator loop; (verdict, periods dict)."""
+def periods_for(entry: ZooEntry):
+    """Period of every generator loop; (verdict, periods dict), exact below
+    exactness_tolerance of the loops' largest |theta| and chart span."""
     values = {}
     max_theta = 0.0
     diam = 0.0
@@ -45,8 +46,7 @@ def periods_for(entry: ZooEntry, tol=None):
         comps = src.components(params)
         max_theta = max(max_theta, float(np.max(np.abs(comps))))
         diam = max(diam, float(np.max(chart.hi - chart.lo)))
-    if tol is None:
-        tol = exactness_tolerance(max_theta, max(diam, 1.0))
+    tol = exactness_tolerance(max_theta, max(diam, 1.0))
     return classify(values, tol), values
 
 
@@ -64,21 +64,15 @@ def potential_for(entry: ZooEntry, verdict=None, res=9):
     return build_potential(sources, base, verdict, res=res)
 
 
-def _family_surface(entry: ZooEntry):
-    """The family search's Fourier x polynomial basis on the entry's Sigma
-    coordinates, as one surface of (N, k) values."""
-    if entry.id == "worm":
-        def surface(U, t):
-            r, a = U[:, 0], U[:, 1]
-            return np.stack([r, r ** 2, np.cos(a), np.sin(a), np.cos(2 * a),
-                             np.sin(2 * a), r * np.cos(a), r * np.sin(a)],
-                            axis=1)
-    else:
-        def surface(U, t):
-            x = U[:, 0]
-            y = (U[:, 1], U[:, 1] ** 2) if U.shape[1] > 1 else (x ** 3, x ** 4)
-            return np.stack([x, x ** 2, *y], axis=1)
-    return surface
+def _family_surface(U, t):
+    """The family search's Fourier x polynomial basis, (N, 8) values at the
+    worm's Sigma coordinates (log|z2|, arg z2).  The search runs only where
+    the class is obstructed and Sigma has coordinates, which among the zoo
+    entries is the worm alone, so the basis is written for its
+    coordinates."""
+    r, a = U[:, 0], U[:, 1]
+    return np.stack([r, r ** 2, np.cos(a), np.sin(a), np.cos(2 * a),
+                     np.sin(2 * a), r * np.cos(a), r * np.sin(a)], axis=1)
 
 
 @dataclass
@@ -139,9 +133,14 @@ class Run:
 
     @cached_property
     def interior_mesh(self):
-        """(points, verified nearest feet) of the oracle's mesh."""
-        return self.entry.interior_mesh(self.oracle_count, self.seed + 1,
-                                        depth=ORACLE_DEPTH)
+        """(points, verified nearest feet) of the oracle's mesh; MeshOutside
+        when it keeps no point."""
+        points, feet = self.entry.interior_mesh(
+            self.oracle_count, self.seed + 1, depth=ORACLE_DEPTH)
+        if not len(points):
+            raise MeshOutside(f"the interior mesh keeps none of its "
+                              f"{self.oracle_count} point(s)")
+        return points, feet
 
     @cached_property
     def oracle_delta(self):
@@ -184,8 +183,7 @@ class Run:
     @cached_property
     def family_terms(self):
         """The family search's basis functions, one term each."""
-        return ChartTerms(self.entry.sigma_coords,
-                          _family_surface(self.entry))
+        return ChartTerms(self.entry.sigma_coords, _family_surface)
 
     def family_psi(self, eta, diagnostics):
         """Coordinate-descent minimiser of maxLHS over psi = Psi(

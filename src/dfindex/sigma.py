@@ -11,7 +11,7 @@ delta-jets there directly (distance.boundary_jet) and project nothing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,8 +35,6 @@ class SigmaChart:
     tangent: Callable | None = None  # (K, p) -> (K, m, n) complex coefficients
     leaf_label: float | None = None
     name: str = ""
-    resolution: int = 17
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -58,9 +56,9 @@ class SigmaChart:
             raise StencilLeak("chart parameter outside the box")
         return U
 
-    def grid(self, res=None):
-        """Uniform tensor grid; returns (params (K, p), shape tuple)."""
-        res = self.resolution if res is None else res
+    def grid(self, res):
+        """Uniform tensor grid, res nodes per axis; returns (params (K, p),
+        shape tuple)."""
         axes = [np.linspace(self.lo[a], self.hi[a], res)
                 for a in range(self.params_dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -207,7 +205,7 @@ class OneFormSample:
     closed_residual: np.ndarray | None = None
 
     @staticmethod
-    def from_chart(chart: SigmaChart, res=None):
+    def from_chart(chart: SigmaChart, res):
         U, shape = chart.grid(res)
         if chart.kind == "complex":
             comps = theta_components(chart, U)

@@ -18,6 +18,8 @@ from .jets import DomainSpec, jcos, jhinge_pow, jlog, jsin
 from .sigma import SigmaChart
 from .util import complex_pack, complex_unpack, rng_for
 
+# share of the worm's and the quartic's boundary mesh drawn exactly on Sigma
+SIGMA_FRACTION = 0.25
 
 # ---------------------------------------------------------------------------
 # zoo entry container
@@ -132,40 +134,39 @@ def make_ball(radius=1.0) -> ZooEntry:
 # fattened bidisc
 # ---------------------------------------------------------------------------
 
-def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
-    """rho = |z2|^2 - 1 + chi(|z1|^2 - r^2) with the C3 quartic hinge chi.
+def make_fattened_bidisc(r=0.7) -> ZooEntry:
+    """rho = |z2|^2 - 1 + chi(|z1|^2 - r^2) with the C3 quartic hinge
+    chi(s) = max(s, 0)^4.
 
     Sigma = {|z2| = 1, |z1| <= r}, a trivial foliation by discs
     {z2 = e^(i t)}; theta vanishes identically on the leaves.
     """
     if not 0 < r < 1:
         raise ConfigInvalid(f"need 0 < r < 1, got {r}")
-    M = smoothing_scale
 
     def rho(c):
         x1, y1, x2, y2 = c
         s = x1 * x1 + y1 * y1 - r * r
-        return x2 * x2 + y2 * y2 - 1.0 + jhinge_pow(s, 4, M)
+        return x2 * x2 + y2 * y2 - 1.0 + jhinge_pow(s, 4)
 
-    s_star = (1.0 / M) ** 0.25
-    R_max = float(np.sqrt(r * r + s_star))
+    R_max = float(np.sqrt(r * r + 1.0))
     lim = 1.1 * max(R_max, 1.0) + 0.3
     dom = DomainSpec(n=2, rho=rho, box_lo=-lim * np.ones(4),
                      box_hi=lim * np.ones(4), name="bidisc",
-                     meta={"r": r, "M": M, "R_max": R_max})
+                     meta={"r": r, "M": 1.0, "R_max": R_max})
     # the C3 hinge crease at |z1| = r limits finite-difference accuracy in a
     # stencil-wide band; cross-check tests sample away from it
     dom.meta["crease_guard"] = lambda P, margin=0.05: (
         np.abs(np.hypot(P[:, 0], P[:, 1]) - r) > margin)
 
     tube_min = 0.35
-    R_mesh = float(np.sqrt(r * r + (1.0 - tube_min ** 2) ** 0.25 * s_star))
+    R_mesh = float(np.sqrt(r * r + (1.0 - tube_min ** 2) ** 0.25))
 
     def boundary_mesh(count, seed=0):
         rng = rng_for(seed)
         x1, y1 = _uniform_disc(rng, count, R_mesh)
         s = x1 * x1 + y1 * y1 - r * r
-        hinge = M * np.where(s > 0, s, 0.0) ** 4
+        hinge = np.where(s > 0, s, 0.0) ** 4
         rad2 = np.sqrt(np.maximum(1.0 - hinge, 0.0))
         a = rng.uniform(0, 2 * np.pi, count)
         return np.stack([x1, y1, rad2 * np.cos(a), rad2 * np.sin(a)], axis=1)
@@ -230,26 +231,25 @@ def make_fattened_bidisc(r=0.7, smoothing_scale=1.0) -> ZooEntry:
 # worm
 # ---------------------------------------------------------------------------
 
-def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
+def make_worm(beta=np.pi) -> ZooEntry:
     """rho = |z1 + e^{i log|z2|^2}|^2 - 1 + s(log|z2|^2).
 
-    s is the even C3 quartic-hinge profile vanishing exactly on
-    [-(beta - pi/2), beta - pi/2]; Sigma is the complex annulus
+    s(u) = max(|u| - a, 0)^4 is the even C3 quartic-hinge profile
+    vanishing exactly on [-a, a], a = beta - pi/2; Sigma is the complex annulus
     {z1 = 0, |log|z2|^2| <= beta - pi/2} with the classical nonzero period
     of theta around its core circle.
     """
     if beta <= np.pi / 2:
         raise BetaTooSmall("need beta > pi/2")
     a = float(beta - np.pi / 2)
-    M = smoothing_scale
-    u_star = a + (1.0 / M) ** 0.25
+    u_star = a + 1.0
 
     def rho(c):
         x1, y1, x2, y2 = c
         u = jlog(x2 * x2 + y2 * y2)
         cu, su = jcos(u), jsin(u)
         core = (x1 + cu) ** 2 + (y1 + su) ** 2 - 1.0
-        return core + jhinge_pow(u - a, 4, M) + jhinge_pow(-u - a, 4, M)
+        return core + jhinge_pow(u - a, 4) + jhinge_pow(-u - a, 4)
 
     r_hi = float(np.exp(u_star / 2))
     lim1 = 2.2
@@ -258,7 +258,7 @@ def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
         box_lo=np.array([-lim1, -lim1, -1.1 * r_hi, -1.1 * r_hi]),
         box_hi=np.array([lim1, lim1, 1.1 * r_hi, 1.1 * r_hi]),
         name="worm",
-        meta={"beta": beta, "a": a, "M": M, "u_star": u_star})
+        meta={"beta": beta, "a": a, "M": 1.0, "u_star": u_star})
     dom.meta["crease_guard"] = lambda P, margin=0.05: (
         np.abs(np.abs(np.log(np.maximum(P[:, 2] ** 2 + P[:, 3] ** 2, 1e-12)))
                - a) > margin)
@@ -269,19 +269,18 @@ def make_worm(beta=np.pi, smoothing_scale=1.0) -> ZooEntry:
     # keep meshes where the signed distance stays smooth within jet stencils:
     # past a + 0.45 the closing caps put the cut locus inside stencil reach
     tube_min = 0.35
-    u_cap = min(a + (1.0 - tube_min ** 2) ** 0.25 * (1.0 / M) ** 0.25,
-                a + 0.2)
+    u_cap = min(a + (1.0 - tube_min ** 2) ** 0.25, a + 0.2)
 
-    def boundary_mesh(count, seed=0, sigma_fraction=0.25):
+    def boundary_mesh(count, seed=0):
         rng = rng_for(seed)
-        k = int(count * sigma_fraction)
+        k = int(count * SIGMA_FRACTION)
         u = rng.uniform(-u_cap, u_cap, count)
         th = rng.uniform(0, 2 * np.pi, count)
         if k:
             # exact degenerate-set samples: z1 = 0 needs theta = u, |u| < a
             u[:k] = rng.uniform(-0.999 * a, 0.999 * a, k)
             th[:k] = u[:k]
-        s = M * np.where(np.abs(u) > a, (np.abs(u) - a), 0.0) ** 4
+        s = np.where(np.abs(u) > a, (np.abs(u) - a), 0.0) ** 4
         rad = np.sqrt(np.maximum(1.0 - s, 0.0))
         ph = rng.uniform(0, 2 * np.pi, count)
         z1 = -np.exp(1j * u) + rad * np.exp(1j * th)
@@ -384,11 +383,10 @@ def make_quartic_circle() -> ZooEntry:
     dom = DomainSpec(n=2, rho=rho, box_lo=-1.6 * np.ones(4),
                      box_hi=1.6 * np.ones(4), name="quartic")
 
-    def boundary_mesh(count, seed=0, sigma_fraction=0.25):
+    def boundary_mesh(count, seed=0):
         rng = rng_for(seed)
         s = np.sqrt(rng.uniform(0, 1, count)) * 0.97
-        if sigma_fraction:
-            s[:int(count * sigma_fraction)] = 0.0
+        s[:int(count * SIGMA_FRACTION)] = 0.0
         al = rng.uniform(0, 2 * np.pi, count)
         ph = rng.uniform(0, 2 * np.pi, count)
         z1 = s * np.exp(1j * al)

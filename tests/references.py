@@ -6,8 +6,9 @@ and Richardson assembly), the restricted Levi minimum from the defining
 function, the criterion's terms at one boundary point, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
-cycle check, loop reparametrisations, and the projecting delta-jet and
-boundary-point helpers.
+cycle check, loop reparametrisations, the projecting delta-jet and
+boundary-point helpers, and the general contraction of the third tensor
+with (p, q) derivations.
 The tests compare the package against these.
 """
 
@@ -22,8 +23,8 @@ import numpy as np
 from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
 from dfindex.certify import PsiStencil, combine
 from dfindex import distance
-from dfindex.distance import (BoundaryBatch, _jet_at_feet, boundary_jet,
-                              normal_n, signed_distance_from_feet)
+from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
+                              signed_distance_from_feet)
 from dfindex.errors import AmbiguousFoot, ChartMismatch, HypothesisFail, \
     NoConvergence, NonFinite, NotDegenerate, OrderTooLow, StencilLeak
 from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
@@ -187,10 +188,22 @@ class BoundaryPoint:
     grad_delta: np.ndarray
 
 
+class BoundaryBatch:
+    """Boundary points with their delta-jet and normal data, batched."""
+
+    def __init__(self, domain, positions, jet):
+        self.domain = domain
+        self.positions = positions
+        self.jet = jet
+        self.N = normal_n(jet)
+        self.grad_delta = jet.rgrad
+
+
 def boundary_point(batch: BoundaryBatch, i) -> BoundaryPoint:
     """Point i of a boundary batch."""
-    return BoundaryPoint(batch.domain, batch.positions[i], batch.jet.at(i),
-                         batch.N[i], batch.grad_delta[i])
+    return BoundaryPoint(batch.domain, batch.positions[i],
+                         batch.jet.subset([i]), batch.N[i],
+                         batch.grad_delta[i])
 
 
 def boundary_batch(domain: DomainSpec, Z, order=2) -> BoundaryBatch:
@@ -422,6 +435,35 @@ def hess(jet: WirtingerJet, A, B):
     A = np.broadcast_to(np.asarray(A, dtype=complex), H.shape[:2])
     B = np.broadcast_to(np.asarray(B, dtype=complex), H.shape[:2])
     return np.einsum("kij,ki,kj->k", H, A, np.conj(B))
+
+
+def derivation_coeff(d, D):
+    """Real-coordinate coefficients (..., D) of the derivation
+    sum_i p_i d/dz_i + q_i d/dz.bar_i, given as the pair d = (p, q)."""
+    p, q = (np.asarray(v, dtype=complex) for v in d)
+    c = np.zeros(p.shape[:-1] + (D,), dtype=complex)
+    c[..., 0::2] = 0.5 * (p + q)
+    c[..., 1::2] = 0.5j * (q - p)
+    return c
+
+
+def conj_derivation(d):
+    """The conjugate derivation: conj(D f) = (conj_derivation D) f for real
+    f."""
+    p, q = d
+    return np.conj(q), np.conj(p)
+
+
+def third_directional(jet: WirtingerJet, d1, d2, d3):
+    """The real third tensor contracted with three (p, q) derivations, each
+    per point (K, n) or shared (n,): the general contraction of which
+    jets.third_contraction is the case ((A, 0), (B, 0), (0, conj C))."""
+    if jet.order < 3:
+        raise OrderTooLow("third_directional needs an order-3 jet")
+    K, D = jet.rgrad.shape
+    cs = [np.broadcast_to(derivation_coeff(d, D), (K, D))
+          for d in (d1, d2, d3)]
+    return np.einsum("kabc,ka,kb,kc->k", jet.rthird, *cs)
 
 
 def levi_min_via_rho(domain: DomainSpec, P):

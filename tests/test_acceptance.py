@@ -30,8 +30,9 @@ from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import Run, periods_for, sigma_scan
 from dfindex.sigma import dtheta_residual, h_field
-from references import (HFieldSource, ball_delta_jet, boundary_batch,
-                        boundary_point, chart_compat_residuals, delta_jet,
+from references import (BoundaryBatch, HFieldSource, ball_delta_jet,
+                        boundary_batch, boundary_point,
+                        chart_compat_residuals, delta_jet,
                         levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
                         wirtinger_compat_residual)
@@ -152,8 +153,9 @@ def test_criterion_3_identity_suites(worm, bidisc):
     worst = 0.0
     for entry in (worm, bidisc):
         sig = detect_sigma(entry.domain, entry.boundary_mesh(1500, seed=103))
+        members = BoundaryBatch(entry.domain, sig.points, sig.jet)
         for i in range(0, sig.size, max(sig.size // 40, 1)):
-            bp = boundary_point(sig.batch, i)
+            bp = boundary_point(members, i)
             ld = levi_decompose(bp)
             res = null_cross_residual(bp, ld.null_direction,
                                       np.zeros((0, 2), dtype=complex),

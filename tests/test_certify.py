@@ -17,7 +17,7 @@ from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
 from dfindex.sigma import theta_components
 from references import (delta_jet, numeric_jet, residual_sequence,
-                        signed_distance)
+                        signed_distance, third_directional)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,8 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
     jet = delta_jet(worm.domain, worm_sigma.points, order=3)
     sub = jet.subset(ev.sample_index)
     N = distance.normal_n(jet)[ev.sample_index]
-    pure = np.array([complex(sub.at(i).third_directional(
-        (L, np.zeros_like(L)), (N[i], np.zeros_like(L)),
+    pure = np.array([complex(third_directional(
+        sub.subset([i]), (L, np.zeros_like(L)), (N[i], np.zeros_like(L)),
         (np.zeros_like(L), np.conj(L)))[0]) for i, L in enumerate(ev.Ls)])
     cols = np.einsum("kij,kj->ki", sub.mixed, np.conj(ev.Ls))
     transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dfindex
-from dfindex.cli import RunConfig, build_parser, main
+from dfindex.cli import _DEFAULTS, RunConfig, build_parser, main
 from dfindex.errors import ConfigInvalid
 from dfindex.util import config_hash
 
@@ -172,12 +172,38 @@ def test_unknown_domain_exit_one(tmp_path):
     assert code == 1
 
 
+# every setting's flag, its text and its value after validate()
+FLAGS = {
+    "domain": ("worm", "worm"),
+    "radius": ("2.5", 2.5),
+    "beta": ("3.2", 3.2),
+    "r": ("0.6", 0.6),
+    "mesh": ("123", 123),
+    "interior": ("45", 45),
+    "eta": ("0.5", 0.5),
+    "eta_grid": ("0.5,0.75", "0.5,0.75"),
+    "threshold": ("1e-5", 1e-5),
+    "slack": ("0.25", 0.25),
+    "oracle_slack": ("1e-3", 1e-3),
+    "loop": ("core", "core"),
+    "chart": ("patch", "patch"),
+    "res": ("9", 9),
+    "seed": ("7", 7),
+    "out": ("rpt", "rpt"),
+}
+
+
 def test_parser_flags():
-    p = build_parser()
-    args = p.parse_args(["certify", "--domain", "worm", "--eta", "0.5",
-                         "--beta", "3.2"])
-    assert args.command == "certify"
-    assert args.beta == 3.2
+    assert sorted(FLAGS) == sorted(_DEFAULTS)
+    argv = ["certify"]
+    for key, (text, _) in FLAGS.items():
+        argv += ["--" + key.replace("_", "-"), text]
+    args, extra = build_parser().parse_known_args(argv)
+    assert args.command == "certify" and args.action is None and not extra
+    cfg = RunConfig.load(None, {k: getattr(args, k) for k in FLAGS})
+    for key, (_, value) in FLAGS.items():
+        assert cfg.values[key] == value, key
+        assert type(cfg.values[key]) is type(_DEFAULTS[key]), key
 
 
 
@@ -250,12 +276,36 @@ def test_config_file_non_numeric(tmp_path):
     (["theta", "--domain", "worm", "--chart", "nope"], "ConfigInvalid"),
     (["certify", "--domain", "ball", "--seed", "-1"], "ConfigInvalid"),
     (["theta", "--domain", "worm", "--res", "1"], "ConfigInvalid"),
-    (["theta", "--domain", "worm", "--res", "0"], "ConfigInvalid")])
+    (["theta", "--domain", "worm", "--res", "0"], "ConfigInvalid"),
+    # the oracle mesh keeps none of its one point
+    (["certify", "--domain", "worm", "--interior", "1", "--seed", "2"],
+     "MeshOutside")])
 def test_bad_domain_parameter(tmp_path, flags):
     argv, error = flags
     assert main(argv + ["--out", str(tmp_path)]) == 1
     diag = json.loads((tmp_path / "error.json").read_text())
     assert diag["error"] == error, diag
+
+
+# usage errors: a flag value of the wrong type or missing, an unknown flag,
+# command, zoo action or config key, and a stray positional
+@pytest.mark.parametrize("argv", [
+    ["certify", "--mesh", "abc"],
+    ["certify", "--mesh"],
+    ["certify", "--meshh", "5"],
+    ["frobnicate"],
+    ["zoo", "frobnicate"],
+    ["scan", "describe", "--mesh", "50"],
+    ["scan", "--mesh", "50", "--config", "{config}"],
+])
+def test_usage_error_exit_one(tmp_path, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text("meshh = 100\n")
+    out = tmp_path / "out"
+    diag = _assert_config_invalid([a.format(config=config) for a in argv],
+                                  out)
+    assert diag["config"]["out"] == str(out)
+    assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def test_threshold_reaches_certify_and_estimate(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import sample_box_points
 from dfindex.errors import EvaluationDomain, OrderTooLow
-from dfindex.jets import (DomainSpec, anti_dir, conj_dir, holo_dir, jlog,
-                          third_contraction)
-from references import numeric_jet, oracle_jet
+from dfindex.jets import DomainSpec, jlog, third_contraction
+from references import (conj_derivation, numeric_jet, oracle_jet,
+                        third_directional)
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +132,31 @@ def test_third_contraction_quartic_value(quartic):
 
 def test_third_directional_conjugation_symmetry(worm):
     # reality of the defining function: conjugating every derivation
-    # conjugates the contraction
+    # conjugates the contraction; on the derivations (A, 0), (B, 0) and
+    # (0, conj C), third_contraction is the general contraction bit for bit
     P = worm.boundary_mesh(20, seed=8)
     jet = worm.domain.jet(P, order=3)
     rng = np.random.default_rng(9)
+    zero = np.zeros(2)
     for _ in range(4):
         dirs = []
         for _ in range(3):
             p = rng.normal(size=2) + 1j * rng.normal(size=2)
             q = rng.normal(size=2) + 1j * rng.normal(size=2)
             dirs.append((p, q))
-        a = jet.third_directional(*dirs)
-        b = jet.third_directional(*[conj_dir(d) for d in dirs])
+        a = third_directional(jet, *dirs)
+        b = third_directional(jet, *[conj_derivation(d) for d in dirs])
         np.testing.assert_allclose(b, np.conj(a), rtol=1e-12, atol=1e-12)
+        A, B, C = (p for p, _ in dirs)
+        np.testing.assert_array_equal(
+            third_contraction(jet, A, B, C),
+            third_directional(jet, (A, zero), (B, zero), (zero, np.conj(C))))
 
 
 def test_order_too_low(ball):
     jet = ball.domain.jet(np.array([[0.5, 0, 0, 0]]), order=2)
     with pytest.raises(OrderTooLow):
-        jet.third_directional(holo_dir([1, 0]), holo_dir([1, 0]),
-                              anti_dir([1, 0]))
+        third_contraction(jet, [1, 0], [1, 0], [1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_delta_levi_matches_rho_route(zoo_entries):
     for entry in zoo_entries:
         P = entry.boundary_mesh(300, seed=9)
         batch = boundary_batch(entry.domain, P, order=2)
-        w, _, _ = levi_spectrum(batch)
+        w, _, _ = levi_spectrum(batch.jet)
         lam = levi_min_via_rho(entry.domain, batch.positions)
         assert np.max(np.abs(w[:, 0] - lam)) < 1e-12
 
@@ -199,7 +199,7 @@ def test_levi_scale_ignores_rounding_noise(worm):
     # counts neither
     mesh = worm.boundary_mesh(600, 0)
     feet, _ = foot_points(worm.domain, mesh)
-    w = levi_spectrum(boundary_batch(worm.domain, mesh, order=2))[0]
+    w = levi_spectrum(boundary_batch(worm.domain, mesh, order=2).jet)[0]
     scales = [detect_sigma(worm.domain, P).levi_scale for P in (mesh, feet)]
     assert scales[0] == scales[1] == np.median(w[w > 1e-12])
 
