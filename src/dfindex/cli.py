@@ -130,16 +130,11 @@ class RunConfig:
 
 
 def make_entry(cfg: RunConfig) -> zoo.ZooEntry:
+    """The zoo entry of --domain, built from the configuration."""
     name = cfg.values["domain"]
-    if name == "ball":
-        return zoo.make_ball(cfg.values["radius"])
-    if name == "bidisc":
-        return zoo.make_fattened_bidisc(cfg.values["r"])
-    if name == "worm":
-        return zoo.make_worm(cfg.values["beta"])
-    if name == "quartic_circle":
-        return zoo.make_quartic_circle()
-    raise ConfigInvalid(f"unknown domain {name!r}")
+    if name not in zoo.REGISTRY:
+        raise ConfigInvalid(f"unknown domain {name!r}")
+    return zoo.REGISTRY[name](cfg.values)
 
 
 def emit_report(results: dict, cfg: RunConfig, name="report"):
@@ -172,7 +167,7 @@ def _write_csv(table, cfg, name):
 
 def _cmd_zoo_list(cfg):
     """the zoo's domain ids"""
-    print("\n".join(zoo.zoo_ids()))
+    print("\n".join(sorted(zoo.REGISTRY)))
     return 0, None
 
 

@@ -31,8 +31,7 @@ class AmbiguousFoot(DfIndexError):
 
 class StencilLeak(DfIndexError):
     """A point where a delta-jet is not defined: outside the collar, at or
-    past a focal point, or with no converged projection (also raised for
-    chart parameters outside the box)."""
+    past a focal point, or with no converged projection."""
 
 
 class DegenerateGradient(DfIndexError):
@@ -41,10 +40,6 @@ class DegenerateGradient(DfIndexError):
 
 class NotPseudoconvex(DfIndexError):
     """Strictly negative Levi eigenvalue detected on the boundary."""
-
-
-class NotDegenerate(DfIndexError):
-    """Operation only applies at Levi-degenerate boundary points."""
 
 
 class ChartMismatch(DfIndexError):

@@ -1,11 +1,13 @@
 """Forward-mode jets of defining functions, their Wirtinger views and the
 one third-order contraction the boundary inequality needs.
 
-Defining functions are written against the small operator set below (`Jet`
-arithmetic plus jexp/jlog/jsqrt/jsin/jcos/jhinge_pow).  Feeding `Jet`
-variables through such an evaluator yields derivatives to order 3 that are
-exact to machine precision, batched over points.  Called on plain arrays, the
-same evaluators give the values alone.  No finite differences live here:
+Defining functions are written against the operators the zoo's defining
+functions use: `Jet` +, -, unary -, * and integer powers k >= 1 (a plain
+number may stand on either side of + and *, and right of -), plus
+jlog/jsin/jcos/jhinge_pow.  Feeding `Jet` variables through such an
+evaluator yields derivatives to order 3 that are exact to machine
+precision, batched over points.  Called on plain arrays, the same
+evaluators give the values alone.  No finite differences live here:
 the signed distance's jets come in closed form from distance.boundary_jet
 and distance._jet_at_feet, and psi's derivatives from certify.PsiStencil,
 which differences psi's terms at feet on the Taylor model of the foot map
@@ -98,17 +100,13 @@ class Jet:
             out.append(Jet(order, P[:, a].copy(), g))
         return out
 
-    @staticmethod
-    def const(v, order, like=None):
-        v = np.asarray(v, dtype=float)
-        if like is not None and v.ndim == 0:
-            v = np.full(like.v.shape, float(v))
-        return Jet(order, v)
-
     def _coerce(self, other):
         if isinstance(other, Jet):
             return other
-        return Jet.const(other, self.order, like=self)
+        v = np.asarray(other, dtype=float)
+        if v.ndim == 0:
+            v = np.full(self.v.shape, float(v))
+        return Jet(self.order, v)
 
     # -- ring operations ----------------------------------------------------
 
@@ -126,9 +124,6 @@ class Jet:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -164,35 +159,12 @@ class Jet:
             t = _nadd(t, _nscale(_outer_ggg(self.g), d3))
         return Jet(self.order, d0, g, h, t)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        inv = o.chain(1.0 / o.v, -1.0 / o.v ** 2, 2.0 / o.v ** 3,
-                      -6.0 / o.v ** 4)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        inv = self.chain(1.0 / self.v, -1.0 / self.v ** 2, 2.0 / self.v ** 3,
-                         -6.0 / self.v ** 4)
-        return inv * other
-
     def __pow__(self, k):
-        if isinstance(k, int) and k >= 0:
-            if k == 0:
-                return Jet.const(np.ones_like(self.v), self.order)
-            out = self
-            for _ in range(k - 1):
-                out = out * self
-            return out
-        v = self.v
-        return self.chain(v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2),
-                          k * (k - 1) * (k - 2) * v ** (k - 3))
-
-
-def jexp(x):
-    if not isinstance(x, Jet):
-        return np.exp(x)
-    e = np.exp(x.v)
-    return x.chain(e, e, e, e)
+        """Integer powers k >= 1, by repeated multiplication."""
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
 
 def jlog(x):
@@ -200,13 +172,6 @@ def jlog(x):
         return np.log(x)
     v = x.v
     return x.chain(np.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-
-
-def jsqrt(x):
-    if not isinstance(x, Jet):
-        return np.sqrt(x)
-    s = np.sqrt(x.v)
-    return x.chain(s, 0.5 / s, -0.25 / (s * x.v), 0.375 / (s * x.v ** 2))
 
 
 def jsin(x):
@@ -292,28 +257,24 @@ class WirtingerJet:
         if self.order < order:
             raise OrderTooLow(f"jet of order {self.order}, need {order}")
 
-    @property
-    def mixed(self):
-        """d^2/dz_i dz.bar_j block, (B, n, n) complex Hermitian."""
+    def _hess_blocks(self):
+        """The real Hessian's (xx, yy, xy, yx) blocks, each (B, n, n)."""
         self.need(2)
         _, ix, iy = _pairs(self.D)
         H = self.rhess
-        xx = H[:, ix[:, None], ix[None, :]]
-        yy = H[:, iy[:, None], iy[None, :]]
-        xy = H[:, ix[:, None], iy[None, :]]
-        yx = H[:, iy[:, None], ix[None, :]]
+        return (H[:, ix[:, None], ix[None, :]], H[:, iy[:, None], iy[None, :]],
+                H[:, ix[:, None], iy[None, :]], H[:, iy[:, None], ix[None, :]])
+
+    @property
+    def mixed(self):
+        """d^2/dz_i dz.bar_j block, (B, n, n) complex Hermitian."""
+        xx, yy, xy, yx = self._hess_blocks()
         return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
     @property
     def holo(self):
         """d^2/dz_i dz_j block, (B, n, n) complex symmetric."""
-        self.need(2)
-        _, ix, iy = _pairs(self.D)
-        H = self.rhess
-        xx = H[:, ix[:, None], ix[None, :]]
-        yy = H[:, iy[:, None], iy[None, :]]
-        xy = H[:, ix[:, None], iy[None, :]]
-        yx = H[:, iy[:, None], ix[None, :]]
+        xx, yy, xy, yx = self._hess_blocks()
         return 0.25 * ((xx - yy) - 1j * (xy + yx))
 
 
@@ -363,10 +324,6 @@ class DomainSpec:
     def __post_init__(self):
         self.box_lo = np.asarray(self.box_lo, dtype=float)
         self.box_hi = np.asarray(self.box_hi, dtype=float)
-
-    @property
-    def dim(self):
-        return 2 * self.n
 
     @property
     def scale(self):

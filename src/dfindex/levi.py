@@ -93,10 +93,14 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
     The mesh lies on the boundary, so its points are their own feet
     (distance.boundary_jet) and nothing is projected.  The restricted Levi
     spectrum of their delta-jets decides, by its smallest eigenvalue, both the
-    membership and the NotPseudoconvex alarm, raised when eigenvalues below
-    -threshold appear.  Default threshold: 1e-6 x levi_scale, the median
-    eigenvalue above the noise floor LEVI_NOISE x max |eigenvalue|, so that
-    rounding-level values on Sigma do not count as positive.
+    membership (below threshold) and the NotPseudoconvex alarm.  The alarm
+    is raised where the smallest eigenvalue is below -threshold and below
+    -LEVI_NOISE x the point's largest |complex Hessian entry|, so that
+    rounding at points where delta's Hessian is large (the worm's inner rim
+    at large beta) does not count as negative.  Default threshold: 1e-6 x
+    levi_scale, the median eigenvalue above the noise floor LEVI_NOISE x
+    max |eigenvalue|, so that rounding-level values on Sigma do not count
+    as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     jet = boundary_jet(domain, mesh, order=2)
@@ -106,7 +110,9 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
     levi_scale = float(median(pos)) if pos.size else 1.0
     if threshold is None:
         threshold = 1e-6 * levi_scale
-    neg = int(np.sum(lam_min < -threshold))
+    low = np.flatnonzero(lam_min < -threshold)
+    rounding = LEVI_NOISE * np.max(np.abs(jet.subset(low).mixed), axis=(1, 2))
+    neg = int(np.sum(lam_min[low] < -rounding))
     if neg:
         raise NotPseudoconvex(
             f"{neg} boundary sample(s) with Levi eigenvalue < -{threshold:.2e}"

@@ -41,7 +41,7 @@ def periods_for(entry: ZooEntry):
     for name, (chart_name, params, closed) in entry.loops.items():
         chart = entry.charts[chart_name]
         src = ThetaSource(chart)
-        loop = PathInSigma(params, closed=closed, chart_name=chart_name)
+        loop = PathInSigma(params, closed=closed)
         values[name] = period(src, loop)
         comps = src.components(params)
         max_theta = max(max_theta, float(np.max(np.abs(comps))))
@@ -50,10 +50,9 @@ def periods_for(entry: ZooEntry):
     return classify(values, tol), values
 
 
-def potential_for(entry: ZooEntry, verdict=None, res=9):
-    """Potential field over the entry's charts (foliations: all leaves)."""
-    if verdict is None:
-        verdict, _ = periods_for(entry)
+def potential_for(entry: ZooEntry, verdict, res=9):
+    """Potential field over the entry's charts (foliations: all leaves) for
+    the entry's period verdict."""
     charts = [c for c in entry.charts.values() if c.kind == "complex"]
     if not charts:
         raise ChartMismatch("theta needs a complex chart")
@@ -104,8 +103,6 @@ class Run:
     def verdict(self):
         """Period verdict of the generator loops (exact when there are
         none)."""
-        if not self.entry.loops:
-            return classify({}, 1e-6)
         return periods_for(self.entry)[0]
 
     @cached_property

@@ -17,14 +17,17 @@ from typing import Callable
 import numpy as np
 
 from .distance import boundary_jet, normal_n
-from .errors import ChartMismatch, StencilLeak
+from .errors import ChartMismatch
 from .jets import DomainSpec, WirtingerJet
-from .util import complex_pack
 
 
 @dataclass
 class SigmaChart:
-    """A parametrized patch (or foliation leaf) of the degenerate set."""
+    """A parametrized patch (or foliation leaf) of the degenerate set.
+
+    tangent is required: every chart gives the (1,0)-part coefficients of
+    its coordinate directions in closed form (see tangents).
+    """
 
     domain: DomainSpec
     kind: str                  # "complex" | "real"
@@ -32,7 +35,7 @@ class SigmaChart:
     lo: np.ndarray
     hi: np.ndarray
     embed: Callable            # (K, p) params -> (K, 2n) ambient points
-    tangent: Callable | None = None  # (K, p) -> (K, m, n) complex coefficients
+    tangent: Callable          # (K, p) -> (K, m, n) complex coefficients
     leaf_label: float | None = None
     name: str = ""
 
@@ -48,13 +51,6 @@ class SigmaChart:
         U = np.atleast_2d(U)
         tol = pad + 1e-12 * float(np.max(self.hi - self.lo))
         return np.all((U >= self.lo - tol) & (U <= self.hi + tol), axis=1)
-
-    def require_inside(self, U, margin=0.0):
-        U = np.atleast_2d(U)
-        if np.any(U < self.lo + margin - 1e-12) or \
-           np.any(U > self.hi - margin + 1e-12):
-            raise StencilLeak("chart parameter outside the box")
-        return U
 
     def grid(self, res):
         """Uniform tensor grid, res nodes per axis; returns (params (K, p),
@@ -74,25 +70,7 @@ class SigmaChart:
         Complex charts: the coordinate fields d/dz_j of the holomorphic
         parametrization.  Real charts: the (1,0) parts of d/dt_j.
         """
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self.tangent is not None:
-            return self.tangent(U)
-        he = 1e-6 * float(np.max(self.hi - self.lo))
-        K, p = U.shape
-        cols = []
-        for a in range(p):
-            dU = np.zeros_like(U)
-            dU[:, a] = he
-            dE = (self.embed_batch(U + dU) - self.embed_batch(U - dU)) / (2 * he)
-            cols.append(complex_pack(dE))
-        if self.kind == "real":
-            return np.stack(cols, axis=1)
-        W = []
-        for j in range(self.m):
-            xi_x = cols[2 * j]
-            xi_y = cols[2 * j + 1]
-            W.append(0.5 * (xi_x - 1j * xi_y))
-        return np.stack(W, axis=1)
+        return self.tangent(np.atleast_2d(np.asarray(U, dtype=float)))
 
 # ---------------------------------------------------------------------------
 # boundary fields

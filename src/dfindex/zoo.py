@@ -311,8 +311,13 @@ def make_worm(beta=np.pi) -> ZooEntry:
 
     r_in = float(np.exp(-a / 2))
     r_out = float(np.exp(a / 2))
-    bx_lo = np.array([0.75 * r_in + 0.25 * r_out, -0.3 * (r_out - r_in)])
-    bx_hi = np.array([0.9 * r_out, 0.3 * (r_out - r_in)])
+    # a box inside the annulus r_in < |z2| < r_out for every beta > pi/2:
+    # below beta = 1.714, 0.9 r_out falls left of lo_x, and halfway from lo_x
+    # to the rim takes over
+    lo_x = 0.75 * r_in + 0.25 * r_out
+    bx_lo = np.array([lo_x, -0.3 * (r_out - r_in)])
+    bx_hi = np.array([max(0.9 * r_out, 0.5 * (lo_x + r_out)),
+                      0.3 * (r_out - r_in)])
 
     def embed_patch(U):
         U = np.atleast_2d(U)
@@ -332,7 +337,7 @@ def make_worm(beta=np.pi) -> ZooEntry:
 
     ang = np.linspace(0, 2 * np.pi, 129)
     core = np.stack([np.zeros_like(ang), ang], axis=1)
-    sq = 0.08 * a
+    sq = min(0.08 * a, np.pi)     # within log_polar's phi-range at any beta
     square = np.array([[0.0, 1.0], [sq, 1.0], [sq, 1.0 + sq], [0.0, 1.0 + sq],
                        [0.0, 1.0]])
     loops = {"core": ("log_polar", core, True),
@@ -424,19 +429,12 @@ def make_quartic_circle() -> ZooEntry:
     return entry
 
 
-_MAKERS = {
-    "ball": make_ball,
-    "bidisc": make_fattened_bidisc,
-    "worm": make_worm,
-    "quartic_circle": make_quartic_circle,
+# the zoo: domain id -> builder of its entry from the CLI's settings.  Each
+# builder looks its maker up in this module when called, so that a maker
+# rebound on the module (a tracer's wrapper) is the one that runs.
+REGISTRY = {
+    "ball": lambda v: make_ball(v["radius"]),
+    "bidisc": lambda v: make_fattened_bidisc(v["r"]),
+    "worm": lambda v: make_worm(v["beta"]),
+    "quartic_circle": lambda v: make_quartic_circle(),
 }
-
-
-def zoo_ids():
-    return sorted(_MAKERS)
-
-
-def make(domain_id, **kwargs) -> ZooEntry:
-    if domain_id not in _MAKERS:
-        raise KeyError(f"unknown zoo domain {domain_id!r}")
-    return _MAKERS[domain_id](**kwargs)

@@ -3,7 +3,9 @@
 Closed-form and symbolic jets of the zoo's defining and distance functions,
 centred finite-difference jets of black-box functions (their stencil, nodes
 and Richardson assembly), the restricted Levi minimum from the defining
-function, the criterion's terms at one boundary point, the
+function, the criterion's terms at one boundary point (with the
+NotDegenerate error of the null-cross residual), chart tangents by centred
+differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
 cycle check, loop reparametrisations, the projecting delta-jet and
@@ -25,8 +27,8 @@ from dfindex.certify import PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
                               signed_distance_from_feet)
-from dfindex.errors import AmbiguousFoot, ChartMismatch, HypothesisFail, \
-    NoConvergence, NonFinite, NotDegenerate, OrderTooLow, StencilLeak
+from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
+    HypothesisFail, NoConvergence, NonFinite, OrderTooLow, StencilLeak
 from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
 from dfindex.levi import levi_matrix
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
@@ -539,6 +541,10 @@ def third_term_field(bp: BoundaryPoint, L) -> complex:
     return third_term(bp, L) + 2.0 * float(np.vdot(col, col).real)
 
 
+class NotDegenerate(DfIndexError):
+    """Operation only applies at Levi-degenerate boundary points."""
+
+
 def null_cross_residual(bp: BoundaryPoint, L, frame, threshold) -> float:
     """max_j |Hess_delta(L, T_j)| over the frame vectors orthogonal to the
     null direction L; must vanish at degenerate points.
@@ -561,6 +567,32 @@ def null_cross_residual(bp: BoundaryPoint, L, frame, threshold) -> float:
 # ---------------------------------------------------------------------------
 # chart and 1-form identities
 # ---------------------------------------------------------------------------
+
+def require_inside(chart: SigmaChart, U):
+    """U, after raising StencilLeak if a parameter leaves the chart's box."""
+    U = np.atleast_2d(U)
+    if np.any(U < chart.lo - 1e-12) or np.any(U > chart.hi + 1e-12):
+        raise StencilLeak("chart parameter outside the box")
+    return U
+
+
+def fd_tangents(chart: SigmaChart, U):
+    """The chart's tangents (SigmaChart.tangents) by centred differences of
+    its embedding, (K, m, n): the (1,0) parts of d/dt_j on real charts, and
+    (d/dx_j - i d/dy_j)/2 of the embedding on complex ones."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    he = 1e-6 * float(np.max(chart.hi - chart.lo))
+    cols = []
+    for a in range(U.shape[1]):
+        dU = np.zeros_like(U)
+        dU[:, a] = he
+        dE = (chart.embed_batch(U + dU) - chart.embed_batch(U - dU)) / (2 * he)
+        cols.append(complex_pack(dE))
+    if chart.kind == "real":
+        return np.stack(cols, axis=1)
+    return np.stack([0.5 * (cols[2 * j] - 1j * cols[2 * j + 1])
+                     for j in range(chart.m)], axis=1)
+
 
 def holomorphy_defect(chart: SigmaChart, U):
     """max |xi(Y_j) - i xi(X_j)| over the grid; zero for holomorphic
@@ -600,7 +632,7 @@ def _chart_wirtinger_derivs(chart, U, fn, h):
             stack.append(U + dU)
             stack.append(U - dU)
     allU = np.concatenate(stack, axis=0)
-    chart.require_inside(allU)
+    require_inside(chart, allU)
     allF = fn(allU)
     m_fields = allF.shape[1]
     blocks = allF.reshape(2 * m, 2, K, m_fields)
@@ -911,7 +943,7 @@ def leaf_sources(bidisc):
 
 
 def reversed_path(path: PathInSigma) -> PathInSigma:
-    return PathInSigma(path.params[::-1].copy(), path.closed, path.chart_name)
+    return PathInSigma(path.params[::-1].copy(), path.closed)
 
 
 def rotated_path(path: PathInSigma, k, wrap_axis=None,
@@ -936,4 +968,4 @@ def rotated_path(path: PathInSigma, k, wrap_axis=None,
         last = pts[:1].copy()
         last[0, wrap_axis] += period
         pts = np.vstack([pts, last])
-    return PathInSigma(pts, True, path.chart_name)
+    return PathInSigma(pts, True)

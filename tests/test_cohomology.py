@@ -15,8 +15,8 @@ from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 exactness_tolerance, _PolyModel,
                                 integrate_theta, period)
 from dfindex.distance import foot_points
-from dfindex.errors import (ChartGap, CollarTooWide, ObstructedClass,
-                            PathDisagreement)
+from dfindex.errors import (ChartGap, CollarTooWide, NoConvergence,
+                            ObstructedClass, PathDisagreement)
 from dfindex.pipelines import potential_for
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
@@ -78,6 +78,17 @@ def test_period_basepoint_rotation_invariance(worm):
         pk = period(src, rotated_path(loop, k, wrap_axis=1,
                                       period=2 * np.pi))
         assert abs(pk - p0) < 1e-10
+
+
+def test_unconverged_period_raises(worm):
+    # a noise form: every halving of the Simpson step draws new values, so
+    # successive estimates never agree to PERIOD_TOL
+    rng = np.random.default_rng(0)
+    src = FuncSource(worm.charts["log_polar"],
+                     lambda U: rng.normal(size=U.shape))
+    loop = PathInSigma(worm.loops["contractible"][1], closed=True)
+    with pytest.raises(NoConvergence):
+        period(src, loop)
 
 
 def test_open_path_period_rejected(worm):

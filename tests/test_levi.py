@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dfindex import zoo
 from dfindex.distance import foot_points
-from dfindex.errors import NotDegenerate, NotPseudoconvex, OrderTooLow
+from dfindex.errors import NotPseudoconvex, OrderTooLow
 from dfindex.jets import DomainSpec, jhinge_pow
 from dfindex.levi import detect_sigma, levi_spectrum
 from dfindex.util import complex_pack, complex_unpack, median
-from references import (ball_delta_jet, boundary_batch, boundary_point,
-                        levi_decompose, levi_min_via_rho, mixed_term,
-                        null_cross_residual, project_to_boundary, third_term,
-                        third_term_field)
+from references import (NotDegenerate, ball_delta_jet, boundary_batch,
+                        boundary_point, levi_decompose, levi_min_via_rho,
+                        mixed_term, null_cross_residual, project_to_boundary,
+                        third_term, third_term_field)
 
 
 def test_ball_levi_decomposition(ball):
@@ -178,6 +178,17 @@ def test_not_pseudoconvex_alarm():
                      rng.uniform(-0.2, 0.2, 30)], axis=1)
     with pytest.raises(NotPseudoconvex):
         detect_sigma(dom, mesh, threshold=1e-6)
+
+
+@pytest.mark.parametrize("turns", [6, 8, 10])
+def test_wide_worm_rounding_is_no_alarm(turns):
+    # for beta >= 6 pi the worm's inner rim reaches |z2| < 2e-4, where
+    # delta's complex Hessian grows like |z2|^-2 and the Levi eigenvalues on
+    # Sigma round to -1e-9 relative to it: no sign of a concave point
+    worm = zoo.make_worm(turns * np.pi)
+    for seed in (0, 3):
+        sig = detect_sigma(worm.domain, worm.boundary_mesh(2000, seed))
+        assert sig.size >= 500
 
 
 def test_delta_levi_matches_rho_route(zoo_entries):

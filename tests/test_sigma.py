@@ -6,9 +6,9 @@ import pytest
 from dfindex.errors import ChartMismatch, HypothesisFail
 from dfindex.sigma import (OneFormSample, SigmaChart, dtheta_residual,
                            h_field, real_one_form_at, theta_components)
-from references import (chart_compat_residuals, holomorphy_defect,
-                        measured_orders, nu_identity_residuals,
-                        wirtinger_compat_residual)
+from references import (chart_compat_residuals, fd_tangents,
+                        holomorphy_defect, measured_orders,
+                        nu_identity_residuals, wirtinger_compat_residual)
 
 
 def worm_patch_point():
@@ -52,6 +52,17 @@ def test_theta_real_chart_mismatch(quartic):
         theta_components(quartic.charts["curve"], np.array([[0.0]]))
 
 
+def test_chart_tangents_match_embedding(zoo_entries):
+    # every chart's closed-form tangent is the derivative of its embedding
+    for entry in zoo_entries:
+        for chart in entry.charts.values():
+            U, _ = chart.grid(5)
+            W = chart.tangents(U)
+            assert W.shape == (U.shape[0], chart.m, 2)
+            np.testing.assert_allclose(W, fd_tangents(chart, U), rtol=0,
+                                       atol=1e-8 * max(1.0, np.abs(W).max()))
+
+
 def test_theta_chart_covariance_under_rotation(worm):
     # reparametrize the patch chart by a unit-modulus rotation of the
     # coordinate; components must transform by the Jacobian rule
@@ -66,9 +77,12 @@ def test_theta_chart_covariance_under_rotation(worm):
                       sa * V[:, 0] + ca * V[:, 1]], axis=1)
         return chart.embed_batch(W)
 
+    def tangent_rot(V):
+        return np.exp(1j * al) * chart.tangents(V)
+
     rot = SigmaChart(domain=chart.domain, kind="complex", m=1,
                      lo=np.array([-3, -3.0]), hi=np.array([3, 3.0]),
-                     embed=embed_rot, name="rotated")
+                     embed=embed_rot, tangent=tangent_rot, name="rotated")
     v0 = (np.cos(-al) * u0[0, 0] - np.sin(-al) * u0[0, 1],
           np.sin(-al) * u0[0, 0] + np.cos(-al) * u0[0, 1])
     c_orig = theta_components(chart, u0)[0]

@@ -9,21 +9,44 @@ import pytest
 
 from conftest import sample_box_points
 from dfindex import zoo
+from dfindex.cli import _DEFAULTS
+from dfindex.cohomology import PathInSigma
 from dfindex.errors import BetaTooSmall
 from dfindex.levi import detect_sigma
+from dfindex.sigma import theta_components
 from references import ball_delta_jet, levi_min_via_rho, oracle_jet
 
 
 def test_zoo_ids():
-    assert zoo.zoo_ids() == ["ball", "bidisc", "quartic_circle", "worm"]
-    assert zoo.make("ball").id == "ball"
-    with pytest.raises(KeyError):
-        zoo.make("nope")
+    assert sorted(zoo.REGISTRY) == ["ball", "bidisc", "quartic_circle",
+                                    "worm"]
+    for name, build in zoo.REGISTRY.items():
+        assert build(_DEFAULTS).id == name
+    settings = dict(_DEFAULTS, radius=2.0, r=0.5, beta=2 * np.pi)
+    assert zoo.REGISTRY["ball"](settings).domain.meta["radius"] == 2.0
+    assert zoo.REGISTRY["bidisc"](settings).domain.meta["r"] == 0.5
+    assert zoo.REGISTRY["worm"](settings).domain.meta["beta"] == 2 * np.pi
 
 
 def test_worm_beta_too_small():
     with pytest.raises(BetaTooSmall):
         zoo.make_worm(np.pi / 2)
+
+
+@pytest.mark.parametrize("beta", [1.58, 1.6, 1.7, np.pi, 2 * np.pi, 40.0,
+                                  79.0, 200.0])
+def test_worm_charts_and_loops_valid(beta):
+    # the patch box is proper and its grid lies on Sigma (theta's boundary
+    # jets raise StencilLeak off the boundary), and every loop lies inside
+    # its chart, at small and large beta alike
+    worm = zoo.make_worm(beta)
+    patch = worm.charts["patch"]
+    assert np.all(patch.lo < patch.hi)
+    U, _ = patch.grid(9)
+    assert np.max(worm.sigma_distance(patch.embed_batch(U))) == 0.0
+    assert np.all(np.isfinite(theta_components(patch, U)))
+    for chart_name, params, closed in worm.loops.values():
+        PathInSigma(params, closed).validate(worm.charts[chart_name])
 
 
 def test_ball_describe(ball):
@@ -54,9 +77,10 @@ import sys
 import numpy as np
 import dfindex
 from dfindex import zoo
+from dfindex.cli import _DEFAULTS
 for mod in pkgutil.iter_modules(dfindex.__path__):
     importlib.import_module("dfindex." + mod.name)
-entries = [zoo.make(name) for name in zoo.zoo_ids()]
+entries = [zoo.REGISTRY[name](_DEFAULTS) for name in sorted(zoo.REGISTRY)]
 samples = [entry.boundary_mesh(40, 23) for entry in entries]
 jets = [entry.domain.jet(P, order=3) for entry, P in zip(entries, samples)]
 from references import oracle_jet

@@ -1,0 +1,166 @@
+"""Byte-identity check of two dfindex checkouts' CLI outputs.
+
+Usage, from anywhere:
+
+    python3 tools/compare_reports.py --parent DIR --change DIR
+
+It runs one fixed command set through each checkout's own
+``dfindex.cli.main``, all commands in one fresh interpreter per checkout
+(BLAS pinned to one thread, PYTHONHASHSEED 0), each with the same relative
+``--out`` under a new working directory:
+
+- every perfbench workload on each of its input sets (the change's
+  perfbench/workloads.py);
+- scan, sigma, certify and estimate on every zoo domain at --mesh 600
+  --interior 60, seeds 3 and 11;
+- theta, period, potential, curve and zoo describe on every domain at
+  --res 9;
+- caccioppoli, zoo, and usage and domain errors that end in typed errors.
+
+For each command it compares the exit code, stdout and every file written
+under its --out (reports, CSVs, error.json) byte for byte, prints each
+difference and exits 1 when there is any; otherwise it prints the number of
+commands and files that matched and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+
+DOMAINS = ("ball", "bidisc", "worm", "quartic_circle")
+PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ERROR_CASES = (
+    ["certify", "--meshh", "5"],
+    ["frobnicate"],
+    ["zoo", "frobnicate"],
+    ["scan", "describe"],
+    ["certify", "--mesh", "0"],
+    ["estimate", "--eta-grid", "0.5,1.5"],
+    ["scan", "--domain", "nowhere"],
+    ["scan", "--domain", "bidisc", "--r", "1.5"],
+    ["scan", "--domain", "ball", "--radius", "-1"],
+    ["sigma", "--domain", "worm", "--beta", "1.0"],
+    ["theta", "--domain", "worm", "--chart", "nope"],
+    ["period", "--domain", "worm", "--loop", "nope"],
+    ["certify", "--domain", "worm", "--interior", "1", "--seed", "2"],
+)
+
+# runs inside each checkout's interpreter: reads the command list as JSON
+# on stdin, writes one JSON line per command to stdout's last line
+_RUNNER = r"""
+import contextlib, io, json, sys, traceback
+import dfindex.cli as cli
+results = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    code, raised = None, None
+    try:
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except Exception:
+        raised = traceback.format_exc().splitlines()[-1]
+    results.append({"exit": code, "raised": raised, "stdout": buf.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def commands(checkout):
+    """The fixed command set, (argv without --out) per command."""
+    workloads = runpy.run_path(
+        os.path.join(checkout, "perfbench", "workloads.py"))
+    cmds = [spec["argv"] + ["--seed", str(s)]
+            for spec in workloads["WORKLOADS"].values()
+            for s in range(workloads["INPUT_SETS"])]
+    for cmd in ("scan", "sigma", "certify", "estimate"):
+        for domain in DOMAINS:
+            for seed in ("3", "11"):
+                cmds.append([cmd, "--domain", domain, "--mesh", "600",
+                             "--interior", "60", "--seed", seed])
+    for cmd in (["theta"], ["period"], ["potential"], ["curve"],
+                ["zoo", "describe"]):
+        for domain in DOMAINS:
+            cmds.append(cmd + ["--domain", domain, "--res", "9"])
+    cmds += [["caccioppoli"], ["zoo"]]
+    return cmds + [list(c) for c in ERROR_CASES]
+
+
+def run_checkout(checkout, cmds):
+    """Per command: exit code, the exception a raising run ended in,
+    stdout and the files under its --out as {relative path: text}."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    env["PYTHONHASHSEED"] = "0"
+    for key in PINNED:
+        env[key] = "1"
+    outs = [os.path.join("out", f"{i:03d}") for i in range(len(cmds))]
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as work:
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUNNER], cwd=work, env=env, text=True,
+            capture_output=True,
+            input=json.dumps([c + ["--out", o] for c, o in zip(cmds, outs)]))
+        if proc.returncode != 0:
+            raise SystemExit(f"the runner failed in {checkout}: "
+                             f"{proc.stderr.strip()[-2000:]}")
+        results = json.loads(proc.stdout.strip().splitlines()[-1])
+        for res, out in zip(results, outs):
+            res["files"] = {}
+            root = os.path.join(work, out)
+            for dirpath, _, names in os.walk(root):
+                for name in names:
+                    path = os.path.join(dirpath, name)
+                    with open(path, "rb") as fh:
+                        res["files"][os.path.relpath(path, root)] = \
+                            fh.read().decode("utf-8", "replace")
+    return results
+
+
+def compare(cmds, parent, change):
+    """Differences between two checkouts' results, one line each."""
+    diffs = []
+    for argv, p, c in zip(cmds, parent, change):
+        name = " ".join(argv)
+        for key in ("exit", "raised", "stdout"):
+            if p[key] != c[key]:
+                diffs.append(f"{name}: {key} {p[key]!r} != {c[key]!r}")
+        for path in sorted(set(p["files"]) | set(c["files"])):
+            if path not in c["files"] or path not in p["files"]:
+                side = "change" if path not in c["files"] else "parent"
+                diffs.append(f"{name}: {path} missing in the {side}")
+            elif p["files"][path] != c["files"][path]:
+                diffs.append(f"{name}: {path} differs")
+    if len(parent) != len(change):
+        diffs.append(f"{len(parent)} results against {len(change)}")
+    return diffs
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True,
+                   help="root of the parent checkout")
+    p.add_argument("--change", required=True,
+                   help="root of the changed checkout")
+    args = p.parse_args(argv)
+    dirs = [os.path.abspath(d) for d in (args.parent, args.change)]
+    cmds = commands(dirs[1])
+    parent, change = (run_checkout(d, cmds) for d in dirs)
+    diffs = compare(cmds, parent, change)
+    for line in diffs:
+        print(line)
+    files = sum(len(r["files"]) for r in change)
+    if diffs:
+        print(f"{len(diffs)} difference(s) over {len(cmds)} commands")
+        return 1
+    print(f"{len(cmds)} commands and {files} files byte-identical "
+          "(exit codes, stdout, reports, CSVs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
