@@ -2,6 +2,10 @@
 plurisubharmonicity oracle, index estimation, the cutoff L2 bound, and the
 real-curve certificate.
 
+Everything is taken in C^2, where the complex tangent space is one line:
+the boundary inequality is evaluated along each degenerate sample's one
+tangent direction L, and psi's Levi matrix is the 2 x 2 complex Hessian.
+
 The third-order term of the boundary inequality is evaluated covariantly:
 pure third-derivative contraction plus the transport of the normal field's
 coefficients (2 ||H conj(L)||^2), which is the value the inequality's proof
@@ -138,7 +142,7 @@ class CriterionReport:
 
     eta: float
     slack: float
-    lhs: np.ndarray            # (K,) max over near-null directions
+    lhs: np.ndarray            # (K,) one per sample, along its L
     max_lhs: float
     certified: bool
     vacuous: bool = False
@@ -163,7 +167,7 @@ class CriterionEvaluator:
     the degenerate samples (order-3 jets, normal-Hessian values, covariant
     third-order terms); psi enters only through cheap stencil differences.
 
-    psi's per-direction terms are linear in psi: columns(terms) gives them
+    psi's per-sample terms are linear in psi: columns(terms) gives them
     for each term as (G, Q), so psi = Psi(terms, c) has them as (G c, Q c),
     and lhs_dirs applies the inequality to those.  The stencil differences
     each terms object once, so lhs at another eta, or the family search
@@ -179,48 +183,36 @@ class CriterionEvaluator:
         P = sigma.points
         jet = boundary_jet(domain, P, order=3)
         N = normal_n(jet)
-        self.dirs = []           # flat list of (sample index, L)
-        for k in range(self.K):
-            for L in sigma.null_directions[k]:
-                self.dirs.append((k, L))
-        idx = np.array([k for k, _ in self.dirs])
-        Ls = np.stack([L for _, L in self.dirs])
-        sub = jet.subset(idx)
-        Nsub = N[idx]
-        self.sample_index = idx
-        self.h_L = np.einsum("kij,ki,kj->k", sub.mixed, Nsub, np.conj(Ls))
-        pure = third_contraction(sub, Ls, Nsub, Ls)
-        cols = np.einsum("kij,kj->ki", sub.mixed, np.conj(Ls))
+        L = self.L = sigma.null_directions
+        self.h_L = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(L))
+        pure = third_contraction(jet, L, N, L)
+        cols = np.einsum("kij,kj->ki", jet.mixed, np.conj(L))
         transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real
         self.third_field = pure.real + transport   # imaginary part ~ 0
-        self.third_imag = float(np.max(np.abs(pure.imag))) if len(pure) else 0.0
-        self.Ls = Ls
+        self.third_imag = float(np.max(np.abs(pure.imag)))
         self.stencil = PsiStencil(
-            domain, P[idx], sub, (complex_unpack(Ls), complex_unpack(1j * Ls)))
+            domain, P, jet, (complex_unpack(L), complex_unpack(1j * L)))
 
     def columns(self, terms):
-        """(G, Q), directions x terms: each term's Lbar T_i and Hessian term
-        1/4 (d^2 along L + d^2 along iL) per direction L."""
+        """(G, Q), samples x terms: each term's Lbar T_i and Hessian term
+        1/4 (d^2 along L + d^2 along iL) at each sample's direction L."""
         _, wpsi, second = self.stencil.columns(terms)
         d2x, d2j = second[self.stencil.D:]
-        return np.conj(np.einsum("kj,kjc->kc", self.Ls, wpsi)), \
+        return np.conj(np.einsum("kj,kjc->kc", self.L, wpsi)), \
             0.25 * (d2x + d2j)
 
     def lhs_dirs(self, lbar_psi, hess_psi, eta):
-        """Left-hand side per direction from psi's terms."""
+        """Left-hand side per sample from psi's terms."""
         coef = 1.0 / (1.0 - eta) - 1.0
         return coef * np.abs(0.5 * lbar_psi + self.h_L) ** 2 \
             + 0.5 * (0.5 * hess_psi + self.third_field)
 
     def lhs(self, psi, eta):
-        """Left-hand side per (sample, direction), max-reduced per sample."""
+        """Left-hand side per sample, along its direction L."""
         if self.K == 0:
             return np.zeros(0)
         G, Q = self.columns(psi.terms)
-        out = np.full(self.K, -np.inf)
-        np.maximum.at(out, self.sample_index,
-                      self.lhs_dirs(G @ psi.coef, Q @ psi.coef, eta))
-        return out
+        return self.lhs_dirs(G @ psi.coef, Q @ psi.coef, eta)
 
     def report(self, psi, eta, slack=None, psi_name="") -> CriterionReport:
         if slack is None:
@@ -283,48 +275,34 @@ def interior_psh_oracle(rho, wgrad, mixed, eta,
                         count=int(rho.shape[0]), slack_rel=float(slack_rel))
 
 
-def _levi_fields(n):
-    """Direction fields whose second differences, after the real axes',
-    give psi's off-diagonal Levi entries: for each pair i < j the fields of
-    L = e_i + e_j and L = e_i + i e_j, each followed by iL's."""
-    fields = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in (1.0, 1j):
-                L = np.zeros(n, dtype=complex)
-                L[i], L[j] = 1.0, c
-                fields += [complex_unpack(L), complex_unpack(1j * L)]
-    return fields
+# direction fields whose second differences, after the real axes', give
+# psi's off-diagonal Levi entry: L = e_1 + e_2 and L = e_1 + i e_2, each
+# followed by iL's
+LEVI_FIELDS = tuple(complex_unpack(v)
+                    for L in (np.array([1.0, 1.0 + 0j]), np.array([1.0, 1j]))
+                    for v in (L, 1j * L))
 
 
 def oracle_stencils(domain: DomainSpec, mesh, delta: WirtingerJet):
     """psi's stencils around the oracle mesh at steps FD_STEP and
-    FD_STEP / 2 (in units of domain.scale): the real axes and _levi_fields,
-    17 nodes per mesh point and step in C^2.  delta is the signed
-    distance's order-3 jet at the mesh; the nodes' feet come from its
-    Taylor model of the foot map, so building the stencils projects
-    nothing."""
-    fields = _levi_fields(domain.n)
-    return tuple(PsiStencil(domain, mesh, delta, fields, step)
+    FD_STEP / 2 (in units of domain.scale): the real axes and LEVI_FIELDS,
+    17 nodes per mesh point and step.  delta is the signed distance's
+    order-3 jet at the mesh; the nodes' feet come from its Taylor model of
+    the foot map, so building the stencils projects nothing."""
+    return tuple(PsiStencil(domain, mesh, delta, LEVI_FIELDS, step)
                  for step in (FD_STEP, FD_STEP / 2))
 
 
-def _psi_levi(second, n):
-    """psi's Levi matrix (M, n, n) from the second differences of an
+def _psi_levi(second):
+    """psi's Levi matrix (M, 2, 2) from the second differences of an
     oracle stencil, as the criterion takes it: q(L) = 1/4 (d^2_L + d^2_iL),
-    so the axis pairs give H_ii, and q(e_i + e_j) = H_ii + H_jj + 2 Re H_ij,
-    q(e_i + i e_j) = H_ii + H_jj + 2 Im H_ij."""
+    so the axis pairs give H_11 and H_22, and q(e_1 + e_2) = H_11 + H_22 +
+    2 Re H_12, q(e_1 + i e_2) = H_11 + H_22 + 2 Im H_12."""
     q = 0.25 * (second[0::2] + second[1::2])
-    H = np.zeros((second.shape[1], n, n), dtype=complex)
-    H[:, range(n), range(n)] = q[:n].T
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            diag = q[i] + q[j]
-            H[:, i, j] = 0.5 * (q[k] - diag) + 0.5j * (q[k + 1] - diag)
-            H[:, j, i] = np.conj(H[:, i, j])
-            k += 2
-    return H
+    diag = q[0] + q[1]
+    h12 = 0.5 * (q[2] - diag) + 0.5j * (q[3] - diag)
+    return np.stack([q[0], h12, np.conj(h12), q[1]],
+                    axis=-1).reshape(-1, 2, 2)
 
 
 def rho_terms(delta: WirtingerJet, diffs):
@@ -344,7 +322,7 @@ def rho_terms(delta: WirtingerJet, diffs):
     """
     (psi0, w1, s1), (_, w2, s2) = diffs
     wpsi = (4.0 * w2 - w1) / 3.0
-    levi = _psi_levi((4.0 * s2 - s1) / 3.0, delta.n)
+    levi = _psi_levi((4.0 * s2 - s1) / 3.0)
     e = np.exp(psi0)
     d, wd = delta.value, delta.wgrad
     value = d * e
@@ -436,13 +414,6 @@ QUAD_POINTS = 512
 
 
 @dataclass
-class PatchSpec:
-    """Coordinate patch for the cutoff bound: the disc of this radius in C."""
-
-    radius: float = 1.0
-
-
-@dataclass
 class CaccioppoliReport:
     n: int
     left: float                # integral over W_p of |dbar_j f|^2
@@ -468,16 +439,16 @@ def _f_jets(f_eval, P):
     return np.abs(jw.wgrad[:, 0]) ** 2, jw.mixed[:, 0, 0].real
 
 
-def caccioppoli_check(patch: PatchSpec, f_eval, n: int) -> CaccioppoliReport:
-    """Verify the cutoff L2 bound: after screening the pointwise hypothesis
+def caccioppoli_check(radius, f_eval, n: int) -> CaccioppoliReport:
+    """Verify the cutoff L2 bound on the patch U_p, the disc of this radius
+    in C: after screening the pointwise hypothesis
     n |dbar f|^2 + Hess_f(z, z) <= 0 on U_p, check
     integral_{W_p} |dbar f|^2 dV <= C(U_p) / n^2 with 1% slack,
     C(U_p) = integral 4 |d chi / dz|^2 dV for the C3 radial cutoff chi.
     """
-    R = patch.radius
     # hypothesis screening on a polar grid of U_p
     nr, na = 96, 128
-    r = np.linspace(0, R, nr + 1)[1:]
+    r = np.linspace(0, radius, nr + 1)[1:]
     a = np.linspace(0, 2 * np.pi, na, endpoint=False)
     rr, aa = np.meshgrid(r, a, indexing="ij")
     P = np.stack([rr.ravel() * np.cos(aa.ravel()),
@@ -490,8 +461,8 @@ def caccioppoli_check(patch: PatchSpec, f_eval, n: int) -> CaccioppoliReport:
             f"n|dbar f|^2 + Hess_f = {hyp_max:.3e} > 0 somewhere on the patch")
 
     # quadrature: radial Simpson x angular trapezoid (periodic)
-    w_r = W_FRAC * R
-    v_r = V_FRAC * R
+    w_r = W_FRAC * radius
+    v_r = V_FRAC * radius
 
     def radial_simpson(fn, r0, r1, steps):
         rr = np.linspace(r0, r1, 2 * steps + 1)
@@ -610,8 +581,6 @@ def curve_geometry(domain: DomainSpec,
     g(nabla_nu nu, J dt) along J dt is exact."""
     if curve is None or curve.kind != "real" or curve.m != 1:
         raise NotACurve("the degenerate set is not a parametrized real curve")
-    if domain.n != 2:
-        raise NotACurve("the real-curve certificate applies in C^2")
     tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
     U = tg[:, None]
     P = curve.embed_batch(U)

@@ -26,8 +26,7 @@ from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
 from .levi import detect_sigma, mesh_pitch
 from .pipelines import Run, periods_for, potential_for, sigma_scan
-from .certify import (PatchSpec, caccioppoli_check, curve_geometry,
-                      real_curve_certify)
+from .certify import caccioppoli_check, curve_geometry, real_curve_certify
 from .sigma import OneFormSample
 from .util import canonical_json, config_hash
 
@@ -281,8 +280,7 @@ def _cmd_caccioppoli(cfg):
     ok = True
     for n in (1, 4, 16):
         rep = caccioppoli_check(
-            PatchSpec(radius=1.0 / np.sqrt(n)),
-            lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n)
+            1.0 / np.sqrt(n), lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n)
         rows.append(rep.to_json())
         ok = ok and rep.ok
     return (0 if ok else 2), {"cases": rows}

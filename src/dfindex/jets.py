@@ -226,7 +226,6 @@ class WirtingerJet:
         self.rhess = None if rhess is None else np.asarray(rhess, dtype=float)
         self.rthird = None if rthird is None else np.asarray(rthird, dtype=float)
         self.D = self.rgrad.shape[-1]
-        self.n = self.D // 2
 
     @property
     def order(self):
@@ -313,7 +312,6 @@ class DomainSpec:
     scalar of the same kind; negative inside, zero on the boundary.
     """
 
-    n: int
     rho: Callable
     box_lo: np.ndarray
     box_hi: np.ndarray

@@ -1,4 +1,9 @@
-"""Restricted Levi forms and degenerate-set detection."""
+"""The Levi form in C^2 and degenerate-set detection.
+
+The complex tangent space of a boundary in C^2 is one line, spanned by one
+tangent direction L, so the restricted Levi form is the scalar
+Hess_delta(L, conj L) and its null direction at a degenerate point is L.
+"""
 
 from __future__ import annotations
 
@@ -11,49 +16,32 @@ from .errors import NotPseudoconvex
 from .jets import DomainSpec, WirtingerJet
 from .util import median
 
-# detect_sigma's noise floor, relative to the mesh's largest |eigenvalue|
+# detect_sigma's noise floor, relative to the mesh's largest |Levi value|
 LEVI_NOISE = 1e-9
 
 
-def tangent_frames(N):
-    """Deterministic orthonormal (1,0) tangent frames, batched.
-
-    Seeds are the coordinate axes ordered by descending |N_k| with the
-    largest excluded, Gram-Schmidt'ed against N and each other; unit
-    coefficient vectors, so restricted Levi eigenvalues carry the same scale
-    as ambient mixed-Hessian entries.
-    """
+def tangent_direction(N):
+    """The unit (1,0) tangent direction L (B, 2) orthogonal to the unit
+    normal coefficients N (B, 2), batched: the coordinate axis with the
+    smaller |N_k| (the second on ties), minus its N-component, normalised.
+    Unit coefficients give the Levi value the scale of the ambient
+    mixed-Hessian entries."""
     N = np.atleast_2d(np.asarray(N, dtype=complex))
-    B, n = N.shape
-    order = np.argsort(-np.abs(N), axis=1, kind="stable")
-    frames = np.zeros((B, n - 1, n), dtype=complex)
-    basis = np.eye(n, dtype=complex)
-    for a in range(n - 1):
-        seed = basis[order[:, a + 1]]
-        t = seed - np.einsum("kj,kj->k", seed, np.conj(N))[:, None] * N
-        for b in range(a):
-            prev = frames[:, b, :]
-            t = t - np.einsum("kj,kj->k", t, np.conj(prev))[:, None] * prev
-        nrm = np.sqrt(np.einsum("kj,kj->k", t, np.conj(t)).real)
-        frames[:, a, :] = t / nrm[:, None]
-    return frames
-
-
-def levi_matrix(jet, N):
-    """(restricted Levi matrix of the delta-jet on the tangent frames of N,
-    the frames)."""
-    frames = tangent_frames(N)
-    H = jet.mixed
-    return np.einsum("kij,kai,kbj->kab", H, frames, np.conj(frames)), frames
+    j = (np.abs(N[:, 0]) >= np.abs(N[:, 1])).astype(int)
+    t = np.eye(2, dtype=complex)[j] \
+        - np.conj(N[np.arange(len(N)), j])[:, None] * N
+    nrm = np.sqrt(np.einsum("kj,kj->k", t, np.conj(t)).real)
+    return t / nrm[:, None]
 
 
 def levi_spectrum(jet: WirtingerJet):
-    """(eigenvalues (B, n-1) ascending, eigenvectors, frames) of a
-    boundary delta-jet's restricted Levi matrix, on the frames of its
-    normal field N."""
-    M, frames = levi_matrix(jet, normal_n(jet))
-    w, V = np.linalg.eigh(M)
-    return w, V, frames
+    """(Levi value lambda (B,), tangent direction L (B, 2)) of a boundary
+    delta-jet: its mixed Hessian on the tangent direction of its normal
+    field N.  In C^2 the complex tangent space is the line of L, so lambda
+    is the whole restricted Levi form."""
+    L = tangent_direction(normal_n(jet))
+    lam = np.einsum("kij,ki,kj->k", jet.mixed, L, np.conj(L)).real
+    return lam, L
 
 
 @dataclass
@@ -62,12 +50,12 @@ class SigmaPointSet:
     order-2 delta-jet (jet) from the scan; normal_n(jet) gives their N."""
 
     domain: DomainSpec
-    points: np.ndarray           # (K, 2n)
-    lambda_min: np.ndarray       # (K,)
-    null_directions: list        # per point: (k_i, n) near-null tangent dirs
+    points: np.ndarray           # (K, 4)
+    lambda_min: np.ndarray       # (K,) Levi values
+    null_directions: np.ndarray  # (K, 2) the tangent directions L
     jet: WirtingerJet            # the members' order-2 delta-jet
     threshold: float
-    levi_scale: float            # median eigenvalue above the noise floor
+    levi_scale: float            # median Levi value above the noise floor
 
     @property
     def size(self):
@@ -87,47 +75,40 @@ def mesh_pitch(P):
 
 
 def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
-    """All mesh points whose minimal restricted Levi eigenvalue is below the
-    threshold, with their near-null directions.
+    """All mesh points whose Levi value is below the threshold, with their
+    tangent directions, which are the null directions there.
 
     The mesh lies on the boundary, so its points are their own feet
     (distance.boundary_jet) and nothing is projected.  The restricted Levi
-    spectrum of their delta-jets decides, by its smallest eigenvalue, both the
-    membership (below threshold) and the NotPseudoconvex alarm.  The alarm
-    is raised where the smallest eigenvalue is below -threshold and below
-    -LEVI_NOISE x the point's largest |complex Hessian entry|, so that
-    rounding at points where delta's Hessian is large (the worm's inner rim
-    at large beta) does not count as negative.  Default threshold: 1e-6 x
-    levi_scale, the median eigenvalue above the noise floor LEVI_NOISE x
-    max |eigenvalue|, so that rounding-level values on Sigma do not count
-    as positive.
+    value of their delta-jets decides both the membership (below threshold)
+    and the NotPseudoconvex alarm.  The alarm is raised where the Levi
+    value is below -threshold and below -LEVI_NOISE x the point's largest
+    |complex Hessian entry|, so that rounding at points where delta's
+    Hessian is large (the worm's inner rim at large beta) does not count as
+    negative.  Default threshold: 1e-6 x levi_scale, the median Levi value
+    above the noise floor LEVI_NOISE x max |Levi value|, so that
+    rounding-level values on Sigma do not count as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     jet = boundary_jet(domain, mesh, order=2)
-    w, V, frames = levi_spectrum(jet)
-    lam_min = w[:, 0]
-    pos = w[w > LEVI_NOISE * np.max(np.abs(w), initial=0.0)]
+    lam, L = levi_spectrum(jet)
+    pos = lam[lam > LEVI_NOISE * np.max(np.abs(lam), initial=0.0)]
     levi_scale = float(median(pos)) if pos.size else 1.0
     if threshold is None:
         threshold = 1e-6 * levi_scale
-    low = np.flatnonzero(lam_min < -threshold)
+    low = np.flatnonzero(lam < -threshold)
     rounding = LEVI_NOISE * np.max(np.abs(jet.subset(low).mixed), axis=(1, 2))
-    neg = int(np.sum(lam_min[low] < -rounding))
+    neg = int(np.sum(lam[low] < -rounding))
     if neg:
         raise NotPseudoconvex(
             f"{neg} boundary sample(s) with Levi eigenvalue < -{threshold:.2e}"
-            f" (min {float(lam_min.min()):.3e})")
-    keep = np.flatnonzero(lam_min < threshold)
-    nulls = []
-    for k in keep:
-        kk = int(np.sum(w[k] < threshold))
-        dirs = np.einsum("ak,an->kn", V[k][:, :max(kk, 1)], frames[k])
-        nulls.append(dirs)
+            f" (min {float(lam.min()):.3e})")
+    keep = np.flatnonzero(lam < threshold)
     return SigmaPointSet(
         domain=domain,
         points=mesh[keep],
-        lambda_min=lam_min[keep],
-        null_directions=nulls,
+        lambda_min=lam[keep],
+        null_directions=L[keep],
         jet=jet.subset(keep),
         threshold=float(threshold),
         levi_scale=levi_scale,

@@ -56,8 +56,6 @@ def potential_for(entry: ZooEntry, verdict, res=9):
     charts = [c for c in entry.charts.values() if c.kind == "complex"]
     if not charts:
         raise ChartMismatch("theta needs a complex chart")
-    if entry.id == "worm":
-        charts = [entry.charts["log_polar"]]
     sources = [ThetaSource(c) for c in charts]
     base = 0.5 * (charts[0].lo + charts[0].hi)
     return build_potential(sources, base, verdict, res=res)

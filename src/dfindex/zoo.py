@@ -104,7 +104,7 @@ def make_ball(radius=1.0) -> ZooEntry:
         return x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 - r2
 
     lim = 2.2 * radius
-    dom = DomainSpec(n=2, rho=rho, box_lo=-lim * np.ones(4),
+    dom = DomainSpec(rho=rho, box_lo=-lim * np.ones(4),
                      box_hi=lim * np.ones(4), name="ball",
                      meta={"radius": radius})
 
@@ -151,7 +151,7 @@ def make_fattened_bidisc(r=0.7) -> ZooEntry:
 
     R_max = float(np.sqrt(r * r + 1.0))
     lim = 1.1 * max(R_max, 1.0) + 0.3
-    dom = DomainSpec(n=2, rho=rho, box_lo=-lim * np.ones(4),
+    dom = DomainSpec(rho=rho, box_lo=-lim * np.ones(4),
                      box_hi=lim * np.ones(4), name="bidisc",
                      meta={"r": r, "M": 1.0, "R_max": R_max})
     # the C3 hinge crease at |z1| = r limits finite-difference accuracy in a
@@ -254,7 +254,7 @@ def make_worm(beta=np.pi) -> ZooEntry:
     r_hi = float(np.exp(u_star / 2))
     lim1 = 2.2
     dom = DomainSpec(
-        n=2, rho=rho,
+        rho=rho,
         box_lo=np.array([-lim1, -lim1, -1.1 * r_hi, -1.1 * r_hi]),
         box_hi=np.array([lim1, lim1, 1.1 * r_hi, 1.1 * r_hi]),
         name="worm",
@@ -385,7 +385,7 @@ def make_quartic_circle() -> ZooEntry:
         q = x1 * x1 + y1 * y1
         return q * q + x2 * x2 + y2 * y2 - 1.0
 
-    dom = DomainSpec(n=2, rho=rho, box_lo=-1.6 * np.ones(4),
+    dom = DomainSpec(rho=rho, box_lo=-1.6 * np.ones(4),
                      box_hi=1.6 * np.ones(4), name="quartic")
 
     def boundary_mesh(count, seed=0):

@@ -66,7 +66,7 @@ def sample_box_points(entry, count, seed, margin=0.0, avoid_crease=False):
     need = count
     while need > 0:
         P = rng.uniform(dom.box_lo + margin, dom.box_hi - margin,
-                        size=(2 * need, 2 * dom.n))
+                        size=(2 * need, len(dom.box_lo)))
         if guard is not None:
             P = P[guard(P)]
         if crease is not None:

@@ -2,9 +2,10 @@
 
 Closed-form and symbolic jets of the zoo's defining and distance functions,
 centred finite-difference jets of black-box functions (their stencil, nodes
-and Richardson assembly), the restricted Levi minimum from the defining
-function, the criterion's terms at one boundary point (with the
-NotDegenerate error of the null-cross residual), chart tangents by centred
+and Richardson assembly), tangent frames in C^n from an SVD and the
+restricted Levi minimum from the defining function, the criterion's terms
+at one boundary point (with the NotDegenerate error of the null-cross
+residual), chart tangents by centred
 differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
@@ -30,7 +31,6 @@ from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
 from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
     HypothesisFail, NoConvergence, NonFinite, OrderTooLow, StencilLeak
 from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
-from dfindex.levi import levi_matrix
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
 from dfindex.util import complex_pack, complex_unpack
 
@@ -466,6 +466,24 @@ def third_directional(jet: WirtingerJet, d1, d2, d3):
     cs = [np.broadcast_to(derivation_coeff(d, D), (K, D))
           for d in (d1, d2, d3)]
     return np.einsum("kabc,ka,kb,kc->k", jet.rthird, *cs)
+
+
+def tangent_frames(N):
+    """Orthonormal (1,0) tangent frames (B, n-1, n) of unit normal
+    coefficients N (B, n), in any C^n: the rows span the SVD null space of
+    conj(N)^T, the vectors L with <L, N> = 0.  In C^2 the one row is
+    levi.tangent_direction up to a unit phase."""
+    N = np.atleast_2d(np.asarray(N, dtype=complex))
+    _, _, Vh = np.linalg.svd(np.conj(N)[:, None, :])
+    return np.conj(Vh[:, 1:, :])
+
+
+def levi_matrix(jet, N):
+    """(restricted Levi matrix (B, n-1, n-1) of the jet on the tangent
+    frames of N, the frames)."""
+    frames = tangent_frames(N)
+    return np.einsum("kij,kai,kbj->kab", jet.mixed, frames,
+                     np.conj(frames)), frames
 
 
 def levi_min_via_rho(domain: DomainSpec, P):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import ZERO_PSI, oracle_terms, shifted
-from dfindex.certify import (CriterionEvaluator, CurveTerms, PatchSpec, Psi,
+from dfindex.certify import (CriterionEvaluator, CurveTerms, Psi,
                              caccioppoli_check, interior_psh_oracle,
                              real_curve_certify)
 from dfindex.cli import main as cli_main
@@ -220,14 +220,14 @@ def test_criterion_6_cutoff_bound_family():
     margins = []
     for n in (1, 4, 16):
         rep = caccioppoli_check(
-            PatchSpec(radius=1.0 / np.sqrt(n)),
-            lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
+            1.0 / np.sqrt(n), lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]),
+            n=n)
         assert rep.ok
         assert rep.left <= 0.99 * rep.bound
         margins.append(rep.left / rep.bound)
     with pytest.raises(HypothesisFail):
-        caccioppoli_check(PatchSpec(radius=1.0),
-                          lambda xs: xs[0] * xs[0] + xs[1] * xs[1], n=4)
+        caccioppoli_check(1.0, lambda xs: xs[0] * xs[0] + xs[1] * xs[1],
+                          n=4)
     report(6, f"bound margins {['%.3f' % m for m in margins]} "
               f"(all <= 0.99); hypothesis screening trips on +|z|^2")
 

@@ -1,13 +1,15 @@
 """Boundary inequality, interior oracle, index estimation, cutoff bound,
 residual sequence, and the real-curve certificate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ZERO_PSI, oracle_terms, psi_at_feet, shifted
 from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
-                             CurveTerms, PatchSpec, Psi, caccioppoli_check,
+                             CurveTerms, Psi, caccioppoli_check,
                              coordinate_descent, interior_psh_oracle,
                              oracle_stencils, real_curve_certify)
 from dfindex import certify, cohomology, distance, pipelines, zoo
@@ -66,12 +68,11 @@ def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
 def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
     ev = CriterionEvaluator(worm.domain, worm_sigma)
     jet = delta_jet(worm.domain, worm_sigma.points, order=3)
-    sub = jet.subset(ev.sample_index)
-    N = distance.normal_n(jet)[ev.sample_index]
+    N = distance.normal_n(jet)
     pure = np.array([complex(third_directional(
-        sub.subset([i]), (L, np.zeros_like(L)), (N[i], np.zeros_like(L)),
-        (np.zeros_like(L), np.conj(L)))[0]) for i, L in enumerate(ev.Ls)])
-    cols = np.einsum("kij,kj->ki", sub.mixed, np.conj(ev.Ls))
+        jet.subset([i]), (L, np.zeros_like(L)), (N[i], np.zeros_like(L)),
+        (np.zeros_like(L), np.conj(L)))[0]) for i, L in enumerate(ev.L)])
+    cols = np.einsum("kij,kj->ki", jet.mixed, np.conj(ev.L))
     transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real
     loop = pure.real + transport
     assert len(loop) > 0
@@ -166,19 +167,33 @@ def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
     # (error 1.7e-18 at the example, where the first term is 2.8e-19)
     ev = worm_run.evaluator
     G, Q = ev.columns(worm_run.family_terms)
-    assert G.shape == Q.shape == (len(ev.Ls), len(coef))
+    assert G.shape == Q.shape == (ev.K, len(coef))
     c = np.array(coef)
     sizes = np.abs(worm_run.family_terms.terms_at_feet(ev.stencil.feet)).max(
         axis=0)
-    dirs = ev.lhs_dirs(G @ c, Q @ c, eta)
-    per_sample = np.full(ev.K, -np.inf)
-    np.maximum.at(per_sample, ev.sample_index, dirs)
+    per_sample = ev.lhs_dirs(G @ c, Q @ c, eta)
     ref = ev.lhs(_summed_family_psi(worm_run, c), eta)
     eps = np.finfo(float).eps
     tol = 2.0 * float(np.abs(c) @ sizes) * eps / ev.stencil.h ** 2 \
         + eps * float(np.abs(ref).max())
     assert np.max(np.abs(per_sample - ref)) <= tol
-    assert abs(dirs.max() - ref.max()) <= tol
+    assert abs(per_sample.max() - ref.max()) <= tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.0, 2 * np.pi), eta=st.floats(0.05, 0.99))
+def test_criterion_ignores_the_phase_of_the_direction(worm, worm_sigma,
+                                                      worm_evaluator, alpha,
+                                                      eta):
+    # h_L's modulus, |H conj L|^2 and the (L, N, conj L) contraction do not
+    # change under L -> e^{i alpha} L, so neither does the criterion
+    base = worm_evaluator.lhs(ZERO_PSI, eta)
+    turned = dataclasses.replace(
+        worm_sigma, null_directions=np.exp(1j * alpha)
+        * worm_sigma.null_directions)
+    lhs = CriterionEvaluator(worm.domain, turned).lhs(ZERO_PSI, eta)
+    assert len(base) > 0
+    assert np.all(np.abs(lhs - base) <= 1e-12 * np.abs(base))
 
 
 def test_criterion_monotonicity_in_eta(worm, worm_sigma):
@@ -387,7 +402,7 @@ def test_taylor_feet_converge_at_order_three(name, request):
     entry = request.getfixturevalue(name)
     mesh, _ = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
     delta = delta_jet(entry.domain, mesh, order=3)
-    fields = certify._levi_fields(entry.domain.n)
+    fields = certify.LEVI_FIELDS
     gaps = []
     for st in oracle_stencils(entry.domain, mesh, delta):
         feet = _projected_stencil_feet(entry.domain, mesh, st, fields)
@@ -651,8 +666,7 @@ def test_coordinate_descent_returns_the_value_of_its_point():
 # ---------------------------------------------------------------------------
 
 def test_caccioppoli_constant_function():
-    rep = caccioppoli_check(PatchSpec(radius=1.0),
-                            lambda xs: 0.0 * xs[0] + (-1.0), n=4)
+    rep = caccioppoli_check(1.0, lambda xs: 0.0 * xs[0] + (-1.0), n=4)
     assert rep.left < 1e-12
     assert rep.ok
 
@@ -660,8 +674,7 @@ def test_caccioppoli_constant_function():
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_caccioppoli_gaussian_family(n):
     rep = caccioppoli_check(
-        PatchSpec(radius=1.0 / np.sqrt(n)),
-        lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
+        1.0 / np.sqrt(n), lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
     assert rep.ok
     assert rep.left <= 0.99 * rep.bound
     # closed form of the left side: pi R^4 / 32 with R = 1/sqrt(n)
@@ -671,8 +684,8 @@ def test_caccioppoli_gaussian_family(n):
 
 def test_caccioppoli_hypothesis_fail():
     with pytest.raises(HypothesisFail):
-        caccioppoli_check(PatchSpec(radius=1.0),
-                          lambda xs: xs[0] * xs[0] + xs[1] * xs[1], n=4)
+        caccioppoli_check(1.0, lambda xs: xs[0] * xs[0] + xs[1] * xs[1],
+                          n=4)
 
 
 # ---------------------------------------------------------------------------

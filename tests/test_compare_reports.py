@@ -59,5 +59,8 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
         assert ["estimate", "--domain", domain, "--mesh", "600",
                 "--interior", "60", "--seed", "11"] in cmds
         assert ["zoo", "describe", "--domain", domain, "--res", "9"] in cmds
+    for geometry in tool["GEOMETRIES"]:
+        assert ["estimate", *geometry, "--mesh", "600", "--interior", "60",
+                "--seed", "3"] in cmds
     assert ["caccioppoli"] in cmds and ["zoo"] in cmds
-    assert len(cmds) == runs + 32 + 20 + 2 + len(tool["ERROR_CASES"])
+    assert len(cmds) == runs + 32 + 6 + 20 + 2 + len(tool["ERROR_CASES"])

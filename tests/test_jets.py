@@ -37,7 +37,7 @@ def test_outside_box_raises(ball):
 
 
 def test_nonfinite_evaluator_raises():
-    dom = DomainSpec(n=2, rho=lambda c: jlog(c[0]),
+    dom = DomainSpec(rho=lambda c: jlog(c[0]),
                      box_lo=-np.ones(4), box_hi=np.ones(4))
     from dfindex.errors import NonFinite
     with pytest.raises(NonFinite):

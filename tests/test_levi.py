@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dfindex import zoo
 from dfindex.distance import foot_points
 from dfindex.errors import NotPseudoconvex, OrderTooLow
 from dfindex.jets import DomainSpec, jhinge_pow
-from dfindex.levi import detect_sigma, levi_spectrum
+from dfindex.levi import detect_sigma, levi_spectrum, tangent_direction
 from dfindex.util import complex_pack, complex_unpack, median
 from references import (NotDegenerate, ball_delta_jet, boundary_batch,
                         boundary_point, levi_decompose, levi_min_via_rho,
                         mixed_term, null_cross_residual, project_to_boundary,
-                        third_term, third_term_field)
+                        tangent_frames, third_term, third_term_field)
 
 
 def test_ball_levi_decomposition(ball):
@@ -81,7 +81,7 @@ def test_quartic_levi_spectrum_unitary_invariance(quartic, entries, s, al,
         return quartic.domain.rho([sum(c[b] * float(R[a, b])
                                        for b in range(4)) for a in range(4)])
 
-    rotated = DomainSpec(n=2, rho=rho, box_lo=quartic.domain.box_lo,
+    rotated = DomainSpec(rho=rho, box_lo=quartic.domain.box_lo,
                          box_hi=quartic.domain.box_hi, name="quartic U")
     z = np.array([s * np.exp(1j * al), (1 - s ** 4) ** 0.5 * np.exp(1j * ph)])
     p = complex_unpack(z[None])[0]
@@ -90,6 +90,45 @@ def test_quartic_levi_spectrum_unitary_invariance(quartic, entries, s, al,
     w1 = levi_decompose(project_to_boundary(rotated, Up)).eigenvalues
     assert w0[0] > 1e-2
     np.testing.assert_allclose(w1, w0, rtol=0, atol=1e-10)
+
+
+@st.composite
+def unit_normals(draw):
+    """Unit normal coefficients N in C^2: general, with |N_1| = |N_2|
+    exactly (N_2 is N_1 times 1, -1, i or -i), or on a coordinate axis."""
+    kind = draw(st.sampled_from(("general", "tie", "axis")))
+    w = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    assume(abs(w) > 1e-3)
+    if kind == "general":
+        v = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        N = np.array([w, v])
+    elif kind == "tie":
+        N = np.array([w, draw(st.sampled_from((1.0, -1.0, 1j, -1j))) * w])
+    else:
+        N = np.roll(np.array([w, 0j]), draw(st.integers(0, 1)))
+    return N / np.linalg.norm(N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=unit_normals())
+@example(N=np.array([1.0, 1.0]) / np.sqrt(2.0))
+@example(N=np.array([1.0, 0j]))
+@example(N=np.array([0j, 1j]))
+def test_tangent_direction_closed_form(N):
+    # unit and tangent; the reference frame spans the null space of
+    # conj(N)^T, and the closed form is its one vector times a unit phase,
+    # seeded on the axis with the smaller |N_k| (the second on ties), where
+    # it is real and positive
+    L = tangent_direction(N)[0]
+    assert abs(np.linalg.norm(L) - 1.0) <= 1e-15
+    assert abs(np.vdot(N, L)) <= 1e-15
+    F = tangent_frames(N)[0]
+    assert F.shape == (1, 2)
+    c = np.vdot(F[0], L)
+    assert abs(abs(c) - 1.0) <= 1e-14
+    assert np.linalg.norm(L - c * F[0]) <= 1e-14
+    j = 1 if abs(N[0]) >= abs(N[1]) else 0
+    assert L[j].real > 0 and abs(L[j].imag) <= 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +209,7 @@ def test_not_pseudoconvex_alarm():
         x1, y1, x2, y2 = c
         return x2 - x1 * x1 - y1 * y1
 
-    dom = DomainSpec(n=2, rho=rho, box_lo=-2 * np.ones(4),
+    dom = DomainSpec(rho=rho, box_lo=-2 * np.ones(4),
                      box_hi=2 * np.ones(4), name="concave_graph")
     rng = np.random.default_rng(0)
     z1 = 0.2 * (rng.normal(size=30) + 1j * rng.normal(size=30))
@@ -192,14 +231,15 @@ def test_wide_worm_rounding_is_no_alarm(turns):
 
 
 def test_delta_levi_matches_rho_route(zoo_entries):
-    # dual-route check: restricted Levi eigenvalues from distance jets agree
-    # with the defining-function identity
+    # dual-route check: Levi values from distance jets on the closed-form
+    # tangent direction agree with the defining-function identity on the
+    # reference SVD frame
     for entry in zoo_entries:
         P = entry.boundary_mesh(300, seed=9)
         batch = boundary_batch(entry.domain, P, order=2)
-        w, _, _ = levi_spectrum(batch.jet)
+        w, _ = levi_spectrum(batch.jet)
         lam = levi_min_via_rho(entry.domain, batch.positions)
-        assert np.max(np.abs(w[:, 0] - lam)) < 1e-12
+        assert np.max(np.abs(w - lam)) < 1e-12
 
 
 def test_levi_scale_ignores_rounding_noise(worm):
@@ -328,7 +368,7 @@ def _product_domain_c3():
         s = x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 - r2
         return x3 * x3 + y3 * y3 - 1.0 + jhinge_pow(s, 4, 1.0)
 
-    return DomainSpec(n=3, rho=rho, box_lo=-2.1 * np.ones(6),
+    return DomainSpec(rho=rho, box_lo=-2.1 * np.ones(6),
                       box_hi=2.1 * np.ones(6), name="polydisc3")
 
 

@@ -13,6 +13,8 @@ It runs one fixed command set through each checkout's own
   perfbench/workloads.py);
 - scan, sigma, certify and estimate on every zoo domain at --mesh 600
   --interior 60, seeds 3 and 11;
+- sigma, certify and estimate on two more geometries (the worm at
+  --beta 6.2832 and the bidisc at --r 0.5) at the same sizes, seed 3;
 - theta, period, potential, curve and zoo describe on every domain at
   --res 9;
 - caccioppoli, zoo, and usage and domain errors that end in typed errors.
@@ -34,6 +36,8 @@ import sys
 import tempfile
 
 DOMAINS = ("ball", "bidisc", "worm", "quartic_circle")
+GEOMETRIES = (("--domain", "worm", "--beta", "6.2832"),
+              ("--domain", "bidisc", "--r", "0.5"))
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ERROR_CASES = (
     ["certify", "--meshh", "5"],
@@ -83,6 +87,10 @@ def commands(checkout):
             for seed in ("3", "11"):
                 cmds.append([cmd, "--domain", domain, "--mesh", "600",
                              "--interior", "60", "--seed", seed])
+    for geometry in GEOMETRIES:
+        for cmd in ("sigma", "certify", "estimate"):
+            cmds.append([cmd, *geometry, "--mesh", "600", "--interior", "60",
+                         "--seed", "3"])
     for cmd in (["theta"], ["period"], ["potential"], ["curve"],
                 ["zoo", "describe"]):
         for domain in DOMAINS:
