@@ -545,7 +545,7 @@ class CurveTerms:
         t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
         gamma = self.curve.embed_batch(t[:, None])
         a = np.interp(t, self.t_grid, self.a_grid, period=2 * np.pi)
-        JX = complex_unpack(1j * self.curve.tangents(t[:, None])[:, 0, :])
+        JX = complex_unpack(1j * self.curve.tangents(t[:, None]))
         jdir = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True),
                                1e-300)
         s = np.einsum("ka,ka->k", F - gamma, jdir)
@@ -579,13 +579,13 @@ def curve_geometry(domain: DomainSpec,
     order-3 delta-jet at the curve samples, which lie on the boundary and
     are their own feet: nothing is projected, and the ambient derivative of
     g(nabla_nu nu, J dt) along J dt is exact."""
-    if curve is None or curve.kind != "real" or curve.m != 1:
+    if curve is None or curve.kind != "real":
         raise NotACurve("the degenerate set is not a parametrized real curve")
     tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
     U = tg[:, None]
     P = curve.embed_batch(U)
     jet = boundary_jet(domain, P, order=3)
-    xi = curve.tangents(U)[:, 0, :]
+    xi = curve.tangents(U)
     # classification of the tangent against the complex tangent space
     overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
     nrm = np.sqrt(np.einsum("kj,kj->k", xi, np.conj(xi)).real)

@@ -184,8 +184,6 @@ class _PolyModel:
         lam = 1e-10
         AtA = A.T @ A + lam * np.eye(A.shape[1])
         self.coef = np.linalg.solve(AtA, A.T @ np.asarray(y, dtype=float))
-        resid = A @ self.coef - y
-        return float(np.max(np.abs(resid)))
 
     def __call__(self, U):
         A = self._design(np.atleast_2d(U))
@@ -200,7 +198,6 @@ class LeafPotential:
     values: np.ndarray
     model: _PolyModel
     gradient_residual: float
-    fit_residual: float
 
 
 @dataclass
@@ -330,23 +327,18 @@ def build_potential(sources, basepoint, verdict: CohomologyVerdict,
             grid_vals = vals.reshape(shape)
             hstep = [(chart.hi[a2] - chart.lo[a2]) / (shape[a2] - 1)
                      for a2 in range(p)]
-            hv = (comps[:K, 0::2] + 1j * comps[:K, 1::2]).reshape(
-                shape + (chart.m,))
-            interior = tuple(slice(1, -1) for _ in shape)
-            for j in range(chart.m):
-                Dx = np.gradient(grid_vals, hstep[2 * j], axis=2 * j)
-                Dy = np.gradient(grid_vals, hstep[2 * j + 1], axis=2 * j + 1)
-                dbar = 0.5 * (Dx + 1j * Dy)
-                grad_res = max(grad_res, float(np.max(np.abs(
-                    (dbar - hv[..., j])[interior]))))
+            hv = (comps[:K, 0] + 1j * comps[:K, 1]).reshape(shape)
+            Dx = np.gradient(grid_vals, hstep[0], axis=0)
+            Dy = np.gradient(grid_vals, hstep[1], axis=1)
+            dbar = 0.5 * (Dx + 1j * Dy)
+            grad_res = float(np.max(np.abs((dbar - hv)[1:-1, 1:-1])))
         worst_grad = max(worst_grad, grad_res)
 
         model = _PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
-        fit_res = model.fit(U, vals)
+        model.fit(U, vals)
         leaves.append(LeafPotential(chart=chart, params=U, shape=shape,
                                     values=vals, model=model,
-                                    gradient_residual=grad_res,
-                                    fit_residual=fit_res))
+                                    gradient_residual=grad_res))
         labels.append(chart.leaf_label)
     has_labels = all(l is not None for l in labels) and len(labels) > 1
     return PotentialField(

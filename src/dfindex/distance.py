@@ -306,9 +306,9 @@ def boundary_jet(domain: DomainSpec, P, order=2) -> WirtingerJet:
 
 
 def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
-    """delta's jet at signed distance d from the feet, in closed form from
-    rho's AD jet at the foot p.  With g = grad rho(p), n = g/|g|,
-    P = I - n n^T and W = P Hess rho P / |g|: grad delta = n and
+    """delta's jet of order 2 or 3 at signed distance d from the feet, in
+    closed form from rho's AD jet at the foot p.  With g = grad rho(p),
+    n = g/|g|, P = I - n n^T and W = P Hess rho P / |g|: grad delta = n and
     Hess delta = W (I + delta W)^-1 (Gilbarg-Trudinger Lemma 14.17); the
     third derivative differentiates that along dp/dz = (I + delta W)^-1 P.
     Raises StencilLeak when |delta| exceeds the collar, and at or past a
@@ -323,8 +323,6 @@ def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
         raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
                           "point of the boundary")
     B, D = feet.shape
-    if order < 2:
-        return WirtingerJet(d, n)
     Minv = None if M is None else np.linalg.inv(M)
     G = W if M is None else W @ Minv
     G = 0.5 * (G + np.swapaxes(G, 1, 2))   # symmetric to the last bit

@@ -1,11 +1,12 @@
 """Charts on the degenerate set, the closed 1-form built from the normal
 Hessian, and its closedness residual.
 
-Complex charts use interleaved parameters (x1, y1, ..., xm, ym) and are
-expected to embed holomorphically; real charts use (t1, ..., tm).  Chart
-derivatives of boundary fields use centered differences in the chart
-parameters.  Chart embeddings lie on the boundary, so the fields take their
-delta-jets there directly (distance.boundary_jet) and project nothing.
+In C^2 every chart has one direction: a complex chart has one complex
+parameter u = x + i y, taken as the pair (x, y), and is expected to embed
+holomorphically; a real chart has one real parameter t.  Chart derivatives
+of boundary fields use centered differences in the chart parameters.  Chart
+embeddings lie on the boundary, so the fields take their delta-jets there
+directly (distance.boundary_jet) and project nothing.
 """
 
 from __future__ import annotations
@@ -23,29 +24,25 @@ from .jets import DomainSpec, WirtingerJet
 
 @dataclass
 class SigmaChart:
-    """A parametrized patch (or foliation leaf) of the degenerate set.
+    """A parametrized patch (or foliation leaf) of the degenerate set, with
+    parameters (x, y) on a complex chart and t on a real one.
 
     tangent is required: every chart gives the (1,0)-part coefficients of
-    its coordinate directions in closed form (see tangents).
+    its direction in closed form (see tangents).
     """
 
     domain: DomainSpec
     kind: str                  # "complex" | "real"
-    m: int                     # complex dimension (complex) / real dim (real)
-    lo: np.ndarray
+    lo: np.ndarray             # (p,) parameter box, p = 2 complex / 1 real
     hi: np.ndarray
-    embed: Callable            # (K, p) params -> (K, 2n) ambient points
-    tangent: Callable          # (K, p) -> (K, m, n) complex coefficients
+    embed: Callable            # (K, p) params -> (K, 4) ambient points
+    tangent: Callable          # (K, p) -> (K, 2) complex coefficients
     leaf_label: float | None = None
     name: str = ""
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-
-    @property
-    def params_dim(self):
-        return 2 * self.m if self.kind == "complex" else self.m
 
     def contains(self, U, pad=1e-12):
         U = np.atleast_2d(U)
@@ -56,7 +53,7 @@ class SigmaChart:
         """Uniform tensor grid, res nodes per axis; returns (params (K, p),
         shape tuple)."""
         axes = [np.linspace(self.lo[a], self.hi[a], res)
-                for a in range(self.params_dim)]
+                for a in range(len(self.lo))]
         mesh = np.meshgrid(*axes, indexing="ij")
         U = np.stack([m.ravel() for m in mesh], axis=1)
         return U, tuple(len(ax) for ax in axes)
@@ -65,10 +62,10 @@ class SigmaChart:
         return self.embed(np.atleast_2d(np.asarray(U, dtype=float)))
 
     def tangents(self, U):
-        """(1,0)-part coefficients of the coordinate directions, (K, m, n).
+        """(1,0)-part coefficients of the chart's direction, (K, 2).
 
-        Complex charts: the coordinate fields d/dz_j of the holomorphic
-        parametrization.  Real charts: the (1,0) parts of d/dt_j.
+        Complex charts: d/du of the holomorphic parametrization.  Real
+        charts: the (1,0) part of d/dt.
         """
         return self.tangent(np.atleast_2d(np.asarray(U, dtype=float)))
 
@@ -77,36 +74,31 @@ class SigmaChart:
 # ---------------------------------------------------------------------------
 
 def h_field(chart: SigmaChart, U):
-    """Normal-Hessian field h_j = Hess_delta(N, W_j) on the chart, (K, m)."""
+    """Normal-Hessian field h = Hess_delta(N, W) along the chart's direction
+    W, (K,)."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     jet = boundary_jet(chart.domain, chart.embed_batch(U), order=2)
     N = normal_n(jet)
     W = chart.tangents(U)
     H = jet.mixed
-    return np.einsum("kij,ki,kmj->km", H, N, np.conj(W))
+    return np.einsum("kij,ki,kj->k", H, N, np.conj(W))
 
 
 def theta_components(chart: SigmaChart, U):
-    """Components of the 1-form, aligned with the chart parameters.
-
-    Complex charts: theta = sum_j Re(h_j) dx_j + Im(h_j) dy_j, returned as a
-    (K, 2m) array in (x1, y1, ..., xm, ym) order.
+    """Components of the 1-form theta = Re(h) dx + Im(h) dy on a complex
+    chart: (K, 2) columns (Re h, Im h), aligned with the parameters (x, y).
     """
     if chart.kind != "complex":
         raise ChartMismatch("theta needs a complex chart")
     h = h_field(chart, U)
-    K, m = h.shape
-    comps = np.empty((K, 2 * m))
-    comps[:, 0::2] = h.real
-    comps[:, 1::2] = h.imag
-    return comps
+    return np.stack([h.real, h.imag], axis=1)
 
 
 def nu_field(jet: WirtingerJet):
     """w_k = nu(nu_plus_k): derivative of the doubled antiholomorphic
     gradient coefficients along nu = N - conj(N); (K, n) complex.
 
-    Through the eikonal identity, h_j = (1/4) <w, xi_j> pointwise in the
+    Through the eikonal identity, h = (1/4) <w, xi> pointwise in the
     collar, which realizes the real-form identities.
     """
     nu_plus = 2.0 * np.conj(jet.wgrad)
@@ -119,46 +111,38 @@ def nu_field(jet: WirtingerJet):
 
 def nu_pairings(jet: WirtingerJet, xi):
     """(g(nabla_nu nu, X), g(nabla_nu nu, JX)) for real vectors X given by
-    their (1,0)-part coefficients xi, batched (K, n) or (K, m, n)."""
-    w = nu_field(jet)
-    if xi.ndim == 3:
-        inner = np.einsum("kmj,kj->km", np.conj(xi), w)
-    else:
-        inner = np.einsum("kj,kj->k", np.conj(xi), w)
+    their (1,0)-part coefficients xi, batched (K, n)."""
+    inner = np.einsum("kj,kj->k", np.conj(xi), nu_field(jet))
     return inner.real, inner.imag
 
 
 def real_one_form_at(chart: SigmaChart, u):
-    """m real components (1/4) g(nabla_nu nu, d/dx_j-dual) on a real chart."""
+    """The component (1/4) g(nabla_nu nu, d/dt) of the real 1-form on a
+    real chart, (K,)."""
     if chart.kind != "real":
         raise ChartMismatch("the real 1-form needs a real chart")
     U = np.atleast_2d(np.asarray(u, dtype=float))
     jet = boundary_jet(chart.domain, chart.embed_batch(U), order=2)
-    xi = chart.tangents(U)
-    gx, _ = nu_pairings(jet, xi)
-    out = 0.25 * gx
-    return out[0] if np.asarray(u).ndim == 1 else out
+    gx, _ = nu_pairings(jet, chart.tangents(U))
+    return 0.25 * gx
 
 
 # ---------------------------------------------------------------------------
 # closedness residual
 # ---------------------------------------------------------------------------
 
-def dtheta_residual(chart: SigmaChart, u, h, plane=(0, 1), components=None):
-    """|circulation|/area of the 1-form around the grid cell spanned by the
-    parameter axes `plane` at corner u; second-order proxy for |d theta|."""
+def dtheta_residual(chart: SigmaChart, u, h, components=None):
+    """|circulation|/area of the 1-form around the grid cell of side h at
+    corner u of a complex chart; second-order proxy for |d theta|."""
     U = np.atleast_2d(np.asarray(u, dtype=float))
-    a, b = plane
-    ea = np.zeros(U.shape[1])
-    eb = np.zeros(U.shape[1])
-    ea[a] = h
-    eb[b] = h
-    corners = [U, U + ea, U + ea + eb, U + eb]
+    ex = np.array([h, 0.0])
+    ey = np.array([0.0, h])
+    corners = [U, U + ex, U + ex + ey, U + ey]
     comp_fn = components if components is not None \
         else (lambda V: theta_components(chart, V))
     vals = [comp_fn(np.atleast_2d(c)) for c in corners]
     circ = 0.0
-    edges = [(0, 1, a), (1, 2, b), (2, 3, a), (3, 0, b)]
+    edges = [(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1)]
     signs = [1.0, 1.0, -1.0, -1.0]
     for (i0, i1, axis), sg in zip(edges, signs):
         avg = 0.5 * (vals[i0][:, axis] + vals[i1][:, axis])
@@ -179,28 +163,25 @@ class OneFormSample:
     params: np.ndarray          # (K, p)
     shape: tuple
     comps: np.ndarray           # (K, p) parameter-aligned coefficients
-    positions: np.ndarray       # (K, 2n)
+    positions: np.ndarray       # (K, 4)
     closed_residual: np.ndarray | None = None
 
     @staticmethod
     def from_chart(chart: SigmaChart, res):
         U, shape = chart.grid(res)
+        residual = None
         if chart.kind == "complex":
             comps = theta_components(chart, U)
-        else:
-            comps = np.atleast_2d(real_one_form_at(chart, U))
-            comps = comps.reshape(U.shape[0], chart.m)
-        sample = OneFormSample(chart=chart, params=U, shape=shape,
-                               comps=comps,
-                               positions=chart.embed_batch(U))
-        if chart.kind == "complex" and chart.params_dim >= 2:
             hstep = float((chart.hi[0] - chart.lo[0])) / (shape[0] - 1)
             interior = U[(U[:, 0] < chart.hi[0] - hstep) &
                          (U[:, 1] < chart.hi[1] - hstep)]
             if interior.size:
-                sample.closed_residual = dtheta_residual(
-                    chart, interior, hstep, plane=(0, 1))
-        return sample
+                residual = dtheta_residual(chart, interior, hstep)
+        else:
+            comps = real_one_form_at(chart, U)[:, None]
+        return OneFormSample(chart=chart, params=U, shape=shape, comps=comps,
+                             positions=chart.embed_batch(U),
+                             closed_residual=residual)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -3,7 +3,9 @@ generator loops.
 
 All entries are domains in C^2 with interleaved real coordinates
 (x1, y1, x2, y2).  Evaluators are jet-generic, so forward-mode
-differentiation is exact.
+differentiation is exact.  Each Sigma chart is given by its complex
+embedding z(u) and its closed-form tangent z'(u), both (K, 2) complex
+(see _chart).
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ def _interior_mesh_of(dom, boundary_mesh):
         return mesh[:, 0].copy(), mesh[:, 1].copy()
 
     return interior_mesh
+
+
+def _chart(dom, kind, lo, hi, z, dz, name, leaf_label=None):
+    """The SigmaChart with complex embedding z (K, p) -> (K, 2), whose real
+    coordinates interleave z's parts, and tangent dz (K, p) -> (K, 2): d/du
+    at u = x + i y on a complex chart, d/dt on a real one."""
+    return SigmaChart(domain=dom, kind=kind, lo=lo, hi=hi,
+                      embed=lambda U: complex_unpack(z(U)), tangent=dz,
+                      leaf_label=leaf_label, name=name)
+
+
+def _on_z2(w):
+    """(0, w): points or directions on the z2-axis, (K, 2) complex."""
+    return np.stack([np.zeros_like(w), w], axis=1)
 
 
 def _uniform_disc(rng, count, radius):
@@ -173,29 +189,22 @@ def make_fattened_bidisc(r=0.7) -> ZooEntry:
 
     c = 0.65 * r   # leaf chart half-width, keeps the box inside |z1| < r
     leaf_labels = np.linspace(0.0, 2 * np.pi, 9)[:-1]
+
+    def leaf_tangent(U):
+        return np.tile([1, 0j], (len(U), 1))
+
     charts = {}
     for t in leaf_labels:
-        ct, st = float(np.cos(t)), float(np.sin(t))
+        # the leaf z2 = e^(i t), parametrized by u = z1
+        w = complex(float(np.cos(t)), float(np.sin(t)))
 
-        def embed(U, ct=ct, st=st):
-            U = np.atleast_2d(U)
-            out = np.empty((U.shape[0], 4))
-            out[:, 0] = U[:, 0]
-            out[:, 1] = U[:, 1]
-            out[:, 2] = ct
-            out[:, 3] = st
-            return out
+        def leaf(U, w=w):
+            return np.stack([complex_pack(U)[:, 0], np.full(len(U), w)],
+                            axis=1)
 
-        def tangent(U):
-            U = np.atleast_2d(U)
-            W = np.zeros((U.shape[0], 1, 2), dtype=complex)
-            W[:, 0, 0] = 1.0
-            return W
-
-        charts[f"leaf_{t:.3f}"] = SigmaChart(
-            domain=dom, kind="complex", m=1, lo=np.array([-c, -c]),
-            hi=np.array([c, c]), embed=embed, tangent=tangent,
-            leaf_label=float(t), name=f"leaf_{t:.3f}")
+        name = f"leaf_{t:.3f}"
+        charts[name] = _chart(dom, "complex", [-c, -c], [c, c], leaf,
+                              leaf_tangent, name, leaf_label=float(t))
     main_leaf = charts["leaf_0.000"]
 
     ang = np.linspace(0, 2 * np.pi, 65)
@@ -289,25 +298,13 @@ def make_worm(beta=np.pi) -> ZooEntry:
 
     half = 0.45 * a
 
-    def embed_logpolar(U):
-        U = np.atleast_2d(U)
-        sig, ph = U[:, 0], U[:, 1]
-        z2 = np.exp(sig + 1j * ph)
-        out = np.zeros((U.shape[0], 4))
-        out[:, 2] = z2.real
-        out[:, 3] = z2.imag
-        return out
+    def logpolar(U):
+        # (0, e^u) at u = log|z2| + i arg z2, its own derivative
+        return _on_z2(np.exp(U[:, 0] + 1j * U[:, 1]))
 
-    def tangent_logpolar(U):
-        U = np.atleast_2d(U)
-        W = np.zeros((U.shape[0], 1, 2), dtype=complex)
-        W[:, 0, 1] = np.exp(U[:, 0] + 1j * U[:, 1])
-        return W
-
-    log_polar = SigmaChart(
-        domain=dom, kind="complex", m=1,
-        lo=np.array([-half, -0.8]), hi=np.array([half, 2 * np.pi + 0.8]),
-        embed=embed_logpolar, tangent=tangent_logpolar, name="log_polar")
+    log_polar = _chart(dom, "complex", [-half, -0.8],
+                       [half, 2 * np.pi + 0.8], logpolar, logpolar,
+                       "log_polar")
 
     r_in = float(np.exp(-a / 2))
     r_out = float(np.exp(a / 2))
@@ -319,21 +316,10 @@ def make_worm(beta=np.pi) -> ZooEntry:
     bx_hi = np.array([max(0.9 * r_out, 0.5 * (lo_x + r_out)),
                       0.3 * (r_out - r_in)])
 
-    def embed_patch(U):
-        U = np.atleast_2d(U)
-        out = np.zeros((U.shape[0], 4))
-        out[:, 2] = U[:, 0]
-        out[:, 3] = U[:, 1]
-        return out
-
-    def tangent_patch(U):
-        U = np.atleast_2d(U)
-        W = np.zeros((U.shape[0], 1, 2), dtype=complex)
-        W[:, 0, 1] = 1.0
-        return W
-
-    patch = SigmaChart(domain=dom, kind="complex", m=1, lo=bx_lo, hi=bx_hi,
-                       embed=embed_patch, tangent=tangent_patch, name="patch")
+    # (0, u) at u = z2
+    patch = _chart(dom, "complex", bx_lo, bx_hi,
+                   lambda U: _on_z2(complex_pack(U)[:, 0]),
+                   lambda U: np.tile([0j, 1], (len(U), 1)), "patch")
 
     ang = np.linspace(0, 2 * np.pi, 129)
     core = np.stack([np.zeros_like(ang), ang], axis=1)
@@ -398,22 +384,10 @@ def make_quartic_circle() -> ZooEntry:
         z2 = np.sqrt(np.maximum(1 - s ** 4, 0)) * np.exp(1j * ph)
         return complex_unpack(np.stack([z1, z2], axis=1))
 
-    def embed_curve(U):
-        U = np.atleast_2d(U)
-        out = np.zeros((U.shape[0], 4))
-        out[:, 2] = np.cos(U[:, 0])
-        out[:, 3] = np.sin(U[:, 0])
-        return out
-
-    def tangent_curve(U):
-        U = np.atleast_2d(U)
-        xi = np.zeros((U.shape[0], 1, 2), dtype=complex)
-        xi[:, 0, 1] = 1j * np.exp(1j * U[:, 0])
-        return xi
-
-    curve = SigmaChart(domain=dom, kind="real", m=1, lo=np.array([0.0]),
-                       hi=np.array([2 * np.pi]), embed=embed_curve,
-                       tangent=tangent_curve, name="curve")
+    # (0, cos t + i sin t)
+    curve = _chart(dom, "real", [0.0], [2 * np.pi],
+                   lambda U: _on_z2(np.cos(U[:, 0]) + 1j * np.sin(U[:, 0])),
+                   lambda U: _on_z2(1j * np.exp(1j * U[:, 0])), "curve")
 
     def sigma_distance(P):
         Z = complex_pack(np.atleast_2d(P))

@@ -595,9 +595,9 @@ def require_inside(chart: SigmaChart, U):
 
 
 def fd_tangents(chart: SigmaChart, U):
-    """The chart's tangents (SigmaChart.tangents) by centred differences of
-    its embedding, (K, m, n): the (1,0) parts of d/dt_j on real charts, and
-    (d/dx_j - i d/dy_j)/2 of the embedding on complex ones."""
+    """The chart's tangent (SigmaChart.tangents) by centred differences of
+    its embedding in C^n, (K, n): the (1,0) part of d/dt on a real chart,
+    and (d/dx - i d/dy)/2 of the embedding on a complex one."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     he = 1e-6 * float(np.max(chart.hi - chart.lo))
     cols = []
@@ -607,61 +607,38 @@ def fd_tangents(chart: SigmaChart, U):
         dE = (chart.embed_batch(U + dU) - chart.embed_batch(U - dU)) / (2 * he)
         cols.append(complex_pack(dE))
     if chart.kind == "real":
-        return np.stack(cols, axis=1)
-    return np.stack([0.5 * (cols[2 * j] - 1j * cols[2 * j + 1])
-                     for j in range(chart.m)], axis=1)
+        return cols[0]
+    return 0.5 * (cols[0] - 1j * cols[1])
 
 
 def holomorphy_defect(chart: SigmaChart, U):
-    """max |xi(Y_j) - i xi(X_j)| over the grid; zero for holomorphic
+    """max |xi(Y) - i xi(X)| over the grid; zero for holomorphic
     embeddings."""
     if chart.kind != "complex":
         raise ChartMismatch("holomorphy defect needs a complex chart")
     U = np.atleast_2d(np.asarray(U, dtype=float))
     he = 1e-6 * float(np.max(chart.hi - chart.lo))
-    worst = 0.0
-    for j in range(chart.m):
-        dx = np.zeros_like(U)
-        dx[:, 2 * j] = he
-        dy = np.zeros_like(U)
-        dy[:, 2 * j + 1] = he
-        xx = complex_pack((chart.embed_batch(U + dx)
-                           - chart.embed_batch(U - dx)) / (2 * he))
-        yy = complex_pack((chart.embed_batch(U + dy)
-                           - chart.embed_batch(U - dy)) / (2 * he))
-        worst = max(worst, float(np.max(np.abs(yy - 1j * xx))))
-    return worst
+    dx = np.array([he, 0.0])
+    dy = np.array([0.0, he])
+    xx = complex_pack((chart.embed_batch(U + dx)
+                       - chart.embed_batch(U - dx)) / (2 * he))
+    yy = complex_pack((chart.embed_batch(U + dy)
+                       - chart.embed_batch(U - dy)) / (2 * he))
+    return float(np.max(np.abs(yy - 1j * xx)))
 
 
 def _chart_wirtinger_derivs(chart, U, fn, h):
-    """(d/dz_j F, d/dzbar_j F) of a chart field by centered differences.
-
-    F = fn(U) must return (K, m) complex samples; derivatives for every
-    chart coordinate j, giving (K, m_coords, m_fields) arrays.
-    """
+    """(d/dz F, d/dzbar F) of a chart field F = fn(U), (K,) complex, by
+    centered differences in the chart's coordinate z = x + i y."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    K, p = U.shape
-    m = chart.m
-    stack = []
-    for j in range(m):
-        for a, step in ((2 * j, h), (2 * j + 1, h)):
-            dU = np.zeros_like(U)
-            dU[:, a] = step
-            stack.append(U + dU)
-            stack.append(U - dU)
-    allU = np.concatenate(stack, axis=0)
+    dx = np.array([h, 0.0])
+    dy = np.array([0.0, h])
+    allU = np.concatenate([U + dx, U - dx, U + dy, U - dy], axis=0)
     require_inside(chart, allU)
-    allF = fn(allU)
-    m_fields = allF.shape[1]
-    blocks = allF.reshape(2 * m, 2, K, m_fields)
-    dzs = np.empty((K, m, m_fields), dtype=complex)
-    dzbars = np.empty((K, m, m_fields), dtype=complex)
-    for j in range(m):
-        Dx = (blocks[2 * j, 0] - blocks[2 * j, 1]) / (2 * h)
-        Dy = (blocks[2 * j + 1, 0] - blocks[2 * j + 1, 1]) / (2 * h)
-        dzs[:, j, :] = 0.5 * (Dx - 1j * Dy)
-        dzbars[:, j, :] = 0.5 * (Dx + 1j * Dy)
-    return dzs, dzbars
+    F = fn(allU).reshape(4, U.shape[0])
+    Dx = (F[0] - F[1]) / (2 * h)
+    Dy = (F[2] - F[3]) / (2 * h)
+    return 0.5 * (Dx - 1j * Dy), 0.5 * (Dx + 1j * Dy)
 
 
 def chart_compat_residuals(chart: SigmaChart, u, h):
@@ -669,16 +646,16 @@ def chart_compat_residuals(chart: SigmaChart, u, h):
 
     Identity one: d/dz_j h_i = conj(d/dz_i h_j); identity two:
     d/dzbar_j h_i = d/dzbar_i h_j.  Both vanish on the degenerate set; the
-    centered differences converge at second order.
+    centered differences converge at second order.  A chart in C^2 has one
+    direction, i = j: identity one asks d/dz h to be real, and identity two
+    holds by itself (its residual is 0 wherever d/dzbar h is finite).
     """
     if chart.kind != "complex":
         raise ChartMismatch("compatibility residuals need a complex chart")
     U = np.atleast_2d(np.asarray(u, dtype=float))
     dz, dzb = _chart_wirtinger_derivs(chart, U, lambda V: h_field(chart, V), h)
-    r1 = np.abs(dz - np.conj(np.swapaxes(dz, 1, 2)))
-    r2 = np.abs(dzb - np.swapaxes(dzb, 1, 2))
-    r1 = r1.reshape(U.shape[0], -1).max(axis=1)
-    r2 = r2.reshape(U.shape[0], -1).max(axis=1)
+    r1 = np.abs(dz - np.conj(dz))
+    r2 = np.abs(dzb - dzb)
     if np.asarray(u).ndim == 1:
         return float(r1[0]), float(r2[0])
     return r1, r2
@@ -714,9 +691,9 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
                           null_tol=None):
     """Residuals of the three transversal-field identities at chart point u.
 
-    r1, r2: pointwise identities Re/Im h_j = (1/4) g(nabla_nu nu, X_j / Y_j);
-    r3: the derivative identity, discretized with chart steps along X_j and
-    ambient collar steps along the J-companion Y_j (which may leave the
+    r1, r2: pointwise identities Re/Im h = (1/4) g(nabla_nu nu, X / Y);
+    r3: the derivative identity, discretized with chart steps along X and
+    ambient collar steps along the J-companion Y (which may leave the
     boundary; the collar fields stay defined).
 
     strict=True raises HypothesisFail when the complexified x-direction is
@@ -728,68 +705,61 @@ def nu_identity_residuals(chart: SigmaChart, u, h, strict=True,
     P = chart.embed_batch(U)
     jet = delta_jet(dom, P, order=2)
     N = normal_n(jet)
-    xi = chart.tangents(U)          # (K, m, n)
-    levi = np.einsum("kij,kmi,kmj->km", jet.mixed, xi, np.conj(xi)).real
+    xi = chart.tangents(U)          # (K, n)
+    levi = np.einsum("kij,ki,kj->k", jet.mixed, xi, np.conj(xi)).real
     if null_tol is None:
         null_tol = 1e-3 * float(np.max(np.abs(jet.mixed)))
     if strict and np.any(np.abs(levi) > null_tol):
         raise HypothesisFail(
             f"Levi form on the complexified chart direction reaches "
             f"{float(np.max(np.abs(levi))):.3e} (tol {null_tol:.3e})")
-    hvals = np.einsum("kij,ki,kmj->km", jet.mixed, N, np.conj(xi))
+    hvals = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi))
     gx, gy = nu_pairings(jet, xi)
-    r1 = np.abs(hvals.real - 0.25 * gx).max(axis=1)
-    r2 = np.abs(hvals.imag - 0.25 * gy).max(axis=1)
+    r1 = np.abs(hvals.real - 0.25 * gx)
+    r2 = np.abs(hvals.imag - 0.25 * gy)
 
-    # r3: Re(d/dz_j h_j) vs (1/8)(D_X g(.,X_j) + D_Y g(.,Y_j))
-    K, m, n = xi.shape
-    r3 = np.zeros(K)
+    # r3: Re(d/dz h) vs (1/8)(D_X g(.,X) + D_Y g(.,Y))
     ha = 1e-3 * dom.scale
-    for j in range(m):
-        if chart.kind == "complex":
-            dUx = np.zeros_like(U)
-            dUx[:, 2 * j] = h
-            dUy = np.zeros_like(U)
-            dUy[:, 2 * j + 1] = h
-            hxp, gxp, _ = _h_and_g(chart, U + dUx, j)
-            hxm, gxm, _ = _h_and_g(chart, U - dUx, j)
-            hyp, _, gyp = _h_and_g(chart, U + dUy, j)
-            hym, _, gym = _h_and_g(chart, U - dUy, j)
-            Dx_h = (hxp - hxm) / (2 * h)
-            Dy_h = (hyp - hym) / (2 * h)
-            Dx_gx = (gxp - gxm) / (2 * h)
-            Dy_gy = (gyp - gym) / (2 * h)
-        else:
-            dUx = np.zeros_like(U)
-            dUx[:, j] = h
-            hxp, gxp, _ = _h_and_g(chart, U + dUx, j)
-            hxm, gxm, _ = _h_and_g(chart, U - dUx, j)
-            Dx_h = (hxp - hxm) / (2 * h)
-            Dx_gx = (gxp - gxm) / (2 * h)
-            # ambient straight-line steps along the J-companion
-            Yreal = complex_unpack(1j * xi[:, j, :])
-            nrm = np.linalg.norm(Yreal, axis=1, keepdims=True)
-            Yhat = Yreal / np.maximum(nrm, 1e-300)
-            hyp, _, gyp = _h_and_g_ambient(chart, P + ha * Yhat, xi[:, j, :])
-            hym, _, gym = _h_and_g_ambient(chart, P - ha * Yhat, xi[:, j, :])
-            rate = nrm[:, 0] / (2.0 * ha)
-            Dy_h = (hyp - hym) * rate
-            Dy_gy = (gyp - gym) * rate
-        dz_h = 0.5 * (Dx_h - 1j * Dy_h)
-        rhs = 0.125 * (Dx_gx + Dy_gy)
-        r3 = np.maximum(r3, np.abs(dz_h.real - rhs))
+    if chart.kind == "complex":
+        dUx = np.array([h, 0.0])
+        dUy = np.array([0.0, h])
+        hxp, gxp, _ = _h_and_g(chart, U + dUx)
+        hxm, gxm, _ = _h_and_g(chart, U - dUx)
+        hyp, _, gyp = _h_and_g(chart, U + dUy)
+        hym, _, gym = _h_and_g(chart, U - dUy)
+        Dx_h = (hxp - hxm) / (2 * h)
+        Dy_h = (hyp - hym) / (2 * h)
+        Dx_gx = (gxp - gxm) / (2 * h)
+        Dy_gy = (gyp - gym) / (2 * h)
+    else:
+        hxp, gxp, _ = _h_and_g(chart, U + h)
+        hxm, gxm, _ = _h_and_g(chart, U - h)
+        Dx_h = (hxp - hxm) / (2 * h)
+        Dx_gx = (gxp - gxm) / (2 * h)
+        # ambient straight-line steps along the J-companion
+        Yreal = complex_unpack(1j * xi)
+        nrm = np.linalg.norm(Yreal, axis=1, keepdims=True)
+        Yhat = Yreal / np.maximum(nrm, 1e-300)
+        hyp, _, gyp = _h_and_g_ambient(chart, P + ha * Yhat, xi)
+        hym, _, gym = _h_and_g_ambient(chart, P - ha * Yhat, xi)
+        rate = nrm[:, 0] / (2.0 * ha)
+        Dy_h = (hyp - hym) * rate
+        Dy_gy = (gyp - gym) * rate
+    dz_h = 0.5 * (Dx_h - 1j * Dy_h)
+    rhs = 0.125 * (Dx_gx + Dy_gy)
+    r3 = np.abs(dz_h.real - rhs)
     if np.asarray(u).ndim == 1:
         return float(r1[0]), float(r2[0]), float(r3[0])
     return r1, r2, r3
 
 
-def _h_and_g(chart, U, j):
-    """(h_j, g(.,X_j), g(.,Y_j)) at chart parameters U for direction j."""
+def _h_and_g(chart, U):
+    """(h, g(.,X), g(.,Y)) at chart parameters U."""
     dom = chart.domain
     P = chart.embed_batch(U)
     jet = delta_jet(dom, P, order=2)
     N = normal_n(jet)
-    xi = chart.tangents(U)[:, j, :]
+    xi = chart.tangents(U)
     hj = np.einsum("kij,ki,kj->k", jet.mixed, N, np.conj(xi))
     gx, gy = nu_pairings(jet, xi)
     return hj, gx, gy
@@ -819,14 +789,14 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
     """
     lo = chart.lo + (1 - inner_frac) / 2 * (chart.hi - chart.lo)
     hi = chart.hi - (1 - inner_frac) / 2 * (chart.hi - chart.lo)
-    sub = SigmaChart(domain=chart.domain, kind=chart.kind, m=chart.m,
-                     lo=lo, hi=hi, embed=chart.embed, tangent=chart.tangent,
+    sub = SigmaChart(domain=chart.domain, kind=chart.kind, lo=lo, hi=hi,
+                     embed=chart.embed, tangent=chart.tangent,
                      leaf_label=chart.leaf_label, name=chart.name + "_inner")
     U, shape = sub.grid(res)
     P = sub.embed_batch(U)
     feet, _ = distance.foot_points(domain, P)
-    h = h_field(sub, U)[:, 0]
-    Ls = sub.tangents(U)[:, 0, :]
+    h = h_field(sub, U)
+    Ls = sub.tangents(U)
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)
     Ls = Ls / nrm[:, None]
     h = h / nrm
@@ -869,15 +839,11 @@ class HFieldSource:
     """Synthetic complex h-field; components per the 1-form construction."""
 
     chart: SigmaChart
-    hfn: Callable    # (K,p) -> (K, m) complex
+    hfn: Callable    # (K,p) -> (K,) complex
 
     def components(self, U):
-        h = np.atleast_2d(self.hfn(np.atleast_2d(U)))
-        K, m = h.shape
-        comps = np.empty((K, 2 * m))
-        comps[:, 0::2] = h.real
-        comps[:, 1::2] = h.imag
-        return comps
+        h = self.hfn(np.atleast_2d(U))
+        return np.stack([h.real, h.imag], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -931,18 +897,14 @@ def tree_potential(source, basepoint, res):
     k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :U.shape[1]],
                                       axis=1)))
     vals -= vals[k0]
-    grad_res = 0.0
     comps = source.components(U)
-    hv = (comps[:, 0::2] + 1j * comps[:, 1::2]).reshape(shape + (chart.m,))
+    hv = (comps[:, 0] + 1j * comps[:, 1]).reshape(shape)
     grid_vals = vals.reshape(shape)
     hstep = (chart.hi - chart.lo) / (np.array(shape) - 1)
-    interior = tuple(slice(1, -1) for _ in shape)
-    for j in range(chart.m):
-        Dx = np.gradient(grid_vals, hstep[2 * j], axis=2 * j)
-        Dy = np.gradient(grid_vals, hstep[2 * j + 1], axis=2 * j + 1)
-        dbar = 0.5 * (Dx + 1j * Dy)
-        grad_res = max(grad_res, float(np.max(np.abs(
-            (dbar - hv[..., j])[interior]))))
+    Dx = np.gradient(grid_vals, hstep[0], axis=0)
+    Dy = np.gradient(grid_vals, hstep[1], axis=1)
+    dbar = 0.5 * (Dx + 1j * Dy)
+    grad_res = float(np.max(np.abs((dbar - hv)[1:-1, 1:-1])))
     model = _PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
     model.fit(U, vals)
     return vals, model, grad_res
@@ -953,8 +915,8 @@ def leaf_sources(bidisc):
     that differs from leaf to leaf (the bidisc's own form vanishes)."""
     def source(chart):
         a = np.cos(chart.leaf_label) + 2.0
-        return HFieldSource(chart, lambda U: (a * (U[:, 0] - 1j * U[:, 1])
-                                              + a * a)[:, None])
+        return HFieldSource(chart, lambda U: a * (U[:, 0] - 1j * U[:, 1])
+                            + a * a)
 
     return [source(c) for c in sorted(bidisc.charts.values(),
                                       key=lambda c: c.leaf_label)]

@@ -175,7 +175,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
 
     # synthetic exact form on a disc chart: recovery of the generator
     chart0 = bidisc.notes["main_leaf"]
-    src = HFieldSource(chart0, lambda U: (U[:, 0] - 1j * U[:, 1])[:, None])
+    src = HFieldSource(chart0, lambda U: U[:, 0] - 1j * U[:, 1])
     phi0 = build_potential(src, np.zeros(2), classify({}, 1e-6), res=17)
     leaf = phi0.leaves[0]
     target = leaf.params[:, 0] ** 2 - leaf.params[:, 1] ** 2

@@ -27,7 +27,7 @@ from references import (FuncSource, HFieldSource, leaf_sources,
 def disc_chart(domain_entry, half=0.8):
     # synthetic parameter disc riding on the bidisc leaf embedding
     chart = domain_entry.notes["main_leaf"]
-    return SigmaChart(domain=chart.domain, kind="complex", m=1,
+    return SigmaChart(domain=chart.domain, kind="complex",
                       lo=np.array([-half, -half]), hi=np.array([half, half]),
                       embed=chart.embed, tangent=chart.tangent,
                       name="synthetic_disc")
@@ -136,7 +136,7 @@ def test_synthetic_exact_form_recovery(bidisc):
     # h = dbar(Re z^2) = conj(z); the reconstruction returns the generating
     # potential up to its basepoint value
     chart = disc_chart(bidisc)
-    src = HFieldSource(chart, lambda U: (U[:, 0] - 1j * U[:, 1])[:, None])
+    src = HFieldSource(chart, lambda U: U[:, 0] - 1j * U[:, 1])
     verdict = classify({}, 1e-6)
     phi = build_potential(src, np.zeros(2), verdict, res=17)
     leaf = phi.leaves[0]
@@ -186,7 +186,7 @@ def _exp_field(U):
     # dbar of phi0 = exp(x) cos(y) (pluriharmonic-free test field)
     fx = np.exp(U[:, 0]) * np.cos(U[:, 1])
     fy = -np.exp(U[:, 0]) * np.sin(U[:, 1])
-    return (0.5 * (fx + 1j * fy))[:, None]
+    return 0.5 * (fx + 1j * fy)
 
 
 def _assert_matches_tree_route(phi, sources, res):
@@ -253,7 +253,7 @@ def test_round_trip_residual_second_order(bidisc):
 
 def test_collar_psi_matches_on_sigma(bidisc):
     chart = disc_chart(bidisc, half=0.4)
-    src = HFieldSource(chart, lambda U: (U[:, 0] - 1j * U[:, 1])[:, None])
+    src = HFieldSource(chart, lambda U: U[:, 0] - 1j * U[:, 1])
     verdict = classify({}, 1e-6)
     phi = build_potential(src, np.zeros(2), verdict, res=9)
 
@@ -273,7 +273,7 @@ def test_collar_psi_edge_blend(bidisc):
     # at the fade edge the extension is zero with two vanishing transversal
     # derivatives (C3 profile)
     chart = disc_chart(bidisc, half=0.4)
-    src = HFieldSource(chart, lambda U: 0.5 * np.ones((U.shape[0], 1),
+    src = HFieldSource(chart, lambda U: 0.5 * np.ones(U.shape[0],
                                                       dtype=complex))
     verdict = classify({}, 1e-6)
     phi = build_potential(src, np.zeros(2), verdict, res=9)
@@ -314,7 +314,7 @@ def test_collar_psi_edge_blend(bidisc):
 
 def test_collar_too_wide(ball, bidisc):
     chart = disc_chart(bidisc, half=0.4)
-    src = HFieldSource(chart, lambda U: np.zeros((U.shape[0], 1),
+    src = HFieldSource(chart, lambda U: np.zeros(U.shape[0],
                                                  dtype=complex))
     verdict = classify({}, 1e-6)
     phi = build_potential(src, np.zeros(2), verdict, res=5)

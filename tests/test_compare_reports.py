@@ -62,5 +62,11 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
     for geometry in tool["GEOMETRIES"]:
         assert ["estimate", *geometry, "--mesh", "600", "--interior", "60",
                 "--seed", "3"] in cmds
+        assert ["potential", *geometry, "--res", "9"] in cmds
+    assert ["theta", "--domain", "bidisc", "--chart", "leaf_5.498",
+            "--res", "9"] in cmds
+    assert ["theta", "--domain", "worm", "--chart", "patch",
+            "--res", "9"] in cmds
     assert ["caccioppoli"] in cmds and ["zoo"] in cmds
-    assert len(cmds) == runs + 32 + 6 + 20 + 2 + len(tool["ERROR_CASES"])
+    assert len(cmds) == (runs + 32 + 6 + 20 + 6 + 8 + 2
+                         + len(tool["ERROR_CASES"]))

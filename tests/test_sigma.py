@@ -58,7 +58,7 @@ def test_chart_tangents_match_embedding(zoo_entries):
         for chart in entry.charts.values():
             U, _ = chart.grid(5)
             W = chart.tangents(U)
-            assert W.shape == (U.shape[0], chart.m, 2)
+            assert W.shape == (U.shape[0], 2)
             np.testing.assert_allclose(W, fd_tangents(chart, U), rtol=0,
                                        atol=1e-8 * max(1.0, np.abs(W).max()))
 
@@ -80,7 +80,7 @@ def test_theta_chart_covariance_under_rotation(worm):
     def tangent_rot(V):
         return np.exp(1j * al) * chart.tangents(V)
 
-    rot = SigmaChart(domain=chart.domain, kind="complex", m=1,
+    rot = SigmaChart(domain=chart.domain, kind="complex",
                      lo=np.array([-3, -3.0]), hi=np.array([3, 3.0]),
                      embed=embed_rot, tangent=tangent_rot, name="rotated")
     v0 = (np.cos(-al) * u0[0, 0] - np.sin(-al) * u0[0, 1],
@@ -221,30 +221,35 @@ def test_real_one_form_quartic_matches_oracle(quartic):
 
 
 def test_real_one_form_matches_theta_on_complex_chart(worm):
-    # reinterpret the worm patch as a real 2-chart: x-components must equal
-    # the real parts of the complex-chart components
+    # the worm patch's x- and y-lines as real charts: their components must
+    # equal the real and imaginary parts of the complex-chart components
     chart = worm.charts["patch"]
-
-    def embed(V):
-        return chart.embed_batch(V)
-
-    def tangent(V):
-        V = np.atleast_2d(V)
-        xi = np.zeros((V.shape[0], 2, 2), dtype=complex)
-        xi[:, 0, 1] = 1.0          # d/dx
-        xi[:, 1, 1] = 1j           # d/dy
-        return xi
-
-    real_chart = SigmaChart(domain=chart.domain, kind="real", m=2,
-                            lo=chart.lo, hi=chart.hi, embed=embed,
-                            tangent=tangent, name="patch_as_real")
     U = np.stack([np.linspace(0.9, 1.6, 5), np.linspace(-0.2, 0.2, 5)],
                  axis=1)
-    comps_r = np.atleast_2d(real_one_form_at(real_chart, U))
+
+    def line(axis, direction):
+        # lines of the patch through the points U along one parameter
+        # axis: row k of T moves row k of U
+        def embed(T):
+            V = U.copy()
+            V[:, axis] = T[:, 0]
+            return chart.embed_batch(V)
+
+        def tangent(T):
+            return np.tile(np.array([0, direction], dtype=complex),
+                           (len(T), 1))
+
+        return SigmaChart(domain=chart.domain, kind="real",
+                          lo=chart.lo[[axis]], hi=chart.hi[[axis]],
+                          embed=embed, tangent=tangent,
+                          name=f"patch_line_{axis}")
+
     comps_c = theta_components(chart, U)
     # x-direction: (1/4) g(nabla_nu nu, X) = Re h; y-direction: Im h
-    np.testing.assert_allclose(comps_r[:, 0], comps_c[:, 0], atol=1e-6)
-    np.testing.assert_allclose(comps_r[:, 1], comps_c[:, 1], atol=1e-6)
+    comps_x = real_one_form_at(line(0, 1.0), U[:, [0]])
+    comps_y = real_one_form_at(line(1, 1j), U[:, [1]])
+    np.testing.assert_allclose(comps_x, comps_c[:, 0], atol=1e-6)
+    np.testing.assert_allclose(comps_y, comps_c[:, 1], atol=1e-6)
 
 
 def test_real_one_form_zero_kernel():

@@ -16,7 +16,9 @@ It runs one fixed command set through each checkout's own
 - sigma, certify and estimate on two more geometries (the worm at
   --beta 6.2832 and the bidisc at --r 0.5) at the same sizes, seed 3;
 - theta, period, potential, curve and zoo describe on every domain at
-  --res 9;
+  --res 9, and theta, period and potential on the two geometries;
+- theta --chart on every chart that the domain's default chart leaves out
+  (the bidisc's seven other leaves and the worm's patch) at --res 9;
 - caccioppoli, zoo, and usage and domain errors that end in typed errors.
 
 For each command it compares the exit code, stdout and every file written
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -38,6 +41,9 @@ import tempfile
 DOMAINS = ("ball", "bidisc", "worm", "quartic_circle")
 GEOMETRIES = (("--domain", "worm", "--beta", "6.2832"),
               ("--domain", "bidisc", "--r", "0.5"))
+# charts besides each domain's default (its first by name)
+CHARTS = tuple(("bidisc", f"leaf_{k * 0.25 * math.pi:.3f}")
+               for k in range(1, 8)) + (("worm", "patch"),)
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ERROR_CASES = (
     ["certify", "--meshh", "5"],
@@ -95,6 +101,12 @@ def commands(checkout):
                 ["zoo", "describe"]):
         for domain in DOMAINS:
             cmds.append(cmd + ["--domain", domain, "--res", "9"])
+    for cmd in ("theta", "period", "potential"):
+        for geometry in GEOMETRIES:
+            cmds.append([cmd, *geometry, "--res", "9"])
+    for domain, chart in CHARTS:
+        cmds.append(["theta", "--domain", domain, "--chart", chart,
+                     "--res", "9"])
     cmds += [["caccioppoli"], ["zoo"]]
     return cmds + [list(c) for c in ERROR_CASES]
 
