@@ -14,7 +14,7 @@ manipulates; dropping the transport would certify spurious exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,32 +136,6 @@ class PsiStencil:
 # boundary criterion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CriterionReport:
-    """Per-sample left-hand sides of the boundary inequality for one eta."""
-
-    eta: float
-    slack: float
-    lhs: np.ndarray            # (K,) one per sample, along its L
-    max_lhs: float
-    certified: bool
-    vacuous: bool = False
-    psi_name: str = ""
-    meta: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "eta": self.eta,
-            "slack": self.slack,
-            "maxLHS": None if self.vacuous else float(self.max_lhs),
-            "certified": bool(self.certified),
-            "vacuous": bool(self.vacuous),
-            "psi": self.psi_name,
-            "samples": int(self.lhs.shape[0]) if self.lhs is not None else 0,
-            "thirdImag": self.meta.get("third_imag"),
-        }
-
-
 class CriterionEvaluator:
     """Precomputes the psi-independent data of the boundary inequality at
     the degenerate samples (order-3 jets, normal-Hessian values, covariant
@@ -214,50 +188,39 @@ class CriterionEvaluator:
         G, Q = self.columns(psi.terms)
         return self.lhs_dirs(G @ psi.coef, Q @ psi.coef, eta)
 
-    def report(self, psi, eta, slack=None, psi_name="") -> CriterionReport:
+    def report(self, psi, eta, slack=None, psi_name=""):
+        """The boundary inequality's report at eta: {eta, slack, maxLHS (the
+        largest left-hand side over the samples), certified (maxLHS <=
+        slack), vacuous (no sample), psi (psi_name), samples, thirdImag
+        (the largest imaginary part of the pure third-order term)}.  A
+        vacuous report is certified, with maxLHS and thirdImag None.  slack
+        defaults to 1e-4 x the scan's levi_scale."""
         if slack is None:
             slack = 1e-4 * self.sigma.levi_scale
+        out = {"eta": eta, "slack": float(slack), "vacuous": self.K == 0,
+               "psi": psi_name, "samples": self.K}
         if self.K == 0:
-            return CriterionReport(eta=eta, slack=float(slack),
-                                   lhs=np.zeros(0), max_lhs=float("nan"),
-                                   certified=True, vacuous=True,
-                                   psi_name=psi_name)
-        lhs = self.lhs(psi, eta)
-        mx = float(lhs.max())
-        return CriterionReport(eta=eta, slack=float(slack), lhs=lhs,
-                               max_lhs=mx, certified=bool(mx <= slack),
-                               psi_name=psi_name,
-                               meta={"third_imag": self.third_imag})
+            return out | {"maxLHS": None, "certified": True,
+                          "thirdImag": None}
+        mx = float(self.lhs(psi, eta).max())
+        return out | {"maxLHS": mx, "certified": bool(mx <= slack),
+                      "thirdImag": self.third_imag}
 
 
 # ---------------------------------------------------------------------------
 # interior oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleReport:
-    eta: float
-    min_eig: float
-    min_scaled: float          # min over mesh of lambda_min / ||M||
-    certified: bool
-    count: int
-    slack_rel: float
-
-    def to_json(self):
-        return {"eta": self.eta, "minEig": self.min_eig,
-                "minScaled": self.min_scaled, "certified": self.certified,
-                "points": self.count, "slackRel": self.slack_rel}
-
-
-def interior_psh_oracle(rho, wgrad, mixed, eta,
-                        slack_rel=1e-9) -> OracleReport:
+def interior_psh_oracle(rho, wgrad, mixed, eta, slack_rel=1e-9):
     """Positive-semidefiniteness of the complex Hessian of -(-rho)^eta.
 
     rho (B,), wgrad (B, n) and mixed (B, n, n) are the candidate defining
     function's values, Wirtinger gradients d rho / dz and mixed Hessians at
     the mesh points, as rho_terms gives them for rho = delta e^psi;
     certified when every minimal eigenvalue is above
-    -slack_rel * ||Hessian|| pointwise.
+    -slack_rel * ||Hessian|| pointwise.  Returns {eta, minEig (the smallest
+    eigenvalue over the mesh), minScaled (the smallest eigenvalue over the
+    largest |entry| of its Hessian), certified, points (B), slackRel}.
     """
     if np.any(rho >= 0):
         raise MeshOutside(f"{int((rho >= 0).sum())} mesh point(s) with "
@@ -270,9 +233,9 @@ def interior_psh_oracle(rho, wgrad, mixed, eta,
     norm = np.abs(M).reshape(M.shape[0], -1).max(axis=1)
     scaled = lam / np.maximum(norm, 1e-300)
     ok = bool(np.all(lam >= -slack_rel * np.maximum(norm, 1e-300)))
-    return OracleReport(eta=float(eta), min_eig=float(lam.min()),
-                        min_scaled=float(scaled.min()), certified=ok,
-                        count=int(rho.shape[0]), slack_rel=float(slack_rel))
+    return {"eta": float(eta), "minEig": float(lam.min()),
+            "minScaled": float(scaled.min()), "certified": ok,
+            "points": int(rho.shape[0]), "slackRel": float(slack_rel)}
 
 
 # direction fields whose second differences, after the real axes', give
@@ -341,22 +304,6 @@ def rho_terms(delta: WirtingerJet, diffs):
 # index estimation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IndexCertificate:
-    eta_grid: list
-    records: list              # per-eta dicts
-    bound: float
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "etaGrid": [float(e) for e in self.eta_grid],
-            "records": self.records,
-            "bound": float(self.bound),
-            "diagnostics": self.diagnostics,
-        }
-
-
 DEFAULT_ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
 
 
@@ -413,21 +360,6 @@ V_FRAC = 0.8
 QUAD_POINTS = 512
 
 
-@dataclass
-class CaccioppoliReport:
-    n: int
-    left: float                # integral over W_p of |dbar_j f|^2
-    bound: float               # C(U_p) / n^2
-    constant: float            # C(U_p)
-    hypothesis_max: float
-    ok: bool
-
-    def to_json(self):
-        return {"n": self.n, "left": self.left, "bound": self.bound,
-                "constant": self.constant,
-                "hypothesisMax": self.hypothesis_max, "ok": self.ok}
-
-
 def _f_jets(f_eval, P):
     """(|dbar f|^2, Hess_f(z, z)) of a jet-generic real scalar on C."""
     xs = Jet.variables(P, 2)
@@ -439,12 +371,14 @@ def _f_jets(f_eval, P):
     return np.abs(jw.wgrad[:, 0]) ** 2, jw.mixed[:, 0, 0].real
 
 
-def caccioppoli_check(radius, f_eval, n: int) -> CaccioppoliReport:
+def caccioppoli_check(radius, f_eval, n: int):
     """Verify the cutoff L2 bound on the patch U_p, the disc of this radius
     in C: after screening the pointwise hypothesis
     n |dbar f|^2 + Hess_f(z, z) <= 0 on U_p, check
     integral_{W_p} |dbar f|^2 dV <= C(U_p) / n^2 with 1% slack,
     C(U_p) = integral 4 |d chi / dz|^2 dV for the C3 radial cutoff chi.
+    Returns {n, left (the integral over W_p), constant (C(U_p)), bound
+    (C(U_p) / n^2), hypothesisMax (the screened maximum), ok}.
     """
     # hypothesis screening on a polar grid of U_p
     nr, na = 96, 128
@@ -496,43 +430,20 @@ def caccioppoli_check(radius, f_eval, n: int) -> CaccioppoliReport:
                               w_r, v_r, 200)
     bound = constant / n ** 2
     ok = bool(left <= 0.99 * bound)
-    return CaccioppoliReport(n=int(n), left=float(left), bound=float(bound),
-                             constant=float(constant),
-                             hypothesis_max=hyp_max, ok=ok)
+    return {"n": int(n), "left": float(left), "bound": float(bound),
+            "constant": float(constant), "hypothesisMax": hyp_max, "ok": ok}
 
 
 # ---------------------------------------------------------------------------
 # real-curve certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurveReport:
-    eta: float
-    slack: float
-    certified: bool
-    case: str                   # "transversal" | "parallel"
-    C_eta: float
-    b: float
-    lhs: np.ndarray
-    max_lhs: float
-    a_values: np.ndarray
-    t_values: np.ndarray
-    g_t: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {"eta": self.eta, "certified": self.certified,
-                "case": self.case, "C_eta": self.C_eta, "b": self.b,
-                "maxLHS": float(self.max_lhs), "slack": self.slack}
-
-
 class CurveTerms:
     """The terms of the certificate's quadratic profile along the rotated
     tangent J t, (blend s a(t), blend s^2 / 2) at p + s J t, with blend
-    fading them to zero off the curve, over a curve_geometry (or a
-    CurveReport, which carries its t and a values).  The certificate's psi
-    s a(t) + s^2 b / 2 is Psi(terms, (1, b)): only b depends on eta, so the
-    psi of every eta shares one CurveTerms."""
+    fading them to zero off the curve, over a curve_geometry.  The
+    certificate's psi s a(t) + s^2 b / 2 is Psi(terms, (1, b)): only b
+    depends on eta, so the psi of every eta shares one CurveTerms."""
 
     def __init__(self, domain, curve, geometry, sigma_distance, width=None):
         self.curve = curve
@@ -614,16 +525,17 @@ def curve_geometry(domain: DomainSpec,
                          Dt=dgt + dgj)
 
 
-def real_curve_certify(geometry: CurveGeometry, eta,
-                       slack=None) -> CurveReport:
+def real_curve_certify(geometry: CurveGeometry, eta, slack=None):
     """Certificate for a one-real-dimensional degenerate set, from its
     curve_geometry.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
-    g(nabla_nu nu, J dt), and second transversal derivative -2 C_eta - 1
+    g(nabla_nu nu, J dt), and second transversal derivative b = -2 C_eta - 1
     where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
     evaluates the certificate inequality at every curve sample.  slack
-    defaults to 1e-8.
+    defaults to 1e-8.  Returns {eta, slack, case (the geometry's),
+    C_eta, b, maxLHS (the largest left-hand side over the samples),
+    certified (maxLHS <= slack)}.
     """
     if slack is None:
         slack = 1e-8
@@ -633,12 +545,7 @@ def real_curve_certify(geometry: CurveGeometry, eta,
     C_eta = max((1.0 + CURVE_HEADROOM) * float(bracket.max()), 0.0) \
         + slack + 1e-6
     b = -2.0 * C_eta - 1.0
-    lhs = coef * g_t ** 2 + b + Dt
-    mx = float(lhs.max())
-    certified = bool(mx <= slack)
-    return CurveReport(eta=float(eta), slack=float(slack),
-                       certified=certified, case=geometry.case,
-                       C_eta=float(C_eta), b=float(b), lhs=lhs, max_lhs=mx,
-                       a_values=geometry.a_values,
-                       t_values=geometry.t_values, g_t=g_t,
-                       meta={"max_bracket": float(bracket.max())})
+    mx = float((coef * g_t ** 2 + b + Dt).max())
+    return {"eta": float(eta), "slack": float(slack),
+            "certified": bool(mx <= slack), "case": geometry.case,
+            "C_eta": float(C_eta), "b": float(b), "maxLHS": mx}

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distance import foot_points
-from .errors import (AmbiguousFoot, ChartGap, CollarTooWide, NoConvergence,
-                     ObstructedClass, PathDisagreement)
+from .distance import verified_feet
+from .errors import (ChartGap, CollarTooWide, NoConvergence, ObstructedClass,
+                     PathDisagreement)
 from .sigma import SigmaChart, theta_components
 from .util import smoothstep_c3
 
@@ -381,19 +381,20 @@ def collar_terms(domain, phi: PotentialField, to_chart,
     """The one term of psi = -2 phi, extended along foot-point fibres with
     the edge fade; exact on the chart grid.
 
-    The collar (default width domain.collar_width) must keep foot points
-    unique: a ring of offsets is probed, and CollarTooWide raised otherwise.
+    The collar (default width domain.collar_width) must be foliated by the
+    fibres: eight chart points P are probed, and CollarTooWide raised
+    unless P is the verified nearest foot of each P - width n.
     """
     width = domain.collar_width if width is None else float(width)
     if width > 0.49 * domain.scale:
         raise CollarTooWide("collar wider than half the domain scale")
-    try:
-        leaf = phi.leaves[0]
-        P = leaf.chart.embed_batch(leaf.params[:8])
-        g = domain.jet(P, order=1).rgrad
-        nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
-        foot_points(domain, P - width * nhat)
-    except AmbiguousFoot as exc:
-        raise CollarTooWide(f"ambiguous feet inside the collar: {exc}")
+    leaf = phi.leaves[0]
+    P = leaf.chart.embed_batch(leaf.params[:8])
+    g = domain.jet(P, order=1).rgrad
+    n = g / np.linalg.norm(g, axis=1, keepdims=True)
+    ok, _ = verified_feet(domain, P - width * n, P)
+    if not ok.all():
+        raise CollarTooWide(f"{int((~ok).sum())} of {len(ok)} collar "
+                            f"fibres of width {width:.3g} miss their foot")
     return ChartTerms(to_chart,
                       lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t)[:, None])

@@ -46,14 +46,12 @@ def levi_spectrum(jet: WirtingerJet):
 
 @dataclass
 class SigmaPointSet:
-    """Boundary points with nearly-degenerate Levi forms, with the members'
-    order-2 delta-jet (jet) from the scan; normal_n(jet) gives their N."""
+    """Boundary points with nearly-degenerate Levi forms."""
 
     domain: DomainSpec
     points: np.ndarray           # (K, 4)
     lambda_min: np.ndarray       # (K,) Levi values
     null_directions: np.ndarray  # (K, 2) the tangent directions L
-    jet: WirtingerJet            # the members' order-2 delta-jet
     threshold: float
     levi_scale: float            # median Levi value above the noise floor
 
@@ -109,7 +107,6 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
         points=mesh[keep],
         lambda_min=lam[keep],
         null_directions=L[keep],
-        jet=jet.subset(keep),
         threshold=float(threshold),
         levi_scale=levi_scale,
     )

@@ -9,9 +9,9 @@ from functools import cached_property
 import numpy as np
 
 from .certify import (DEFAULT_ETA_GRID, NO_TERMS, CriterionEvaluator,
-                      CurveTerms, IndexCertificate, Psi, combine,
-                      coordinate_descent, curve_geometry, interior_psh_oracle,
-                      oracle_stencils, real_curve_certify, rho_terms)
+                      CurveTerms, Psi, combine, coordinate_descent,
+                      curve_geometry, interior_psh_oracle, oracle_stencils,
+                      real_curve_certify, rho_terms)
 from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
                          exactness_tolerance, period)
@@ -206,30 +206,35 @@ class Run:
         if self.entry.sigma_kind == "RealCurve":
             crep = real_curve_certify(self.curve_geometry, eta,
                                       slack=self.slack)
-            psi = Psi(self.curve_terms, (1.0, crep.b))
-            out["curve"] = crep.to_json()
-            out["criterion"] = {"certified": crep.certified,
-                                "maxLHS": crep.max_lhs, "slack": crep.slack}
+            psi = Psi(self.curve_terms, (1.0, crep["b"]))
+            out["curve"] = crep
+            out["criterion"] = {k: crep[k]
+                                for k in ("certified", "maxLHS", "slack")}
             out["psi"] = "curve certificate profile"
         else:
             psi, out["psi"] = self.default_psi
             out["verdict"] = self.verdict.to_json()
             out["criterion"] = self.evaluator.report(
-                psi, eta, slack=self.slack, psi_name=out["psi"]).to_json()
+                psi, eta, slack=self.slack, psi_name=out["psi"])
             if not self.verdict.exact:
                 out["obstruction"] = {"classification": "Obstructed",
                                       "periods": out["verdict"]["periods"]}
-        orep = self.oracle(eta, psi)
-        out["oracle"] = orep.to_json()
+        out["oracle"] = self.oracle(eta, psi)
         out["certified"] = bool(out["criterion"]["certified"]
-                                and orep.certified)
+                                and out["oracle"]["certified"])
         return out
 
-    def estimate(self, eta_grid=DEFAULT_ETA_GRID) -> IndexCertificate:
+    def estimate(self, eta_grid=DEFAULT_ETA_GRID):
         """Largest eta on the grid certified by both the boundary check and
         the interior oracle.  Per eta, psi candidates are tried in order
         (collar potential, zero, family search), and the oracle runs on each
-        one the criterion certifies, until one passes both."""
+        one the criterion certifies, until one passes both.
+
+        Returns {etaGrid (sorted), records (per eta: eta, certified, psi,
+        maxLHS, oracleMinEig, and oracleScaled once the oracle ran on a
+        criterion-certified psi), bound (the largest certified eta, 0 when
+        none), diagnostics (sigmaSize, psiProvenance, and verdict,
+        obstruction and reason where they apply)}."""
         grid = sorted(eta_grid)
         diagnostics = {"sigmaSize": self.sigma.size, "psiProvenance": []}
         if self.entry.sigma_kind == "RealCurve":
@@ -239,9 +244,7 @@ class Run:
                         "maxLHS": r["criterion"]["maxLHS"],
                         "oracleMinEig": r["oracle"]["minEig"]}
                        for r in map(self.certify, grid)]
-            bound = max([r["eta"] for r in records if r["certified"]],
-                        default=0.0)
-            return IndexCertificate(grid, records, bound, diagnostics)
+            return _certificate(grid, records, diagnostics)
         if self.entry.loops:
             diagnostics["verdict"] = self.verdict.to_json()
             if not self.verdict.exact:
@@ -264,18 +267,24 @@ class Run:
             for name, psi in candidates(eta):
                 rep = self.evaluator.report(psi, eta, slack=self.slack,
                                             psi_name=name)
-                record["maxLHS"] = None if rep.vacuous else float(rep.max_lhs)
-                if not rep.certified:
+                record["maxLHS"] = rep["maxLHS"]
+                if not rep["certified"]:
                     continue
                 orep = self.oracle(eta, psi)
-                record["oracleMinEig"] = float(orep.min_eig)
-                record["oracleScaled"] = float(orep.min_scaled)
-                if orep.certified:
+                record["oracleMinEig"] = orep["minEig"]
+                record["oracleScaled"] = orep["minScaled"]
+                if orep["certified"]:
                     record.update(certified=True, psi=name)
                     break
             records.append(record)
-        certified = [r["eta"] for r in records if r["certified"]]
-        if not certified:
+        if not any(r["certified"] for r in records):
             diagnostics["reason"] = "no eta certified"
-        return IndexCertificate(grid, records, max(certified, default=0.0),
-                                diagnostics)
+        return _certificate(grid, records, diagnostics)
+
+
+def _certificate(grid, records, diagnostics):
+    """estimate's report over its per-eta records."""
+    return {"etaGrid": [float(e) for e in grid], "records": records,
+            "bound": float(max([r["eta"] for r in records if r["certified"]],
+                               default=0.0)),
+            "diagnostics": diagnostics}

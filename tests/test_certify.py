@@ -46,23 +46,23 @@ def bidisc_psi(bidisc):
 def test_ball_criterion_vacuous(ball):
     sig = sigma_scan(ball, 500, seed=1)
     rep = CriterionEvaluator(ball.domain, sig).report(ZERO_PSI, 0.99)
-    assert rep.certified and rep.vacuous
+    assert rep["certified"] and rep["vacuous"]
 
 
 def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
     rep = CriterionEvaluator(bidisc.domain, bidisc_sigma).report(bidisc_psi,
                                                                  0.99)
-    assert rep.certified
-    assert rep.max_lhs <= 1e-4
+    assert rep["certified"]
+    assert rep["maxLHS"] <= 1e-4
 
 
 def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
     rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZERO_PSI, 0.9)
-    assert not rep.certified
-    assert rep.max_lhs > 1.0
+    assert not rep["certified"]
+    assert rep["maxLHS"] > 1.0
     # the blow-up coefficient (1/(1-eta)-1) = 9 against |h|^2 = 1/(4 r^2)
     r_min = np.exp(-worm.domain.meta["a"] / 2)
-    assert abs(rep.max_lhs - 9.0 / (4 * r_min ** 2)) < 0.5
+    assert abs(rep["maxLHS"] - 9.0 / (4 * r_min ** 2)) < 0.5
 
 
 def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
@@ -80,7 +80,7 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
                   / np.maximum(np.abs(loop), 1.0)) < 1e-14
     third_imag = float(np.max(np.abs(pure.imag)))
     assert abs(ev.third_imag - third_imag) <= 1e-14
-    rep = ev.report(ZERO_PSI, 0.5).to_json()
+    rep = ev.report(ZERO_PSI, 0.5)
     assert rep["thirdImag"] == ev.third_imag
 
 
@@ -208,8 +208,8 @@ def test_criterion_monotone_certified_downward(bidisc, bidisc_sigma,
                                                bidisc_psi):
     ev = CriterionEvaluator(bidisc.domain, bidisc_sigma)
     reps = [ev.report(bidisc_psi, eta) for eta in (0.5, 0.9, 0.99)]
-    assert all(r.certified for r in reps)
-    assert reps[0].max_lhs <= reps[1].max_lhs <= reps[2].max_lhs + 1e-12
+    assert all(r["certified"] for r in reps)
+    assert reps[0]["maxLHS"] <= reps[1]["maxLHS"] <= reps[2]["maxLHS"] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +226,8 @@ def test_ball_oracle_with_algebraic_override(ball):
     jet = ball.domain.jet(mesh, order=2)
     rep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                               slack_rel=1e-10)
-    assert rep.certified
-    assert rep.min_eig >= -1e-10
+    assert rep["certified"]
+    assert rep["minEig"] >= -1e-10
 
 
 def test_ball_oracle_distance_route(ball):
@@ -236,14 +236,14 @@ def test_ball_oracle_distance_route(ball):
     with pytest.raises(StencilLeak):
         oracle_terms(ball.domain, ball.interior_mesh(800, seed=3), ZERO_PSI)
     mesh = ball.interior_mesh(800, seed=3, depth=ORACLE_DEPTH)
-    assert oracle(ball.domain, mesh, ZERO_PSI, 0.99).certified
+    assert oracle(ball.domain, mesh, ZERO_PSI, 0.99)["certified"]
 
 
 def test_worm_oracle_negative_at_high_eta(worm):
     mesh = worm.interior_mesh(600, seed=4)
     rep = oracle(worm.domain, mesh, ZERO_PSI, 0.99)
-    assert not rep.certified
-    assert rep.min_eig < 0
+    assert not rep["certified"]
+    assert rep["minEig"] < 0
 
 
 def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
@@ -252,7 +252,8 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
     # convexifying potential and stays out)
     for entry in (ball, bidisc, quartic):
         mesh = entry.interior_mesh(500, seed=5, depth=(0.04, 0.1))
-        assert oracle(entry.domain, mesh, ZERO_PSI, 0.05).certified, entry.id
+        assert oracle(entry.domain, mesh, ZERO_PSI, 0.05)["certified"], \
+            entry.id
 
 
 @pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
@@ -295,8 +296,9 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
-    curve = Psi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
-                           quartic.sigma_distance, width=0.6), (1.0, rep.b))
+    curve = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
+                           quartic_curve, quartic.sigma_distance, width=0.6),
+                (1.0, rep["b"]))
     return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
 
@@ -435,22 +437,22 @@ def test_mesh_outside_raises(ball):
 def test_estimate_ball(ball):
     cert = Run(ball, mesh_count=500,
                oracle_count=400).estimate((0.5, 0.99))
-    assert cert.bound >= 0.99
+    assert cert["bound"] >= 0.99
 
 
 def test_estimate_bidisc(bidisc):
     cert = Run(bidisc, mesh_count=1000,
                oracle_count=400).estimate((0.5, 0.99))
-    assert cert.bound >= 0.99
-    assert cert.records[-1]["psi"] == "collar potential"
+    assert cert["bound"] >= 0.99
+    assert cert["records"][-1]["psi"] == "collar potential"
 
 
 def test_estimate_worm_obstructed(worm):
     cert = Run(worm, mesh_count=1000,
                oracle_count=300).estimate((0.9, 0.99))
-    assert cert.bound < 0.99
-    assert "obstruction" in cert.diagnostics
-    assert abs(cert.diagnostics["obstruction"]["periods"][0]
+    assert cert["bound"] < 0.99
+    assert "obstruction" in cert["diagnostics"]
+    assert abs(cert["diagnostics"]["obstruction"]["periods"][0]
                + np.pi) < 0.05
 
 
@@ -466,7 +468,7 @@ def test_estimate_builds_one_evaluator(worm, monkeypatch):
     cert = Run(worm, mesh_count=400,
                oracle_count=20).estimate()
     # the family search ran at every eta, on the run's one evaluator
-    assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    assert len(cert["diagnostics"]["psiProvenance"]) == len(DEFAULT_ETA_GRID)
     assert len(builds) == 1
 
 
@@ -487,7 +489,7 @@ def test_estimate_evaluates_family_terms_once(worm, monkeypatch):
     calls = _counting_chart_terms(monkeypatch)
     run = Run(worm, mesh_count=400, oracle_count=20)
     cert = run.estimate()
-    assert len(cert.diagnostics["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    assert len(cert["diagnostics"]["psiProvenance"]) == len(DEFAULT_ETA_GRID)
     # the family's 8 basis functions, in one pass on the criterion stencil;
     # the search and the family psi of every eta combine those columns
     assert calls == [len(run.evaluator.stencil.feet)]
@@ -499,7 +501,7 @@ def test_estimate_evaluates_collar_terms_once_per_stencil(bidisc,
     calls = _counting_chart_terms(monkeypatch)
     run = Run(bidisc, 400, seed=3, oracle_count=40)
     cert = run.estimate()
-    assert [r["psi"] for r in cert.records] == ["collar potential"] * 5
+    assert [r["psi"] for r in cert["records"]] == ["collar potential"] * 5
     # once on the criterion stencil and once on each oracle stencil, for
     # the criterion and the oracle at every eta
     assert calls == [len(run.evaluator.stencil.feet),
@@ -522,7 +524,7 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
     monkeypatch.setattr(certify.CurveTerms, "terms_at_feet", counting)
     run = Run(quartic, mesh_count=200, oracle_count=100)
     cert = run.estimate()
-    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 2
     assert sum(calls) == sum(len(st.feet) for st in run.oracle_stencils)
 
@@ -541,8 +543,8 @@ def test_oracle_weighs_shared_curve_terms_with_each_psis_b(quartic):
     run.curve_terms = terms()
     eigs = []
     for b in (-3.0, -30.0):
-        shared = run.oracle(0.5, Psi(run.curve_terms, (1.0, b))).min_eig
-        assert shared == run.oracle(0.5, Psi(terms(), (1.0, b))).min_eig
+        shared = run.oracle(0.5, Psi(run.curve_terms, (1.0, b)))["minEig"]
+        assert shared == run.oracle(0.5, Psi(terms(), (1.0, b)))["minEig"]
         eigs.append(shared)
     assert eigs[0] != eigs[1]
 
@@ -557,7 +559,7 @@ def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
 
     monkeypatch.setattr(quartic, "interior_mesh", counting)
     cert = Run(quartic, mesh_count=200, oracle_count=100).estimate()
-    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 1
 
 
@@ -594,7 +596,7 @@ def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
         monkeypatch)
     run = Run(quartic, mesh_count=200, oracle_count=100)
     cert = run.estimate(DEFAULT_ETA_GRID)
-    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert outside == []
     assert len(inside) == 1 and candidates == [100]
     assert 100 >= inside[0] >= len(run.interior_mesh[0]) > 50
@@ -624,7 +626,7 @@ def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
     monkeypatch.setattr(pipelines, "curve_geometry", counting)
     cert = Run(quartic, mesh_count=200,
                oracle_count=100).estimate()
-    assert [r["certified"] for r in cert.records] == [True] * 5
+    assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 1
 
 
@@ -667,19 +669,19 @@ def test_coordinate_descent_returns_the_value_of_its_point():
 
 def test_caccioppoli_constant_function():
     rep = caccioppoli_check(1.0, lambda xs: 0.0 * xs[0] + (-1.0), n=4)
-    assert rep.left < 1e-12
-    assert rep.ok
+    assert rep["left"] < 1e-12
+    assert rep["ok"]
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_caccioppoli_gaussian_family(n):
     rep = caccioppoli_check(
         1.0 / np.sqrt(n), lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n=n)
-    assert rep.ok
-    assert rep.left <= 0.99 * rep.bound
+    assert rep["ok"]
+    assert rep["left"] <= 0.99 * rep["bound"]
     # closed form of the left side: pi R^4 / 32 with R = 1/sqrt(n)
-    assert abs(rep.left - np.pi / (32 * n ** 2)) < 1e-4 / n ** 2
-    assert rep.hypothesis_max <= 1e-10
+    assert abs(rep["left"] - np.pi / (32 * n ** 2)) < 1e-4 / n ** 2
+    assert rep["hypothesisMax"] <= 1e-10
 
 
 def test_caccioppoli_hypothesis_fail():
@@ -722,11 +724,11 @@ def test_curve_certificate_quartic(quartic_curve):
     reports = {}
     for eta in (0.5, 0.99):
         rep = real_curve_certify(quartic_curve, eta)
-        assert rep.certified
-        assert rep.max_lhs <= -rep.C_eta + rep.slack
-        assert rep.case == "transversal"
+        assert rep["certified"]
+        assert rep["maxLHS"] <= -rep["C_eta"] + rep["slack"]
+        assert rep["case"] == "transversal"
         reports[eta] = rep
-    assert abs(reports[0.5].b) <= abs(reports[0.99].b) + 1e-9
+    assert abs(reports[0.5]["b"]) <= abs(reports[0.99]["b"]) + 1e-9
 
 
 def test_curve_certificate_ball_not_a_curve(ball):
@@ -736,15 +738,15 @@ def test_curve_certificate_ball_not_a_curve(ball):
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99)
-    psi = Psi(CurveTerms(quartic.domain, quartic.charts["curve"], rep,
-                         quartic.sigma_distance), (1.0, rep.b))
+    psi = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
+                         quartic_curve, quartic.sigma_distance),
+              (1.0, rep["b"]))
     mesh = quartic.interior_mesh(400, seed=6)
-    assert oracle(quartic.domain, mesh, psi, 0.99).certified
+    assert oracle(quartic.domain, mesh, psi, 0.99)["certified"]
 
 
 def test_curve_quartic_transversal_quantities(quartic_curve):
     # derived: g(nabla_nu nu, dt) = 0 along the circle, a(t) = 1
-    rep = real_curve_certify(quartic_curve, 0.5)
-    assert np.max(np.abs(rep.g_t)) < 1e-6
-    np.testing.assert_allclose(rep.a_values, np.ones_like(rep.a_values),
-                               atol=1e-6)
+    assert np.max(np.abs(quartic_curve.g_t)) < 1e-6
+    np.testing.assert_allclose(quartic_curve.a_values,
+                               np.ones_like(quartic_curve.a_values), atol=1e-6)

@@ -312,7 +312,10 @@ def test_collar_psi_edge_blend(bidisc):
     assert abs(d2[1e-3]) < 1.0
 
 
-def test_collar_too_wide(ball, bidisc):
+@pytest.mark.parametrize("width", [0.9, 2.0])
+def test_collar_too_wide(bidisc, width):
+    # 2.0 is past half the domain scale; at 0.9 the fibres P - 0.9 n have
+    # boundary points nearer than P
     chart = disc_chart(bidisc, half=0.4)
     src = HFieldSource(chart, lambda U: np.zeros(U.shape[0],
                                                  dtype=complex))
@@ -324,7 +327,7 @@ def test_collar_too_wide(ball, bidisc):
             np.zeros(P.shape[0])
 
     with pytest.raises(CollarTooWide):
-        collar_terms(bidisc.domain, phi, to_chart, width=2.0)
+        collar_terms(bidisc.domain, phi, to_chart, width=width)
 
 
 

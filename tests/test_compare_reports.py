@@ -67,6 +67,10 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
             "--res", "9"] in cmds
     assert ["theta", "--domain", "worm", "--chart", "patch",
             "--res", "9"] in cmds
+    assert ["estimate", "--domain", "worm", "--slack", "5", "--mesh", "600",
+            "--interior", "60", "--seed", "3"] in cmds
+    assert ["curve", "--domain", "quartic_circle", "--eta", "0.5",
+            "--slack", "1e-3"] in cmds
     assert ["caccioppoli"] in cmds and ["zoo"] in cmds
-    assert len(cmds) == (runs + 32 + 6 + 20 + 6 + 8 + 2
+    assert len(cmds) == (runs + 32 + 6 + 20 + 6 + 8 + 6 + 2
                          + len(tool["ERROR_CASES"]))

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from dfindex import zoo
+from dfindex.distance import normal_n
 from dfindex.errors import ChartMismatch, HypothesisFail
+from dfindex.levi import tangent_direction
 from dfindex.sigma import (OneFormSample, SigmaChart, dtheta_residual,
-                           h_field, real_one_form_at, theta_components)
-from references import (chart_compat_residuals, fd_tangents,
+                           h_field, nu_pairings, real_one_form_at,
+                           theta_components)
+from references import (chart_compat_residuals, delta_jet, fd_tangents,
                         holomorphy_defect, measured_orders,
                         nu_identity_residuals, wirtinger_compat_residual)
 
@@ -253,20 +257,14 @@ def test_real_one_form_matches_theta_on_complex_chart(worm):
 
 
 def test_real_one_form_zero_kernel():
-    # vanishing transversal field gives the zero form (kernel contract)
-    from dfindex.sigma import nu_pairings
-    import dfindex.zoo as zoo
-
-    ball = zoo.make_ball(1.0)
-    P = ball.boundary_mesh(20, seed=0)
-    from references import delta_jet
-    jet = delta_jet(ball.domain, P, order=2)
-    xi = np.zeros((20, 2), dtype=complex)
-    xi[:, 1] = 1.0
-    gx, gy = nu_pairings(jet, xi)
-    # the ball's transversal field pairs to zero against tangents
-    tangent_mask = True
-    assert gx.shape == (20,)
+    # a sphere's transversal field vanishes, so it pairs to zero against
+    # the complex tangent direction L and its rotation J L
+    for radius in (0.5, 1.0, 2.0):
+        ball = zoo.make_ball(radius)
+        jet = delta_jet(ball.domain, ball.boundary_mesh(20, seed=0), order=2)
+        gx, gy = nu_pairings(jet, tangent_direction(normal_n(jet)))
+        assert np.max(np.abs(gx)) <= 1e-12, radius
+        assert np.max(np.abs(gy)) <= 1e-12, radius
 
 
 def test_real_one_form_chart_mismatch(worm):

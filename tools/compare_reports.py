@@ -19,6 +19,10 @@ It runs one fixed command set through each checkout's own
   --res 9, and theta, period and potential on the two geometries;
 - theta --chart on every chart that the domain's default chart leaves out
   (the bidisc's seven other leaves and the worm's patch) at --res 9;
+- six commands that reach report branches the sets above leave out: an
+  estimate whose records carry oracleScaled without a psi (the worm at
+  --slack 5), certify on the worm, the bidisc and the quartic at set
+  slacks, curve at --slack, and an estimate at --oracle-slack 1e-12;
 - caccioppoli, zoo, and usage and domain errors that end in typed errors.
 
 For each command it compares the exit code, stdout and every file written
@@ -44,6 +48,18 @@ GEOMETRIES = (("--domain", "worm", "--beta", "6.2832"),
 # charts besides each domain's default (its first by name)
 CHARTS = tuple(("bidisc", f"leaf_{k * 0.25 * math.pi:.3f}")
                for k in range(1, 8)) + (("worm", "patch"),)
+SIZES = ("--mesh", "600", "--interior", "60", "--seed", "3")
+BRANCH_CASES = (
+    ["estimate", "--domain", "worm", "--slack", "5", *SIZES],
+    ["certify", "--domain", "worm", "--eta", "0.5", "--slack", "5", *SIZES],
+    ["certify", "--domain", "bidisc", "--slack", "0.5", "--oracle-slack",
+     "1e-3", *SIZES],
+    ["certify", "--domain", "quartic_circle", "--eta", "0.5", "--slack",
+     "1e-3", *SIZES],
+    ["curve", "--domain", "quartic_circle", "--eta", "0.5", "--slack",
+     "1e-3"],
+    ["estimate", "--domain", "ball", "--oracle-slack", "1e-12", *SIZES],
+)
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ERROR_CASES = (
     ["certify", "--meshh", "5"],
@@ -107,6 +123,7 @@ def commands(checkout):
     for domain, chart in CHARTS:
         cmds.append(["theta", "--domain", domain, "--chart", chart,
                      "--res", "9"])
+    cmds += [list(c) for c in BRANCH_CASES]
     cmds += [["caccioppoli"], ["zoo"]]
     return cmds + [list(c) for c in ERROR_CASES]
 
