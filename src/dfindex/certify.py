@@ -1,6 +1,6 @@
 """The decision layer: boundary inequality evaluation, the interior
-plurisubharmonicity oracle, index estimation, the cutoff L2 bound, and the
-real-curve certificate.
+plurisubharmonicity oracle, index estimation, and the real-curve
+certificate.
 
 Everything is taken in C^2, where the complex tangent space is one line:
 the boundary inequality is evaluated along each degenerate sample's one
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import boundary_jet, normal_n
-from .errors import (HypothesisFail, MeshOutside, NotACurve, PsiDomain,
-                     TangencyUnresolved)
-from .jets import DomainSpec, Jet, WirtingerJet, third_contraction
+from .errors import MeshOutside, NotACurve, PsiDomain, TangencyUnresolved
+from .jets import DomainSpec, WirtingerJet, third_contraction
 from .levi import SigmaPointSet
 from .sigma import SigmaChart, nu_field, nu_pairings
 from .util import bump_c3, complex_unpack
@@ -347,91 +346,6 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
         if not improved:
             break
     return x, best
-
-
-# ---------------------------------------------------------------------------
-# cutoff L2 bound
-# ---------------------------------------------------------------------------
-
-# the cutoff bound's inner plateau W_p and cutoff support V_p, as fractions
-# of the patch radius, and its angular quadrature nodes
-W_FRAC = 0.5
-V_FRAC = 0.8
-QUAD_POINTS = 512
-
-
-def _f_jets(f_eval, P):
-    """(|dbar f|^2, Hess_f(z, z)) of a jet-generic real scalar on C."""
-    xs = Jet.variables(P, 2)
-    out = f_eval(xs)
-    g = out.g if out.g is not None else np.zeros((P.shape[0], 2))
-    h = out.h if out.h is not None else np.zeros((P.shape[0], 2, 2))
-    jw = WirtingerJet(out.v, g, h)
-    # |d f / d zbar| = |d f / dz| for real f
-    return np.abs(jw.wgrad[:, 0]) ** 2, jw.mixed[:, 0, 0].real
-
-
-def caccioppoli_check(radius, f_eval, n: int):
-    """Verify the cutoff L2 bound on the patch U_p, the disc of this radius
-    in C: after screening the pointwise hypothesis
-    n |dbar f|^2 + Hess_f(z, z) <= 0 on U_p, check
-    integral_{W_p} |dbar f|^2 dV <= C(U_p) / n^2 with 1% slack,
-    C(U_p) = integral 4 |d chi / dz|^2 dV for the C3 radial cutoff chi.
-    Returns {n, left (the integral over W_p), constant (C(U_p)), bound
-    (C(U_p) / n^2), hypothesisMax (the screened maximum), ok}.
-    """
-    # hypothesis screening on a polar grid of U_p
-    nr, na = 96, 128
-    r = np.linspace(0, radius, nr + 1)[1:]
-    a = np.linspace(0, 2 * np.pi, na, endpoint=False)
-    rr, aa = np.meshgrid(r, a, indexing="ij")
-    P = np.stack([rr.ravel() * np.cos(aa.ravel()),
-                  rr.ravel() * np.sin(aa.ravel())], axis=1)
-    dbar2, mixed = _f_jets(f_eval, P)
-    hyp = n * dbar2 + mixed
-    hyp_max = float(hyp.max())
-    if hyp_max > 1e-10:
-        raise HypothesisFail(
-            f"n|dbar f|^2 + Hess_f = {hyp_max:.3e} > 0 somewhere on the patch")
-
-    # quadrature: radial Simpson x angular trapezoid (periodic)
-    w_r = W_FRAC * radius
-    v_r = V_FRAC * radius
-
-    def radial_simpson(fn, r0, r1, steps):
-        rr = np.linspace(r0, r1, 2 * steps + 1)
-        wts = np.ones_like(rr)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        return (r1 - r0) / (6.0 * steps) * np.dot(wts, fn(rr))
-
-    ang = np.linspace(0, 2 * np.pi, QUAD_POINTS, endpoint=False)
-
-    def mean_over_angle(rr):
-        out = np.empty_like(rr)
-        for i, rv in enumerate(rr):
-            P = np.stack([rv * np.cos(ang), rv * np.sin(ang)], axis=1)
-            out[i] = _f_jets(f_eval, P)[0].mean()
-        return out
-
-    left = radial_simpson(lambda rr: 2 * np.pi * rr * mean_over_angle(rr),
-                          0.0, w_r, 160)
-
-    span = max(v_r - w_r, 1e-12)
-
-    def chi_prime_sq(rr):
-        s = (rr - w_r) / span
-        ds = np.where((s > 0) & (s < 1),
-                      (140.0 * np.clip(s, 0, 1) ** 3
-                       * (1.0 - np.clip(s, 0, 1)) ** 3) / span, 0.0)
-        return ds ** 2
-
-    constant = radial_simpson(lambda rr: 2 * np.pi * rr * chi_prime_sq(rr),
-                              w_r, v_r, 200)
-    bound = constant / n ** 2
-    ok = bool(left <= 0.99 * bound)
-    return {"n": int(n), "left": float(left), "bound": float(bound),
-            "constant": float(constant), "hypothesisMax": hyp_max, "ok": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ embedded); grids go to CSV next to the report.
 
 _DEFAULTS is the one list of settings: each key is a config-file key and a
 --key flag (with - for _), read as text and converted to its default's
-type by RunConfig.validate.  _COMMANDS is the one list of commands.
+type by RunConfig.validate.  _COMMANDS is the one list of commands, one
+per pipeline stage: the Levi scan (sigma), the 1-form on a chart (theta),
+its periods (period) and potential (potential), the certificate at one
+eta (certify, whose report carries the real-curve certificate where Sigma
+is a curve) and over a grid (estimate), and the zoo's entries.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ import numpy as np
 from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
 from .levi import detect_sigma, mesh_pitch
-from .pipelines import Run, periods_for, potential_for, sigma_scan
-from .certify import caccioppoli_check, curve_geometry, real_curve_certify
+from .pipelines import Run, periods_for, potential_for
 from .sigma import OneFormSample
 from .util import canonical_json, config_hash
 
@@ -175,29 +178,14 @@ def _cmd_zoo_describe(cfg):
     return 0, {"describe": make_entry(cfg).describe()}
 
 
-def _cmd_scan(cfg):
-    """Levi scan of a boundary mesh and its pitch"""
+def _cmd_sigma(cfg):
+    """Levi scan: Sigma, its Levi values and the mesh pitch"""
     entry = make_entry(cfg)
     mesh = entry.boundary_mesh(cfg.values["mesh"], cfg.values["seed"])
     sigma = detect_sigma(entry.domain, mesh, threshold=cfg.opt("threshold"))
-    res = {
-        "domain": entry.id,
-        "meshPoints": int(mesh.shape[0]),
-        "sigmaSize": sigma.size,
-        "threshold": sigma.threshold,
-        "leviScale": sigma.levi_scale,
-        "meshPitch": mesh_pitch(mesh),
-    }
-    return 0, res
-
-
-def _cmd_sigma(cfg):
-    """the degenerate set Sigma and its smallest Levi eigenvalues"""
-    entry = make_entry(cfg)
-    sigma = sigma_scan(entry, cfg.values["mesh"], cfg.values["seed"],
-                       threshold=cfg.opt("threshold"))
-    res = {"domain": entry.id, "sigmaSize": sigma.size,
-           "threshold": sigma.threshold,
+    res = {"domain": entry.id, "meshPoints": int(mesh.shape[0]),
+           "sigmaSize": sigma.size, "threshold": sigma.threshold,
+           "leviScale": sigma.levi_scale, "meshPitch": mesh_pitch(mesh),
            "lambdaMin": sigma.lambda_min.tolist()[:64]}
     if entry.sigma_distance is not None and sigma.size:
         res["maxDistToDescribedSigma"] = float(
@@ -227,22 +215,22 @@ def _cmd_theta(cfg):
 def _cmd_period(cfg):
     """periods of theta around the generator loops (--loop)"""
     entry = make_entry(cfg)
-    verdict, values = periods_for(entry)
-    res = {"domain": entry.id, "verdict": verdict.to_json(),
-           "periods": {k: float(v) for k, v in values.items()}}
+    verdict = periods_for(entry)
+    values = dict(zip(verdict["generators"], verdict["periods"]))
+    res = {"domain": entry.id, "verdict": verdict, "periods": values}
     if cfg.values["loop"]:
         name = cfg.values["loop"]
         if name not in values:
             raise ConfigInvalid(f"unknown loop {name!r}")
-        res["loop"] = {"name": name, "period": float(values[name])}
+        res["loop"] = {"name": name, "period": values[name]}
     return 0, res
 
 
 def _cmd_potential(cfg):
     """the potential phi of an exact theta, with a CSV"""
     entry = make_entry(cfg)
-    verdict, _ = periods_for(entry)
-    phi = potential_for(entry, verdict, res=max(9, cfg.values["res"] // 2))
+    phi = potential_for(entry, periods_for(entry),
+                        res=max(9, cfg.values["res"] // 2))
     res = {"domain": entry.id,
            "gradientResidual": float(phi.gradient_residual),
            # largest lattice-cycle residual
@@ -261,7 +249,7 @@ def _run(cfg):
 
 
 def _cmd_certify(cfg):
-    """boundary inequality and interior oracle at --eta"""
+    """boundary check (criterion or curve) and interior oracle at --eta"""
     res = _run(cfg).certify(cfg.values["eta"])
     return (0 if res["certified"] else 2), res
 
@@ -274,39 +262,15 @@ def _cmd_estimate(cfg):
                "bound": cert["bound"]}
 
 
-def _cmd_caccioppoli(cfg):
-    """the cutoff L2 bound on three discs"""
-    rows = [caccioppoli_check(1.0 / np.sqrt(n),
-                              lambda xs: -(xs[0] * xs[0] + xs[1] * xs[1]), n)
-            for n in (1, 4, 16)]
-    return (0 if all(r["ok"] for r in rows) else 2), {"cases": rows}
-
-
-def _cmd_curve(cfg):
-    """the real-curve certificate at --eta"""
-    entry = make_entry(cfg)
-    if entry.sigma_kind != "RealCurve":
-        raise DfIndexError(f"domain {entry.id} has no real-curve "
-                           "degenerate set") from None
-    geometry = curve_geometry(entry.domain, entry.charts["curve"])
-    rep = real_curve_certify(geometry, cfg.values["eta"],
-                             slack=cfg.opt("slack"))
-    return (0 if rep["certified"] else 2), {"domain": entry.id,
-                                            "curve": rep}
-
-
 # command -> function of the configuration returning (exit code, report or
 # None); the report goes to <first word>.json under --out
 _COMMANDS = {
-    "scan": _cmd_scan,
     "sigma": _cmd_sigma,
     "theta": _cmd_theta,
     "period": _cmd_period,
     "potential": _cmd_potential,
     "certify": _cmd_certify,
     "estimate": _cmd_estimate,
-    "caccioppoli": _cmd_caccioppoli,
-    "curve": _cmd_curve,
     "zoo list": _cmd_zoo_list,
     "zoo describe": _cmd_zoo_describe,
 }

@@ -113,38 +113,21 @@ def period(source, loop: PathInSigma):
     return integrate_theta(source, loop)
 
 
-@dataclass
-class CohomologyVerdict:
-    """Period vector of the generator loops with an exactness classification."""
-
-    periods: list                 # [(name, value)]
-    tolerance: float
-    exact: bool
-
-    @property
-    def classification(self):
-        return "Exact" if self.exact else "Obstructed"
-
-    def to_json(self):
-        return {
-            "generators": [name for name, _ in self.periods],
-            "periods": [float(v) for _, v in self.periods],
-            "tolerance": float(self.tolerance),
-            "classification": self.classification,
-        }
-
-
 def exactness_tolerance(max_abs_theta, diameter):
     """Scale-free default: 1e-4 x max|theta| x diameter, floored at 1e-6 so
     that identically-vanishing forms classify as exact."""
     return max(1e-4 * float(max_abs_theta) * float(diameter), 1e-6)
 
 
-def classify(periods, tol) -> CohomologyVerdict:
-    """Exact iff every |period| < tol; empty generator lists are exact."""
-    items = list(periods.items())
-    exact = all(abs(v) < tol for _, v in items)
-    return CohomologyVerdict(periods=items, tolerance=float(tol), exact=exact)
+def classify(periods, tol):
+    """The period verdict {generators, periods, tolerance, classification}
+    of a {loop name: period} dict: "Exact" iff every |period| < tol (so
+    empty generator lists are exact), "Obstructed" otherwise."""
+    exact = all(abs(v) < tol for v in periods.values())
+    return {"generators": list(periods),
+            "periods": [float(v) for v in periods.values()],
+            "tolerance": float(tol),
+            "classification": "Exact" if exact else "Obstructed"}
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +249,23 @@ def _lattice_edges(shape):
 PATH_TOL = 1e-6
 
 
-def build_potential(sources, basepoint, verdict: CohomologyVerdict,
-                    res=17) -> PotentialField:
+def build_potential(sources, basepoint, verdict, res=17) -> PotentialField:
     """Reconstruct the potential by spanning-tree path integration.
 
-    sources: a FormSource or a list of them (foliation leaves).  The verdict
-    must be Exact.  Each leaf's form is evaluated once, at the nodes of the
-    chart lattice and the interior nodes of a 5-node Simpson rule on every
-    lattice edge.  The tree edges set the node values; every other edge
-    closes one cycle with the tree, and its residual against the node values
-    is that cycle's circulation.  path_disagreement is the largest
-    lattice-cycle residual, and PathDisagreement is raised above PATH_TOL.
-    On complex charts the finite-difference dbar of the node values is
-    compared against h = theta_x + i theta_y at the nodes.
+    sources: a FormSource or a list of them (foliation leaves).  The period
+    verdict (classify's) must be Exact.  Each leaf's form is evaluated once,
+    at the nodes of the chart lattice and the interior nodes of a 5-node
+    Simpson rule on every lattice edge.  The tree edges set the node values;
+    every other edge closes one cycle with the tree, and its residual
+    against the node values is that cycle's circulation.  path_disagreement
+    is the largest lattice-cycle residual, and PathDisagreement is raised
+    above PATH_TOL.  On complex charts the finite-difference dbar of the
+    node values is compared against h = theta_x + i theta_y at the nodes.
     """
-    if not verdict.exact:
+    if verdict["classification"] != "Exact":
         raise ObstructedClass(
-            f"period vector {[v for _, v in verdict.periods]} not below "
-            f"{verdict.tolerance:.2e}")
+            f"period vector {verdict['periods']} not below "
+            f"{verdict['tolerance']:.2e}")
     src_list = sources if isinstance(sources, (list, tuple)) else [sources]
     leaves = []
     labels = []
@@ -376,20 +358,30 @@ class ChartTerms:
         return self.surface(U, t) * (1.0 - smoothstep_c3(s))[:, None]
 
 
+def _probe_rows(shape):
+    """Row indices of a lattice of this shape, flattened in C order, at the
+    first, middle and last node along every axis."""
+    axes = [sorted({0, (s - 1) // 2, s - 1}) for s in shape]
+    return np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"),
+                                shape).ravel()
+
+
 def collar_terms(domain, phi: PotentialField, to_chart,
                  width=None) -> ChartTerms:
     """The one term of psi = -2 phi, extended along foot-point fibres with
     the edge fade; exact on the chart grid.
 
     The collar (default width domain.collar_width) must be foliated by the
-    fibres: eight chart points P are probed, and CollarTooWide raised
-    unless P is the verified nearest foot of each P - width n.
+    fibres: the chart points P of a 3 x 3 sub-lattice of every leaf's grid
+    (its corners, edge midpoints and centre; 72 points on the bidisc's eight
+    leaves) are probed, and CollarTooWide raised unless P is the verified
+    nearest foot of each P - width n.
     """
     width = domain.collar_width if width is None else float(width)
     if width > 0.49 * domain.scale:
         raise CollarTooWide("collar wider than half the domain scale")
-    leaf = phi.leaves[0]
-    P = leaf.chart.embed_batch(leaf.params[:8])
+    P = np.concatenate([leaf.chart.embed_batch(
+        leaf.params[_probe_rows(leaf.shape)]) for leaf in phi.leaves])
     g = domain.jet(P, order=1).rgrad
     n = g / np.linalg.norm(g, axis=1, keepdims=True)
     ok, _ = verified_feet(domain, P - width * n, P)

@@ -46,10 +46,6 @@ class ChartMismatch(DfIndexError):
     """Chart kind (real/complex) does not match the operation."""
 
 
-class HypothesisFail(DfIndexError):
-    """A pointwise hypothesis required by the check is violated."""
-
-
 class ChartGap(DfIndexError):
     """Path leaves the chart atlas."""
 

@@ -33,7 +33,7 @@ def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
 
 
 def periods_for(entry: ZooEntry):
-    """Period of every generator loop; (verdict, periods dict), exact below
+    """The period verdict of the generator loops (classify's), exact below
     exactness_tolerance of the loops' largest |theta| and chart span."""
     values = {}
     max_theta = 0.0
@@ -47,7 +47,7 @@ def periods_for(entry: ZooEntry):
         max_theta = max(max_theta, float(np.max(np.abs(comps))))
         diam = max(diam, float(np.max(chart.hi - chart.lo)))
     tol = exactness_tolerance(max_theta, max(diam, 1.0))
-    return classify(values, tol), values
+    return classify(values, tol)
 
 
 def potential_for(entry: ZooEntry, verdict, res=9):
@@ -101,14 +101,15 @@ class Run:
     def verdict(self):
         """Period verdict of the generator loops (exact when there are
         none)."""
-        return periods_for(self.entry)[0]
+        return periods_for(self.entry)
 
     @cached_property
     def collar_psi(self):
         """Collar extension of the potential when the class is exact; None
         otherwise."""
         e = self.entry
-        if e.loops and self.verdict.exact and e.sigma_coords is not None:
+        if e.loops and self.verdict["classification"] == "Exact" \
+                and e.sigma_coords is not None:
             return Psi(collar_terms(e.domain, potential_for(e, self.verdict),
                                     e.sigma_coords), (1.0,))
         return None
@@ -213,10 +214,10 @@ class Run:
             out["psi"] = "curve certificate profile"
         else:
             psi, out["psi"] = self.default_psi
-            out["verdict"] = self.verdict.to_json()
+            out["verdict"] = self.verdict
             out["criterion"] = self.evaluator.report(
                 psi, eta, slack=self.slack, psi_name=out["psi"])
-            if not self.verdict.exact:
+            if self.verdict["classification"] != "Exact":
                 out["obstruction"] = {"classification": "Obstructed",
                                       "periods": out["verdict"]["periods"]}
         out["oracle"] = self.oracle(eta, psi)
@@ -246,9 +247,9 @@ class Run:
                        for r in map(self.certify, grid)]
             return _certificate(grid, records, diagnostics)
         if self.entry.loops:
-            diagnostics["verdict"] = self.verdict.to_json()
-            if not self.verdict.exact:
-                diagnostics["obstruction"] = self.verdict.to_json()
+            diagnostics["verdict"] = self.verdict
+            if self.verdict["classification"] != "Exact":
+                diagnostics["obstruction"] = self.verdict
         search = self.collar_psi is None \
             and self.entry.sigma_coords is not None and self.sigma.size
 

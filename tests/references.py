@@ -10,8 +10,10 @@ differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
 cycle check, loop reparametrisations, the projecting delta-jet and
-boundary-point helpers, and the general contraction of the third tensor
-with (p, q) derivations.
+boundary-point helpers, the general contraction of the third tensor
+with (p, q) derivations, and the cutoff L2 bound on a disc patch (with the
+HypothesisFail error of its screening and of the transversal-field
+identities).
 The tests compare the package against these.
 """
 
@@ -29,8 +31,8 @@ from dfindex import distance
 from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
                               signed_distance_from_feet)
 from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
-    HypothesisFail, NoConvergence, NonFinite, OrderTooLow, StencilLeak
-from dfindex.jets import DomainSpec, WirtingerJet, third_contraction
+    NoConvergence, NonFinite, OrderTooLow, StencilLeak
+from dfindex.jets import DomainSpec, Jet, WirtingerJet, third_contraction
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
 from dfindex.util import complex_pack, complex_unpack
 
@@ -563,6 +565,10 @@ class NotDegenerate(DfIndexError):
     """Operation only applies at Levi-degenerate boundary points."""
 
 
+class HypothesisFail(DfIndexError):
+    """A pointwise hypothesis required by the check is violated."""
+
+
 def null_cross_residual(bp: BoundaryPoint, L, frame, threshold) -> float:
     """max_j |Hess_delta(L, T_j)| over the frame vectors orthogonal to the
     null direction L; must vanish at degenerate points.
@@ -949,3 +955,88 @@ def rotated_path(path: PathInSigma, k, wrap_axis=None,
         last[0, wrap_axis] += period
         pts = np.vstack([pts, last])
     return PathInSigma(pts, True)
+
+
+# ---------------------------------------------------------------------------
+# cutoff L2 bound
+# ---------------------------------------------------------------------------
+
+# the cutoff bound's inner plateau W_p and cutoff support V_p, as fractions
+# of the patch radius, and its angular quadrature nodes
+W_FRAC = 0.5
+V_FRAC = 0.8
+QUAD_POINTS = 512
+
+
+def _f_jets(f_eval, P):
+    """(|dbar f|^2, Hess_f(z, z)) of a jet-generic real scalar on C."""
+    xs = Jet.variables(P, 2)
+    out = f_eval(xs)
+    g = out.g if out.g is not None else np.zeros((P.shape[0], 2))
+    h = out.h if out.h is not None else np.zeros((P.shape[0], 2, 2))
+    jw = WirtingerJet(out.v, g, h)
+    # |d f / d zbar| = |d f / dz| for real f
+    return np.abs(jw.wgrad[:, 0]) ** 2, jw.mixed[:, 0, 0].real
+
+
+def caccioppoli_check(radius, f_eval, n: int):
+    """Verify the cutoff L2 bound on the patch U_p, the disc of this radius
+    in C: after screening the pointwise hypothesis
+    n |dbar f|^2 + Hess_f(z, z) <= 0 on U_p, check
+    integral_{W_p} |dbar f|^2 dV <= C(U_p) / n^2 with 1% slack,
+    C(U_p) = integral 4 |d chi / dz|^2 dV for the C3 radial cutoff chi.
+    Returns {n, left (the integral over W_p), constant (C(U_p)), bound
+    (C(U_p) / n^2), hypothesisMax (the screened maximum), ok}.
+    """
+    # hypothesis screening on a polar grid of U_p
+    nr, na = 96, 128
+    r = np.linspace(0, radius, nr + 1)[1:]
+    a = np.linspace(0, 2 * np.pi, na, endpoint=False)
+    rr, aa = np.meshgrid(r, a, indexing="ij")
+    P = np.stack([rr.ravel() * np.cos(aa.ravel()),
+                  rr.ravel() * np.sin(aa.ravel())], axis=1)
+    dbar2, mixed = _f_jets(f_eval, P)
+    hyp = n * dbar2 + mixed
+    hyp_max = float(hyp.max())
+    if hyp_max > 1e-10:
+        raise HypothesisFail(
+            f"n|dbar f|^2 + Hess_f = {hyp_max:.3e} > 0 somewhere on the patch")
+
+    # quadrature: radial Simpson x angular trapezoid (periodic)
+    w_r = W_FRAC * radius
+    v_r = V_FRAC * radius
+
+    def radial_simpson(fn, r0, r1, steps):
+        rr = np.linspace(r0, r1, 2 * steps + 1)
+        wts = np.ones_like(rr)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        return (r1 - r0) / (6.0 * steps) * np.dot(wts, fn(rr))
+
+    ang = np.linspace(0, 2 * np.pi, QUAD_POINTS, endpoint=False)
+
+    def mean_over_angle(rr):
+        out = np.empty_like(rr)
+        for i, rv in enumerate(rr):
+            P = np.stack([rv * np.cos(ang), rv * np.sin(ang)], axis=1)
+            out[i] = _f_jets(f_eval, P)[0].mean()
+        return out
+
+    left = radial_simpson(lambda rr: 2 * np.pi * rr * mean_over_angle(rr),
+                          0.0, w_r, 160)
+
+    span = max(v_r - w_r, 1e-12)
+
+    def chi_prime_sq(rr):
+        s = (rr - w_r) / span
+        ds = np.where((s > 0) & (s < 1),
+                      (140.0 * np.clip(s, 0, 1) ** 3
+                       * (1.0 - np.clip(s, 0, 1)) ** 3) / span, 0.0)
+        return ds ** 2
+
+    constant = radial_simpson(lambda rr: 2 * np.pi * rr * chi_prime_sq(rr),
+                              w_r, v_r, 200)
+    bound = constant / n ** 2
+    ok = bool(left <= 0.99 * bound)
+    return {"n": int(n), "left": float(left), "bound": float(bound),
+            "constant": float(constant), "hypothesisMax": hyp_max, "ok": ok}

@@ -21,19 +21,17 @@ import pytest
 
 from conftest import ZERO_PSI, oracle_terms, shifted
 from dfindex.certify import (CriterionEvaluator, CurveTerms, Psi,
-                             caccioppoli_check, interior_psh_oracle,
-                             real_curve_certify)
+                             interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
                                 classify, period)
 from dfindex.distance import boundary_jet
-from dfindex.errors import HypothesisFail
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import Run, periods_for, sigma_scan
 from dfindex.sigma import dtheta_residual, h_field
-from references import (BoundaryBatch, HFieldSource, ball_delta_jet,
-                        boundary_batch, boundary_point,
-                        chart_compat_residuals, delta_jet,
+from references import (BoundaryBatch, HFieldSource, HypothesisFail,
+                        ball_delta_jet, boundary_batch, boundary_point,
+                        caccioppoli_check, chart_compat_residuals, delta_jet,
                         levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
                         wirtinger_compat_residual)
@@ -173,7 +171,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     sigma = bidisc_package["sigma"]
     psi = bidisc_package["psi"]
     verdict = bidisc_package["verdict"]
-    assert verdict.exact
+    assert verdict["classification"] == "Exact"
 
     # synthetic exact form on a disc chart: recovery of the generator
     chart0 = bidisc.notes["main_leaf"]
@@ -206,8 +204,7 @@ def test_criterion_5_obstruction_detection(worm, tmp_path):
     frozen = worm.notes["core_period"]      # derived ahead of the build
     assert abs(per - frozen) <= 0.01 * abs(frozen)
     assert abs(per) > 1e-3
-    verdict, _ = periods_for(worm)
-    assert verdict.classification == "Obstructed"
+    assert periods_for(worm)["classification"] == "Obstructed"
     code = cli_main(["certify", "--domain", "worm", "--eta", "0.99",
                      "--mesh", "900", "--interior", "250",
                      "--out", str(tmp_path)])

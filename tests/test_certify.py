@@ -9,17 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ZERO_PSI, oracle_terms, psi_at_feet, shifted
 from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
-                             CurveTerms, Psi, caccioppoli_check,
-                             coordinate_descent, interior_psh_oracle,
-                             oracle_stencils, real_curve_certify)
+                             CurveTerms, Psi, coordinate_descent,
+                             interior_psh_oracle, oracle_stencils,
+                             real_curve_certify)
 from dfindex import certify, cohomology, distance, pipelines, zoo
 from dfindex.cohomology import ChartTerms, collar_terms
-from dfindex.errors import HypothesisFail, MeshOutside, NotACurve, StencilLeak
+from dfindex.errors import MeshOutside, NotACurve, StencilLeak
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
 from dfindex.sigma import theta_components
-from references import (delta_jet, numeric_jet, residual_sequence,
-                        signed_distance, third_directional)
+from references import (HypothesisFail, caccioppoli_check, delta_jet,
+                        numeric_jet, residual_sequence, signed_distance,
+                        third_directional)
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,33 @@ def test_oracle_composite_matches_two_projections(oracle_psis, kind):
         assert np.all(err <= tol * size)
     # psi is not constant on the stencils, so the check has teeth
     assert np.ptp(_psi_at(entry.domain, psi, mesh)) > 1e-3
+
+
+def test_criterion_and_oracle_ignore_batch_order(worm, worm_sigma,
+                                                 worm_family_psi,
+                                                 oracle_psis):
+    # a Sigma sample's left-hand side and a mesh point's eigenvalue must not
+    # depend on where the sample or the point sits in its batch
+    perm = np.random.default_rng(12).permutation(worm_sigma.size)
+    moved = dataclasses.replace(
+        worm_sigma, points=worm_sigma.points[perm],
+        lambda_min=worm_sigma.lambda_min[perm],
+        null_directions=worm_sigma.null_directions[perm])
+    evaluators = [CriterionEvaluator(worm.domain, sig)
+                  for sig in (worm_sigma, moved)]
+    for psi in (ZERO_PSI, worm_family_psi):
+        for eta in (0.5, 0.9):
+            want, got = (ev.report(psi, eta)["maxLHS"] for ev in evaluators)
+            assert got == want
+    for entry, psi in oracle_psis.values():
+        runs = [Run(entry, oracle_count=60, seed=6) for _ in range(2)]
+        points, feet = runs[0].interior_mesh
+        perm = np.random.default_rng(13).permutation(len(points))
+        runs[1].interior_mesh = (points[perm], feet[perm])
+        for eta in (0.5, 0.99):
+            want, got = (run.oracle(eta, psi) for run in runs)
+            assert (got["minEig"], got["minScaled"]) == \
+                (want["minEig"], want["minScaled"])
 
 
 def _counting_projections(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dfindex
-from dfindex.cli import _DEFAULTS, RunConfig, build_parser, main
+from dfindex.cli import _COMMANDS, _DEFAULTS, RunConfig, build_parser, main
 from dfindex.errors import ConfigInvalid
 from dfindex.util import config_hash
 
@@ -89,19 +89,6 @@ def test_theta_csv_written(tmp_path):
     assert (tmp_path / "theta_worm_patch.csv").exists()
 
 
-def test_caccioppoli_command(tmp_path):
-    code = main(["caccioppoli", "--out", str(tmp_path)])
-    assert code == 0
-    rep = json.loads((tmp_path / "caccioppoli.json").read_text())
-    assert all(case["ok"] for case in rep["cases"])
-
-
-def test_curve_command(tmp_path):
-    code = main(["curve", "--domain", "quartic_circle", "--eta", "0.99",
-                 "--out", str(tmp_path)])
-    assert code == 0
-
-
 def test_certify_quartic_oracle_at_rounding_level(tmp_path):
     # psi's stencil feet carry no projection residual for the second
     # differences to amplify by 1/h^2: minScaled is -9.2e-17 (projected
@@ -117,17 +104,16 @@ def test_reports_byte_identical(tmp_path):
     out = tmp_path / "rpt"
     blobs = []
     for _ in range(2):
-        code = main(["scan", "--domain", "quartic_circle", "--mesh", "300",
+        code = main(["sigma", "--domain", "quartic_circle", "--mesh", "300",
                      "--seed", "11", "--out", str(out)])
         assert code == 0
-        blobs.append((out / "scan.json").read_bytes())
+        blobs.append((out / "sigma.json").read_bytes())
     assert blobs[0] == blobs[1]
 
 
-# small sizes of every command; each writes its report (and any CSV) under
-# --out
+# small sizes of every command that writes a report; each writes its report
+# (and any CSV) under --out
 EVERY_COMMAND = {
-    "scan": ["scan", "--domain", "worm", "--mesh", "300"],
     "sigma": ["sigma", "--domain", "worm", "--mesh", "300"],
     "theta": ["theta", "--domain", "worm", "--res", "9"],
     "period": ["period", "--domain", "worm"],
@@ -136,13 +122,12 @@ EVERY_COMMAND = {
                 "--interior", "30"],
     "estimate": ["estimate", "--domain", "quartic_circle", "--mesh", "200",
                  "--interior", "40"],
-    "caccioppoli": ["caccioppoli"],
-    "curve": ["curve", "--domain", "quartic_circle"],
     "zoo describe": ["zoo", "describe", "--domain", "bidisc"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+# zoo list prints and writes no report
+@pytest.mark.parametrize("command", sorted(set(_COMMANDS) - {"zoo list"}))
 def test_every_command_byte_identical(tmp_path, command):
     written = []
     for _ in range(2):
@@ -156,7 +141,7 @@ def test_every_command_byte_identical(tmp_path, command):
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("command", ["scan", "theta", "potential"])
+@pytest.mark.parametrize("command", ["sigma", "theta", "potential"])
 def test_io_failure_exit_one(tmp_path, capsys, command):
     # an --out under a file: the report and, for theta and potential, the
     # CSV written before it end in a typed IoFailure
@@ -168,7 +153,7 @@ def test_io_failure_exit_one(tmp_path, capsys, command):
 
 
 def test_unknown_domain_exit_one(tmp_path):
-    code = main(["scan", "--domain", "nope", "--out", str(tmp_path)])
+    code = main(["sigma", "--domain", "nope", "--out", str(tmp_path)])
     assert code == 1
 
 
@@ -212,7 +197,7 @@ def test_error_json_written_under_out(tmp_path, monkeypatch):
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     out = tmp_path / "out"
-    assert main(["scan", "--domain", "nope", "--out", str(out)]) == 1
+    assert main(["sigma", "--domain", "nope", "--out", str(out)]) == 1
     diag = json.loads((out / "error.json").read_text())
     assert diag["error"] == "ConfigInvalid"
     assert diag["config"]["domain"] == "nope"
@@ -241,7 +226,7 @@ def test_eta_grid_outside_unit_interval(tmp_path, grid):
 
 
 def test_mesh_zero(tmp_path):
-    _assert_config_invalid(["scan", "--domain", "ball", "--mesh", "0"],
+    _assert_config_invalid(["sigma", "--domain", "ball", "--mesh", "0"],
                            tmp_path)
 
 
@@ -254,22 +239,22 @@ def test_config_file_non_numeric(tmp_path):
     out = tmp_path / "from_file"
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"domain = ball\nmesh = many\nout = {out}\n")
-    code = main(["scan", "--config", str(cfgfile)])
+    code = main(["sigma", "--config", str(cfgfile)])
     assert code == 1
     diag = json.loads((out / "error.json").read_text())
     assert diag["error"] == "ConfigInvalid"
     assert "mesh" in diag["message"]
     cfgfile.write_text("radius = wide\n")
-    _assert_config_invalid(["scan", "--config", str(cfgfile)], tmp_path)
+    _assert_config_invalid(["sigma", "--config", str(cfgfile)], tmp_path)
 
 
 # (arguments, error): each ends in a typed error with error.json under --out
 @pytest.mark.parametrize("flags", [
-    (["scan", "--mesh", "50", "--domain", "bidisc", "--r", "1.5"],
+    (["sigma", "--mesh", "50", "--domain", "bidisc", "--r", "1.5"],
      "ConfigInvalid"),
-    (["scan", "--mesh", "50", "--domain", "ball", "--radius", "-1"],
+    (["sigma", "--mesh", "50", "--domain", "ball", "--radius", "-1"],
      "ConfigInvalid"),
-    (["scan", "--mesh", "50", "--domain", "worm", "--beta", "inf"],
+    (["sigma", "--mesh", "50", "--domain", "worm", "--beta", "inf"],
      "ConfigInvalid"),
     (["theta", "--domain", "ball"], "ChartMismatch"),
     (["potential", "--domain", "ball"], "ChartMismatch"),
@@ -295,8 +280,8 @@ def test_bad_domain_parameter(tmp_path, flags):
     ["certify", "--meshh", "5"],
     ["frobnicate"],
     ["zoo", "frobnicate"],
-    ["scan", "describe", "--mesh", "50"],
-    ["scan", "--mesh", "50", "--config", "{config}"],
+    ["sigma", "describe", "--mesh", "50"],
+    ["sigma", "--mesh", "50", "--config", "{config}"],
 ])
 def test_usage_error_exit_one(tmp_path, argv):
     config = tmp_path / "run.cfg"
@@ -327,15 +312,14 @@ def test_threshold_reaches_certify_and_estimate(tmp_path):
 
 
 def test_slack_reaches_curve_certificate(tmp_path):
-    def curve(cmd, extra):
-        out = tmp_path / f"{cmd}{len(extra)}"
-        main([cmd, "--domain", "quartic_circle", "--interior", "20",
+    def curve(extra):
+        out = tmp_path / f"certify{len(extra)}"
+        main(["certify", "--domain", "quartic_circle", "--interior", "20",
               "--out", str(out)] + extra)
-        return json.loads((out / f"{cmd}.json").read_text())["curve"]
+        return json.loads((out / "certify.json").read_text())["curve"]
 
-    assert curve("curve", [])["slack"] == 1e-8
-    assert curve("curve", ["--slack", "0.5"])["slack"] == 0.5
-    assert curve("certify", ["--slack", "0.5"])["slack"] == 0.5
+    assert curve([])["slack"] == 1e-8
+    assert curve(["--slack", "0.5"])["slack"] == 0.5
 
 
 def test_oracle_slack_flag(tmp_path):
@@ -362,7 +346,7 @@ def test_zoo_describe_byte_identical(tmp_path, domain):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--domain", "worm", "--mesh", "300"],
+    ["sigma", "--domain", "worm", "--mesh", "300"],
     ["estimate", "--domain", "quartic_circle", "--interior", "400"],
     ["certify", "--domain", "bidisc", "--mesh", "400", "--interior", "40"],
 ])

@@ -106,12 +106,13 @@ def test_path_outside_chart(worm):
 
 
 def test_classify():
-    v = classify({}, 1e-6)
-    assert v.exact and v.classification == "Exact"
-    v = classify({"core": -3.14}, 1e-4)
-    assert not v.exact and v.classification == "Obstructed"
-    v = classify({"a": 1e-9}, 1e-6)
-    assert v.exact
+    assert classify({}, 1e-6) == {"generators": [], "periods": [],
+                                  "tolerance": 1e-6,
+                                  "classification": "Exact"}
+    assert classify({"core": -3.14}, 1e-4) == {
+        "generators": ["core"], "periods": [-3.14], "tolerance": 1e-4,
+        "classification": "Obstructed"}
+    assert classify({"a": 1e-9}, 1e-6)["classification"] == "Exact"
 
 
 def test_exactness_tolerance_floor():
@@ -328,6 +329,25 @@ def test_collar_too_wide(bidisc, width):
 
     with pytest.raises(CollarTooWide):
         collar_terms(bidisc.domain, phi, to_chart, width=width)
+
+
+def test_collar_probe_reaches_every_leaf(bidisc):
+    # the bidisc's potential with one node moved off Sigma, to |z1| = 1.2 r
+    # at the centre of its sixth leaf, where P is not the foot of
+    # P - width n: the probe must reach it, though it lies outside the
+    # first row of the first leaf
+    phi = potential_for(bidisc, classify({}, 1e-6))
+    collar_terms(bidisc.domain, phi, bidisc.sigma_coords)
+    leaf = phi.leaves[5]
+    params = leaf.params.copy()
+    centre = np.ravel_multi_index([(n - 1) // 2 for n in leaf.shape],
+                                  leaf.shape)
+    params[centre] = (1.2 * bidisc.domain.meta["r"], 0.0)
+    leaves = list(phi.leaves)
+    leaves[5] = dataclasses.replace(leaf, params=params)
+    with pytest.raises(CollarTooWide, match="1 of 72 collar fibres"):
+        collar_terms(bidisc.domain, dataclasses.replace(phi, leaves=leaves),
+                     bidisc.sigma_coords)
 
 
 

@@ -6,6 +6,8 @@ import runpy
 
 import pytest
 
+from dfindex.cli import _COMMANDS
+
 REPO = os.path.dirname(os.path.dirname(__file__))
 TOOL = os.path.join(REPO, "tools", "compare_reports.py")
 
@@ -21,7 +23,7 @@ def _result(exit=0, stdout="{}\n", files=None, raised=None):
 
 
 def test_identical_results_have_no_difference(tool):
-    cmds = [["scan"], ["zoo"]]
+    cmds = [["sigma"], ["zoo"]]
     parent = [_result(), _result(files={})]
     change = [_result(), _result(files={})]
     assert tool["compare"](cmds, parent, change) == []
@@ -49,6 +51,17 @@ def test_a_missing_result_is_a_difference(tool):
         "1 results against 0"]
 
 
+def _command_of(argv):
+    """The command an argv names, as dfindex.cli.main reads it: its
+    leading words, with zoo alone standing for zoo list."""
+    words = []
+    for word in argv[:2]:
+        if word.startswith("-"):
+            break
+        words.append(word)
+    return {"zoo": "zoo list"}.get(" ".join(words), " ".join(words))
+
+
 def test_command_set_covers_workloads_domains_and_errors(tool):
     cmds = tool["commands"](REPO)
     workloads = runpy.run_path(os.path.join(REPO, "perfbench",
@@ -69,8 +82,9 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
             "--res", "9"] in cmds
     assert ["estimate", "--domain", "worm", "--slack", "5", "--mesh", "600",
             "--interior", "60", "--seed", "3"] in cmds
-    assert ["curve", "--domain", "quartic_circle", "--eta", "0.5",
-            "--slack", "1e-3"] in cmds
-    assert ["caccioppoli"] in cmds and ["zoo"] in cmds
-    assert len(cmds) == (runs + 32 + 6 + 20 + 6 + 8 + 6 + 2
+    assert ["certify", "--domain", "quartic_circle", "--eta", "0.5",
+            "--slack", "1e-3", "--mesh", "600", "--interior", "60",
+            "--seed", "3"] in cmds
+    assert set(_COMMANDS) <= {_command_of(c) for c in cmds}
+    assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 8 + 5 + 1
                          + len(tool["ERROR_CASES"]))

@@ -5,13 +5,13 @@ import pytest
 
 from dfindex import zoo
 from dfindex.distance import normal_n
-from dfindex.errors import ChartMismatch, HypothesisFail
+from dfindex.errors import ChartMismatch
 from dfindex.levi import tangent_direction
 from dfindex.sigma import (OneFormSample, SigmaChart, dtheta_residual,
                            h_field, nu_pairings, real_one_form_at,
                            theta_components)
-from references import (chart_compat_residuals, delta_jet, fd_tangents,
-                        holomorphy_defect, measured_orders,
+from references import (HypothesisFail, chart_compat_residuals, delta_jet,
+                        fd_tangents, holomorphy_defect, measured_orders,
                         nu_identity_residuals, wirtinger_compat_residual)
 
 

@@ -11,19 +11,22 @@ It runs one fixed command set through each checkout's own
 
 - every perfbench workload on each of its input sets (the change's
   perfbench/workloads.py);
-- scan, sigma, certify and estimate on every zoo domain at --mesh 600
+- sigma, certify and estimate on every zoo domain at --mesh 600
   --interior 60, seeds 3 and 11;
 - sigma, certify and estimate on two more geometries (the worm at
   --beta 6.2832 and the bidisc at --r 0.5) at the same sizes, seed 3;
-- theta, period, potential, curve and zoo describe on every domain at
-  --res 9, and theta, period and potential on the two geometries;
+- theta, period, potential and zoo describe on every domain at --res 9,
+  and theta, period and potential on the two geometries;
 - theta --chart on every chart that the domain's default chart leaves out
   (the bidisc's seven other leaves and the worm's patch) at --res 9;
-- six commands that reach report branches the sets above leave out: an
+- five commands that reach report branches the sets above leave out: an
   estimate whose records carry oracleScaled without a psi (the worm at
-  --slack 5), certify on the worm, the bidisc and the quartic at set
-  slacks, curve at --slack, and an estimate at --oracle-slack 1e-12;
-- caccioppoli, zoo, and usage and domain errors that end in typed errors.
+  --slack 5), certify on the worm, the bidisc and the quartic (whose
+  curve certificate takes the slack) at set slacks, and an estimate at
+  --oracle-slack 1e-12;
+- zoo, and usage and domain errors that end in typed errors.
+
+Every command of dfindex.cli._COMMANDS is among them.
 
 For each command it compares the exit code, stdout and every file written
 under its --out (reports, CSVs, error.json) byte for byte, prints each
@@ -56,8 +59,6 @@ BRANCH_CASES = (
      "1e-3", *SIZES],
     ["certify", "--domain", "quartic_circle", "--eta", "0.5", "--slack",
      "1e-3", *SIZES],
-    ["curve", "--domain", "quartic_circle", "--eta", "0.5", "--slack",
-     "1e-3"],
     ["estimate", "--domain", "ball", "--oracle-slack", "1e-12", *SIZES],
 )
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -65,12 +66,12 @@ ERROR_CASES = (
     ["certify", "--meshh", "5"],
     ["frobnicate"],
     ["zoo", "frobnicate"],
-    ["scan", "describe"],
+    ["sigma", "describe"],
     ["certify", "--mesh", "0"],
     ["estimate", "--eta-grid", "0.5,1.5"],
-    ["scan", "--domain", "nowhere"],
-    ["scan", "--domain", "bidisc", "--r", "1.5"],
-    ["scan", "--domain", "ball", "--radius", "-1"],
+    ["sigma", "--domain", "nowhere"],
+    ["sigma", "--domain", "bidisc", "--r", "1.5"],
+    ["sigma", "--domain", "ball", "--radius", "-1"],
     ["sigma", "--domain", "worm", "--beta", "1.0"],
     ["theta", "--domain", "worm", "--chart", "nope"],
     ["period", "--domain", "worm", "--loop", "nope"],
@@ -104,7 +105,7 @@ def commands(checkout):
     cmds = [spec["argv"] + ["--seed", str(s)]
             for spec in workloads["WORKLOADS"].values()
             for s in range(workloads["INPUT_SETS"])]
-    for cmd in ("scan", "sigma", "certify", "estimate"):
+    for cmd in ("sigma", "certify", "estimate"):
         for domain in DOMAINS:
             for seed in ("3", "11"):
                 cmds.append([cmd, "--domain", domain, "--mesh", "600",
@@ -113,8 +114,7 @@ def commands(checkout):
         for cmd in ("sigma", "certify", "estimate"):
             cmds.append([cmd, *geometry, "--mesh", "600", "--interior", "60",
                          "--seed", "3"])
-    for cmd in (["theta"], ["period"], ["potential"], ["curve"],
-                ["zoo", "describe"]):
+    for cmd in (["theta"], ["period"], ["potential"], ["zoo", "describe"]):
         for domain in DOMAINS:
             cmds.append(cmd + ["--domain", domain, "--res", "9"])
     for cmd in ("theta", "period", "potential"):
@@ -124,7 +124,7 @@ def commands(checkout):
         cmds.append(["theta", "--domain", domain, "--chart", chart,
                      "--res", "9"])
     cmds += [list(c) for c in BRANCH_CASES]
-    cmds += [["caccioppoli"], ["zoo"]]
+    cmds.append(["zoo"])
     return cmds + [list(c) for c in ERROR_CASES]
 
 
