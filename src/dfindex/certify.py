@@ -93,8 +93,8 @@ class PsiStencil:
     differences keep an even error expansion with the exact limit of
     psi o p."""
 
-    def __init__(self, domain: DomainSpec, base, jet: WirtingerJet,
-                 dirs=(), step=FD_STEP):
+    def __init__(self, domain: DomainSpec, base, jet: WirtingerJet, dirs,
+                 step):
         jet.need(3)
         self.h = h = step * domain.scale
         self.M, self.D = base.shape
@@ -164,7 +164,8 @@ class CriterionEvaluator:
         self.third_field = pure.real + transport   # imaginary part ~ 0
         self.third_imag = float(np.max(np.abs(pure.imag)))
         self.stencil = PsiStencil(
-            domain, P, jet, (complex_unpack(L), complex_unpack(1j * L)))
+            domain, P, jet, (complex_unpack(L), complex_unpack(1j * L)),
+            FD_STEP)
 
     def columns(self, terms):
         """(G, Q), samples x terms: each term's Lbar T_i and Hessian term
@@ -187,13 +188,13 @@ class CriterionEvaluator:
         G, Q = self.columns(psi.terms)
         return self.lhs_dirs(G @ psi.coef, Q @ psi.coef, eta)
 
-    def report(self, psi, eta, slack=None, psi_name=""):
+    def report(self, psi, eta, slack, psi_name):
         """The boundary inequality's report at eta: {eta, slack, maxLHS (the
         largest left-hand side over the samples), certified (maxLHS <=
         slack), vacuous (no sample), psi (psi_name), samples, thirdImag
         (the largest imaginary part of the pure third-order term)}.  A
-        vacuous report is certified, with maxLHS and thirdImag None.  slack
-        defaults to 1e-4 x the scan's levi_scale."""
+        vacuous report is certified, with maxLHS and thirdImag None.  A
+        slack of None stands for 1e-4 x the scan's levi_scale."""
         if slack is None:
             slack = 1e-4 * self.sigma.levi_scale
         out = {"eta": eta, "slack": float(slack), "vacuous": self.K == 0,
@@ -210,7 +211,7 @@ class CriterionEvaluator:
 # interior oracle
 # ---------------------------------------------------------------------------
 
-def interior_psh_oracle(rho, wgrad, mixed, eta, slack_rel=1e-9):
+def interior_psh_oracle(rho, wgrad, mixed, eta, slack_rel):
     """Positive-semidefiniteness of the complex Hessian of -(-rho)^eta.
 
     rho (B,), wgrad (B, n) and mixed (B, n, n) are the candidate defining
@@ -302,9 +303,6 @@ def rho_terms(delta: WirtingerJet, diffs):
 # ---------------------------------------------------------------------------
 # index estimation
 # ---------------------------------------------------------------------------
-
-DEFAULT_ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
-
 
 def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
     """Deterministic box-constrained coordinate descent with golden-section
@@ -439,15 +437,15 @@ def curve_geometry(domain: DomainSpec,
                          Dt=dgt + dgj)
 
 
-def real_curve_certify(geometry: CurveGeometry, eta, slack=None):
+def real_curve_certify(geometry: CurveGeometry, eta, slack):
     """Certificate for a one-real-dimensional degenerate set, from its
     curve_geometry.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
     g(nabla_nu nu, J dt), and second transversal derivative b = -2 C_eta - 1
     where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
-    evaluates the certificate inequality at every curve sample.  slack
-    defaults to 1e-8.  Returns {eta, slack, case (the geometry's),
+    evaluates the certificate inequality at every curve sample.  A slack of
+    None stands for 1e-8.  Returns {eta, slack, case (the geometry's),
     C_eta, b, maxLHS (the largest left-hand side over the samples),
     certified (maxLHS <= slack)}.
     """

@@ -7,13 +7,15 @@ DfIndexError, exit code 1 and an error.json under --out.  Reports are
 deterministic JSON (sorted keys, 12-significant-digit floats, config hash
 embedded); grids go to CSV next to the report.
 
-_DEFAULTS is the one list of settings: each key is a config-file key and a
---key flag (with - for _), read as text and converted to its default's
-type by RunConfig.validate.  _COMMANDS is the one list of commands, one
-per pipeline stage: the Levi scan (sigma), the 1-form on a chart (theta),
-its periods (period) and potential (potential), the certificate at one
-eta (certify, whose report carries the real-curve certificate where Sigma
-is a curve) and over a grid (estimate), and the zoo's entries.
+_DEFAULTS is the one home of every setting's default (only pipelines.Run's
+fields repeat some, for runs built outside the CLI): each key is a
+config-file key and a --key flag (with - for _), read as text and
+converted to its default's type by RunConfig.validate.  _COMMANDS is the
+one list of commands, one per pipeline stage: the Levi scan (sigma), the
+1-form on a chart (theta), its periods (period) and potential
+(potential), the certificate at one eta (certify, whose report carries the
+real-curve certificate where Sigma is a curve) and over a grid (estimate),
+and the zoo's entries; all but theta and zoo read their stages from a Run.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
-from .levi import detect_sigma, mesh_pitch
-from .pipelines import Run, periods_for, potential_for
+from .levi import mesh_pitch
+from .pipelines import Run, potential_for
 from .sigma import OneFormSample
 from .util import canonical_json, config_hash
 
@@ -60,11 +62,11 @@ class RunConfig:
     values: dict = field(default_factory=lambda: dict(_DEFAULTS))
 
     @staticmethod
-    def load(path=None, overrides=None):
+    def load(path, overrides):
         return RunConfig.read(path, overrides).validate()
 
     @staticmethod
-    def read(path=None, overrides=None):
+    def read(path, overrides):
         """Defaults, then the config file, then the non-None overrides;
         values stay as given until validate()."""
         cfg = RunConfig()
@@ -81,7 +83,7 @@ class RunConfig:
                         cfg.values[k] = v
             except OSError as exc:
                 raise ConfigInvalid(f"cannot read config: {exc}")
-        for k, v in (overrides or {}).items():
+        for k, v in overrides.items():
             if v is not None:
                 cfg.values[k] = v
         return cfg
@@ -139,7 +141,7 @@ def make_entry(cfg: RunConfig) -> zoo.ZooEntry:
     return zoo.REGISTRY[name](cfg.values)
 
 
-def emit_report(results: dict, cfg: RunConfig, name="report"):
+def emit_report(results: dict, cfg: RunConfig, name):
     """Deterministic JSON report; IoFailure on unwritable paths."""
     out = cfg.values["out"]
     try:
@@ -178,11 +180,17 @@ def _cmd_zoo_describe(cfg):
     return 0, {"describe": make_entry(cfg).describe()}
 
 
+def _run(cfg):
+    return Run(make_entry(cfg), mesh_count=cfg.values["mesh"],
+               seed=cfg.values["seed"], oracle_count=cfg.values["interior"],
+               slack=cfg.opt("slack"), oracle_slack=cfg.values["oracle_slack"],
+               threshold=cfg.opt("threshold"))
+
+
 def _cmd_sigma(cfg):
     """Levi scan: Sigma, its Levi values and the mesh pitch"""
-    entry = make_entry(cfg)
-    mesh = entry.boundary_mesh(cfg.values["mesh"], cfg.values["seed"])
-    sigma = detect_sigma(entry.domain, mesh, threshold=cfg.opt("threshold"))
+    run = _run(cfg)
+    entry, mesh, sigma = run.entry, run.mesh, run.sigma
     res = {"domain": entry.id, "meshPoints": int(mesh.shape[0]),
            "sigmaSize": sigma.size, "threshold": sigma.threshold,
            "leviScale": sigma.levi_scale, "meshPitch": mesh_pitch(mesh),
@@ -214,10 +222,10 @@ def _cmd_theta(cfg):
 
 def _cmd_period(cfg):
     """periods of theta around the generator loops (--loop)"""
-    entry = make_entry(cfg)
-    verdict = periods_for(entry)
+    run = _run(cfg)
+    verdict = run.verdict
     values = dict(zip(verdict["generators"], verdict["periods"]))
-    res = {"domain": entry.id, "verdict": verdict, "periods": values}
+    res = {"domain": run.entry.id, "verdict": verdict, "periods": values}
     if cfg.values["loop"]:
         name = cfg.values["loop"]
         if name not in values:
@@ -228,9 +236,9 @@ def _cmd_period(cfg):
 
 def _cmd_potential(cfg):
     """the potential phi of an exact theta, with a CSV"""
-    entry = make_entry(cfg)
-    phi = potential_for(entry, periods_for(entry),
-                        res=max(9, cfg.values["res"] // 2))
+    run = _run(cfg)
+    entry = run.entry
+    phi = potential_for(entry, run.verdict, max(9, cfg.values["res"] // 2))
     res = {"domain": entry.id,
            "gradientResidual": float(phi.gradient_residual),
            # largest lattice-cycle residual
@@ -239,13 +247,6 @@ def _cmd_potential(cfg):
                                   for l in phi.leaves)),
            "csv": _write_csv(phi, cfg, f"potential_{entry.id}.csv")}
     return 0, res
-
-
-def _run(cfg):
-    return Run(make_entry(cfg), mesh_count=cfg.values["mesh"],
-               seed=cfg.values["seed"], oracle_count=cfg.values["interior"],
-               slack=cfg.opt("slack"), oracle_slack=cfg.values["oracle_slack"],
-               threshold=cfg.opt("threshold"))
 
 
 def _cmd_certify(cfg):

@@ -58,7 +58,7 @@ class PathInSigma:
         self.params = np.atleast_2d(np.asarray(self.params, dtype=float))
 
     def validate(self, chart: SigmaChart):
-        inside = chart.contains(self.params, pad=1e-9)
+        inside = chart.contains(self.params)
         if not np.all(inside):
             raise ChartGap(
                 f"{int((~inside).sum())} path vertex(es) outside the chart")
@@ -137,7 +137,7 @@ def classify(periods, tol):
 class _PolyModel:
     """Least-squares tensor polynomial on normalized chart parameters."""
 
-    def __init__(self, lo, hi, degree=6):
+    def __init__(self, lo, hi, degree):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.degree = degree
@@ -194,8 +194,9 @@ class PotentialField:
     gradient_residual: float
     labels: np.ndarray | None = None   # leaf labels when foliated
 
-    def eval(self, U, t=None):
-        """phi at chart parameters U (with leaf labels t when foliated).
+    def eval(self, U, t):
+        """phi at chart parameters U, with leaf labels t when foliated (None
+        otherwise).
 
         Each point blends the two leaves whose labels bracket t (mod 2 pi)
         with the C3 step of the label fraction, so phi and its first three
@@ -249,7 +250,7 @@ def _lattice_edges(shape):
 PATH_TOL = 1e-6
 
 
-def build_potential(sources, basepoint, verdict, res=17) -> PotentialField:
+def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     """Reconstruct the potential by spanning-tree path integration.
 
     sources: a FormSource or a list of them (foliation leaves).  The period

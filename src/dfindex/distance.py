@@ -3,16 +3,18 @@ normal field.
 
 The signed distance delta is negative inside the domain, and its jets mean
 something only where each point's foot is its nearest boundary point.
-foot_points is the one projection route: it slides several seeds per point
-along the boundary, polishes the promising ones with damped Newton on the
-constrained nearest-point system and keeps the nearest converged foot,
-raising AmbiguousFoot when two nearest feet disagree.  delta-jets to order
-3 come from the classical closed form of the distance's derivatives in terms
-of the defining function's jet at the foot (Gilbarg-Trudinger section 14.6;
-Krantz-Parks, Distance to C^k hypersurfaces), exact to machine precision.
-boundary_jet takes points already on the boundary as their own feet and
-projects none; verified_feet checks that a constructed foot is the nearest
-one, and _jet_at_feet builds the jets at such feet.  Boundary data is the
+_nearest_feet is the one projection route: it slides several seeds per
+point along the boundary, polishes the promising ones with damped Newton
+on the constrained nearest-point system and keeps the nearest converged
+foot.  Runs reach it through verified_feet, which checks that a
+constructed foot is the nearest one; foot_points, its raising form
+(AmbiguousFoot, NoConvergence), is the tests' reference projection.
+delta-jets to order 3 come from the classical closed form of the
+distance's derivatives in terms of the defining function's jet at the foot
+(Gilbarg-Trudinger section 14.6; Krantz-Parks, Distance to C^k
+hypersurfaces), exact to machine precision.  boundary_jet takes points
+already on the boundary as their own feet and projects none, and
+_jet_at_feet builds the jets at verified feet.  Boundary data is the
 delta-jet alone: normal_n forms the normal field N from it where a caller
 needs N.
 """
@@ -35,11 +37,12 @@ _FOCAL_FLOOR = 1e-8
 # of the way to the focal point, so that |Hess delta| <= 4 |W| and the psi
 # stencils' Taylor model of the foot map stays within about 5 steps
 _MESH_FOCAL_MARGIN = 0.25
+_CHUNK = 16384               # points per batch of _nearest_feet
 
 
-def _chunks(B, size=16384):
-    for s in range(0, B, size):
-        yield slice(s, min(s + size, B))
+def _chunks(B):
+    for s in range(0, B, _CHUNK):
+        yield slice(s, min(s + _CHUNK, B))
 
 
 def _clip_box(domain, p):
@@ -294,7 +297,7 @@ def _focal_frame(domain: DomainSpec, feet, d, order):
     return rj, gn, n, P, W, M, np.linalg.eigvalsh(M)[:, 0]
 
 
-def boundary_jet(domain: DomainSpec, P, order=2) -> WirtingerJet:
+def boundary_jet(domain: DomainSpec, P, order) -> WirtingerJet:
     """Jets of the signed distance at boundary points P, their own feet
     (delta = 0, grad delta = n, Hess delta = W).  Raises StencilLeak unless
     |rho(P)| <= _KKT_REQUIRED * scale, as for a projection's feet."""

@@ -188,18 +188,18 @@ def jcos(x):
     return x.chain(c, -s, -c, s)
 
 
-def jhinge_pow(x, k=4, scale=1.0):
-    """scale * max(x, 0)**k with one-sided derivatives; C3 for k >= 4."""
+def jhinge_pow(x, k):
+    """max(x, 0)**k with one-sided derivatives; C3 for k >= 4."""
     if not isinstance(x, Jet):
         v = np.asarray(x, dtype=float)
-        return scale * np.where(v > 0.0, v, 0.0) ** k
+        return np.where(v > 0.0, v, 0.0) ** k
     v = x.v
     m = (v > 0.0).astype(float)
     vp = np.where(v > 0.0, v, 0.0)
-    d0 = scale * m * vp ** k
-    d1 = scale * m * k * vp ** (k - 1)
-    d2 = scale * m * k * (k - 1) * vp ** (k - 2)
-    d3 = scale * m * k * (k - 1) * (k - 2) * vp ** (k - 3)
+    d0 = m * vp ** k
+    d1 = m * k * vp ** (k - 1)
+    d2 = m * k * (k - 1) * vp ** (k - 2)
+    d3 = m * k * (k - 1) * (k - 2) * vp ** (k - 3)
     return x.chain(d0, d1, d2, d3)
 
 

@@ -72,7 +72,7 @@ def mesh_pitch(P):
     return float(median(d.min(axis=1)))
 
 
-def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
+def detect_sigma(domain: DomainSpec, mesh, threshold) -> SigmaPointSet:
     """All mesh points whose Levi value is below the threshold, with their
     tangent directions, which are the null directions there.
 
@@ -83,8 +83,8 @@ def detect_sigma(domain: DomainSpec, mesh, threshold=None) -> SigmaPointSet:
     value is below -threshold and below -LEVI_NOISE x the point's largest
     |complex Hessian entry|, so that rounding at points where delta's
     Hessian is large (the worm's inner rim at large beta) does not count as
-    negative.  Default threshold: 1e-6 x levi_scale, the median Levi value
-    above the noise floor LEVI_NOISE x max |Levi value|, so that
+    negative.  A threshold of None stands for 1e-6 x levi_scale, the median
+    Levi value above the noise floor LEVI_NOISE x max |Levi value|, so that
     rounding-level values on Sigma do not count as positive.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))

@@ -1,5 +1,8 @@
-"""Domain-level pipelines wiring the zoo fixtures through the analysis
-modules; the CLI and the acceptance suite both drive these."""
+"""The pipeline over a zoo entry: Run holds its stages, each computed in
+one place and at most once -- the boundary mesh, the Sigma scan on it, the
+period verdict of the generator loops, the collar potential and the
+criterion and oracle data -- and certify and estimate build their reports
+over them.  Every CLI command that runs a stage reads it from Run."""
 
 from __future__ import annotations
 
@@ -8,9 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import (DEFAULT_ETA_GRID, NO_TERMS, CriterionEvaluator,
-                      CurveTerms, Psi, combine, coordinate_descent,
-                      curve_geometry, interior_psh_oracle, oracle_stencils,
+from .certify import (NO_TERMS, CriterionEvaluator, CurveTerms, Psi,
+                      combine, coordinate_descent, curve_geometry,
+                      interior_psh_oracle, oracle_stencils,
                       real_curve_certify, rho_terms)
 from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
@@ -25,32 +28,11 @@ from .zoo import ZooEntry
 ORACLE_DEPTH = (0.04, 0.12)
 # box |c_i| <= FAMILY_BOX of the family search's basis coefficients
 FAMILY_BOX = 1.0
+# nodes per chart axis of the potential lattice behind the collar psi
+COLLAR_RES = 9
 
 
-def sigma_scan(entry: ZooEntry, mesh_count=2000, seed=0, threshold=None):
-    mesh = entry.boundary_mesh(mesh_count, seed)
-    return detect_sigma(entry.domain, mesh, threshold=threshold)
-
-
-def periods_for(entry: ZooEntry):
-    """The period verdict of the generator loops (classify's), exact below
-    exactness_tolerance of the loops' largest |theta| and chart span."""
-    values = {}
-    max_theta = 0.0
-    diam = 0.0
-    for name, (chart_name, params, closed) in entry.loops.items():
-        chart = entry.charts[chart_name]
-        src = ThetaSource(chart)
-        loop = PathInSigma(params, closed=closed)
-        values[name] = period(src, loop)
-        comps = src.components(params)
-        max_theta = max(max_theta, float(np.max(np.abs(comps))))
-        diam = max(diam, float(np.max(chart.hi - chart.lo)))
-    tol = exactness_tolerance(max_theta, max(diam, 1.0))
-    return classify(values, tol)
-
-
-def potential_for(entry: ZooEntry, verdict, res=9):
+def potential_for(entry: ZooEntry, verdict, res):
     """Potential field over the entry's charts (foliations: all leaves) for
     the entry's period verdict."""
     charts = [c for c in entry.charts.values() if c.kind == "complex"]
@@ -76,12 +58,14 @@ def _family_surface(U, t):
 class Run:
     """One pipeline run on a zoo entry at fixed sizes and seed.
 
-    The eta-independent stages (Sigma scan, period verdict, collar
-    potential, criterion data, interior mesh with its delta-jet and psi
-    stencils, the psi terms objects) are built on first use and at most
-    once, and each stencil differences each terms object once; certify and
-    estimate build their reports over them, combining the cached columns
-    with each psi's coefficients.
+    The stages are the boundary mesh (mesh), the Sigma scan on it (sigma),
+    the period verdict of the generator loops (verdict), the collar
+    potential (collar_psi), the criterion data (evaluator), the interior
+    mesh with its delta-jet and psi stencils, and the psi terms objects.
+    Each is eta-independent, built on first use and at most once, and each
+    stencil differences each terms object once; certify and estimate build
+    their reports over them, combining the cached columns with each psi's
+    coefficients.
     """
 
     entry: ZooEntry
@@ -93,15 +77,32 @@ class Run:
     threshold: float | None = None
 
     @cached_property
+    def mesh(self):
+        """The boundary mesh: mesh_count points drawn with seed."""
+        return self.entry.boundary_mesh(self.mesh_count, self.seed)
+
+    @cached_property
     def sigma(self):
-        return sigma_scan(self.entry, self.mesh_count, self.seed,
-                          threshold=self.threshold)
+        """The Levi scan of the mesh (detect_sigma at threshold)."""
+        return detect_sigma(self.entry.domain, self.mesh, self.threshold)
 
     @cached_property
     def verdict(self):
-        """Period verdict of the generator loops (exact when there are
-        none)."""
-        return periods_for(self.entry)
+        """The period verdict of the generator loops (classify's; exact when
+        there are none), exact below exactness_tolerance of the loops'
+        largest |theta| and chart span."""
+        values = {}
+        max_theta = 0.0
+        diam = 0.0
+        for name, (chart_name, params, closed) in self.entry.loops.items():
+            chart = self.entry.charts[chart_name]
+            src = ThetaSource(chart)
+            values[name] = period(src, PathInSigma(params, closed=closed))
+            max_theta = max(max_theta,
+                            float(np.max(np.abs(src.components(params)))))
+            diam = max(diam, float(np.max(chart.hi - chart.lo)))
+        return classify(values, exactness_tolerance(max_theta,
+                                                    max(diam, 1.0)))
 
     @cached_property
     def collar_psi(self):
@@ -110,8 +111,8 @@ class Run:
         e = self.entry
         if e.loops and self.verdict["classification"] == "Exact" \
                 and e.sigma_coords is not None:
-            return Psi(collar_terms(e.domain, potential_for(e, self.verdict),
-                                    e.sigma_coords), (1.0,))
+            phi = potential_for(e, self.verdict, COLLAR_RES)
+            return Psi(collar_terms(e.domain, phi, e.sigma_coords), (1.0,))
         return None
 
     @cached_property
@@ -225,7 +226,7 @@ class Run:
                                 and out["oracle"]["certified"])
         return out
 
-    def estimate(self, eta_grid=DEFAULT_ETA_GRID):
+    def estimate(self, eta_grid):
         """Largest eta on the grid certified by both the boundary check and
         the interior oracle.  Per eta, psi candidates are tried in order
         (collar potential, zero, family search), and the oracle runs on each

@@ -21,6 +21,10 @@ from .distance import boundary_jet, normal_n
 from .errors import ChartMismatch
 from .jets import DomainSpec, WirtingerJet
 
+# how far outside its box, besides 1e-12 of its largest side, a chart
+# still contains parameters
+CHART_PAD = 1e-9
+
 
 @dataclass
 class SigmaChart:
@@ -44,9 +48,9 @@ class SigmaChart:
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
 
-    def contains(self, U, pad=1e-12):
+    def contains(self, U):
         U = np.atleast_2d(U)
-        tol = pad + 1e-12 * float(np.max(self.hi - self.lo))
+        tol = CHART_PAD + 1e-12 * float(np.max(self.hi - self.lo))
         return np.all((U >= self.lo - tol) & (U <= self.hi + tol), axis=1)
 
     def grid(self, res):
@@ -131,16 +135,14 @@ def real_one_form_at(chart: SigmaChart, u):
 # closedness residual
 # ---------------------------------------------------------------------------
 
-def dtheta_residual(chart: SigmaChart, u, h, components=None):
+def dtheta_residual(chart: SigmaChart, u, h):
     """|circulation|/area of the 1-form around the grid cell of side h at
     corner u of a complex chart; second-order proxy for |d theta|."""
     U = np.atleast_2d(np.asarray(u, dtype=float))
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
     corners = [U, U + ex, U + ex + ey, U + ey]
-    comp_fn = components if components is not None \
-        else (lambda V: theta_components(chart, V))
-    vals = [comp_fn(np.atleast_2d(c)) for c in corners]
+    vals = [theta_components(chart, np.atleast_2d(c)) for c in corners]
     circ = 0.0
     edges = [(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1)]
     signs = [1.0, 1.0, -1.0, -1.0]

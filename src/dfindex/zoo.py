@@ -77,7 +77,7 @@ def _inward_mesh(dom, P, seed, depth):
 def _interior_mesh_of(dom, boundary_mesh):
     """An entry's interior_mesh: (points, feet) of _inward_mesh from the
     entry's boundary mesh."""
-    def interior_mesh(count, seed=0, depth=(0.04, 0.12)):
+    def interior_mesh(count, seed, depth):
         mesh = _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
         # contiguous copies of the stack's strided halves
         return mesh[:, 0].copy(), mesh[:, 1].copy()
@@ -109,7 +109,7 @@ def _uniform_disc(rng, count, radius):
 # ball
 # ---------------------------------------------------------------------------
 
-def make_ball(radius=1.0) -> ZooEntry:
+def make_ball(radius) -> ZooEntry:
     """Strongly pseudoconvex baseline: rho = |z|^2 - r^2, empty Sigma."""
     if not radius > 0:
         raise ConfigInvalid(f"need radius > 0, got {radius}")
@@ -124,13 +124,13 @@ def make_ball(radius=1.0) -> ZooEntry:
                      box_hi=lim * np.ones(4), name="ball",
                      meta={"radius": radius})
 
-    def boundary_mesh(count, seed=0):
+    def boundary_mesh(count, seed):
         rng = rng_for(seed)
         v = rng.normal(size=(count, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return radius * v
 
-    def interior_mesh(count, seed=0, depth=(0.05, 0.5)):
+    def interior_mesh(count, seed, depth):
         """(points, feet): the feet are radius v, nearest for every depth
         below radius."""
         rng = rng_for(seed)
@@ -150,7 +150,7 @@ def make_ball(radius=1.0) -> ZooEntry:
 # fattened bidisc
 # ---------------------------------------------------------------------------
 
-def make_fattened_bidisc(r=0.7) -> ZooEntry:
+def make_fattened_bidisc(r) -> ZooEntry:
     """rho = |z2|^2 - 1 + chi(|z1|^2 - r^2) with the C3 quartic hinge
     chi(s) = max(s, 0)^4.
 
@@ -170,15 +170,11 @@ def make_fattened_bidisc(r=0.7) -> ZooEntry:
     dom = DomainSpec(rho=rho, box_lo=-lim * np.ones(4),
                      box_hi=lim * np.ones(4), name="bidisc",
                      meta={"r": r, "M": 1.0, "R_max": R_max})
-    # the C3 hinge crease at |z1| = r limits finite-difference accuracy in a
-    # stencil-wide band; cross-check tests sample away from it
-    dom.meta["crease_guard"] = lambda P, margin=0.05: (
-        np.abs(np.hypot(P[:, 0], P[:, 1]) - r) > margin)
 
     tube_min = 0.35
     R_mesh = float(np.sqrt(r * r + (1.0 - tube_min ** 2) ** 0.25))
 
-    def boundary_mesh(count, seed=0):
+    def boundary_mesh(count, seed):
         rng = rng_for(seed)
         x1, y1 = _uniform_disc(rng, count, R_mesh)
         s = x1 * x1 + y1 * y1 - r * r
@@ -240,7 +236,7 @@ def make_fattened_bidisc(r=0.7) -> ZooEntry:
 # worm
 # ---------------------------------------------------------------------------
 
-def make_worm(beta=np.pi) -> ZooEntry:
+def make_worm(beta) -> ZooEntry:
     """rho = |z1 + e^{i log|z2|^2}|^2 - 1 + s(log|z2|^2).
 
     s(u) = max(|u| - a, 0)^4 is the even C3 quartic-hinge profile
@@ -268,19 +264,13 @@ def make_worm(beta=np.pi) -> ZooEntry:
         box_hi=np.array([lim1, lim1, 1.1 * r_hi, 1.1 * r_hi]),
         name="worm",
         meta={"beta": beta, "a": a, "M": 1.0, "u_star": u_star})
-    dom.meta["crease_guard"] = lambda P, margin=0.05: (
-        np.abs(np.abs(np.log(np.maximum(P[:, 2] ** 2 + P[:, 3] ** 2, 1e-12)))
-               - a) > margin)
-    # random-probe guard: keep |z2| clear of the log singularity, where
-    # derivative growth outruns fixed-step finite differences
-    dom.meta["sample_guard"] = lambda P: (np.hypot(P[:, 2], P[:, 3]) > 0.4)
 
     # keep meshes where the signed distance stays smooth within jet stencils:
     # past a + 0.45 the closing caps put the cut locus inside stencil reach
     tube_min = 0.35
     u_cap = min(a + (1.0 - tube_min ** 2) ** 0.25, a + 0.2)
 
-    def boundary_mesh(count, seed=0):
+    def boundary_mesh(count, seed):
         rng = rng_for(seed)
         k = int(count * SIGMA_FRACTION)
         u = rng.uniform(-u_cap, u_cap, count)
@@ -374,7 +364,7 @@ def make_quartic_circle() -> ZooEntry:
     dom = DomainSpec(rho=rho, box_lo=-1.6 * np.ones(4),
                      box_hi=1.6 * np.ones(4), name="quartic")
 
-    def boundary_mesh(count, seed=0):
+    def boundary_mesh(count, seed):
         rng = rng_for(seed)
         s = np.sqrt(rng.uniform(0, 1, count)) * 0.97
         s[:int(count * SIGMA_FRACTION)] = 0.0

@@ -54,23 +54,39 @@ def zoo_entries(ball, bidisc, worm, quartic):
     return [ball, bidisc, worm, quartic]
 
 
+# entry id -> mask of the points P away from the C3 hinge crease (the
+# bidisc's |z1| = r, the worm's |log|z2|^2| = a), which limits
+# finite-difference accuracy in a stencil-wide band; cross-check tests
+# sample away from it
+CREASE_GUARDS = {
+    "bidisc": lambda dom, P: (
+        np.abs(np.hypot(P[:, 0], P[:, 1]) - dom.meta["r"]) > 0.05),
+    "worm": lambda dom, P: (
+        np.abs(np.abs(np.log(np.maximum(P[:, 2] ** 2 + P[:, 3] ** 2, 1e-12)))
+               - dom.meta["a"]) > 0.05),
+}
+# entry id -> random-probe guard: keep the worm's |z2| clear of the log
+# singularity, where derivative growth outruns fixed-step finite differences
+SAMPLE_GUARDS = {"worm": lambda dom, P: np.hypot(P[:, 2], P[:, 3]) > 0.4}
+
+
 def sample_box_points(entry, count, seed, margin=0.0, avoid_crease=False):
     """Uniform random points in the bounding box, honoring the entry's
     sample guard (regions where the evaluator is smooth) and optionally the
     crease guard (C3 hinge loci where FD Richardson degrades)."""
     dom = entry.domain
     rng = np.random.default_rng(seed)
-    guard = dom.meta.get("sample_guard")
-    crease = dom.meta.get("crease_guard") if avoid_crease else None
+    guard = SAMPLE_GUARDS.get(entry.id)
+    crease = CREASE_GUARDS.get(entry.id) if avoid_crease else None
     out = []
     need = count
     while need > 0:
         P = rng.uniform(dom.box_lo + margin, dom.box_hi - margin,
                         size=(2 * need, len(dom.box_lo)))
         if guard is not None:
-            P = P[guard(P)]
+            P = P[guard(dom, P)]
         if crease is not None:
-            P = P[crease(P)]
+            P = P[crease(dom, P)]
         out.append(P[:need])
         need -= len(P[:need])
     return np.concatenate(out, axis=0)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
-from dfindex.certify import PsiStencil, combine
+from dfindex.certify import FD_STEP, PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
                               signed_distance_from_feet)
@@ -806,7 +806,8 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
     nrm = np.sqrt(np.einsum("kj,kj->k", Ls, np.conj(Ls)).real)
     Ls = Ls / nrm[:, None]
     h = h / nrm
-    stencil = PsiStencil(domain, feet, delta_jet(domain, feet, order=3))
+    stencil = PsiStencil(domain, feet, delta_jet(domain, feet, order=3), (),
+                         FD_STEP)
 
     # Simpson weights over the sub-box
     wts = np.ones(shape[0])

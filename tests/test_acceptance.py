@@ -27,7 +27,7 @@ from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
                                 classify, period)
 from dfindex.distance import boundary_jet
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import Run, periods_for, sigma_scan
+from dfindex.pipelines import Run, potential_for
 from dfindex.sigma import dtheta_residual, h_field
 from references import (BoundaryBatch, HFieldSource, HypothesisFail,
                         ball_delta_jet, boundary_batch, boundary_point,
@@ -47,7 +47,7 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def bidisc_package(bidisc):
     """Shared bidisc pipeline artifacts: sigma set, verdict, psi = -2 phi."""
-    sigma = sigma_scan(bidisc, 3000, seed=0)
+    sigma = Run(bidisc, mesh_count=3000).sigma
     run = Run(bidisc)
     psi, provenance = run.default_psi
     return {"sigma": sigma, "psi": psi, "verdict": run.verdict,
@@ -93,7 +93,7 @@ def test_criterion_2_ball_certification(ball):
     cert = Run(ball, mesh_count=2000, oracle_count=800).estimate(
         (0.5, 0.75, 0.9, 0.95, 0.99))
     assert cert["bound"] >= 0.99
-    mesh, _ = ball.interior_mesh(MESH_N, seed=102)
+    mesh, _ = ball.interior_mesh(MESH_N, seed=102, depth=(0.05, 0.5))
     jet = ball.domain.jet(mesh, order=2)
     orep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                                slack_rel=1e-10)
@@ -151,7 +151,8 @@ def test_criterion_3_identity_suites(worm, bidisc):
     # degenerate cross-term residual at every detected Sigma point
     worst = 0.0
     for entry in (worm, bidisc):
-        sig = detect_sigma(entry.domain, entry.boundary_mesh(1500, seed=103))
+        sig = detect_sigma(entry.domain, entry.boundary_mesh(1500, seed=103),
+                           None)
         members = BoundaryBatch(entry.domain, sig.points,
                                 boundary_jet(entry.domain, sig.points, 2))
         for i in range(0, sig.size, max(sig.size // 40, 1)):
@@ -185,10 +186,10 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     assert phi0.path_disagreement < 1e-6
 
     # domain potential: every lattice cycle closes, and the certification
-    from dfindex.pipelines import potential_for
-    phi = potential_for(bidisc, verdict)
+    phi = potential_for(bidisc, verdict, 9)
     assert phi.path_disagreement < 1e-6
-    rep = CriterionEvaluator(bidisc.domain, sigma).report(psi, 0.99)
+    rep = CriterionEvaluator(bidisc.domain, sigma).report(psi, 0.99, None,
+                                                          "")
     assert rep["certified"]
     assert rep["maxLHS"] <= 1e-4
     report(4, f"synthetic recovery err {rec_err:.1e} (tol 1e-6); "
@@ -204,7 +205,7 @@ def test_criterion_5_obstruction_detection(worm, tmp_path):
     frozen = worm.notes["core_period"]      # derived ahead of the build
     assert abs(per - frozen) <= 0.01 * abs(frozen)
     assert abs(per) > 1e-3
-    assert periods_for(worm)["classification"] == "Obstructed"
+    assert Run(worm).verdict["classification"] == "Obstructed"
     code = cli_main(["certify", "--domain", "worm", "--eta", "0.99",
                      "--mesh", "900", "--interior", "250",
                      "--out", str(tmp_path)])
@@ -250,7 +251,7 @@ def test_criterion_7_residual_sequence(bidisc, bidisc_package):
 def test_criterion_8_real_curve_certificate(quartic_curve):
     details = []
     for eta in (0.5, 0.99):
-        rep = real_curve_certify(quartic_curve, eta)
+        rep = real_curve_certify(quartic_curve, eta, None)
         assert rep["certified"]
         assert rep["maxLHS"] <= -rep["C_eta"] + rep["slack"]
         details.append(f"eta={eta}: max LHS {rep['maxLHS']:.3f} <= "
@@ -266,7 +267,7 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     certified = []
     certified.append(("ball", 0.99, ZERO_PSI, ball))
     certified.append(("bidisc", 0.99, bidisc_package["psi"], bidisc))
-    crep = real_curve_certify(quartic_curve, 0.99)
+    crep = real_curve_certify(quartic_curve, 0.99, None)
     assert crep["certified"]
     certified.append(("quartic", 0.99,
                       Psi(CurveTerms(quartic.domain,
@@ -277,8 +278,9 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     d0s = {}
     for name, eta, psi, entry in certified:
         if name != "quartic":
-            sig = sigma_scan(entry, 1000, seed=104)
-            rep = CriterionEvaluator(entry.domain, sig).report(psi, eta)
+            sig = Run(entry, mesh_count=1000, seed=104).sigma
+            rep = CriterionEvaluator(entry.domain, sig).report(psi, eta,
+                                                               None, "")
             assert rep["certified"], name
         band_ok = []
         for band in bands:

@@ -1,12 +1,16 @@
 """The benchmark's committed verdicts, checked in-process: each workload's
 CLI command on its input sets, judged by perfbench/verdict.py against
-perfbench/reference.json (both read only)."""
+perfbench/reference.json (both read only); and each workload's set-up
+through perfbench/worker.py, in a fresh interpreter."""
 
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,3 +39,18 @@ def test_report_matches_reference_verdict(tmp_path, workload, seed):
     ref = REFERENCE[workload]
     assert verdict.check(report, ref["sets"][str(seed)],
                          ref["tolerance"]) == []
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_worker_setup_runs(tmp_path, workload):
+    # the worker's set-up is the one caller outside the tests of
+    # RunConfig.load and make_entry
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload",
+         workload, "--seed", "0", "--out", str(tmp_path), "--t0", repr(t0),
+         "--setup-only"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"] > 0

@@ -8,29 +8,34 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ZERO_PSI, oracle_terms, psi_at_feet, shifted
-from dfindex.certify import (DEFAULT_ETA_GRID, CriterionEvaluator,
-                             CurveTerms, Psi, coordinate_descent,
-                             interior_psh_oracle, oracle_stencils,
-                             real_curve_certify)
+from dfindex.certify import (CriterionEvaluator, CurveTerms, Psi,
+                             coordinate_descent, interior_psh_oracle,
+                             oracle_stencils, real_curve_certify)
 from dfindex import certify, cohomology, distance, pipelines, zoo
 from dfindex.cohomology import ChartTerms, collar_terms
 from dfindex.errors import MeshOutside, NotACurve, StencilLeak
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run, sigma_scan
+from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run
 from dfindex.sigma import theta_components
+from dfindex.util import complex_pack, complex_unpack
 from references import (HypothesisFail, caccioppoli_check, delta_jet,
                         numeric_jet, residual_sequence, signed_distance,
                         third_directional)
 
+# the CLI's default eta_grid
+ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
+# the depth band, in units of the radius, of the ball's coarse interior mesh
+BALL_DEPTH = (0.05, 0.5)
+
 
 @pytest.fixture(scope="module")
 def worm_sigma(worm):
-    return sigma_scan(worm, 1500, seed=0)
+    return Run(worm, mesh_count=1500).sigma
 
 
 @pytest.fixture(scope="module")
 def bidisc_sigma(bidisc):
-    return sigma_scan(bidisc, 1500, seed=0)
+    return Run(bidisc, mesh_count=1500).sigma
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +50,23 @@ def bidisc_psi(bidisc):
 # ---------------------------------------------------------------------------
 
 def test_ball_criterion_vacuous(ball):
-    sig = sigma_scan(ball, 500, seed=1)
-    rep = CriterionEvaluator(ball.domain, sig).report(ZERO_PSI, 0.99)
+    sig = Run(ball, mesh_count=500, seed=1).sigma
+    rep = CriterionEvaluator(ball.domain, sig).report(ZERO_PSI, 0.99, None,
+                                                      "")
     assert rep["certified"] and rep["vacuous"]
 
 
 def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
     rep = CriterionEvaluator(bidisc.domain, bidisc_sigma).report(bidisc_psi,
-                                                                 0.99)
+                                                                 0.99, None,
+                                                                 "")
     assert rep["certified"]
     assert rep["maxLHS"] <= 1e-4
 
 
 def test_worm_criterion_rejects_zero_psi(worm, worm_sigma):
-    rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZERO_PSI, 0.9)
+    rep = CriterionEvaluator(worm.domain, worm_sigma).report(ZERO_PSI, 0.9,
+                                                             None, "")
     assert not rep["certified"]
     assert rep["maxLHS"] > 1.0
     # the blow-up coefficient (1/(1-eta)-1) = 9 against |h|^2 = 1/(4 r^2)
@@ -81,7 +89,7 @@ def test_third_term_batched_matches_per_direction_loop(worm, worm_sigma):
                   / np.maximum(np.abs(loop), 1.0)) < 1e-14
     third_imag = float(np.max(np.abs(pure.imag)))
     assert abs(ev.third_imag - third_imag) <= 1e-14
-    rep = ev.report(ZERO_PSI, 0.5)
+    rep = ev.report(ZERO_PSI, 0.5, None, "")
     assert rep["thirdImag"] == ev.third_imag
 
 
@@ -208,7 +216,7 @@ def test_criterion_monotonicity_in_eta(worm, worm_sigma):
 def test_criterion_monotone_certified_downward(bidisc, bidisc_sigma,
                                                bidisc_psi):
     ev = CriterionEvaluator(bidisc.domain, bidisc_sigma)
-    reps = [ev.report(bidisc_psi, eta) for eta in (0.5, 0.9, 0.99)]
+    reps = [ev.report(bidisc_psi, eta, None, "") for eta in (0.5, 0.9, 0.99)]
     assert all(r["certified"] for r in reps)
     assert reps[0]["maxLHS"] <= reps[1]["maxLHS"] <= reps[2]["maxLHS"] + 1e-12
 
@@ -223,7 +231,7 @@ def oracle(domain, mesh, psi, eta, slack_rel=1e-6):
 
 
 def test_ball_oracle_with_algebraic_override(ball):
-    mesh, _ = ball.interior_mesh(10000, seed=2)
+    mesh, _ = ball.interior_mesh(10000, seed=2, depth=BALL_DEPTH)
     jet = ball.domain.jet(mesh, order=2)
     rep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                               slack_rel=1e-10)
@@ -232,16 +240,18 @@ def test_ball_oracle_with_algebraic_override(ball):
 
 
 def test_ball_oracle_distance_route(ball):
-    # the ball's default depths reach 0.5, past its 0.22 collar, where the
-    # signed distance has no jet; ORACLE_DEPTH ends inside every collar
+    # BALL_DEPTH reaches 0.5, past the ball's 0.22 collar, where the signed
+    # distance has no jet; ORACLE_DEPTH ends inside every collar
     with pytest.raises(StencilLeak):
-        oracle_terms(ball.domain, ball.interior_mesh(800, seed=3), ZERO_PSI)
+        oracle_terms(ball.domain,
+                     ball.interior_mesh(800, seed=3, depth=BALL_DEPTH),
+                     ZERO_PSI)
     mesh = ball.interior_mesh(800, seed=3, depth=ORACLE_DEPTH)
     assert oracle(ball.domain, mesh, ZERO_PSI, 0.99)["certified"]
 
 
 def test_worm_oracle_negative_at_high_eta(worm):
-    mesh = worm.interior_mesh(600, seed=4)
+    mesh = worm.interior_mesh(600, seed=4, depth=ORACLE_DEPTH)
     rep = oracle(worm.domain, mesh, ZERO_PSI, 0.99)
     assert not rep["certified"]
     assert rep["minEig"] < 0
@@ -294,7 +304,7 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     """(entry, psi) for each foot-constant evaluator kind the oracle sees."""
     collar = Psi(collar_terms(bidisc.domain, bidisc_leaf_field,
                               bidisc.sigma_coords), (1.0,))
-    rep = real_curve_certify(quartic_curve, 0.99)
+    rep = real_curve_certify(quartic_curve, 0.99, None)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
     curve = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
@@ -318,7 +328,7 @@ ORACLE_REF_TOL = {"collar": (5e-5, 2e-5), "curve": (1e-9, 5e-9)}
 @pytest.mark.parametrize("kind", ["collar", "curve"])
 def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     entry, psi = oracle_psis[kind]
-    mesh, feet = entry.interior_mesh(40, seed=7)
+    mesh, feet = entry.interior_mesh(40, seed=7, depth=ORACLE_DEPTH)
     value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), psi)
     ref = _two_projection_jet(entry.domain, psi, mesh)
     # value: psi at z - delta n, which is the projected foot up to
@@ -348,7 +358,8 @@ def test_criterion_and_oracle_ignore_batch_order(worm, worm_sigma,
                   for sig in (worm_sigma, moved)]
     for psi in (ZERO_PSI, worm_family_psi):
         for eta in (0.5, 0.9):
-            want, got = (ev.report(psi, eta)["maxLHS"] for ev in evaluators)
+            want, got = (ev.report(psi, eta, None, "")["maxLHS"]
+                         for ev in evaluators)
             assert got == want
     for entry, psi in oracle_psis.values():
         runs = [Run(entry, oracle_count=60, seed=6) for _ in range(2)]
@@ -359,6 +370,67 @@ def test_criterion_and_oracle_ignore_batch_order(worm, worm_sigma,
             want, got = (run.oracle(eta, psi) for run in runs)
             assert (got["minEig"], got["minScaled"]) == \
                 (want["minEig"], want["minScaled"])
+
+
+def _unitary_image(mesh, U):
+    """(points, feet) of an interior mesh mapped by the 2 x 2 unitary U."""
+    return tuple(complex_unpack(complex_pack(X) @ U.T) for X in mesh)
+
+
+@pytest.fixture(scope="module")
+def ball_oracle_mesh(ball):
+    return ball.interior_mesh(200, 3, depth=ORACLE_DEPTH)
+
+
+@settings(max_examples=20, deadline=None)
+@given(angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 4),
+       eta=st.sampled_from([0.5, 0.99]))
+def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
+                                                  angles, eta):
+    # U(2) maps the ball onto itself and nearest feet onto nearest feet;
+    # minScaled divides by the largest |entry|, which U changes, so the
+    # check is on minEig (relative moves of 1.8e-15 at most measured over
+    # 300 random U, at eta 0.5 and 0.99)
+    t, a, b, phase = angles
+    u, v = np.cos(t) * np.exp(1j * a), np.sin(t) * np.exp(1j * b)
+    U = np.exp(1j * phase) * np.array([[u, -np.conj(v)], [v, np.conj(u)]])
+    want, got = (interior_psh_oracle(
+        *oracle_terms(ball.domain, mesh, ZERO_PSI), eta, 1e-6)
+        for mesh in (ball_oracle_mesh, _unitary_image(ball_oracle_mesh, U)))
+    assert got["certified"] == want["certified"]
+    assert abs(got["minEig"] - want["minEig"]) \
+        <= 1e-12 * abs(want["minEig"])
+
+
+@pytest.fixture(scope="module")
+def quartic_oracle_case(quartic, quartic_curve):
+    """The quartic's interior mesh and the curve psi's terms on it."""
+    return (quartic.interior_mesh(200, 3, depth=ORACLE_DEPTH),
+            CurveTerms(quartic.domain, quartic.charts["curve"],
+                       quartic_curve, quartic.sigma_distance))
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.0, 2 * np.pi), b=st.floats(0.0, 2 * np.pi))
+def test_quartic_oracle_verdict_is_torus_invariant(quartic, quartic_curve,
+                                                   quartic_oracle_case, a,
+                                                   b):
+    # (z1, z2) -> (e^{ia} z1, e^{ib} z2) maps the quartic and its circle
+    # onto themselves; the curve psi's oracle eigenvalues are 0 but for
+    # rounding on the mesh and its image (|minEig| 8.4e-17 and |minScaled|
+    # 1.8e-16 at most measured over 300 random maps)
+    mesh, terms = quartic_oracle_case
+    U = np.diag([np.exp(1j * a), np.exp(1j * b)])
+    for eta in (0.5, 0.99):
+        psi = Psi(terms, (1.0, real_curve_certify(quartic_curve, eta,
+                                                  None)["b"]))
+        want, got = (interior_psh_oracle(
+            *oracle_terms(quartic.domain, m, psi), eta, 1e-6)
+            for m in (mesh, _unitary_image(mesh, U)))
+        assert got["certified"] == want["certified"]
+        for rep in (want, got):
+            assert abs(rep["minEig"]) <= 1e-15
+            assert abs(rep["minScaled"]) <= 1e-15
 
 
 def _counting_projections(monkeypatch):
@@ -378,7 +450,7 @@ def _counting_projections(monkeypatch):
 def test_oracle_projects_each_mesh_point_once(oracle_psis, monkeypatch):
     entry, psi = oracle_psis["collar"]
     rows = _counting_projections(monkeypatch)
-    mesh = entry.interior_mesh(30, seed=8)
+    mesh = entry.interior_mesh(30, seed=8, depth=ORACLE_DEPTH)
     # the mesh's candidates once, to verify their feet
     assert len(rows) == 1 and 30 >= rows[0] >= len(mesh[0])
     value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
@@ -401,7 +473,7 @@ def test_detect_sigma_projects_nothing(worm, monkeypatch):
     # the boundary mesh's points are their own feet
     mesh = worm.boundary_mesh(300, 4)
     rows = _counting_projections(monkeypatch)
-    detect_sigma(worm.domain, mesh)
+    detect_sigma(worm.domain, mesh, None)
     assert rows == []
 
 
@@ -455,7 +527,7 @@ def test_oracle_stencil_feet_stay_near_their_base_foot(worm):
 def test_mesh_outside_raises(ball):
     jet = ball.domain.jet(np.array([[1.5, 0, 0, 0]]), order=2)
     with pytest.raises(MeshOutside):
-        interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.5)
+        interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.5, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +566,9 @@ def test_estimate_builds_one_evaluator(worm, monkeypatch):
 
     monkeypatch.setattr(certify.CriterionEvaluator, "__init__", counting)
     cert = Run(worm, mesh_count=400,
-               oracle_count=20).estimate()
+               oracle_count=20).estimate(ETA_GRID)
     # the family search ran at every eta, on the run's one evaluator
-    assert len(cert["diagnostics"]["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    assert len(cert["diagnostics"]["psiProvenance"]) == len(ETA_GRID)
     assert len(builds) == 1
 
 
@@ -516,8 +588,8 @@ def _counting_chart_terms(monkeypatch):
 def test_estimate_evaluates_family_terms_once(worm, monkeypatch):
     calls = _counting_chart_terms(monkeypatch)
     run = Run(worm, mesh_count=400, oracle_count=20)
-    cert = run.estimate()
-    assert len(cert["diagnostics"]["psiProvenance"]) == len(DEFAULT_ETA_GRID)
+    cert = run.estimate(ETA_GRID)
+    assert len(cert["diagnostics"]["psiProvenance"]) == len(ETA_GRID)
     # the family's 8 basis functions, in one pass on the criterion stencil;
     # the search and the family psi of every eta combine those columns
     assert calls == [len(run.evaluator.stencil.feet)]
@@ -528,7 +600,7 @@ def test_estimate_evaluates_collar_terms_once_per_stencil(bidisc,
                                                           monkeypatch):
     calls = _counting_chart_terms(monkeypatch)
     run = Run(bidisc, 400, seed=3, oracle_count=40)
-    cert = run.estimate()
+    cert = run.estimate(ETA_GRID)
     assert [r["psi"] for r in cert["records"]] == ["collar potential"] * 5
     # once on the criterion stencil and once on each oracle stencil, for
     # the criterion and the oracle at every eta
@@ -551,7 +623,7 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
 
     monkeypatch.setattr(certify.CurveTerms, "terms_at_feet", counting)
     run = Run(quartic, mesh_count=200, oracle_count=100)
-    cert = run.estimate()
+    cert = run.estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 2
     assert sum(calls) == sum(len(st.feet) for st in run.oracle_stencils)
@@ -586,7 +658,7 @@ def test_estimate_builds_interior_mesh_once(quartic, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(quartic, "interior_mesh", counting)
-    cert = Run(quartic, mesh_count=200, oracle_count=100).estimate()
+    cert = Run(quartic, mesh_count=200, oracle_count=100).estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 1
 
@@ -623,7 +695,7 @@ def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
     inside, outside, candidates = _projections_in_and_out_of_mesh(
         monkeypatch)
     run = Run(quartic, mesh_count=200, oracle_count=100)
-    cert = run.estimate(DEFAULT_ETA_GRID)
+    cert = run.estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert outside == []
     assert len(inside) == 1 and candidates == [100]
@@ -653,7 +725,7 @@ def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
 
     monkeypatch.setattr(pipelines, "curve_geometry", counting)
     cert = Run(quartic, mesh_count=200,
-               oracle_count=100).estimate()
+               oracle_count=100).estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
     assert len(calls) == 1
 
@@ -751,7 +823,7 @@ def test_residual_sequence_worm_bounded_below(worm):
 def test_curve_certificate_quartic(quartic_curve):
     reports = {}
     for eta in (0.5, 0.99):
-        rep = real_curve_certify(quartic_curve, eta)
+        rep = real_curve_certify(quartic_curve, eta, None)
         assert rep["certified"]
         assert rep["maxLHS"] <= -rep["C_eta"] + rep["slack"]
         assert rep["case"] == "transversal"
@@ -765,11 +837,11 @@ def test_curve_certificate_ball_not_a_curve(ball):
 
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
-    rep = real_curve_certify(quartic_curve, 0.99)
+    rep = real_curve_certify(quartic_curve, 0.99, None)
     psi = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
                          quartic_curve, quartic.sigma_distance),
               (1.0, rep["b"]))
-    mesh = quartic.interior_mesh(400, seed=6)
+    mesh = quartic.interior_mesh(400, seed=6, depth=ORACLE_DEPTH)
     assert oracle(quartic.domain, mesh, psi, 0.99)["certified"]
 
 

@@ -17,7 +17,7 @@ from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
 from dfindex.distance import foot_points
 from dfindex.errors import (ChartGap, CollarTooWide, NoConvergence,
                             ObstructedClass, PathDisagreement)
-from dfindex.pipelines import potential_for
+from dfindex.pipelines import ORACLE_DEPTH, potential_for
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
 from references import (FuncSource, HFieldSource, leaf_sources,
@@ -151,7 +151,7 @@ def test_obstructed_class_raises(worm):
     loop = PathInSigma(worm.loops["core"][1], closed=True)
     verdict = classify({"core": period(src, loop)}, 1e-4)
     with pytest.raises(ObstructedClass):
-        build_potential(src, np.zeros(2), verdict)
+        build_potential(src, np.zeros(2), verdict, res=17)
 
 
 def test_path_disagreement_on_non_closed_form(bidisc):
@@ -210,7 +210,7 @@ def test_lattice_potential_matches_tree_route(bidisc, res):
 def test_leaf_potentials_match_tree_route(bidisc, bidisc_leaf_field):
     _assert_matches_tree_route(bidisc_leaf_field, leaf_sources(bidisc), 9)
     charts = [c for c in bidisc.charts.values() if c.kind == "complex"]
-    phi = potential_for(bidisc, classify({}, 1e-6))
+    phi = potential_for(bidisc, classify({}, 1e-6), 9)
     _assert_matches_tree_route(phi, [ThetaSource(c) for c in charts], 9)
 
 
@@ -229,7 +229,7 @@ def test_potential_evaluates_theta_once_per_leaf(bidisc, monkeypatch):
 
     monkeypatch.setattr(ThetaSource, "components", counting_components)
     monkeypatch.setattr(cohomology, "integrate_theta", counting_integrate)
-    phi = potential_for(bidisc, classify({}, 1e-6))
+    phi = potential_for(bidisc, classify({}, 1e-6), 9)
     assert len(phi.leaves) == 8
     assert calls == {"components": 8, "integrate_theta": 0}
 
@@ -336,7 +336,7 @@ def test_collar_probe_reaches_every_leaf(bidisc):
     # at the centre of its sixth leaf, where P is not the foot of
     # P - width n: the probe must reach it, though it lies outside the
     # first row of the first leaf
-    phi = potential_for(bidisc, classify({}, 1e-6))
+    phi = potential_for(bidisc, classify({}, 1e-6), 9)
     collar_terms(bidisc.domain, phi, bidisc.sigma_coords)
     leaf = phi.leaves[5]
     params = leaf.params.copy()
@@ -453,7 +453,8 @@ def test_collar_psi_smooth_across_leaf_labels(bidisc, bidisc_leaf_field):
     psi = Psi(collar_terms(bidisc.domain, bidisc_leaf_field,
                            bidisc.sigma_coords), (1.0,))
     step = 5e-5
-    line = (bidisc.interior_mesh(40, seed=9)[0][38][None]
+    mesh, _ = bidisc.interior_mesh(40, seed=9, depth=ORACLE_DEPTH)
+    line = (mesh[38][None]
             + np.outer(np.arange(-200, 201) * step, [0.0, 0.0, 1.0, 0.0]))
     feet, _ = foot_points(bidisc.domain, line)
     _, t, _ = bidisc.sigma_coords(feet)
@@ -467,6 +468,6 @@ def test_eval_without_labels_uses_first_leaf(bidisc_leaf_field):
     field = bidisc_leaf_field
     U, t = _label_samples(field.labels, 20, seed=33)
     first = field.leaves[0].model(U)
-    np.testing.assert_array_equal(field.eval(U), first)
+    np.testing.assert_array_equal(field.eval(U, None), first)
     unlabeled = dataclasses.replace(field, labels=None)
     np.testing.assert_array_equal(unlabeled.eval(U, t), first)

@@ -46,7 +46,7 @@ def _bidisc_boundary_param(bidisc, X):
 
 def test_bidisc_foot_matches_dense_search(bidisc):
     # independent oracle: dense parametric grid search with local zooming
-    Z, _ = bidisc.interior_mesh(8, seed=1)
+    Z, _ = bidisc.interior_mesh(8, seed=1, depth=ORACLE_DEPTH)
     feet, _ = foot_points(bidisc.domain, Z)
     R_mesh = 1.05
     coarse = np.stack(np.meshgrid(np.linspace(-R_mesh, R_mesh, 41),
@@ -153,6 +153,20 @@ def test_worm_oracle_mesh_depths_are_nearest_distances(worm, count, seed):
     assert excess.max() <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9")
+def test_wide_worm_oracle_mesh_depths_are_nearest_distances():
+    # at beta = 2 pi the mesh keeps 644 of 800 points, and the one at
+    # |z2| = 0.1017 has a boundary point 0.0335 nearer than its depth: the
+    # first seed's gradient flow lands far off the boundary there, and every
+    # seed then converges to the far foot
+    worm = zoo.make_worm(2 * np.pi)
+    mesh, feet = worm.interior_mesh(800, 12, depth=ORACLE_DEPTH)
+    depth = np.linalg.norm(mesh - feet, axis=1)
+    excess = depth - _worm_boundary_distance(worm, mesh)
+    assert excess.max() <= 1e-9
+
+
 @pytest.mark.parametrize("name", ["ball", "bidisc", "worm", "quartic"])
 def test_interior_mesh_feet_are_the_projections(name, request):
     # the mesh carries the feet that foot_points gives, bit for bit, so the
@@ -199,10 +213,8 @@ def test_foot_points_batch_invariant(name, ambiguity_check, request,
     perm = np.random.default_rng(10).permutation(len(Z))
     for a, b in zip(project(Z[perm]), out):
         np.testing.assert_array_equal(a, b[perm])
-    chunks = distance._chunks
     for size in (1, 7, 64):
-        monkeypatch.setattr(distance, "_chunks",
-                            lambda B, size=size: chunks(B, size))
+        monkeypatch.setattr(distance, "_CHUNK", size)
         for a, b in zip(project(Z), out):
             np.testing.assert_array_equal(a, b)
 

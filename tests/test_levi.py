@@ -143,7 +143,7 @@ def test_ball_sigma_empty(ball):
 
 def test_bidisc_sigma_hausdorff(bidisc):
     mesh = bidisc.boundary_mesh(4000, seed=2)
-    sig = detect_sigma(bidisc.domain, mesh)
+    sig = detect_sigma(bidisc.domain, mesh, None)
     assert sig.size > 100
     # detected points lie on the described set
     assert bidisc.sigma_distance(sig.points).max() < 1e-4
@@ -162,7 +162,7 @@ def test_bidisc_sigma_hausdorff(bidisc):
 
 def test_worm_sigma_hausdorff(worm):
     mesh = worm.boundary_mesh(4000, seed=4)
-    sig = detect_sigma(worm.domain, mesh)
+    sig = detect_sigma(worm.domain, mesh, None)
     assert sig.size > 100
     assert worm.sigma_distance(sig.points).max() < 1e-4
     a = worm.domain.meta["a"]
@@ -179,7 +179,8 @@ def test_worm_sigma_hausdorff(worm):
 
 
 def test_quartic_sigma_on_curve(quartic):
-    sig = detect_sigma(quartic.domain, quartic.boundary_mesh(2000, seed=6))
+    sig = detect_sigma(quartic.domain, quartic.boundary_mesh(2000, seed=6),
+                       None)
     assert sig.size > 50
     assert quartic.sigma_distance(sig.points).max() < 1e-4
 
@@ -233,7 +234,7 @@ def test_wide_worm_rounding_is_no_alarm(turns):
     # Sigma round to -1e-9 relative to it: no sign of a concave point
     worm = zoo.make_worm(turns * np.pi)
     for seed in (0, 3):
-        sig = detect_sigma(worm.domain, worm.boundary_mesh(2000, seed))
+        sig = detect_sigma(worm.domain, worm.boundary_mesh(2000, seed), None)
         assert sig.size >= 500
 
 
@@ -245,7 +246,7 @@ def test_sigma_membership_is_scale_invariant():
     # is large, Levi values off Sigma fall below the threshold that the
     # median sets (81 of 250 members have |z1| up to 2.0)
     worm = zoo.make_worm(10 * np.pi)
-    sig = detect_sigma(worm.domain, worm.boundary_mesh(800, 3))
+    sig = detect_sigma(worm.domain, worm.boundary_mesh(800, 3), None)
     assert sig.size >= int(800 * zoo.SIGMA_FRACTION)
     assert worm.sigma_distance(sig.points).max() < 1e-4
 
@@ -271,7 +272,8 @@ def test_levi_scale_ignores_rounding_noise(worm):
     mesh = worm.boundary_mesh(600, 0)
     feet, _ = foot_points(worm.domain, mesh)
     w = levi_spectrum(boundary_batch(worm.domain, mesh, order=2).jet)[0]
-    scales = [detect_sigma(worm.domain, P).levi_scale for P in (mesh, feet)]
+    scales = [detect_sigma(worm.domain, P, None).levi_scale
+              for P in (mesh, feet)]
     assert scales[0] == scales[1] == np.median(w[w > 1e-12])
 
 
@@ -386,7 +388,7 @@ def _product_domain_c3():
     def rho(c):
         x1, y1, x2, y2, x3, y3 = c
         s = x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 - r2
-        return x3 * x3 + y3 * y3 - 1.0 + jhinge_pow(s, 4, 1.0)
+        return x3 * x3 + y3 * y3 - 1.0 + jhinge_pow(s, 4)
 
     return DomainSpec(rho=rho, box_lo=-2.1 * np.ones(6),
                       box_hi=2.1 * np.ones(6), name="polydisc3")

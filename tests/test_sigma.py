@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfindex import zoo
+from dfindex import sigma, zoo
 from dfindex.distance import normal_n
 from dfindex.errors import ChartMismatch
 from dfindex.levi import tangent_direction
@@ -139,12 +139,13 @@ def test_dtheta_worm_second_order(worm):
     assert np.min(orders) > 1.9
 
 
-def test_dtheta_constant_form_exact_zero(worm):
+def test_dtheta_constant_form_exact_zero(worm, monkeypatch):
     chart = worm.charts["patch"]
-    const = lambda V: np.broadcast_to(np.array([0.3, -0.7]),
-                                      (np.atleast_2d(V).shape[0], 2))
-    val = dtheta_residual(chart, np.array([1.2, 0.0]), 0.1,
-                          components=const)
+    monkeypatch.setattr(sigma, "theta_components",
+                        lambda chart, V: np.broadcast_to(
+                            np.array([0.3, -0.7]),
+                            (np.atleast_2d(V).shape[0], 2)))
+    val = dtheta_residual(chart, np.array([1.2, 0.0]), 0.1)
     assert val == 0.0
 
 

@@ -13,6 +13,7 @@ from dfindex.cli import _DEFAULTS
 from dfindex.cohomology import PathInSigma
 from dfindex.errors import BetaTooSmall
 from dfindex.levi import detect_sigma
+from dfindex.pipelines import ORACLE_DEPTH
 from dfindex.sigma import theta_components
 from references import ball_delta_jet, levi_min_via_rho, oracle_jet
 
@@ -113,7 +114,9 @@ def test_boundary_meshes_lie_on_boundary(zoo_entries):
 
 def test_interior_meshes_lie_inside(zoo_entries):
     for entry in zoo_entries:
-        P, feet = entry.interior_mesh(300, seed=22)
+        # the ball's coarse band, and ORACLE_DEPTH for the others
+        depth = (0.05, 0.5) if entry.id == "ball" else ORACLE_DEPTH
+        P, feet = entry.interior_mesh(300, seed=22, depth=depth)
         assert P.shape[0] > 200
         assert np.all(entry.domain.value(P) < 0)
         assert np.max(np.abs(entry.domain.value(feet))) < 1e-12
@@ -158,7 +161,7 @@ def test_described_sigma_reproduced(zoo_entries):
         if entry.sigma_kind == "Empty":
             continue
         sig = detect_sigma(entry.domain,
-                           entry.boundary_mesh(2500, seed=26))
+                           entry.boundary_mesh(2500, seed=26), None)
         assert sig.size > 0
         assert entry.sigma_distance(sig.points).max() < 1e-4
 
