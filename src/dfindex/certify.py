@@ -144,7 +144,10 @@ class CriterionEvaluator:
     for each term as (G, Q), so psi = Psi(terms, c) has them as (G c, Q c),
     and lhs_dirs applies the inequality to those.  The stencil differences
     each terms object once, so lhs at another eta, or the family search
-    over coefficients, combines cached columns.
+    over coefficients, combines cached columns.  The columns carry the
+    inequality's factors 1/2 and 1/4, and half_third is 1/2 third_field,
+    so lhs_dirs adds them without a factor; the factors are powers of two,
+    so the scaling is exact and moves no bit of the left-hand side.
     """
 
     def __init__(self, domain: DomainSpec, sigma: SigmaPointSet):
@@ -162,24 +165,30 @@ class CriterionEvaluator:
         cols = np.einsum("kij,kj->ki", jet.mixed, np.conj(L))
         transport = 2.0 * np.einsum("ki,ki->k", cols, np.conj(cols)).real
         self.third_field = pure.real + transport   # imaginary part ~ 0
+        self.half_third = 0.5 * self.third_field
         self.third_imag = float(np.max(np.abs(pure.imag)))
         self.stencil = PsiStencil(
             domain, P, jet, (complex_unpack(L), complex_unpack(1j * L)),
             FD_STEP)
 
     def columns(self, terms):
-        """(G, Q), samples x terms: each term's Lbar T_i and Hessian term
-        1/4 (d^2 along L + d^2 along iL) at each sample's direction L."""
+        """(G, Q), samples x terms, scaled for lhs_dirs: G = 1/2 Lbar T_i and
+        Q = 1/4 T_{i,L Lbar}, with the Hessian term T_{L Lbar} = 1/4 (d^2
+        along L + d^2 along iL), at each sample's direction L."""
         _, wpsi, second = self.stencil.columns(terms)
         d2x, d2j = second[self.stencil.D:]
-        return np.conj(np.einsum("kj,kjc->kc", self.L, wpsi)), \
-            0.25 * (d2x + d2j)
+        return 0.5 * np.conj(np.einsum("kj,kjc->kc", self.L, wpsi)), \
+            0.0625 * (d2x + d2j)
 
-    def lhs_dirs(self, lbar_psi, hess_psi, eta):
-        """Left-hand side per sample from psi's terms."""
-        coef = 1.0 / (1.0 - eta) - 1.0
-        return coef * np.abs(0.5 * lbar_psi + self.h_L) ** 2 \
-            + 0.5 * (0.5 * hess_psi + self.third_field)
+    def lhs_dirs(self, g, q, eta):
+        """Left-hand side per sample, a |g + h_L|^2 + (q + 1/2 third_field)
+        with a = eta / (1 - eta), from psi's scaled terms (g, q) = (G c,
+        Q c) of columns: the inequality a |1/2 Lbar psi + h_L|^2 + 1/2 (1/4
+        psi_{L Lbar} + third_field), bit for bit."""
+        out = np.abs(g + self.h_L) ** 2
+        out *= 1.0 / (1.0 - eta) - 1.0
+        out += q + self.half_third
+        return out
 
     def lhs(self, psi, eta):
         """Left-hand side per sample, along its direction L."""
@@ -308,11 +317,26 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
     """Deterministic box-constrained coordinate descent with golden-section
     line searches; returns (x, value).
 
-    Known defect: a golden-section step that reuses fc or fd leaves xc or
-    xd at its old coordinate, so the returned x may not score value."""
+    The objective must be a pure function of x: the search evaluates it
+    once per point, keyed on the exact bytes of x, and a revisited point
+    takes its stored value, so the search path and its result are those of
+    an unmemoized search.
+
+    Known defect, unchanged by the memo: a golden-section step that reuses
+    fc or fd leaves xc or xd at its old coordinate, so the returned x may
+    not score value, and the stale points make the search revisit points
+    it has scored."""
+    memo = {}
+
+    def score(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = objective(x)
+        return memo[key]
+
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     x = np.asarray(x0, dtype=float).copy()
-    best = objective(x)
+    best = score(x)
     for _ in range(rounds):
         improved = False
         for k in range(x.size):
@@ -321,21 +345,21 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
             d = a + gr * (b - a)
             xc = x.copy()
             xc[k] = c
-            fc = objective(xc)
+            fc = score(xc)
             xd = x.copy()
             xd[k] = d
-            fd = objective(xd)
+            fd = score(xd)
             for _ in range(gold_iters):
                 if fc < fd:
                     b, d, fd = d, c, fc
                     c = b - gr * (b - a)
                     xc[k] = c
-                    fc = objective(xc)
+                    fc = score(xc)
                 else:
                     a, c, fc = c, d, fd
                     d = a + gr * (b - a)
                     xd[k] = d
-                    fd = objective(xd)
+                    fd = score(xd)
             cand = xc if fc < fd else xd
             val = min(fc, fd)
             if val < best - 1e-15:

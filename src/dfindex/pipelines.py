@@ -90,19 +90,26 @@ class Run:
     def verdict(self):
         """The period verdict of the generator loops (classify's; exact when
         there are none), exact below exactness_tolerance of the loops'
-        largest |theta| and chart span."""
-        values = {}
+        largest |theta| and chart span.  The loops are grouped by chart:
+        per chart, one period call integrates them all, and one more
+        components call takes |theta| at all their vertices."""
+        by_chart = {}
+        for name, (chart_name, params, closed) in self.entry.loops.items():
+            by_chart.setdefault(chart_name, {})[name] = \
+                PathInSigma(params, closed=closed)
+        periods = {}
         max_theta = 0.0
         diam = 0.0
-        for name, (chart_name, params, closed) in self.entry.loops.items():
+        for chart_name, loops in by_chart.items():
             chart = self.entry.charts[chart_name]
             src = ThetaSource(chart)
-            values[name] = period(src, PathInSigma(params, closed=closed))
+            periods.update(zip(loops, period(src, list(loops.values()))))
+            vertices = np.concatenate([p.params for p in loops.values()])
             max_theta = max(max_theta,
-                            float(np.max(np.abs(src.components(params)))))
+                            float(np.max(np.abs(src.components(vertices)))))
             diam = max(diam, float(np.max(chart.hi - chart.lo)))
-        return classify(values, exactness_tolerance(max_theta,
-                                                    max(diam, 1.0)))
+        return classify({name: periods[name] for name in self.entry.loops},
+                        exactness_tolerance(max_theta, max(diam, 1.0)))
 
     @cached_property
     def collar_psi(self):

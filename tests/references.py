@@ -9,7 +9,9 @@ residual), chart tangents by centred
 differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
-cycle check, loop reparametrisations, the projecting delta-jet and
+cycle check, loop reparametrisations, the one-path line integral, the
+criterion on unscaled columns and the unmemoized coordinate descent (the
+forms that re-evaluate what the package shares), the projecting delta-jet and
 boundary-point helpers, the general contraction of the third tensor
 with (p, q) derivations, and the cutoff L2 bound on a disc patch (with the
 HypothesisFail error of its screening and of the transversal-field
@@ -25,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from dfindex.cohomology import POTENTIAL_FACTOR, PathInSigma, _PolyModel
+from dfindex.cohomology import (PERIOD_TOL, POTENTIAL_FACTOR, PathInSigma,
+                                _PolyModel)
 from dfindex.certify import FD_STEP, PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
@@ -956,6 +959,94 @@ def rotated_path(path: PathInSigma, k, wrap_axis=None,
         last[0, wrap_axis] += period
         pts = np.vstack([pts, last])
     return PathInSigma(pts, True)
+
+
+# ---------------------------------------------------------------------------
+# one path per line integral, the unscaled criterion, the unmemoized search
+# ---------------------------------------------------------------------------
+# The forms these computations had before the package shared their work:
+# each must give the package's bits.
+
+def integrate_theta_single(source, path: PathInSigma):
+    """Line integral of the 1-form along one path, by composite Simpson per
+    segment at 4, 8, ..., 2048 nodes per segment, each level evaluating
+    every one of its nodes, until two successive whole-path estimates
+    differ by less than PERIOD_TOL (relative)."""
+    path.validate(source.chart)
+    pts = path.params
+    seg_a = pts[:-1]
+    dU = pts[1:] - pts[:-1]
+
+    def estimate(nodes_per_seg):
+        t = np.linspace(0.0, 1.0, nodes_per_seg + 1)
+        nodes = seg_a[:, None, :] + t[None, :, None] * dU[:, None, :]
+        S, Q, p = nodes.shape
+        comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
+        integrand = np.einsum("sqp,sp->sq", comps, dU)
+        w = np.ones(Q)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return float(np.sum(integrand @ w) / (3.0 * nodes_per_seg))
+
+    est = estimate(4)
+    for k in range(3, 12):
+        prev, est = est, estimate(2 ** k)
+        if abs(est - prev) < PERIOD_TOL * (1 + abs(est)):
+            return est
+    raise NoConvergence("line integral not converged at 2048 nodes")
+
+
+def lhs_unscaled(evaluator, terms, coef, eta):
+    """The criterion's left-hand side per sample from unscaled columns,
+    a |1/2 G c + h_L|^2 + 1/2 (1/2 Q c + third_field), with G = Lbar T_i
+    and Q = 1/4 (d^2 along L + d^2 along iL)."""
+    _, wpsi, second = evaluator.stencil.columns(terms)
+    d2x, d2j = second[evaluator.stencil.D:]
+    G = np.conj(np.einsum("kj,kjc->kc", evaluator.L, wpsi))
+    Q = 0.25 * (d2x + d2j)
+    a = 1.0 / (1.0 - eta) - 1.0
+    return a * np.abs(0.5 * (G @ coef) + evaluator.h_L) ** 2 \
+        + 0.5 * (0.5 * (Q @ coef) + evaluator.third_field)
+
+
+def coordinate_descent_unmemoized(objective, x0, lo, hi, rounds,
+                                  gold_iters):
+    """certify.coordinate_descent calling the objective at every step,
+    revisited points included (with its stale-coordinate defect)."""
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    x = np.asarray(x0, dtype=float).copy()
+    best = objective(x)
+    for _ in range(rounds):
+        improved = False
+        for k in range(x.size):
+            a, b = lo[k], hi[k]
+            c = b - gr * (b - a)
+            d = a + gr * (b - a)
+            xc = x.copy()
+            xc[k] = c
+            fc = objective(xc)
+            xd = x.copy()
+            xd[k] = d
+            fd = objective(xd)
+            for _ in range(gold_iters):
+                if fc < fd:
+                    b, d, fd = d, c, fc
+                    c = b - gr * (b - a)
+                    xc[k] = c
+                    fc = objective(xc)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + gr * (b - a)
+                    xd[k] = d
+                    fd = objective(xd)
+            cand = xc if fc < fd else xd
+            val = min(fc, fd)
+            if val < best - 1e-15:
+                x, best = cand.copy(), val
+                improved = True
+        if not improved:
+            break
+    return x, best
 
 
 # ---------------------------------------------------------------------------

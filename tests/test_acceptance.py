@@ -201,7 +201,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
 def test_criterion_5_obstruction_detection(worm, tmp_path):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    per = period(src, loop)
+    [per] = period(src, [loop])
     frozen = worm.notes["core_period"]      # derived ahead of the build
     assert abs(per - frozen) <= 0.01 * abs(frozen)
     assert abs(per) > 1e-3

@@ -18,9 +18,10 @@ from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run
 from dfindex.sigma import theta_components
 from dfindex.util import complex_pack, complex_unpack
-from references import (HypothesisFail, caccioppoli_check, delta_jet,
-                        numeric_jet, residual_sequence, signed_distance,
-                        third_directional)
+from references import (HypothesisFail, caccioppoli_check,
+                        coordinate_descent_unmemoized, delta_jet,
+                        lhs_unscaled, numeric_jet, residual_sequence,
+                        signed_distance, third_directional)
 
 # the CLI's default eta_grid
 ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
@@ -187,6 +188,20 @@ def test_family_columns_score_as_the_criterion(worm_run, coef, eta):
         + eps * float(np.abs(ref).max())
     assert np.max(np.abs(per_sample - ref)) <= tol
     assert abs(per_sample.max() - ref.max()) <= tol
+
+
+def test_scaled_columns_give_the_unscaled_lhs_bits(worm_run):
+    # the columns carry the inequality's factors 1/2 and 1/4, which are
+    # powers of two, so every left-hand side keeps its bits
+    ev = worm_run.evaluator
+    terms = worm_run.family_terms
+    G, Q = ev.columns(terms)
+    rng = np.random.default_rng(5)
+    for eta in ETA_GRID:
+        c = rng.uniform(-FAMILY_BOX, FAMILY_BOX, G.shape[1])
+        ref = lhs_unscaled(ev, terms, c, eta)
+        assert np.array_equal(ev.lhs_dirs(G @ c, Q @ c, eta), ref)
+        assert np.array_equal(ev.lhs(Psi(terms, c), eta), ref)
 
 
 @settings(max_examples=20, deadline=None)
@@ -744,6 +759,47 @@ def test_coordinate_descent_quadratic():
     x, val = coordinate_descent(obj, np.zeros(3), -np.ones(3), np.ones(3))
     assert val < 1e-6
     np.testing.assert_allclose(x, target, atol=1e-3)
+
+
+def _recorded_searches(monkeypatch):
+    """Patch the family search to record, per call, its arguments and the
+    objective calls it makes."""
+    searches = []
+
+    def recording(objective, *args, **kwargs):
+        search = {"objective": objective, "args": args, "kwargs": kwargs,
+                  "calls": 0}
+
+        def counted(x):
+            search["calls"] += 1
+            return objective(x)
+
+        searches.append(search)
+        search["result"] = coordinate_descent(counted, *args, **kwargs)
+        return search["result"]
+
+    monkeypatch.setattr(pipelines, "coordinate_descent", recording)
+    return searches
+
+
+def test_family_search_scores_each_point_once(worm, monkeypatch):
+    # worm-estimate's sizes at seed 3: the unmemoized search made 965
+    # objective calls at these 650 distinct points
+    searches = _recorded_searches(monkeypatch)
+    Run(worm, mesh_count=800, seed=3).estimate(ETA_GRID)
+    assert [s["calls"] for s in searches] == [97, 108, 109, 144, 192]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_memoized_search_matches_unmemoized(worm, monkeypatch, seed):
+    searches = _recorded_searches(monkeypatch)
+    Run(worm, mesh_count=800, seed=seed).estimate(ETA_GRID)
+    assert len(searches) == len(ETA_GRID)
+    for s in searches:
+        x, val = s["result"]
+        x_ref, val_ref = coordinate_descent_unmemoized(
+            s["objective"], *s["args"], **s["kwargs"])
+        assert x.tobytes() == x_ref.tobytes() and val == val_ref
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a golden-section "

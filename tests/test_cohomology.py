@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import psi_at_feet
-from dfindex import cohomology
+from dfindex import cohomology, zoo
 from dfindex.certify import Psi
 from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 build_potential, classify, collar_terms,
@@ -17,11 +17,12 @@ from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
 from dfindex.distance import foot_points
 from dfindex.errors import (ChartGap, CollarTooWide, NoConvergence,
                             ObstructedClass, PathDisagreement)
-from dfindex.pipelines import ORACLE_DEPTH, potential_for
+from dfindex.pipelines import ORACLE_DEPTH, Run, potential_for
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
-from references import (FuncSource, HFieldSource, leaf_sources,
-                        reversed_path, rotated_path, tree_potential)
+from references import (FuncSource, HFieldSource, integrate_theta_single,
+                        leaf_sources, reversed_path, rotated_path,
+                        tree_potential)
 
 
 def disc_chart(domain_entry, half=0.8):
@@ -36,15 +37,14 @@ def disc_chart(domain_entry, half=0.8):
 def test_integral_reversal(worm):
     src = ThetaSource(worm.charts["patch"])
     path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
-    a = integrate_theta(src, path)
-    b = integrate_theta(src, reversed_path(path))
+    a, b = integrate_theta(src, [path, reversed_path(path)])
     assert abs(a + b) < 1e-10
 
 
 def test_bidisc_leaf_integral_vanishes(bidisc):
     src = ThetaSource(bidisc.notes["main_leaf"])
     path = PathInSigma(np.array([[-0.3, -0.3], [0.2, 0.1], [0.35, -0.2]]))
-    assert abs(integrate_theta(src, path)) < 1e-6
+    assert abs(integrate_theta(src, [path])[0]) < 1e-6
 
 
 def test_worm_radial_path_matches_antiderivative(worm):
@@ -52,14 +52,14 @@ def test_worm_radial_path_matches_antiderivative(worm):
     # the antiderivative difference
     src = ThetaSource(worm.charts["log_polar"])
     path = PathInSigma(np.array([[-0.2, 0.7], [0.25, 2.9]]))
-    val = integrate_theta(src, path)
+    [val] = integrate_theta(src, [path])
     assert abs(val - (-0.5) * (2.9 - 0.7)) < 1e-6
 
 
 def test_worm_core_period(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    per = period(src, loop)
+    [per] = period(src, [loop])
     assert abs(per - (-np.pi)) < 0.01 * np.pi
     assert abs(per) > 1.0
 
@@ -67,42 +67,69 @@ def test_worm_core_period(worm):
 def test_contractible_loop_period_small(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["contractible"][1], closed=True)
-    assert abs(period(src, loop)) < 1e-6
+    assert abs(period(src, [loop])[0]) < 1e-6
 
 
 def test_period_basepoint_rotation_invariance(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    p0 = period(src, loop)
-    for k in (3, 11):
-        pk = period(src, rotated_path(loop, k, wrap_axis=1,
-                                      period=2 * np.pi))
+    p0, *rotated = period(src, [loop] + [
+        rotated_path(loop, k, wrap_axis=1, period=2 * np.pi)
+        for k in (3, 11)])
+    for pk in rotated:
         assert abs(pk - p0) < 1e-10
 
 
 def test_unconverged_period_raises(worm):
-    # a noise form: every halving of the Simpson step draws new values, so
-    # successive estimates never agree to PERIOD_TOL
+    # a noise form: every halving of the Simpson step draws new values at
+    # its new nodes, so successive estimates never agree to PERIOD_TOL
     rng = np.random.default_rng(0)
     src = FuncSource(worm.charts["log_polar"],
                      lambda U: rng.normal(size=U.shape))
     loop = PathInSigma(worm.loops["contractible"][1], closed=True)
     with pytest.raises(NoConvergence):
-        period(src, loop)
+        period(src, [loop])
 
 
 def test_open_path_period_rejected(worm):
     src = ThetaSource(worm.charts["log_polar"])
     path = PathInSigma(np.array([[0.0, 0.0], [0.0, 1.0]]), closed=False)
     with pytest.raises(ValueError):
-        period(src, path)
+        period(src, [path])
 
 
 def test_path_outside_chart(worm):
     src = ThetaSource(worm.charts["patch"])
     path = PathInSigma(np.array([[0.0, 0.0], [5.0, 5.0]]))
     with pytest.raises(ChartGap):
-        integrate_theta(src, path)
+        integrate_theta(src, [path])
+
+
+def _loop(entry, name):
+    chart_name, params, closed = entry.loops[name]
+    return ThetaSource(entry.charts[chart_name]), PathInSigma(params, closed)
+
+
+@pytest.mark.parametrize("beta", [np.pi, 1.5 * np.pi])
+def test_nested_periods_match_single_path_reference(beta):
+    # both loops integrated together, on nested levels, give the bits of
+    # each loop integrated alone with every level evaluated afresh
+    worm = zoo.make_worm(beta)
+    src, core = _loop(worm, "core")
+    _, square = _loop(worm, "contractible")
+    assert period(src, [core, square]) == [
+        integrate_theta_single(src, core), integrate_theta_single(src, square)]
+
+
+def test_bidisc_period_matches_single_path_reference(bidisc):
+    src, loop = _loop(bidisc, "leaf_boundary")
+    assert period(src, [loop]) == [integrate_theta_single(src, loop)]
+
+
+def test_open_path_integral_matches_single_path_reference(worm):
+    src = ThetaSource(worm.charts["patch"])
+    path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
+    assert integrate_theta(src, [path]) == [integrate_theta_single(src, path)]
 
 
 def test_classify():
@@ -149,7 +176,7 @@ def test_synthetic_exact_form_recovery(bidisc):
 def test_obstructed_class_raises(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    verdict = classify({"core": period(src, loop)}, 1e-4)
+    verdict = classify({"core": period(src, [loop])[0]}, 1e-4)
     with pytest.raises(ObstructedClass):
         build_potential(src, np.zeros(2), verdict, res=17)
 
@@ -232,6 +259,22 @@ def test_potential_evaluates_theta_once_per_leaf(bidisc, monkeypatch):
     phi = potential_for(bidisc, classify({}, 1e-6), 9)
     assert len(phi.leaves) == 8
     assert calls == {"components": 8, "integrate_theta": 0}
+
+
+def test_verdict_evaluates_theta_once_per_level(worm, monkeypatch):
+    # core (128 segments) and contractible (4) converge at 8 nodes per
+    # segment: 5 x 132 rows at 4 nodes, the 4 x 132 new ones at 8, and
+    # |theta| at the loops' 129 + 5 vertices, 1322 rows in all
+    calls = []
+    components = ThetaSource.components
+
+    def counting_components(self, U):
+        calls.append(len(U))
+        return components(self, U)
+
+    monkeypatch.setattr(ThetaSource, "components", counting_components)
+    assert Run(worm).verdict["classification"] == "Obstructed"
+    assert calls == [660, 528, 134]
 
 
 def test_round_trip_residual_second_order(bidisc):

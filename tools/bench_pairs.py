@@ -10,10 +10,18 @@ each, through bench_collect.py's runner, with --trace 0 and the run_seconds
 of the change's BENCHMARK.json: parent first in even pairs and change first
 in odd ones, so that a drift of the host's speed falls on both sides.  For
 every end-to-end metric of the change's BENCHMARK.json it prints each side's
-median and quartiles over the pairs, and in how many pairs the change was
-better.  A gain counts when the change wins at least nine of ten pairs and
-its median beats the parent's by more than the parent's interquartile
-range.  The last stdout line is the same summary as JSON.
+median and quartiles over the pairs, in how many pairs the change was
+better, and two verdicts:
+
+- gain: the change wins at least nine tenths of the pairs (ties count for
+  neither side) and its median beats the parent's by more than the
+  parent's interquartile range;
+- regression: "yes" when the change's median is worse than the parent's
+  by more than the metric's bound (a fraction of the parent's median),
+  "unresolved" when the parent's interquartile range exceeds that bound,
+  and "no" otherwise.
+
+The last stdout line is the same summary as JSON.
 """
 
 from __future__ import annotations
@@ -30,12 +38,11 @@ SIDES = ("parent", "change")
 
 
 def _benchmark(checkout):
-    """The checkout's run_seconds and the (name, better) of each
-    end-to-end metric it declares."""
+    """The checkout's run_seconds and its end-to-end metrics, each a dict
+    with name, better and bound."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    return bench["run_seconds"], [(m["name"], m["better"])
-                                  for m in bench["end_to_end"]]
+    return bench["run_seconds"], bench["end_to_end"]
 
 
 def _quartiles(values):
@@ -46,19 +53,28 @@ def _quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per metric: each side's (q1, median, q3) and the change's wins."""
+    """Per metric: each side's (q1, median, q3), the change's wins, and the
+    gain and regression verdicts."""
     out = {}
-    for name, better in metrics:
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         sides = {s: [r[s][name] for r in runs] for s in SIDES}
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (c - p) < 0
                    for p, c in zip(sides["parent"], sides["change"]))
         q = {s: _quartiles(v) for s, v in sides.items()}
         gain = sign * (q["parent"][1] - q["change"][1])
+        iqr = q["parent"][2] - q["parent"][0]
+        allowed = metric["bound"] * abs(q["parent"][1])
+        if iqr > allowed:
+            regression = "unresolved"
+        else:
+            regression = "yes" if -gain > allowed else "no"
         out[name] = {"better": better, "pairs": len(runs), "wins": wins,
                      "parent": q["parent"], "change": q["change"],
-                     "parent_iqr": q["parent"][2] - q["parent"][0],
-                     "median_gain": gain}
+                     "parent_iqr": iqr, "median_gain": gain,
+                     "gain": bool(wins >= 0.9 * len(runs) and gain > iqr),
+                     "bound": metric["bound"], "regression": regression}
     return out
 
 
@@ -96,14 +112,17 @@ def main(argv=None):
         runs.append(pair)
         print(f"pair {i}: " + ", ".join(
             f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
-            for name, _ in metrics), file=sys.stderr)
+            for name in [m["name"] for m in metrics]), file=sys.stderr)
     summary = summarize(runs, metrics)
     for name, s in summary.items():
         print(f"{args.workload} {name} ({s['better']} is better): parent "
               "median {1:.4g} [{0:.4g}, {2:.4g}], ".format(*s["parent"])
               + "change median {1:.4g} [{0:.4g}, {2:.4g}], ".format(
                   *s["change"])
-              + f"change wins {s['wins']} of {s['pairs']}")
+              + f"change wins {s['wins']} of {s['pairs']}; gain "
+              + ("yes" if s["gain"] else "no")
+              + f"; regression beyond bound {s['bound']:g}: "
+              + s["regression"])
     if failed:
         print(f"runs with failed repeats: {', '.join(failed)}")
     print(json.dumps({"workload": args.workload, "seed": args.seed,
