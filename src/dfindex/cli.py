@@ -240,11 +240,10 @@ def _cmd_potential(cfg):
     entry = run.entry
     phi = potential_for(entry, run.verdict, max(9, cfg.values["res"] // 2))
     res = {"domain": entry.id,
-           "gradientResidual": float(phi.gradient_residual),
+           "gradientResidual": float(np.max(phi.gradient_residuals)),
            # largest lattice-cycle residual
            "pathDisagreement": float(phi.path_disagreement),
-           "maxAbsPhi": float(max(np.max(np.abs(l.values))
-                                  for l in phi.leaves)),
+           "maxAbsPhi": float(np.max(np.abs(phi.values))),
            "csv": _write_csv(phi, cfg, f"potential_{entry.id}.csv")}
     return 0, res
 

@@ -4,7 +4,10 @@ reconstruction, and the collar extension of boundary potentials.
 The reconstructed potential satisfies dbar(phi) = Hess_delta(N, .) on the
 chart, which makes it twice the raw line integral of the form's components
 (the Wirtinger half: integrating f dx + g dy recovers a function whose
-dbar-derivative is (f + i g)/2).
+dbar-derivative is (f + i g)/2).  The charts of one potential (a foliation's
+leaves) share one parameter box, so they share its node lattice and its
+monomial basis: each leaf adds only its node values and its coefficient
+column.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .distance import verified_feet
-from .errors import (ChartGap, CollarTooWide, NoConvergence, ObstructedClass,
-                     PathDisagreement)
+from .errors import (ChartGap, ChartMismatch, CollarTooWide, NoConvergence,
+                     ObstructedClass, PathDisagreement)
 from .sigma import SigmaChart, theta_components
 from .util import smoothstep_c3
 
@@ -165,79 +168,52 @@ def classify(periods, tol):
 # potential reconstruction
 # ---------------------------------------------------------------------------
 
-class _PolyModel:
-    """Least-squares tensor polynomial on normalized chart parameters."""
-
-    def __init__(self, lo, hi, degree):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.degree = degree
-        self.coef = None
-        self.terms = None
-
-    def _design(self, U):
-        """Monomial columns of total degree <= degree, built from one
-        per-axis power table gathered through the cached exponent index."""
-        X = 2.0 * (U - self.lo) / (self.hi - self.lo) - 1.0
-        p = X.shape[1]
-        if self.terms is None:
-            self.terms = np.array(
-                [e for e in itertools.product(range(self.degree + 1),
-                                              repeat=p)
-                 if sum(e) <= self.degree])
-        powers = np.stack([X ** e for e in range(self.degree + 1)], axis=2)
-        # np.take keeps A C-ordered; an F-ordered A sends fit() down another
-        # BLAS path, which moves the ill-conditioned solve in the last digits
-        A = np.take(powers[:, 0], self.terms[:, 0], axis=1)
-        for a in range(1, p):
-            A *= np.take(powers[:, a], self.terms[:, a], axis=1)
-        return A
-
-    def fit(self, U, y):
-        A = self._design(np.atleast_2d(U))
-        lam = 1e-10
-        AtA = A.T @ A + lam * np.eye(A.shape[1])
-        self.coef = np.linalg.solve(AtA, A.T @ np.asarray(y, dtype=float))
-
-    def __call__(self, U):
-        A = self._design(np.atleast_2d(U))
-        return A @ self.coef
-
-
-@dataclass
-class LeafPotential:
-    chart: SigmaChart
-    params: np.ndarray
-    shape: tuple
-    values: np.ndarray
-    model: _PolyModel
-    gradient_residual: float
+def _design(U, lo, hi, terms):
+    """Monomial columns at chart parameters U, normalized from the box
+    [lo, hi] to [-1, 1], built from one per-axis power table gathered
+    through the exponent table terms."""
+    X = 2.0 * (U - lo) / (hi - lo) - 1.0
+    powers = np.stack([X ** e for e in range(terms.max() + 1)], axis=2)
+    # np.take keeps A C-ordered; an F-ordered A sends the fit down another
+    # BLAS path, which moves the ill-conditioned solve in the last digits
+    A = np.take(powers[:, 0], terms[:, 0], axis=1)
+    for a in range(1, X.shape[1]):
+        A *= np.take(powers[:, a], terms[:, a], axis=1)
+    return A
 
 
 @dataclass
 class PotentialField:
-    """phi on the chart atlas with dbar(phi) matching the normal-Hessian
-    field; includes a smooth fitted evaluator for collar extension."""
+    """phi with dbar(phi) matching the normal-Hessian field on charts (one
+    per foliation leaf) that share one parameter box and its node lattice;
+    column j of coef fits leaf j's node values values[j] on the monomials
+    of terms, for the collar extension."""
 
-    leaves: list                    # [LeafPotential]; one entry per chart
-    basepoint: np.ndarray
+    charts: list                    # [SigmaChart]; one per leaf
+    params: np.ndarray              # (K, p) lattice nodes, shared
+    shape: tuple                    # the lattice's nodes per axis
+    values: np.ndarray              # (leaves, K) node values
+    gradient_residuals: np.ndarray  # (leaves,) dbar residuals
+    terms: np.ndarray               # (T, p) monomial exponents
+    coef: np.ndarray                # (T, leaves)
     path_disagreement: float        # largest lattice-cycle residual
-    gradient_residual: float
     labels: np.ndarray | None = None   # leaf labels when foliated
 
     def eval(self, U, t):
         """phi at chart parameters U, with leaf labels t when foliated (None
         otherwise).
 
-        Each point blends the two leaves whose labels bracket t (mod 2 pi)
-        with the C3 step of the label fraction, so phi and its first three
-        label derivatives are continuous at every label; each leaf model is
-        evaluated once, on the rows that use it.  A bracket of zero span
-        (labels coinciding mod 2 pi) gives the preceding leaf full weight.
+        The points' monomial table is built once.  Each point blends the
+        two leaves whose labels bracket t (mod 2 pi) with the C3 step of the
+        label fraction, so phi and its first three label derivatives are
+        continuous at every label; each leaf's coefficient column multiplies
+        the table's rows that use it.  A bracket of zero span (labels
+        coinciding mod 2 pi) gives the preceding leaf full weight.
         """
         U = np.atleast_2d(U)
-        if t is None or self.labels is None or len(self.leaves) == 1:
-            return self.leaves[0].model(U)
+        A = _design(U, self.charts[0].lo, self.charts[0].hi, self.terms)
+        if t is None or self.labels is None or len(self.charts) == 1:
+            return A @ self.coef[:, 0]
         lt = self.labels
         tt = np.mod(np.asarray(t, dtype=float), 2 * np.pi)
         k = np.searchsorted(lt, tt) % len(lt)
@@ -246,23 +222,23 @@ class PotentialField:
         w = smoothstep_c3(np.where(span > 0, np.mod(tt - lt[k0], 2 * np.pi)
                                    / np.where(span > 0, span, 1.0), 0.0))
         out = np.zeros(U.shape[0])
-        for j, leaf in enumerate(self.leaves):
+        for j in range(len(self.charts)):
             rows = np.flatnonzero((k0 == j) | (k == j))
             if rows.size:
                 wj = np.where(k0[rows] == j, 1.0 - w[rows], w[rows])
-                out[rows] += wj * leaf.model(U[rows])
+                out[rows] += wj * (A[rows] @ self.coef[:, j])
         return out
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            p = self.leaves[0].params.shape[1]
-            w.writerow([f"u{a}" for a in range(p)] + ["leaf", "phi"])
-            for li, leaf in enumerate(self.leaves):
+            w.writerow([f"u{a}" for a in range(self.params.shape[1])]
+                       + ["leaf", "phi"])
+            for li, vals in enumerate(self.values):
                 lab = self.labels[li] if self.labels is not None else 0.0
-                for k in range(leaf.params.shape[0]):
-                    w.writerow([f"{v:.12e}" for v in leaf.params[k]]
-                               + [f"{lab:.6f}", f"{leaf.values[k]:.12e}"])
+                for k in range(self.params.shape[0]):
+                    w.writerow([f"{v:.12e}" for v in self.params[k]]
+                               + [f"{lab:.6f}", f"{vals[k]:.12e}"])
 
 
 def _lattice_edges(shape):
@@ -284,36 +260,53 @@ PATH_TOL = 1e-6
 def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     """Reconstruct the potential by spanning-tree path integration.
 
-    sources: a FormSource or a list of them (foliation leaves).  The period
-    verdict (classify's) must be Exact.  Each leaf's form is evaluated once,
-    at the nodes of the chart lattice and the interior nodes of a 5-node
-    Simpson rule on every lattice edge.  The tree edges set the node values;
-    every other edge closes one cycle with the tree, and its residual
-    against the node values is that cycle's circulation.  path_disagreement
-    is the largest lattice-cycle residual, and PathDisagreement is raised
-    above PATH_TOL.  On complex charts the finite-difference dbar of the
-    node values is compared against h = theta_x + i theta_y at the nodes.
+    sources: a FormSource or a list of them (foliation leaves), whose charts
+    share one parameter box (ChartMismatch otherwise).  The period verdict
+    (classify's) must be Exact.  The box's node lattice, its edges, the
+    interior nodes of a 5-node Simpson rule on every edge, the monomial
+    design at the nodes and its regularised normal matrix are built once;
+    each leaf's form is evaluated once, at the nodes and the Simpson nodes.
+    The tree edges set the node values; every other edge closes one cycle
+    with the tree, and its residual against the node values is that cycle's
+    circulation.  path_disagreement is the largest lattice-cycle residual,
+    and PathDisagreement is raised above PATH_TOL.  On complex charts the
+    finite-difference dbar of the node values is compared against
+    h = theta_x + i theta_y at the nodes.  Each leaf's coefficients solve
+    the normal equations with its own node values.
     """
     if verdict["classification"] != "Exact":
         raise ObstructedClass(
             f"period vector {verdict['periods']} not below "
             f"{verdict['tolerance']:.2e}")
     src_list = sources if isinstance(sources, (list, tuple)) else [sources]
-    leaves = []
-    labels = []
-    worst_gap = 0.0
-    worst_grad = 0.0
-    basepoint = np.asarray(basepoint, dtype=float)
+    charts = [source.chart for source in src_list]
+    lo, hi = charts[0].lo, charts[0].hi
+    if not all(np.array_equal(c.lo, lo) and np.array_equal(c.hi, hi)
+               for c in charts):
+        raise ChartMismatch("the potential's charts must share one "
+                            "parameter box")
+    U, shape = charts[0].grid(res)
+    K, p = U.shape
+    a, b, tree = _lattice_edges(shape)
+    cycle = ~tree
+    dU = U[b] - U[a]
     t = np.array([0.25, 0.5, 0.75])      # interior Simpson nodes of an edge
     w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
+    inner = U[a][:, None, :] + t[None, :, None] * dU[:, None, :]
+    nodes = np.concatenate([U, inner.reshape(-1, p)])
+    # anchor at the grid node nearest the basepoint
+    basepoint = np.asarray(basepoint, dtype=float)
+    k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :p], axis=1)))
+    hstep = [(hi[ax] - lo[ax]) / (shape[ax] - 1) for ax in range(p)]
+    deg = min(8, res - 1)
+    terms = np.array([e for e in itertools.product(range(deg + 1), repeat=p)
+                      if sum(e) <= deg])
+    A = _design(U, lo, hi, terms)
+    AtA = A.T @ A + 1e-10 * np.eye(A.shape[1])
+    values, grads, coef = [], [], []
+    worst_gap = 0.0
     for source in src_list:
-        chart = source.chart
-        U, shape = chart.grid(res)
-        K, p = U.shape
-        a, b, tree = _lattice_edges(shape)
-        dU = U[b] - U[a]
-        inner = U[a][:, None, :] + t[None, :, None] * dU[:, None, :]
-        comps = source.components(np.concatenate([U, inner.reshape(-1, p)]))
+        comps = source.components(nodes)
         edge_comps = np.concatenate([comps[a][:, None],
                                      comps[K:].reshape(len(a), 3, p),
                                      comps[b][:, None]], axis=1)
@@ -324,11 +317,8 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
         for pa, pb, dv in zip(a[tree].tolist(), b[tree].tolist(),
                               contrib[tree].tolist()):
             vals[pb] = vals[pa] + dv
-        # anchor at the grid node nearest the basepoint
-        k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :p], axis=1)))
         vals -= vals[k0]
 
-        cycle = ~tree
         gap = float(np.max(np.abs(vals[b[cycle]] - vals[a[cycle]]
                                   - contrib[cycle]), initial=0.0))
         worst_gap = max(worst_gap, gap)
@@ -337,27 +327,22 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
                 f"lattice cycle residual {worst_gap:.3e}")
 
         grad_res = 0.0
-        if chart.kind == "complex":
+        if source.chart.kind == "complex":
             grid_vals = vals.reshape(shape)
-            hstep = [(chart.hi[a2] - chart.lo[a2]) / (shape[a2] - 1)
-                     for a2 in range(p)]
             hv = (comps[:K, 0] + 1j * comps[:K, 1]).reshape(shape)
             Dx = np.gradient(grid_vals, hstep[0], axis=0)
             Dy = np.gradient(grid_vals, hstep[1], axis=1)
             dbar = 0.5 * (Dx + 1j * Dy)
             grad_res = float(np.max(np.abs((dbar - hv)[1:-1, 1:-1])))
-        worst_grad = max(worst_grad, grad_res)
-
-        model = _PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
-        model.fit(U, vals)
-        leaves.append(LeafPotential(chart=chart, params=U, shape=shape,
-                                    values=vals, model=model,
-                                    gradient_residual=grad_res))
-        labels.append(chart.leaf_label)
+        values.append(vals)
+        grads.append(grad_res)
+        coef.append(np.linalg.solve(AtA, A.T @ vals))
+    labels = [c.leaf_label for c in charts]
     has_labels = all(l is not None for l in labels) and len(labels) > 1
     return PotentialField(
-        leaves=leaves, basepoint=basepoint, path_disagreement=worst_gap,
-        gradient_residual=worst_grad,
+        charts=charts, params=U, shape=shape, values=np.array(values),
+        gradient_residuals=np.array(grads), terms=terms,
+        coef=np.stack(coef, axis=1), path_disagreement=worst_gap,
         labels=np.asarray(labels, dtype=float) if has_labels else None)
 
 
@@ -404,16 +389,16 @@ def collar_terms(domain, phi: PotentialField, to_chart,
     the edge fade; exact on the chart grid.
 
     The collar (default width domain.collar_width) must be foliated by the
-    fibres: the chart points P of a 3 x 3 sub-lattice of every leaf's grid
-    (its corners, edge midpoints and centre; 72 points on the bidisc's eight
-    leaves) are probed, and CollarTooWide raised unless P is the verified
-    nearest foot of each P - width n.
+    fibres: the 3 x 3 sub-lattice of the shared lattice (its corners, edge
+    midpoints and centre) is embedded by every leaf's chart (72 points on
+    the bidisc's eight leaves), and CollarTooWide raised unless each such
+    point P is the verified nearest foot of P - width n.
     """
     width = domain.collar_width if width is None else float(width)
     if width > 0.49 * domain.scale:
         raise CollarTooWide("collar wider than half the domain scale")
-    P = np.concatenate([leaf.chart.embed_batch(
-        leaf.params[_probe_rows(leaf.shape)]) for leaf in phi.leaves])
+    probe = phi.params[_probe_rows(phi.shape)]
+    P = np.concatenate([chart.embed_batch(probe) for chart in phi.charts])
     g = domain.jet(P, order=1).rgrad
     n = g / np.linalg.norm(g, axis=1, keepdims=True)
     ok, _ = verified_feet(domain, P - width * n, P)

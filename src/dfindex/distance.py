@@ -49,6 +49,18 @@ def _clip_box(domain, p):
     return np.clip(p, domain.box_lo, domain.box_hi)
 
 
+def _kkt_step(J, F, jitter):
+    """Newton steps solving J step = -F per point.  When some J is singular,
+    each point is solved alone and only the singular J take jitter x I, so
+    no point's step depends on the batch it is in."""
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if J.ndim == 2:
+            return np.linalg.solve(J + jitter * np.eye(len(F)), -F)
+        return np.stack([_kkt_step(Jk, Fk, jitter) for Jk, Fk in zip(J, F)])
+
+
 def _kkt_polish(domain, Z, p, lam):
     """Damped Newton iterations on [p - z + lam*grad(rho); rho] = 0, batched.
 
@@ -108,11 +120,7 @@ def _kkt_polish(domain, Z, p, lam):
         J[:, :D, D] = grad
         J[:, D, :D] = grad
         F = np.concatenate([F1, F2[:, None]], axis=1)
-        try:
-            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * scale * np.eye(D + 1)
-            step = np.linalg.solve(J + jitter[None], -F[:, :, None])[:, :, 0]
+        step = _kkt_step(J, F, 1e-12 * scale)
         norm = np.linalg.norm(step[:, :D], axis=1)
         cap = 0.1 * scale
         shrink = np.where(norm > cap, cap / np.maximum(norm, 1e-300), 1.0)

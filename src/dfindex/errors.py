@@ -43,7 +43,8 @@ class NotPseudoconvex(DfIndexError):
 
 
 class ChartMismatch(DfIndexError):
-    """Chart kind (real/complex) does not match the operation."""
+    """Chart kind (real/complex) or parameter box does not match the
+    operation."""
 
 
 class ChartGap(DfIndexError):

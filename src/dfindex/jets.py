@@ -189,18 +189,17 @@ def jcos(x):
 
 
 def jhinge_pow(x, k):
-    """max(x, 0)**k with one-sided derivatives; C3 for k >= 4."""
+    """max(x, 0)**k with one-sided derivatives, those the jet's order
+    carries; C3 for k >= 4."""
     if not isinstance(x, Jet):
         v = np.asarray(x, dtype=float)
         return np.where(v > 0.0, v, 0.0) ** k
     v = x.v
     m = (v > 0.0).astype(float)
     vp = np.where(v > 0.0, v, 0.0)
-    d0 = m * vp ** k
-    d1 = m * k * vp ** (k - 1)
-    d2 = m * k * (k - 1) * vp ** (k - 2)
-    d3 = m * k * (k - 1) * (k - 2) * vp ** (k - 3)
-    return x.chain(d0, d1, d2, d3)
+    d2 = m * k * (k - 1) * vp ** (k - 2) if x.order >= 2 else None
+    d3 = m * k * (k - 1) * (k - 2) * vp ** (k - 3) if x.order >= 3 else None
+    return x.chain(m * vp ** k, m * k * vp ** (k - 1), d2, d3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dfindex.certify import (NO_TERMS, Psi, combine, curve_geometry,
                              oracle_stencils, rho_terms)
 from dfindex.cohomology import build_potential, classify
 from dfindex.distance import _jet_at_feet, signed_distance_from_feet
-from references import leaf_sources
+from references import leaf_sources, tree_potential
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +47,14 @@ def bidisc_leaf_field(bidisc):
     bidisc's own form vanishes on every leaf)."""
     return build_potential(leaf_sources(bidisc), np.zeros(2),
                            classify({}, 1e-6), res=9)
+
+
+@pytest.fixture(scope="session")
+def bidisc_leaf_models(bidisc):
+    """bidisc_leaf_field's leaves fitted one at a time, each on its own
+    lattice and design (references.tree_potential): one model per leaf."""
+    return [tree_potential(src, np.zeros(2), 9)[1]
+            for src in leaf_sources(bidisc)]
 
 
 @pytest.fixture(scope="session")

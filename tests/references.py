@@ -10,8 +10,9 @@ differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
 sequence, synthetic 1-form sources, the spanning-tree potential without its
 cycle check, loop reparametrisations, the one-path line integral, the
-criterion on unscaled columns and the unmemoized coordinate descent (the
-forms that re-evaluate what the package shares), the projecting delta-jet and
+criterion on unscaled columns, the unmemoized coordinate descent and the
+potential with one lattice and one polynomial model per leaf (the forms
+that re-evaluate what the package shares), the projecting delta-jet and
 boundary-point helpers, the general contraction of the third tensor
 with (p, q) derivations, and the cutoff L2 bound on a disc patch (with the
 HypothesisFail error of its screening and of the transversal-field
@@ -21,14 +22,14 @@ The tests compare the package against these.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from dfindex.cohomology import (PERIOD_TOL, POTENTIAL_FACTOR, PathInSigma,
-                                _PolyModel)
+from dfindex.cohomology import PERIOD_TOL, POTENTIAL_FACTOR, PathInSigma
 from dfindex.certify import FD_STEP, PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
@@ -37,7 +38,7 @@ from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
     NoConvergence, NonFinite, OrderTooLow, StencilLeak
 from dfindex.jets import DomainSpec, Jet, WirtingerJet, third_contraction
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
-from dfindex.util import complex_pack, complex_unpack
+from dfindex.util import complex_pack, complex_unpack, smoothstep_c3
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +858,69 @@ class HFieldSource:
 
 
 # ---------------------------------------------------------------------------
-# spanning-tree potential without the cycle check
+# spanning-tree potential without the cycle check, one model per leaf
 # ---------------------------------------------------------------------------
+
+class PolyModel:
+    """Least-squares tensor polynomial on normalized chart parameters, one
+    leaf's own: its design at the lattice nodes, its normal matrix and its
+    fit."""
+
+    def __init__(self, lo, hi, degree):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.degree = degree
+        self.coef = None
+        self.terms = None
+
+    def _design(self, U):
+        """Monomial columns of total degree <= degree, built from one
+        per-axis power table gathered through the cached exponent index."""
+        X = 2.0 * (U - self.lo) / (self.hi - self.lo) - 1.0
+        p = X.shape[1]
+        if self.terms is None:
+            self.terms = np.array(
+                [e for e in itertools.product(range(self.degree + 1),
+                                              repeat=p)
+                 if sum(e) <= self.degree])
+        powers = np.stack([X ** e for e in range(self.degree + 1)], axis=2)
+        A = np.take(powers[:, 0], self.terms[:, 0], axis=1)
+        for a in range(1, p):
+            A *= np.take(powers[:, a], self.terms[:, a], axis=1)
+        return A
+
+    def fit(self, U, y):
+        A = self._design(np.atleast_2d(U))
+        lam = 1e-10
+        AtA = A.T @ A + lam * np.eye(A.shape[1])
+        self.coef = np.linalg.solve(AtA, A.T @ np.asarray(y, dtype=float))
+
+    def __call__(self, U):
+        A = self._design(np.atleast_2d(U))
+        return A @ self.coef
+
+
+def eval_per_leaf(models, labels, U, t):
+    """PotentialField.eval with one model per leaf: each leaf's model builds
+    its own monomial table on the rows whose bracketing labels include the
+    leaf, so each point's table is built twice."""
+    U = np.atleast_2d(U)
+    if t is None or labels is None or len(models) == 1:
+        return models[0](U)
+    tt = np.mod(np.asarray(t, dtype=float), 2 * np.pi)
+    k = np.searchsorted(labels, tt) % len(labels)
+    k0 = (k - 1) % len(labels)
+    span = np.mod(labels[k] - labels[k0], 2 * np.pi)
+    w = smoothstep_c3(np.where(span > 0, np.mod(tt - labels[k0], 2 * np.pi)
+                               / np.where(span > 0, span, 1.0), 0.0))
+    out = np.zeros(U.shape[0])
+    for j, model in enumerate(models):
+        rows = np.flatnonzero((k0 == j) | (k == j))
+        if rows.size:
+            wj = np.where(k0[rows] == j, 1.0 - w[rows], w[rows])
+            out[rows] += wj * model(U[rows])
+    return out
+
 
 def _tree_edges(shape):
     """Spanning-tree edges of a lattice: node index -> parent index."""
@@ -915,7 +977,7 @@ def tree_potential(source, basepoint, res):
     Dy = np.gradient(grid_vals, hstep[1], axis=1)
     dbar = 0.5 * (Dx + 1j * Dy)
     grad_res = float(np.max(np.abs((dbar - hv)[1:-1, 1:-1])))
-    model = _PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
+    model = PolyModel(chart.lo, chart.hi, degree=min(8, res - 1))
     model.fit(U, vals)
     return vals, model, grad_res
 

@@ -178,10 +178,9 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     chart0 = bidisc.notes["main_leaf"]
     src = HFieldSource(chart0, lambda U: U[:, 0] - 1j * U[:, 1])
     phi0 = build_potential(src, np.zeros(2), classify({}, 1e-6), res=17)
-    leaf = phi0.leaves[0]
-    target = leaf.params[:, 0] ** 2 - leaf.params[:, 1] ** 2
-    k0 = int(np.argmin(np.linalg.norm(leaf.params, axis=1)))
-    rec_err = float(np.max(np.abs(leaf.values - (target - target[k0]))))
+    target = phi0.params[:, 0] ** 2 - phi0.params[:, 1] ** 2
+    k0 = int(np.argmin(np.linalg.norm(phi0.params, axis=1)))
+    rec_err = float(np.max(np.abs(phi0.values[0] - (target - target[k0]))))
     assert rec_err < 1e-6
     assert phi0.path_disagreement < 1e-6
 

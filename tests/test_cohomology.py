@@ -12,17 +12,17 @@ from dfindex import cohomology, zoo
 from dfindex.certify import Psi
 from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 build_potential, classify, collar_terms,
-                                exactness_tolerance, _PolyModel,
-                                integrate_theta, period)
+                                exactness_tolerance, integrate_theta,
+                                period)
 from dfindex.distance import foot_points
-from dfindex.errors import (ChartGap, CollarTooWide, NoConvergence,
-                            ObstructedClass, PathDisagreement)
+from dfindex.errors import (ChartGap, ChartMismatch, CollarTooWide,
+                            NoConvergence, ObstructedClass, PathDisagreement)
 from dfindex.pipelines import ORACLE_DEPTH, Run, potential_for
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
-from references import (FuncSource, HFieldSource, integrate_theta_single,
-                        leaf_sources, reversed_path, rotated_path,
-                        tree_potential)
+from references import (FuncSource, HFieldSource, eval_per_leaf,
+                        integrate_theta_single, leaf_sources, reversed_path,
+                        rotated_path, tree_potential)
 
 
 def disc_chart(domain_entry, half=0.8):
@@ -155,8 +155,8 @@ def test_bidisc_potential_vanishes(bidisc):
     src = [ThetaSource(c) for c in bidisc.charts.values()]
     verdict, _ = (classify({"leaf": 0.0}, 1e-6), None)
     phi = build_potential(src, np.zeros(2), verdict, res=7)
-    assert max(np.max(np.abs(l.values)) for l in phi.leaves) < 1e-6
-    assert phi.gradient_residual < 1e-4
+    assert np.max(np.abs(phi.values)) < 1e-6
+    assert np.max(phi.gradient_residuals) < 1e-4
     assert phi.path_disagreement < 1e-6
 
 
@@ -167,10 +167,9 @@ def test_synthetic_exact_form_recovery(bidisc):
     src = HFieldSource(chart, lambda U: U[:, 0] - 1j * U[:, 1])
     verdict = classify({}, 1e-6)
     phi = build_potential(src, np.zeros(2), verdict, res=17)
-    leaf = phi.leaves[0]
-    target = leaf.params[:, 0] ** 2 - leaf.params[:, 1] ** 2
-    k0 = int(np.argmin(np.linalg.norm(leaf.params, axis=1)))
-    np.testing.assert_allclose(leaf.values, target - target[k0], atol=1e-6)
+    target = phi.params[:, 0] ** 2 - phi.params[:, 1] ** 2
+    k0 = int(np.argmin(np.linalg.norm(phi.params, axis=1)))
+    np.testing.assert_allclose(phi.values[0], target - target[k0], atol=1e-6)
 
 
 def test_obstructed_class_raises(worm):
@@ -218,11 +217,18 @@ def _exp_field(U):
 
 
 def _assert_matches_tree_route(phi, sources, res):
-    for leaf, src in zip(phi.leaves, sources):
-        vals, model, grad_res = tree_potential(src, phi.basepoint, res)
-        np.testing.assert_array_equal(leaf.values, vals)
-        np.testing.assert_array_equal(leaf.model.coef, model.coef)
-        assert leaf.gradient_residual == grad_res
+    """Node values, coefficients and gradient residuals equal, bit for bit,
+    those of each leaf's own lattice and fit; returns the leaves' models."""
+    assert len(phi.charts) == len(sources)
+    models = []
+    for j, src in enumerate(sources):
+        vals, model, grad_res = tree_potential(src, np.zeros(2), res)
+        np.testing.assert_array_equal(phi.values[j], vals)
+        np.testing.assert_array_equal(phi.coef[:, j], model.coef)
+        np.testing.assert_array_equal(phi.terms, model.terms)
+        assert phi.gradient_residuals[j] == grad_res
+        models.append(model)
+    return models
 
 
 @pytest.mark.parametrize("res", [9, 17, 33])
@@ -257,7 +263,7 @@ def test_potential_evaluates_theta_once_per_leaf(bidisc, monkeypatch):
     monkeypatch.setattr(ThetaSource, "components", counting_components)
     monkeypatch.setattr(cohomology, "integrate_theta", counting_integrate)
     phi = potential_for(bidisc, classify({}, 1e-6), 9)
-    assert len(phi.leaves) == 8
+    assert len(phi.charts) == 8
     assert calls == {"components": 8, "integrate_theta": 0}
 
 
@@ -286,7 +292,7 @@ def test_round_trip_residual_second_order(bidisc):
     res = []
     for n in (9, 17, 33):
         phi = build_potential(src, np.zeros(2), verdict, res=n)
-        res.append(phi.leaves[0].gradient_residual)
+        res.append(phi.gradient_residuals[0])
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert np.min(orders) > 1.7
 
@@ -306,10 +312,10 @@ def test_collar_psi_matches_on_sigma(bidisc):
         return U, None, np.zeros(P.shape[0])
 
     psi = Psi(collar_terms(bidisc.domain, phi, to_chart), (1.0,))
-    U = phi.leaves[0].params[::7]
+    U = phi.params[::7]
     P = chart.embed_batch(U)
     vals = psi_at_feet(psi, P)
-    expect = -2.0 * phi.leaves[0].model(U)
+    expect = -2.0 * tree_potential(src, np.zeros(2), 9)[1](U)
     np.testing.assert_allclose(vals, expect, atol=1e-9)
 
 
@@ -381,15 +387,19 @@ def test_collar_probe_reaches_every_leaf(bidisc):
     # first row of the first leaf
     phi = potential_for(bidisc, classify({}, 1e-6), 9)
     collar_terms(bidisc.domain, phi, bidisc.sigma_coords)
-    leaf = phi.leaves[5]
-    params = leaf.params.copy()
-    centre = np.ravel_multi_index([(n - 1) // 2 for n in leaf.shape],
-                                  leaf.shape)
-    params[centre] = (1.2 * bidisc.domain.meta["r"], 0.0)
-    leaves = list(phi.leaves)
-    leaves[5] = dataclasses.replace(leaf, params=params)
+    chart = phi.charts[5]
+    centre = phi.params[np.ravel_multi_index(
+        [(n - 1) // 2 for n in phi.shape], phi.shape)]
+    off = (1.2 * bidisc.domain.meta["r"], 0.0)
+
+    def embed(U):
+        at_centre = np.all(U == centre, axis=1)[:, None]
+        return chart.embed(np.where(at_centre, off, U))
+
+    charts = list(phi.charts)
+    charts[5] = dataclasses.replace(chart, embed=embed)
     with pytest.raises(CollarTooWide, match="1 of 72 collar fibres"):
-        collar_terms(bidisc.domain, dataclasses.replace(phi, leaves=leaves),
+        collar_terms(bidisc.domain, dataclasses.replace(phi, charts=charts),
                      bidisc.sigma_coords)
 
 
@@ -398,12 +408,9 @@ def test_collar_probe_reaches_every_leaf(bidisc):
 # batched potential evaluation
 # ---------------------------------------------------------------------------
 
-def _design_reference(model, U):
+def _design_reference(lo, hi, terms, U):
     """Monomial columns with one np.prod call per term."""
-    X = 2.0 * (U - model.lo) / (model.hi - model.lo) - 1.0
-    terms = [e for e in itertools.product(range(model.degree + 1),
-                                          repeat=X.shape[1])
-             if sum(e) <= model.degree]
+    X = 2.0 * (U - lo) / (hi - lo) - 1.0
     return np.stack([np.prod([X[:, a] ** e for a, e in enumerate(term)],
                              axis=0) for term in terms], axis=1)
 
@@ -412,19 +419,20 @@ def _design_reference(model, U):
 def test_design_matches_prod_reference(p):
     rng = np.random.default_rng(30 + p)
     lo, hi = -0.6 * np.ones(p), 0.8 * np.ones(p)
-    model = _PolyModel(lo, hi, degree=8)
+    terms = np.array([e for e in itertools.product(range(9), repeat=p)
+                      if sum(e) <= 8])
     U = rng.uniform(lo, hi, size=(200, p))
-    A = model._design(U)
-    np.testing.assert_array_equal(A, _design_reference(model, U))
+    A = cohomology._design(U, lo, hi, terms)
+    np.testing.assert_array_equal(A, _design_reference(lo, hi, terms, U))
     assert A.flags["C_CONTIGUOUS"]
-    # the cached exponent index serves later batches of any size
-    np.testing.assert_array_equal(model._design(U[:3]),
-                                  _design_reference(model, U[:3]))
+    # one exponent table serves batches of any size
+    np.testing.assert_array_equal(cohomology._design(U[:3], lo, hi, terms),
+                                  _design_reference(lo, hi, terms, U[:3]))
 
 
-def _eval_per_point(field, U, t):
-    """The scalar leaf-blending rule, one point and one leaf at a time: the
-    C3 step of the label fraction weighs the upper leaf."""
+def _eval_per_point(field, models, U, t):
+    """The scalar leaf-blending rule, one point and one leaf model at a
+    time: the C3 step of the label fraction weighs the upper leaf."""
     lt = field.labels
     out = np.zeros(U.shape[0])
     for i in range(U.shape[0]):
@@ -434,8 +442,8 @@ def _eval_per_point(field, U, t):
         span = np.mod(lt[k] - lt[k0], 2 * np.pi)
         w = np.mod(tt - lt[k0], 2 * np.pi) / span if span > 0 else 0.0
         w = float(smoothstep_c3(w))
-        for leaf, wt in ((field.leaves[k0], 1.0 - w), (field.leaves[k], w)):
-            out[i] += wt * float(leaf.model(U[i:i + 1])[0])
+        for model, wt in ((models[k0], 1.0 - w), (models[k], w)):
+            out[i] += wt * float(model(U[i:i + 1])[0])
     return out
 
 
@@ -454,11 +462,12 @@ def _label_samples(labels, count, seed):
     return U, t
 
 
-def test_batched_eval_matches_per_point_loop(bidisc_leaf_field):
-    field = bidisc_leaf_field
-    assert len(field.leaves) == 8 and field.labels is not None
+def test_batched_eval_matches_per_point_loop(bidisc_leaf_field,
+                                            bidisc_leaf_models):
+    field, models = bidisc_leaf_field, bidisc_leaf_models
+    assert len(field.charts) == 8 and field.labels is not None
     U, t = _label_samples(field.labels, 300, seed=31)
-    ref = _eval_per_point(field, U, t)
+    ref = _eval_per_point(field, models, U, t)
     got = field.eval(U, t)
     scale = np.max(np.abs(ref))
     assert scale > 1.0       # the leaves carry distinct, nonzero potentials
@@ -466,11 +475,11 @@ def test_batched_eval_matches_per_point_loop(bidisc_leaf_field):
     # at a label the point takes that leaf alone
     k = 3
     at_label = field.eval(U[:5], np.full(5, field.labels[k]))
-    np.testing.assert_allclose(at_label, field.leaves[k].model(U[:5]),
+    np.testing.assert_allclose(at_label, models[k](U[:5]),
                                rtol=0, atol=1e-13 * scale)
 
 
-def test_batched_eval_zero_span(bidisc_leaf_field):
+def test_batched_eval_zero_span(bidisc_leaf_field, bidisc_leaf_models):
     # a last label at 2 pi coincides with the first one mod 2 pi: the
     # bracket across the seam has zero span and the scalar rule gives the
     # lower leaf full weight
@@ -478,13 +487,13 @@ def test_batched_eval_zero_span(bidisc_leaf_field):
     labels[-1] = 2 * np.pi
     field = dataclasses.replace(bidisc_leaf_field, labels=labels)
     U, t = _label_samples(labels, 100, seed=32)
-    ref = _eval_per_point(field, U, t)
+    ref = _eval_per_point(field, bidisc_leaf_models, U, t)
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(field.eval(U, t), ref, rtol=0,
                                atol=1e-13 * scale)
     seam = np.array([0.0, 2 * np.pi, -2 * np.pi])
     np.testing.assert_allclose(field.eval(U[:3], seam),
-                               field.leaves[-1].model(U[:3]), rtol=0,
+                               bidisc_leaf_models[-1](U[:3]), rtol=0,
                                atol=1e-13 * scale)
 
 
@@ -507,10 +516,53 @@ def test_collar_psi_smooth_across_leaf_labels(bidisc, bidisc_leaf_field):
     assert np.max(second) < 2.5
 
 
-def test_eval_without_labels_uses_first_leaf(bidisc_leaf_field):
+def test_eval_without_labels_uses_first_leaf(bidisc_leaf_field,
+                                            bidisc_leaf_models):
     field = bidisc_leaf_field
     U, t = _label_samples(field.labels, 20, seed=33)
-    first = field.leaves[0].model(U)
+    first = bidisc_leaf_models[0](U)
     np.testing.assert_array_equal(field.eval(U, None), first)
     unlabeled = dataclasses.replace(field, labels=None)
     np.testing.assert_array_equal(unlabeled.eval(U, t), first)
+
+
+# ---------------------------------------------------------------------------
+# one lattice and one monomial basis for every leaf
+# ---------------------------------------------------------------------------
+
+def test_shared_basis_matches_per_leaf_reference(bidisc, bidisc_leaf_field):
+    # the shared lattice, design and normal matrix give each leaf the bits
+    # of its own fit, and eval's one monomial table the bits of the two
+    # bracketing leaves' own tables
+    field = bidisc_leaf_field
+    models = _assert_matches_tree_route(field, leaf_sources(bidisc), 9)
+    U, t = _label_samples(field.labels, 300, seed=34)
+    for labels in (t, None):
+        np.testing.assert_array_equal(
+            field.eval(U, labels), eval_per_leaf(models, field.labels,
+                                                 U, labels))
+    np.testing.assert_array_equal(
+        field.eval(field.params, np.full(len(field.params), field.labels[2])),
+        eval_per_leaf(models, field.labels, field.params,
+                      np.full(len(field.params), field.labels[2])))
+
+
+@pytest.mark.parametrize("res", [7, 9, 17])
+@pytest.mark.parametrize("name", ["log_polar", "patch"])
+def test_single_chart_basis_matches_per_leaf_reference(worm, name, res):
+    src = ThetaSource(worm.charts[name])
+    phi = build_potential(src, np.zeros(2), classify({}, 1e-6), res=res)
+    [model] = _assert_matches_tree_route(phi, [src], res)
+    rng = np.random.default_rng(res)
+    U = rng.uniform(src.chart.lo, src.chart.hi, size=(50, 2))
+    for V in (U, phi.params):
+        np.testing.assert_array_equal(phi.eval(V, None),
+                                      eval_per_leaf([model], None, V, None))
+
+
+def test_potential_charts_share_one_box(bidisc):
+    field = lambda U: U[:, 0] - 1j * U[:, 1]
+    sources = [HFieldSource(disc_chart(bidisc, half), field)
+               for half in (0.6, 0.8)]
+    with pytest.raises(ChartMismatch, match="one parameter box"):
+        build_potential(sources, np.zeros(2), classify({}, 1e-6), res=9)

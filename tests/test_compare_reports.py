@@ -76,6 +76,7 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
         assert ["estimate", *geometry, "--mesh", "600", "--interior", "60",
                 "--seed", "3"] in cmds
         assert ["potential", *geometry, "--res", "9"] in cmds
+    assert ["potential", "--domain", "bidisc", "--res", "24"] in cmds
     assert ["theta", "--domain", "bidisc", "--chart", "leaf_5.498",
             "--res", "9"] in cmds
     assert ["theta", "--domain", "worm", "--chart", "patch",
@@ -86,5 +87,5 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
             "--slack", "1e-3", "--mesh", "600", "--interior", "60",
             "--seed", "3"] in cmds
     assert set(_COMMANDS) <= {_command_of(c) for c in cmds}
-    assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 8 + 5 + 1
+    assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 1 + 8 + 5 + 1
                          + len(tool["ERROR_CASES"]))

@@ -219,6 +219,22 @@ def test_foot_points_batch_invariant(name, ambiguity_check, request,
             np.testing.assert_array_equal(a, b)
 
 
+def test_kkt_polish_does_not_share_a_singular_seeds_jitter(bidisc):
+    # at z2 = 0, |z1| < r the bidisc's rho has no gradient, so the KKT
+    # matrix of a seed there is singular; its jitter must not reach the
+    # ordinary seeds polished beside it
+    dom = bidisc.domain
+    Z = np.random.default_rng(5).uniform(-0.9, 0.9, size=(6, 4))
+    p, lam, _ = distance._predict_gradient_flow(dom, Z, 2)
+    singular = np.array([[0.1, 0.0, 0.0, 0.0]])
+    alone = distance._kkt_polish(dom, Z, p.copy(), lam.copy())
+    beside = distance._kkt_polish(dom, np.concatenate([Z, singular]),
+                                  np.concatenate([p, singular]),
+                                  np.append(lam, 0.3))
+    for a, b in zip(alone, beside):
+        np.testing.assert_array_equal(a, b[:len(Z)])
+
+
 def test_stencil_leak_outside_collar(ball):
     # |delta| = 0.5 against the ball's collar width 0.22
     with pytest.raises(StencilLeak, match="collar"):

@@ -17,6 +17,8 @@ It runs one fixed command set through each checkout's own
   --beta 6.2832 and the bidisc at --r 0.5) at the same sizes, seed 3;
 - theta, period, potential and zoo describe on every domain at --res 9,
   and theta, period and potential on the two geometries;
+- potential on the bidisc at --res 24, whose 12-node lattice carries the
+  degree-8 fit (--res 9 gives 9 nodes and degree 8);
 - theta --chart on every chart that the domain's default chart leaves out
   (the bidisc's seven other leaves and the worm's patch) at --res 9;
 - five commands that reach report branches the sets above leave out: an
@@ -120,6 +122,7 @@ def commands(checkout):
     for cmd in ("theta", "period", "potential"):
         for geometry in GEOMETRIES:
             cmds.append([cmd, *geometry, "--res", "9"])
+    cmds.append(["potential", "--domain", "bidisc", "--res", "24"])
     for domain, chart in CHARTS:
         cmds.append(["theta", "--domain", domain, "--chart", chart,
                      "--res", "9"])
