@@ -13,9 +13,9 @@ config-file key and a --key flag (with - for _), read as text and
 converted to its default's type by RunConfig.validate.  _COMMANDS is the
 one list of commands, one per pipeline stage: the Levi scan (sigma), the
 1-form on a chart (theta), its periods (period) and potential
-(potential), the certificate at one eta (certify, whose report carries the
-real-curve certificate where Sigma is a curve) and over a grid (estimate),
-and the zoo's entries; all but theta and zoo read their stages from a Run.
+(potential), the certificate at one eta (certify) and over a grid
+(estimate), which both report Run.decide's psi and checks, and the zoo's
+entries; all but theta and zoo read their stages from a Run.
 """
 
 from __future__ import annotations

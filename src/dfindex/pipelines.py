@@ -1,8 +1,11 @@
 """The pipeline over a zoo entry: Run holds its stages, each computed in
 one place and at most once -- the boundary mesh, the Sigma scan on it, the
 period verdict of the generator loops, the collar potential and the
-criterion and oracle data -- and certify and estimate build their reports
-over them.  Every CLI command that runs a stage reads it from Run."""
+criterion and oracle data.  Run.decide makes the one per-eta decision:
+which psi candidate passes the boundary check and the interior oracle, with
+one label per psi.  certify reports that decision at one eta and estimate
+records it over a grid.  Every CLI command that runs a stage reads it from
+Run."""
 
 from __future__ import annotations
 
@@ -63,9 +66,9 @@ class Run:
     potential (collar_psi), the criterion data (evaluator), the interior
     mesh with its delta-jet and psi stencils, and the psi terms objects.
     Each is eta-independent, built on first use and at most once, and each
-    stencil differences each terms object once; certify and estimate build
-    their reports over them, combining the cached columns with each psi's
-    coefficients.
+    stencil differences each terms object once; decide combines the cached
+    columns with each candidate psi's coefficients, and certify and
+    estimate report its decision.
     """
 
     entry: ZooEntry
@@ -121,15 +124,6 @@ class Run:
             phi = potential_for(e, self.verdict, COLLAR_RES)
             return Psi(collar_terms(e.domain, phi, e.sigma_coords), (1.0,))
         return None
-
-    @cached_property
-    def default_psi(self):
-        """certify's candidate: (psi, provenance)."""
-        if self.entry.sigma_kind == "Empty":
-            return Psi(NO_TERMS, ()), "zero (empty degenerate set)"
-        if self.collar_psi is not None:
-            return self.collar_psi, "collar potential (-2 phi)"
-        return Psi(NO_TERMS, ()), "zero (no exact potential)"
 
     @cached_property
     def evaluator(self):
@@ -189,11 +183,11 @@ class Run:
         """The family search's basis functions, one term each."""
         return ChartTerms(self.entry.sigma_coords, _family_surface)
 
-    def family_psi(self, eta, diagnostics):
+    def family_psi(self, eta, provenance):
         """Coordinate-descent minimiser of maxLHS over psi = Psi(
         family_terms, c), scoring c as max lhs_dirs(G c, Q c, eta) on the
         criterion's columns (G, Q) of the basis; the minimum is logged in
-        diagnostics['psiProvenance']."""
+        the provenance list."""
         G, Q = self.evaluator.columns(self.family_terms)
 
         def objective(coef):
@@ -203,97 +197,98 @@ class Run:
         box = FAMILY_BOX * np.ones(G.shape[1])
         coef, val = coordinate_descent(objective, np.zeros(G.shape[1]),
                                        -box, box, rounds=2, gold_iters=10)
-        diagnostics["psiProvenance"].append(
-            {"eta": float(eta), "family_min_maxLHS": float(val)})
+        provenance.append({"eta": float(eta),
+                           "family_min_maxLHS": float(val)})
         return Psi(self.family_terms, coef)
 
-    def certify(self, eta):
-        """Report at one exponent: the boundary check (criterion, or the
-        real-curve certificate) and the interior oracle on its psi."""
-        out = {"domain": self.entry.id, "eta": float(eta),
-               "sigmaSize": self.sigma.size}
-        if self.entry.sigma_kind == "RealCurve":
+    def candidates(self, eta, provenance):
+        """The psi candidates at eta in order, each (label, psi, boundary
+        report) and built only when reached: the real-curve certificate
+        where Sigma is a curve; otherwise the collar potential where the
+        class is exact, then psi = 0, then, with no collar potential and
+        where Sigma has coordinates and samples, the family search, which
+        logs to provenance.  The boundary report is the curve
+        certificate's, or the criterion's, which is uncertified with a
+        reason where Sigma is not empty but the scan kept no sample."""
+        e = self.entry
+        if e.sigma_kind == "RealCurve":
             crep = real_curve_certify(self.curve_geometry, eta,
                                       slack=self.slack)
-            psi = Psi(self.curve_terms, (1.0, crep["b"]))
-            out["curve"] = crep
-            out["criterion"] = {k: crep[k]
-                                for k in ("certified", "maxLHS", "slack")}
-            out["psi"] = "curve certificate profile"
-        else:
-            psi, out["psi"] = self.default_psi
+            yield ("curve certificate",
+                   Psi(self.curve_terms, (1.0, crep["b"])), crep)
+            return
+
+        def checked(label, psi):
+            rep = self.evaluator.report(psi, eta, slack=self.slack,
+                                        psi_name=label)
+            if rep["vacuous"] and e.sigma_kind != "Empty":
+                rep |= {"certified": False,
+                        "reason": f"the scan kept no sample of the "
+                                  f"{e.sigma_kind} degenerate set"}
+            return label, psi, rep
+
+        if self.collar_psi is not None:
+            yield checked("collar potential (-2 phi)", self.collar_psi)
+        yield checked("zero", Psi(NO_TERMS, ()))
+        if self.collar_psi is None and e.sigma_coords is not None \
+                and self.sigma.size:
+            yield checked("family (coordinate descent)",
+                          self.family_psi(eta, provenance))
+
+    def decide(self, eta, provenance):
+        """The psi at eta: (label, psi, boundary report, oracle report or
+        None) of the first candidate that passes both the boundary check
+        and the interior oracle, or else of the last one tried.  The oracle
+        runs only on a candidate whose boundary check certifies."""
+        for label, psi, crep in self.candidates(eta, provenance):
+            orep = self.oracle(eta, psi) if crep["certified"] else None
+            if orep is not None and orep["certified"]:
+                break
+        return label, psi, crep, orep
+
+    def certify(self, eta):
+        """Report at one exponent: decide's psi with its boundary report
+        (criterion, or the real-curve certificate) and the interior oracle
+        on it, run here when decide did not run it."""
+        label, psi, crep, orep = self.decide(eta, [])
+        out = {"domain": self.entry.id, "eta": float(eta),
+               "sigmaSize": self.sigma.size, "psi": label, "criterion": crep,
+               "oracle": self.oracle(eta, psi) if orep is None else orep}
+        if self.entry.sigma_kind != "RealCurve":
             out["verdict"] = self.verdict
-            out["criterion"] = self.evaluator.report(
-                psi, eta, slack=self.slack, psi_name=out["psi"])
             if self.verdict["classification"] != "Exact":
                 out["obstruction"] = {"classification": "Obstructed",
                                       "periods": out["verdict"]["periods"]}
-        out["oracle"] = self.oracle(eta, psi)
-        out["certified"] = bool(out["criterion"]["certified"]
+        out["certified"] = bool(crep["certified"]
                                 and out["oracle"]["certified"])
         return out
 
     def estimate(self, eta_grid):
-        """Largest eta on the grid certified by both the boundary check and
-        the interior oracle.  Per eta, psi candidates are tried in order
-        (collar potential, zero, family search), and the oracle runs on each
-        one the criterion certifies, until one passes both.
+        """Largest eta on the grid that decide certifies.
 
-        Returns {etaGrid (sorted), records (per eta: eta, certified, psi,
-        maxLHS, oracleMinEig, and oracleScaled once the oracle ran on a
-        criterion-certified psi), bound (the largest certified eta, 0 when
-        none), diagnostics (sigmaSize, psiProvenance, and verdict,
-        obstruction and reason where they apply)}."""
+        Returns {etaGrid (sorted), records (per eta: eta, certified, psi
+        (decide's label when certified, else None), maxLHS and oracle (its
+        report, None where decide did not run it) of decide's psi), bound
+        (the largest certified eta, 0 when none), diagnostics (sigmaSize,
+        psiProvenance, and verdict, obstruction and reason where they
+        apply)}."""
         grid = sorted(eta_grid)
         diagnostics = {"sigmaSize": self.sigma.size, "psiProvenance": []}
-        if self.entry.sigma_kind == "RealCurve":
-            # the curve certificate's profile is the only candidate
-            records = [{"eta": r["eta"], "certified": r["certified"],
-                        "psi": "curve certificate",
-                        "maxLHS": r["criterion"]["maxLHS"],
-                        "oracleMinEig": r["oracle"]["minEig"]}
-                       for r in map(self.certify, grid)]
-            return _certificate(grid, records, diagnostics)
         if self.entry.loops:
             diagnostics["verdict"] = self.verdict
             if self.verdict["classification"] != "Exact":
                 diagnostics["obstruction"] = self.verdict
-        search = self.collar_psi is None \
-            and self.entry.sigma_coords is not None and self.sigma.size
-
-        def candidates(eta):
-            if self.collar_psi is not None:
-                yield "collar potential", self.collar_psi
-            yield "zero", Psi(NO_TERMS, ())
-            if search:
-                yield ("family (coordinate descent)",
-                       self.family_psi(eta, diagnostics))
-
         records = []
         for eta in grid:
-            record = {"eta": float(eta), "certified": False, "psi": None,
-                      "maxLHS": None, "oracleMinEig": None}
-            for name, psi in candidates(eta):
-                rep = self.evaluator.report(psi, eta, slack=self.slack,
-                                            psi_name=name)
-                record["maxLHS"] = rep["maxLHS"]
-                if not rep["certified"]:
-                    continue
-                orep = self.oracle(eta, psi)
-                record["oracleMinEig"] = orep["minEig"]
-                record["oracleScaled"] = orep["minScaled"]
-                if orep["certified"]:
-                    record.update(certified=True, psi=name)
-                    break
-            records.append(record)
+            label, _, crep, orep = self.decide(
+                eta, diagnostics["psiProvenance"])
+            certified = orep is not None and orep["certified"]
+            records.append({"eta": float(eta), "certified": certified,
+                            "psi": label if certified else None,
+                            "maxLHS": crep["maxLHS"], "oracle": orep})
         if not any(r["certified"] for r in records):
             diagnostics["reason"] = "no eta certified"
-        return _certificate(grid, records, diagnostics)
-
-
-def _certificate(grid, records, diagnostics):
-    """estimate's report over its per-eta records."""
-    return {"etaGrid": [float(e) for e in grid], "records": records,
-            "bound": float(max([r["eta"] for r in records if r["certified"]],
-                               default=0.0)),
-            "diagnostics": diagnostics}
+        return {"etaGrid": [float(e) for e in grid], "records": records,
+                "bound": float(max([r["eta"] for r in records
+                                    if r["certified"]], default=0.0)),
+                "diagnostics": diagnostics}

@@ -49,7 +49,7 @@ def bidisc_package(bidisc):
     """Shared bidisc pipeline artifacts: sigma set, verdict, psi = -2 phi."""
     sigma = Run(bidisc, mesh_count=3000).sigma
     run = Run(bidisc)
-    psi, provenance = run.default_psi
+    provenance, psi, _ = next(run.candidates(0.99, []))
     return {"sigma": sigma, "psi": psi, "verdict": run.verdict,
             "provenance": provenance}
 

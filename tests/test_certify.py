@@ -41,7 +41,7 @@ def bidisc_sigma(bidisc):
 
 @pytest.fixture(scope="module")
 def bidisc_psi(bidisc):
-    psi, provenance = Run(bidisc).default_psi
+    provenance, psi, _ = next(Run(bidisc).candidates(0.99, []))
     assert "potential" in provenance
     return psi
 
@@ -559,7 +559,52 @@ def test_estimate_bidisc(bidisc):
     cert = Run(bidisc, mesh_count=1000,
                oracle_count=400).estimate((0.5, 0.99))
     assert cert["bound"] >= 0.99
-    assert cert["records"][-1]["psi"] == "collar potential"
+    assert cert["records"][-1]["psi"] == "collar potential (-2 phi)"
+
+
+# every zoo domain and the two further geometries of
+# tools/compare_reports.py, by id, with the slack of each case
+DECISION_CASES = {
+    "ball": (lambda: zoo.make_ball(1.0), None),
+    "bidisc": (lambda: zoo.make_fattened_bidisc(0.7), None),
+    "worm": (lambda: zoo.make_worm(np.pi), None),
+    "quartic_circle": (zoo.make_quartic_circle, None),
+    "worm-beta-6.2832": (lambda: zoo.make_worm(6.2832), None),
+    "bidisc-r-0.5": (lambda: zoo.make_fattened_bidisc(0.5), None),
+    # psi = 0 passes the criterion and fails the oracle, the family psi
+    # fails the criterion
+    "worm-slack-1.21": (lambda: zoo.make_worm(np.pi), 1.21),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECISION_CASES))
+def test_certify_reports_the_estimate_record(case):
+    # certify at eta and estimate's record at eta report one decision, each
+    # on a run of its own at --mesh 600 --interior 60 --seed 3
+    make, slack = DECISION_CASES[case]
+    entry = make()
+    runs = [Run(entry, mesh_count=600, seed=3, oracle_count=60, slack=slack)
+            for _ in range(2)]
+    for rec in runs[0].estimate(ETA_GRID)["records"]:
+        rep = runs[1].certify(rec["eta"])
+        assert rep["certified"] == rec["certified"]
+        if rec["certified"]:
+            assert rep["psi"] == rec["psi"]
+        assert rep["criterion"]["maxLHS"] == rec["maxLHS"]
+        if rep["criterion"]["certified"]:
+            assert rep["oracle"] == rec["oracle"]
+        else:
+            assert rec["oracle"] is None
+
+
+def test_estimate_record_holds_the_oracle_of_its_own_psi(worm):
+    # at slack 1.21 and eta 0.5 the oracle runs on psi = 0 (maxLHS 1.1995)
+    # and fails; the record is then the family psi's, whose maxLHS 1.2228
+    # fails the criterion, so no oracle ran on it
+    rec, = Run(worm, mesh_count=600, seed=3, oracle_count=60,
+               slack=1.21).estimate((0.5,))["records"]
+    assert rec["maxLHS"] == pytest.approx(1.22280900405, rel=1e-9)
+    assert rec["oracle"] is None and not rec["certified"]
 
 
 def test_estimate_worm_obstructed(worm):
@@ -616,7 +661,8 @@ def test_estimate_evaluates_collar_terms_once_per_stencil(bidisc,
     calls = _counting_chart_terms(monkeypatch)
     run = Run(bidisc, 400, seed=3, oracle_count=40)
     cert = run.estimate(ETA_GRID)
-    assert [r["psi"] for r in cert["records"]] == ["collar potential"] * 5
+    assert [r["psi"] for r in cert["records"]] == \
+        ["collar potential (-2 phi)"] * 5
     # once on the criterion stencil and once on each oracle stencil, for
     # the criterion and the oracle at every eta
     assert calls == [len(run.evaluator.stencil.feet),

@@ -316,7 +316,7 @@ def test_slack_reaches_curve_certificate(tmp_path):
         out = tmp_path / f"certify{len(extra)}"
         main(["certify", "--domain", "quartic_circle", "--interior", "20",
               "--out", str(out)] + extra)
-        return json.loads((out / "certify.json").read_text())["curve"]
+        return json.loads((out / "certify.json").read_text())["criterion"]
 
     assert curve([])["slack"] == 1e-8
     assert curve(["--slack", "0.5"])["slack"] == 0.5
