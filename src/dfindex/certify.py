@@ -203,9 +203,10 @@ class CriterionEvaluator:
         slack), vacuous (no sample), psi (psi_name), samples, thirdImag
         (the largest imaginary part of the pure third-order term)}.  A
         vacuous report is certified, with maxLHS and thirdImag None.  A
-        slack of None stands for 1e-4 x the scan's levi_scale."""
+        slack of None stands for 1e-4 x the scan's levi_scale squared,
+        which scales as the left-hand side does under z -> s z (s^-2)."""
         if slack is None:
-            slack = 1e-4 * self.sigma.levi_scale
+            slack = 1e-4 * self.sigma.levi_scale ** 2
         out = {"eta": eta, "slack": float(slack), "vacuous": self.K == 0,
                "psi": psi_name, "samples": self.K}
         if self.K == 0:
@@ -227,9 +228,11 @@ def interior_psh_oracle(rho, wgrad, mixed, eta, slack_rel):
     function's values, Wirtinger gradients d rho / dz and mixed Hessians at
     the mesh points, as rho_terms gives them for rho = delta e^psi;
     certified when every minimal eigenvalue is above
-    -slack_rel * ||Hessian|| pointwise.  Returns {eta, minEig (the smallest
-    eigenvalue over the mesh), minScaled (the smallest eigenvalue over the
-    largest |entry| of its Hessian), certified, points (B), slackRel}.
+    -slack_rel * ||Hessian|| pointwise, ||.|| the operator norm (the largest
+    |eigenvalue|), which unitary maps keep.  Returns {eta, minEig (the
+    smallest eigenvalue over the mesh), minScaled (the smallest ratio of a
+    minimal eigenvalue to its Hessian's operator norm), certified, points
+    (B), slackRel}.
     """
     if np.any(rho >= 0):
         raise MeshOutside(f"{int((rho >= 0).sum())} mesh point(s) with "
@@ -238,10 +241,11 @@ def interior_psh_oracle(rho, wgrad, mixed, eta, slack_rel):
     M = amp[:, None, None] * (
         (1.0 - eta) * np.einsum("ki,kj->kij", wgrad, np.conj(wgrad))
         + (-rho)[:, None, None] * mixed)
-    lam = np.linalg.eigvalsh(M)[:, 0]
-    norm = np.abs(M).reshape(M.shape[0], -1).max(axis=1)
-    scaled = lam / np.maximum(norm, 1e-300)
-    ok = bool(np.all(lam >= -slack_rel * np.maximum(norm, 1e-300)))
+    eig = np.linalg.eigvalsh(M)
+    lam = eig[:, 0]
+    norm = np.maximum(np.abs(eig).max(axis=1), 1e-300)
+    scaled = lam / norm
+    ok = bool(np.all(lam >= -slack_rel * norm))
     return {"eta": float(eta), "minEig": float(lam.min()),
             "minScaled": float(scaled.min()), "certified": ok,
             "points": int(rho.shape[0]), "slackRel": float(slack_rel)}

@@ -273,15 +273,16 @@ class Run:
         psiProvenance, and verdict, obstruction and reason where they
         apply)}."""
         grid = sorted(eta_grid)
-        diagnostics = {"sigmaSize": self.sigma.size, "psiProvenance": []}
+        provenance = []
+        diagnostics = {"sigmaSize": self.sigma.size,
+                       "psiProvenance": provenance}
         if self.entry.loops:
             diagnostics["verdict"] = self.verdict
             if self.verdict["classification"] != "Exact":
                 diagnostics["obstruction"] = self.verdict
         records = []
         for eta in grid:
-            label, _, crep, orep = self.decide(
-                eta, diagnostics["psiProvenance"])
+            label, _, crep, orep = self.decide(eta, provenance)
             certified = orep is not None and orep["certified"]
             records.append({"eta": float(eta), "certified": certified,
                             "psi": label if certified else None,

@@ -57,6 +57,33 @@ def test_ball_criterion_vacuous(ball):
     assert rep["certified"] and rep["vacuous"]
 
 
+def _scaled(entry, s):
+    """The entry's domain scaled by s: rho(z / s) on the box times s."""
+    dom = entry.domain
+    return dataclasses.replace(
+        dom, rho=lambda c: dom.rho([x * (1.0 / s) for x in c]),
+        box_lo=s * dom.box_lo, box_hi=s * dom.box_hi)
+
+
+def test_criterion_slack_scales_as_its_left_hand_side(worm):
+    # under z -> s z the left-hand side has degree -2 and levi_scale degree
+    # -1, so the automatic slack 1e-4 levi_scale^2 keeps its margin to
+    # maxLHS (maxLHS s^2 = 1.19952541776 with psi = 0 at eta 0.5 and 200
+    # samples at every s)
+    mesh = worm.boundary_mesh(800, 3)
+    scaled = []
+    for s in (0.5, 1.0, 2.0, 10.0):
+        dom = _scaled(worm, s)
+        sig = detect_sigma(dom, s * mesh, None)
+        rep = CriterionEvaluator(dom, sig).report(ZERO_PSI, 0.5, None, "")
+        assert rep["samples"] == 200
+        scaled.append((rep["slack"] * s * s, rep["maxLHS"] * s * s))
+    for got in scaled[1:]:
+        for g, w in zip(got, scaled[0]):
+            assert abs(g - w) <= 1e-12 * abs(w)
+    assert scaled[0][1] == pytest.approx(1.19952541776, rel=1e-10)
+
+
 def test_bidisc_criterion_certifies(bidisc, bidisc_sigma, bidisc_psi):
     rep = CriterionEvaluator(bidisc.domain, bidisc_sigma).report(bidisc_psi,
                                                                  0.99, None,
@@ -402,10 +429,10 @@ def ball_oracle_mesh(ball):
        eta=st.sampled_from([0.5, 0.99]))
 def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
                                                   angles, eta):
-    # U(2) maps the ball onto itself and nearest feet onto nearest feet;
-    # minScaled divides by the largest |entry|, which U changes, so the
-    # check is on minEig (relative moves of 1.8e-15 at most measured over
-    # 300 random U, at eta 0.5 and 0.99)
+    # U(2) maps the ball onto itself and nearest feet onto nearest feet, and
+    # keeps every eigenvalue and so the operator norm by which minScaled
+    # divides (relative moves of 1.8e-15 at most in minEig measured over 300
+    # random U, at eta 0.5 and 0.99)
     t, a, b, phase = angles
     u, v = np.cos(t) * np.exp(1j * a), np.sin(t) * np.exp(1j * b)
     U = np.exp(1j * phase) * np.array([[u, -np.conj(v)], [v, np.conj(u)]])
@@ -413,8 +440,8 @@ def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
         *oracle_terms(ball.domain, mesh, ZERO_PSI), eta, 1e-6)
         for mesh in (ball_oracle_mesh, _unitary_image(ball_oracle_mesh, U)))
     assert got["certified"] == want["certified"]
-    assert abs(got["minEig"] - want["minEig"]) \
-        <= 1e-12 * abs(want["minEig"])
+    for key in ("minEig", "minScaled"):
+        assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
 
 
 @pytest.fixture(scope="module")
@@ -571,8 +598,9 @@ DECISION_CASES = {
     "quartic_circle": (zoo.make_quartic_circle, None),
     "worm-beta-6.2832": (lambda: zoo.make_worm(6.2832), None),
     "bidisc-r-0.5": (lambda: zoo.make_fattened_bidisc(0.5), None),
-    # psi = 0 passes the criterion and fails the oracle, the family psi
-    # fails the criterion
+    # at eta 0.5, psi = 0 passes the criterion (maxLHS 1.1995) and fails
+    # the oracle, and the family psi fails the criterion (maxLHS 1.2228), so
+    # the record is the family psi's, on which no oracle ran
     "worm-slack-1.21": (lambda: zoo.make_worm(np.pi), 1.21),
 }
 
@@ -595,16 +623,6 @@ def test_certify_reports_the_estimate_record(case):
             assert rep["oracle"] == rec["oracle"]
         else:
             assert rec["oracle"] is None
-
-
-def test_estimate_record_holds_the_oracle_of_its_own_psi(worm):
-    # at slack 1.21 and eta 0.5 the oracle runs on psi = 0 (maxLHS 1.1995)
-    # and fails; the record is then the family psi's, whose maxLHS 1.2228
-    # fails the criterion, so no oracle ran on it
-    rec, = Run(worm, mesh_count=600, seed=3, oracle_count=60,
-               slack=1.21).estimate((0.5,))["records"]
-    assert rec["maxLHS"] == pytest.approx(1.22280900405, rel=1e-9)
-    assert rec["oracle"] is None and not rec["certified"]
 
 
 def test_estimate_worm_obstructed(worm):

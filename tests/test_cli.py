@@ -311,6 +311,36 @@ def test_threshold_reaches_certify_and_estimate(tmp_path):
         "certificate"]["diagnostics"]["sigmaSize"]) == sigma
 
 
+def test_unsampled_sigma_certifies_nothing(tmp_path):
+    # --mesh 3 plants int(3 * 0.25) = 0 of the worm's Sigma points and the
+    # scan keeps none: the criterion has no sample but Sigma is not empty
+    flags = ["--domain", "worm", "--mesh", "3", "--eta", "0.5",
+             "--eta-grid", "0.5,0.99", "--out", str(tmp_path)]
+    assert main(["certify"] + flags) == 2
+    rep = json.loads((tmp_path / "certify.json").read_text())
+    assert rep["sigmaSize"] == 0
+    assert rep["verdict"]["classification"] == "Obstructed"
+    crit = rep["criterion"]
+    assert crit["vacuous"] and not crit["certified"] and crit["reason"]
+    assert not rep["certified"]
+    assert main(["estimate"] + flags) == 0
+    cert = json.loads((tmp_path / "estimate.json").read_text())["certificate"]
+    assert cert["diagnostics"]["sigmaSize"] == 0
+    assert not any(r["certified"] for r in cert["records"])
+    assert all(r["oracle"] is None for r in cert["records"])
+    assert cert["bound"] == 0.0
+
+
+def test_empty_sigma_stays_vacuous_and_certified(tmp_path):
+    assert main(["certify", "--domain", "ball", "--mesh", "3", "--interior",
+                 "60", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "certify.json").read_text())
+    assert rep["sigmaSize"] == 0
+    crit = rep["criterion"]
+    assert crit["vacuous"] and crit["certified"] and "reason" not in crit
+    assert rep["certified"]
+
+
 def test_slack_reaches_curve_certificate(tmp_path):
     def curve(extra):
         out = tmp_path / f"certify{len(extra)}"

@@ -21,11 +21,15 @@ It runs one fixed command set through each checkout's own
   degree-8 fit (--res 9 gives 9 nodes and degree 8);
 - theta --chart on every chart that the domain's default chart leaves out
   (the bidisc's seven other leaves and the worm's patch) at --res 9;
-- five commands that reach report branches the sets above leave out: an
-  estimate whose records carry oracleScaled without a psi (the worm at
+- commands that reach report branches the sets above leave out: an
+  estimate whose uncertified records carry an oracle report (the worm at
   --slack 5), certify on the worm, the bidisc and the quartic (whose
-  curve certificate takes the slack) at set slacks, and an estimate at
-  --oracle-slack 1e-12;
+  curve certificate takes the slack) at set slacks, an estimate at
+  --oracle-slack 1e-12, the worm at --slack 1.21 (psi = 0 passes the
+  criterion and fails the oracle, the family psi fails the criterion) in
+  certify and estimate, and certify and estimate at --mesh 3, where the
+  scan keeps no sample (the worm's criterion is then uncertified, the
+  ball's vacuous and certified);
 - zoo, and usage and domain errors that end in typed errors.
 
 Every command of dfindex.cli._COMMANDS is among them.
@@ -62,6 +66,13 @@ BRANCH_CASES = (
     ["certify", "--domain", "quartic_circle", "--eta", "0.5", "--slack",
      "1e-3", *SIZES],
     ["estimate", "--domain", "ball", "--oracle-slack", "1e-12", *SIZES],
+    ["estimate", "--domain", "worm", "--slack", "1.21", "--eta-grid", "0.5",
+     *SIZES],
+    ["certify", "--domain", "worm", "--slack", "1.21", "--eta", "0.5",
+     *SIZES],
+    ["certify", "--domain", "worm", "--mesh", "3", "--eta", "0.5"],
+    ["estimate", "--domain", "worm", "--mesh", "3"],
+    ["certify", "--domain", "ball", "--mesh", "3"],
 )
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ERROR_CASES = (
