@@ -206,10 +206,9 @@ class Run:
         report) and built only when reached: the real-curve certificate
         where Sigma is a curve; otherwise the collar potential where the
         class is exact, then psi = 0, then, with no collar potential and
-        where Sigma has coordinates and samples, the family search, which
-        logs to provenance.  The boundary report is the curve
-        certificate's, or the criterion's, which is uncertified with a
-        reason where Sigma is not empty but the scan kept no sample."""
+        where Sigma has coordinates and samples, the family search (logged
+        to provenance).  Where Sigma is not empty but the scan kept no
+        sample, the criterion's report is uncertified with a reason."""
         e = self.entry
         if e.sigma_kind == "RealCurve":
             crep = real_curve_certify(self.curve_geometry, eta,
