@@ -476,6 +476,11 @@ def real_curve_certify(geometry: CurveGeometry, eta, slack):
     None stands for 1e-8.  Returns {eta, slack, case (the geometry's),
     C_eta, b, maxLHS (the largest left-hand side over the samples),
     certified (maxLHS <= slack)}.
+
+    The check certifies by construction: with M the bracket's largest
+    sample, maxLHS = M + b = M - 2 C_eta - 1 < 0 <= slack for every finite M
+    and every slack >= 0, and only a NaN bracket leaves it uncertified.  So
+    where Sigma is a real curve, only the interior oracle can fail.
     """
     if slack is None:
         slack = 1e-8

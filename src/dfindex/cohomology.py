@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distance import verified_feet
+from .distance import march_inward
 from .errors import (ChartGap, ChartMismatch, CollarTooWide, NoConvergence,
                      ObstructedClass, PathDisagreement)
 from .sigma import SigmaChart, theta_components
@@ -391,19 +391,17 @@ def collar_terms(domain, phi: PotentialField, to_chart,
     The collar (default width domain.collar_width) must be foliated by the
     fibres: the 3 x 3 sub-lattice of the shared lattice (its corners, edge
     midpoints and centre) is embedded by every leaf's chart (72 points on
-    the bidisc's eight leaves), and CollarTooWide raised unless each such
-    point P is the verified nearest foot of P - width n.
+    the bidisc's eight leaves), and CollarTooWide raised unless
+    distance.march_inward keeps each such point P marched inward by width.
     """
     width = domain.collar_width if width is None else float(width)
     if width > 0.49 * domain.scale:
         raise CollarTooWide("collar wider than half the domain scale")
     probe = phi.params[_probe_rows(phi.shape)]
     P = np.concatenate([chart.embed_batch(probe) for chart in phi.charts])
-    g = domain.jet(P, order=1).rgrad
-    n = g / np.linalg.norm(g, axis=1, keepdims=True)
-    ok, _ = verified_feet(domain, P - width * n, P)
-    if not ok.all():
-        raise CollarTooWide(f"{int((~ok).sum())} of {len(ok)} collar "
+    kept, _ = march_inward(domain, P, np.full(len(P), width))
+    if len(kept) < len(P):
+        raise CollarTooWide(f"{len(P) - len(kept)} of {len(P)} collar "
                             f"fibres of width {width:.3g} miss their foot")
     return ChartTerms(to_chart,
                       lambda U, t: -POTENTIAL_FACTOR * phi.eval(U, t)[:, None])

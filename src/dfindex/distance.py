@@ -6,17 +6,19 @@ something only where each point's foot is its nearest boundary point.
 _nearest_feet is the one projection route: it slides several seeds per
 point along the boundary, polishes the promising ones with damped Newton
 on the constrained nearest-point system and keeps the nearest converged
-foot.  Runs reach it through verified_feet, which checks that a
-constructed foot is the nearest one; foot_points, its raising form
+foot.  Runs reach it through march_inward, the one way to an interior
+point: it marches boundary points inward along the normal, keeps the
+points whose nearest foot is the boundary point they came from, and
+returns them with their delta-jets (the interior oracle's mesh and the
+collar probe both take it).  foot_points, the projection's raising form
 (AmbiguousFoot, NoConvergence), is the tests' reference projection.
 delta-jets to order 3 come from the classical closed form of the
 distance's derivatives in terms of the defining function's jet at the foot
 (Gilbarg-Trudinger section 14.6; Krantz-Parks, Distance to C^k
 hypersurfaces), exact to machine precision.  boundary_jet takes points
-already on the boundary as their own feet and projects none, and
-_jet_at_feet builds the jets at verified feet.  Boundary data is the
-delta-jet alone: normal_n forms the normal field N from it where a caller
-needs N.
+already on the boundary as their own feet and projects none.  Boundary
+data is the delta-jet alone: normal_n forms the normal field N from it
+where a caller needs N.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ _MAX_ITERS = 50
 _KKT_TARGET = 1e-15          # aimed-for residual (machine floor), x scale
 _KKT_REQUIRED = 1e-12        # contract: residual must end below this, x scale
 _AMBIGUITY_TOL = 1e-6
-# smallest eigenvalue of I + delta W accepted: 0 at a focal point
-_FOCAL_FLOOR = 1e-8
 # smallest eigenvalue of I + delta W at a verified mesh point: at most 3/4
 # of the way to the focal point, so that |Hess delta| <= 4 |W| and the psi
 # stencils' Taylor model of the foot map stays within about 5 steps
@@ -264,21 +264,33 @@ def foot_points(domain: DomainSpec, Z):
     return feet, res
 
 
-def verified_feet(domain: DomainSpec, Z, P):
-    """(mask, feet): mask is True where the constructed foot P is Z's
-    nearest foot as the route finds it -- converged, unambiguous and within
-    _AMBIGUITY_TOL x scale of P -- and Z is short of a focal point of it
-    by _MESH_FOCAL_MARGIN; feet are the route's feet of Z."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+def march_inward(domain: DomainSpec, P, depth):
+    """(points, delta-jet): the boundary points P marched inward along the
+    unit normal by depth (outward where depth < 0), keeping each marched
+    point Z whose nearest foot as the route finds it is P -- converged,
+    unambiguous and within _AMBIGUITY_TOL x scale of P -- and which is
+    short of a focal point of P by _MESH_FOCAL_MARGIN.  The jet is delta's
+    of order 3 at the kept points, built from one rho-jet at their feet,
+    which also gives the focal test.  Each point is projected once, and its
+    result does not depend on the rest of the batch.  Raises StencilLeak
+    where a kept point's |depth| exceeds the collar."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    g = domain.jet(P, order=1).rgrad
+    nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
+    Z = P - depth[:, None] * nhat
     feet, res, gap = _nearest_feet(domain, Z)
     tol = _AMBIGUITY_TOL * domain.scale
     ok = (res <= _KKT_REQUIRED * domain.scale) & (gap <= tol) \
         & (np.linalg.norm(feet - P, axis=1) <= tol)
-    keep = np.flatnonzero(ok)
-    d = signed_distance_from_feet(domain, Z[keep], feet[keep])
-    ok[keep] = _focal_frame(domain, feet[keep], d, order=2)[-1] \
-        >= _MESH_FOCAL_MARGIN
-    return ok, feet
+    Z, feet, depth = Z[ok], feet[ok], depth[ok]
+    d = signed_distance_from_feet(domain, Z, feet)
+    frame = _focal_frame(domain, feet, d, 3)
+    keep = frame[-1] >= _MESH_FOCAL_MARGIN
+    wide = np.abs(depth[keep]) > domain.collar_width
+    if np.any(wide):
+        raise StencilLeak(f"{int(wide.sum())} point(s) outside the collar")
+    frame = [None if a is None else a[keep] for a in frame]
+    return Z[keep], _delta_jet(frame, d[keep])
 
 
 def signed_distance_from_feet(domain: DomainSpec, Z, feet):
@@ -287,8 +299,9 @@ def signed_distance_from_feet(domain: DomainSpec, Z, feet):
 
 
 def _focal_frame(domain: DomainSpec, feet, d, order):
-    """Normal frame at the feet of points at signed distance d: rho's jet
-    (order >= 2), |grad rho|, n, the tangent projector P, the shape operator
+    """Normal frame at the feet of points at signed distance d: rho's
+    Hessian and, at order 3, its third derivative (else None), |grad rho|,
+    n, the tangent projector P, the shape operator
     W = P Hess rho P / |grad rho| and M = I + d W (None when d is 0
     everywhere, as M is I), with the smallest eigenvalue of M (at most 0 at
     or past a focal point, where the foot is not a nearest point)."""
@@ -299,10 +312,11 @@ def _focal_frame(domain: DomainSpec, feet, d, order):
     eye = np.eye(feet.shape[1])
     P = eye - np.einsum("ka,kb->kab", n, n)
     W = P @ H @ P / gn[:, None, None]
+    T = rj.rthird if order >= 3 else None
     if not np.any(d):
-        return rj, gn, n, P, W, None, np.ones(len(d))
+        return H, T, gn, n, P, W, None, np.ones(len(d))
     M = eye + d[:, None, None] * W
-    return rj, gn, n, P, W, M, np.linalg.eigvalsh(M)[:, 0]
+    return H, T, gn, n, P, W, M, np.linalg.eigvalsh(M)[:, 0]
 
 
 def boundary_jet(domain: DomainSpec, P, order) -> WirtingerJet:
@@ -313,38 +327,29 @@ def boundary_jet(domain: DomainSpec, P, order) -> WirtingerJet:
     off = np.abs(domain.value(P)) > _KKT_REQUIRED * domain.scale
     if np.any(off):
         raise StencilLeak(f"{int(off.sum())} point(s) off the boundary")
-    return _jet_at_feet(domain, P, np.zeros(P.shape[0]), order)
+    d = np.zeros(P.shape[0])
+    return _delta_jet(_focal_frame(domain, P, d, order), d)
 
 
-def _jet_at_feet(domain: DomainSpec, feet, d, order) -> WirtingerJet:
-    """delta's jet of order 2 or 3 at signed distance d from the feet, in
+def _delta_jet(frame, d) -> WirtingerJet:
+    """delta's jet at signed distance d from the feet of a _focal_frame, of
+    order 3 where the frame carries rho's third derivative and else 2, in
     closed form from rho's AD jet at the foot p.  With g = grad rho(p),
     n = g/|g|, P = I - n n^T and W = P Hess rho P / |g|: grad delta = n and
     Hess delta = W (I + delta W)^-1 (Gilbarg-Trudinger Lemma 14.17); the
-    third derivative differentiates that along dp/dz = (I + delta W)^-1 P.
-    Raises StencilLeak when |delta| exceeds the collar, and at or past a
-    focal point (I + delta W not positive definite), where the foot is not
-    a nearest point."""
-    if np.any(np.abs(d) > domain.collar_width):
-        raise StencilLeak(f"{int((np.abs(d) > domain.collar_width).sum())} "
-                          "point(s) outside the collar")
-    rj, gn, n, P, W, M, lam = _focal_frame(domain, feet, d, order)
-    focal = lam <= _FOCAL_FLOOR
-    if np.any(focal):
-        raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
-                          "point of the boundary")
-    B, D = feet.shape
+    third derivative differentiates that along dp/dz = (I + delta W)^-1 P."""
+    H, T, gn, n, P, W, M, _ = frame
+    B, D = n.shape
     Minv = None if M is None else np.linalg.inv(M)
     G = W if M is None else W @ Minv
     G = 0.5 * (G + np.swapaxes(G, 1, 2))   # symmetric to the last bit
     t = None
-    if order >= 3:
+    if T is not None:
         # derivative along z_c, stacked on axis 1 (the tensor is symmetric):
         # dp = S e_c, d delta = n_c, dn = G e_c and
         # d Hess delta = M^-1 dW M^-1 - n_c G^2
         S = P if M is None else Minv @ P
-        H = rj.rhess
-        dH = (S @ rj.rthird.reshape(B, D, D * D)).reshape(B, D, D, D)
+        dH = (S @ T.reshape(B, D, D * D)).reshape(B, D, D, D)
         dgn = (n[:, None, :] @ H @ S)[:, 0, :]
         dP = -(G[:, :, :, None] * n[:, None, None, :]
                + n[:, None, :, None] * G[:, :, None, :])

@@ -9,7 +9,7 @@ evaluator yields derivatives to order 3 that are exact to machine
 precision, batched over points.  Called on plain arrays, the same
 evaluators give the values alone.  No finite differences live here:
 the signed distance's jets come in closed form from distance.boundary_jet
-and distance._jet_at_feet, and psi's derivatives from certify.PsiStencil,
+and distance.march_inward, and psi's derivatives from certify.PsiStencil,
 which differences psi's terms at feet on the Taylor model of the foot map
 that the signed distance's order-3 jet gives.
 

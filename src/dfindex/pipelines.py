@@ -21,7 +21,6 @@ from .certify import (NO_TERMS, CriterionEvaluator, CurveTerms, Psi,
 from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
                          exactness_tolerance, period)
-from .distance import _jet_at_feet, signed_distance_from_feet
 from .errors import ChartMismatch, MeshOutside
 from .levi import detect_sigma
 from .zoo import ZooEntry
@@ -64,7 +63,8 @@ class Run:
     The stages are the boundary mesh (mesh), the Sigma scan on it (sigma),
     the period verdict of the generator loops (verdict), the collar
     potential (collar_psi), the criterion data (evaluator), the interior
-    mesh with its delta-jet and psi stencils, and the psi terms objects.
+    mesh (interior_mesh: its points and delta's order-3 jet there), psi's
+    stencils around it (oracle_stencils), and the psi terms objects.
     Each is eta-independent, built on first use and at most once, and each
     stencil differences each terms object once; decide combines the cached
     columns with each candidate psi's coefficients, and certify and
@@ -97,9 +97,9 @@ class Run:
         per chart, one period call integrates them all, and one more
         components call takes |theta| at all their vertices."""
         by_chart = {}
-        for name, (chart_name, params, closed) in self.entry.loops.items():
+        for name, (chart_name, params) in self.entry.loops.items():
             by_chart.setdefault(chart_name, {})[name] = \
-                PathInSigma(params, closed=closed)
+                PathInSigma(params, closed=True)
         periods = {}
         max_theta = 0.0
         diam = 0.0
@@ -131,29 +131,19 @@ class Run:
 
     @cached_property
     def interior_mesh(self):
-        """(points, verified nearest feet) of the oracle's mesh; MeshOutside
-        when it keeps no point."""
-        points, feet = self.entry.interior_mesh(
+        """(points, delta's order-3 jet) of the oracle's mesh; MeshOutside
+        when it keeps no point.  The jet's order-2 blocks feed rho_terms,
+        all of it the psi stencils' feet."""
+        points, delta = self.entry.interior_mesh(
             self.oracle_count, self.seed + 1, depth=ORACLE_DEPTH)
         if not len(points):
             raise MeshOutside(f"the interior mesh keeps none of its "
                               f"{self.oracle_count} point(s)")
-        return points, feet
-
-    @cached_property
-    def oracle_delta(self):
-        """delta's order-3 jet at the interior mesh, built at the feet the
-        mesh carries without projecting again: its order-2 blocks feed
-        rho_terms, all of it the psi stencils' feet."""
-        dom = self.entry.domain
-        mesh, feet = self.interior_mesh
-        return _jet_at_feet(dom, feet,
-                            signed_distance_from_feet(dom, mesh, feet), 3)
+        return points, delta
 
     @cached_property
     def oracle_stencils(self):
-        return oracle_stencils(self.entry.domain, self.interior_mesh[0],
-                               self.oracle_delta)
+        return oracle_stencils(self.entry.domain, *self.interior_mesh)
 
     def oracle(self, eta, psi):
         """The interior oracle on psi: each oracle stencil differences
@@ -161,8 +151,8 @@ class Run:
         psi.coef."""
         diffs = [combine(st.columns(psi.terms), psi.coef)
                  for st in self.oracle_stencils]
-        return interior_psh_oracle(*rho_terms(self.oracle_delta, diffs), eta,
-                                   slack_rel=self.oracle_slack)
+        return interior_psh_oracle(*rho_terms(self.interior_mesh[1], diffs),
+                                   eta, slack_rel=self.oracle_slack)
 
     @cached_property
     def curve_geometry(self):

@@ -5,7 +5,9 @@ All entries are domains in C^2 with interleaved real coordinates
 (x1, y1, x2, y2).  Evaluators are jet-generic, so forward-mode
 differentiation is exact.  Each Sigma chart is given by its complex
 embedding z(u) and its closed-form tangent z'(u), both (K, 2) complex
-(see _chart).
+(see _chart).  Every entry's interior mesh is its boundary mesh marched
+inward by distance.march_inward (ZooEntry.interior_mesh); an entry sets
+only its boundary mesh and the unit of the mesh's depths.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .distance import march_inward
 from .errors import BetaTooSmall, ConfigInvalid
 from .jets import DomainSpec, jcos, jhinge_pow, jlog, jsin
 from .sigma import SigmaChart
@@ -35,9 +38,9 @@ class ZooEntry:
     domain: DomainSpec
     sigma_kind: str                     # Empty | Foliation | ComplexSubmanifold | RealCurve
     charts: dict = field(default_factory=dict)
-    loops: dict = field(default_factory=dict)     # name -> (chart_name, params, closed)
+    loops: dict = field(default_factory=dict)     # name -> (chart_name, params); all closed
     boundary_mesh: Callable | None = None         # (count, seed) -> (B, 4)
-    interior_mesh: Callable | None = None         # (count, seed, depth) -> (Q, feet)
+    depth_unit: float = 1.0                       # unit of interior_mesh's depths
     sigma_distance: Callable | None = None        # ambient P -> distance to Sigma
     sigma_coords: Callable | None = None          # boundary P -> (U, t, edge)
     notes: dict = field(default_factory=dict)
@@ -54,35 +57,14 @@ class ZooEntry:
                       for k, v in self.notes.items()},
         }
 
-
-def _inward_mesh(dom, P, seed, depth):
-    """March boundary points P inward to Q = P - d n and keep Q only where
-    its verified nearest foot is P (distance.verified_feet), so that d is
-    Q's distance to the boundary and Q has a delta-jet.  Returns the kept
-    points and their feet stacked, (B, 2, D)."""
-    from .distance import verified_feet
-
-    rng = rng_for(seed + 1)
-    jet = dom.jet(P, order=1)
-    g = jet.rgrad
-    nhat = g / np.linalg.norm(g, axis=1, keepdims=True)
-    d = rng.uniform(depth[0], depth[1], P.shape[0])
-    Q = P - d[:, None] * nhat
-    inside = dom.value(Q) < -1e-9
-    Q, P = Q[inside], P[inside]
-    keep, feet = verified_feet(dom, Q, P)
-    return np.stack([Q[keep], feet[keep]], axis=1)
-
-
-def _interior_mesh_of(dom, boundary_mesh):
-    """An entry's interior_mesh: (points, feet) of _inward_mesh from the
-    entry's boundary mesh."""
-    def interior_mesh(count, seed, depth):
-        mesh = _inward_mesh(dom, boundary_mesh(count, seed), seed, depth)
-        # contiguous copies of the stack's strided halves
-        return mesh[:, 0].copy(), mesh[:, 1].copy()
-
-    return interior_mesh
+    def interior_mesh(self, count, seed, depth):
+        """(points, delta's order-3 jet there): the boundary mesh of count
+        points drawn with seed, marched inward by depths drawn uniformly
+        from the band depth, in units of depth_unit, and kept where
+        distance.march_inward verifies them."""
+        d = rng_for(seed + 1).uniform(depth[0], depth[1], count)
+        return march_inward(self.domain, self.boundary_mesh(count, seed),
+                            d * self.depth_unit)
 
 
 def _chart(dom, kind, lo, hi, z, dz, name, leaf_label=None):
@@ -130,18 +112,9 @@ def make_ball(radius) -> ZooEntry:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return radius * v
 
-    def interior_mesh(count, seed, depth):
-        """(points, feet): the feet are radius v, nearest for every depth
-        below radius."""
-        rng = rng_for(seed)
-        v = rng.normal(size=(count, 4))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        d = rng.uniform(depth[0], depth[1], count) * radius
-        return (radius - d)[:, None] * v, radius * v
-
     return ZooEntry(
         id="ball", domain=dom, sigma_kind="Empty",
-        boundary_mesh=boundary_mesh, interior_mesh=interior_mesh,
+        boundary_mesh=boundary_mesh, depth_unit=radius,
         notes={"delta": "foot-point projection like every entry; = |z| - r",
                "levi": "restricted Levi eigenvalue 1/(2r) on the boundary"})
 
@@ -205,7 +178,7 @@ def make_fattened_bidisc(r) -> ZooEntry:
 
     ang = np.linspace(0, 2 * np.pi, 65)
     circ = 0.9 * c * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    loops = {"leaf_boundary": ("leaf_0.000", circ, True)}
+    loops = {"leaf_boundary": ("leaf_0.000", circ)}
 
     def sigma_distance(P):
         Z = complex_pack(np.atleast_2d(P))
@@ -224,7 +197,6 @@ def make_fattened_bidisc(r) -> ZooEntry:
     entry = ZooEntry(
         id="bidisc", domain=dom, sigma_kind="Foliation", charts=charts,
         loops=loops, boundary_mesh=boundary_mesh,
-        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
         sigma_distance=sigma_distance, sigma_coords=sigma_coords,
         notes={"sigma": "{|z2|=1, |z1|<=r} foliated by discs z2=const",
                "theta": "vanishes identically on the leaves",
@@ -316,8 +288,8 @@ def make_worm(beta) -> ZooEntry:
     sq = min(0.08 * a, np.pi)     # within log_polar's phi-range at any beta
     square = np.array([[0.0, 1.0], [sq, 1.0], [sq, 1.0 + sq], [0.0, 1.0 + sq],
                        [0.0, 1.0]])
-    loops = {"core": ("log_polar", core, True),
-             "contractible": ("log_polar", square, True)}
+    loops = {"core": ("log_polar", core),
+             "contractible": ("log_polar", square)}
 
     def sigma_distance(P):
         Z = complex_pack(np.atleast_2d(P))
@@ -338,7 +310,6 @@ def make_worm(beta) -> ZooEntry:
         id="worm", domain=dom, sigma_kind="ComplexSubmanifold",
         charts={"log_polar": log_polar, "patch": patch}, loops=loops,
         boundary_mesh=boundary_mesh,
-        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
         sigma_distance=sigma_distance, sigma_coords=sigma_coords,
         notes={
             "sigma": "annulus {z1=0, |log|z2|^2| <= beta - pi/2}",
@@ -386,7 +357,6 @@ def make_quartic_circle() -> ZooEntry:
     entry = ZooEntry(
         id="quartic_circle", domain=dom, sigma_kind="RealCurve",
         charts={"curve": curve}, boundary_mesh=boundary_mesh,
-        interior_mesh=_interior_mesh_of(dom, boundary_mesh),
         sigma_distance=sigma_distance,
         notes={"sigma": "real curve {z1=0, |z2|=1}",
                "levi_ambient": "complex Hessian of rho is diag(4|z1|^2, 1)"})

@@ -5,7 +5,6 @@ from dfindex import zoo
 from dfindex.certify import (NO_TERMS, Psi, combine, curve_geometry,
                              oracle_stencils, rho_terms)
 from dfindex.cohomology import build_potential, classify
-from dfindex.distance import _jet_at_feet, signed_distance_from_feet
 from references import leaf_sources, tree_potential
 
 
@@ -128,10 +127,7 @@ def psi_at_feet(psi, F):
 
 def oracle_terms(domain, mesh, psi):
     """The interior oracle's (value, wgrad, mixed) of delta e^psi at the
-    mesh, (points, feet) as an entry's interior_mesh returns it, built as
-    pipelines.Run builds them: delta's jet at the feet, no projection."""
-    points, feet = mesh
-    d = signed_distance_from_feet(domain, points, feet)
-    delta = _jet_at_feet(domain, feet, d, 3)
-    return rho_terms(delta, [combine(st.columns(psi.terms), psi.coef)
-                             for st in oracle_stencils(domain, points, delta)])
+    mesh, (points, delta-jet) as an entry's interior_mesh returns it, built
+    as pipelines.Run builds them."""
+    return rho_terms(mesh[1], [combine(st.columns(psi.terms), psi.coef)
+                               for st in oracle_stencils(domain, *mesh)])

@@ -32,7 +32,7 @@ import numpy as np
 from dfindex.cohomology import PERIOD_TOL, POTENTIAL_FACTOR, PathInSigma
 from dfindex.certify import FD_STEP, PsiStencil, combine
 from dfindex import distance
-from dfindex.distance import (_jet_at_feet, boundary_jet, normal_n,
+from dfindex.distance import (boundary_jet, normal_n,
                               signed_distance_from_feet)
 from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
     NoConvergence, NonFinite, OrderTooLow, StencilLeak
@@ -155,13 +155,26 @@ def ball_delta_jet(P, radius=1.0, order=3):
     return WirtingerJet(v, g, h if order >= 2 else None, t)
 
 
+def ball_interior_points(ball, count, seed, depth):
+    """Closed-form points of the ball below its boundary mesh: each mesh
+    point P = radius v moved to (1 - d) P, at depth d x radius, with d
+    drawn uniformly from the band depth.  They need no delta, so the band may
+    reach past the collar, where the package's interior mesh raises."""
+    d = np.random.default_rng(seed).uniform(depth[0], depth[1], count)
+    return (1.0 - d)[:, None] * ball.boundary_mesh(count, seed)
+
+
 # ---------------------------------------------------------------------------
 # projected delta-jets and boundary points
 # ---------------------------------------------------------------------------
-# The CLI builds delta's jets at feet it already has (boundary points, the
-# interior mesh's verified feet); these helpers project arbitrary points
-# first.  They call distance.foot_points through the module, so that tests
-# can replace it.
+# The CLI builds delta's jets at feet it already has (boundary points, and
+# the feet that distance.march_inward verifies); these helpers project
+# arbitrary points first.  They call distance.foot_points through the
+# module, so that tests can replace it.
+
+# smallest eigenvalue of I + delta W that delta_jet accepts: 0 at a focal
+# point
+FOCAL_FLOOR = 1e-8
 
 def signed_distance(domain: DomainSpec, Z):
     """delta(Z): negative inside, positive outside, zero on the boundary."""
@@ -182,7 +195,15 @@ def delta_jet(domain: DomainSpec, z, order=2) -> WirtingerJet:
     except (AmbiguousFoot, NoConvergence) as exc:
         raise StencilLeak(f"projection failed: {exc}") from exc
     d = signed_distance_from_feet(domain, Z, feet)
-    return _jet_at_feet(domain, feet, d, order)
+    wide = np.abs(d) > domain.collar_width
+    if np.any(wide):
+        raise StencilLeak(f"{int(wide.sum())} point(s) outside the collar")
+    frame = distance._focal_frame(domain, feet, d, order)
+    focal = frame[-1] <= FOCAL_FLOOR
+    if np.any(focal):
+        raise StencilLeak(f"{int(focal.sum())} point(s) at or past a focal "
+                          "point of the boundary")
+    return distance._delta_jet(frame, d)
 
 
 @dataclass

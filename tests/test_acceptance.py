@@ -9,7 +9,8 @@ Criteria (summary):
   5  obstruction detection on the worm (period, verdict, exit code)
   6  cutoff L2 bound family with >= 1% slack plus hypothesis screening
   7  residual sequence on the bidisc with shift-invariant family
-  8  real-curve certificate on the quartic circle at eta in {0.5, 0.99}
+  8  real-curve certificate on the quartic circle at eta in {0.5, 0.99};
+     it holds by construction, so on the quartic only the oracle can fail
   9  boundary-certified triples pass the interior oracle beyond some d0
   10 byte-identical reports for identical config and seed
 """
@@ -30,7 +31,8 @@ from dfindex.levi import detect_sigma
 from dfindex.pipelines import Run, potential_for
 from dfindex.sigma import dtheta_residual, h_field
 from references import (BoundaryBatch, HFieldSource, HypothesisFail,
-                        ball_delta_jet, boundary_batch, boundary_point,
+                        ball_delta_jet, ball_interior_points,
+                        boundary_batch, boundary_point,
                         caccioppoli_check, chart_compat_residuals, delta_jet,
                         levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
@@ -93,7 +95,7 @@ def test_criterion_2_ball_certification(ball):
     cert = Run(ball, mesh_count=2000, oracle_count=800).estimate(
         (0.5, 0.75, 0.9, 0.95, 0.99))
     assert cert["bound"] >= 0.99
-    mesh, _ = ball.interior_mesh(MESH_N, seed=102, depth=(0.05, 0.5))
+    mesh = ball_interior_points(ball, MESH_N, seed=102, depth=(0.05, 0.5))
     jet = ball.domain.jet(mesh, order=2)
     orep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                                slack_rel=1e-10)
@@ -248,6 +250,9 @@ def test_criterion_7_residual_sequence(bidisc, bidisc_package):
 
 
 def test_criterion_8_real_curve_certificate(quartic_curve):
+    # b = -2 C_eta - 1 makes maxLHS = M + b < 0 for every finite bracket
+    # maximum M (test_real_curve_certifies_by_construction): this criterion
+    # cannot fail on the quartic, and its eta decision rests on the oracle
     details = []
     for eta in (0.5, 0.99):
         rep = real_curve_certify(quartic_curve, eta, None)

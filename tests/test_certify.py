@@ -18,10 +18,11 @@ from dfindex.levi import detect_sigma
 from dfindex.pipelines import FAMILY_BOX, ORACLE_DEPTH, Run
 from dfindex.sigma import theta_components
 from dfindex.util import complex_pack, complex_unpack
-from references import (HypothesisFail, caccioppoli_check,
-                        coordinate_descent_unmemoized, delta_jet,
-                        lhs_unscaled, numeric_jet, residual_sequence,
-                        signed_distance, third_directional)
+from references import (HypothesisFail, ball_interior_points,
+                        caccioppoli_check, coordinate_descent_unmemoized,
+                        delta_jet, lhs_unscaled, numeric_jet,
+                        residual_sequence, signed_distance,
+                        third_directional)
 
 # the CLI's default eta_grid
 ETA_GRID = (0.5, 0.75, 0.9, 0.95, 0.99)
@@ -273,7 +274,7 @@ def oracle(domain, mesh, psi, eta, slack_rel=1e-6):
 
 
 def test_ball_oracle_with_algebraic_override(ball):
-    mesh, _ = ball.interior_mesh(10000, seed=2, depth=BALL_DEPTH)
+    mesh = ball_interior_points(ball, 10000, seed=2, depth=BALL_DEPTH)
     jet = ball.domain.jet(mesh, order=2)
     rep = interior_psh_oracle(jet.value, jet.wgrad, jet.mixed, 0.99,
                               slack_rel=1e-10)
@@ -283,11 +284,10 @@ def test_ball_oracle_with_algebraic_override(ball):
 
 def test_ball_oracle_distance_route(ball):
     # BALL_DEPTH reaches 0.5, past the ball's 0.22 collar, where the signed
-    # distance has no jet; ORACLE_DEPTH ends inside every collar
-    with pytest.raises(StencilLeak):
-        oracle_terms(ball.domain,
-                     ball.interior_mesh(800, seed=3, depth=BALL_DEPTH),
-                     ZERO_PSI)
+    # distance has no jet, so the mesh raises; ORACLE_DEPTH ends inside
+    # every collar
+    with pytest.raises(StencilLeak, match="collar"):
+        ball.interior_mesh(800, seed=3, depth=BALL_DEPTH)
     mesh = ball.interior_mesh(800, seed=3, depth=ORACLE_DEPTH)
     assert oracle(ball.domain, mesh, ZERO_PSI, 0.99)["certified"]
 
@@ -312,15 +312,12 @@ def test_small_eta_certifies_on_mild_domains(ball, bidisc, quartic):
 @pytest.mark.parametrize("name", ["ball", "quartic", "worm"])
 def test_oracle_reads_delta_jet_with_zero_psi(name, request):
     # with psi = 0, rho = delta: the oracle's arrays are the order-2 blocks
-    # of delta's jet at the mesh's feet, bit for bit, although the oracle
-    # takes the order-3 jet that its psi stencils need; those feet are
-    # foot_points' (test_interior_mesh_feet_are_the_projections), so this
-    # is delta_jet's order-2 jet but for the ball's rounding
+    # of the mesh's delta-jet, bit for bit, which is delta_jet's
+    # (test_interior_mesh_feet_are_the_projections)
     entry = request.getfixturevalue(name)
-    mesh, feet = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
-    d = distance.signed_distance_from_feet(entry.domain, mesh, feet)
-    jet = distance._jet_at_feet(entry.domain, feet, d, 2)
-    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), ZERO_PSI)
+    mesh = entry.interior_mesh(200, seed=7, depth=ORACLE_DEPTH)
+    jet = mesh[1]
+    value, wgrad, mixed = oracle_terms(entry.domain, mesh, ZERO_PSI)
     np.testing.assert_array_equal(value, jet.value)
     np.testing.assert_array_equal(wgrad, jet.wgrad)
     np.testing.assert_array_equal(mixed, jet.mixed)
@@ -370,8 +367,9 @@ ORACLE_REF_TOL = {"collar": (5e-5, 2e-5), "curve": (1e-9, 5e-9)}
 @pytest.mark.parametrize("kind", ["collar", "curve"])
 def test_oracle_composite_matches_two_projections(oracle_psis, kind):
     entry, psi = oracle_psis[kind]
-    mesh, feet = entry.interior_mesh(40, seed=7, depth=ORACLE_DEPTH)
-    value, wgrad, mixed = oracle_terms(entry.domain, (mesh, feet), psi)
+    mesh = entry.interior_mesh(40, seed=7, depth=ORACLE_DEPTH)
+    value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
+    mesh = mesh[0]
     ref = _two_projection_jet(entry.domain, psi, mesh)
     # value: psi at z - delta n, which is the projected foot up to
     # rounding, and the same arithmetic; 0 ulps apart on these meshes
@@ -405,23 +403,34 @@ def test_criterion_and_oracle_ignore_batch_order(worm, worm_sigma,
             assert got == want
     for entry, psi in oracle_psis.values():
         runs = [Run(entry, oracle_count=60, seed=6) for _ in range(2)]
-        points, feet = runs[0].interior_mesh
+        points, delta = runs[0].interior_mesh
         perm = np.random.default_rng(13).permutation(len(points))
-        runs[1].interior_mesh = (points[perm], feet[perm])
+        runs[1].interior_mesh = (points[perm], delta.subset(perm))
         for eta in (0.5, 0.99):
             want, got = (run.oracle(eta, psi) for run in runs)
             assert (got["minEig"], got["minScaled"]) == \
                 (want["minEig"], want["minScaled"])
 
 
-def _unitary_image(mesh, U):
-    """(points, feet) of an interior mesh mapped by the 2 x 2 unitary U."""
-    return tuple(complex_unpack(complex_pack(X) @ U.T) for X in mesh)
+def _marched(entry):
+    """(boundary points, depths, the interior mesh marched from them) of
+    200 points at ORACLE_DEPTH."""
+    P = entry.boundary_mesh(200, 3)
+    d = np.random.default_rng(3).uniform(*ORACLE_DEPTH, len(P))
+    return P, d, distance.march_inward(entry.domain, P, d)
+
+
+def _unitary_image(entry, marched, U):
+    """The interior mesh marched from the image of marched's boundary
+    points under the 2 x 2 unitary U, at the same depths."""
+    P, d, _ = marched
+    return distance.march_inward(entry.domain,
+                                 complex_unpack(complex_pack(P) @ U.T), d)
 
 
 @pytest.fixture(scope="module")
 def ball_oracle_mesh(ball):
-    return ball.interior_mesh(200, 3, depth=ORACLE_DEPTH)
+    return _marched(ball)
 
 
 @settings(max_examples=20, deadline=None)
@@ -431,14 +440,16 @@ def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
                                                   angles, eta):
     # U(2) maps the ball onto itself and nearest feet onto nearest feet, and
     # keeps every eigenvalue and so the operator norm by which minScaled
-    # divides (relative moves of 1.8e-15 at most in minEig measured over 300
-    # random U, at eta 0.5 and 0.99)
+    # divides: the mesh marched from the boundary points' image keeps all
+    # 200 points (relative moves of 1.5e-15 in minEig and 8.3e-15 in
+    # minScaled at most, measured over 150 random U at eta 0.5 and 0.99)
     t, a, b, phase = angles
     u, v = np.cos(t) * np.exp(1j * a), np.sin(t) * np.exp(1j * b)
     U = np.exp(1j * phase) * np.array([[u, -np.conj(v)], [v, np.conj(u)]])
     want, got = (interior_psh_oracle(
         *oracle_terms(ball.domain, mesh, ZERO_PSI), eta, 1e-6)
-        for mesh in (ball_oracle_mesh, _unitary_image(ball_oracle_mesh, U)))
+        for mesh in (ball_oracle_mesh[2],
+                     _unitary_image(ball, ball_oracle_mesh, U)))
     assert got["certified"] == want["certified"]
     for key in ("minEig", "minScaled"):
         assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
@@ -446,8 +457,9 @@ def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
 
 @pytest.fixture(scope="module")
 def quartic_oracle_case(quartic, quartic_curve):
-    """The quartic's interior mesh and the curve psi's terms on it."""
-    return (quartic.interior_mesh(200, 3, depth=ORACLE_DEPTH),
+    """The quartic's interior mesh (_marched) and the curve psi's terms on
+    it."""
+    return (_marched(quartic),
             CurveTerms(quartic.domain, quartic.charts["curve"],
                        quartic_curve, quartic.sigma_distance))
 
@@ -459,16 +471,18 @@ def test_quartic_oracle_verdict_is_torus_invariant(quartic, quartic_curve,
                                                    b):
     # (z1, z2) -> (e^{ia} z1, e^{ib} z2) maps the quartic and its circle
     # onto themselves; the curve psi's oracle eigenvalues are 0 but for
-    # rounding on the mesh and its image (|minEig| 8.4e-17 and |minScaled|
-    # 1.8e-16 at most measured over 300 random maps)
-    mesh, terms = quartic_oracle_case
+    # rounding on the mesh and the mesh marched from its boundary points'
+    # image (|minEig| 4.6e-17 and |minScaled| 9.8e-17 at most, measured over
+    # 150 random maps)
+    marched, terms = quartic_oracle_case
     U = np.diag([np.exp(1j * a), np.exp(1j * b)])
+    image = _unitary_image(quartic, marched, U)
     for eta in (0.5, 0.99):
         psi = Psi(terms, (1.0, real_curve_certify(quartic_curve, eta,
                                                   None)["b"]))
         want, got = (interior_psh_oracle(
             *oracle_terms(quartic.domain, m, psi), eta, 1e-6)
-            for m in (mesh, _unitary_image(mesh, U)))
+            for m in (marched[2], image))
         assert got["certified"] == want["certified"]
         for rep in (want, got):
             assert abs(rep["minEig"]) <= 1e-15
@@ -477,7 +491,7 @@ def test_quartic_oracle_verdict_is_torus_invariant(quartic, quartic_curve,
 
 def _counting_projections(monkeypatch):
     """Rows of every projection from here on, in call order: foot_points
-    and the mesh's verified_feet both go through _nearest_feet."""
+    and the mesh's march_inward both go through _nearest_feet."""
     rows = []
     original = distance._nearest_feet
 
@@ -496,8 +510,8 @@ def test_oracle_projects_each_mesh_point_once(oracle_psis, monkeypatch):
     # the mesh's candidates once, to verify their feet
     assert len(rows) == 1 and 30 >= rows[0] >= len(mesh[0])
     value, wgrad, mixed = oracle_terms(entry.domain, mesh, psi)
-    # the oracle builds delta's jet at the mesh's feet, and psi's stencil
-    # nodes take their feet from delta's Taylor model of the foot map
+    # the oracle takes the delta-jet that the mesh carries, and psi's
+    # stencil nodes take their feet from its Taylor model of the foot map
     for eta in (0.5, 0.99):
         interior_psh_oracle(value, wgrad, mixed, eta, slack_rel=1e-6)
     assert len(rows) == 1
@@ -747,30 +761,30 @@ def _projections_in_and_out_of_mesh(monkeypatch):
     anywhere else, candidate rows of each mesh build) from here on."""
     inside, outside, candidates = [], [], []
     original = distance._nearest_feet
-    build = zoo._inward_mesh
+    build = zoo.march_inward
     building = []
 
     def counting(domain, Z):
         (inside if building else outside).append(len(Z))
         return original(domain, Z)
 
-    def inward_mesh(dom, P, seed, depth):
+    def march_inward(domain, P, depth):
         building.append(1)
         try:
-            return build(dom, P, seed, depth)
+            return build(domain, P, depth)
         finally:
             building.pop()
             candidates.append(len(P))
 
     monkeypatch.setattr(distance, "_nearest_feet", counting)
-    monkeypatch.setattr(zoo, "_inward_mesh", inward_mesh)
+    monkeypatch.setattr(zoo, "march_inward", march_inward)
     return inside, outside, candidates
 
 
 def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
     # the Sigma scan and the curve geometry project nothing, the oracle
-    # takes the feet its mesh carries, and building the mesh projects each
-    # candidate point once (those still inside after the inward march)
+    # takes the delta-jet its mesh carries, and building the mesh projects
+    # each candidate point once
     inside, outside, candidates = _projections_in_and_out_of_mesh(
         monkeypatch)
     run = Run(quartic, mesh_count=200, oracle_count=100)
@@ -963,6 +977,24 @@ def test_curve_psi_cross_validation(quartic, quartic_curve):
               (1.0, rep["b"]))
     mesh = quartic.interior_mesh(400, seed=6, depth=ORACLE_DEPTH)
     assert oracle(quartic.domain, mesh, psi, 0.99)["certified"]
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-8, 1.0])
+def test_real_curve_certifies_by_construction(quartic_curve, slack):
+    # b = -2 C_eta - 1 with C_eta above the bracket's largest sample M, so
+    # maxLHS = M + b < 0 <= slack at every eta; a NaN bracket certifies
+    # nothing
+    coef = 1.0 / (1.0 - np.array(ETA_GRID)) - 1.0
+    for eta, c in zip(ETA_GRID, coef):
+        rep = real_curve_certify(quartic_curve, eta, slack)
+        M = float((c * quartic_curve.g_t ** 2 + quartic_curve.Dt).max())
+        assert rep["maxLHS"] == M + rep["b"] < 0
+        assert rep["certified"]
+    Dt = quartic_curve.Dt.copy()
+    Dt[3] = np.nan
+    rep = real_curve_certify(dataclasses.replace(quartic_curve, Dt=Dt),
+                             0.5, slack)
+    assert not rep["certified"]
 
 
 def test_curve_quartic_transversal_quantities(quartic_curve):

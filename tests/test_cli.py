@@ -63,6 +63,24 @@ def test_certify_ball_exit_zero(tmp_path):
     assert rep["configHash"]
 
 
+def test_ball_oracle_is_scale_invariant(tmp_path):
+    # the ball's interior mesh takes its depths in units of the radius, and
+    # minScaled is invariant under z -> s z; absolute depths would leave
+    # the collar at r = 0.3 (0.12 against 0.066) and raise StencilLeak
+    oracles = []
+    for radius in ("0.3", "1", "3"):
+        out = tmp_path / radius
+        assert main(["certify", "--domain", "ball", "--radius", radius,
+                     "--mesh", "300", "--interior", "100",
+                     "--out", str(out)]) == 0
+        rep = json.loads((out / "certify.json").read_text())
+        assert rep["certified"]
+        oracles.append(rep["oracle"])
+    assert all(o["points"] == 100 for o in oracles)
+    scaled = [o["minScaled"] for o in oracles]
+    assert max(scaled) - min(scaled) <= 1e-9
+
+
 def test_certify_worm_exit_two_with_obstruction(tmp_path):
     code = main(["certify", "--domain", "worm", "--eta", "0.99",
                  "--mesh", "900", "--interior", "250",

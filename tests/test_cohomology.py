@@ -106,8 +106,9 @@ def test_path_outside_chart(worm):
 
 
 def _loop(entry, name):
-    chart_name, params, closed = entry.loops[name]
-    return ThetaSource(entry.charts[chart_name]), PathInSigma(params, closed)
+    chart_name, params = entry.loops[name]
+    return ThetaSource(entry.charts[chart_name]), PathInSigma(params,
+                                                              closed=True)
 
 
 @pytest.mark.parametrize("beta", [np.pi, 1.5 * np.pi])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfindex import distance, zoo
-from dfindex.distance import (boundary_jet, foot_points, normal_n,
-                              verified_feet)
+from dfindex.distance import (boundary_jet, foot_points, march_inward,
+                              normal_n)
 from dfindex.errors import AmbiguousFoot, NoConvergence, StencilLeak
 from dfindex.pipelines import ORACLE_DEPTH
 from references import (THIRD_STEP_FACTOR, _stencil, ball_delta_jet,
@@ -146,8 +146,8 @@ def test_worm_oracle_mesh_depths_are_nearest_distances(worm, count, seed):
     # mesh that keeps a point when one Newton seed and a restart agree on
     # its foot fails this on each of these meshes, at 4 to 11 points and by
     # up to 0.040
-    mesh, feet = worm.interior_mesh(count, seed, depth=ORACLE_DEPTH)
-    depth = np.linalg.norm(mesh - feet, axis=1)
+    mesh, delta = worm.interior_mesh(count, seed, depth=ORACLE_DEPTH)
+    depth = -delta.value
     assert np.all(depth >= ORACLE_DEPTH[0] - 1e-9)
     excess = depth - _worm_boundary_distance(worm, mesh)
     assert excess.max() <= 1e-9
@@ -161,24 +161,23 @@ def test_wide_worm_oracle_mesh_depths_are_nearest_distances():
     # first seed's gradient flow lands far off the boundary there, and every
     # seed then converges to the far foot
     worm = zoo.make_worm(2 * np.pi)
-    mesh, feet = worm.interior_mesh(800, 12, depth=ORACLE_DEPTH)
-    depth = np.linalg.norm(mesh - feet, axis=1)
+    mesh, delta = worm.interior_mesh(800, 12, depth=ORACLE_DEPTH)
+    depth = -delta.value
     excess = depth - _worm_boundary_distance(worm, mesh)
     assert excess.max() <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["ball", "bidisc", "worm", "quartic"])
 def test_interior_mesh_feet_are_the_projections(name, request):
-    # the mesh carries the feet that foot_points gives, bit for bit, so the
-    # oracle takes delta_jet's jets without projecting again; the ball's
-    # feet, radius v, are its projections to rounding
+    # the mesh's delta-jet is built at the feet that foot_points gives, so
+    # it is delta_jet's bit for bit, and the oracle takes it without
+    # projecting again
     entry = request.getfixturevalue(name)
-    mesh, feet = entry.interior_mesh(100, 3, depth=ORACLE_DEPTH)
-    proj, _ = foot_points(entry.domain, mesh)
-    if name == "ball":
-        np.testing.assert_allclose(proj, feet, rtol=0, atol=1e-15)
-    else:
-        np.testing.assert_array_equal(proj, feet)
+    mesh, delta = entry.interior_mesh(100, 3, depth=ORACLE_DEPTH)
+    want = delta_jet(entry.domain, mesh, order=3)
+    for attr in ("value", "rgrad", "rhess", "rthird"):
+        np.testing.assert_array_equal(getattr(delta, attr),
+                                      getattr(want, attr))
 
 
 def _collar_points(entry, count, seed):
@@ -196,9 +195,9 @@ def _collar_points(entry, count, seed):
 @pytest.mark.parametrize("ambiguity_check", [False, True])
 def test_foot_points_batch_invariant(name, ambiguity_check, request,
                                      monkeypatch):
-    # a point's foot must not depend on the rest of its batch: the mesh
-    # carries the feet its verification projected, and all seeds of a
-    # chunk are polished in one stacked call.  Without the ambiguity check
+    # a point's foot must not depend on the rest of its batch: the mesh's
+    # delta-jet is built at the feet its verification projected, and all
+    # seeds of a chunk are polished in one stacked call.  Without the ambiguity check
     # the route (_nearest_feet) also returns each point's gap between its
     # nearest feet; with it, foot_points raises where that gap is too large
     dom = request.getfixturevalue(name).domain
@@ -272,7 +271,8 @@ def test_boundary_jet_equals_the_general_path(name, request):
     entry = request.getfixturevalue(name)
     P = entry.boundary_mesh(300, seed=5)
     got = boundary_jet(entry.domain, P, order=3)
-    want = distance._jet_at_feet(entry.domain, P, np.full(len(P), 5e-324), 3)
+    d = np.full(len(P), 5e-324)
+    want = distance._delta_jet(distance._focal_frame(entry.domain, P, d, 3), d)
     for a, b in ((got.rgrad, want.rgrad), (got.rhess, want.rhess),
                  (got.rthird, want.rthird)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-300)
@@ -387,11 +387,10 @@ def test_delta_jets_match_finite_differences(name, request):
     entry = request.getfixturevalue(name)
     dom = entry.domain
     P = entry.boundary_mesh(60, seed=12)
-    nhat = dom.jet(P, order=1).rgrad
-    nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
+    # P + u n: points on both sides of the boundary
     rng = np.random.default_rng(13)
-    Q = P + rng.uniform(-0.25, 0.25, 60)[:, None] * dom.collar_width * nhat
-    Q = Q[verified_feet(dom, Q, P)[0]]
+    Q, _ = march_inward(dom, P, -rng.uniform(-0.25, 0.25, 60)
+                        * dom.collar_width)
     for Z in (P, Q):
         keep = ~straddles_crease(entry, Z)
         assert keep.sum() >= 0.9 * len(Z)
@@ -417,11 +416,8 @@ def test_eikonal(zoo_entries):
     for entry in zoo_entries:
         P = entry.boundary_mesh(100, seed=4)
         rng = np.random.default_rng(5)
-        jets = entry.domain.jet(P, order=1)
-        nhat = jets.rgrad / np.linalg.norm(jets.rgrad, axis=1, keepdims=True)
-        Q = P - rng.uniform(0.2, 0.8, 100)[:, None] * \
-            (0.25 * entry.domain.collar_width) * nhat
-        Q = Q[verified_feet(entry.domain, Q, P)[0]]
+        Q, _ = march_inward(entry.domain, P, rng.uniform(0.2, 0.8, 100)
+                            * (0.25 * entry.domain.collar_width))
         jet = delta_jet(entry.domain, Q, order=1)
         assert np.max(np.abs(np.linalg.norm(jet.rgrad, axis=1) - 1.0)) < 1e-12
 

@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import in the package is used, every
 private top-level function or class and every UPPER_CASE module constant is
-read somewhere in the package, and no module of the package imports sympy
-(only the test references do)."""
+read somewhere in the package, no module of the package imports a private
+name from another, and none imports sympy (only the test references do)."""
 
 import ast
 import pathlib
@@ -44,6 +44,14 @@ def sympy_imports(source):
 
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source):
+    """(line, name) of every private name that an import at any depth of
+    the module takes from another module."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if _is_private(alias.name)]
 
 
 def unread_internal_names(sources):
@@ -92,6 +100,13 @@ def test_unread_internal_names_detected():
                                               ("a", "_f")]
 
 
+def test_private_imports_detected():
+    src = ("from .a import b, _c\nfrom __future__ import annotations\n"
+           "import _d\nfrom . import __version__\n"
+           "def f():\n    from .e import _g as g\n")
+    assert private_imports(src) == [(1, "_c"), (6, "_g")]
+
+
 def test_sympy_imports_detected():
     src = ("import os, sympy as sp\nfrom sympy.abc import x\n"
            "def f():\n    import sympy\n    from .sympy import y\n"
@@ -103,6 +118,12 @@ def test_sympy_imports_detected():
                          ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_import(path):
+    assert private_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

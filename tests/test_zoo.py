@@ -46,8 +46,8 @@ def test_worm_charts_and_loops_valid(beta):
     U, _ = patch.grid(9)
     assert np.max(worm.sigma_distance(patch.embed_batch(U))) == 0.0
     assert np.all(np.isfinite(theta_components(patch, U)))
-    for chart_name, params, closed in worm.loops.values():
-        PathInSigma(params, closed).validate(worm.charts[chart_name])
+    for chart_name, params in worm.loops.values():
+        PathInSigma(params, closed=True).validate(worm.charts[chart_name])
 
 
 def test_ball_describe(ball):
@@ -114,11 +114,11 @@ def test_boundary_meshes_lie_on_boundary(zoo_entries):
 
 def test_interior_meshes_lie_inside(zoo_entries):
     for entry in zoo_entries:
-        # the ball's coarse band, and ORACLE_DEPTH for the others
-        depth = (0.05, 0.5) if entry.id == "ball" else ORACLE_DEPTH
-        P, feet = entry.interior_mesh(300, seed=22, depth=depth)
+        P, delta = entry.interior_mesh(300, seed=22, depth=ORACLE_DEPTH)
         assert P.shape[0] > 200
-        assert np.all(entry.domain.value(P) < 0)
+        assert np.all(entry.domain.value(P) < 0) and np.all(delta.value < 0)
+        # each point's foot P - delta grad delta lies on the boundary
+        feet = P - delta.value[:, None] * delta.rgrad
         assert np.max(np.abs(entry.domain.value(feet))) < 1e-12
 
 
