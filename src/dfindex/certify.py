@@ -14,12 +14,10 @@ manipulates; dropping the transport would certify spurious exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distance import boundary_jet, normal_n
-from .errors import MeshOutside, NotACurve, PsiDomain, TangencyUnresolved
+from .errors import MeshOutside, NotACurve, PsiDomain
 from .jets import DomainSpec, WirtingerJet, third_contraction
 from .levi import SigmaPointSet
 from .sigma import SigmaChart, nu_field, nu_pairings
@@ -31,10 +29,10 @@ from .util import bump_c3, complex_unpack
 # A psi is a function of the boundary foot point, linear in fixed terms:
 # psi = sum_i coef_i T_i.  The terms are one per-run object whose
 # terms_at_feet(F) gives the (N, k) values T_i(F): the collar potential's or
-# the family basis' ChartTerms, CurveTerms, or NO_TERMS for psi = 0.  Checks
-# see the terms only at feet on PsiStencil's Taylor model of the foot map;
-# each stencil differences a terms object once, and every psi over it
-# combines those columns with its coef.
+# the family basis' ChartTerms, the CurveCertificate, or NO_TERMS for
+# psi = 0.  Checks see the terms only at feet on PsiStencil's Taylor model of
+# the foot map; each stencil differences a terms object once, and every psi
+# over it combines those columns with its coef.
 
 class Psi:
     """psi = sum_i coef_i T_i over a terms object."""
@@ -378,24 +376,67 @@ def coordinate_descent(objective, x0, lo, hi, rounds=4, gold_iters=18):
 # real-curve certificate
 # ---------------------------------------------------------------------------
 
-class CurveTerms:
-    """The terms of the certificate's quadratic profile along the rotated
-    tangent J t, (blend s a(t), blend s^2 / 2) at p + s J t, with blend
-    fading them to zero off the curve, over a curve_geometry.  The
-    certificate's psi s a(t) + s^2 b / 2 is Psi(terms, (1, b)): only b
-    depends on eta, so the psi of every eta shares one CurveTerms."""
+# curve samples of the real-curve certificate, and the relative headroom of
+# its bound C_eta over the sampled bracket
+CURVE_SAMPLES = 96
+CURVE_HEADROOM = 0.1
 
-    def __init__(self, domain, curve, geometry, sigma_distance, width=None):
+
+class CurveCertificate:
+    """The real-curve certificate's eta-independent data, and its psi terms.
+
+    The data come from one order-3 delta-jet at the CURVE_SAMPLES curve
+    samples t_values, which lie on the boundary and are their own feet:
+    nothing is projected, and the ambient derivative of g(nabla_nu nu, J dt)
+    along J dt is exact.  They are the tangent's case ("transversal" or
+    "parallel"), g_t = g(nabla_nu nu, dt), the profile's slopes
+    a(t) = -g(nabla_nu nu, J dt) and D(t) = d/dt g(., X) + D_{Jt} g(., Jt).
+    NotACurve where curve is not a real chart.
+
+    The terms are the quadratic profile along the rotated tangent J t,
+    (blend s a(t), blend s^2 / 2) at p + s J t, with blend fading them to
+    zero past width (0.3 collar widths by default) off the curve.  The
+    certificate's psi s a(t) + s^2 b / 2 is Psi(cert, (1, b)): only b
+    depends on eta, so the psi of every eta shares one certificate."""
+
+    def __init__(self, domain: DomainSpec, curve: SigmaChart | None,
+                 sigma_distance, width=None):
+        if curve is None or curve.kind != "real":
+            raise NotACurve("the degenerate set is not a parametrized real "
+                            "curve")
         self.curve = curve
-        self.t_grid, self.a_grid = geometry.t_values, geometry.a_values
         self.sigma_distance = sigma_distance
         self.width = 0.3 * domain.collar_width if width is None else width
+        tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES,
+                         endpoint=False)
+        U = tg[:, None]
+        jet = boundary_jet(domain, curve.embed_batch(U), order=3)
+        xi = curve.tangents(U)
+        # classification of the tangent against the complex tangent space
+        overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
+        nrm = np.sqrt(np.einsum("kj,kj->k", xi, np.conj(xi)).real)
+        rel = overlap / np.maximum(nrm, 1e-300)
+        self.case = "parallel" if float(rel.max()) < 1e-3 else "transversal"
+        g_t, g_j = nu_pairings(jet, xi)
+        # D(t): curve steps, and the exact derivative along J dt of
+        # nu_field, which is bilinear in delta's gradient and Hessian
+        dt = tg[1] - tg[0]
+        dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
+        JX = complex_unpack(1j * xi)
+        H = jet.rhess
+        Hv = np.einsum("kab,kb->ka", H, JX)
+        Tv = np.einsum("kabc,kc->kab", jet.rthird, JX)
+        dw = nu_field(WirtingerJet(jet.value, Hv, H)) \
+            + nu_field(WirtingerJet(jet.value, jet.rgrad, Tv))
+        dgj = np.einsum("kj,kj->k", np.conj(xi), dw).imag
+        self.t_values, self.g_t, self.a_values, self.Dt = \
+            tg, g_t, -g_j, dgt + dgj
 
     def terms_at_feet(self, F):
         F = np.atleast_2d(F)
         t = np.mod(np.arctan2(F[:, 3], F[:, 2]), 2 * np.pi)
         gamma = self.curve.embed_batch(t[:, None])
-        a = np.interp(t, self.t_grid, self.a_grid, period=2 * np.pi)
+        a = np.interp(t, self.t_values, self.a_values, period=2 * np.pi)
         JX = complex_unpack(1j * self.curve.tangents(t[:, None]))
         jdir = JX / np.maximum(np.linalg.norm(JX, axis=1, keepdims=True),
                                1e-300)
@@ -404,93 +445,30 @@ class CurveTerms:
         return np.stack([s * a * blend, 0.5 * s * s * blend], axis=1)
 
 
-# curve samples of the real-curve certificate, and the relative headroom of
-# its bound C_eta over the sampled bracket
-CURVE_SAMPLES = 96
-CURVE_HEADROOM = 0.1
-
-
-@dataclass
-class CurveGeometry:
-    """The real-curve certificate's eta-independent data at its curve
-    samples t: the tangent's case, g_t = g(nabla_nu nu, dt), the profile's
-    slopes a(t) = -g(nabla_nu nu, J dt) and
-    D(t) = d/dt g(., X) + D_{Jt} g(., Jt)."""
-
-    case: str                   # "transversal" | "parallel"
-    t_values: np.ndarray
-    g_t: np.ndarray
-    a_values: np.ndarray
-    Dt: np.ndarray
-
-
-def curve_geometry(domain: DomainSpec,
-                   curve: SigmaChart | None) -> CurveGeometry:
-    """The geometry step of real_curve_certify, whatever the eta, from one
-    order-3 delta-jet at the curve samples, which lie on the boundary and
-    are their own feet: nothing is projected, and the ambient derivative of
-    g(nabla_nu nu, J dt) along J dt is exact."""
-    if curve is None or curve.kind != "real":
-        raise NotACurve("the degenerate set is not a parametrized real curve")
-    tg = np.linspace(curve.lo[0], curve.hi[0], CURVE_SAMPLES, endpoint=False)
-    U = tg[:, None]
-    P = curve.embed_batch(U)
-    jet = boundary_jet(domain, P, order=3)
-    xi = curve.tangents(U)
-    # classification of the tangent against the complex tangent space
-    overlap = np.abs(np.einsum("kj,kj->k", xi, 2.0 * jet.wgrad))
-    nrm = np.sqrt(np.einsum("kj,kj->k", xi, np.conj(xi)).real)
-    rel = overlap / np.maximum(nrm, 1e-300)
-    case = "parallel" if float(rel.max()) < 1e-3 else "transversal"
-    # J dt nearly tangent to the curve would be outside both cases
-    X = complex_unpack(xi)
-    JX = complex_unpack(1j * xi)
-    cosang = np.abs(np.einsum("ka,ka->k", X, JX)) / \
-        np.maximum(np.einsum("ka,ka->k", X, X), 1e-300)
-    if float(cosang.max()) > 0.99 and case == "transversal":
-        raise TangencyUnresolved("rotated tangent nearly parallel to the "
-                                 "curve while the tangent is not complex")
-    g_t, g_j = nu_pairings(jet, xi)
-    # D(t): curve steps, and the exact derivative along JX of nu_field,
-    # which is bilinear in delta's gradient and Hessian
-    dt = tg[1] - tg[0]
-    dgt = (np.roll(g_t, -1) - np.roll(g_t, 1)) / (2 * dt)
-    H = jet.rhess
-    Hv = np.einsum("kab,kb->ka", H, JX)
-    Tv = np.einsum("kabc,kc->kab", jet.rthird, JX)
-    dw = nu_field(WirtingerJet(jet.value, Hv, H)) \
-        + nu_field(WirtingerJet(jet.value, jet.rgrad, Tv))
-    dgj = np.einsum("kj,kj->k", np.conj(xi), dw).imag
-    return CurveGeometry(case=case, t_values=tg, g_t=g_t, a_values=-g_j,
-                         Dt=dgt + dgj)
-
-
-def real_curve_certify(geometry: CurveGeometry, eta, slack):
+def real_curve_certify(cert: CurveCertificate, eta, slack):
     """Certificate for a one-real-dimensional degenerate set, from its
-    curve_geometry.
+    CurveCertificate.
 
     Constructs psi with psi = 0 on the curve, J-derivative canceling
     g(nabla_nu nu, J dt), and second transversal derivative b = -2 C_eta - 1
-    where C_eta bounds the sampled bracket with CURVE_HEADROOM; then
-    evaluates the certificate inequality at every curve sample.  A slack of
-    None stands for 1e-8.  Returns {eta, slack, case (the geometry's),
-    C_eta, b, maxLHS (the largest left-hand side over the samples),
-    certified (maxLHS <= slack)}.
+    where C_eta bounds the bracket's largest sample M with CURVE_HEADROOM;
+    the certificate inequality's left-hand side at every curve sample is
+    then its bracket plus b.  A slack of None stands for 1e-8.  Returns
+    {eta, slack, case (the certificate's), C_eta, b, maxLHS (M + b, the
+    largest left-hand side over the samples), certified (maxLHS <= slack)}.
 
-    The check certifies by construction: with M the bracket's largest
-    sample, maxLHS = M + b = M - 2 C_eta - 1 < 0 <= slack for every finite M
-    and every slack >= 0, and only a NaN bracket leaves it uncertified.  So
-    where Sigma is a real curve, only the interior oracle can fail.
+    The check certifies by construction: maxLHS = M + b = M - 2 C_eta - 1
+    < 0 <= slack for every finite M and every slack >= 0, and only a NaN
+    bracket leaves it uncertified.  So where Sigma is a real curve, only the
+    interior oracle can fail.
     """
     if slack is None:
         slack = 1e-8
-    g_t, Dt = geometry.g_t, geometry.Dt
     coef = 1.0 / (1.0 - eta) - 1.0
-    bracket = coef * g_t ** 2 + Dt
-    C_eta = max((1.0 + CURVE_HEADROOM) * float(bracket.max()), 0.0) \
-        + slack + 1e-6
+    M = float((coef * cert.g_t ** 2 + cert.Dt).max())
+    C_eta = max((1.0 + CURVE_HEADROOM) * M, 0.0) + slack + 1e-6
     b = -2.0 * C_eta - 1.0
-    mx = float((coef * g_t ** 2 + b + Dt).max())
+    mx = M + b
     return {"eta": float(eta), "slack": float(slack),
-            "certified": bool(mx <= slack), "case": geometry.case,
+            "certified": bool(mx <= slack), "case": cert.case,
             "C_eta": float(C_eta), "b": float(b), "maxLHS": mx}

@@ -101,8 +101,11 @@ class RunConfig:
             except (TypeError, ValueError):
                 raise ConfigInvalid(f"{key} must be {kind.__name__}, got "
                                     f"{self.values[key]!r}") from None
-            if not np.isfinite(self.values[key]):
+            value = self.values[key]
+            if kind is float and not np.isfinite(value):
                 raise ConfigInvalid(f"{key} must be finite")
+            if kind is int and not -2 ** 63 <= value < 2 ** 63:
+                raise ConfigInvalid(f"{key} must fit in int64, got {value}")
         for key, least in (("mesh", 1), ("interior", 1), ("res", 2),
                            ("seed", 0)):
             if self.values[key] < least:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (AmbiguousFoot, DegenerateGradient, NoConvergence,
-                     StencilLeak)
+from .errors import AmbiguousFoot, NoConvergence, StencilLeak
 from .jets import DomainSpec, WirtingerJet
 
 _MAX_ITERS = 50
@@ -365,9 +364,7 @@ def _delta_jet(frame, d) -> WirtingerJet:
 def normal_n(jet: WirtingerJet):
     """The (1,0) normal field N from a delta-jet: coefficients
     conj(d delta/dz_j) / sqrt(sum |d delta/dz_j|^2); unit coefficient vector.
-    """
+    A delta-jet's gradient is the unit normal, so |d delta| is 1/2."""
     w = jet.wgrad
     s = np.sqrt(np.einsum("kj,kj->k", w, np.conj(w)).real)
-    if np.any(s < 1e-8):
-        raise DegenerateGradient("vanishing Wirtinger gradient")
     return np.conj(w) / s[:, None]

@@ -34,10 +34,6 @@ class StencilLeak(DfIndexError):
     past a focal point, or with no converged projection."""
 
 
-class DegenerateGradient(DfIndexError):
-    pass
-
-
 class NotPseudoconvex(DfIndexError):
     """Strictly negative Levi eigenvalue detected on the boundary."""
 
@@ -74,10 +70,6 @@ class MeshOutside(DfIndexError):
 
 class NotACurve(DfIndexError):
     pass
-
-
-class TangencyUnresolved(DfIndexError):
-    """Transversality of the rotated tangent could not be classified."""
 
 
 class BetaTooSmall(DfIndexError):

@@ -14,10 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import (NO_TERMS, CriterionEvaluator, CurveTerms, Psi,
-                      combine, coordinate_descent, curve_geometry,
-                      interior_psh_oracle, oracle_stencils,
-                      real_curve_certify, rho_terms)
+from .certify import (NO_TERMS, CriterionEvaluator, CurveCertificate, Psi,
+                      combine, coordinate_descent, interior_psh_oracle,
+                      oracle_stencils, real_curve_certify, rho_terms)
 from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
                          exactness_tolerance, period)
@@ -64,7 +63,9 @@ class Run:
     the period verdict of the generator loops (verdict), the collar
     potential (collar_psi), the criterion data (evaluator), the interior
     mesh (interior_mesh: its points and delta's order-3 jet there), psi's
-    stencils around it (oracle_stencils), and the psi terms objects.
+    stencils around it (oracle_stencils), the real-curve certificate
+    (curve: its data and its psi terms) and the family search's terms
+    (family_terms).
     Each is eta-independent, built on first use and at most once, and each
     stencil differences each terms object once; decide combines the cached
     columns with each candidate psi's coefficients, and certify and
@@ -155,18 +156,12 @@ class Run:
                                    eta, slack_rel=self.oracle_slack)
 
     @cached_property
-    def curve_geometry(self):
-        """The real-curve certificate's eta-independent data."""
-        return curve_geometry(self.entry.domain,
-                              self.entry.charts.get("curve"))
-
-    @cached_property
-    def curve_terms(self):
-        """The real-curve certificate's psi terms; b enters per eta as a
-        coefficient."""
+    def curve(self):
+        """The real-curve certificate: its eta-independent data and its psi
+        terms, where b enters per eta as a coefficient."""
         e = self.entry
-        return CurveTerms(e.domain, e.charts.get("curve"),
-                          self.curve_geometry, e.sigma_distance)
+        return CurveCertificate(e.domain, e.charts.get("curve"),
+                                e.sigma_distance)
 
     @cached_property
     def family_terms(self):
@@ -201,10 +196,9 @@ class Run:
         sample, the criterion's report is uncertified with a reason."""
         e = self.entry
         if e.sigma_kind == "RealCurve":
-            crep = real_curve_certify(self.curve_geometry, eta,
-                                      slack=self.slack)
-            yield ("curve certificate",
-                   Psi(self.curve_terms, (1.0, crep["b"])), crep)
+            crep = real_curve_certify(self.curve, eta, slack=self.slack)
+            yield ("curve certificate", Psi(self.curve, (1.0, crep["b"])),
+                   crep)
             return
 
         def checked(label, psi):

@@ -243,6 +243,9 @@ def make_worm(beta) -> ZooEntry:
     u_cap = min(a + (1.0 - tube_min ** 2) ** 0.25, a + 0.2)
 
     def boundary_mesh(count, seed):
+        if not np.isfinite(2 * u_cap):
+            raise ConfigInvalid(f"beta {beta} is too large: the mesh's span "
+                                "of log|z2|^2 overflows")
         rng = rng_for(seed)
         k = int(count * SIGMA_FRACTION)
         u = rng.uniform(-u_cap, u_cap, count)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfindex import zoo
-from dfindex.certify import (NO_TERMS, Psi, combine, curve_geometry,
+from dfindex.certify import (NO_TERMS, CurveCertificate, Psi, combine,
                              oracle_stencils, rho_terms)
 from dfindex.cohomology import build_potential, classify
 from references import leaf_sources, tree_potential
@@ -35,8 +35,9 @@ def quartic():
 
 @pytest.fixture(scope="session")
 def quartic_curve(quartic):
-    """The real-curve certificate's geometry on the quartic's circle."""
-    return curve_geometry(quartic.domain, quartic.charts["curve"])
+    """The real-curve certificate on the quartic's circle."""
+    return CurveCertificate(quartic.domain, quartic.charts["curve"],
+                            quartic.sigma_distance)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import ZERO_PSI, oracle_terms, shifted
-from dfindex.certify import (CriterionEvaluator, CurveTerms, Psi,
+from dfindex.certify import (CriterionEvaluator, Psi,
                              interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
@@ -274,10 +274,7 @@ def test_criterion_9_cross_validation(ball, bidisc, quartic, quartic_curve,
     crep = real_curve_certify(quartic_curve, 0.99, None)
     assert crep["certified"]
     certified.append(("quartic", 0.99,
-                      Psi(CurveTerms(quartic.domain,
-                                     quartic.charts["curve"], quartic_curve,
-                                     quartic.sigma_distance),
-                          (1.0, crep["b"])),
+                      Psi(quartic_curve, (1.0, crep["b"])),
                       quartic))
     d0s = {}
     for name, eta, psi, entry in certified:

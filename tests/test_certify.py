@@ -1,6 +1,7 @@
 """Boundary inequality, interior oracle, index estimation, cutoff bound,
 residual sequence, and the real-curve certificate."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ZERO_PSI, oracle_terms, psi_at_feet, shifted
-from dfindex.certify import (CriterionEvaluator, CurveTerms, Psi,
+from dfindex.certify import (CriterionEvaluator, CurveCertificate, Psi,
                              coordinate_descent, interior_psh_oracle,
                              oracle_stencils, real_curve_certify)
 from dfindex import certify, cohomology, distance, pipelines, zoo
@@ -346,8 +347,8 @@ def oracle_psis(bidisc, bidisc_leaf_field, quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99, None)
     # a support wider than the default reaches the interior mesh, so psi
     # varies over the stencils
-    curve = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
-                           quartic_curve, quartic.sigma_distance, width=0.6),
+    curve = Psi(CurveCertificate(quartic.domain, quartic.charts["curve"],
+                                 quartic.sigma_distance, width=0.6),
                 (1.0, rep["b"]))
     return {"collar": (bidisc, collar), "curve": (quartic, curve)}
 
@@ -459,9 +460,7 @@ def test_ball_oracle_verdict_is_unitary_invariant(ball, ball_oracle_mesh,
 def quartic_oracle_case(quartic, quartic_curve):
     """The quartic's interior mesh (_marched) and the curve psi's terms on
     it."""
-    return (_marched(quartic),
-            CurveTerms(quartic.domain, quartic.charts["curve"],
-                       quartic_curve, quartic.sigma_distance))
+    return _marched(quartic), quartic_curve
 
 
 @settings(max_examples=20, deadline=None)
@@ -708,13 +707,13 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
     # once, in one pass over the shared geometry, and every eta combines
     # those columns with (1, b)
     calls = []
-    terms = certify.CurveTerms.terms_at_feet
+    terms = certify.CurveCertificate.terms_at_feet
 
     def counting(self, F):
         calls.append(len(F))
         return terms(self, F)
 
-    monkeypatch.setattr(certify.CurveTerms, "terms_at_feet", counting)
+    monkeypatch.setattr(certify.CurveCertificate, "terms_at_feet", counting)
     run = Run(quartic, mesh_count=200, oracle_count=100)
     cert = run.estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
@@ -723,20 +722,20 @@ def test_estimate_evaluates_curve_psi_once_per_oracle_stencil(quartic,
 
 
 def test_oracle_weighs_shared_curve_terms_with_each_psis_b(quartic):
-    # every eta's curve psi shares the run's CurveTerms, differenced once;
-    # each call still weighs them with its own b, as a psi over fresh terms
-    # is weighed.  A support wider than the default reaches the mesh.
+    # every eta's curve psi shares the run's CurveCertificate, differenced
+    # once; each call still weighs it with its own b, as a psi over a fresh
+    # certificate is weighed.  A support wider than the default reaches the
+    # mesh.
     run = Run(quartic, mesh_count=200, oracle_count=100)
 
     def terms():
-        return CurveTerms(quartic.domain, quartic.charts["curve"],
-                          run.curve_geometry, quartic.sigma_distance,
-                          width=0.6)
+        return CurveCertificate(quartic.domain, quartic.charts["curve"],
+                                quartic.sigma_distance, width=0.6)
 
-    run.curve_terms = terms()
+    run.curve = terms()
     eigs = []
     for b in (-3.0, -30.0):
-        shared = run.oracle(0.5, Psi(run.curve_terms, (1.0, b)))["minEig"]
+        shared = run.oracle(0.5, Psi(run.curve, (1.0, b)))["minEig"]
         assert shared == run.oracle(0.5, Psi(terms(), (1.0, b)))["minEig"]
         eigs.append(shared)
     assert eigs[0] != eigs[1]
@@ -782,7 +781,7 @@ def _projections_in_and_out_of_mesh(monkeypatch):
 
 
 def test_estimate_projects_oracle_mesh_once(quartic, monkeypatch):
-    # the Sigma scan and the curve geometry project nothing, the oracle
+    # the Sigma scan and the curve certificate project nothing, the oracle
     # takes the delta-jet its mesh carries, and building the mesh projects
     # each candidate point once
     inside, outside, candidates = _projections_in_and_out_of_mesh(
@@ -809,14 +808,15 @@ def test_certify_projects_only_the_oracle_mesh(worm, monkeypatch):
 
 
 def test_estimate_builds_curve_geometry_once(quartic, monkeypatch):
+    # one CurveCertificate per run: its geometry and its psi terms
     calls = []
-    build = certify.curve_geometry
+    build = certify.CurveCertificate
 
     def counting(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(pipelines, "curve_geometry", counting)
+    monkeypatch.setattr(pipelines, "CurveCertificate", counting)
     cert = Run(quartic, mesh_count=200,
                oracle_count=100).estimate(ETA_GRID)
     assert [r["certified"] for r in cert["records"]] == [True] * 5
@@ -967,14 +967,12 @@ def test_curve_certificate_quartic(quartic_curve):
 
 def test_curve_certificate_ball_not_a_curve(ball):
     with pytest.raises(NotACurve):
-        certify.curve_geometry(ball.domain, None)
+        CurveCertificate(ball.domain, None, ball.sigma_distance)
 
 
 def test_curve_psi_cross_validation(quartic, quartic_curve):
     rep = real_curve_certify(quartic_curve, 0.99, None)
-    psi = Psi(CurveTerms(quartic.domain, quartic.charts["curve"],
-                         quartic_curve, quartic.sigma_distance),
-              (1.0, rep["b"]))
+    psi = Psi(quartic_curve, (1.0, rep["b"]))
     mesh = quartic.interior_mesh(400, seed=6, depth=ORACLE_DEPTH)
     assert oracle(quartic.domain, mesh, psi, 0.99)["certified"]
 
@@ -990,10 +988,10 @@ def test_real_curve_certifies_by_construction(quartic_curve, slack):
         M = float((c * quartic_curve.g_t ** 2 + quartic_curve.Dt).max())
         assert rep["maxLHS"] == M + rep["b"] < 0
         assert rep["certified"]
-    Dt = quartic_curve.Dt.copy()
-    Dt[3] = np.nan
-    rep = real_curve_certify(dataclasses.replace(quartic_curve, Dt=Dt),
-                             0.5, slack)
+    broken = copy.copy(quartic_curve)
+    broken.Dt = quartic_curve.Dt.copy()
+    broken.Dt[3] = np.nan
+    rep = real_curve_certify(broken, 0.5, slack)
     assert not rep["certified"]
 
 

@@ -282,7 +282,14 @@ def test_config_file_non_numeric(tmp_path):
     (["theta", "--domain", "worm", "--res", "0"], "ConfigInvalid"),
     # the oracle mesh keeps none of its one point
     (["certify", "--domain", "worm", "--interior", "1", "--seed", "2"],
-     "MeshOutside")])
+     "MeshOutside"),
+    # integer settings outside int64
+    (["sigma", "--domain", "bidisc", "--mesh", "50", "--seed",
+      "18446744073709551616"], "ConfigInvalid"),
+    (["zoo", "describe", "--res", "18446744073709551616"], "ConfigInvalid"),
+    # a worm whose boundary mesh's span of log|z2|^2 overflows
+    (["sigma", "--domain", "worm", "--beta", "1e308", "--mesh", "100"],
+     "ConfigInvalid")])
 def test_bad_domain_parameter(tmp_path, flags):
     argv, error = flags
     assert main(argv + ["--out", str(tmp_path)]) == 1

@@ -416,10 +416,15 @@ def test_eikonal(zoo_entries):
     for entry in zoo_entries:
         P = entry.boundary_mesh(100, seed=4)
         rng = np.random.default_rng(5)
-        Q, _ = march_inward(entry.domain, P, rng.uniform(0.2, 0.8, 100)
-                            * (0.25 * entry.domain.collar_width))
+        Q, marched = march_inward(entry.domain, P, rng.uniform(0.2, 0.8, 100)
+                                  * (0.25 * entry.domain.collar_width))
         jet = delta_jet(entry.domain, Q, order=1)
         assert np.max(np.abs(np.linalg.norm(jet.rgrad, axis=1) - 1.0)) < 1e-12
+        # |d delta| = 1/2 on every delta-jet, which normal_n divides by
+        for wgrad in (marched.wgrad,
+                      boundary_jet(entry.domain, P, order=1).wgrad):
+            assert np.max(np.abs(np.linalg.norm(wgrad, axis=1) - 0.5)) \
+                < 1e-12
 
 
 def test_normal_properties_on_every_zoo_boundary(zoo_entries):

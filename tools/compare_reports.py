@@ -89,6 +89,9 @@ ERROR_CASES = (
     ["theta", "--domain", "worm", "--chart", "nope"],
     ["period", "--domain", "worm", "--loop", "nope"],
     ["certify", "--domain", "worm", "--interior", "1", "--seed", "2"],
+    ["sigma", "--domain", "bidisc", "--mesh", "50", "--seed",
+     "18446744073709551616"],
+    ["estimate", "--domain", "worm", "--beta", "1e308", "--mesh", "100"],
 )
 
 # runs inside each checkout's interpreter: reads the command list as JSON
