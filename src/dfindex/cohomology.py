@@ -1,6 +1,10 @@
 """Line integrals and periods of the 1-form, exactness verdicts, potential
 reconstruction, and the collar extension of boundary potentials.
 
+One composite Simpson rule, simpson_sums, integrates the form along the
+periods' loops and the potential's lattice edges; the loops' theta masses,
+from the same quadrature, set the exactness tolerance.
+
 The reconstructed potential satisfies dbar(phi) = Hess_delta(N, .) on the
 chart, which makes it twice the raw line integral of the form's components
 (the Wirtinger half: integrating f dx + g dy recovers a function whose
@@ -73,21 +77,35 @@ class PathInSigma:
         return self
 
 
-def integrate_theta(source, paths):
-    """Line integrals of the 1-form along polylines of chart parameters, one
-    per path of the list, all on one source.
+def simpson_sums(comps, dU):
+    """Composite Simpson sums of theta.dU and of |theta.dU| per segment,
+    before the factor 1/(3(Q - 1)), from theta at Q equally spaced nodes
+    (Q odd, ends included) of S segments, (S, Q, p), and their (S, p) steps."""
+    Q = comps.shape[1]
+    integrand = np.einsum("sqp,sp->sq", comps, dU)
+    w = np.ones(Q)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return integrand @ w, np.abs(integrand) @ w
 
-    Composite Simpson per segment on nested levels of 4 to 2048 nodes per
+
+def integrate_theta(source, paths):
+    """Line integrals of the 1-form along polylines of chart parameters,
+    all on one source, and their theta masses (the integrals of
+    |theta.dU|): two lists, one value per path.  A closed path's integral
+    is its period, the cohomological pairing with its cycle.
+
+    simpson_sums per segment on nested levels of 4 to 2048 nodes per
     segment.  The nodes are dyadic, so level 2n's even nodes are level n's
     (linspace(0, 1, 2n + 1)[::2] equals linspace(0, 1, n + 1) exactly) and
     take its values; each level makes one source.components call, on the
     new odd nodes of the paths that have not converged.  A path converges
     once two successive whole-path estimates differ by less than PERIOD_TOL
-    (relative); NoConvergence names the first path whose ten estimates
-    never do.
+    (relative), and its mass comes from the same level; NoConvergence
+    names the first path whose ten estimates never do.
     """
     if not paths:
-        return []
+        return [], []
     for path in paths:
         path.validate(source.chart)
     starts = [path.params[:-1] for path in paths]
@@ -106,12 +124,8 @@ def integrate_theta(source, paths):
                 for c, nd in zip(np.split(comps, ends), nodes)]
 
     def simpson(comps, dU):
-        Q = comps.shape[1]
-        integrand = np.einsum("sqp,sp->sq", comps, dU)
-        w = np.ones(Q)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(np.sum(integrand @ w) / (3.0 * (Q - 1)))
+        scale = 3.0 * (comps.shape[1] - 1)
+        return [float(np.sum(s) / scale) for s in simpson_sums(comps, dU)]
 
     active = list(range(len(paths)))
     values = components(active, np.linspace(0.0, 1.0, 5))
@@ -127,30 +141,22 @@ def integrate_theta(source, paths):
             comps[:, 1::2] = new
             values[i] = comps
             prev, est[i] = est[i], simpson(comps, steps[i])
-            diff[i] = abs(est[i] - prev)
+            diff[i] = abs(est[i][0] - prev[0])
         active = [i for i in active
-                  if not diff[i] < PERIOD_TOL * (1 + abs(est[i]))]
+                  if not diff[i] < PERIOD_TOL * (1 + abs(est[i][0]))]
         if not active:
-            return est
+            return [e[0] for e in est], [e[1] for e in est]
     i = active[0]
     raise NoConvergence(f"line integral of path {i} ({len(paths[i].params)} "
                         f"vertices) not converged at 2048 nodes per segment: "
                         f"the last two estimates differ by {diff[i]:.3e}")
 
 
-def period(source, loops):
-    """Loop integrals of the 1-form along closed paths, the cohomological
-    pairings with their cycles; integrate_theta integrates them together,
-    one components call per halving level."""
-    if not all(loop.closed for loop in loops):
-        raise ValueError("period needs closed paths")
-    return integrate_theta(source, loops)
-
-
-def exactness_tolerance(max_abs_theta, diameter):
-    """Scale-free default: 1e-4 x max|theta| x diameter, floored at 1e-6 so
-    that identically-vanishing forms classify as exact."""
-    return max(1e-4 * float(max_abs_theta) * float(diameter), 1e-6)
+def exactness_tolerance(mass):
+    """1e-4 x the loops' largest theta mass (integrate_theta's second list),
+    which bounds their |periods| and does not grow with the chart, floored
+    at 1e-6 so that identically vanishing forms classify as exact."""
+    return max(1e-4 * float(mass), 1e-6)
 
 
 def classify(periods, tol):
@@ -263,7 +269,7 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     sources: a FormSource or a list of them (foliation leaves), whose charts
     share one parameter box (ChartMismatch otherwise).  The period verdict
     (classify's) must be Exact.  The box's node lattice, its edges, the
-    interior nodes of a 5-node Simpson rule on every edge, the monomial
+    interior nodes of a 5-node simpson_sums rule on every edge, the monomial
     design at the nodes and its regularised normal matrix are built once;
     each leaf's form is evaluated once, at the nodes and the Simpson nodes.
     The tree edges set the node values; every other edge closes one cycle
@@ -291,7 +297,6 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     cycle = ~tree
     dU = U[b] - U[a]
     t = np.array([0.25, 0.5, 0.75])      # interior Simpson nodes of an edge
-    w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
     inner = U[a][:, None, :] + t[None, :, None] * dU[:, None, :]
     nodes = np.concatenate([U, inner.reshape(-1, p)])
     # anchor at the grid node nearest the basepoint
@@ -310,8 +315,7 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
         edge_comps = np.concatenate([comps[a][:, None],
                                      comps[K:].reshape(len(a), 3, p),
                                      comps[b][:, None]], axis=1)
-        integrand = np.einsum("sqp,sp->sq", edge_comps, dU)
-        contrib = POTENTIAL_FACTOR * (integrand @ w) / 12.0
+        contrib = POTENTIAL_FACTOR * simpson_sums(edge_comps, dU)[0] / 12.0
         # tree edges come in node order: a parent is set before its child
         vals = np.zeros(K)
         for pa, pb, dv in zip(a[tree].tolist(), b[tree].tolist(),

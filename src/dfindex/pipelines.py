@@ -19,7 +19,7 @@ from .certify import (NO_TERMS, CriterionEvaluator, CurveCertificate, Psi,
                       oracle_stencils, real_curve_certify, rho_terms)
 from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
                          build_potential, classify, collar_terms,
-                         exactness_tolerance, period)
+                         exactness_tolerance, integrate_theta)
 from .errors import ChartMismatch, MeshOutside
 from .levi import detect_sigma
 from .zoo import ZooEntry
@@ -94,26 +94,20 @@ class Run:
     def verdict(self):
         """The period verdict of the generator loops (classify's; exact when
         there are none), exact below exactness_tolerance of the loops'
-        largest |theta| and chart span.  The loops are grouped by chart:
-        per chart, one period call integrates them all, and one more
-        components call takes |theta| at all their vertices."""
+        largest theta mass.  The loops are grouped by chart: per chart, one
+        integrate_theta call gives their periods and masses."""
         by_chart = {}
         for name, (chart_name, params) in self.entry.loops.items():
             by_chart.setdefault(chart_name, {})[name] = \
                 PathInSigma(params, closed=True)
-        periods = {}
-        max_theta = 0.0
-        diam = 0.0
+        periods, masses = {}, [0.0]
         for chart_name, loops in by_chart.items():
-            chart = self.entry.charts[chart_name]
-            src = ThetaSource(chart)
-            periods.update(zip(loops, period(src, list(loops.values()))))
-            vertices = np.concatenate([p.params for p in loops.values()])
-            max_theta = max(max_theta,
-                            float(np.max(np.abs(src.components(vertices)))))
-            diam = max(diam, float(np.max(chart.hi - chart.lo)))
+            src = ThetaSource(self.entry.charts[chart_name])
+            values, mass = integrate_theta(src, list(loops.values()))
+            periods.update(zip(loops, values))
+            masses += mass
         return classify({name: periods[name] for name in self.entry.loops},
-                        exactness_tolerance(max_theta, max(diam, 1.0)))
+                        exactness_tolerance(max(masses)))
 
     @cached_property
     def collar_psi(self):

@@ -220,6 +220,10 @@ def make_worm(beta) -> ZooEntry:
         raise BetaTooSmall("need beta > pi/2")
     a = float(beta - np.pi / 2)
     u_star = a + 1.0
+    # the box spans 2.2 e^{u_star / 2} along z2, finite up to beta ~ 1419
+    if not u_star / 2 < np.log(np.finfo(float).max / 2.2):
+        raise ConfigInvalid(f"beta {beta} is too large: the worm's bounding "
+                            "box overflows")
 
     def rho(c):
         x1, y1, x2, y2 = c
@@ -243,9 +247,6 @@ def make_worm(beta) -> ZooEntry:
     u_cap = min(a + (1.0 - tube_min ** 2) ** 0.25, a + 0.2)
 
     def boundary_mesh(count, seed):
-        if not np.isfinite(2 * u_cap):
-            raise ConfigInvalid(f"beta {beta} is too large: the mesh's span "
-                                "of log|z2|^2 overflows")
         rng = rng_for(seed)
         k = int(count * SIGMA_FRACTION)
         u = rng.uniform(-u_cap, u_cap, count)

@@ -962,7 +962,7 @@ def _tree_edges(shape):
     return edges
 
 
-def _integrate_edges(source, U, edges):
+def integrate_edges(source, U, edges):
     """Simpson (5 nodes) along each straight lattice edge times
     POTENTIAL_FACTOR."""
     a = U[[e[0] for e in edges]]
@@ -984,7 +984,7 @@ def tree_potential(source, basepoint, res):
     U, shape = chart.grid(res)
     edges = _tree_edges(shape)
     vals = np.zeros(U.shape[0])
-    for (pa, pb), dv in zip(edges, _integrate_edges(source, U, edges)):
+    for (pa, pb), dv in zip(edges, integrate_edges(source, U, edges)):
         vals[pb] = vals[pa] + dv
     basepoint = np.asarray(basepoint, dtype=float)
     k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :U.shape[1]],

@@ -25,7 +25,7 @@ from dfindex.certify import (CriterionEvaluator, Psi,
                              interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
 from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
-                                classify, period)
+                                classify, integrate_theta)
 from dfindex.distance import boundary_jet
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import Run, potential_for
@@ -202,7 +202,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
 def test_criterion_5_obstruction_detection(worm, tmp_path):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    [per] = period(src, [loop])
+    [per], _ = integrate_theta(src, [loop])
     frozen = worm.notes["core_period"]      # derived ahead of the build
     assert abs(per - frozen) <= 0.01 * abs(frozen)
     assert abs(per) > 1e-3

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -287,12 +288,16 @@ def test_config_file_non_numeric(tmp_path):
     (["sigma", "--domain", "bidisc", "--mesh", "50", "--seed",
       "18446744073709551616"], "ConfigInvalid"),
     (["zoo", "describe", "--res", "18446744073709551616"], "ConfigInvalid"),
-    # a worm whose boundary mesh's span of log|z2|^2 overflows
+    # a worm whose bounding box overflows, refused before any exp warns
     (["sigma", "--domain", "worm", "--beta", "1e308", "--mesh", "100"],
+     "ConfigInvalid"),
+    (["zoo", "describe", "--domain", "worm", "--beta", "1e308"],
      "ConfigInvalid")])
 def test_bad_domain_parameter(tmp_path, flags):
     argv, error = flags
-    assert main(argv + ["--out", str(tmp_path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
     diag = json.loads((tmp_path / "error.json").read_text())
     assert diag["error"] == error, diag
 

@@ -13,7 +13,7 @@ from dfindex.certify import Psi
 from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
                                 build_potential, classify, collar_terms,
                                 exactness_tolerance, integrate_theta,
-                                period)
+                                simpson_sums)
 from dfindex.distance import foot_points
 from dfindex.errors import (ChartGap, ChartMismatch, CollarTooWide,
                             NoConvergence, ObstructedClass, PathDisagreement)
@@ -21,8 +21,8 @@ from dfindex.pipelines import ORACLE_DEPTH, Run, potential_for
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
 from references import (FuncSource, HFieldSource, eval_per_leaf,
-                        integrate_theta_single, leaf_sources, reversed_path,
-                        rotated_path, tree_potential)
+                        integrate_edges, integrate_theta_single, leaf_sources,
+                        reversed_path, rotated_path, tree_potential)
 
 
 def disc_chart(domain_entry, half=0.8):
@@ -37,14 +37,14 @@ def disc_chart(domain_entry, half=0.8):
 def test_integral_reversal(worm):
     src = ThetaSource(worm.charts["patch"])
     path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
-    a, b = integrate_theta(src, [path, reversed_path(path)])
+    (a, b), _ = integrate_theta(src, [path, reversed_path(path)])
     assert abs(a + b) < 1e-10
 
 
 def test_bidisc_leaf_integral_vanishes(bidisc):
     src = ThetaSource(bidisc.notes["main_leaf"])
     path = PathInSigma(np.array([[-0.3, -0.3], [0.2, 0.1], [0.35, -0.2]]))
-    assert abs(integrate_theta(src, [path])[0]) < 1e-6
+    assert abs(integrate_theta(src, [path])[0][0]) < 1e-6
 
 
 def test_worm_radial_path_matches_antiderivative(worm):
@@ -52,28 +52,30 @@ def test_worm_radial_path_matches_antiderivative(worm):
     # the antiderivative difference
     src = ThetaSource(worm.charts["log_polar"])
     path = PathInSigma(np.array([[-0.2, 0.7], [0.25, 2.9]]))
-    [val] = integrate_theta(src, [path])
+    [val], _ = integrate_theta(src, [path])
     assert abs(val - (-0.5) * (2.9 - 0.7)) < 1e-6
 
 
 def test_worm_core_period(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    [per] = period(src, [loop])
+    [per], [mass] = integrate_theta(src, [loop])
     assert abs(per - (-np.pi)) < 0.01 * np.pi
     assert abs(per) > 1.0
+    # theta.dU = -dphi/2 keeps one sign along the core: its mass is |period|
+    assert mass == -per
 
 
 def test_contractible_loop_period_small(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["contractible"][1], closed=True)
-    assert abs(period(src, [loop])[0]) < 1e-6
+    assert abs(integrate_theta(src, [loop])[0][0]) < 1e-6
 
 
 def test_period_basepoint_rotation_invariance(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    p0, *rotated = period(src, [loop] + [
+    (p0, *rotated), _ = integrate_theta(src, [loop] + [
         rotated_path(loop, k, wrap_axis=1, period=2 * np.pi)
         for k in (3, 11)])
     for pk in rotated:
@@ -88,14 +90,7 @@ def test_unconverged_period_raises(worm):
                      lambda U: rng.normal(size=U.shape))
     loop = PathInSigma(worm.loops["contractible"][1], closed=True)
     with pytest.raises(NoConvergence):
-        period(src, [loop])
-
-
-def test_open_path_period_rejected(worm):
-    src = ThetaSource(worm.charts["log_polar"])
-    path = PathInSigma(np.array([[0.0, 0.0], [0.0, 1.0]]), closed=False)
-    with pytest.raises(ValueError):
-        period(src, [path])
+        integrate_theta(src, [loop])
 
 
 def test_path_outside_chart(worm):
@@ -118,19 +113,21 @@ def test_nested_periods_match_single_path_reference(beta):
     worm = zoo.make_worm(beta)
     src, core = _loop(worm, "core")
     _, square = _loop(worm, "contractible")
-    assert period(src, [core, square]) == [
+    assert integrate_theta(src, [core, square])[0] == [
         integrate_theta_single(src, core), integrate_theta_single(src, square)]
 
 
 def test_bidisc_period_matches_single_path_reference(bidisc):
     src, loop = _loop(bidisc, "leaf_boundary")
-    assert period(src, [loop]) == [integrate_theta_single(src, loop)]
+    assert integrate_theta(src, [loop])[0] == [
+        integrate_theta_single(src, loop)]
 
 
 def test_open_path_integral_matches_single_path_reference(worm):
     src = ThetaSource(worm.charts["patch"])
     path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
-    assert integrate_theta(src, [path]) == [integrate_theta_single(src, path)]
+    assert integrate_theta(src, [path])[0] == [
+        integrate_theta_single(src, path)]
 
 
 def test_classify():
@@ -144,8 +141,27 @@ def test_classify():
 
 
 def test_exactness_tolerance_floor():
-    assert exactness_tolerance(0.0, 10.0) == 1e-6
-    assert exactness_tolerance(0.5, 6.4) == pytest.approx(3.2e-4)
+    assert exactness_tolerance(0.0) == 1e-6
+    assert exactness_tolerance(3.2) == pytest.approx(3.2e-4)
+
+
+@pytest.mark.parametrize("beta", [np.pi, 10.0, 100.0, 1000.0])
+def test_worm_tolerance_is_the_core_loop_mass(beta):
+    # the core loop's theta mass is pi at every beta, so the tolerance does
+    # not grow with the log-polar chart's span (about 0.9 beta)
+    worm = zoo.make_worm(beta)
+    verdict = Run(worm).verdict
+    src, core = _loop(worm, "core")
+    _, [mass] = integrate_theta(src, [core])
+    assert verdict["classification"] == "Obstructed"
+    assert verdict["tolerance"] == 1e-4 * mass
+    assert verdict["tolerance"] == pytest.approx(1e-4 * np.pi, rel=1e-9)
+
+
+def test_bidisc_verdict_exact_at_floor(bidisc):
+    verdict = Run(bidisc).verdict
+    assert verdict["classification"] == "Exact"
+    assert verdict["tolerance"] == 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +192,7 @@ def test_synthetic_exact_form_recovery(bidisc):
 def test_obstructed_class_raises(worm):
     src = ThetaSource(worm.charts["log_polar"])
     loop = PathInSigma(worm.loops["core"][1], closed=True)
-    verdict = classify({"core": period(src, [loop])[0]}, 1e-4)
+    verdict = classify({"core": integrate_theta(src, [loop])[0][0]}, 1e-4)
     with pytest.raises(ObstructedClass):
         build_potential(src, np.zeros(2), verdict, res=17)
 
@@ -241,6 +257,27 @@ def test_lattice_potential_matches_tree_route(bidisc, res):
     _assert_matches_tree_route(phi, [src], res)
 
 
+def test_potential_edges_take_simpson_sums(bidisc, monkeypatch):
+    # one simpson_sums call per leaf; each lattice edge's contribution,
+    # POTENTIAL_FACTOR x its sum / 12, equals bit for bit the reference's
+    # own 5-node Simpson rule on that edge
+    sums = []
+
+    def recording(comps, dU):
+        out = simpson_sums(comps, dU)
+        sums.append(out[0])
+        return out
+
+    monkeypatch.setattr(cohomology, "simpson_sums", recording)
+    src = HFieldSource(disc_chart(bidisc, half=0.6), _exp_field)
+    phi = build_potential(src, np.zeros(2), classify({}, 1e-6), res=9)
+    [edge_sums] = sums
+    a, b, _ = cohomology._lattice_edges(phi.shape)
+    np.testing.assert_array_equal(
+        cohomology.POTENTIAL_FACTOR * edge_sums / 12.0,
+        integrate_edges(src, phi.params, list(zip(a.tolist(), b.tolist()))))
+
+
 def test_leaf_potentials_match_tree_route(bidisc, bidisc_leaf_field):
     _assert_matches_tree_route(bidisc_leaf_field, leaf_sources(bidisc), 9)
     charts = [c for c in bidisc.charts.values() if c.kind == "complex"]
@@ -270,8 +307,8 @@ def test_potential_evaluates_theta_once_per_leaf(bidisc, monkeypatch):
 
 def test_verdict_evaluates_theta_once_per_level(worm, monkeypatch):
     # core (128 segments) and contractible (4) converge at 8 nodes per
-    # segment: 5 x 132 rows at 4 nodes, the 4 x 132 new ones at 8, and
-    # |theta| at the loops' 129 + 5 vertices, 1322 rows in all
+    # segment: 5 x 132 rows at 4 nodes and the 4 x 132 new ones at 8; the
+    # tolerance takes the loops' mass from the same levels
     calls = []
     components = ThetaSource.components
 
@@ -281,7 +318,7 @@ def test_verdict_evaluates_theta_once_per_level(worm, monkeypatch):
 
     monkeypatch.setattr(ThetaSource, "components", counting_components)
     assert Run(worm).verdict["classification"] == "Obstructed"
-    assert calls == [660, 528, 134]
+    assert calls == [660, 528]
 
 
 def test_round_trip_residual_second_order(bidisc):

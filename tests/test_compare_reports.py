@@ -90,8 +90,9 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
             "0.5", "--mesh", "600", "--interior", "60", "--seed", "3"] in cmds
     for argv in (["certify", "--domain", "worm", "--mesh", "3", "--eta",
                   "0.5"], ["estimate", "--domain", "worm", "--mesh", "3"],
-                 ["certify", "--domain", "ball", "--mesh", "3"]):
+                 ["certify", "--domain", "ball", "--mesh", "3"],
+                 ["period", "--domain", "worm", "--beta", "1000"]):
         assert argv in cmds
     assert set(_COMMANDS) <= {_command_of(c) for c in cmds}
-    assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 1 + 8 + 10 + 1
+    assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 1 + 8 + 11 + 1
                          + len(tool["ERROR_CASES"]))

@@ -29,8 +29,11 @@ It runs one fixed command set through each checkout's own
   criterion and fails the oracle, the family psi fails the criterion) in
   certify and estimate, and certify and estimate at --mesh 3, where the
   scan keeps no sample (the worm's criterion is then uncertified, the
-  ball's vacuous and certified);
-- zoo, and usage and domain errors that end in typed errors.
+  ball's vacuous and certified), and period on the worm at --beta 1000,
+  whose loops sit on a log-polar chart about 900 wide;
+- zoo, and usage and domain errors that end in typed errors, among them
+  a worm at --beta 1e308, whose bounding box overflows, in estimate and
+  in zoo describe.
 
 Every command of dfindex.cli._COMMANDS is among them.
 
@@ -73,6 +76,7 @@ BRANCH_CASES = (
     ["certify", "--domain", "worm", "--mesh", "3", "--eta", "0.5"],
     ["estimate", "--domain", "worm", "--mesh", "3"],
     ["certify", "--domain", "ball", "--mesh", "3"],
+    ["period", "--domain", "worm", "--beta", "1000"],
 )
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ERROR_CASES = (
@@ -92,6 +96,7 @@ ERROR_CASES = (
     ["sigma", "--domain", "bidisc", "--mesh", "50", "--seed",
      "18446744073709551616"],
     ["estimate", "--domain", "worm", "--beta", "1e308", "--mesh", "100"],
+    ["zoo", "describe", "--domain", "worm", "--beta", "1e308"],
 )
 
 # runs inside each checkout's interpreter: reads the command list as JSON
