@@ -3,15 +3,23 @@ one third-order contraction the boundary inequality needs.
 
 Defining functions are written against the operators the zoo's defining
 functions use: `Jet` +, -, unary -, * and integer powers k >= 1 (a plain
-number may stand on either side of + and *, and right of -), plus
-jlog/jsin/jcos/jhinge_pow.  Feeding `Jet` variables through such an
-evaluator yields derivatives to order 3 that are exact to machine
-precision, batched over points.  Called on plain arrays, the same
-evaluators give the values alone.  No finite differences live here:
-the signed distance's jets come in closed form from distance.boundary_jet
-and distance.march_inward, and psi's derivatives from certify.PsiStencil,
-which differences psi's terms at feet on the Taylor model of the foot map
-that the signed distance's order-3 jet gives.
+number may stand on either side of + and *, and right of -; a (B,) array,
+one value per point, right of +, - and *), plus jlog/jsin/jcos/jhinge_pow.
+Feeding `Jet` variables through such an evaluator yields derivatives to
+order 3 that are exact to machine precision, batched over points.  Called
+on plain arrays, the same evaluators give the values alone.  No finite
+differences live here: the signed distance's jets come in closed form from
+distance.boundary_jet and distance.march_inward, and psi's derivatives from
+certify.PsiStencil, which differences psi's terms at feet on the Taylor
+model of the foot map that the signed distance's order-3 jet gives.
+
+A jet carries derivatives only in the coordinates it depends on, its
+support (sparse forward mode): each variable starts on its own coordinate,
+and a binary operation on two jets of different supports first lifts both
+to the union, filling zeros.  Every derivative inside a support takes the
+same floating-point operations as on the full coordinate set, so supports
+change no derivative's value (only, at times, a zero's sign).
+DomainSpec.jet lifts the defining function's jet to all coordinates once.
 
 Real coordinates are interleaved: point = (x1, y1, x2, y2, ...) so that
 z_j = point[2j] + i*point[2j+1].  The Wirtinger convention is
@@ -22,6 +30,7 @@ there is no general algebra of derivations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,7 +52,7 @@ def _nadd(a, b):
 
 
 def _nscale(a, s):
-    # s is (B,); broadcast over the trailing tensor axes of a
+    # s is (B,) or a scalar; broadcast over the trailing tensor axes of a
     if a is None:
         return None
     return a * s.reshape(s.shape + (1,) * (a.ndim - 1))
@@ -70,17 +79,36 @@ def _outer_ggg(g):
     return np.einsum("...a,...b,...c->...abc", g, g, g)
 
 
-class Jet:
-    """Batched truncated Taylor expansion to order <= 3.
+@functools.lru_cache(maxsize=None)
+def _places(sub, idx):
+    """Index expressions of the blocks of a jet on support sub inside the
+    blocks on the support idx, for 1, 2 and 3 derivative axes: slices when
+    sub sits in idx as one run, which assign faster.  A defining function on
+    D coordinates meets at most 3^D such pairs."""
+    pos = [idx.index(a) for a in sub]
+    if pos == list(range(pos[0], pos[-1] + 1)):
+        pos = slice(pos[0], pos[-1] + 1)
+        return [(slice(None),) + (pos,) * n for n in (1, 2, 3)]
+    return [(slice(None),) + np.ix_(*(pos,) * n) for n in (1, 2, 3)]
 
-    v: (B,) values; g: (B,D) gradient; h: (B,D,D) Hessian; t: (B,D,D,D).
-    Missing blocks are None (treated as zero).
+
+class Jet:
+    """Batched truncated Taylor expansion to order <= 3 on a support.
+
+    idx: the sorted tuple of the k coordinates the jet depends on.  v: (B,)
+    values; g: (B,k) gradient; h: (B,k,k) Hessian; t: (B,k,k,k), each
+    along idx and zero in every other coordinate.  Missing blocks are None
+    (treated as zero).  A binary operation lifts both operands to the
+    union of their supports only when the supports differ.  A plain number
+    or a (B,) array operand shifts the value, or scales the value and the
+    blocks.
     """
 
-    __slots__ = ("order", "v", "g", "h", "t")
+    __slots__ = ("order", "idx", "v", "g", "h", "t")
 
-    def __init__(self, order, v, g=None, h=None, t=None):
+    def __init__(self, order, idx, v, g=None, h=None, t=None):
         self.order = order
+        self.idx = idx
         self.v = np.asarray(v, dtype=float)
         self.g = g
         self.h = h
@@ -90,58 +118,79 @@ class Jet:
 
     @staticmethod
     def variables(P, order):
-        """Seed one Jet per coordinate of P (B, D)."""
+        """Seed one Jet per coordinate of P (B, D), on that coordinate
+        alone."""
         P = np.asarray(P, dtype=float)
-        B, D = P.shape
-        out = []
-        for a in range(D):
-            g = np.zeros((B, D))
-            g[:, a] = 1.0
-            out.append(Jet(order, P[:, a].copy(), g))
-        return out
+        one = np.ones((P.shape[0], 1))
+        return [Jet(order, (a,), P[:, a].copy(), one)
+                for a in range(P.shape[1])]
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        v = np.asarray(other, dtype=float)
-        if v.ndim == 0:
-            v = np.full(self.v.shape, float(v))
-        return Jet(self.order, v)
+    def lift(self, idx):
+        """This jet on the sorted support idx, a superset of self.idx: each
+        block placed into zeros."""
+        if idx == self.idx:
+            return self
+        places = _places(self.idx, idx)
+
+        def put(a, n):
+            if a is None:
+                return None
+            out = np.zeros(a.shape[:1] + (len(idx),) * n)
+            out[places[n - 1]] = a
+            return out
+
+        return Jet(self.order, idx, self.v, put(self.g, 1), put(self.h, 2),
+                   put(self.t, 3))
+
+    def _union(self, other):
+        """self and other on the union of their supports."""
+        if self.idx == other.idx:
+            return self, other
+        idx = tuple(sorted(set(self.idx) | set(other.idx)))
+        return self.lift(idx), other.lift(idx)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.order, self.v + o.v, _nadd(self.g, o.g),
-                   _nadd(self.h, o.h), _nadd(self.t, o.t))
+        if not isinstance(other, Jet):
+            return Jet(self.order, self.idx, self.v + other, self.g, self.h,
+                       self.t)
+        a, o = self._union(other)
+        return Jet(a.order, a.idx, a.v + o.v, _nadd(a.g, o.g),
+                   _nadd(a.h, o.h), _nadd(a.t, o.t))
 
     __radd__ = __add__
 
     def __neg__(self):
         def neg(a):
             return None if a is None else -a
-        return Jet(self.order, -self.v, neg(self.g), neg(self.h), neg(self.t))
+        return Jet(self.order, self.idx, -self.v, neg(self.g), neg(self.h),
+                   neg(self.t))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        v = self.v * o.v
-        g = _nadd(_nscale(o.g, self.v), _nscale(self.g, o.v))
+        if not isinstance(other, Jet):
+            c = np.asarray(other, dtype=float)
+            return Jet(self.order, self.idx, self.v * c, _nscale(self.g, c),
+                       _nscale(self.h, c), _nscale(self.t, c))
+        a, o = self._union(other)
+        v = a.v * o.v
+        g = _nadd(_nscale(o.g, a.v), _nscale(a.g, o.v))
         h = None
         t = None
-        if self.order >= 2:
-            h = _nadd(_nscale(o.h, self.v), _nscale(self.h, o.v))
-            gg = _outer_gg(self.g, o.g)
+        if a.order >= 2:
+            h = _nadd(_nscale(o.h, a.v), _nscale(a.h, o.v))
+            gg = _outer_gg(a.g, o.g)
             if gg is not None:
                 sym = gg + np.swapaxes(gg, -1, -2)
                 h = _nadd(h, sym)
-        if self.order >= 3:
-            t = _nadd(_nscale(o.t, self.v), _nscale(self.t, o.v))
-            t = _nadd(t, _sym_gh(self.g, o.h))
-            t = _nadd(t, _sym_gh(o.g, self.h))
-        return Jet(self.order, v, g, h, t)
+        if a.order >= 3:
+            t = _nadd(_nscale(o.t, a.v), _nscale(a.t, o.v))
+            t = _nadd(t, _sym_gh(a.g, o.h))
+            t = _nadd(t, _sym_gh(o.g, a.h))
+        return Jet(a.order, a.idx, v, g, h, t)
 
     __rmul__ = __mul__
 
@@ -157,7 +206,7 @@ class Jet:
             t = _nadd(_nscale(self.t, d1),
                       _nscale(_sym_gh(self.g, self.h), d2))
             t = _nadd(t, _nscale(_outer_ggg(self.g), d3))
-        return Jet(self.order, d0, g, h, t)
+        return Jet(self.order, self.idx, d0, g, h, t)
 
     def __pow__(self, k):
         """Integer powers k >= 1, by repeated multiplication."""
@@ -171,7 +220,9 @@ def jlog(x):
     if not isinstance(x, Jet):
         return np.log(x)
     v = x.v
-    return x.chain(np.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+    d2 = -1.0 / v ** 2 if x.order >= 2 else None
+    d3 = 2.0 / v ** 3 if x.order >= 3 else None
+    return x.chain(np.log(v), 1.0 / v, d2, d3)
 
 
 def jsin(x):
@@ -353,13 +404,14 @@ class DomainSpec:
         if not isinstance(out, Jet):
             raise TypeError("evaluator is not jet-generic")
         B, D = P.shape
+        out = out.lift(tuple(range(D)))
         g = out.g if out.g is not None else np.zeros((B, D))
         h = t = None
         if order >= 2:
             h = out.h if out.h is not None else np.zeros((B, D, D))
         if order >= 3:
             t = out.t if out.t is not None else np.zeros((B, D, D, D))
-        wj = WirtingerJet(out.v, g, h, t)
-        if not np.all(np.isfinite(wj.value)) or not np.all(np.isfinite(wj.rgrad)):
+        if not all(np.isfinite(a).all() for a in (out.v, g, h, t)
+                   if a is not None):
             raise NonFinite("non-finite jet")
-        return wj
+        return WirtingerJet(out.v, g, h, t)

@@ -1,9 +1,10 @@
 """Test references and paper-identity checks that no CLI command runs.
 
 Closed-form and symbolic jets of the zoo's defining and distance functions,
-centred finite-difference jets of black-box functions (their stencil, nodes
-and Richardson assembly), tangent frames in C^n from an SVD and the
-restricted Levi minimum from the defining function, the criterion's terms
+the jet algebra on every coordinate (DenseJet) that jets with supports must
+reproduce, centred finite-difference jets of black-box functions (their
+stencil, nodes and Richardson assembly), tangent frames in C^n from an SVD
+and the restricted Levi minimum from the defining function, the criterion's terms
 at one boundary point (with the NotDegenerate error of the null-cross
 residual), chart tangents by centred
 differences of the embedding and the chart-box check of chart stencils, the
@@ -36,7 +37,8 @@ from dfindex.distance import (boundary_jet, normal_n,
                               signed_distance_from_feet)
 from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
     NoConvergence, NonFinite, OrderTooLow, StencilLeak
-from dfindex.jets import DomainSpec, Jet, WirtingerJet, third_contraction
+from dfindex.jets import (DomainSpec, Jet, WirtingerJet, _nadd, _nscale,
+                          _outer_gg, _outer_ggg, _sym_gh, third_contraction)
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
 from dfindex.util import complex_pack, complex_unpack, smoothstep_c3
 
@@ -132,6 +134,109 @@ def oracle_jet(entry, P, order=3):
     if key not in _ORACLE_CACHE:
         _ORACLE_CACHE[key] = _lambdify_jets(entry)
     return _ORACLE_CACHE[key](P, order)
+
+
+class DenseJet(Jet):
+    """The jet algebra on every coordinate: the package's Jet before jets
+    carried supports, kept as the reference that the support must not
+    change a bit of.  v: (B,); g: (B,D); h: (B,D,D); t: (B,D,D,D); missing
+    blocks are None.  It subclasses Jet so that the zoo's jlog, jsin, jcos
+    and jhinge_pow dispatch to its chain and ** to its product; it
+    overrides every other operation and never reads idx."""
+
+    __slots__ = ()
+
+    def __init__(self, order, v, g=None, h=None, t=None):
+        self.order = order
+        self.v = np.asarray(v, dtype=float)
+        self.g = g
+        self.h = h
+        self.t = t
+
+    @staticmethod
+    def variables(P, order):
+        """Seed one DenseJet per coordinate of P (B, D)."""
+        P = np.asarray(P, dtype=float)
+        B, D = P.shape
+        out = []
+        for a in range(D):
+            g = np.zeros((B, D))
+            g[:, a] = 1.0
+            out.append(DenseJet(order, P[:, a].copy(), g))
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, DenseJet):
+            return other
+        v = np.asarray(other, dtype=float)
+        if v.ndim == 0:
+            v = np.full(self.v.shape, float(v))
+        return DenseJet(self.order, v)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return DenseJet(self.order, self.v + o.v, _nadd(self.g, o.g),
+                        _nadd(self.h, o.h), _nadd(self.t, o.t))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        def neg(a):
+            return None if a is None else -a
+        return DenseJet(self.order, -self.v, neg(self.g), neg(self.h),
+                        neg(self.t))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        v = self.v * o.v
+        g = _nadd(_nscale(o.g, self.v), _nscale(self.g, o.v))
+        h = None
+        t = None
+        if self.order >= 2:
+            h = _nadd(_nscale(o.h, self.v), _nscale(self.h, o.v))
+            gg = _outer_gg(self.g, o.g)
+            if gg is not None:
+                sym = gg + np.swapaxes(gg, -1, -2)
+                h = _nadd(h, sym)
+        if self.order >= 3:
+            t = _nadd(_nscale(o.t, self.v), _nscale(self.t, o.v))
+            t = _nadd(t, _sym_gh(self.g, o.h))
+            t = _nadd(t, _sym_gh(o.g, self.h))
+        return DenseJet(self.order, v, g, h, t)
+
+    __rmul__ = __mul__
+
+    def chain(self, d0, d1, d2, d3):
+        g = _nscale(self.g, d1)
+        h = None
+        t = None
+        if self.order >= 2:
+            h = _nadd(_nscale(self.h, d1),
+                      _nscale(_outer_gg(self.g, self.g), d2))
+        if self.order >= 3:
+            t = _nadd(_nscale(self.t, d1),
+                      _nscale(_sym_gh(self.g, self.h), d2))
+            t = _nadd(t, _nscale(_outer_ggg(self.g), d3))
+        return DenseJet(self.order, d0, g, h, t)
+
+
+def dense_jet(domain, P, order):
+    """(v, g, h, t) of the domain's defining function at points P (B, D)
+    through DenseJet, zero blocks filled in as DomainSpec.jet fills them;
+    h is None below order 2 and t below order 3."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    B, D = P.shape
+    out = domain.rho(DenseJet.variables(P, order))
+    g = out.g if out.g is not None else np.zeros((B, D))
+    h = t = None
+    if order >= 2:
+        h = out.h if out.h is not None else np.zeros((B, D, D))
+    if order >= 3:
+        t = out.t if out.t is not None else np.zeros((B, D, D, D))
+    return out.v, g, h, t
 
 
 def ball_delta_jet(P, radius=1.0, order=3):
@@ -1146,7 +1251,7 @@ QUAD_POINTS = 512
 def _f_jets(f_eval, P):
     """(|dbar f|^2, Hess_f(z, z)) of a jet-generic real scalar on C."""
     xs = Jet.variables(P, 2)
-    out = f_eval(xs)
+    out = f_eval(xs).lift((0, 1))
     g = out.g if out.g is not None else np.zeros((P.shape[0], 2))
     h = out.h if out.h is not None else np.zeros((P.shape[0], 2, 2))
     jw = WirtingerJet(out.v, g, h)

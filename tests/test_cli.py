@@ -302,6 +302,19 @@ def test_bad_domain_parameter(tmp_path, flags):
     assert diag["error"] == error, diag
 
 
+def test_nonfinite_levi_hessian_is_typed(tmp_path):
+    # at beta 700 the worm's mesh reaches |z2|^2 = e^u near overflow: rho's
+    # value and gradient stay finite but its Hessian does not, which ends in
+    # NonFinite, not in a NaN Levi minimum read as non-pseudoconvex; the
+    # overflow warns on the way, so warnings are left as they are
+    argv = ["sigma", "--domain", "worm", "--beta", "700", "--mesh", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+    diag = json.loads((tmp_path / "error.json").read_text())
+    assert diag["error"] == "NonFinite", diag
+
+
 # usage errors: a flag value of the wrong type or missing, an unknown flag,
 # command, zoo action or config key, and a stray positional
 @pytest.mark.parametrize("argv", [

@@ -93,6 +93,8 @@ def test_command_set_covers_workloads_domains_and_errors(tool):
                  ["certify", "--domain", "ball", "--mesh", "3"],
                  ["period", "--domain", "worm", "--beta", "1000"]):
         assert argv in cmds
+    assert ["sigma", "--domain", "worm", "--beta", "700", "--mesh",
+            "100"] in cmds
     assert set(_COMMANDS) <= {_command_of(c) for c in cmds}
     assert len(cmds) == (runs + 24 + 6 + 16 + 6 + 1 + 8 + 11 + 1
                          + len(tool["ERROR_CASES"]))

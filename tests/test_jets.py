@@ -6,8 +6,9 @@ import pytest
 
 from conftest import sample_box_points
 from dfindex.errors import EvaluationDomain, OrderTooLow
-from dfindex.jets import DomainSpec, jlog, third_contraction
-from references import (conj_derivation, numeric_jet, oracle_jet,
+from dfindex.jets import (DomainSpec, jcos, jhinge_pow, jlog, jsin,
+                          third_contraction)
+from references import (conj_derivation, dense_jet, numeric_jet, oracle_jet,
                         third_directional)
 
 
@@ -105,6 +106,59 @@ def test_fd_jets_converge_at_second_order(quartic):
         errs.append(np.max(np.abs(fd.rhess - exact.rhess)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.9)
+
+
+# ---------------------------------------------------------------------------
+# supports against the dense algebra
+# ---------------------------------------------------------------------------
+
+def _assert_matches_dense(dom, P, order):
+    # np.array_equal: equal entry for entry, the sign of a zero aside (a
+    # zero outside an intermediate's support is +0, the dense algebra's
+    # product with a zero may be -0)
+    jet = dom.jet(P, order=order)
+    v, g, h, t = dense_jet(dom, P, order)
+    assert np.array_equal(jet.value, v)
+    assert np.array_equal(jet.rgrad, g)
+    assert (jet.rhess is None) == (h is None)
+    assert h is None or np.array_equal(jet.rhess, h)
+    assert (jet.rthird is None) == (t is None)
+    assert t is None or np.array_equal(jet.rthird, t)
+
+
+@pytest.mark.parametrize("rows", [1, 80, 400, 3600])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_jet_matches_dense_algebra(zoo_entries, order, rows):
+    for entry in zoo_entries:
+        P = np.concatenate([entry.boundary_mesh(rows // 2, seed=5),
+                            sample_box_points(entry, rows - rows // 2,
+                                              seed=6)])
+        _assert_matches_dense(entry.domain, P, order)
+
+
+# jet-generic expressions on R^4 whose intermediates have different
+# supports, with plain numbers on either side, a (B,) array operand w on the
+# right and a result that depends on some of the coordinates only
+_MIXED = [
+    lambda c, w: 2.0 * c[0] * c[2] + c[1] - 3.0,
+    lambda c, w: (c[0] + 1.5) * (c[3] * c[3]) + c[1] * 0.5,
+    lambda c, w: 0 + (-c[3] - 2) * c[1],
+    lambda c, w: c[0] * w + c[3] * w + (c[1] + w) * c[2] - w,
+    lambda c, w: jlog(c[2] * c[2] + c[3] * c[3] + w) * c[0],
+    lambda c, w: jhinge_pow(c[0] - 0.1, 4) + jsin(c[1]) * jcos(c[3]) + 1,
+    lambda c, w: (c[1] - c[0]) ** 3 + c[2] * (jcos(c[1]) - w),
+    lambda c, w: jsin(c[1] * w) * 4.0,
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("k", range(len(_MIXED)))
+def test_mixed_supports_match_dense_algebra(k, order):
+    P = np.random.default_rng(14).uniform(-1.0, 1.0, size=(50, 4))
+    w = 1.0 + P[:, 0] ** 2
+    dom = DomainSpec(rho=lambda c: _MIXED[k](c, w), box_lo=-np.ones(4),
+                     box_hi=np.ones(4))
+    _assert_matches_dense(dom, P, order)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ It runs one fixed command set through each checkout's own
   whose loops sit on a log-polar chart about 900 wide;
 - zoo, and usage and domain errors that end in typed errors, among them
   a worm at --beta 1e308, whose bounding box overflows, in estimate and
-  in zoo describe.
+  in zoo describe, and sigma on a worm at --beta 700, whose defining
+  function's Hessian overflows on the mesh.
 
 Every command of dfindex.cli._COMMANDS is among them.
 
@@ -97,6 +98,7 @@ ERROR_CASES = (
      "18446744073709551616"],
     ["estimate", "--domain", "worm", "--beta", "1e308", "--mesh", "100"],
     ["zoo", "describe", "--domain", "worm", "--beta", "1e308"],
+    ["sigma", "--domain", "worm", "--beta", "700", "--mesh", "100"],
 )
 
 # runs inside each checkout's interpreter: reads the command list as JSON
