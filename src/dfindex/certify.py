@@ -149,7 +149,6 @@ class CriterionEvaluator:
     """
 
     def __init__(self, domain: DomainSpec, sigma: SigmaPointSet):
-        self.domain = domain
         self.sigma = sigma
         self.K = sigma.size
         if self.K == 0:

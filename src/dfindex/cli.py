@@ -21,6 +21,7 @@ entries; all but theta and zoo read their stages from a Run.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -31,8 +32,8 @@ import numpy as np
 from . import zoo
 from .errors import ChartMismatch, ConfigInvalid, DfIndexError, IoFailure
 from .levi import mesh_pitch
-from .pipelines import Run, potential_for
-from .sigma import OneFormSample
+from .pipelines import Run
+from .sigma import dtheta_residual, real_one_form_at, theta_components
 from .util import canonical_json, config_hash
 
 _DEFAULTS = {
@@ -161,12 +162,18 @@ def emit_report(results: dict, cfg: RunConfig, name):
         raise IoFailure(f"cannot write report: {exc}")
 
 
-def _write_csv(table, cfg, name):
-    """table.to_csv into --out as name; IoFailure on unwritable paths."""
+def _write_csv(cfg, name, header, rows, formats):
+    """The CSV name under --out: header, then the rows of the 2-d array
+    rows, column j written with the %-format formats[j]; IoFailure on
+    unwritable paths."""
     out = cfg.values["out"]
     try:
         os.makedirs(out, exist_ok=True)
-        table.to_csv(os.path.join(out, name))
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([f % v for f, v in zip(formats, row)]
+                        for row in rows)
     except OSError as exc:
         raise IoFailure(f"cannot write {name}: {exc}")
     return name
@@ -213,13 +220,28 @@ def _cmd_theta(cfg):
     if chart_name not in entry.charts:
         raise ConfigInvalid(f"unknown chart {chart_name!r}")
     chart = entry.charts[chart_name]
-    sample = OneFormSample.from_chart(chart, res=cfg.values["res"])
+    U, shape = chart.grid(cfg.values["res"])
+    residual = None
+    if chart.kind == "complex":
+        comps = theta_components(chart, U)
+        hstep = float(chart.hi[0] - chart.lo[0]) / (shape[0] - 1)
+        interior = U[(U[:, 0] < chart.hi[0] - hstep) &
+                     (U[:, 1] < chart.hi[1] - hstep)]
+        if interior.size:
+            residual = dtheta_residual(chart, interior, hstep)
+    else:
+        comps = real_one_form_at(chart, U)[:, None]
+    P = chart.embed_batch(U)
+    table = np.hstack([U, P, comps])
+    header = [f"u{a}" for a in range(U.shape[1])] \
+        + [f"pos{a}" for a in range(P.shape[1])] \
+        + [f"comp{a}" for a in range(comps.shape[1])]
     res = {"domain": entry.id, "chart": chart_name,
-           "maxAbsComponent": float(np.max(np.abs(sample.comps))),
-           "csv": _write_csv(sample, cfg,
-                             f"theta_{entry.id}_{chart_name}.csv")}
-    if sample.closed_residual is not None:
-        res["maxClosednessResidual"] = float(np.max(sample.closed_residual))
+           "maxAbsComponent": float(np.max(np.abs(comps))),
+           "csv": _write_csv(cfg, f"theta_{entry.id}_{chart_name}.csv",
+                             header, table, ["%.12e"] * table.shape[1])}
+    if residual is not None:
+        res["maxClosednessResidual"] = float(np.max(residual))
     return 0, res
 
 
@@ -241,13 +263,19 @@ def _cmd_potential(cfg):
     """the potential phi of an exact theta, with a CSV"""
     run = _run(cfg)
     entry = run.entry
-    phi = potential_for(entry, run.verdict, max(9, cfg.values["res"] // 2))
+    phi = run.potential(max(9, cfg.values["res"] // 2))
+    K, p = phi.params.shape
+    labels = np.zeros(len(phi.values)) if phi.labels is None else phi.labels
+    table = np.column_stack([np.tile(phi.params, (len(labels), 1)),
+                             np.repeat(labels, K), phi.values.ravel()])
     res = {"domain": entry.id,
            "gradientResidual": float(np.max(phi.gradient_residuals)),
            # largest lattice-cycle residual
            "pathDisagreement": float(phi.path_disagreement),
            "maxAbsPhi": float(np.max(np.abs(phi.values))),
-           "csv": _write_csv(phi, cfg, f"potential_{entry.id}.csv")}
+           "csv": _write_csv(cfg, f"potential_{entry.id}.csv",
+                             [f"u{a}" for a in range(p)] + ["leaf", "phi"],
+                             table, ["%.12e"] * p + ["%.6f", "%.12e"])}
     return 0, res
 
 

@@ -1,9 +1,12 @@
 """Line integrals and periods of the 1-form, exactness verdicts, potential
 reconstruction, and the collar extension of boundary potentials.
 
-One composite Simpson rule, simpson_sums, integrates the form along the
-periods' loops and the potential's lattice edges; the loops' theta masses,
-from the same quadrature, set the exactness tolerance.
+The form is read on each chart through sigma.theta_components, and a path
+is a (V, p) array of its chart parameters.  One composite Simpson rule,
+simpson_sums, integrates the form along the periods' loops
+(integrate_theta) and the potential's lattice edges (build_potential); the
+loops' theta masses, from the same quadrature, set the exactness
+tolerance.
 
 The reconstructed potential satisfies dbar(phi) = Hess_delta(N, .) on the
 chart, which makes it twice the raw line integral of the form's components
@@ -16,7 +19,6 @@ column.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -36,45 +38,18 @@ PERIOD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# form sources and paths
+# line integrals and periods
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThetaSource:
-    """Evaluates the domain's 1-form components on a complex chart."""
-
-    chart: SigmaChart
-
-    def components(self, U):
-        return theta_components(self.chart, U)
-
-
-@dataclass
-class PathInSigma:
-    """Ordered polyline of chart parameters.
-
-    Closed paths end where they start on the surface: either the endpoint
-    parameters coincide, or they embed to the same ambient point (periodic
-    chart coordinates).
-    """
-
-    params: np.ndarray
-    closed: bool = False
-
-    def __post_init__(self):
-        self.params = np.atleast_2d(np.asarray(self.params, dtype=float))
-
-    def validate(self, chart: SigmaChart):
-        inside = chart.contains(self.params)
-        if not np.all(inside):
-            raise ChartGap(
-                f"{int((~inside).sum())} path vertex(es) outside the chart")
-        if self.closed:
-            ends = chart.embed_batch(self.params[[0, -1]])
-            gap = float(np.linalg.norm(ends[0] - ends[1]))
-            if gap > 1e-9 * chart.domain.scale:
-                raise ChartGap(f"closed path endpoints {gap:.2e} apart")
-        return self
+def check_closed(chart: SigmaChart, path):
+    """Raise ChartGap unless the path, a (V, p) array of chart parameters,
+    ends where it starts on the surface: its end parameters coincide or
+    embed to one ambient point (periodic chart coordinates), within 1e-9
+    of the domain's scale."""
+    ends = chart.embed_batch(path[[0, -1]])
+    gap = float(np.linalg.norm(ends[0] - ends[1]))
+    if gap > 1e-9 * chart.domain.scale:
+        raise ChartGap(f"closed path endpoints {gap:.2e} apart")
 
 
 def simpson_sums(comps, dU):
@@ -89,16 +64,17 @@ def simpson_sums(comps, dU):
     return integrand @ w, np.abs(integrand) @ w
 
 
-def integrate_theta(source, paths):
-    """Line integrals of the 1-form along polylines of chart parameters,
-    all on one source, and their theta masses (the integrals of
-    |theta.dU|): two lists, one value per path.  A closed path's integral
-    is its period, the cohomological pairing with its cycle.
+def integrate_theta(chart: SigmaChart, paths):
+    """Line integrals of the 1-form along polylines of the chart's
+    parameters, each a (V, p) array of its vertices, and their theta masses
+    (the integrals of |theta.dU|): two lists, one value per path.  A closed
+    path's integral is its period, the cohomological pairing with its
+    cycle; ChartGap names the vertices outside the chart.
 
     simpson_sums per segment on nested levels of 4 to 2048 nodes per
     segment.  The nodes are dyadic, so level 2n's even nodes are level n's
     (linspace(0, 1, 2n + 1)[::2] equals linspace(0, 1, n + 1) exactly) and
-    take its values; each level makes one source.components call, on the
+    take its values; each level makes one theta_components call, on the
     new odd nodes of the paths that have not converged.  A path converges
     once two successive whole-path estimates differ by less than PERIOD_TOL
     (relative), and its mass comes from the same level; NoConvergence
@@ -107,18 +83,21 @@ def integrate_theta(source, paths):
     if not paths:
         return [], []
     for path in paths:
-        path.validate(source.chart)
-    starts = [path.params[:-1] for path in paths]
-    steps = [path.params[1:] - path.params[:-1] for path in paths]
+        inside = chart.contains(path)
+        if not np.all(inside):
+            raise ChartGap(
+                f"{int((~inside).sum())} path vertex(es) outside the chart")
+    starts = [path[:-1] for path in paths]
+    steps = [path[1:] - path[:-1] for path in paths]
 
     def components(active, t):
         """theta at seg_a + t dU for the segments of each active path, as
-        (S, len(t), p) blocks, in one components call."""
+        (S, len(t), p) blocks, in one theta_components call."""
         nodes = [starts[i][:, None, :]
                  + t[None, :, None] * steps[i][:, None, :] for i in active]
         p = nodes[0].shape[2]
-        comps = source.components(
-            np.concatenate([nd.reshape(-1, p) for nd in nodes]))
+        comps = theta_components(
+            chart, np.concatenate([nd.reshape(-1, p) for nd in nodes]))
         ends = np.cumsum([nd.shape[0] * nd.shape[1] for nd in nodes])[:-1]
         return [c.reshape(nd.shape)
                 for c, nd in zip(np.split(comps, ends), nodes)]
@@ -147,7 +126,7 @@ def integrate_theta(source, paths):
         if not active:
             return [e[0] for e in est], [e[1] for e in est]
     i = active[0]
-    raise NoConvergence(f"line integral of path {i} ({len(paths[i].params)} "
+    raise NoConvergence(f"line integral of path {i} ({len(paths[i])} "
                         f"vertices) not converged at 2048 nodes per segment: "
                         f"the last two estimates differ by {diff[i]:.3e}")
 
@@ -235,17 +214,6 @@ class PotentialField:
                 out[rows] += wj * (A[rows] @ self.coef[:, j])
         return out
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"u{a}" for a in range(self.params.shape[1])]
-                       + ["leaf", "phi"])
-            for li, vals in enumerate(self.values):
-                lab = self.labels[li] if self.labels is not None else 0.0
-                for k in range(self.params.shape[0]):
-                    w.writerow([f"{v:.12e}" for v in self.params[k]]
-                               + [f"{lab:.6f}", f"{vals[k]:.12e}"])
-
 
 def _lattice_edges(shape):
     """Every nearest-neighbour edge (a, b) of a lattice, b one step above a
@@ -263,29 +231,28 @@ def _lattice_edges(shape):
 PATH_TOL = 1e-6
 
 
-def build_potential(sources, basepoint, verdict, res) -> PotentialField:
-    """Reconstruct the potential by spanning-tree path integration.
+def build_potential(charts, verdict, res) -> PotentialField:
+    """Reconstruct the potential by spanning-tree path integration, zero at
+    the lattice node nearest the centre of the charts' box.
 
-    sources: a FormSource or a list of them (foliation leaves), whose charts
-    share one parameter box (ChartMismatch otherwise).  The period verdict
+    charts: a list of complex charts (a foliation's leaves), which share
+    one parameter box (ChartMismatch otherwise).  The period verdict
     (classify's) must be Exact.  The box's node lattice, its edges, the
     interior nodes of a 5-node simpson_sums rule on every edge, the monomial
     design at the nodes and its regularised normal matrix are built once;
-    each leaf's form is evaluated once, at the nodes and the Simpson nodes.
-    The tree edges set the node values; every other edge closes one cycle
-    with the tree, and its residual against the node values is that cycle's
-    circulation.  path_disagreement is the largest lattice-cycle residual,
-    and PathDisagreement is raised above PATH_TOL.  On complex charts the
-    finite-difference dbar of the node values is compared against
-    h = theta_x + i theta_y at the nodes.  Each leaf's coefficients solve
-    the normal equations with its own node values.
+    theta_components is evaluated once per leaf, at the nodes and the
+    Simpson nodes.  The tree edges set the node values; every other edge
+    closes one cycle with the tree, and its residual against the node
+    values is that cycle's circulation.  path_disagreement is the largest
+    lattice-cycle residual, and PathDisagreement is raised above PATH_TOL.
+    The finite-difference dbar of the node values is compared against h =
+    theta_x + i theta_y at the nodes.  Each leaf's coefficients solve the
+    normal equations with its own node values.
     """
     if verdict["classification"] != "Exact":
         raise ObstructedClass(
             f"period vector {verdict['periods']} not below "
             f"{verdict['tolerance']:.2e}")
-    src_list = sources if isinstance(sources, (list, tuple)) else [sources]
-    charts = [source.chart for source in src_list]
     lo, hi = charts[0].lo, charts[0].hi
     if not all(np.array_equal(c.lo, lo) and np.array_equal(c.hi, hi)
                for c in charts):
@@ -299,9 +266,7 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     t = np.array([0.25, 0.5, 0.75])      # interior Simpson nodes of an edge
     inner = U[a][:, None, :] + t[None, :, None] * dU[:, None, :]
     nodes = np.concatenate([U, inner.reshape(-1, p)])
-    # anchor at the grid node nearest the basepoint
-    basepoint = np.asarray(basepoint, dtype=float)
-    k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :p], axis=1)))
+    k0 = int(np.argmin(np.linalg.norm(U - 0.5 * (lo + hi), axis=1)))
     hstep = [(hi[ax] - lo[ax]) / (shape[ax] - 1) for ax in range(p)]
     deg = min(8, res - 1)
     terms = np.array([e for e in itertools.product(range(deg + 1), repeat=p)
@@ -310,8 +275,8 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
     AtA = A.T @ A + 1e-10 * np.eye(A.shape[1])
     values, grads, coef = [], [], []
     worst_gap = 0.0
-    for source in src_list:
-        comps = source.components(nodes)
+    for chart in charts:
+        comps = theta_components(chart, nodes)
         edge_comps = np.concatenate([comps[a][:, None],
                                      comps[K:].reshape(len(a), 3, p),
                                      comps[b][:, None]], axis=1)
@@ -330,16 +295,13 @@ def build_potential(sources, basepoint, verdict, res) -> PotentialField:
             raise PathDisagreement(
                 f"lattice cycle residual {worst_gap:.3e}")
 
-        grad_res = 0.0
-        if source.chart.kind == "complex":
-            grid_vals = vals.reshape(shape)
-            hv = (comps[:K, 0] + 1j * comps[:K, 1]).reshape(shape)
-            Dx = np.gradient(grid_vals, hstep[0], axis=0)
-            Dy = np.gradient(grid_vals, hstep[1], axis=1)
-            dbar = 0.5 * (Dx + 1j * Dy)
-            grad_res = float(np.max(np.abs((dbar - hv)[1:-1, 1:-1])))
+        grid_vals = vals.reshape(shape)
+        hv = (comps[:K, 0] + 1j * comps[:K, 1]).reshape(shape)
+        Dx = np.gradient(grid_vals, hstep[0], axis=0)
+        Dy = np.gradient(grid_vals, hstep[1], axis=1)
+        dbar = 0.5 * (Dx + 1j * Dy)
         values.append(vals)
-        grads.append(grad_res)
+        grads.append(float(np.max(np.abs((dbar - hv)[1:-1, 1:-1]))))
         coef.append(np.linalg.solve(AtA, A.T @ vals))
     labels = [c.leaf_label for c in charts]
     has_labels = all(l is not None for l in labels) and len(labels) > 1

@@ -6,8 +6,9 @@ functions use: `Jet` +, -, unary -, * and integer powers k >= 1 (a plain
 number may stand on either side of + and *, and right of -; a (B,) array,
 one value per point, right of +, - and *), plus jlog/jsin/jcos/jhinge_pow.
 Feeding `Jet` variables through such an evaluator yields derivatives to
-order 3 that are exact to machine precision, batched over points.  Called
-on plain arrays, the same evaluators give the values alone.  No finite
+order 3 that are exact to machine precision, batched over points; order-0
+variables carry no derivative, so the same evaluators give the values
+alone (DomainSpec.value).  No finite
 differences live here: the signed distance's jets come in closed form from
 distance.boundary_jet and distance.march_inward, and psi's derivatives from
 certify.PsiStencil, which differences psi's terms at feet on the Taylor
@@ -119,9 +120,9 @@ class Jet:
     @staticmethod
     def variables(P, order):
         """Seed one Jet per coordinate of P (B, D), on that coordinate
-        alone."""
+        alone; at order 0 without a gradient."""
         P = np.asarray(P, dtype=float)
-        one = np.ones((P.shape[0], 1))
+        one = np.ones((P.shape[0], 1)) if order else None
         return [Jet(order, (a,), P[:, a].copy(), one)
                 for a in range(P.shape[1])]
 
@@ -217,24 +218,19 @@ class Jet:
 
 
 def jlog(x):
-    if not isinstance(x, Jet):
-        return np.log(x)
     v = x.v
+    d1 = 1.0 / v if x.order >= 1 else None
     d2 = -1.0 / v ** 2 if x.order >= 2 else None
     d3 = 2.0 / v ** 3 if x.order >= 3 else None
-    return x.chain(np.log(v), 1.0 / v, d2, d3)
+    return x.chain(np.log(v), d1, d2, d3)
 
 
 def jsin(x):
-    if not isinstance(x, Jet):
-        return np.sin(x)
     s, c = np.sin(x.v), np.cos(x.v)
     return x.chain(s, c, -s, -c)
 
 
 def jcos(x):
-    if not isinstance(x, Jet):
-        return np.cos(x)
     s, c = np.sin(x.v), np.cos(x.v)
     return x.chain(c, -s, -c, s)
 
@@ -242,15 +238,13 @@ def jcos(x):
 def jhinge_pow(x, k):
     """max(x, 0)**k with one-sided derivatives, those the jet's order
     carries; C3 for k >= 4."""
-    if not isinstance(x, Jet):
-        v = np.asarray(x, dtype=float)
-        return np.where(v > 0.0, v, 0.0) ** k
     v = x.v
     m = (v > 0.0).astype(float)
     vp = np.where(v > 0.0, v, 0.0)
+    d1 = m * k * vp ** (k - 1) if x.order >= 1 else None
     d2 = m * k * (k - 1) * vp ** (k - 2) if x.order >= 2 else None
     d3 = m * k * (k - 1) * (k - 2) * vp ** (k - 3) if x.order >= 3 else None
-    return x.chain(m * vp ** k, m * k * vp ** (k - 1), d2, d3)
+    return x.chain(m * vp ** k, d1, d2, d3)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +352,8 @@ def third_contraction(jet: WirtingerJet, A, B, C):
 class DomainSpec:
     """A domain given by a smooth defining function on R^{2n}.
 
-    rho maps a list of 2n coordinate scalars (Jet or ndarray, batched) to a
-    scalar of the same kind; negative inside, zero on the boundary.
+    rho maps a list of 2n coordinate Jets, batched, to a Jet; negative
+    inside, zero on the boundary.
     """
 
     rho: Callable
@@ -390,8 +384,7 @@ class DomainSpec:
 
     def value(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        out = self.rho(list(P.T))
-        v = out.v if isinstance(out, Jet) else np.asarray(out, dtype=float)
+        v = self.rho(Jet.variables(P, 0)).v
         if not np.all(np.isfinite(v)):
             raise NonFinite("defining function returned non-finite values")
         return v

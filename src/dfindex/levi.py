@@ -48,7 +48,6 @@ def levi_spectrum(jet: WirtingerJet):
 class SigmaPointSet:
     """Boundary points with nearly-degenerate Levi forms."""
 
-    domain: DomainSpec
     points: np.ndarray           # (K, 4)
     lambda_min: np.ndarray       # (K,) Levi values
     null_directions: np.ndarray  # (K, 2) the tangent directions L
@@ -103,7 +102,6 @@ def detect_sigma(domain: DomainSpec, mesh, threshold) -> SigmaPointSet:
             f" (min {float(lam.min()):.3e})")
     keep = np.flatnonzero(lam < threshold)
     return SigmaPointSet(
-        domain=domain,
         points=mesh[keep],
         lambda_min=lam[keep],
         null_directions=L[keep],

@@ -17,9 +17,9 @@ import numpy as np
 from .certify import (NO_TERMS, CriterionEvaluator, CurveCertificate, Psi,
                       combine, coordinate_descent, interior_psh_oracle,
                       oracle_stencils, real_curve_certify, rho_terms)
-from .cohomology import (ChartTerms, PathInSigma, ThetaSource,
-                         build_potential, classify, collar_terms,
-                         exactness_tolerance, integrate_theta)
+from .cohomology import (ChartTerms, build_potential, check_closed,
+                         classify, collar_terms, exactness_tolerance,
+                         integrate_theta)
 from .errors import ChartMismatch, MeshOutside
 from .levi import detect_sigma
 from .zoo import ZooEntry
@@ -31,17 +31,6 @@ ORACLE_DEPTH = (0.04, 0.12)
 FAMILY_BOX = 1.0
 # nodes per chart axis of the potential lattice behind the collar psi
 COLLAR_RES = 9
-
-
-def potential_for(entry: ZooEntry, verdict, res):
-    """Potential field over the entry's charts (foliations: all leaves) for
-    the entry's period verdict."""
-    charts = [c for c in entry.charts.values() if c.kind == "complex"]
-    if not charts:
-        raise ChartMismatch("theta needs a complex chart")
-    sources = [ThetaSource(c) for c in charts]
-    base = 0.5 * (charts[0].lo + charts[0].hi)
-    return build_potential(sources, base, verdict, res=res)
 
 
 def _family_surface(U, t):
@@ -61,11 +50,11 @@ class Run:
 
     The stages are the boundary mesh (mesh), the Sigma scan on it (sigma),
     the period verdict of the generator loops (verdict), the collar
-    potential (collar_psi), the criterion data (evaluator), the interior
-    mesh (interior_mesh: its points and delta's order-3 jet there), psi's
-    stencils around it (oracle_stencils), the real-curve certificate
-    (curve: its data and its psi terms) and the family search's terms
-    (family_terms).
+    potential (collar_psi, from potential), the criterion data
+    (evaluator), the interior mesh (interior_mesh: its points and delta's
+    order-3 jet there), psi's stencils around it (oracle_stencils), the
+    real-curve certificate (curve: its data and its psi terms) and the
+    family search's terms (family_terms).
     Each is eta-independent, built on first use and at most once, and each
     stencil differences each terms object once; decide combines the cached
     columns with each candidate psi's coefficients, and certify and
@@ -94,16 +83,17 @@ class Run:
     def verdict(self):
         """The period verdict of the generator loops (classify's; exact when
         there are none), exact below exactness_tolerance of the loops'
-        largest theta mass.  The loops are grouped by chart: per chart, one
-        integrate_theta call gives their periods and masses."""
+        largest theta mass.  Each loop must close (check_closed), and the
+        loops are grouped by chart: per chart, one integrate_theta call
+        gives their periods and masses."""
         by_chart = {}
         for name, (chart_name, params) in self.entry.loops.items():
-            by_chart.setdefault(chart_name, {})[name] = \
-                PathInSigma(params, closed=True)
+            check_closed(self.entry.charts[chart_name], params)
+            by_chart.setdefault(chart_name, {})[name] = params
         periods, masses = {}, [0.0]
         for chart_name, loops in by_chart.items():
-            src = ThetaSource(self.entry.charts[chart_name])
-            values, mass = integrate_theta(src, list(loops.values()))
+            values, mass = integrate_theta(self.entry.charts[chart_name],
+                                           list(loops.values()))
             periods.update(zip(loops, values))
             masses += mass
         return classify({name: periods[name] for name in self.entry.loops},
@@ -116,9 +106,19 @@ class Run:
         e = self.entry
         if e.loops and self.verdict["classification"] == "Exact" \
                 and e.sigma_coords is not None:
-            phi = potential_for(e, self.verdict, COLLAR_RES)
+            phi = self.potential(COLLAR_RES)
             return Psi(collar_terms(e.domain, phi, e.sigma_coords), (1.0,))
         return None
+
+    def potential(self, res):
+        """The potential of the period verdict over the entry's complex
+        charts (a foliation: all its leaves) on a lattice of res nodes per
+        axis; ChartMismatch when the entry has no complex chart."""
+        charts = [c for c in self.entry.charts.values()
+                  if c.kind == "complex"]
+        if not charts:
+            raise ChartMismatch("theta needs a complex chart")
+        return build_potential(charts, self.verdict, res)
 
     @cached_property
     def evaluator(self):

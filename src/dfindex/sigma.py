@@ -7,11 +7,15 @@ holomorphically; a real chart has one real parameter t.  Chart derivatives
 of boundary fields use centered differences in the chart parameters.  Chart
 embeddings lie on the boundary, so the fields take their delta-jets there
 directly (distance.boundary_jet) and project nothing.
+
+Every field is a function of a chart and an array of its parameters:
+theta_components(chart, U) on a complex chart and real_one_form_at(chart,
+U) on a real one give (K, p) and (K,) arrays, which cohomology integrates
+and the theta command samples on chart.grid.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,50 +155,3 @@ def dtheta_residual(chart: SigmaChart, u, h):
         circ = circ + sg * avg * h
     res = np.abs(circ) / (h * h)
     return float(res[0]) if np.asarray(u).ndim == 1 else res
-
-
-# ---------------------------------------------------------------------------
-# sampled grids
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OneFormSample:
-    """1-form components on a chart grid with residual fields."""
-
-    chart: SigmaChart
-    params: np.ndarray          # (K, p)
-    shape: tuple
-    comps: np.ndarray           # (K, p) parameter-aligned coefficients
-    positions: np.ndarray       # (K, 4)
-    closed_residual: np.ndarray | None = None
-
-    @staticmethod
-    def from_chart(chart: SigmaChart, res):
-        U, shape = chart.grid(res)
-        residual = None
-        if chart.kind == "complex":
-            comps = theta_components(chart, U)
-            hstep = float((chart.hi[0] - chart.lo[0])) / (shape[0] - 1)
-            interior = U[(U[:, 0] < chart.hi[0] - hstep) &
-                         (U[:, 1] < chart.hi[1] - hstep)]
-            if interior.size:
-                residual = dtheta_residual(chart, interior, hstep)
-        else:
-            comps = real_one_form_at(chart, U)[:, None]
-        return OneFormSample(chart=chart, params=U, shape=shape, comps=comps,
-                             positions=chart.embed_batch(U),
-                             closed_residual=residual)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            p = self.params.shape[1]
-            header = [f"u{a}" for a in range(p)] \
-                + [f"pos{a}" for a in range(self.positions.shape[1])] \
-                + [f"comp{a}" for a in range(self.comps.shape[1])]
-            w.writerow(header)
-            for k in range(self.params.shape[0]):
-                row = [f"{v:.12e}" for v in self.params[k]] + \
-                      [f"{v:.12e}" for v in self.positions[k]] + \
-                      [f"{v:.12e}" for v in self.comps[k]]
-                w.writerow(row)

@@ -43,7 +43,7 @@ class ZooEntry:
     depth_unit: float = 1.0                       # unit of interior_mesh's depths
     sigma_distance: Callable | None = None        # ambient P -> distance to Sigma
     sigma_coords: Callable | None = None          # boundary P -> (U, t, edge)
-    notes: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)     # name -> printable value
 
     def describe(self):
         return {
@@ -53,8 +53,7 @@ class ZooEntry:
             "loops": sorted(self.loops),
             "box_lo": self.domain.box_lo.tolist(),
             "box_hi": self.domain.box_hi.tolist(),
-            "notes": {k: v.name if isinstance(v, SigmaChart) else str(v)
-                      for k, v in self.notes.items()},
+            "notes": {k: str(v) for k, v in self.notes.items()},
         }
 
     def interior_mesh(self, count, seed, depth):
@@ -174,7 +173,6 @@ def make_fattened_bidisc(r) -> ZooEntry:
         name = f"leaf_{t:.3f}"
         charts[name] = _chart(dom, "complex", [-c, -c], [c, c], leaf,
                               leaf_tangent, name, leaf_label=float(t))
-    main_leaf = charts["leaf_0.000"]
 
     ang = np.linspace(0, 2 * np.pi, 65)
     circ = 0.9 * c * np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -200,7 +198,7 @@ def make_fattened_bidisc(r) -> ZooEntry:
         sigma_distance=sigma_distance, sigma_coords=sigma_coords,
         notes={"sigma": "{|z2|=1, |z1|<=r} foliated by discs z2=const",
                "theta": "vanishes identically on the leaves",
-               "main_leaf": main_leaf})
+               "main_leaf": "leaf_0.000"})
     return entry
 
 

@@ -5,7 +5,7 @@ from dfindex import zoo
 from dfindex.certify import (NO_TERMS, CurveCertificate, Psi, combine,
                              oracle_stencils, rho_terms)
 from dfindex.cohomology import build_potential, classify
-from references import leaf_sources, tree_potential
+from references import leaf_sources, synthetic_theta, tree_potential
 
 
 @pytest.fixture(scope="session")
@@ -45,16 +45,19 @@ def bidisc_leaf_field(bidisc):
     """Potential field over the bidisc's 8 leaf charts with a synthetic,
     leaf-dependent exact form, so that neighbouring leaves differ (the
     bidisc's own form vanishes on every leaf)."""
-    return build_potential(leaf_sources(bidisc), np.zeros(2),
-                           classify({}, 1e-6), res=9)
+    sources = leaf_sources(bidisc)
+    with synthetic_theta(*sources):
+        return build_potential([src.chart for src in sources],
+                               classify({}, 1e-6), res=9)
 
 
 @pytest.fixture(scope="session")
 def bidisc_leaf_models(bidisc):
     """bidisc_leaf_field's leaves fitted one at a time, each on its own
     lattice and design (references.tree_potential): one model per leaf."""
-    return [tree_potential(src, np.zeros(2), 9)[1]
-            for src in leaf_sources(bidisc)]
+    sources = leaf_sources(bidisc)
+    with synthetic_theta(*sources):
+        return [tree_potential(src.chart, 9)[1] for src in sources]
 
 
 @pytest.fixture(scope="session")

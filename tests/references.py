@@ -9,7 +9,7 @@ at one boundary point (with the NotDegenerate error of the null-cross
 residual), chart tangents by centred
 differences of the embedding and the chart-box check of chart stencils, the
 compatibility and transversal-field identity residuals, the residual
-sequence, synthetic 1-form sources, the spanning-tree potential without its
+sequence, synthetic 1-forms, the spanning-tree potential without its
 cycle check, loop reparametrisations, the one-path line integral, the
 criterion on unscaled columns, the unmemoized coordinate descent and the
 potential with one lattice and one polynomial model per leaf (the forms
@@ -23,20 +23,23 @@ The tests compare the package against these.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import pytest
 
-from dfindex.cohomology import PERIOD_TOL, POTENTIAL_FACTOR, PathInSigma
+from dfindex import cohomology
+from dfindex.cohomology import PERIOD_TOL, POTENTIAL_FACTOR
 from dfindex.certify import FD_STEP, PsiStencil, combine
 from dfindex import distance
 from dfindex.distance import (boundary_jet, normal_n,
                               signed_distance_from_feet)
-from dfindex.errors import AmbiguousFoot, ChartMismatch, DfIndexError, \
-    NoConvergence, NonFinite, OrderTooLow, StencilLeak
+from dfindex.errors import AmbiguousFoot, ChartGap, ChartMismatch, \
+    DfIndexError, NoConvergence, NonFinite, OrderTooLow, StencilLeak
 from dfindex.jets import (DomainSpec, Jet, WirtingerJet, _nadd, _nscale,
                           _outer_gg, _outer_ggg, _sym_gh, third_contraction)
 from dfindex.sigma import SigmaChart, h_field, nu_pairings
@@ -957,7 +960,7 @@ def residual_sequence(domain, chart: SigmaChart, inner_frac, etas,
 
 
 # ---------------------------------------------------------------------------
-# synthetic 1-form sources and loop reparametrisations
+# synthetic 1-forms and loop reparametrisations
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -981,6 +984,25 @@ class HFieldSource:
     def components(self, U):
         h = self.hfn(np.atleast_2d(U))
         return np.stack([h.real, h.imag], axis=1)
+
+
+@contextlib.contextmanager
+def synthetic_theta(*sources):
+    """cohomology reads each source's synthetic form on the source's chart,
+    and theta on every other chart, while the context lasts.  The
+    references below read the form the same way, so that the package and
+    they integrate one form."""
+    theta = cohomology.theta_components
+
+    def components(chart, U):
+        for src in sources:
+            if src.chart is chart:
+                return src.components(U)
+        return theta(chart, U)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "theta_components", components)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -1067,35 +1089,34 @@ def _tree_edges(shape):
     return edges
 
 
-def integrate_edges(source, U, edges):
-    """Simpson (5 nodes) along each straight lattice edge times
-    POTENTIAL_FACTOR."""
+def integrate_edges(chart, U, edges):
+    """Simpson (5 nodes) along each straight lattice edge of the chart
+    times POTENTIAL_FACTOR."""
     a = U[[e[0] for e in edges]]
     b = U[[e[1] for e in edges]]
     t = np.linspace(0, 1, 5)
     nodes = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
     S, Q, p = nodes.shape
-    comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
+    comps = cohomology.theta_components(
+        chart, nodes.reshape(-1, p)).reshape(S, Q, p)
     integrand = np.einsum("sqp,sp->sq", comps, b - a)
     w = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
     return POTENTIAL_FACTOR * (integrand @ w) / 12.0
 
 
-def tree_potential(source, basepoint, res):
+def tree_potential(chart, res):
     """One leaf of build_potential by its tree edges alone, each integrated
-    at its own five Simpson nodes, and h read by a separate evaluation at
-    the lattice nodes: (node values, fitted model, gradient residual)."""
-    chart = source.chart
+    at its own five Simpson nodes, zero at the node nearest the box centre,
+    and h read by a separate evaluation at the lattice nodes: (node values,
+    fitted model, gradient residual)."""
     U, shape = chart.grid(res)
     edges = _tree_edges(shape)
     vals = np.zeros(U.shape[0])
-    for (pa, pb), dv in zip(edges, integrate_edges(source, U, edges)):
+    for (pa, pb), dv in zip(edges, integrate_edges(chart, U, edges)):
         vals[pb] = vals[pa] + dv
-    basepoint = np.asarray(basepoint, dtype=float)
-    k0 = int(np.argmin(np.linalg.norm(U - basepoint[None, :U.shape[1]],
-                                      axis=1)))
-    vals -= vals[k0]
-    comps = source.components(U)
+    centre = 0.5 * (chart.lo + chart.hi)
+    vals -= vals[int(np.argmin(np.linalg.norm(U - centre, axis=1)))]
+    comps = cohomology.theta_components(chart, U)
     hv = (comps[:, 0] + 1j * comps[:, 1]).reshape(shape)
     grid_vals = vals.reshape(shape)
     hstep = (chart.hi - chart.lo) / (np.array(shape) - 1)
@@ -1120,20 +1141,17 @@ def leaf_sources(bidisc):
                                       key=lambda c: c.leaf_label)]
 
 
-def reversed_path(path: PathInSigma) -> PathInSigma:
-    return PathInSigma(path.params[::-1].copy(), path.closed)
+def reversed_path(path):
+    return path[::-1].copy()
 
 
-def rotated_path(path: PathInSigma, k, wrap_axis=None,
-                 period=None) -> PathInSigma:
-    """Basepoint rotation of a closed loop by k vertices.
+def rotated_path(path, k, wrap_axis=None, period=None):
+    """Basepoint rotation of a closed loop, a (V, p) array, by k vertices.
 
     For loops that close through a periodic chart coordinate, pass the
     axis and its period so the rolled parameter list stays monotone.
     """
-    if not path.closed:
-        raise ValueError("rotation needs a closed path")
-    pts = np.roll(path.params[:-1], -k, axis=0)
+    pts = np.roll(path[:-1], -k, axis=0)
     if wrap_axis is None:
         pts = np.vstack([pts, pts[:1]])
     else:
@@ -1146,7 +1164,7 @@ def rotated_path(path: PathInSigma, k, wrap_axis=None,
         last = pts[:1].copy()
         last[0, wrap_axis] += period
         pts = np.vstack([pts, last])
-    return PathInSigma(pts, True)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -1155,21 +1173,23 @@ def rotated_path(path: PathInSigma, k, wrap_axis=None,
 # The forms these computations had before the package shared their work:
 # each must give the package's bits.
 
-def integrate_theta_single(source, path: PathInSigma):
-    """Line integral of the 1-form along one path, by composite Simpson per
-    segment at 4, 8, ..., 2048 nodes per segment, each level evaluating
-    every one of its nodes, until two successive whole-path estimates
-    differ by less than PERIOD_TOL (relative)."""
-    path.validate(source.chart)
-    pts = path.params
-    seg_a = pts[:-1]
-    dU = pts[1:] - pts[:-1]
+def integrate_theta_single(chart, path):
+    """Line integral of the 1-form along one path of the chart's
+    parameters, by composite Simpson per segment at 4, 8, ..., 2048 nodes
+    per segment, each level evaluating every one of its nodes, until two
+    successive whole-path estimates differ by less than PERIOD_TOL
+    (relative)."""
+    if not np.all(chart.contains(path)):
+        raise ChartGap("path vertex outside the chart")
+    seg_a = path[:-1]
+    dU = path[1:] - path[:-1]
 
     def estimate(nodes_per_seg):
         t = np.linspace(0.0, 1.0, nodes_per_seg + 1)
         nodes = seg_a[:, None, :] + t[None, :, None] * dU[:, None, :]
         S, Q, p = nodes.shape
-        comps = source.components(nodes.reshape(-1, p)).reshape(S, Q, p)
+        comps = cohomology.theta_components(
+            chart, nodes.reshape(-1, p)).reshape(S, Q, p)
         integrand = np.einsum("sqp,sp->sq", comps, dU)
         w = np.ones(Q)
         w[1:-1:2] = 4.0

@@ -24,11 +24,10 @@ from conftest import ZERO_PSI, oracle_terms, shifted
 from dfindex.certify import (CriterionEvaluator, Psi,
                              interior_psh_oracle, real_curve_certify)
 from dfindex.cli import main as cli_main
-from dfindex.cohomology import (PathInSigma, ThetaSource, build_potential,
-                                classify, integrate_theta)
+from dfindex.cohomology import build_potential, classify, integrate_theta
 from dfindex.distance import boundary_jet
 from dfindex.levi import detect_sigma
-from dfindex.pipelines import Run, potential_for
+from dfindex.pipelines import Run
 from dfindex.sigma import dtheta_residual, h_field
 from references import (BoundaryBatch, HFieldSource, HypothesisFail,
                         ball_delta_jet, ball_interior_points,
@@ -36,7 +35,7 @@ from references import (BoundaryBatch, HFieldSource, HypothesisFail,
                         caccioppoli_check, chart_compat_residuals, delta_jet,
                         levi_decompose, measured_orders, null_cross_residual,
                         nu_identity_residuals, residual_sequence,
-                        wirtinger_compat_residual)
+                        synthetic_theta, wirtinger_compat_residual)
 
 MESH_N = 10000
 NOISE_FLOOR = 1e-7
@@ -144,7 +143,7 @@ def test_criterion_3_identity_suites(worm, bidisc):
     details.append(f"transversal residual max {max(res):.1e}")
 
     # the bidisc's identities sit at the noise floor (identically zero form)
-    leaf = bidisc.notes["main_leaf"]
+    leaf = bidisc.charts[bidisc.notes["main_leaf"]]
     r1, r2 = chart_compat_residuals(leaf, np.array([[0.05, -0.1]]), 0.04)
     assert max(float(r1[0]), float(r2[0])) < 1e-8
     nz = nu_identity_residuals(leaf, np.array([[0.1, -0.05]]), 0.04)
@@ -177,9 +176,10 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     assert verdict["classification"] == "Exact"
 
     # synthetic exact form on a disc chart: recovery of the generator
-    chart0 = bidisc.notes["main_leaf"]
+    chart0 = bidisc.charts[bidisc.notes["main_leaf"]]
     src = HFieldSource(chart0, lambda U: U[:, 0] - 1j * U[:, 1])
-    phi0 = build_potential(src, np.zeros(2), classify({}, 1e-6), res=17)
+    with synthetic_theta(src):
+        phi0 = build_potential([chart0], classify({}, 1e-6), res=17)
     target = phi0.params[:, 0] ** 2 - phi0.params[:, 1] ** 2
     k0 = int(np.argmin(np.linalg.norm(phi0.params, axis=1)))
     rec_err = float(np.max(np.abs(phi0.values[0] - (target - target[k0]))))
@@ -187,7 +187,7 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
     assert phi0.path_disagreement < 1e-6
 
     # domain potential: every lattice cycle closes, and the certification
-    phi = potential_for(bidisc, verdict, 9)
+    phi = build_potential(list(bidisc.charts.values()), verdict, 9)
     assert phi.path_disagreement < 1e-6
     rep = CriterionEvaluator(bidisc.domain, sigma).report(psi, 0.99, None,
                                                           "")
@@ -200,9 +200,8 @@ def test_criterion_4_potential_round_trip(bidisc, bidisc_package):
 
 
 def test_criterion_5_obstruction_detection(worm, tmp_path):
-    src = ThetaSource(worm.charts["log_polar"])
-    loop = PathInSigma(worm.loops["core"][1], closed=True)
-    [per], _ = integrate_theta(src, [loop])
+    [per], _ = integrate_theta(worm.charts["log_polar"],
+                               [worm.loops["core"][1]])
     frozen = worm.notes["core_period"]      # derived ahead of the build
     assert abs(per - frozen) <= 0.01 * abs(frozen)
     assert abs(per) > 1e-3
@@ -235,7 +234,7 @@ def test_criterion_6_cutoff_bound_family():
 
 def test_criterion_7_residual_sequence(bidisc, bidisc_package):
     psi = bidisc_package["psi"]
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     etas = [0.5, 0.75, 0.9, 0.95, 0.99]
     vals = residual_sequence(bidisc.domain, chart, 0.6, etas,
                              lambda eta: psi, res=9)

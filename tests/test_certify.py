@@ -929,7 +929,7 @@ def test_caccioppoli_hypothesis_fail():
 # ---------------------------------------------------------------------------
 
 def test_residual_sequence_bidisc(bidisc, bidisc_psi):
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     etas = [0.5, 0.9, 0.99]
     vals = residual_sequence(bidisc.domain, chart, 0.6, etas,
                              lambda eta: bidisc_psi, res=9)

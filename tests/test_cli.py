@@ -108,6 +108,36 @@ def test_theta_csv_written(tmp_path):
     assert (tmp_path / "theta_worm_patch.csv").exists()
 
 
+# the header and first data row of each kind of CSV, as bytes: theta on a
+# complex and on a real chart, and the potential on a foliation's leaves
+CSV_HEADS = {
+    "theta_worm_patch.csv": (
+        ["theta", "--domain", "worm", "--chart", "patch", "--res", "5"],
+        b"u0,u1,pos0,pos1,pos2,pos3,comp0,comp1\r\n"
+        b"8.902736085090e-01,-5.212025768916e-01,0.000000000000e+00,"
+        b"0.000000000000e+00,8.902736085090e-01,-5.212025768916e-01,"
+        b"-2.448709674744e-01,-4.182676170419e-01\r\n"),
+    "theta_quartic_circle_curve.csv": (
+        ["theta", "--domain", "quartic_circle", "--chart", "curve",
+         "--res", "5"],
+        b"u0,pos0,pos1,pos2,pos3,comp0\r\n"
+        b"0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,"
+        b"1.000000000000e+00,0.000000000000e+00,0.000000000000e+00\r\n"),
+    "potential_bidisc.csv": (
+        ["potential", "--domain", "bidisc", "--res", "9"],
+        b"u0,u1,leaf,phi\r\n"
+        b"-4.550000000000e-01,-4.550000000000e-01,0.000000,"
+        b"0.000000000000e+00\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_HEADS))
+def test_csv_header_and_first_row_pinned(tmp_path, name):
+    argv, head = CSV_HEADS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_bytes()[:len(head)] == head
+
+
 def test_certify_quartic_oracle_at_rounding_level(tmp_path):
     # psi's stencil feet carry no projection residual for the second
     # differences to amplify by 1/h^2: minScaled is -9.2e-17 (projected

@@ -10,24 +10,24 @@ import pytest
 from conftest import psi_at_feet
 from dfindex import cohomology, zoo
 from dfindex.certify import Psi
-from dfindex.cohomology import (FADE, PathInSigma, ThetaSource,
-                                build_potential, classify, collar_terms,
-                                exactness_tolerance, integrate_theta,
-                                simpson_sums)
+from dfindex.cohomology import (FADE, build_potential, check_closed,
+                                classify, collar_terms, exactness_tolerance,
+                                integrate_theta, simpson_sums)
 from dfindex.distance import foot_points
 from dfindex.errors import (ChartGap, ChartMismatch, CollarTooWide,
                             NoConvergence, ObstructedClass, PathDisagreement)
-from dfindex.pipelines import ORACLE_DEPTH, Run, potential_for
+from dfindex.pipelines import ORACLE_DEPTH, Run
 from dfindex.sigma import SigmaChart
 from dfindex.util import bump_c3, smoothstep_c3
 from references import (FuncSource, HFieldSource, eval_per_leaf,
                         integrate_edges, integrate_theta_single, leaf_sources,
-                        reversed_path, rotated_path, tree_potential)
+                        reversed_path, rotated_path, synthetic_theta,
+                        tree_potential)
 
 
 def disc_chart(domain_entry, half=0.8):
     # synthetic parameter disc riding on the bidisc leaf embedding
-    chart = domain_entry.notes["main_leaf"]
+    chart = domain_entry.charts[domain_entry.notes["main_leaf"]]
     return SigmaChart(domain=chart.domain, kind="complex",
                       lo=np.array([-half, -half]), hi=np.array([half, half]),
                       embed=chart.embed, tangent=chart.tangent,
@@ -35,31 +35,29 @@ def disc_chart(domain_entry, half=0.8):
 
 
 def test_integral_reversal(worm):
-    src = ThetaSource(worm.charts["patch"])
-    path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
-    (a, b), _ = integrate_theta(src, [path, reversed_path(path)])
+    path = np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]])
+    (a, b), _ = integrate_theta(worm.charts["patch"],
+                                [path, reversed_path(path)])
     assert abs(a + b) < 1e-10
 
 
 def test_bidisc_leaf_integral_vanishes(bidisc):
-    src = ThetaSource(bidisc.notes["main_leaf"])
-    path = PathInSigma(np.array([[-0.3, -0.3], [0.2, 0.1], [0.35, -0.2]]))
-    assert abs(integrate_theta(src, [path])[0][0]) < 1e-6
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
+    path = np.array([[-0.3, -0.3], [0.2, 0.1], [0.35, -0.2]])
+    assert abs(integrate_theta(chart, [path])[0][0]) < 1e-6
 
 
 def test_worm_radial_path_matches_antiderivative(worm):
     # on the log-polar chart theta = -(1/2) d(phi); segment integrals equal
     # the antiderivative difference
-    src = ThetaSource(worm.charts["log_polar"])
-    path = PathInSigma(np.array([[-0.2, 0.7], [0.25, 2.9]]))
-    [val], _ = integrate_theta(src, [path])
+    path = np.array([[-0.2, 0.7], [0.25, 2.9]])
+    [val], _ = integrate_theta(worm.charts["log_polar"], [path])
     assert abs(val - (-0.5) * (2.9 - 0.7)) < 1e-6
 
 
 def test_worm_core_period(worm):
-    src = ThetaSource(worm.charts["log_polar"])
-    loop = PathInSigma(worm.loops["core"][1], closed=True)
-    [per], [mass] = integrate_theta(src, [loop])
+    [per], [mass] = integrate_theta(worm.charts["log_polar"],
+                                    [worm.loops["core"][1]])
     assert abs(per - (-np.pi)) < 0.01 * np.pi
     assert abs(per) > 1.0
     # theta.dU = -dphi/2 keeps one sign along the core: its mass is |period|
@@ -67,15 +65,13 @@ def test_worm_core_period(worm):
 
 
 def test_contractible_loop_period_small(worm):
-    src = ThetaSource(worm.charts["log_polar"])
-    loop = PathInSigma(worm.loops["contractible"][1], closed=True)
-    assert abs(integrate_theta(src, [loop])[0][0]) < 1e-6
+    assert abs(integrate_theta(worm.charts["log_polar"],
+                               [worm.loops["contractible"][1]])[0][0]) < 1e-6
 
 
 def test_period_basepoint_rotation_invariance(worm):
-    src = ThetaSource(worm.charts["log_polar"])
-    loop = PathInSigma(worm.loops["core"][1], closed=True)
-    (p0, *rotated), _ = integrate_theta(src, [loop] + [
+    loop = worm.loops["core"][1]
+    (p0, *rotated), _ = integrate_theta(worm.charts["log_polar"], [loop] + [
         rotated_path(loop, k, wrap_axis=1, period=2 * np.pi)
         for k in (3, 11)])
     for pk in rotated:
@@ -88,22 +84,29 @@ def test_unconverged_period_raises(worm):
     rng = np.random.default_rng(0)
     src = FuncSource(worm.charts["log_polar"],
                      lambda U: rng.normal(size=U.shape))
-    loop = PathInSigma(worm.loops["contractible"][1], closed=True)
-    with pytest.raises(NoConvergence):
-        integrate_theta(src, [loop])
+    with synthetic_theta(src), pytest.raises(NoConvergence):
+        integrate_theta(src.chart, [worm.loops["contractible"][1]])
 
 
 def test_path_outside_chart(worm):
-    src = ThetaSource(worm.charts["patch"])
-    path = PathInSigma(np.array([[0.0, 0.0], [5.0, 5.0]]))
+    path = np.array([[0.0, 0.0], [5.0, 5.0]])
     with pytest.raises(ChartGap):
-        integrate_theta(src, [path])
+        integrate_theta(worm.charts["patch"], [path])
+
+
+def test_open_loop_raises(worm):
+    # the core loop closes through the log-polar chart's periodic angle;
+    # the same loop short of its last vertex does not close
+    chart = worm.charts["log_polar"]
+    core = worm.loops["core"][1]
+    check_closed(chart, core)
+    with pytest.raises(ChartGap, match="endpoints"):
+        check_closed(chart, core[:-1])
 
 
 def _loop(entry, name):
     chart_name, params = entry.loops[name]
-    return ThetaSource(entry.charts[chart_name]), PathInSigma(params,
-                                                              closed=True)
+    return entry.charts[chart_name], params
 
 
 @pytest.mark.parametrize("beta", [np.pi, 1.5 * np.pi])
@@ -111,23 +114,24 @@ def test_nested_periods_match_single_path_reference(beta):
     # both loops integrated together, on nested levels, give the bits of
     # each loop integrated alone with every level evaluated afresh
     worm = zoo.make_worm(beta)
-    src, core = _loop(worm, "core")
+    chart, core = _loop(worm, "core")
     _, square = _loop(worm, "contractible")
-    assert integrate_theta(src, [core, square])[0] == [
-        integrate_theta_single(src, core), integrate_theta_single(src, square)]
+    assert integrate_theta(chart, [core, square])[0] == [
+        integrate_theta_single(chart, core),
+        integrate_theta_single(chart, square)]
 
 
 def test_bidisc_period_matches_single_path_reference(bidisc):
-    src, loop = _loop(bidisc, "leaf_boundary")
-    assert integrate_theta(src, [loop])[0] == [
-        integrate_theta_single(src, loop)]
+    chart, loop = _loop(bidisc, "leaf_boundary")
+    assert integrate_theta(chart, [loop])[0] == [
+        integrate_theta_single(chart, loop)]
 
 
 def test_open_path_integral_matches_single_path_reference(worm):
-    src = ThetaSource(worm.charts["patch"])
-    path = PathInSigma(np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]]))
-    assert integrate_theta(src, [path])[0] == [
-        integrate_theta_single(src, path)]
+    chart = worm.charts["patch"]
+    path = np.array([[0.9, -0.2], [1.3, 0.1], [1.7, 0.3]])
+    assert integrate_theta(chart, [path])[0] == [
+        integrate_theta_single(chart, path)]
 
 
 def test_classify():
@@ -151,8 +155,8 @@ def test_worm_tolerance_is_the_core_loop_mass(beta):
     # not grow with the log-polar chart's span (about 0.9 beta)
     worm = zoo.make_worm(beta)
     verdict = Run(worm).verdict
-    src, core = _loop(worm, "core")
-    _, [mass] = integrate_theta(src, [core])
+    chart, core = _loop(worm, "core")
+    _, [mass] = integrate_theta(chart, [core])
     assert verdict["classification"] == "Obstructed"
     assert verdict["tolerance"] == 1e-4 * mass
     assert verdict["tolerance"] == pytest.approx(1e-4 * np.pi, rel=1e-9)
@@ -169,9 +173,8 @@ def test_bidisc_verdict_exact_at_floor(bidisc):
 # ---------------------------------------------------------------------------
 
 def test_bidisc_potential_vanishes(bidisc):
-    src = [ThetaSource(c) for c in bidisc.charts.values()]
-    verdict, _ = (classify({"leaf": 0.0}, 1e-6), None)
-    phi = build_potential(src, np.zeros(2), verdict, res=7)
+    verdict = classify({"leaf": 0.0}, 1e-6)
+    phi = build_potential(list(bidisc.charts.values()), verdict, res=7)
     assert np.max(np.abs(phi.values)) < 1e-6
     assert np.max(phi.gradient_residuals) < 1e-4
     assert phi.path_disagreement < 1e-6
@@ -183,18 +186,19 @@ def test_synthetic_exact_form_recovery(bidisc):
     chart = disc_chart(bidisc)
     src = HFieldSource(chart, lambda U: U[:, 0] - 1j * U[:, 1])
     verdict = classify({}, 1e-6)
-    phi = build_potential(src, np.zeros(2), verdict, res=17)
+    with synthetic_theta(src):
+        phi = build_potential([chart], verdict, res=17)
     target = phi.params[:, 0] ** 2 - phi.params[:, 1] ** 2
     k0 = int(np.argmin(np.linalg.norm(phi.params, axis=1)))
     np.testing.assert_allclose(phi.values[0], target - target[k0], atol=1e-6)
 
 
 def test_obstructed_class_raises(worm):
-    src = ThetaSource(worm.charts["log_polar"])
-    loop = PathInSigma(worm.loops["core"][1], closed=True)
-    verdict = classify({"core": integrate_theta(src, [loop])[0][0]}, 1e-4)
+    chart = worm.charts["log_polar"]
+    verdict = classify(
+        {"core": integrate_theta(chart, [worm.loops["core"][1]])[0][0]}, 1e-4)
     with pytest.raises(ObstructedClass):
-        build_potential(src, np.zeros(2), verdict, res=17)
+        build_potential([chart], verdict, res=17)
 
 
 def test_path_disagreement_on_non_closed_form(bidisc):
@@ -203,8 +207,8 @@ def test_path_disagreement_on_non_closed_form(bidisc):
     src = FuncSource(chart, lambda U: np.stack(
         [U[:, 1], np.zeros(U.shape[0])], axis=1))
     verdict = classify({}, 1e-6)
-    with pytest.raises(PathDisagreement):
-        build_potential(src, np.zeros(2), verdict, res=9)
+    with synthetic_theta(src), pytest.raises(PathDisagreement):
+        build_potential([chart], verdict, res=9)
 
 
 def test_corner_cell_curl_raises(bidisc):
@@ -222,8 +226,8 @@ def test_corner_cell_curl_raises(bidisc):
     U, _ = chart.grid(9)
     outside = ~np.all(U > 0.6 - 1e-12, axis=1)
     assert np.all(fn(U[outside]) == 0.0)
-    with pytest.raises(PathDisagreement):
-        build_potential(src, np.zeros(2), classify({}, 1e-6), res=9)
+    with synthetic_theta(src), pytest.raises(PathDisagreement):
+        build_potential([chart], classify({}, 1e-6), res=9)
 
 
 def _exp_field(U):
@@ -233,13 +237,12 @@ def _exp_field(U):
     return 0.5 * (fx + 1j * fy)
 
 
-def _assert_matches_tree_route(phi, sources, res):
+def _assert_matches_tree_route(phi, res):
     """Node values, coefficients and gradient residuals equal, bit for bit,
     those of each leaf's own lattice and fit; returns the leaves' models."""
-    assert len(phi.charts) == len(sources)
     models = []
-    for j, src in enumerate(sources):
-        vals, model, grad_res = tree_potential(src, np.zeros(2), res)
+    for j, chart in enumerate(phi.charts):
+        vals, model, grad_res = tree_potential(chart, res)
         np.testing.assert_array_equal(phi.values[j], vals)
         np.testing.assert_array_equal(phi.coef[:, j], model.coef)
         np.testing.assert_array_equal(phi.terms, model.terms)
@@ -253,8 +256,9 @@ def test_lattice_potential_matches_tree_route(bidisc, res):
     # adding the cycle check leaves the node values, the fit and the
     # gradient residual as the tree edges alone set them
     src = HFieldSource(disc_chart(bidisc, half=0.6), _exp_field)
-    phi = build_potential(src, np.zeros(2), classify({}, 1e-6), res=res)
-    _assert_matches_tree_route(phi, [src], res)
+    with synthetic_theta(src):
+        phi = build_potential([src.chart], classify({}, 1e-6), res=res)
+        _assert_matches_tree_route(phi, res)
 
 
 def test_potential_edges_take_simpson_sums(bidisc, monkeypatch):
@@ -270,37 +274,41 @@ def test_potential_edges_take_simpson_sums(bidisc, monkeypatch):
 
     monkeypatch.setattr(cohomology, "simpson_sums", recording)
     src = HFieldSource(disc_chart(bidisc, half=0.6), _exp_field)
-    phi = build_potential(src, np.zeros(2), classify({}, 1e-6), res=9)
-    [edge_sums] = sums
-    a, b, _ = cohomology._lattice_edges(phi.shape)
-    np.testing.assert_array_equal(
-        cohomology.POTENTIAL_FACTOR * edge_sums / 12.0,
-        integrate_edges(src, phi.params, list(zip(a.tolist(), b.tolist()))))
+    with synthetic_theta(src):
+        phi = build_potential([src.chart], classify({}, 1e-6), res=9)
+        [edge_sums] = sums
+        a, b, _ = cohomology._lattice_edges(phi.shape)
+        np.testing.assert_array_equal(
+            cohomology.POTENTIAL_FACTOR * edge_sums / 12.0,
+            integrate_edges(src.chart, phi.params,
+                            list(zip(a.tolist(), b.tolist()))))
 
 
 def test_leaf_potentials_match_tree_route(bidisc, bidisc_leaf_field):
-    _assert_matches_tree_route(bidisc_leaf_field, leaf_sources(bidisc), 9)
-    charts = [c for c in bidisc.charts.values() if c.kind == "complex"]
-    phi = potential_for(bidisc, classify({}, 1e-6), 9)
-    _assert_matches_tree_route(phi, [ThetaSource(c) for c in charts], 9)
+    with synthetic_theta(*leaf_sources(bidisc)):
+        _assert_matches_tree_route(bidisc_leaf_field, 9)
+    phi = Run(bidisc).potential(9)
+    assert [c.name for c in phi.charts] == list(bidisc.charts)
+    _assert_matches_tree_route(phi, 9)
 
 
 def test_potential_evaluates_theta_once_per_leaf(bidisc, monkeypatch):
     calls = {"components": 0, "integrate_theta": 0}
-    components = ThetaSource.components
+    components = cohomology.theta_components
     integrate = cohomology.integrate_theta
 
-    def counting_components(self, U):
+    def counting_components(chart, U):
         calls["components"] += 1
-        return components(self, U)
+        return components(chart, U)
 
     def counting_integrate(*args, **kwargs):
         calls["integrate_theta"] += 1
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(ThetaSource, "components", counting_components)
+    monkeypatch.setattr(cohomology, "theta_components", counting_components)
     monkeypatch.setattr(cohomology, "integrate_theta", counting_integrate)
-    phi = potential_for(bidisc, classify({}, 1e-6), 9)
+    phi = build_potential(list(bidisc.charts.values()), classify({}, 1e-6),
+                          9)
     assert len(phi.charts) == 8
     assert calls == {"components": 8, "integrate_theta": 0}
 
@@ -310,13 +318,13 @@ def test_verdict_evaluates_theta_once_per_level(worm, monkeypatch):
     # segment: 5 x 132 rows at 4 nodes and the 4 x 132 new ones at 8; the
     # tolerance takes the loops' mass from the same levels
     calls = []
-    components = ThetaSource.components
+    components = cohomology.theta_components
 
-    def counting_components(self, U):
+    def counting_components(chart, U):
         calls.append(len(U))
-        return components(self, U)
+        return components(chart, U)
 
-    monkeypatch.setattr(ThetaSource, "components", counting_components)
+    monkeypatch.setattr(cohomology, "theta_components", counting_components)
     assert Run(worm).verdict["classification"] == "Obstructed"
     assert calls == [660, 528]
 
@@ -328,9 +336,10 @@ def test_round_trip_residual_second_order(bidisc):
     src = HFieldSource(chart, _exp_field)
     verdict = classify({}, 1e-6)
     res = []
-    for n in (9, 17, 33):
-        phi = build_potential(src, np.zeros(2), verdict, res=n)
-        res.append(phi.gradient_residuals[0])
+    with synthetic_theta(src):
+        for n in (9, 17, 33):
+            phi = build_potential([chart], verdict, res=n)
+            res.append(phi.gradient_residuals[0])
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert np.min(orders) > 1.7
 
@@ -343,17 +352,17 @@ def test_collar_psi_matches_on_sigma(bidisc):
     chart = disc_chart(bidisc, half=0.4)
     src = HFieldSource(chart, lambda U: U[:, 0] - 1j * U[:, 1])
     verdict = classify({}, 1e-6)
-    phi = build_potential(src, np.zeros(2), verdict, res=9)
+    with synthetic_theta(src):
+        phi = build_potential([chart], verdict, res=9)
+        expect = -2.0 * tree_potential(chart, 9)[1](phi.params[::7])
 
     def to_chart(P):
         U = np.stack([P[:, 0], P[:, 1]], axis=1)
         return U, None, np.zeros(P.shape[0])
 
     psi = Psi(collar_terms(bidisc.domain, phi, to_chart), (1.0,))
-    U = phi.params[::7]
-    P = chart.embed_batch(U)
+    P = chart.embed_batch(phi.params[::7])
     vals = psi_at_feet(psi, P)
-    expect = -2.0 * tree_potential(src, np.zeros(2), 9)[1](U)
     np.testing.assert_allclose(vals, expect, atol=1e-9)
 
 
@@ -364,7 +373,8 @@ def test_collar_psi_edge_blend(bidisc):
     src = HFieldSource(chart, lambda U: 0.5 * np.ones(U.shape[0],
                                                       dtype=complex))
     verdict = classify({}, 1e-6)
-    phi = build_potential(src, np.zeros(2), verdict, res=9)
+    with synthetic_theta(src):
+        phi = build_potential([chart], verdict, res=9)
 
     edge_at = 0.35
     # the edge coordinate puts the fade FADE on |z1| in [0.3, 0.9] x edge_at
@@ -408,7 +418,8 @@ def test_collar_too_wide(bidisc, width):
     src = HFieldSource(chart, lambda U: np.zeros(U.shape[0],
                                                  dtype=complex))
     verdict = classify({}, 1e-6)
-    phi = build_potential(src, np.zeros(2), verdict, res=5)
+    with synthetic_theta(src):
+        phi = build_potential([chart], verdict, res=5)
 
     def to_chart(P):
         return np.stack([P[:, 0], P[:, 1]], axis=1), None, \
@@ -423,7 +434,7 @@ def test_collar_probe_reaches_every_leaf(bidisc):
     # at the centre of its sixth leaf, where P is not the foot of
     # P - width n: the probe must reach it, though it lies outside the
     # first row of the first leaf
-    phi = potential_for(bidisc, classify({}, 1e-6), 9)
+    phi = Run(bidisc).potential(9)
     collar_terms(bidisc.domain, phi, bidisc.sigma_coords)
     chart = phi.charts[5]
     centre = phi.params[np.ravel_multi_index(
@@ -573,7 +584,8 @@ def test_shared_basis_matches_per_leaf_reference(bidisc, bidisc_leaf_field):
     # of its own fit, and eval's one monomial table the bits of the two
     # bracketing leaves' own tables
     field = bidisc_leaf_field
-    models = _assert_matches_tree_route(field, leaf_sources(bidisc), 9)
+    with synthetic_theta(*leaf_sources(bidisc)):
+        models = _assert_matches_tree_route(field, 9)
     U, t = _label_samples(field.labels, 300, seed=34)
     for labels in (t, None):
         np.testing.assert_array_equal(
@@ -588,11 +600,11 @@ def test_shared_basis_matches_per_leaf_reference(bidisc, bidisc_leaf_field):
 @pytest.mark.parametrize("res", [7, 9, 17])
 @pytest.mark.parametrize("name", ["log_polar", "patch"])
 def test_single_chart_basis_matches_per_leaf_reference(worm, name, res):
-    src = ThetaSource(worm.charts[name])
-    phi = build_potential(src, np.zeros(2), classify({}, 1e-6), res=res)
-    [model] = _assert_matches_tree_route(phi, [src], res)
+    chart = worm.charts[name]
+    phi = build_potential([chart], classify({}, 1e-6), res=res)
+    [model] = _assert_matches_tree_route(phi, res)
     rng = np.random.default_rng(res)
-    U = rng.uniform(src.chart.lo, src.chart.hi, size=(50, 2))
+    U = rng.uniform(chart.lo, chart.hi, size=(50, 2))
     for V in (U, phi.params):
         np.testing.assert_array_equal(phi.eval(V, None),
                                       eval_per_leaf([model], None, V, None))
@@ -600,7 +612,7 @@ def test_single_chart_basis_matches_per_leaf_reference(worm, name, res):
 
 def test_potential_charts_share_one_box(bidisc):
     field = lambda U: U[:, 0] - 1j * U[:, 1]
-    sources = [HFieldSource(disc_chart(bidisc, half), field)
-               for half in (0.6, 0.8)]
-    with pytest.raises(ChartMismatch, match="one parameter box"):
-        build_potential(sources, np.zeros(2), classify({}, 1e-6), res=9)
+    charts = [disc_chart(bidisc, half) for half in (0.6, 0.8)]
+    with synthetic_theta(*[HFieldSource(c, field) for c in charts]), \
+            pytest.raises(ChartMismatch, match="one parameter box"):
+        build_potential(charts, classify({}, 1e-6), res=9)

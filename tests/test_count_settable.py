@@ -6,8 +6,11 @@ import textwrap
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
-                    "count_settable.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "count_settable.py")
+# the package's settable values; a change that adds one raises this bound
+# and says why in CHANGES.md
+PACKAGE_SETTABLE = 60
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +58,8 @@ def test_counts_a_directory(tool, tmp_path):
     (tmp_path / "sub" / "b.py").write_text("def g(x=1):\n    return x\n")
     (tmp_path / "notes.txt").write_text("def h(y=2): pass\n")
     assert tool["count_paths"]([str(tmp_path)]) == 8
+
+
+def test_package_settable_values_bounded(tool):
+    assert tool["count_paths"]([os.path.join(ROOT, "src", "dfindex")]) \
+        <= PACKAGE_SETTABLE

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import sample_box_points
 from dfindex.errors import EvaluationDomain, OrderTooLow
-from dfindex.jets import (DomainSpec, jcos, jhinge_pow, jlog, jsin,
+from dfindex.jets import (DomainSpec, Jet, jcos, jhinge_pow, jlog, jsin,
                           third_contraction)
 from references import (conj_derivation, dense_jet, numeric_jet, oracle_jet,
                         third_directional)
@@ -43,6 +43,17 @@ def test_nonfinite_evaluator_raises():
     from dfindex.errors import NonFinite
     with pytest.raises(NonFinite):
         dom.jet(np.array([[-0.5, 0, 0, 0]]), order=1)
+
+
+def test_value_is_the_jet_value(zoo_entries):
+    # value runs rho on order-0 jets, which carry no gradient: the bits of
+    # the order-1 jet's value on every entry's boundary mesh and box samples
+    assert all(x.g is None for x in Jet.variables(np.zeros((3, 4)), 0))
+    for entry in zoo_entries:
+        for P in (entry.boundary_mesh(400, seed=5),
+                  sample_box_points(entry, 400, seed=5)):
+            np.testing.assert_array_equal(
+                entry.domain.value(P), entry.domain.jet(P, order=1).value)
 
 
 def test_mixed_block_hermitian_everywhere(zoo_entries):

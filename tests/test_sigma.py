@@ -1,15 +1,17 @@
 """Charts, the 1-form, and the compatibility-identity residuals."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dfindex import sigma, zoo
+from dfindex.cli import main
 from dfindex.distance import normal_n
 from dfindex.errors import ChartMismatch
 from dfindex.levi import tangent_direction
-from dfindex.sigma import (OneFormSample, SigmaChart, dtheta_residual,
-                           h_field, nu_pairings, real_one_form_at,
-                           theta_components)
+from dfindex.sigma import (SigmaChart, dtheta_residual, h_field, nu_pairings,
+                           real_one_form_at, theta_components)
 from references import (HypothesisFail, chart_compat_residuals, delta_jet,
                         fd_tangents, holomorphy_defect, measured_orders,
                         nu_identity_residuals, wirtinger_compat_residual)
@@ -20,7 +22,7 @@ def worm_patch_point():
 
 
 def test_theta_bidisc_leaf_vanishes(bidisc):
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     U, _ = chart.grid(5)
     comps = theta_components(chart, U)
     assert np.max(np.abs(comps)) < 1e-6
@@ -102,7 +104,7 @@ def test_theta_chart_covariance_under_rotation(worm):
 # ---------------------------------------------------------------------------
 
 def test_compat_residuals_bidisc_zero(bidisc):
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     r1, r2 = chart_compat_residuals(chart, np.array([0.05, -0.1]), 0.04)
     assert r1 < 1e-8 and r2 < 1e-8
 
@@ -125,7 +127,7 @@ def test_compat_identity_two_trivial_m1(worm):
 
 
 def test_dtheta_bidisc_small(bidisc):
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     val = dtheta_residual(chart, np.array([0.0, 0.0]), 0.05)
     assert val < 1e-7
 
@@ -187,7 +189,7 @@ def test_wirtinger_compat_worm_samples(worm):
 # ---------------------------------------------------------------------------
 
 def test_nu_identities_bidisc(bidisc):
-    chart = bidisc.notes["main_leaf"]
+    chart = bidisc.charts[bidisc.notes["main_leaf"]]
     r1, r2, r3 = nu_identity_residuals(chart, np.array([0.1, -0.05]), 0.04)
     assert r1 < 1e-6 and r2 < 1e-6 and r3 < 1e-6
 
@@ -273,19 +275,21 @@ def test_real_one_form_chart_mismatch(worm):
         real_one_form_at(worm.charts["patch"], np.array([1.2, 0.0]))
 
 
-def test_one_form_sample_grid_and_csv(worm, tmp_path):
-    sample = OneFormSample.from_chart(worm.charts["patch"], res=5)
-    assert sample.comps.shape == (25, 2)
-    assert sample.closed_residual is not None
-    path = tmp_path / "theta.csv"
-    sample.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_one_form_sample_grid_and_csv(tmp_path):
+    # the theta command's 5 x 5 grid on the worm's patch: two components a
+    # row, and a closedness residual on the complex chart
+    assert main(["theta", "--domain", "worm", "--chart", "patch", "--res",
+                 "5", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "theta.json").read_text())
+    assert "maxClosednessResidual" in report
+    lines = (tmp_path / "theta_worm_patch.csv").read_text().splitlines()
     assert len(lines) == 26
     assert lines[0].startswith("u0,u1,pos0")
+    assert lines[0].endswith(",comp0,comp1")
 
 
 def test_holomorphy_defect_of_charts(worm, bidisc):
     assert holomorphy_defect(worm.charts["log_polar"],
                              np.array([[0.0, 1.0]])) < 1e-6
-    assert holomorphy_defect(bidisc.notes["main_leaf"],
+    assert holomorphy_defect(bidisc.charts[bidisc.notes["main_leaf"]],
                              np.array([[0.1, 0.1]])) < 1e-8

@@ -10,7 +10,7 @@ import pytest
 from conftest import sample_box_points
 from dfindex import zoo
 from dfindex.cli import _DEFAULTS
-from dfindex.cohomology import PathInSigma
+from dfindex.cohomology import check_closed
 from dfindex.errors import BetaTooSmall
 from dfindex.levi import detect_sigma
 from dfindex.pipelines import ORACLE_DEPTH
@@ -47,7 +47,8 @@ def test_worm_charts_and_loops_valid(beta):
     assert np.max(worm.sigma_distance(patch.embed_batch(U))) == 0.0
     assert np.all(np.isfinite(theta_components(patch, U)))
     for chart_name, params in worm.loops.values():
-        PathInSigma(params, closed=True).validate(worm.charts[chart_name])
+        assert np.all(worm.charts[chart_name].contains(params))
+        check_closed(worm.charts[chart_name], params)
 
 
 def test_ball_describe(ball):
